@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench bench-kernel bench-shards bench-wire bench-cluster bench-overload bench-recycle bench-tiered soak-shards soak-cluster soak-overload soak-tiered fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
+.PHONY: build test vet race bench bench-e2e bench-kernel bench-shards bench-wire bench-cluster bench-overload bench-recycle bench-tiered soak-shards soak-cluster soak-overload soak-tiered fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
 
 build:
 	$(GO) build ./...
@@ -19,10 +19,19 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 100x -run XXX .
 
-# bench-kernel runs the aggregation-kernel micro-benchmarks with allocation
-# reporting and the machine-readable kernel experiment (writes BENCH_4.json).
+# bench-e2e smoke-runs the repo's one yardstick (benchmark/, its own Go
+# module; BENCHMARK.json names the workloads and metrics): all four
+# workloads through real sockets at tiny scale with 1 s windows. For
+# numbers, run `bash benchmark/run.sh` at the default scale and window.
+bench-e2e:
+	bash benchmark/run.sh -scale tiny -seconds 1
+
+# bench-kernel runs the aggregation-kernel micro-benchmarks (single roll-up,
+# flattened vs hop-by-hop multi-hop, accumulator sweeps at three occupancies,
+# slice) with allocation reporting, and the machine-readable kernel
+# experiment (writes BENCH_4.json).
 bench-kernel:
-	$(GO) test ./internal/chunk -run XXX -bench 'RollUpInto|CellMapBuild|GridSlice' -benchmem -benchtime 20000x | tee kernel_bench.txt
+	$(GO) test ./internal/chunk -run XXX -bench 'RollUp|CellMap|GridSlice' -benchmem -benchtime 20000x | tee kernel_bench.txt
 	$(GO) run ./cmd/aggbench -scale small -exp kernel
 
 # bench-shards measures cache-lock scaling across 1/4/16 shards and

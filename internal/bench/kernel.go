@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aggcache/internal/chunk"
+	"aggcache/internal/lattice"
 )
 
 // kernelJSONFile is the machine-readable artifact Kernel writes next to its
@@ -29,6 +30,15 @@ type kernelMetrics struct {
 		NsPerCell   float64 `json:"ns_per_cell"`
 		CellsPerSec float64 `json:"cells_per_sec"`
 	} `json:"rollup"`
+	// Flattened is a multi-hop roll-up done in one pass: every base chunk
+	// folded straight into its chunk of a group-by Hops lattice steps down,
+	// with no intermediate level materialized.
+	Flattened struct {
+		Hops      int     `json:"hops"`
+		DstChunks int     `json:"dst_chunks"`
+		NsPerPass float64 `json:"ns_per_pass"`
+		NsPerCell float64 `json:"ns_per_cell"`
+	} `json:"flattened"`
 	Slice struct {
 		NsPerChunkHalf float64 `json:"ns_per_chunk_half"`
 		NsPerChunkFull float64 `json:"ns_per_chunk_full"`
@@ -81,22 +91,46 @@ func Kernel(e *Env) (*Report, error) {
 		return nil, fmt.Errorf("bench: kernel: empty base group-by")
 	}
 
-	// Roll-up: every base chunk into the top chunk through the pooled
-	// accumulator cycle — exactly what the engine runs per intermediate node.
+	// rollInto folds every base chunk straight into its chunk of dst through
+	// the pooled accumulator cycle — exactly what the engine runs per
+	// materialized plan node, however many lattice levels lie between.
+	var scratch chunk.Chunk
+	rollInto := func(dst lattice.ID) func() error {
+		maps := make([]*chunk.CellMap, e.Grid.NumChunks(dst))
+		return func() error {
+			for _, c := range chunks {
+				num := e.Grid.DescendantChunk(base, int(c.Num), dst)
+				if maps[num] == nil {
+					maps[num] = e.Grid.GetCellMap(dst, num)
+				}
+				if _, err := e.Grid.RollUpInto(maps[num], dst, num, c); err != nil {
+					return err
+				}
+			}
+			for num, cm := range maps {
+				if cm != nil {
+					cm.BuildInto(dst, num, &scratch)
+					chunk.PutCellMap(cm)
+					maps[num] = nil
+				}
+			}
+			return nil
+		}
+	}
 	const passes = 5
 	reps := int(200_000/cells) + 1
-	rollPer, err := kernelBest(passes, reps, func() error {
-		cm := e.Grid.GetCellMap(top, 0)
-		for _, c := range chunks {
-			if _, err := e.Grid.RollUpInto(cm, top, 0, c); err != nil {
-				return err
-			}
-		}
-		out := cm.BuildInto(top, 0, chunk.GetScratchChunk())
-		chunk.PutScratchChunk(out)
-		chunk.PutCellMap(cm)
-		return nil
-	})
+	rollPer, err := kernelBest(passes, reps, rollInto(top))
+	if err != nil {
+		return nil, err
+	}
+	// The multi-hop row: three lattice steps below the base group-by, one
+	// level up on each of the first dimensions that have one to give.
+	mid, hops := base, 0
+	for hops < 3 && len(lat.Children(mid)) > 0 {
+		mid = lat.Children(mid)[hops%len(lat.Children(mid))]
+		hops++
+	}
+	flatPer, err := kernelBest(passes, reps, rollInto(mid))
 	if err != nil {
 		return nil, err
 	}
@@ -157,6 +191,10 @@ func Kernel(e *Env) (*Report, error) {
 	m.RollUp.NsPerPass = float64(rollPer)
 	m.RollUp.NsPerCell = float64(rollPer) / float64(cells)
 	m.RollUp.CellsPerSec = float64(cells) / rollPer.Seconds()
+	m.Flattened.Hops = hops
+	m.Flattened.DstChunks = e.Grid.NumChunks(mid)
+	m.Flattened.NsPerPass = float64(flatPer)
+	m.Flattened.NsPerCell = float64(flatPer) / float64(cells)
 	m.Slice.NsPerChunkHalf = float64(halfPer)
 	m.Slice.NsPerChunkFull = float64(fullPer)
 	m.Stream.Queries = res.Queries
@@ -176,6 +214,8 @@ func Kernel(e *Env) (*Report, error) {
 		Header: []string{"metric", "value"}}
 	r.AddRow("roll-up pass (all base chunks -> top)", fmt.Sprintf("%.3f ms", float64(rollPer)/float64(time.Millisecond)))
 	r.AddRow("roll-up throughput", fmt.Sprintf("%.1f Mcells/s", m.RollUp.CellsPerSec/1e6))
+	r.AddRow(fmt.Sprintf("flattened %d-hop roll-up (all base chunks -> %s)", hops, lat.LevelTupleString(mid)),
+		fmt.Sprintf("%.3f ms, %.1f ns/cell", float64(flatPer)/float64(time.Millisecond), m.Flattened.NsPerCell))
 	r.AddRow("slice per chunk (half region)", fmt.Sprintf("%d ns", halfPer.Nanoseconds()))
 	r.AddRow("slice per chunk (full region)", fmt.Sprintf("%d ns", fullPer.Nanoseconds()))
 	r.AddRow("stream hit ratio", fmt.Sprintf("%.0f%%", m.Stream.HitPct))

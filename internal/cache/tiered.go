@@ -81,7 +81,11 @@ type Tiered struct {
 	// before the store serves traffic, read-only afterwards.
 	outer    Listener
 	promotes atomic.Int64
-	tmet     obs.TierMetrics
+	// lookupColdHits counts the cold hits of the lookup paths (Get, GetInfo)
+	// — the ones the hot tier booked as a miss on the way through. A Pin
+	// that promotes is a cold hit too (TierStats.ColdHits) but no lookup.
+	lookupColdHits atomic.Int64
+	tmet           obs.TierMetrics
 }
 
 // NewTiered wraps hot with a compressed cold tier of coldBytes capacity.
@@ -217,6 +221,7 @@ func (t *Tiered) Get(k Key) (*chunk.Chunk, bool) {
 		return data, true
 	}
 	if data, _, _, ok := t.promote(k); ok {
+		t.lookupColdHits.Add(1)
 		t.cold.hit()
 		t.tmet.ColdHits.Inc()
 		return data, true
@@ -238,6 +243,7 @@ func (t *Tiered) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
 		return data, ClassBackend, 0, true
 	}
 	if data, cl, benefit, ok := t.promote(k); ok {
+		t.lookupColdHits.Add(1)
 		t.cold.hit()
 		t.tmet.ColdHits.Inc()
 		return data, cl, benefit, true
@@ -348,13 +354,17 @@ func (t *Tiered) Range(fn func(k Key, data *chunk.Chunk, cl Class, benefit float
 	}
 }
 
-// Stats implements Store: the hot tier's counters with cold hits folded in
-// (a cold hit was counted as a hot miss on the way through).
+// Stats implements Store: the hot tier's counters with the lookup paths'
+// cold hits moved from Misses to Hits (each was counted as a hot miss on the
+// way through, so Misses cannot go negative and Hits+Misses stays the number
+// of lookups). Cold hits taken by Pin are not lookups and move nothing: the
+// engine pins a plan's leaves before it Gets them, and the Get that follows
+// a promoting Pin is an ordinary hot hit.
 func (t *Tiered) Stats() Stats {
 	s := t.hot.Stats()
-	ts := t.TierStats()
-	s.Hits += ts.ColdHits
-	s.Misses -= ts.ColdHits
+	n := t.lookupColdHits.Load()
+	s.Hits += n
+	s.Misses -= n
 	return s
 }
 

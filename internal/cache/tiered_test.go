@@ -172,6 +172,49 @@ func TestTieredGetServesAndCounts(t *testing.T) {
 	}
 }
 
+// TestTieredStatsPinThenGet is the engine's access pattern on a
+// cold-resident plan leaf: Pin promotes it, Get then finds it hot. The cold
+// hit belongs to the Pin, which is not a lookup, so it must not be
+// subtracted from Misses (Stats used to report Misses = -1 here).
+func TestTieredStatsPinThenGet(t *testing.T) {
+	tc, _ := tieredFixture(t, 4096)
+	tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(0))
+	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(0)) // demotes 1
+
+	lookups := int64(0)
+	for round := 0; round < 3; round++ {
+		for _, k := range []Key{key(1), key(2)} { // each Pin promotes k, demoting the other
+			if !tc.Pin(k) {
+				t.Fatalf("round %d: Pin(%v) on a cold-resident key failed", round, k)
+			}
+			if _, ok := tc.Get(k); !ok {
+				t.Fatalf("round %d: Get(%v) after Pin missed", round, k)
+			}
+			tc.Unpin(k)
+			lookups++
+		}
+	}
+	if _, ok := tc.Get(key(9)); ok { // one true miss
+		t.Fatalf("absent key served")
+	}
+	lookups++
+	if _, ok := tc.Get(key(1)); !ok { // one Get-path cold hit
+		t.Fatalf("cold-resident key 1 not served")
+	}
+	lookups++
+
+	st := tc.Stats()
+	if st.Misses < 0 || st.Hits+st.Misses != lookups {
+		t.Fatalf("Stats = %d hits + %d misses, want %d lookups and no negative count", st.Hits, st.Misses, lookups)
+	}
+	if st.Misses != 1 {
+		t.Fatalf("Misses = %d, want the 1 absent-key lookup", st.Misses)
+	}
+	if ts := tc.TierStats(); ts.ColdHits != 7 {
+		t.Fatalf("ColdHits = %d, want 7 (6 Pin-path promotions + 1 Get-path)", ts.ColdHits)
+	}
+}
+
 // TestTieredResidencyInvariant checks a key is never resident in both tiers:
 // Keys over both tiers has no duplicates at every step of a random walk.
 func TestTieredResidencyInvariant(t *testing.T) {

@@ -11,7 +11,6 @@ package chunk
 
 import (
 	"fmt"
-	"sync"
 
 	"aggcache/internal/lattice"
 	"aggcache/internal/schema"
@@ -25,10 +24,8 @@ func (r Range) Len() int { return int(r.Hi - r.Lo) }
 
 // Grid is the chunking of a schema: per dimension and per hierarchy level, a
 // division of the members into contiguous chunk ranges, aligned across
-// levels so that the closure property holds. A Grid's geometry is immutable
-// after New; the only mutable state is the internal, concurrency-safe memo
-// of roll-up mappers (see rollUpMapper), which is pure memoization of that
-// geometry.
+// levels so that the closure property holds. A Grid is immutable after
+// NewGrid, so every method is safe for concurrent use without locking.
 type Grid struct {
 	sch *schema.Schema
 	lat *lattice.Lattice
@@ -51,12 +48,10 @@ type Grid struct {
 	chunkStrides [][]int
 	// numChunks[gb] = total chunks of group-by gb.
 	numChunks []int
-
-	// mapMu guards mappers, the memoized roll-up translation tables keyed by
-	// (srcGB, srcNum, dstGB). Read-mostly: every steady-state RollUpInto is
-	// one RLock'd lookup.
-	mapMu   sync.RWMutex
-	mappers map[mapperKey]*rollUpMapper
+	// ancOff[d][sl][dl][m] = offset, inside its chunk, of the level-dl
+	// ancestor of member m of level sl (dl ≤ sl) — the roll-up key
+	// translation, see buildAncestorOffsets.
+	ancOff [][][][]uint32
 }
 
 // NewGrid builds a grid with counts[d][l] chunks for dimension d at level l.
@@ -72,6 +67,9 @@ func NewGrid(sch *schema.Schema, counts [][]int) (*Grid, error) {
 	if len(counts) != sch.NumDims() {
 		return nil, fmt.Errorf("chunk: counts has %d dimensions, want %d", len(counts), sch.NumDims())
 	}
+	if sch.NumDims() > maxDims {
+		return nil, fmt.Errorf("chunk: schema has %d dimensions, at most %d are supported", sch.NumDims(), maxDims)
+	}
 	g := &Grid{
 		sch:         sch,
 		lat:         lattice.New(sch),
@@ -81,12 +79,13 @@ func NewGrid(sch *schema.Schema, counts [][]int) (*Grid, error) {
 		parentRange: make([][][]Range, sch.NumDims()),
 		childChunk:  make([][][]int32, sch.NumDims()),
 		baseRange:   make([][][]Range, sch.NumDims()),
-		mappers:     make(map[mapperKey]*rollUpMapper),
+		ancOff:      make([][][][]uint32, sch.NumDims()),
 	}
 	for d := 0; d < sch.NumDims(); d++ {
 		if err := g.buildDim(d, counts[d]); err != nil {
 			return nil, err
 		}
+		g.buildAncestorOffsets(d)
 	}
 	g.buildGroupByTables()
 	return g, nil

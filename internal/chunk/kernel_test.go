@@ -137,11 +137,42 @@ func TestCellMapResetReuse(t *testing.T) {
 		t.Fatalf("mode flip produced %v / %v", c.Keys, c.Vals)
 	}
 	PutCellMap(dm)
+
+	// Sparse occupancy of a dense accumulator — one bit set per bitmap word,
+	// the case the set-bit sweep exists for: Build must emit exactly those
+	// cells in key order and Reset must zero exactly those slots.
+	wide := &CellMap{}
+	wide.prepare(64 * 40)
+	for w := 0; w < 40; w++ {
+		wide.AddCell(uint64(w*64+(w*7)%64), float64(w+1), int64(w+2))
+	}
+	c = wide.Build(base, 0)
+	if c.Cells() != 40 {
+		t.Fatalf("one-bit-per-word build: %d cells, want 40", c.Cells())
+	}
+	for w := 0; w < 40; w++ {
+		if c.Keys[w] != uint64(w*64+(w*7)%64) || c.Vals[w] != float64(w+1) || c.Counts[w] != int64(w+2) {
+			t.Fatalf("one-bit-per-word cell %d = (%d, %v, %d)", w, c.Keys[w], c.Vals[w], c.Counts[w])
+		}
+	}
+	wide.Reset()
+	if wide.Len() != 0 {
+		t.Fatalf("one-bit-per-word Reset left %d cells", wide.Len())
+	}
+	for k := range wide.dense {
+		if wide.dense[k] != 0 || wide.denseN[k] != 0 {
+			t.Fatalf("one-bit-per-word Reset left slot %d = (%v, %d)", k, wide.dense[k], wide.denseN[k])
+		}
+	}
+	for i, w := range wide.occ {
+		if w != 0 {
+			t.Fatalf("one-bit-per-word Reset left bitmap word %d = %x", i, w)
+		}
+	}
 }
 
 // bigChunkGrid returns a grid whose single base chunk exceeds denseLimit
-// cells, forcing the sparse accumulator and the generic (non-fused) roll-up
-// path.
+// cells, forcing the sparse accumulator.
 func bigChunkGrid(t testing.TB) *Grid {
 	t.Helper()
 	a := schema.MustNewDimension("A", []schema.HierarchySpec{{Name: "L", Card: 300}})
@@ -150,10 +181,10 @@ func bigChunkGrid(t testing.TB) *Grid {
 	return MustNewGrid(s, [][]int{{1, 1}, {1, 1}})
 }
 
-// TestRollUpFastPaths checks each mapper form directly: copy-through for
-// identical group-bys, copy-through when only span-1 dimensions collapse,
-// the fused table for small sources, and the generic path for large ones —
-// all against a member-level reference aggregation.
+// TestRollUpFastPaths checks both mapper forms directly: copy-through for
+// identical group-bys and when only span-1 dimensions collapse, and the
+// per-dimension decode for translating roll-ups (into dense and sparse
+// accumulators) — all against a member-level reference aggregation.
 func TestRollUpFastPaths(t *testing.T) {
 	// Span-1 copy-through needs a dimension chunked one-member-per-chunk.
 	p := schema.MustNewDimension("P", []schema.HierarchySpec{{Name: "Group", Card: 4}, {Name: "Code", Card: 16}})
@@ -171,9 +202,9 @@ func TestRollUpFastPaths(t *testing.T) {
 	src := cm.Build(base, 0)
 
 	// Same group-by: pure copy.
-	m, err := g.rollUpMapperFor(base, 0, base, 0)
-	if err != nil || !m.copyThrough {
-		t.Fatalf("same-gb mapper: %v copyThrough=%v", err, m != nil && m.copyThrough)
+	var m rollUpMapper
+	if err := m.compose(g, base, 0, base, 0); err != nil || !m.copyThrough {
+		t.Fatalf("same-gb mapper: %v copyThrough=%v", err, m.copyThrough)
 	}
 	out := NewCellMap()
 	if _, err := g.RollUpInto(out, base, 0, src); err != nil {
@@ -188,28 +219,32 @@ func TestRollUpFastPaths(t *testing.T) {
 	// Collapsing only the span-1 Store dimension: still copy-through.
 	storeAll := lat.MustID(2, 0, 2)
 	dst := g.DescendantChunk(base, 0, storeAll)
-	m, err = g.rollUpMapperFor(storeAll, dst, base, 0)
-	if err != nil {
+	if err := m.compose(g, storeAll, dst, base, 0); err != nil {
 		t.Fatalf("span-1 mapper: %v", err)
 	}
 	if !m.copyThrough {
-		t.Fatalf("span-1-only collapse should be copy-through, got fused=%v generic=%v", m.fused != nil, m.tables != nil)
+		t.Fatalf("span-1-only collapse should be copy-through")
 	}
 	checkRollUpAgainstReference(t, g, storeAll, dst, src)
 
-	// A genuinely translating small source: fused table.
+	// A genuinely translating roll-up decodes the two dimensions the source
+	// chunk spans more than one member of and folds the span-1 one into base.
 	grp := lat.MustID(1, 1, 1)
 	dst = g.DescendantChunk(base, 0, grp)
-	m, err = g.rollUpMapperFor(grp, dst, base, 0)
-	if err != nil {
-		t.Fatalf("fused mapper: %v", err)
+	if err := m.compose(g, grp, dst, base, 0); err != nil {
+		t.Fatalf("translating mapper: %v", err)
 	}
-	if m.copyThrough || m.fused == nil {
-		t.Fatalf("small translating source should fuse (copy=%v fused=%v)", m.copyThrough, m.fused != nil)
+	if m.copyThrough || m.n != 2 {
+		t.Fatalf("translating roll-up: copy=%v, %d decoded dims (want 2)", m.copyThrough, m.n)
 	}
 	checkRollUpAgainstReference(t, g, grp, dst, src)
 
-	// A source above fusedLimit: generic per-dimension path.
+	// A wrong destination chunk is refused, not silently mis-mapped.
+	if err := m.compose(g, grp, dst+1, base, 0); err == nil {
+		t.Fatalf("mapper composed for a destination chunk the source does not fall in")
+	}
+
+	// A source too large for a dense accumulator of its own.
 	big := bigChunkGrid(t)
 	blat := big.Lattice()
 	bcm := NewCellMap()
@@ -217,13 +252,6 @@ func TestRollUpFastPaths(t *testing.T) {
 		bcm.Add(uint64(rng.Intn(90000)), float64(1+rng.Intn(9)))
 	}
 	bsrc := bcm.Build(blat.Base(), 0)
-	m, err = big.rollUpMapperFor(blat.Top(), 0, blat.Base(), 0)
-	if err != nil {
-		t.Fatalf("generic mapper: %v", err)
-	}
-	if m.copyThrough || m.fused != nil || len(m.tables) == 0 {
-		t.Fatalf("large source should use the generic path (copy=%v fused=%v)", m.copyThrough, m.fused != nil)
-	}
 	checkRollUpAgainstReference(t, big, blat.Top(), 0, bsrc)
 }
 
@@ -263,13 +291,16 @@ func checkRollUpAgainstReference(t *testing.T, g *Grid, dstGB lattice.ID, dstNum
 	}
 }
 
-// TestRollUpMapperCacheConcurrent hammers one fresh Grid's mapper cache from
-// many goroutines — every (source chunk, destination group-by) pair misses
-// initially, so builds race with lookups — and checks every result against a
-// serially computed reference. Run with -race (make race / CI does).
-func TestRollUpMapperCacheConcurrent(t *testing.T) {
+// TestRollUpConcurrent rolls every base chunk into every chunk of every
+// group-by from many goroutines sharing one Grid and checks every result
+// against a serially computed reference: the translation tables are
+// immutable, so there is nothing to race on (run with -race; make race / CI
+// does) and nothing that grows — the mapper footprint is the same before
+// and after, however many (source chunk, destination group-by) pairs ran.
+func TestRollUpConcurrent(t *testing.T) {
 	g := rollupTestGrid(t)
 	lat := g.Lattice()
+	footprint := g.MapperBytes()
 	rng := rand.New(rand.NewSource(11))
 	cells := make(map[[3]int32]float64)
 	for i := 0; i < 400; i++ {
@@ -278,34 +309,38 @@ func TestRollUpMapperCacheConcurrent(t *testing.T) {
 	}
 	baseChunks := buildBaseChunks(g, cells)
 
-	// Serial reference: total per (gb, chunk) from a second, isolated grid
-	// so the reference run does not warm the cache under test.
-	ref := rollupTestGrid(t)
 	type target struct {
 		gb  lattice.ID
 		num int
+	}
+	rollUp := func(tg target) (*Chunk, error) {
+		cm := g.GetCellMap(tg.gb, tg.num)
+		defer PutCellMap(cm)
+		for _, bc := range g.AncestorChunks(tg.gb, tg.num, lat.Base(), nil) {
+			if src, ok := baseChunks[bc]; ok {
+				if _, err := g.RollUpInto(cm, tg.gb, tg.num, src); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return cm.Build(tg.gb, tg.num), nil
 	}
 	refTotals := make(map[target]float64)
 	var targets []target
 	for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
 		for num := 0; num < g.NumChunks(id); num++ {
-			cm := NewCellMap()
-			for _, bc := range ref.AncestorChunks(id, num, lat.Base(), nil) {
-				if src, ok := baseChunks[bc]; ok {
-					if _, err := ref.RollUpInto(cm, id, num, src); err != nil {
-						t.Fatalf("reference roll-up: %v", err)
-					}
-				}
-			}
 			tg := target{gb: id, num: num}
-			refTotals[tg] = cm.Build(id, num).Total()
+			ref, err := rollUp(tg)
+			if err != nil {
+				t.Fatalf("reference roll-up: %v", err)
+			}
+			refTotals[tg] = ref.Total()
 			targets = append(targets, tg)
 		}
 	}
 
 	const workers = 8
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -313,29 +348,20 @@ func TestRollUpMapperCacheConcurrent(t *testing.T) {
 			for rep := 0; rep < 4; rep++ {
 				for i := w; i < len(targets); i += 1 + w%3 {
 					tg := targets[i]
-					cm := g.GetCellMap(tg.gb, tg.num)
-					for _, bc := range g.AncestorChunks(tg.gb, tg.num, lat.Base(), nil) {
-						if src, ok := baseChunks[bc]; ok {
-							if _, err := g.RollUpInto(cm, tg.gb, tg.num, src); err != nil {
-								errs <- err
-								PutCellMap(cm)
-								return
-							}
-						}
+					got, err := rollUp(tg)
+					if err != nil {
+						t.Errorf("concurrent roll-up: %v", err)
+						return
 					}
-					got := cm.BuildInto(tg.gb, tg.num, GetScratchChunk())
 					if got.Total() != refTotals[tg] {
 						t.Errorf("gb %d chunk %d: total %v, want %v", tg.gb, tg.num, got.Total(), refTotals[tg])
 					}
-					PutScratchChunk(got)
-					PutCellMap(cm)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent roll-up: %v", err)
+	if got := g.MapperBytes(); got != footprint || got == 0 {
+		t.Fatalf("mapper footprint %d B after rolling every base chunk into every group-by, %d B before", got, footprint)
 	}
 }

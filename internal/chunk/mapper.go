@@ -2,173 +2,96 @@ package chunk
 
 import (
 	"fmt"
-	"math"
 
 	"aggcache/internal/lattice"
 )
 
-// fusedLimit is the largest source-chunk cell capacity for which the mapper
-// tabulates the whole srcKey → dstKey translation into one lookup table
-// (≤ 16 KiB per table). Larger sources use the per-dimension generic path.
-const fusedLimit = 1 << 12
-
-// mapperKey identifies one roll-up translation: source chunk (srcGB, srcNum)
-// into its destination chunk at dstGB. The destination chunk number is not
-// part of the key — a source chunk falls in exactly one destination chunk —
-// so it is stored in the mapper and verified on every lookup instead.
-type mapperKey struct {
-	srcGB, dstGB lattice.ID
-	srcNum       int32
+// buildAncestorOffsets tabulates, for dimension d, every member's ancestor
+// at every more aggregated level as an offset inside that ancestor's chunk:
+// ancOff[d][sl][dl][m] = a − MemberRange(d, dl, chunk of a).Lo, where a is
+// the level-dl ancestor of member m of level sl (dl ≤ sl). These tables are
+// the whole roll-up translation state of a Grid: Σ_d levels_d² · members_d
+// uint32s, built once in NewGrid, immutable afterwards and therefore read
+// without a lock. A chunk-to-chunk mapper is a window [sr.Lo, sr.Hi) into one
+// table per dimension, composed on the stack per RollUpInto call.
+func (g *Grid) buildAncestorOffsets(d int) {
+	dim := g.sch.Dim(d)
+	h := dim.Hierarchy()
+	g.ancOff[d] = make([][][]uint32, h+1)
+	for sl := 0; sl <= h; sl++ {
+		g.ancOff[d][sl] = make([][]uint32, sl+1)
+		for dl := 0; dl <= sl; dl++ {
+			tab := make([]uint32, dim.Card(sl))
+			for m := range tab {
+				a := dim.Ancestor(sl, dl, int32(m))
+				tab[m] = uint32(a - g.starts[d][dl][g.chunkOf[d][dl][a]])
+			}
+			g.ancOff[d][sl][dl] = tab
+		}
+	}
 }
 
-// rollUpMapper is the precomputed key translation for rolling one source
-// chunk's cells up into its destination chunk. Mappers are built once per
-// (srcGB, srcNum, dstGB) and memoized on the Grid for the process lifetime:
-// the translation depends only on the grid's immutable geometry (chunk
-// coordinates, member ranges and hierarchy ancestors), never on chunk
-// payloads, so cached mappers need no invalidation. Exactly one of the three
-// translation forms is active, fastest first:
+// maxDims bounds a schema's dimension count so a rollUpMapper has a fixed
+// size and can live on the stack; NewGrid rejects wider schemas.
+const maxDims = 16
+
+// rollUpMapper is the key translation for rolling one source chunk's cells
+// up into a destination chunk at any descendant (more aggregated) group-by.
+// It lives on the caller's stack: composing one is O(dims) and allocates
+// nothing.
 //
-//   - copyThrough: source and destination coordinate spaces coincide (same
-//     group-by, or every dimension translates identically) — keys pass
-//     through untouched;
-//   - fused: fused[srcKey] = dstKey, one table lookup per cell;
-//   - generic: per-dimension decode restricted to the non-trivial dimensions
-//     (source span > 1), with the constant contribution of span-1 dimensions
-//     folded into base.
+//   - copyThrough: the source and destination cell spaces coincide (same
+//     levels on every dimension the chunk spans more than one member of), so
+//     keys pass through untouched;
+//   - otherwise: per-dimension decode restricted to the n non-trivial
+//     dimensions (source span > 1), least-significant first, with the
+//     constant contribution of span-1 dimensions folded into base.
 type rollUpMapper struct {
-	dstNum      int32
 	copyThrough bool
-	fused       []uint32
+	n           int
 	base        uint64
-	spans       []uint64   // source spans of non-trivial dims, least-significant first
-	strides     []uint64   // destination strides of those dims
-	tables      [][]uint32 // tables[j][srcOff] = destination offset
+	spans       [maxDims]uint64   // source spans of non-trivial dims
+	strides     [maxDims]uint64   // destination strides of those dims
+	tables      [maxDims][]uint32 // tables[j][srcOff] = destination offset
 }
 
-// rollUpMapperFor returns the memoized mapper for rolling chunk srcNum of
-// srcGB into chunk dstNum of dstGB, building and caching it on first use.
-// Safe for concurrent use; concurrent first lookups may build the same
-// mapper twice, with one copy winning — both are identical.
-func (g *Grid) rollUpMapperFor(dstGB lattice.ID, dstNum int, srcGB lattice.ID, srcNum int) (*rollUpMapper, error) {
-	key := mapperKey{srcGB: srcGB, dstGB: dstGB, srcNum: int32(srcNum)}
-	g.mapMu.RLock()
-	m := g.mappers[key]
-	g.mapMu.RUnlock()
-	if m == nil {
-		var err error
-		m, err = g.buildRollUpMapper(dstGB, srcGB, srcNum)
-		if err != nil {
-			return nil, err
-		}
-		g.mapMu.Lock()
-		if prev, ok := g.mappers[key]; ok {
-			m = prev
-		} else {
-			g.mappers[key] = m
-		}
-		g.mapMu.Unlock()
-	}
-	if int(m.dstNum) != dstNum {
-		return nil, fmt.Errorf("chunk: source chunk %d of %s does not fall in chunk %d of %s",
-			srcNum, g.lat.LevelTupleString(srcGB), dstNum, g.lat.LevelTupleString(dstGB))
-	}
-	return m, nil
-}
-
-// buildRollUpMapper constructs the translation tables for one (src chunk,
-// dst group-by) pair and picks the fastest applicable form.
-func (g *Grid) buildRollUpMapper(dstGB, srcGB lattice.ID, srcNum int) (*rollUpMapper, error) {
+// compose fills m with the translation from chunk srcNum of srcGB into chunk
+// dstNum of dstGB, verifying that dstGB is computable from srcGB and that
+// the source chunk lies inside the destination chunk's region.
+func (m *rollUpMapper) compose(g *Grid, dstGB lattice.ID, dstNum int, srcGB lattice.ID, srcNum int) error {
 	if !g.lat.ComputableFrom(dstGB, srcGB) {
-		return nil, fmt.Errorf("chunk: group-by %s is not computable from %s",
+		return fmt.Errorf("chunk: group-by %s is not computable from %s",
 			g.lat.LevelTupleString(dstGB), g.lat.LevelTupleString(srcGB))
 	}
-	dstNum := g.DescendantChunk(srcGB, srcNum, dstGB)
-	m := &rollUpMapper{dstNum: int32(dstNum)}
-	if srcGB == dstGB {
-		m.copyThrough = true
-		return m, nil
-	}
-
-	nd := g.sch.NumDims()
-	var sbuf, dbuf [16]int32
+	var sbuf, dbuf [maxDims]int32
 	srcCoords := g.Coords(srcGB, srcNum, sbuf[:0])
 	dstCoords := g.Coords(dstGB, dstNum, dbuf[:0])
-	srcSpans := make([]uint64, nd)
-	dstStrides := make([]uint64, nd)
-	tables := make([][]uint32, nd)
-	dstSpans := make([]uint64, nd)
-	for d := 0; d < nd; d++ {
-		sl, dl := g.lat.LevelAt(srcGB, d), g.lat.LevelAt(dstGB, d)
-		sr := g.MemberRange(d, sl, srcCoords[d])
-		dr := g.MemberRange(d, dl, dstCoords[d])
-		srcSpans[d] = uint64(sr.Hi - sr.Lo)
-		dstSpans[d] = uint64(dr.Hi - dr.Lo)
-		tab := make([]uint32, sr.Hi-sr.Lo)
-		dim := g.sch.Dim(d)
-		for off := range tab {
-			anc := dim.Ancestor(sl, dl, sr.Lo+int32(off))
-			tab[off] = uint32(anc - dr.Lo)
-		}
-		tables[d] = tab
-	}
-	srcCap, dstCap := uint64(1), uint64(1)
+	srcLv, dstLv := g.lat.Level(srcGB), g.lat.Level(dstGB)
+	m.copyThrough, m.n, m.base = true, 0, 0
 	stride := uint64(1)
-	for d := nd - 1; d >= 0; d-- {
-		dstStrides[d] = stride
-		stride *= dstSpans[d]
-		srcCap *= srcSpans[d]
-		dstCap *= dstSpans[d]
-	}
-
-	// Fold span-1 source dimensions into a constant and keep the rest in
-	// least-significant-first decode order.
-	srcStride := uint64(1)
-	identity := true
-	for d := nd - 1; d >= 0; d-- {
-		if srcSpans[d] == 1 {
-			m.base += uint64(tables[d][0]) * dstStrides[d]
-			continue
+	for d := len(srcCoords) - 1; d >= 0; d-- {
+		sl, dl := srcLv[d], dstLv[d]
+		c := srcCoords[d]
+		for l := sl; l > dl; l-- {
+			c = g.childChunk[d][l][c]
 		}
-		if dstStrides[d] != srcStride || !identityTable(tables[d]) {
-			identity = false
+		if c != dstCoords[d] {
+			return fmt.Errorf("chunk: source chunk %d of %s does not fall in chunk %d of %s",
+				srcNum, g.lat.LevelTupleString(srcGB), dstNum, g.lat.LevelTupleString(dstGB))
 		}
-		m.spans = append(m.spans, srcSpans[d])
-		m.strides = append(m.strides, dstStrides[d])
-		m.tables = append(m.tables, tables[d])
-		srcStride *= srcSpans[d]
-	}
-	if identity && m.base == 0 {
-		// Every cell key maps to itself (the destination only collapses
-		// span-1 dimensions) — the pure-copy path.
-		m.copyThrough = true
-		m.spans, m.strides, m.tables = nil, nil, nil
-		return m, nil
-	}
-	if srcCap <= fusedLimit && dstCap <= math.MaxUint32 {
-		fused := make([]uint32, srcCap)
-		for k := uint64(0); k < srcCap; k++ {
-			dk := m.base
-			rem := k
-			for j, span := range m.spans {
-				off := rem % span
-				rem /= span
-				dk += uint64(m.tables[j][off]) * m.strides[j]
-			}
-			fused[k] = uint32(dk)
+		sr := g.MemberRange(d, sl, srcCoords[d])
+		dstSpan := uint64(g.MemberRange(d, dl, c).Len())
+		tab := g.ancOff[d][sl][dl][sr.Lo:sr.Hi]
+		if len(tab) == 1 {
+			m.base += uint64(tab[0]) * stride
+		} else {
+			m.spans[m.n], m.strides[m.n], m.tables[m.n] = uint64(len(tab)), stride, tab
+			m.n++
 		}
-		m.fused = fused
-		m.spans, m.strides, m.tables = nil, nil, nil
-	}
-	return m, nil
-}
-
-// identityTable reports whether tab maps every offset to itself.
-func identityTable(tab []uint32) bool {
-	for off, v := range tab {
-		if v != uint32(off) {
-			return false
+		if sl != dl && (len(tab) != 1 || dstSpan != 1) {
+			m.copyThrough = false
 		}
+		stride *= dstSpan
 	}
-	return true
+	return nil
 }

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"aggcache/internal/lattice"
@@ -12,8 +13,7 @@ import (
 // chunk (see Grid.ChunkOfCell). Each cell carries the measure's SUM and the
 // contributing fact-row COUNT; both are distributive, so any roll-up of
 // chunks can serve SUM, COUNT and AVG queries. A Chunk is immutable once
-// built — except for pooled scratch chunks (GetScratchChunk), which their
-// owner may rebuild between release points.
+// built.
 type Chunk struct {
 	GB     lattice.ID
 	Num    int32
@@ -185,20 +185,16 @@ func (cm *CellMap) Len() int {
 }
 
 // Reset clears the accumulator for reuse. In dense mode it zeroes exactly
-// the occupied slots, which keeps the whole backing array zero — the
-// invariant pooled reuse at a different capacity relies on.
+// the occupied slots — visiting set bits only, so a sparse accumulator costs
+// one step per cell, not 64 per bitmap word — which keeps the whole backing
+// array zero, the invariant pooled reuse at a different capacity relies on.
 func (cm *CellMap) Reset() {
 	if cm.isDense {
 		for i, w := range cm.occ {
-			if w == 0 {
-				continue
-			}
-			base := i * 64
-			for b := 0; b < 64; b++ {
-				if w&(1<<b) != 0 {
-					cm.dense[base+b] = 0
-					cm.denseN[base+b] = 0
-				}
+			for ; w != 0; w &= w - 1 {
+				k := i*64 + bits.TrailingZeros64(w)
+				cm.dense[k] = 0
+				cm.denseN[k] = 0
 			}
 			cm.occ[i] = 0
 		}
@@ -216,9 +212,7 @@ func (cm *CellMap) Build(gb lattice.ID, num int) *Chunk {
 }
 
 // BuildInto is Build emitting into c's backing arrays, growing them only
-// when the cell count exceeds their capacity — the allocation-free path for
-// intermediate results that live only until a parent roll-up consumes them.
-// It returns c. Pair with GetScratchChunk/PutScratchChunk; never hand a
+// when the cell count exceeds their capacity. It returns c. Never hand a
 // reused chunk to an owner that retains it.
 func (cm *CellMap) BuildInto(gb lattice.ID, num int, c *Chunk) *Chunk {
 	n := cm.Len()
@@ -234,16 +228,11 @@ func (cm *CellMap) BuildInto(gb lattice.ID, num int, c *Chunk) *Chunk {
 	}
 	if cm.isDense {
 		for i, w := range cm.occ {
-			if w == 0 {
-				continue
-			}
-			base := uint64(i) * 64
-			for b := uint64(0); b < 64; b++ {
-				if w&(1<<b) != 0 {
-					c.Keys = append(c.Keys, base+b)
-					c.Vals = append(c.Vals, cm.dense[base+b])
-					c.Counts = append(c.Counts, cm.denseN[base+b])
-				}
+			for ; w != 0; w &= w - 1 {
+				k := uint64(i*64 + bits.TrailingZeros64(w))
+				c.Keys = append(c.Keys, k)
+				c.Vals = append(c.Vals, cm.dense[k])
+				c.Counts = append(c.Counts, cm.denseN[k])
 			}
 		}
 		return c
@@ -262,57 +251,37 @@ func (cm *CellMap) BuildInto(gb lattice.ID, num int, c *Chunk) *Chunk {
 
 // RollUpInto aggregates every cell of src into dst, translating cell keys
 // from the source chunk's coordinate space to the destination chunk at
-// (dstGB, dstNum). The source group-by must be an ancestor (componentwise ≥)
-// of dstGB and the source chunk must lie inside the destination chunk's
-// region. It returns the number of cells scanned.
+// (dstGB, dstNum). The source group-by may be any ancestor (componentwise ≥)
+// of dstGB — roll-up is associative, so a plan's leaves can be folded
+// straight into a chunk several lattice levels down — and the source chunk
+// must lie inside the destination chunk's region. It returns the number of
+// cells scanned.
 //
-// The key translation runs off a mapper memoized on the Grid (see
-// rollUpMapper), so the steady state builds no tables and allocates nothing;
-// per cell it does one table lookup on the fused path, or one div/mod per
-// non-trivial dimension on the generic path.
+// The key translation is composed on the stack from the Grid's immutable
+// per-dimension ancestor-offset tables (see rollUpMapper): no lock, no memo,
+// no allocation; per cell it costs one div/mod and one table lookup per
+// dimension the source chunk spans more than one member of.
 func (g *Grid) RollUpInto(dst *CellMap, dstGB lattice.ID, dstNum int, src *Chunk) (int, error) {
-	m, err := g.rollUpMapperFor(dstGB, dstNum, src.GB, int(src.Num))
-	if err != nil {
+	var m rollUpMapper
+	if err := m.compose(g, dstGB, dstNum, src.GB, int(src.Num)); err != nil {
 		return 0, err
 	}
 	counts := src.Counts
-	switch {
-	case m.copyThrough:
-		if counts == nil {
-			for i, key := range src.Keys {
-				dst.AddCell(key, src.Vals[i], 1)
-			}
-		} else {
-			for i, key := range src.Keys {
-				dst.AddCell(key, src.Vals[i], counts[i])
-			}
-		}
-	case m.fused != nil:
-		fused := m.fused
-		if counts == nil {
-			for i, key := range src.Keys {
-				dst.AddCell(uint64(fused[key]), src.Vals[i], 1)
-			}
-		} else {
-			for i, key := range src.Keys {
-				dst.AddCell(uint64(fused[key]), src.Vals[i], counts[i])
+	for i, key := range src.Keys {
+		dk := key
+		if !m.copyThrough {
+			dk = m.base
+			for j := 0; j < m.n; j++ {
+				span := m.spans[j]
+				dk += uint64(m.tables[j][key%span]) * m.strides[j]
+				key /= span
 			}
 		}
-	default:
-		for i, key := range src.Keys {
-			dk := m.base
-			k := key
-			for j, span := range m.spans {
-				off := k % span
-				k /= span
-				dk += uint64(m.tables[j][off]) * m.strides[j]
-			}
-			count := int64(1)
-			if counts != nil {
-				count = counts[i]
-			}
-			dst.AddCell(dk, src.Vals[i], count)
+		count := int64(1)
+		if counts != nil {
+			count = counts[i]
 		}
+		dst.AddCell(dk, src.Vals[i], count)
 	}
 	return len(src.Keys), nil
 }

@@ -6,22 +6,13 @@ import (
 	"aggcache/internal/lattice"
 )
 
-// The aggregation hot path runs one accumulator per plan node and one
-// transient chunk per intermediate result; both are pooled so the steady
-// state allocates (near) nothing. Ownership rules (DESIGN.md §9):
-//
-//   - a CellMap from GetCellMap must go back through PutCellMap and must not
-//     be touched afterwards;
-//   - a Chunk from GetScratchChunk may be filled via CellMap.BuildInto, fed
-//     to RollUpInto as a source, and released with PutScratchChunk — it must
-//     NEVER be inserted into a cache, stored in a Result, or otherwise
-//     retained past the release;
-//   - chunks that outlive the computation (cache inserts, query results) are
-//     built with CellMap.Build, which always allocates fresh backing arrays.
-var (
-	cellMapPool      = sync.Pool{New: func() any { return new(CellMap) }}
-	scratchChunkPool = sync.Pool{New: func() any { return new(Chunk) }}
-)
+// The aggregation hot path runs one accumulator per materialized plan node;
+// accumulators are pooled so the steady state allocates (near) nothing. A
+// CellMap from GetCellMap must go back through PutCellMap and must not be
+// touched afterwards. Chunks are never pooled: the executor only builds
+// chunks that outlive the computation (cache inserts, query results), and
+// CellMap.Build always allocates those fresh backing arrays.
+var cellMapPool = sync.Pool{New: func() any { return new(CellMap) }}
 
 // GetCellMap returns a pooled accumulator sized for chunk num of group-by gb
 // — dense when the chunk's cell capacity permits, like Grid.NewCellMap, but
@@ -43,20 +34,4 @@ func PutCellMap(cm *CellMap) {
 	}
 	cm.Reset()
 	cellMapPool.Put(cm)
-}
-
-// GetScratchChunk returns a pooled Chunk for CellMap.BuildInto to emit an
-// intermediate (non-retained) result into. Release it with PutScratchChunk
-// once the consumer — typically a parent RollUpInto — is done with it.
-func GetScratchChunk() *Chunk {
-	return scratchChunkPool.Get().(*Chunk)
-}
-
-// PutScratchChunk returns c and its backing arrays to the scratch pool; nil
-// is a no-op. The caller must not retain c afterwards.
-func PutScratchChunk(c *Chunk) {
-	if c == nil {
-		return
-	}
-	scratchChunkPool.Put(c)
 }

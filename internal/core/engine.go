@@ -73,12 +73,13 @@ func WithConnectCost(units float64) Option {
 const DefaultRecycleMinBenefit = 1.0
 
 // WithRecycling(true) enables benefit-driven recycling of intermediate
-// aggregates: every interior plan node materialized during in-cache
-// aggregation — and every lattice roll-up fully covered by an arriving
-// backend batch — is scored in O(1) via the strategy's CostEstimate and
-// admitted to the cache as a computed-class chunk when the recompute cost it
-// saves per byte clears the threshold (WithRecycleMinBenefit). Off by
-// default: the paper's engine caches only the newly computed result chunk.
+// aggregates: every interior plan node of an in-cache aggregation — and
+// every lattice roll-up fully covered by an arriving backend batch — is
+// scored in O(1) via the strategy's CostEstimate and, when the recompute
+// cost it saves per byte clears the threshold (WithRecycleMinBenefit),
+// materialized and admitted to the cache as a computed-class chunk; every
+// other interior node is never built (see Engine.rollInto). Off by default:
+// the paper's engine caches only the newly computed result chunk.
 func WithRecycling(on bool) Option {
 	return func(o *options) { o.recycle = on }
 }
@@ -370,16 +371,15 @@ type planned struct {
 type computed struct {
 	key     cache.Key
 	data    *chunk.Chunk
-	tuples  int64
 	benefit float64
 }
 
 // aggOut is the result of materializing one plan outside the cache lock.
 type aggOut struct {
 	data     *chunk.Chunk
-	tuples   int64
+	tuples   int64 // cells actually scanned
 	inter    []computed
-	rejected int64 // interior nodes the recycler declined
+	rejected int64 // interior nodes the recycler declined, hence never built
 	err      error
 }
 
@@ -784,60 +784,77 @@ func (e *Engine) snapshotLeaves(p *strategy.Plan, m map[cache.Key]*chunk.Chunk) 
 	return nil
 }
 
-// runPlan materializes one plan from snapshotted leaf payloads.
+// runPlan materializes one plan from snapshotted leaf payloads — pure
+// computation over immutable chunks, touching no shared state.
 func (e *Engine) runPlan(p *strategy.Plan, leafData map[cache.Key]*chunk.Chunk) aggOut {
 	var out aggOut
-	out.data, out.tuples, _, out.err = e.aggregate(p, leafData, &out, true)
+	if p.Present {
+		k := cache.Key{GB: p.GB, Num: int32(p.Num)}
+		if out.data = leafData[k]; out.data == nil {
+			out.err = fmt.Errorf("core: plan leaf %v vanished from the cache", k)
+		}
+		return out
+	}
+	out.data, out.tuples, out.err = e.materialize(p, leafData, &out)
 	return out
 }
 
-// aggregate executes a plan bottom-up from the snapshotted leaf payloads —
-// pure computation over immutable chunks, touching no shared state.
-// Interior results the recycler admits are collected (bottom-up) into
-// out.inter for insertion under the lock.
-//
-// Accumulators come from the chunk package's pool, and interior results that
-// nothing retains (root==false, recycler declined) are built into pooled
-// scratch chunks released as soon as the parent roll-up consumes them; the
-// returned pooled flag tells the caller it owns such a release. Chunks that
-// outlive the plan run — the root result, which lands in the Result and the
-// cache, and admitted intermediates — are always built fresh.
-func (e *Engine) aggregate(p *strategy.Plan, leafData map[cache.Key]*chunk.Chunk, out *aggOut, root bool) (data *chunk.Chunk, tuples int64, pooled bool, err error) {
-	k := cache.Key{GB: p.GB, Num: int32(p.Num)}
-	if p.Present {
-		data, ok := leafData[k]
-		if !ok {
-			return nil, 0, false, fmt.Errorf("core: plan leaf %v vanished from the cache", k)
-		}
-		return data, 0, false, nil
-	}
+// materialize builds plan node p into a fresh chunk — one that outlives the
+// plan run: the root, which lands in the Result and the cache, or an interior
+// node the recycler admitted — by folding its whole subtree into one pooled
+// accumulator. It returns the chunk and the cells scanned to produce it.
+func (e *Engine) materialize(p *strategy.Plan, leafData map[cache.Key]*chunk.Chunk, out *aggOut) (*chunk.Chunk, int64, error) {
 	cm := e.grid.GetCellMap(p.GB, p.Num)
 	defer chunk.PutCellMap(cm)
+	var tuples int64
 	for _, in := range p.Inputs {
-		sub, subTuples, subPooled, err := e.aggregate(in, leafData, out, false)
+		n, err := e.rollInto(cm, p, in, leafData, out)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, 0, err
 		}
-		tuples += subTuples
-		scanned, err := e.grid.RollUpInto(cm, p.GB, p.Num, sub)
-		if subPooled {
-			chunk.PutScratchChunk(sub)
+		tuples += n
+	}
+	return cm.Build(p.GB, p.Num), tuples, nil
+}
+
+// rollInto folds the subtree rooted at plan node n into cm, the accumulator
+// of n's nearest materialized ancestor dst, and returns the cells scanned.
+// An intermediate is either worth keeping or it is pipelined, never built and
+// discarded: the recycler prices an interior node before it exists, an
+// admitted node is materialized (collected bottom-up into out.inter for
+// insertion) and rolled up as one chunk, and every other interior node is
+// skipped — roll-up is associative, so its pinned leaves go straight into cm
+// however many lattice levels lie between.
+func (e *Engine) rollInto(cm *chunk.CellMap, dst, n *strategy.Plan, leafData map[cache.Key]*chunk.Chunk, out *aggOut) (int64, error) {
+	k := cache.Key{GB: n.GB, Num: int32(n.Num)}
+	var src *chunk.Chunk
+	var tuples int64
+	if n.Present {
+		if src = leafData[k]; src == nil {
+			return 0, fmt.Errorf("core: plan leaf %v vanished from the cache", k)
 		}
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("core: aggregation: %w", err)
+	} else if admit, benefit := e.recycleScore(n, leafData); admit {
+		var err error
+		if src, tuples, err = e.materialize(n, leafData, out); err != nil {
+			return 0, err
 		}
-		tuples += int64(scanned)
+		out.inter = append(out.inter, computed{key: k, data: src, benefit: benefit})
+	} else {
+		if e.opts.recycle {
+			out.rejected++
+		}
+		for _, in := range n.Inputs {
+			t, err := e.rollInto(cm, dst, in, leafData, out)
+			if err != nil {
+				return 0, err
+			}
+			tuples += t
+		}
+		return tuples, nil
 	}
-	if root {
-		return cm.Build(p.GB, p.Num), tuples, false, nil
+	scanned, err := e.grid.RollUpInto(cm, dst.GB, dst.Num, src)
+	if err != nil {
+		return 0, fmt.Errorf("core: aggregation: %w", err)
 	}
-	if admit, benefit := e.recycleScore(p.GB, p.Num, tuples, cm.Len()); admit {
-		data = cm.Build(p.GB, p.Num)
-		out.inter = append(out.inter, computed{key: k, data: data, tuples: tuples, benefit: benefit})
-		return data, tuples, false, nil
-	}
-	if e.opts.recycle {
-		out.rejected++
-	}
-	return cm.BuildInto(p.GB, p.Num, chunk.GetScratchChunk()), tuples, true, nil
+	return tuples + int64(scanned), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/strategy"
 )
@@ -34,9 +35,25 @@ func (e *Engine) Explain(q Query) (string, error) {
 		case plan.Present:
 			fmt.Fprintf(&b, "chunk %d: resident in cache\n", num)
 		default:
-			fmt.Fprintf(&b, "chunk %d: aggregate in cache (cost %d tuples, %d plan nodes)\n",
-				num, planCost(plan), plan.Nodes())
-			e.writePlan(&b, plan, 1)
+			// Peek (no replacement or counter side effects) at the leaves so
+			// the scan total is the resident chunks' real cell counts.
+			leafData := make(map[cache.Key]*chunk.Chunk)
+			for _, k := range plan.Leaves(nil) {
+				if c, ok := e.cache.Peek(k); ok {
+					leafData[k] = c
+				}
+			}
+			cost := plan.Cost
+			if cost == 0 {
+				// ESM/VCM plans carry no cost; the leaves' cells are what a
+				// flattened roll-up scans.
+				cost = e.leafCells(plan, leafData)
+			}
+			var tree strings.Builder
+			scan := e.writePlan(&tree, plan, 1, leafData)
+			fmt.Fprintf(&b, "chunk %d: aggregate in cache (cost %d tuples, %d plan nodes, scans %d tuples)\n",
+				num, cost, plan.Nodes(), scan)
+			b.WriteString(tree.String())
 		}
 	}
 	if backendChunks > 0 {
@@ -47,66 +64,55 @@ func (e *Engine) Explain(q Query) (string, error) {
 	return b.String(), nil
 }
 
-// planCost returns the plan's cost, computing a structural estimate when
-// the strategy (ESM/VCM) does not track costs.
-func planCost(p *strategy.Plan) int64 {
-	if p.Cost > 0 {
-		return p.Cost
-	}
-	var leaves int64
-	var walk func(*strategy.Plan)
-	walk = func(n *strategy.Plan) {
-		if n.Present {
-			leaves++
-			return
-		}
-		for _, in := range n.Inputs {
-			walk(in)
-		}
-	}
-	walk(p)
-	return leaves // lower bound: at least one tuple per present leaf
-}
-
-func (e *Engine) writePlan(b *strings.Builder, p *strategy.Plan, depth int) {
+// writePlan renders the subtree rooted at p and returns the tuples the
+// executor will scan to fold it into its nearest materialized ancestor: a
+// leaf's cells, an admitted node's own cells plus what building it scans, or
+// — for an inlined node, which is never built — just its inputs' totals.
+func (e *Engine) writePlan(b *strings.Builder, p *strategy.Plan, depth int, leafData map[cache.Key]*chunk.Chunk) int64 {
 	indent := strings.Repeat("  ", depth)
 	if p.Present {
 		fmt.Fprintf(b, "%s- chunk %d of %s [cached]\n", indent, p.Num, e.lat.LevelTupleString(p.GB))
-		return
+		return e.leafCells(p, leafData)
 	}
 	// Interior nodes (depth > 1: below the plan root, which is always
-	// cached as the query's answer) carry the recycler's verdict.
-	note := ""
+	// materialized as the query's answer) carry the recycler's verdict.
+	note, scan := "", int64(0)
 	if depth > 1 {
-		note = e.recycleAnnotation(p)
+		var admit bool
+		if note, admit = e.recycleAnnotation(p, leafData); admit {
+			scan = e.sizes.ChunkCells(p.GB, p.Num)
+		} else {
+			note += " [inlined]"
+		}
 	}
 	fmt.Fprintf(b, "%s- chunk %d of %s <- aggregate %d chunk(s) of %s%s\n",
 		indent, p.Num, e.lat.LevelTupleString(p.GB), len(p.Inputs), e.lat.LevelTupleString(p.Via), note)
 	for _, in := range p.Inputs {
-		e.writePlan(b, in, depth+1)
+		scan += e.writePlan(b, in, depth+1, leafData)
 	}
+	return scan
 }
 
 // recycleAnnotation renders the admission decision the recycler would make
-// for one interior plan node: the recompute cost saved per byte retained
-// (CostEstimate when the strategy offers it, the plan's structural cost
-// otherwise, over the sizer's estimated chunk footprint) against the
-// configured threshold.
-func (e *Engine) recycleAnnotation(p *strategy.Plan) string {
+// for one interior plan node — the same pricing the executor applies before
+// building it (planSavedCost over recyclePerByte) against the configured
+// threshold. A node the recycler declines is inlined: never materialized,
+// its leaves roll straight into the nearest materialized ancestor.
+func (e *Engine) recycleAnnotation(p *strategy.Plan, leafData map[cache.Key]*chunk.Chunk) (note string, admit bool) {
 	if !e.opts.recycle {
-		return " [recycle: off]"
+		return " [recycle: off]", false
 	}
-	cost := planCost(p)
-	if e.est != nil {
-		if c, ok := e.est.CostEstimate(p.GB, p.Num); ok {
-			cost = c
+	perByte := e.recyclePerByte(p.GB, p.Num, e.planSavedCost(p, leafData))
+	verdict := "reject"
+	if perByte >= e.opts.recycleMinBenefit {
+		e.recycleMu.Lock()
+		_, spent := e.recycleSeen[cache.Key{GB: p.GB, Num: int32(p.Num)}]
+		e.recycleMu.Unlock()
+		if admit = !spent; admit {
+			verdict = "admit"
+		} else {
+			verdict = "reject (one-shot admission spent)"
 		}
 	}
-	bytes := e.sizes.ChunkCells(p.GB, p.Num)*chunk.CellBytes + chunk.OverheadBytes
-	perByte := float64(cost) / float64(bytes)
-	verdict := "admit"
-	if perByte < e.opts.recycleMinBenefit {
-		verdict = "reject"
-	}
-	return fmt.Sprintf(" [recycle: %s, benefit %.3f/B]", verdict, perByte)
+	return fmt.Sprintf(" [recycle: %s, benefit %.3f/B]", verdict, perByte), admit
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"aggcache/internal/cache"
+	"aggcache/internal/chunk"
 )
 
 func TestExplainColdAndWarm(t *testing.T) {
@@ -92,27 +94,105 @@ func TestExplainRecycleAnnotation(t *testing.T) {
 		t.Fatalf("unexpected reject at admit-everything threshold:\n%s", out)
 	}
 
-	// Prohibitive threshold: same plan, all interior nodes rejected.
+	if strings.Contains(out, "[inlined]") {
+		t.Fatalf("admitted nodes are materialized, not inlined:\n%s", out)
+	}
+
+	// Prohibitive threshold: same plan, all interior nodes rejected — and a
+	// rejected node is inlined, never built.
 	f = build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20,
 		WithRecycling(true), WithRecycleMinBenefit(1e12))
 	out = probe(t, f)
 	if !strings.Contains(out, "[recycle: reject, benefit ") {
 		t.Fatalf("no reject annotation at prohibitive threshold:\n%s", out)
 	}
+	if strings.Count(out, "[inlined]") != strings.Count(out, "[recycle: reject") {
+		t.Fatalf("every rejected interior node should read inlined:\n%s", out)
+	}
 
 	// Recycling off: interior nodes say so instead of carrying a verdict.
 	f = build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
 	out = probe(t, f)
-	if !strings.Contains(out, "[recycle: off]") {
-		t.Fatalf("no recycle-off annotation:\n%s", out)
+	if !strings.Contains(out, "[recycle: off] [inlined]") {
+		t.Fatalf("no recycle-off, inlined annotation:\n%s", out)
 	}
 	if strings.Contains(out, "[recycle: admit") || strings.Contains(out, "[recycle: reject") {
 		t.Fatalf("verdict printed with recycling off:\n%s", out)
 	}
 }
 
-// TestExplainPlanCostFallback: ESM plans carry no cost; Explain derives a
-// leaf-count lower bound.
+// TestExplainScanTotal: the "scans N tuples" figure Explain prints is what
+// the executor then really scans. With every interior node inlined that is
+// exactly the plan's leaf cells; an admitted node adds the re-scan of its
+// own (sizer-estimated) cells.
+func TestExplainScanTotal(t *testing.T) {
+	scans := func(t *testing.T, out string) int64 {
+		t.Helper()
+		var total int64
+		for _, line := range strings.Split(out, "\n") {
+			if i := strings.Index(line, ", scans "); i >= 0 {
+				var n int64
+				if _, err := fmt.Sscanf(line[i:], ", scans %d tuples)", &n); err != nil {
+					t.Fatalf("unparsable scan total in %q: %v", line, err)
+				}
+				total += n
+			}
+		}
+		return total
+	}
+	run := func(t *testing.T, minBenefit float64) (explained, executed int64, f *fixture) {
+		t.Helper()
+		f = build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20,
+			WithRecycling(true), WithRecycleMinBenefit(minBenefit))
+		lat := f.grid.Lattice()
+		if _, err := f.engine.Execute(context.Background(), WholeGroupBy(lat.Base())); err != nil {
+			t.Fatalf("warm: %v", err)
+		}
+		out, err := f.engine.Explain(WholeGroupBy(lat.Top()))
+		if err != nil {
+			t.Fatalf("Explain: %v", err)
+		}
+		res, err := f.engine.Execute(context.Background(), WholeGroupBy(lat.Top()))
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		return scans(t, out), res.AggregatedTuples, f
+	}
+
+	inlined, executed, f := run(t, 1e12)
+	if inlined != executed {
+		t.Fatalf("all-inlined plan: Explain says %d tuples, the executor scanned %d", inlined, executed)
+	}
+	var baseCells int64
+	f.engine.Cache().Range(func(k cache.Key, data *chunk.Chunk, _ cache.Class, _ float64, _ bool) {
+		if k.GB == f.grid.Lattice().Base() {
+			baseCells += int64(data.Cells())
+		}
+	})
+	if inlined != baseCells {
+		t.Fatalf("all-inlined plan scans %d tuples, the base group-by holds %d cells", inlined, baseCells)
+	}
+	if st := f.engine.Stats(); st.Recycled != 0 || st.RecycleRejected == 0 {
+		t.Fatalf("prohibitive threshold: recycled %d, rejected %d", st.Recycled, st.RecycleRejected)
+	}
+
+	// Admit-everything: the warm-up's backend fill already recycled the
+	// one-step roll-ups of the base, so the plan is shorter and cheaper; the
+	// admitted nodes' own cells come from the sizer, so allow it its error.
+	admitted, executed, f := run(t, 1e-9)
+	if admitted >= inlined || executed >= inlined {
+		t.Fatalf("plan over recycled intermediates should scan less than the base: Explain %d, executor %d, base %d", admitted, executed, inlined)
+	}
+	if d := admitted - executed; d < -executed/4 || d > executed/4 {
+		t.Fatalf("all-admitted plan: Explain says %d tuples, the executor scanned %d", admitted, executed)
+	}
+	if st := f.engine.Stats(); st.Recycled == 0 {
+		t.Fatalf("admit-everything threshold recycled nothing")
+	}
+}
+
+// TestExplainPlanCostFallback: ESM plans carry no cost; Explain reports the
+// leaves' cells, which is what the flattened roll-up scans.
 func TestExplainPlanCostFallback(t *testing.T) {
 	f := build(t, "ESM", cache.NewTwoLevel(), 1<<20)
 	lat := f.grid.Lattice()

@@ -120,7 +120,10 @@ type Result struct {
 	// AggChunks counts the subset of HitChunks that required in-cache
 	// aggregation (the rest were resident verbatim).
 	AggChunks int
-	// AggregatedTuples counts tuples scanned by in-cache aggregation.
+	// AggregatedTuples counts the tuples in-cache aggregation actually
+	// scanned: the cells of every chunk rolled into a materialized plan node
+	// (levels the executor skips cost nothing). A VCMC plan's Cost prices the
+	// hop-by-hop path and is an upper bound on this.
 	AggregatedTuples int64
 	// BackendTuples counts tuples scanned at the backend.
 	BackendTuples int64
