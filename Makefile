@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench bench-e2e bench-kernel bench-shards bench-wire bench-cluster bench-overload bench-recycle bench-tiered soak-shards soak-cluster soak-overload soak-tiered fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
+.PHONY: build test vet race bench bench-e2e bench-kernel bench-wire bench-cluster bench-overload bench-recycle bench-tiered soak-shards soak-cluster soak-overload soak-tiered fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
 
 build:
 	$(GO) build ./...
@@ -33,11 +33,6 @@ bench-e2e:
 bench-kernel:
 	$(GO) test ./internal/chunk -run XXX -bench 'RollUp|CellMap|GridSlice' -benchmem -benchtime 20000x | tee kernel_bench.txt
 	$(GO) run ./cmd/aggbench -scale small -exp kernel
-
-# bench-shards measures cache-lock scaling across 1/4/16 shards and
-# 1/4/8 concurrent clients (writes BENCH_5.json).
-bench-shards:
-	$(GO) run ./cmd/aggbench -scale small -exp shards
 
 # bench-wire compares the retired gob transport against the binary framing
 # layer under pipelined concurrent load (writes BENCH_6.json).
@@ -92,9 +87,9 @@ fuzz-wire:
 fuzz-peer:
 	$(GO) test ./internal/mtier -run XXX -fuzz FuzzPeerFrame -fuzztime 10s
 
-# soak-shards runs the sharded-store concurrency suite under the race
+# soak-shards runs the striped-store concurrency suite under the race
 # detector: the cache-level invariant soak plus the engine-level soak whose
-# 4-shard subject must match a serialized single-lock reference.
+# 4-stripe subject must match a serialized one-stripe reference.
 soak-shards:
 	$(GO) test -race -run 'Sharded|ShardDistribution|StoreStats|ConcurrentSoak|EngineConcurrent' ./internal/cache ./internal/core
 
@@ -140,4 +135,8 @@ chaos:
 	$(GO) test -race -run 'Chaos|Degraded|Flight|Breaker|Faulty|Remote|Malformed' ./internal/core ./internal/backend ./internal/mtier
 	$(GO) run ./cmd/aggbench -scale tiny -exp chaos
 
+# ci also vets and smoke-tests benchmark/, which is its own Go module:
+# `go build ./... && go test ./...` from the root never compiles it, so an API
+# break there would otherwise show only when the benchmark itself is run.
 ci: lint race cover
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...

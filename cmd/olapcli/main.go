@@ -27,7 +27,6 @@ import (
 	"aggcache/internal/core"
 	"aggcache/internal/data"
 	"aggcache/internal/mdq"
-	"aggcache/internal/metrics"
 	"aggcache/internal/mtier"
 	"aggcache/internal/sizer"
 )
@@ -38,7 +37,7 @@ func main() {
 		seedFlag        = flag.Int64("seed", 1, "generator seed")
 		stratFlag       = flag.String("strategy", "VCMC", "lookup strategy: ESM|ESMC|VCM|VCMC|NoAgg")
 		cacheKBFlag     = flag.Int64("cache-kb", 256, "cache size in KB")
-		shardsFlag      = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = single lock, 0 = auto (GOMAXPROCS)")
+		shardsFlag      = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
 		backendFlag     = flag.String("backend", "", "remote backend address (empty = in-process)")
 		rowsFlag        = flag.Int("rows", 20, "max result rows to print")
 		maxFrame        = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes for the remote backend (0 = 64MiB default)")
@@ -93,17 +92,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var copts []cache.Option
-	if *shardsFlag != 1 {
-		copts = append(copts, cache.WithShards(*shardsFlag))
-	}
 	// With recycling, replacement runs the probation+promote variant so
 	// recycled intermediates earn their place via reuse.
 	pol := cache.NewTwoLevel()
 	if *recycleFlag {
 		pol = cache.NewTwoLevelPromote()
 	}
-	c, err := cache.New(*cacheKBFlag<<10, pol, copts...)
+	c, err := cache.New(*cacheKBFlag<<10, pol, cache.WithShards(*shardsFlag))
 	if err != nil {
 		fatal(err)
 	}
@@ -266,8 +261,7 @@ func printStats(eng *core.Engine) {
 		fmt.Printf("  cluster: peer-chunks=%d fills=%d fill-misses=%d fill-errors=%d skips=%d\n",
 			st.PeerChunks, ps.Fills, ps.FillMisses, ps.FillErrors, ps.FillSkips)
 	}
-	var b metrics.Breakdown = st.Breakdown
-	fmt.Printf("  cumulative: %s\n", b.String())
+	fmt.Printf("  cumulative: %s\n", st.Breakdown)
 	fmt.Printf("  cache: %d chunks, %dKB/%dKB\n",
 		eng.Cache().Len(), eng.Cache().Used()>>10, eng.Cache().Capacity()>>10)
 	if ts, ok := eng.TierStats(); ok {

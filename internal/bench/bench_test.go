@@ -177,3 +177,16 @@ func TestNewSystemErrors(t *testing.T) {
 		t.Fatalf("zero capacity: expected error")
 	}
 }
+
+func TestAccumulator(t *testing.T) {
+	var a accumulator
+	if a.Avg() != 0 {
+		t.Fatalf("empty Avg = %v", a.Avg())
+	}
+	a.Observe(10)
+	a.Observe(30)
+	a.Observe(20)
+	if a.Min != 10 || a.Max != 30 || a.Avg() != 20 || a.N != 3 {
+		t.Fatalf("acc = %+v", a)
+	}
+}

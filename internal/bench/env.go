@@ -201,9 +201,6 @@ type SystemSpec struct {
 	ColdBytes int64
 	Preload   bool
 	Budget    int64
-	// Shards selects the cache's stripe count: 0 builds the single-lock
-	// reference store, anything else is passed to cache.WithShards.
-	Shards int
 	// EngineOpts tune the engine (core.WithCostBypass, core.WithReinforce,
 	// …).
 	EngineOpts []core.Option
@@ -231,9 +228,6 @@ func (e *Env) NewSystem(spec SystemSpec) (*System, error) {
 		return nil, err
 	}
 	var copts []cache.Option
-	if spec.Shards != 0 {
-		copts = append(copts, cache.WithShards(spec.Shards))
-	}
 	if spec.Obs != nil {
 		copts = append(copts, cache.WithMetrics(obs.NewCacheMetrics(spec.Obs)))
 	}

@@ -73,7 +73,6 @@ var experiments = []struct {
 	{"lemma1", one(Lemma1)},
 	{"lemma2", one(Lemma2)},
 	{"concurrency", one(ConcurrencySweep)},
-	{"shards", one(ShardSweep)},
 	{"kernel", one(Kernel)},
 	{"wire", one(Wire)},
 	{"observability", one(Observability)},

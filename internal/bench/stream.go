@@ -7,7 +7,6 @@ import (
 
 	"aggcache/internal/backend"
 	"aggcache/internal/core"
-	"aggcache/internal/metrics"
 	"aggcache/internal/views"
 	"aggcache/internal/workload"
 )
@@ -20,8 +19,8 @@ type StreamResult struct {
 	BudgetMisses int
 	// Sum of per-query breakdowns over all queries and over the complete-hit
 	// subset.
-	All     metrics.Breakdown
-	Hits    metrics.Breakdown
+	All     core.Breakdown
+	Hits    core.Breakdown
 	Elapsed time.Duration
 }
 
@@ -36,9 +35,9 @@ func (r *StreamResult) AvgAll() time.Duration {
 }
 
 // AvgHits returns the mean breakdown over complete-hit queries (Figure 10).
-func (r *StreamResult) AvgHits() metrics.Breakdown {
+func (r *StreamResult) AvgHits() core.Breakdown {
 	if r.CompleteHits == 0 {
-		return metrics.Breakdown{}
+		return core.Breakdown{}
 	}
 	return r.Hits.Scale(r.CompleteHits)
 }

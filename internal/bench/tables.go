@@ -7,14 +7,40 @@ import (
 
 	"aggcache/internal/cache"
 	"aggcache/internal/lattice"
-	"aggcache/internal/metrics"
 	"aggcache/internal/strategy"
 )
+
+// accumulator tracks min/max/sum/count of durations — the shape of the
+// paper's Tables 1 and 2 (min, max, average).
+type accumulator struct {
+	Min, Max, Sum time.Duration
+	N             int64
+}
+
+// Observe adds one sample.
+func (a *accumulator) Observe(d time.Duration) {
+	if a.N == 0 || d < a.Min {
+		a.Min = d
+	}
+	if d > a.Max {
+		a.Max = d
+	}
+	a.Sum += d
+	a.N++
+}
+
+// Avg returns the mean of the observed samples (0 if none).
+func (a *accumulator) Avg() time.Duration {
+	if a.N == 0 {
+		return 0
+	}
+	return a.Sum / time.Duration(a.N)
+}
 
 // insertAll feeds every chunk of a group-by into a strategy's maintenance
 // path (presence only — no payloads are needed for lookup-time and
 // update-time measurements).
-func (e *Env) insertAll(s strategy.Strategy, gb lattice.ID, acc *metrics.Accumulator) {
+func (e *Env) insertAll(s strategy.Strategy, gb lattice.ID, acc *accumulator) {
 	for num := 0; num < e.Grid.NumChunks(gb); num++ {
 		entry := &cache.Entry{Key: cache.Key{GB: gb, Num: int32(num)}}
 		start := time.Now()
@@ -45,7 +71,7 @@ func Table1(e *Env) (*Report, error) {
 			if preloaded {
 				e.insertAll(s, lat.Base(), nil)
 			}
-			var acc metrics.Accumulator
+			var acc accumulator
 			trunc := 0
 			for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
 				start := time.Now()
@@ -106,7 +132,7 @@ func Table2(e *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		var accA, accB metrics.Accumulator
+		var accA, accB accumulator
 		e.insertAll(s, gbA, &accA)
 		before := s.Maintenance().Updates
 		e.insertAll(s, gbB, &accB)

@@ -20,6 +20,13 @@ func mkChunk(gb, num, n int) *chunk.Chunk {
 
 func key(num int) Key { return Key{GB: 0, Num: int32(num)} }
 
+// keysOf lists the resident keys of s, one per Range visit.
+func keysOf(s Store) []Key {
+	var ks []Key
+	s.Range(func(k Key, _ *chunk.Chunk, _ Class, _ float64, _ bool) { ks = append(ks, k) })
+	return ks
+}
+
 type recordingListener struct {
 	inserted, evicted []Key
 	events            []Event
@@ -484,9 +491,8 @@ func TestKeysAndClassString(t *testing.T) {
 	c, _ := New(10_000, NewBenefitClock())
 	c.Insert(key(1), mkChunk(0, 1, 1), AsBackend(1))
 	c.Insert(key(2), mkChunk(0, 2, 1), AsComputed(1))
-	ks := c.Keys(nil)
-	if len(ks) != 2 {
-		t.Fatalf("Keys = %v", ks)
+	if ks := keysOf(c); len(ks) != 2 {
+		t.Fatalf("resident keys = %v", ks)
 	}
 	if ClassBackend.String() != "backend" || ClassComputed.String() != "computed" {
 		t.Fatalf("Class.String broken")

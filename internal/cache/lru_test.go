@@ -47,7 +47,7 @@ func TestLRUReinforceCountsAsAccess(t *testing.T) {
 	if !c.Contains(key(1)) || c.Contains(key(2)) {
 		t.Fatalf("reinforced entry was evicted")
 	}
-	if c.Policy().Name() != "lru" {
-		t.Fatalf("Name = %q", c.Policy().Name())
+	if NewLRU().Name() != "lru" {
+		t.Fatalf("Name = %q", NewLRU().Name())
 	}
 }

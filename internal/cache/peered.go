@@ -204,8 +204,9 @@ type peerPut struct {
 	benefit float64
 }
 
-// Peered is a Store composing a local store (the hot tier — typically a
-// Sharded) with a consistent-hash ring of remote peers (the cluster tier):
+// Peered is a Store composing a local store (this node's tiers — a Sharded,
+// or a Tiered over one) with a consistent-hash ring of remote peers (the
+// cluster tier):
 //
 //   - Get serves from the local tier; on a local miss the key's ring owner
 //     is asked before the caller falls through to the backend (PeerFill —
@@ -217,11 +218,13 @@ type peerPut struct {
 //   - A per-peer circuit breaker (threshold/cooldown, the PR-3 taxonomy)
 //     degrades a dead peer to local+backend service without blocking.
 //
-// Everything else delegates to the local store, so snapshots, strategies
-// and reports see exactly the local tier.
+// Everything else is the embedded local store's own method, so snapshots,
+// strategies and reports see exactly the local tier. That includes GetInfo,
+// the PeerGet answer path: answering one peer's lookup from another peer
+// would let a chunk resident nowhere bounce around the ring.
 type Peered struct {
-	local Store
-	cfg   PeeredConfig
+	local
+	cfg PeeredConfig
 
 	ring atomic.Pointer[Ring]
 
@@ -243,6 +246,9 @@ type Peered struct {
 	putDrops   atomic.Int64
 	putErrors  atomic.Int64
 }
+
+// local names Peered's embedded field.
+type local = Store
 
 // NewPeered wraps local with the cluster tier described by cfg.
 func NewPeered(local Store, cfg PeeredConfig) (*Peered, error) {
@@ -267,8 +273,8 @@ func NewPeered(local Store, cfg PeeredConfig) (*Peered, error) {
 	return p, nil
 }
 
-// Local returns the hot tier. Peer-serving endpoints answer PeerGet from it
-// so a chunk resident nowhere can never bounce between peers.
+// Local returns the local store. Peer-serving endpoints answer from it so a
+// chunk resident nowhere can never bounce between peers.
 func (p *Peered) Local() Store { return p.local }
 
 // Ring returns the current ring (for diagnostics and tests).
@@ -493,8 +499,6 @@ func (p *Peered) putLoop() {
 	}
 }
 
-// --- Store delegation -----------------------------------------------------
-
 // Get implements Store: the local tier first, then — on a local miss — the
 // key's ring owner, installing a successful peer fill locally.
 func (p *Peered) Get(k Key) (*chunk.Chunk, bool) {
@@ -503,23 +507,6 @@ func (p *Peered) Get(k Key) (*chunk.Chunk, bool) {
 	}
 	data, _, _, ok := p.fill(context.Background(), k)
 	return data, ok
-}
-
-// Peek implements Store (local tier only).
-func (p *Peered) Peek(k Key) (*chunk.Chunk, bool) { return p.local.Peek(k) }
-
-// GetInfo serves from the local tier only: it is the PeerGet answer path, and
-// answering one peer's lookup from another peer would let a chunk resident
-// nowhere bounce around the ring.
-func (p *Peered) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
-	type infoStore interface {
-		GetInfo(Key) (*chunk.Chunk, Class, float64, bool)
-	}
-	if is, ok := p.local.(infoStore); ok {
-		return is.GetInfo(k)
-	}
-	data, ok := p.local.Get(k)
-	return data, ClassBackend, 0, ok
 }
 
 // Insert implements Store: the chunk becomes resident locally, and backend
@@ -534,57 +521,4 @@ func (p *Peered) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
 		p.replicate(k, data, spec.class, spec.benefit)
 	}
 	return ok
-}
-
-// Evict implements Store (local tier only).
-func (p *Peered) Evict(k Key) bool { return p.local.Evict(k) }
-
-// Pin implements Store.
-func (p *Peered) Pin(k Key) bool { return p.local.Pin(k) }
-
-// Unpin implements Store.
-func (p *Peered) Unpin(k Key) { p.local.Unpin(k) }
-
-// Reinforce implements Store.
-func (p *Peered) Reinforce(keys []Key, benefit float64) { p.local.Reinforce(keys, benefit) }
-
-// Contains implements Store.
-func (p *Peered) Contains(k Key) bool { return p.local.Contains(k) }
-
-// Keys implements Store.
-func (p *Peered) Keys(dst []Key) []Key { return p.local.Keys(dst) }
-
-// Range implements Store.
-func (p *Peered) Range(fn func(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool)) {
-	p.local.Range(fn)
-}
-
-// Stats implements Store.
-func (p *Peered) Stats() Stats { return p.local.Stats() }
-
-// Capacity implements Store.
-func (p *Peered) Capacity() int64 { return p.local.Capacity() }
-
-// Used implements Store.
-func (p *Peered) Used() int64 { return p.local.Used() }
-
-// Len implements Store.
-func (p *Peered) Len() int { return p.local.Len() }
-
-// SetListener implements Store.
-func (p *Peered) SetListener(l Listener) { p.local.SetListener(l) }
-
-// SetMetrics implements Store.
-func (p *Peered) SetMetrics(m obs.CacheMetrics) { p.local.SetMetrics(m) }
-
-// Policy implements Store.
-func (p *Peered) Policy() Policy { return p.local.Policy() }
-
-// Shards reports the local tier's shard count (1 when it is not striped),
-// so ops banners see through the cluster wrapper.
-func (p *Peered) Shards() int {
-	if sh, ok := p.local.(interface{ Shards() int }); ok {
-		return sh.Shards()
-	}
-	return 1
 }

@@ -10,41 +10,49 @@ import (
 	"aggcache/internal/obs"
 )
 
-// Sharded is the lock-striped Store: keys are spread across a power-of-two
-// number of shards by a cheap hash of (GB, Num), and each shard is an
-// independent map + policy instance guarded by its own mutex. Concurrent
-// queries touching different shards never contend, which removes the last
-// global serialization point on the middle tier's hot path.
+// Sharded is the hot Store, the only one: keys are spread across a
+// power-of-two number of stripes by a cheap hash of (GB, Num), and each stripe
+// is an independent map + policy instance guarded by its own mutex. With one
+// stripe (New's default) it is the paper's single bounded cache under one
+// lock; with more, concurrent queries touching different stripes never
+// contend.
 //
-// Capacity is partitioned per shard with a borrow margin: each shard may
-// charge up to capacity/N plus half again (so a hot shard can steal headroom
+// Capacity is partitioned per stripe with a borrow margin: each stripe may
+// charge up to capacity/N plus half again (so a hot stripe can steal headroom
 // from idle ones), while a global atomic reservation keeps the sum of all
-// shards within the configured capacity. When the global bound binds, the
-// inserting shard evicts locally until its reservation fits — so a saturated
-// store converges to roughly capacity/N per active shard without any
-// cross-shard locking.
+// stripes within the configured capacity. When the global bound binds, the
+// inserting stripe evicts locally until its reservation fits — so a saturated
+// store converges to roughly capacity/N per active stripe without any
+// cross-stripe locking. With one stripe the limit is the capacity and the two
+// bounds coincide.
 //
-// Stats, Keys, Range and Len aggregate by visiting shards one at a time —
-// there is no stop-the-world lock, so the result is a consistent-per-shard
-// (not globally atomic) snapshot, which is all the callers (reports,
-// snapshots, gauges) need. The obs occupancy gauges are fed from the global
+// Locking contract: every method takes the lock of the stripe that owns the
+// key, never more than one at a time. Listener and Policy callbacks fire
+// synchronously under that lock and must not call back into the store.
+//
+// Stats, Range and Reinforce visit stripes one at a time — there is no
+// stop-the-world lock, so the result is a consistent-per-stripe (not globally
+// atomic) snapshot, which is all the callers (reports, snapshots, gauges)
+// need. Used, Len and the obs occupancy gauges are fed from the global
 // atomics and are therefore exact.
 type Sharded struct {
 	capacity int64
-	limit    int64  // per-shard byte cap: capacity/N + borrow margin
+	limit    int64  // per-stripe byte cap: capacity/N + borrow margin
 	mask     uint64 // len(shards) - 1
 	used     atomic.Int64
 	resident atomic.Int64
 	shards   []shard
-	// listener, hook and met are set before the store serves traffic (see
-	// the Store contract) and are read-only afterwards.
+	// met's zero value records nothing. The handles are atomics, so an ops
+	// scraper can read them while writers hold a stripe lock.
+	met obs.CacheMetrics
+	// listener and hook are set before the store serves traffic (see the
+	// Store contract) and are read-only afterwards.
 	listener Listener
 	hook     tierHook
-	met      obs.CacheMetrics
 }
 
 // shard is one stripe: an independent map + policy under its own lock. The
-// padding keeps neighbouring shards' mutexes off the same cache line.
+// padding keeps neighbouring stripes' mutexes off the same cache line.
 type shard struct {
 	mu      sync.Mutex
 	entries map[Key]*Entry
@@ -54,32 +62,35 @@ type shard struct {
 	_       [40]byte
 }
 
-// newSharded builds an n-shard store; n must be a power of two in
-// [2, MaxShards]. The seed policy serves shard 0, the factory builds the
-// rest. Callers go through New.
-func newSharded(capacity int64, n int, seed Policy, factory func() Policy) (*Sharded, error) {
-	if n < 2 || n > MaxShards || n&(n-1) != 0 {
-		return nil, fmt.Errorf("cache: shard count must be a power of two in [2, %d], got %d", MaxShards, n)
+// newSharded builds an n-stripe store; n must be a power of two in
+// [1, MaxShards]. The seed policy serves stripe 0 and forks the rest, so it
+// must implement Forker when n > 1. Callers go through New.
+func newSharded(capacity int64, n int, seed Policy, met obs.CacheMetrics) (*Sharded, error) {
+	if n < 1 || n > MaxShards || n&(n-1) != 0 {
+		return nil, fmt.Errorf("cache: shard count must be a power of two in [1, %d], got %d", MaxShards, n)
+	}
+	fork, ok := seed.(Forker)
+	if n > 1 && !ok {
+		return nil, fmt.Errorf("cache: policy %s cannot be forked across %d shards (implement Forker)", seed.Name(), n)
 	}
 	base := capacity / int64(n)
 	limit := base + base/2
 	if limit <= 0 || limit > capacity {
-		// Degenerate capacities (fewer bytes than shards) fall back to the
-		// global bound only.
+		// One stripe, or fewer bytes than stripes: the global bound is the
+		// only bound.
 		limit = capacity
 	}
-	c := &Sharded{capacity: capacity, limit: limit, mask: uint64(n - 1), shards: make([]shard, n)}
+	c := &Sharded{capacity: capacity, limit: limit, mask: uint64(n - 1), shards: make([]shard, n), met: met}
 	for i := range c.shards {
 		p := seed
 		if i > 0 {
-			p = factory()
-			if p == nil {
-				return nil, fmt.Errorf("cache: policy factory returned nil for shard %d", i)
-			}
+			p = fork.Fork()
 		}
 		c.shards[i].entries = make(map[Key]*Entry)
 		c.shards[i].policy = p
 	}
+	c.met.CapacityBytes.Set(capacity)
+	c.syncGauges()
 	return c, nil
 }
 
@@ -127,13 +138,6 @@ func (c *Sharded) SetListener(l Listener) { c.listener = l }
 // setTierHook implements hookable.
 func (c *Sharded) setTierHook(h tierHook) { c.hook = h }
 
-// SetMetrics implements Store.
-func (c *Sharded) SetMetrics(m obs.CacheMetrics) {
-	c.met = m
-	c.met.CapacityBytes.Set(c.capacity)
-	c.syncGauges()
-}
-
 // Capacity implements Store.
 func (c *Sharded) Capacity() int64 { return c.capacity }
 
@@ -142,10 +146,6 @@ func (c *Sharded) Used() int64 { return c.used.Load() }
 
 // Len implements Store.
 func (c *Sharded) Len() int { return int(c.resident.Load()) }
-
-// Policy implements Store; the sharded store reports shard 0's instance (all
-// shards run the same kind).
-func (c *Sharded) Policy() Policy { return c.shards[0].policy }
 
 // Stats implements Store: the sum over all shards, each read consistently
 // under its own lock.
@@ -167,34 +167,17 @@ func (c *Sharded) Stats() Stats {
 
 // Contains implements Store.
 func (c *Sharded) Contains(k Key) bool {
-	s := c.shard(k)
-	s.mu.Lock()
-	_, ok := s.entries[k]
-	s.mu.Unlock()
+	_, ok := c.Peek(k)
 	return ok
 }
 
 // Get implements Store.
 func (c *Sharded) Get(k Key) (*chunk.Chunk, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	e, ok := s.entries[k]
-	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
-		c.met.Misses.Inc()
-		return nil, false
-	}
-	s.stats.Hits++
-	s.policy.Accessed(e)
-	data := e.Data
-	s.mu.Unlock()
-	c.met.Hits.Inc()
-	return data, true
+	data, _, _, ok := c.GetInfo(k)
+	return data, ok
 }
 
-// GetInfo is Get plus the entry's replacement attributes, for the peer tier
-// (see Cache.GetInfo).
+// GetInfo implements Store: a hit counts as an access.
 func (c *Sharded) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -226,10 +209,16 @@ func (c *Sharded) Peek(k Key) (*chunk.Chunk, bool) {
 	return data, ok
 }
 
-// Insert implements Store with the same replacement semantics as
-// Cache.Insert, bounded by both the shard limit (local evictions make room)
-// and the global capacity (reserved atomically, evicting locally until the
-// reservation fits).
+// Insert implements Store: it makes data resident under k, evicting from k's
+// stripe per the policy as needed, and reports whether the chunk was
+// admitted. With no options the chunk enters as a backend-class resident with
+// zero benefit; see InsertOption for the residency variants. Re-inserting a
+// resident key replaces the payload, re-charges the byte delta (evicting if
+// the store overflows), refreshes class/benefit and counts as an access;
+// presence is unchanged, so no listener event fires. A chunk larger than the
+// whole store is not admitted, and a replacement that is denied leaves the old
+// entry resident. Room is bounded by both the stripe limit (local evictions)
+// and the global capacity (reserved atomically); see makeRoomLocked.
 func (c *Sharded) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
 	return c.insert(k, data, applyInsertOptions(opts))
 }
@@ -239,7 +228,7 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if need > c.capacity || need > c.limit {
+	if need > c.capacity {
 		s.stats.Denied++
 		c.met.Denied.Inc()
 		return false
@@ -249,7 +238,7 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 		if delta > 0 {
 			// Shield the entry being replaced from the victim scan.
 			e.pins++
-			if !c.makeRoomLocked(s, delta, spec.class) {
+			if !c.makeRoomLocked(s, need, delta, spec.class) {
 				e.pins--
 				s.stats.Denied++
 				c.met.Denied.Inc()
@@ -277,14 +266,15 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 		return true
 	}
 	if c.hook != nil {
-		// A cold-resident key makes this insert a promotion (see
-		// Cache.insert); decided under the shard lock that serializes this
-		// key's tier transitions.
+		// A cold-resident key makes this insert a promotion: the chunk never
+		// stopped being answerable, so its preserved residency attributes
+		// override the caller's and no OnInsert fires. Decided here, under
+		// the stripe lock that serializes this key's tier transitions.
 		if ps, wasCold := c.hook.peekCold(k); wasCold {
 			spec = ps
 		}
 	}
-	if !c.makeRoomLocked(s, need, spec.class) {
+	if !c.makeRoomLocked(s, need, need, spec.class) {
 		s.stats.Denied++
 		c.met.Denied.Inc()
 		return false
@@ -311,18 +301,16 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 }
 
 // makeRoomLocked evicts from s (whose lock the caller holds) until delta more
-// bytes fit under both the shard limit and the global capacity, reserving the
-// global bytes on success. It reports false — with the reservation released —
-// when the policy refuses to yield a victim.
-func (c *Sharded) makeRoomLocked(s *shard, delta int64, cl Class) bool {
-	for s.used+delta > c.limit {
-		v := s.policy.NextVictim(cl)
-		if v == nil {
-			return false
-		}
-		c.removeLocked(s, v, true)
-	}
-	for !c.reserve(delta) {
+// bytes — the growth an arriving chunk of need bytes causes — fit under both
+// the stripe limit and the global capacity, reserving the global bytes on
+// success. The stripe limit shares capacity between stripes; it is not an
+// admission bound: a chunk above it may hold its stripe alone, so only what
+// the whole store cannot hold is refused for size. It reports false — with
+// nothing reserved — when the policy runs out of victims first: other
+// stripes' bytes are not this one's to evict.
+func (c *Sharded) makeRoomLocked(s *shard, need, delta int64, cl Class) bool {
+	limit := max(c.limit, need)
+	for s.used+delta > limit || !c.reserve(delta) {
 		v := s.policy.NextVictim(cl)
 		if v == nil {
 			return false
@@ -332,7 +320,8 @@ func (c *Sharded) makeRoomLocked(s *shard, delta int64, cl Class) bool {
 	return true
 }
 
-// Evict implements Store.
+// Evict implements Store. Explicit removals count as Stats.Removals, not
+// Stats.Evictions.
 func (c *Sharded) Evict(k Key) bool {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -346,7 +335,10 @@ func (c *Sharded) Evict(k Key) bool {
 }
 
 // removeLocked drops e from s (whose lock the caller holds), releasing its
-// global reservation; see Cache.remove for the Evictions/Removals split.
+// global reservation. policyEvict distinguishes policy-driven victim eviction
+// (counted as Evictions, offered to the cold tier) from administrative
+// removal (counted as Removals); the listener is notified either way so
+// strategies stay consistent with residence.
 func (c *Sharded) removeLocked(s *shard, e *Entry, policyEvict bool) {
 	delete(s.entries, e.Key)
 	s.used -= e.Bytes()
@@ -397,8 +389,11 @@ func (c *Sharded) Unpin(k Key) {
 	}
 }
 
-// Reinforce implements Store. Keys are grouped by shard via a bitmask
-// (MaxShards ≤ 64 keeps it one word) so each involved shard's lock is taken
+// Reinforce implements Store — the two-level policy's group maintenance
+// (§6.3: "whenever a group of chunks is used to compute another chunk, the
+// clock value of all the chunks in the group is incremented by ... the
+// benefit of the aggregated chunk"). Keys are grouped by stripe via a bitmask
+// (MaxShards ≤ 64 keeps it one word) so each involved stripe's lock is taken
 // exactly once regardless of group size.
 func (c *Sharded) Reinforce(keys []Key, benefit float64) {
 	var mask uint64
@@ -420,19 +415,6 @@ func (c *Sharded) Reinforce(keys []Key, benefit float64) {
 		}
 		s.mu.Unlock()
 	}
-}
-
-// Keys implements Store, visiting shards one at a time.
-func (c *Sharded) Keys(dst []Key) []Key {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k := range s.entries {
-			dst = append(dst, k)
-		}
-		s.mu.Unlock()
-	}
-	return dst
 }
 
 // Range implements Store, visiting shards one at a time; fn runs under the

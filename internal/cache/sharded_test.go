@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -8,6 +12,7 @@ import (
 	"aggcache/internal/apb"
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
+	"aggcache/internal/obs"
 )
 
 // stubPolicy is a minimal Policy that deliberately does not implement Forker.
@@ -40,14 +45,14 @@ func shardKey(c *Sharded, want uint64, from int) Key {
 }
 
 func TestNewShardSelection(t *testing.T) {
-	// Default and n=1 build the single-lock reference store.
+	// Default and n=1 build one stripe, which needs no Forker.
 	for _, opts := range [][]Option{nil, {WithShards(1)}} {
-		s, err := New(1000, NewLRU(), opts...)
+		s, err := New(1000, stubPolicy{}, opts...)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		if _, ok := s.(*Cache); !ok {
-			t.Fatalf("expected *Cache, got %T", s)
+		if n := s.(*Sharded).Shards(); n != 1 {
+			t.Fatalf("default store has %d stripes, want 1", n)
 		}
 	}
 	// Requested counts round up to a power of two and cap at MaxShards.
@@ -69,19 +74,15 @@ func TestNewShardSelection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WithShards(0): %v", err)
 	}
-	if n, ok := s.(interface{ Shards() int }); !ok || n.Shards() < 1 {
-		t.Fatalf("auto store has no shard count: %T", s)
+	if n := s.(*Sharded).Shards(); n < 1 {
+		t.Fatalf("auto store has %d stripes", n)
 	}
-	// A policy without Fork cannot back a sharded store …
+	// A policy without Fork cannot back more than one stripe.
 	if _, err := New(1000, stubPolicy{}, WithShards(2)); err == nil {
-		t.Fatalf("non-Forker policy accepted for a sharded store")
-	}
-	// … unless a factory supplies the extra instances.
-	if _, err := New(1000, stubPolicy{}, WithShards(2), WithPolicyFactory(func() Policy { return stubPolicy{} })); err != nil {
-		t.Fatalf("WithPolicyFactory: %v", err)
+		t.Fatalf("non-Forker policy accepted for a two-stripe store")
 	}
 	// Invalid direct constructions are rejected.
-	if _, err := newSharded(1000, 3, NewLRU(), func() Policy { return NewLRU() }); err == nil {
+	if _, err := newSharded(1000, 3, NewLRU(), obs.CacheMetrics{}); err == nil {
 		t.Fatalf("newSharded accepted a non-power-of-two count")
 	}
 }
@@ -120,8 +121,8 @@ func TestShardDistributionUniformity(t *testing.T) {
 	}
 }
 
-// TestShardedBasics mirrors TestCacheBasics on a 4-shard store: the Store
-// surface must behave identically whichever implementation backs it.
+// TestShardedBasics mirrors TestCacheBasics on a 4-stripe store: the Store
+// surface must behave identically whatever the stripe count.
 func TestShardedBasics(t *testing.T) {
 	c := newSharded4(t, 100_000)
 	for num := 0; num < 8; num++ {
@@ -148,8 +149,8 @@ func TestShardedBasics(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 8 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if ks := c.Keys(nil); len(ks) != 8 {
-		t.Fatalf("Keys = %v", ks)
+	if ks := keysOf(c); len(ks) != 8 {
+		t.Fatalf("resident keys = %v", ks)
 	}
 	var sum int64
 	c.Range(func(_ Key, data *chunk.Chunk, _ Class, _ float64, _ bool) { sum += data.Bytes() })
@@ -213,7 +214,7 @@ func TestShardedPinInterleavings(t *testing.T) {
 		t.Fatalf("pinned a missing key")
 	}
 	c.Unpin(a2)
-	// Administrative Evict overrides pins, exactly like the reference store.
+	// Administrative Evict overrides pins.
 	if !c.Evict(a1) {
 		t.Fatalf("admin evict of a pinned key failed")
 	}
@@ -278,16 +279,57 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 		t.Fatalf("Used %d > Capacity %d", c.Used(), c.Capacity())
 	}
 
-	// Edge: a chunk larger than the per-shard limit is denied even when the
-	// global capacity could hold it — the stripe bound is the admission unit.
+	// Edge: the stripe limit shares capacity, it does not bound admission. A
+	// chunk above it takes its stripe alone — evicting the stripe's unpinned
+	// residents — as long as the global pool has room.
 	s2, _ := New(1000, NewBenefitClock(), WithShards(2))
 	c2 := s2.(*Sharded)
-	big := mkChunk(0, 0, 30) // 784 bytes > 750 shard limit
-	if c2.Insert(key(0), big, AsBackend(1)) {
-		t.Fatalf("chunk above the shard limit admitted")
+	small := shardKey(c2, 0, 0)
+	bigKey := shardKey(c2, 0, int(small.Num)+1)
+	other := shardKey(c2, 1, 0)
+	c2.Insert(small, mkChunk(0, int(small.Num), 2), AsBackend(1)) // 112 bytes
+	c2.Insert(other, mkChunk(0, int(other.Num), 2), AsBackend(1))
+	big := mkChunk(0, int(bigKey.Num), 30) // 784 bytes > 750 stripe limit
+	if !c2.Insert(bigKey, big, AsBackend(1)) {
+		t.Fatalf("chunk above the stripe limit denied with room in the store")
 	}
-	if c2.Stats().Denied != 1 {
-		t.Fatalf("Denied = %d", c2.Stats().Denied)
+	if c2.Contains(small) || !c2.Contains(other) {
+		t.Fatalf("oversized chunk must evict its own stripe only: small=%v other=%v", c2.Contains(small), c2.Contains(other))
+	}
+	// A same-key replacement growing past the limit follows the same rule.
+	if !c2.Insert(bigKey, mkChunk(0, int(bigKey.Num), 32), AsBackend(1)) {
+		t.Fatalf("growing replacement above the stripe limit denied")
+	}
+	if c2.Used() != 832+112 || c2.Used() > c2.Capacity() {
+		t.Fatalf("Used = %d after oversized inserts", c2.Used())
+	}
+	// With its stripe emptied, only the global pool can refuse it: the other
+	// stripe's bytes are not this stripe's to evict.
+	c2.Evict(bigKey)
+	c2.Insert(other, mkChunk(0, int(other.Num), 10), AsBackend(1)) // grows to 304
+	if c2.Insert(bigKey, big, AsBackend(1)) {
+		t.Fatalf("784 bytes admitted beside 304 in a 1000-byte store")
+	}
+	if st := c2.Stats(); st.Denied != 1 || !c2.Contains(other) {
+		t.Fatalf("global-pool denial: %+v, other resident %v", st, c2.Contains(other))
+	}
+
+	// Regression, the measured case: churn_miss's 0.10× store at medium scale
+	// on a 64-proc box has an 8,910-byte stripe limit, while the scale's
+	// largest chunk is 47,872 bytes and its p99 30,280 — 18.8 % of all chunks
+	// were refused on every request, even by an empty store.
+	s64, _ := New(380_160, NewTwoLevelPromote(), WithShards(64))
+	c64 := s64.(*Sharded)
+	if c64.limit != 8_910 {
+		t.Fatalf("64-stripe limit = %d, want 8910", c64.limit)
+	}
+	for num, cells := range []int{1992, 1259} {
+		if !c64.Insert(key(num), mkChunk(0, num, cells), AsBackend(1)) {
+			t.Fatalf("%d-byte chunk denied by an %d-byte stripe limit", mkChunk(0, num, cells).Bytes(), c64.limit)
+		}
+	}
+	if c64.Used() != 47_872+30_280 || c64.Stats().Denied != 0 {
+		t.Fatalf("Used = %d, stats %+v", c64.Used(), c64.Stats())
 	}
 
 	// Degenerate: capacity below the shard count would give a zero per-shard
@@ -327,10 +369,10 @@ func TestShardedReinforceKeepsGroup(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalence runs one deterministic operation sequence against
-// the single-lock store and a 4-shard store with headroom (no evictions) and
-// requires identical observable state: the implementations may only diverge
-// in victim choice, never in residence semantics.
+// TestShardedEquivalence runs one deterministic operation sequence against a
+// one-stripe and a 4-stripe store with headroom (no evictions) and requires
+// identical observable state: stripe counts may only diverge in victim
+// choice, never in residence semantics.
 func TestShardedEquivalence(t *testing.T) {
 	single, err := New(1<<20, NewTwoLevel())
 	if err != nil {
@@ -378,7 +420,7 @@ func TestShardedEquivalence(t *testing.T) {
 	if st1 != st2 {
 		t.Fatalf("stats diverged: %+v vs %+v", st1, st2)
 	}
-	for _, k := range single.Keys(nil) {
+	for _, k := range keysOf(single) {
 		if !sharded.Contains(k) {
 			t.Fatalf("key %v resident in single but not sharded", k)
 		}
@@ -451,15 +493,11 @@ func TestShardedConcurrentSoak(t *testing.T) {
 		if n != s.Len() {
 			t.Fatalf("shards=%d: Range count %d != Len %d", shards, n, s.Len())
 		}
-		if len(s.Keys(nil)) != n {
-			t.Fatalf("shards=%d: Keys/Range disagree", shards)
-		}
 	}
 }
 
-// TestStoreStatsConcurrent reads Stats/Len while writers mutate the store, on
-// both implementations. Regression for the unsynchronized Stats()/Len() reads
-// the single-lock cache used to allow.
+// TestStoreStatsConcurrent reads Stats/Len while writers mutate the store, at
+// one stripe and at four.
 func TestStoreStatsConcurrent(t *testing.T) {
 	stores := map[string]Store{}
 	s1, _ := New(8_000, NewTwoLevel())
@@ -498,5 +536,85 @@ func TestStoreStatsConcurrent(t *testing.T) {
 				t.Fatalf("no inserts recorded: %+v", st)
 			}
 		})
+	}
+}
+
+// transcriptListener writes every listener callback into the transcript.
+type transcriptListener struct{ w io.Writer }
+
+func (l transcriptListener) OnInsert(e *Entry) {
+	fmt.Fprintf(l.w, "ins %v %v %v %v\n", e.Key, e.Class, e.Recycled, e.Bytes())
+}
+
+func (l transcriptListener) OnEvent(ev Event) { fmt.Fprintf(l.w, "ev %v %v\n", ev.Key, ev.Reason) }
+
+// TestOneStripeMatchesRecordedReference replays a seeded 5,000-op stream
+// against a default (one-stripe) store small enough to evict constantly and
+// hashes the full transcript: every verdict, every listener callback in
+// order, and the final counters. The expected hashes were recorded at commit
+// c294517 from the single-lock store (the Cache struct) this one replaced,
+// immediately before it was deleted, so a one-stripe store's replacement
+// decisions are pinned event-for-event to that reference under every policy.
+func TestOneStripeMatchesRecordedReference(t *testing.T) {
+	for _, tc := range []struct {
+		policy Policy
+		want   string
+	}{
+		{NewLRU(), "9f5f68a9166bf045e4a0cba19bfa49be7eaf77c3f27aff5a4a1d57393dc77938"},
+		{NewBenefitClock(), "b3ecb47a2b2350d3d216f5f5e51ddcaaab34f06b392ee1e7ebad4479fc414e58"},
+		{NewTwoLevel(), "2d2c61709a725f1a523803e3174bd6662c35fdff0e47ac4314228072adc0af0e"},
+		{NewTwoLevelPromote(), "05efe9af8549b3d2b72dcad947e1a1669bac980a4e1a4e83ca55455be97cbeab"},
+	} {
+		s, err := New(4_000, tc.policy)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		h := sha256.New()
+		s.SetListener(transcriptListener{h})
+		rng := rand.New(rand.NewSource(17))
+		var pinned []Key
+		for op := 0; op < 5000; op++ {
+			k := key(rng.Intn(40))
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3:
+				// Re-inserting a resident key with a different cell count is
+				// the same-key replacement path, growth included.
+				opt := []func(float64) InsertOption{AsBackend, AsComputed, AsRecycled}[rng.Intn(3)]
+				ok := s.Insert(k, mkChunk(0, int(k.Num), 1+rng.Intn(20)), opt(float64(rng.Intn(1000))))
+				fmt.Fprintf(h, "insert %v %v\n", k, ok)
+			case 4, 5:
+				cells := -1
+				d, ok := s.Get(k)
+				if ok {
+					cells = d.Cells()
+				}
+				fmt.Fprintf(h, "get %v %v %d\n", k, ok, cells)
+			case 6:
+				ok := s.Pin(k)
+				if ok {
+					pinned = append(pinned, k)
+				}
+				fmt.Fprintf(h, "pin %v %v\n", k, ok)
+			case 7:
+				if n := len(pinned); n > 0 {
+					i := rng.Intn(n)
+					s.Unpin(pinned[i])
+					pinned[i] = pinned[n-1]
+					pinned = pinned[:n-1]
+				}
+			case 8:
+				s.Reinforce([]Key{k, key(rng.Intn(40))}, float64(rng.Intn(100)))
+			case 9:
+				fmt.Fprintf(h, "evict %v %v\n", k, s.Evict(k))
+			}
+		}
+		st := s.Stats()
+		if st.Evictions < 500 {
+			t.Fatalf("%s: stream does not stress replacement: %+v", tc.policy.Name(), st)
+		}
+		fmt.Fprintf(h, "%+v %d %d\n", st, s.Used(), s.Len())
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: transcript hash %s, want %s (stats %+v)", tc.policy.Name(), got, tc.want, st)
+		}
 	}
 }

@@ -9,31 +9,36 @@ import (
 	"aggcache/internal/obs"
 )
 
-// Store is the chunk-cache contract the rest of the system programs against.
-// It captures the full surface the engine, the lookup strategies, snapshots
-// and the daemons need, so any implementation — the single-lock reference
-// [Cache] or the lock-striped [Sharded] — can sit behind the middle tier.
+// Store is the chunk-cache contract the rest of the system programs against:
+// the surface the engine, the lookup strategies, snapshots and the peer
+// protocol call. There is one hot implementation, [Sharded]; [Tiered] and
+// [Peered] decorate a Store with a cold tier and a peer ring.
 //
 // Locking contract: implementations synchronize internally; callers never
 // wrap Store calls in an external lock. Listener and Policy callbacks fire
 // synchronously while the store holds the internal lock covering the affected
 // key, so they must be fast and must not call back into the same Store (that
 // would self-deadlock). Chunk payloads (*chunk.Chunk) are immutable, so a
-// payload pointer returned by Get/Peek/Range may be read after the call
-// returns; pin the key first if the payload must stay resident while you use
-// it.
+// payload pointer returned by Get/GetInfo/Peek/Range may be read after the
+// call returns; pin the key first if the payload must stay resident while you
+// use it.
 type Store interface {
 	// Get returns the chunk payload for k, updating replacement state and
 	// hit/miss counters.
 	Get(k Key) (*chunk.Chunk, bool)
+	// GetInfo is Get plus the class and benefit k is resident under. The
+	// peer protocol answers PeerGet from it so a fill carries the owner's
+	// replacement attributes across the wire; serving a peer counts as an
+	// access — a chunk the group keeps asking for should stay resident on
+	// its owner.
+	GetInfo(k Key) (*chunk.Chunk, Class, float64, bool)
 	// Peek returns the chunk payload without touching replacement state or
 	// hit/miss counters.
 	Peek(k Key) (*chunk.Chunk, bool)
 	// Insert makes data resident under k, evicting per the policy as needed,
 	// and reports whether the chunk was admitted. The options select the
 	// residency variant (backend-class with zero benefit by default); see
-	// InsertOption. See Cache.Insert for the replacement semantics every
-	// implementation follows.
+	// InsertOption, and Sharded.Insert for the replacement semantics.
 	Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool
 	// Evict removes k if resident (administrative removal, not a policy
 	// eviction).
@@ -48,8 +53,6 @@ type Store interface {
 	Reinforce(keys []Key, benefit float64)
 	// Contains reports residence without touching replacement state.
 	Contains(k Key) bool
-	// Keys appends all resident keys to dst; order is unspecified.
-	Keys(dst []Key) []Key
 	// Range calls fn for every resident entry (order unspecified) with its
 	// residency attributes. fn runs under the store's internal lock(s) and
 	// must not call back into the store.
@@ -65,12 +68,6 @@ type Store interface {
 	// SetListener registers the strategy callback; pass nil to clear. Call
 	// it before the store serves traffic.
 	SetListener(l Listener)
-	// SetMetrics attaches live observability metrics; call it before the
-	// store serves traffic.
-	SetMetrics(m obs.CacheMetrics)
-	// Policy exposes a replacement policy for reporting (Name). On a
-	// sharded store this is one representative shard's instance.
-	Policy() Policy
 }
 
 // insertSpec is the resolved residency of one Insert call.
@@ -131,69 +128,45 @@ func AsPromoted() InsertOption {
 }
 
 // Forker is implemented by replacement policies that can produce fresh,
-// state-free instances of themselves. A sharded store needs one policy
-// instance per shard (policies are stateful and synchronized by their shard's
-// lock), so New requires the seed policy to implement Forker — or an explicit
-// WithPolicyFactory — whenever more than one shard is requested. TwoLevel,
-// BenefitClock and LRU all implement it.
+// state-free instances of themselves. A store needs one policy instance per
+// stripe (policies are stateful and synchronized by their stripe's lock), so
+// New requires the policy to implement Forker whenever more than one stripe
+// is requested. TwoLevel, BenefitClock and LRU all implement it.
 type Forker interface {
 	// Fork returns a new empty policy of the same kind and configuration.
 	Fork() Policy
 }
 
-// MaxShards bounds the shard count; 64 keeps Reinforce's shard grouping a
+// MaxShards bounds the stripe count; 64 keeps Reinforce's stripe grouping a
 // single uint64 bitmask and is far beyond the core counts this tier runs on.
 const MaxShards = 64
 
-// config collects the options shared by New's implementations.
+// config collects New's options.
 type config struct {
-	shards   int // 0 = single-lock store; -1 = auto (GOMAXPROCS rounded up)
-	factory  func() Policy
-	listener Listener
-	metrics  *obs.CacheMetrics
+	shards  int // stripes requested; <= 0 = auto (GOMAXPROCS)
+	metrics obs.CacheMetrics
 }
 
 // Option configures New. Options are applied in order; later options win.
 type Option func(*config)
 
-// WithShards selects the lock-striped implementation with n shards, rounded
-// up to a power of two and capped at MaxShards. n = 1 selects the single-lock
-// reference store (the default). n = 0 means "auto": GOMAXPROCS rounded up to
-// a power of two.
+// WithShards sets the stripe count: n is rounded up to a power of two and
+// capped at MaxShards. n = 1 (the default) is one stripe — one map, one
+// policy instance, one lock, the paper's single bounded cache. n = 0 means
+// "auto": GOMAXPROCS rounded up to a power of two.
 func WithShards(n int) Option {
-	return func(c *config) {
-		if n == 0 {
-			c.shards = -1
-			return
-		}
-		c.shards = n
-	}
+	return func(c *config) { c.shards = n }
 }
 
-// WithPolicyFactory supplies fresh policy instances for the extra shards of a
-// sharded store, for policies that do not implement Forker. The seed policy
-// passed to New serves shard 0; the factory builds the rest.
-func WithPolicyFactory(f func() Policy) Option {
-	return func(c *config) { c.factory = f }
-}
-
-// WithListener registers the insert/evict listener at construction time,
-// replacing a later SetListener call.
-func WithListener(l Listener) Option {
-	return func(c *config) { c.listener = l }
-}
-
-// WithMetrics attaches the live-metrics bundle at construction time,
-// replacing a later SetMetrics call.
+// WithMetrics attaches the live-metrics bundle; its zero value records
+// nothing.
 func WithMetrics(m obs.CacheMetrics) Option {
-	return func(c *config) { c.metrics = &m }
+	return func(c *config) { c.metrics = m }
 }
 
-// New creates a chunk store bounded to capacity bytes using the given
-// replacement policy. By default it returns the single-lock reference
-// implementation; WithShards selects the lock-striped one. The policy must
-// implement Forker (or a WithPolicyFactory must be given) when more than one
-// shard is requested.
+// New creates the hot chunk store, a *Sharded bounded to capacity bytes under
+// the given replacement policy: one stripe by default, WithShards for more.
+// The policy must implement Forker when more than one stripe is requested.
 func New(capacity int64, policy Policy, opts ...Option) (Store, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cache: capacity must be positive, got %d", capacity)
@@ -201,53 +174,18 @@ func New(capacity int64, policy Policy, opts ...Option) (Store, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("cache: policy must not be nil")
 	}
-	var cfg config
+	cfg := config{shards: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	n := cfg.shards
-	if n < 0 {
+	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n <= 1 {
-		c := &Cache{capacity: capacity, entries: make(map[Key]*Entry), policy: policy}
-		if cfg.listener != nil {
-			c.SetListener(cfg.listener)
-		}
-		if cfg.metrics != nil {
-			c.SetMetrics(*cfg.metrics)
-		}
-		return c, nil
-	}
-	n = nextPow2(n)
-	if n > MaxShards {
-		n = MaxShards
-	}
-	factory := cfg.factory
-	if factory == nil {
-		f, ok := policy.(Forker)
-		if !ok {
-			return nil, fmt.Errorf("cache: policy %s cannot be forked across %d shards (implement Forker or pass WithPolicyFactory)", policy.Name(), n)
-		}
-		factory = f.Fork
-	}
-	s, err := newSharded(capacity, n, policy, factory)
+	n = min(1<<bits.Len(uint(n-1)), MaxShards) // round up to a power of two
+	s, err := newSharded(capacity, n, policy, cfg.metrics)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.listener != nil {
-		s.SetListener(cfg.listener)
-	}
-	if cfg.metrics != nil {
-		s.SetMetrics(*cfg.metrics)
-	}
 	return s, nil
-}
-
-// nextPow2 rounds n up to the next power of two.
-func nextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
 }

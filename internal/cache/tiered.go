@@ -33,8 +33,8 @@ type TierStatser interface {
 	TierStats() TierStats
 }
 
-// tierHook is the package-internal seam between a hot store (Cache, Sharded)
-// and the Tiered wrapper. Every per-key tier transition must be decided
+// tierHook is the package-internal seam between the hot store (Sharded) and
+// the Tiered wrapper. Every per-key tier transition must be decided
 // under the lock that serializes that key's hot-store mutations (the shard
 // lock), or two racing goroutines can leave a chunk resident in both tiers —
 // and a later cold eviction would then fire a spurious Evicted while the
@@ -56,7 +56,8 @@ type tierHook interface {
 	demote(e *Entry) bool
 }
 
-// hookable is implemented by hot stores that can host a Tiered wrapper.
+// hookable is implemented by the hot store: it can host a Tiered wrapper.
+// Decorators (Peered, Tiered) cannot — NewTiered rejects them as hot.
 type hookable interface {
 	setTierHook(h tierHook)
 }
@@ -74,7 +75,10 @@ type hookable interface {
 // are decided under the hot store's per-key lock (see tierHook), so the
 // invariant holds under arbitrary concurrency.
 type Tiered struct {
-	hot  Store
+	// hot is the wrapped store, embedded so that the Store methods this file
+	// does not define (Unpin, Reinforce — only hot residents carry pins and
+	// replacement clocks) are the hot tier's own.
+	hot
 	cold *coldTier
 	// outer is the listener registered via SetListener; hot-store events are
 	// forwarded to it, with cold-pressure evictions synthesized here. Set
@@ -88,10 +92,13 @@ type Tiered struct {
 	tmet           obs.TierMetrics
 }
 
+// hot names Tiered's embedded field.
+type hot = Store
+
 // NewTiered wraps hot with a compressed cold tier of coldBytes capacity.
-// The hot store must be one of this package's hot implementations (Cache or
-// Sharded — not Peered or another Tiered, which own their composition).
-// Register listeners on the returned store, not on hot.
+// The hot store must be the *Sharded that New builds — not a Peered or
+// another Tiered, which own their composition. Register listeners on the
+// returned store, not on hot.
 func NewTiered(hot Store, coldBytes int64) (*Tiered, error) {
 	if coldBytes <= 0 {
 		return nil, fmt.Errorf("cache: cold tier capacity must be positive, got %d", coldBytes)
@@ -217,30 +224,14 @@ func (t *Tiered) syncTierGauges() {
 // the cold tier and, on a cold hit, promotes the chunk back into the hot
 // tier before returning it.
 func (t *Tiered) Get(k Key) (*chunk.Chunk, bool) {
-	if data, ok := t.hot.Get(k); ok {
-		return data, true
-	}
-	if data, _, _, ok := t.promote(k); ok {
-		t.lookupColdHits.Add(1)
-		t.cold.hit()
-		t.tmet.ColdHits.Inc()
-		return data, true
-	}
-	t.cold.miss()
-	t.tmet.ColdMisses.Inc()
-	return nil, false
+	data, _, _, ok := t.GetInfo(k)
+	return data, ok
 }
 
-// GetInfo is Get plus replacement attributes, for the peer tier.
+// GetInfo implements Store; see Get.
 func (t *Tiered) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
-	if gi, ok := t.hot.(interface {
-		GetInfo(Key) (*chunk.Chunk, Class, float64, bool)
-	}); ok {
-		if data, cl, benefit, found := gi.GetInfo(k); found {
-			return data, cl, benefit, true
-		}
-	} else if data, ok := t.hot.Get(k); ok {
-		return data, ClassBackend, 0, true
+	if data, cl, benefit, ok := t.hot.GetInfo(k); ok {
+		return data, cl, benefit, true
 	}
 	if data, cl, benefit, ok := t.promote(k); ok {
 		t.lookupColdHits.Add(1)
@@ -317,27 +308,9 @@ func (t *Tiered) Pin(k Key) bool {
 	return t.hot.Pin(k)
 }
 
-// Unpin implements Store.
-func (t *Tiered) Unpin(k Key) { t.hot.Unpin(k) }
-
-// Reinforce implements Store. Only hot residents carry replacement clocks;
-// a promoted-from-cold chunk is reinforced exactly like any other hot
-// entry — its bytes were charged once, at promotion, through the ordinary
-// insert path, so reinforcement never touches byte accounting.
-func (t *Tiered) Reinforce(keys []Key, benefit float64) { t.hot.Reinforce(keys, benefit) }
-
 // Contains implements Store: resident in either tier.
 func (t *Tiered) Contains(k Key) bool {
 	return t.hot.Contains(k) || t.cold.contains(k)
-}
-
-// Keys implements Store over both tiers.
-func (t *Tiered) Keys(dst []Key) []Key {
-	dst = t.hot.Keys(dst)
-	for _, e := range t.cold.snapshot() {
-		dst = append(dst, e.key)
-	}
-	return dst
 }
 
 // Range implements Store over both tiers; cold residents are decoded per
@@ -378,9 +351,6 @@ func (t *Tiered) TierStats() TierStats {
 // Capacity implements Store: the combined byte bound of both tiers.
 func (t *Tiered) Capacity() int64 { return t.hot.Capacity() + t.cold.capacity }
 
-// HotCapacity returns the hot tier's byte bound alone.
-func (t *Tiered) HotCapacity() int64 { return t.hot.Capacity() }
-
 // Used implements Store: hot bytes plus compressed cold bytes.
 func (t *Tiered) Used() int64 { return t.hot.Used() + t.cold.usedBytes() }
 
@@ -390,26 +360,9 @@ func (t *Tiered) Len() int { return t.hot.Len() + t.cold.len() }
 // SetListener implements Store; the listener observes both tiers' events.
 func (t *Tiered) SetListener(l Listener) { t.outer = l }
 
-// SetMetrics implements Store, forwarding the hot-tier bundle.
-func (t *Tiered) SetMetrics(m obs.CacheMetrics) { t.hot.SetMetrics(m) }
-
 // SetTierMetrics attaches the cold-tier bundle; call before serving traffic.
 func (t *Tiered) SetTierMetrics(m obs.TierMetrics) {
 	t.tmet = m
 	t.tmet.ColdCapacityBytes.Set(t.cold.capacity)
 	t.syncTierGauges()
-}
-
-// Policy implements Store, reporting the hot tier's policy.
-func (t *Tiered) Policy() Policy { return t.hot.Policy() }
-
-// Hot returns the wrapped hot store (tests and diagnostics).
-func (t *Tiered) Hot() Store { return t.hot }
-
-// Shards reports the hot tier's stripe count when it is sharded.
-func (t *Tiered) Shards() int {
-	if s, ok := t.hot.(interface{ Shards() int }); ok {
-		return s.Shards()
-	}
-	return 1
 }

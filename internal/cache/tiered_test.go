@@ -89,14 +89,14 @@ func TestTieredPromotePreservesAttributes(t *testing.T) {
 
 	tc.Insert(key(1), mkChunk(0, 1, 10), AsRecycled(42.5))
 	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(0)) // demotes 1
-	if tc.Hot().Contains(key(1)) {
+	if tc.hot.Contains(key(1)) {
 		t.Fatalf("key 1 still hot after demotion")
 	}
 	if _, ok := tc.Get(key(1)); !ok { // promotes 1
 		t.Fatalf("cold-resident key 1 not served")
 	}
 	found := false
-	tc.Hot().Range(func(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool) {
+	tc.hot.Range(func(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool) {
 		if k != key(1) {
 			return
 		}
@@ -122,7 +122,7 @@ func TestTieredReinforceAfterPromoteNoDoubleCharge(t *testing.T) {
 	if _, ok := tc.Get(key(1)); !ok {                  // promotes 1, demotes 2
 		t.Fatalf("cold-resident key 1 not served")
 	}
-	if got := tc.Hot().Used(); got != data.Bytes() {
+	if got := tc.hot.Used(); got != data.Bytes() {
 		t.Fatalf("hot used %d after promote, want one chunk = %d", got, data.Bytes())
 	}
 	before := tc.Used()
@@ -131,7 +131,7 @@ func TestTieredReinforceAfterPromoteNoDoubleCharge(t *testing.T) {
 	if got := tc.Used(); got != before {
 		t.Fatalf("Reinforce changed Used: %d -> %d", before, got)
 	}
-	if got := tc.Hot().Used(); got != data.Bytes() {
+	if got := tc.hot.Used(); got != data.Bytes() {
 		t.Fatalf("hot used %d after Reinforce, want %d", got, data.Bytes())
 	}
 }
@@ -231,7 +231,7 @@ func TestTieredResidencyInvariant(t *testing.T) {
 			tc.Evict(k)
 		}
 		seen := map[Key]bool{}
-		for _, rk := range tc.Keys(nil) {
+		for _, rk := range keysOf(tc) {
 			if seen[rk] {
 				t.Fatalf("step %d: key %v resident in both tiers", step, rk)
 			}
@@ -287,20 +287,20 @@ func TestTieredConcurrentSoak(t *testing.T) {
 	wg.Wait()
 
 	seen := map[Key]bool{}
-	for _, k := range tc.Keys(nil) {
+	for _, k := range keysOf(tc) {
 		if seen[k] {
 			t.Fatalf("key %v resident in both tiers after soak", k)
 		}
 		seen[k] = true
 	}
 	var recount int64
-	tc.Hot().Range(func(_ Key, data *chunk.Chunk, _ Class, _ float64, _ bool) {
+	tc.hot.Range(func(_ Key, data *chunk.Chunk, _ Class, _ float64, _ bool) {
 		recount += data.Bytes()
 	})
-	if got := tc.Hot().Used(); got != recount {
+	if got := tc.hot.Used(); got != recount {
 		t.Fatalf("hot Used %d != recounted %d", got, recount)
 	}
-	if got := tc.Hot().Used(); got > hotCap {
+	if got := tc.hot.Used(); got > hotCap {
 		t.Fatalf("hot tier over capacity: %d > %d", got, hotCap)
 	}
 	ts := tc.TierStats()

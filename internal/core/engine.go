@@ -13,7 +13,6 @@ import (
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
-	"aggcache/internal/metrics"
 	"aggcache/internal/obs"
 	"aggcache/internal/sizer"
 	"aggcache/internal/strategy"
@@ -162,7 +161,7 @@ type Stats struct {
 	// ResultCacheHits counts queries answered entirely from the semantic
 	// result cache (exact or by containment subsumption).
 	ResultCacheHits int64
-	Breakdown       metrics.Breakdown
+	Breakdown       Breakdown
 }
 
 // engineStats is the engine's internal, atomically updated counterpart of
@@ -203,7 +202,7 @@ func (s *engineStats) snapshot() Stats {
 		Recycled:        s.recycled.Load(),
 		RecycleRejected: s.recycleRejects.Load(),
 		ResultCacheHits: s.resultHits.Load(),
-		Breakdown: metrics.Breakdown{
+		Breakdown: Breakdown{
 			Lookup:    time.Duration(s.lookupNS.Load()),
 			Aggregate: time.Duration(s.aggNS.Load()),
 			Update:    time.Duration(s.updateNS.Load()),

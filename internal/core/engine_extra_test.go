@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -191,12 +192,13 @@ func TestRecycleIntermediates(t *testing.T) {
 	}
 
 	midResident := func(c cache.Store) bool {
-		for _, k := range c.Keys(nil) {
+		found := false
+		c.Range(func(k cache.Key, _ *chunk.Chunk, _ cache.Class, _ float64, _ bool) {
 			if k.GB != lat.Base() && k.GB != lat.Top() {
-				return true
+				found = true
 			}
-		}
-		return false
+		})
+		return found
 	}
 
 	// A tiny threshold admits every interior node of the top-level roll-up.
@@ -229,4 +231,28 @@ func TestRecycleIntermediates(t *testing.T) {
 	if st := eng.Stats(); st.Recycled != 0 || st.RecycleRejected != 0 {
 		t.Fatalf("recycle stats nonzero with recycling off: %+v", st)
 	}
+}
+
+func TestBreakdown(t *testing.T) {
+	b := Breakdown{Lookup: 1, Aggregate: 2, Update: 3, Backend: 4}
+	if b.Total() != 10 {
+		t.Fatalf("Total = %v", b.Total())
+	}
+	b.Add(Breakdown{Lookup: 10, Aggregate: 20, Update: 30, Backend: 40})
+	if b.Lookup != 11 || b.Aggregate != 22 || b.Update != 33 || b.Backend != 44 {
+		t.Fatalf("Add = %+v", b)
+	}
+	s := b.Scale(11)
+	if s.Lookup != 1 || s.Aggregate != 2 || s.Update != 3 || s.Backend != 4 {
+		t.Fatalf("Scale = %+v", s)
+	}
+	if !strings.Contains(b.String(), "lookup=") {
+		t.Fatalf("String = %q", b.String())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Scale(0) should panic")
+		}
+	}()
+	b.Scale(0)
 }

@@ -22,14 +22,8 @@ import (
 type storePeer struct{ st cache.Store }
 
 func (p *storePeer) Get(ctx context.Context, k cache.Key) (*chunk.Chunk, cache.Class, float64, bool, error) {
-	if is, ok := p.st.(interface {
-		GetInfo(cache.Key) (*chunk.Chunk, cache.Class, float64, bool)
-	}); ok {
-		d, cl, b, f := is.GetInfo(k)
-		return d, cl, b, f, nil
-	}
-	d, f := p.st.Get(k)
-	return d, cache.ClassBackend, 0, f, nil
+	d, cl, b, f := p.st.GetInfo(k)
+	return d, cl, b, f, nil
 }
 
 func (p *storePeer) Put(ctx context.Context, k cache.Key, data *chunk.Chunk, cl cache.Class, benefit float64) error {

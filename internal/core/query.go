@@ -8,10 +8,10 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
-	"aggcache/internal/metrics"
 )
 
 // Query asks for the measure aggregated to group-by GB over a rectangular
@@ -97,6 +97,54 @@ func (q Query) NumChunks(g *chunk.Grid) (int, error) {
 	return len(n.chunkNumbers(g)), nil
 }
 
+// Breakdown is the cost of answering one query, split the way Figure 10
+// splits it, plus the backend component for cache misses.
+type Breakdown struct {
+	// Lookup is the time spent deciding, per chunk, whether the cache can
+	// answer (strategy Find calls).
+	Lookup time.Duration
+	// Aggregate is the time spent aggregating cached chunks.
+	Aggregate time.Duration
+	// Update is the time spent maintaining strategy state (virtual counts,
+	// costs) while inserting and evicting chunks.
+	Update time.Duration
+	// Backend is the time attributed to backend execution: real compute plus
+	// the latency model's simulated component.
+	Backend time.Duration
+}
+
+// Total returns the full response time.
+func (b Breakdown) Total() time.Duration {
+	return b.Lookup + b.Aggregate + b.Update + b.Backend
+}
+
+// Add accumulates another breakdown into b.
+func (b *Breakdown) Add(o Breakdown) {
+	b.Lookup += o.Lookup
+	b.Aggregate += o.Aggregate
+	b.Update += o.Update
+	b.Backend += o.Backend
+}
+
+// Scale returns b divided by n (for averaging); n must be positive.
+func (b Breakdown) Scale(n int) Breakdown {
+	if n <= 0 {
+		panic("core: Scale by non-positive count")
+	}
+	return Breakdown{
+		Lookup:    b.Lookup / time.Duration(n),
+		Aggregate: b.Aggregate / time.Duration(n),
+		Update:    b.Update / time.Duration(n),
+		Backend:   b.Backend / time.Duration(n),
+	}
+}
+
+// String formats the breakdown compactly.
+func (b Breakdown) String() string {
+	return fmt.Sprintf("lookup=%v agg=%v update=%v backend=%v total=%v",
+		b.Lookup, b.Aggregate, b.Update, b.Backend, b.Total())
+}
+
 // Result is one answered query.
 type Result struct {
 	Query Query
@@ -105,7 +153,7 @@ type Result struct {
 	Chunks []*chunk.Chunk
 	// Breakdown splits the response time (Figure 10): cache lookup,
 	// aggregation, strategy maintenance, backend.
-	Breakdown metrics.Breakdown
+	Breakdown Breakdown
 	// CompleteHit reports that no backend access was needed — the metric of
 	// Figure 7 and Table 4.
 	CompleteHit bool

@@ -21,7 +21,7 @@ import (
 )
 
 // buildSoakEngines wires two engines — concurrent subject (whose cache is
-// built with copts) and serialized single-lock reference — over one grid and
+// built with copts) and serialized one-stripe reference — over one grid and
 // one shared backend.
 func buildSoakEngines(t *testing.T, capacity int64, copts ...cache.Option) (subject, reference *core.Engine, g *chunk.Grid) {
 	t.Helper()
@@ -50,9 +50,9 @@ func buildSoakEngines(t *testing.T, capacity int64, copts ...cache.Option) (subj
 }
 
 // TestConcurrentSoakMatchesSerializedEngine replays one mixed workload
-// stream twice: serially through a single-lock reference engine, then
+// stream twice: serially through a one-stripe reference engine, then
 // interleaved across 8 goroutines through the subject engine — once backed
-// by the single-lock store and once by a 4-shard store. Every concurrent
+// by a one-stripe store and once by a 4-stripe store. Every concurrent
 // answer must match the serialized one (which itself is oracle-checked by
 // the other engine tests). Run under -race this is the tentpole's
 // correctness soak.

@@ -141,12 +141,6 @@ func peerErrFrame(msg string, transient bool) wire.Frame {
 	return fr
 }
 
-// peerInfoStore is the read surface a peer answer wants: payload plus the
-// replacement attributes the owner stored the chunk under.
-type peerInfoStore interface {
-	GetInfo(cache.Key) (*chunk.Chunk, cache.Class, float64, bool)
-}
-
 // peerStore returns the store peer requests should be served from: the local
 // hot tier when the engine's store is a Peered (never the peer tier itself —
 // answering a peer from another peer would let a chunk resident nowhere
@@ -177,19 +171,7 @@ func (s *Server) handlePeerGet(fr *wire.Frame) wire.Frame {
 	if !s.validKey(k) {
 		return peerErrFrame(fmt.Sprintf("mtier: peer get: no such chunk (%d,%d)", k.GB, k.Num), false)
 	}
-	st := s.peerStore()
-	var (
-		data    *chunk.Chunk
-		cl      cache.Class
-		benefit float64
-		found   bool
-	)
-	if is, ok := st.(peerInfoStore); ok {
-		data, cl, benefit, found = is.GetInfo(k)
-	} else {
-		data, found = st.Get(k)
-		cl = cache.ClassBackend
-	}
+	data, cl, benefit, found := s.peerStore().GetInfo(k)
 	return wire.Frame{Type: framePeerChunk, Payload: encodePeerChunk(nil, data, cl, benefit, found)}
 }
 

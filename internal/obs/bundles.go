@@ -82,7 +82,7 @@ func NewEngineMetrics(r *Registry) EngineMetrics {
 	}
 }
 
-// CacheMetrics instruments cache.Cache: occupancy, traffic, and the
+// CacheMetrics instruments the hot chunk store: occupancy, traffic, and the
 // replacement behavior split by cause.
 type CacheMetrics struct {
 	CapacityBytes  *Gauge
