@@ -28,10 +28,12 @@ bench-e2e:
 
 # bench-kernel runs the aggregation-kernel micro-benchmarks (single roll-up,
 # flattened vs hop-by-hop multi-hop, accumulator sweeps at three occupancies,
-# slice) with allocation reporting, and the machine-readable kernel
-# experiment (writes BENCH_4.json).
+# slice) and the backend scan kernel's (ns/tuple over a seeded mix of
+# group-bys at medium scale) with allocation reporting, and the
+# machine-readable kernel experiment (writes BENCH_4.json).
 bench-kernel:
 	$(GO) test ./internal/chunk -run XXX -bench 'RollUp|CellMap|GridSlice' -benchmem -benchtime 20000x | tee kernel_bench.txt
+	$(GO) test ./internal/backend -run XXX -bench 'ComputeChunks' -benchmem -benchtime 2000x | tee -a kernel_bench.txt
 	$(GO) run ./cmd/aggbench -scale small -exp kernel
 
 # bench-wire compares the retired gob transport against the binary framing

@@ -14,18 +14,32 @@ import (
 )
 
 // factSource is one chunk-clustered relation the engine can scan: the base
-// fact table, or a materialized aggregate of it. Rows are sorted by chunk
-// number at the source's group-by level with a dense offset index — the
-// paper's "clustered index on the chunk number".
+// fact table, or a materialized aggregate of it. Rows are stored
+// column-major, sorted by chunk number at the source's group-by level, with a
+// dense offset index — the paper's "clustered index on the chunk number". A
+// source is immutable once built, so scans read it without a lock.
 type factSource struct {
 	gb      lattice.ID
-	members []int32   // row-major member ids at gb's levels
+	cols    [][]int32 // cols[d][r] = row r's member of dimension d at gb's level
 	values  []float64 // measure sums
-	counts  []int64   // contributing fact-row counts (1 for base rows)
+	counts  []int64   // contributing fact-row counts; nil = one each (base rows)
 	offsets []int64   // offsets[c]..offsets[c+1] = row range of chunk c
 }
 
 func (s *factSource) rows() int64 { return int64(len(s.values)) }
+
+func newFactSource(g *chunk.Grid, gb lattice.ID, rows int) *factSource {
+	s := &factSource{
+		gb:      gb,
+		cols:    make([][]int32, g.Schema().NumDims()),
+		values:  make([]float64, rows),
+		offsets: make([]int64, g.NumChunks(gb)+1),
+	}
+	for d := range s.cols {
+		s.cols[d] = make([]int32, rows)
+	}
+	return s
+}
 
 // Engine is the in-process backend: the fact table (plus any materialized
 // aggregate group-bys) stored clustered by chunk number, with an aggregation
@@ -35,18 +49,14 @@ func (s *factSource) rows() int64 { return int64(len(s.values)) }
 //
 // ComputeChunks and EstimateScan are safe for concurrent use: the cache
 // engine issues backend round trips outside its own lock, so several queries
-// can be in flight here at once. mu guards the sources and ancestor-table
-// maps; the clustered row data itself is immutable once built.
+// can be in flight here at once. mu guards the sources map only (taken once
+// per request, to pick the source); a source is immutable once built.
 type Engine struct {
 	grid    *chunk.Grid
 	latency LatencyModel
-	nd      int
 
 	mu      sync.RWMutex
 	sources map[lattice.ID]*factSource
-	// ancCache[(src<<32)|dst][d] maps a member at src's level to its
-	// ancestor at dst's level.
-	ancCache map[uint64][][]int32
 
 	// met is the optional live-metrics bundle (zero value records nothing);
 	// handles are atomics, so ComputeChunks records without taking mu.
@@ -59,59 +69,35 @@ func NewEngine(g *chunk.Grid, tab *data.Table, latency LatencyModel) (*Engine, e
 	if tab.Schema() != g.Schema() {
 		return nil, fmt.Errorf("backend: table and grid use different schemas")
 	}
-	e := &Engine{
-		grid:     g,
-		latency:  latency,
-		nd:       g.Schema().NumDims(),
-		sources:  make(map[lattice.ID]*factSource),
-		ancCache: make(map[uint64][][]int32),
-	}
 	base := g.Lattice().Base()
-	n := tab.Len()
-	rows := make([][]int32, 0, n)
-	vals := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		rows = append(rows, tab.Row(i))
-		vals = append(vals, tab.Value(i))
-	}
-	e.sources[base] = e.clusterRows(base, rows, vals, nil)
-	return e, nil
+	return &Engine{
+		grid:    g,
+		latency: latency,
+		sources: map[lattice.ID]*factSource{base: clusterTable(g, base, tab)},
+	}, nil
 }
 
-// clusterRows sorts (member-vector, sum, count) rows by chunk number at gb
-// and builds the offset index. A nil counts means one fact row each.
-func (e *Engine) clusterRows(gb lattice.ID, rows [][]int32, vals []float64, counts []int64) *factSource {
-	g := e.grid
-	n := len(rows)
+// clusterTable sorts the fact rows by base chunk number into a columnar
+// source and builds its offset index.
+func clusterTable(g *chunk.Grid, base lattice.ID, tab *data.Table) *factSource {
+	n := tab.Len()
 	nums := make([]int32, n)
 	order := make([]int32, n)
 	for i := 0; i < n; i++ {
-		num, _ := g.ChunkOfCell(gb, rows[i])
+		num, _ := g.ChunkOfCell(base, tab.Row(i))
 		nums[i] = int32(num)
 		order[i] = int32(i)
 	}
 	sort.Slice(order, func(a, b int) bool { return nums[order[a]] < nums[order[b]] })
-	s := &factSource{
-		gb:      gb,
-		members: make([]int32, 0, n*e.nd),
-		values:  make([]float64, 0, n),
-		counts:  make([]int64, 0, n),
-		offsets: make([]int64, g.NumChunks(gb)+1),
-	}
-	for _, ri := range order {
-		s.members = append(s.members, rows[ri]...)
-		s.values = append(s.values, vals[ri])
-		if counts == nil {
-			s.counts = append(s.counts, 1)
-		} else {
-			s.counts = append(s.counts, counts[ri])
-		}
-	}
+	s := newFactSource(g, base, n)
 	c := 0
 	for i, ri := range order {
-		for c <= int(nums[ri]) {
+		for d, m := range tab.Row(int(ri)) {
+			s.cols[d][i] = m
+		}
+		s.values[i] = tab.Value(int(ri))
+		for ; c <= int(nums[ri]); c++ {
 			s.offsets[c] = int64(i)
-			c++
 		}
 	}
 	for ; c < len(s.offsets); c++ {
@@ -149,21 +135,27 @@ func (e *Engine) Materialize(gbs ...lattice.ID) error {
 		if ok {
 			continue
 		}
-		chunks, _, err := e.ComputeChunks(context.Background(), gb, allChunks(e.grid, gb))
+		chunks, stats, err := e.ComputeGroupBy(gb)
 		if err != nil {
 			return fmt.Errorf("backend: materialize %s: %w", lat.LevelTupleString(gb), err)
 		}
-		var rows [][]int32
-		var vals []float64
-		var cnts []int64
-		for _, c := range chunks {
+		// Chunks arrive in chunk-number order with keys sorted, so writing
+		// their cells out in sequence is already the clustered order.
+		src := newFactSource(e.grid, gb, int(stats.ResultCells))
+		src.counts = make([]int64, stats.ResultCells)
+		var mbuf [16]int32
+		r := 0
+		for num, c := range chunks {
+			src.offsets[num] = int64(r)
 			for i, key := range c.Keys {
-				rows = append(rows, e.grid.CellMembers(gb, int(c.Num), key, nil))
-				vals = append(vals, c.Vals[i])
-				cnts = append(cnts, c.Counts[i])
+				for d, m := range e.grid.CellMembers(gb, num, key, mbuf[:0]) {
+					src.cols[d][r] = m
+				}
+				src.values[r], src.counts[r] = c.Vals[i], c.Counts[i]
+				r++
 			}
 		}
-		src := e.clusterRows(gb, rows, vals, cnts)
+		src.offsets[len(chunks)] = int64(r)
 		e.mu.Lock()
 		e.sources[gb] = src
 		e.mu.Unlock()
@@ -184,103 +176,115 @@ func (e *Engine) Materialized() []lattice.ID {
 	return out
 }
 
-func allChunks(g *chunk.Grid, gb lattice.ID) []int {
-	nums := make([]int, g.NumChunks(gb))
-	for i := range nums {
-		nums[i] = i
-	}
-	return nums
+// scan is one request resolved against the clustered index: the source that
+// answers it and, per requested chunk, the source row runs feeding that
+// chunk. ComputeChunks reads the runs and EstimateScans adds up their
+// lengths, so the estimate the §5.2 cost bypass compares against cannot
+// drift from what a scan reads.
+type scan struct {
+	grid *chunk.Grid
+	gb   lattice.ID
+	src  *factSource
+	sbuf []int
+	runs []rowRun
 }
 
-// pickSource returns the smallest materialized relation that can answer gb.
-func (e *Engine) pickSource(gb lattice.ID) *factSource {
+// rowRun is a half-open range of source rows.
+type rowRun struct{ lo, hi int64 }
+
+// openScan validates the group-by and picks the smallest materialized
+// relation that can answer it.
+func (e *Engine) openScan(gb lattice.ID) (scan, error) {
+	lat := e.grid.Lattice()
+	if int(gb) < 0 || int(gb) >= lat.NumNodes() {
+		return scan{}, fmt.Errorf("backend: group-by %d out of range", gb)
+	}
+	sc := scan{grid: e.grid, gb: gb}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	lat := e.grid.Lattice()
-	var best *factSource
 	for sgb, s := range e.sources {
-		if !lat.ComputableFrom(gb, sgb) {
-			continue
-		}
-		if best == nil || s.rows() < best.rows() {
-			best = s
+		if lat.ComputableFrom(gb, sgb) && (sc.src == nil || s.rows() < sc.src.rows()) {
+			sc.src = s
 		}
 	}
-	return best // never nil: the base answers everything
+	return sc, nil // src is never nil: the base answers everything
 }
 
-// ancestors returns member maps from src's levels down to dst's levels.
-// Tables are built lazily and cached; concurrent misses may build the same
-// table twice, with the last write winning — both copies are identical.
-func (e *Engine) ancestors(src, dst lattice.ID) [][]int32 {
-	key := uint64(src)<<32 | uint64(uint32(dst))
-	e.mu.RLock()
-	a, ok := e.ancCache[key]
-	e.mu.RUnlock()
-	if ok {
-		return a
+// runsOf returns the source rows feeding chunk num and their count: the
+// clustered runs of its ancestor chunks in chunk-number order, empty runs
+// dropped and adjacent ones joined. The slice is reused by the next call.
+func (s *scan) runsOf(num int) ([]rowRun, int64, error) {
+	if num < 0 || num >= s.grid.NumChunks(s.gb) {
+		return nil, 0, fmt.Errorf("backend: chunk %d of group-by %s out of range", num, s.grid.Lattice().LevelTupleString(s.gb))
 	}
-	sch := e.grid.Schema()
-	lat := e.grid.Lattice()
-	a = make([][]int32, e.nd)
-	for d := 0; d < e.nd; d++ {
-		dim := sch.Dim(d)
-		from, to := lat.LevelAt(src, d), lat.LevelAt(dst, d)
-		tab := make([]int32, dim.Card(from))
-		for m := range tab {
-			tab[m] = dim.Ancestor(from, to, int32(m))
+	s.sbuf = s.grid.AncestorChunks(s.gb, num, s.src.gb, s.sbuf[:0])
+	s.runs = s.runs[:0]
+	var tuples int64
+	for _, c := range s.sbuf {
+		lo, hi := s.src.offsets[c], s.src.offsets[c+1]
+		if n := len(s.runs); n > 0 && s.runs[n-1].hi == lo {
+			s.runs[n-1].hi = hi
+		} else if lo < hi {
+			s.runs = append(s.runs, rowRun{lo, hi})
 		}
-		a[d] = tab
+		tuples += hi - lo
 	}
-	e.mu.Lock()
-	e.ancCache[key] = a
-	e.mu.Unlock()
-	return a
+	return s.runs, tuples, nil
 }
+
+// scanBlock is the number of rows keyed per pass: the key scratch lives on
+// the scanning goroutine's stack and stays in L1 between the keying passes
+// and the accumulate.
+const scanBlock = 512
 
 // ComputeChunks implements Backend. Each requested chunk's region is located
 // through the clustered index of the smallest applicable source and scanned
-// once; tuples aggregate directly into the target chunk's cell map.
+// once, a block of rows at a time: one pass per dimension keys the block
+// through the grid's ancestor-offset tables (chunk.RowKeyer), then one bulk
+// accumulate folds it into the target chunk's cell map.
 func (e *Engine) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, Stats, error) {
 	start := time.Now()
 	g := e.grid
-	lat := g.Lattice()
-	if int(gb) < 0 || int(gb) >= lat.NumNodes() {
-		return nil, Stats{}, fmt.Errorf("backend: group-by %d out of range", gb)
+	sc, err := e.openScan(gb)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	src := e.pickSource(gb)
-	anc := e.ancestors(src.gb, gb)
+	src := sc.src
 	var stats Stats
 	out := make([]*chunk.Chunk, 0, len(nums))
-	var sbuf []int
-	mapped := make([]int32, e.nd)
+	var keyer chunk.RowKeyer
+	var keys [scanBlock]uint64
 	for _, num := range nums {
 		// One cancellation check per chunk keeps a long multi-chunk scan
 		// responsive to deadlines without per-tuple overhead.
 		if err := ctx.Err(); err != nil {
 			return nil, Stats{}, err
 		}
-		if num < 0 || num >= g.NumChunks(gb) {
-			return nil, Stats{}, fmt.Errorf("backend: chunk %d of group-by %s out of range", num, lat.LevelTupleString(gb))
+		runs, tuples, err := sc.runsOf(num)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		if err := keyer.Compose(g, gb, num, src.gb); err != nil {
+			return nil, Stats{}, err
 		}
 		// Pooled accumulator: the built chunk is handed to the caller (which
 		// may cache it indefinitely) so Build allocates fresh arrays, but the
 		// accumulator itself — the large transient — is reused across chunks
 		// and requests.
 		cm := g.GetCellMap(gb, num)
-		sbuf = g.AncestorChunks(gb, num, src.gb, sbuf[:0])
-		for _, sc := range sbuf {
-			lo, hi := src.offsets[sc], src.offsets[sc+1]
-			for r := lo; r < hi; r++ {
-				row := src.members[r*int64(e.nd) : (r+1)*int64(e.nd)]
-				for d := 0; d < e.nd; d++ {
-					mapped[d] = anc[d][row[d]]
+		for _, run := range runs {
+			for lo := run.lo; lo < run.hi; lo += scanBlock {
+				hi := min(lo+scanBlock, run.hi)
+				k := keys[:hi-lo]
+				keyer.Keys(k, src.cols, int(lo))
+				if src.counts == nil {
+					cm.AddCells(k, src.values[lo:hi], nil)
+				} else {
+					cm.AddCells(k, src.values[lo:hi], src.counts[lo:hi])
 				}
-				_, key := g.ChunkOfCell(gb, mapped)
-				cm.AddCell(key, src.values[r], src.counts[r])
 			}
-			stats.TuplesScanned += hi - lo
 		}
+		stats.TuplesScanned += tuples
 		c := cm.Build(gb, num)
 		chunk.PutCellMap(cm)
 		stats.ResultCells += int64(c.Cells())
@@ -309,24 +313,17 @@ func (e *Engine) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) (
 // EstimateScans implements Backend: the tuples ComputeChunks would read per
 // requested chunk, resolved through the clustered index without scanning.
 func (e *Engine) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) ([]int64, error) {
-	g := e.grid
-	lat := g.Lattice()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if int(gb) < 0 || int(gb) >= lat.NumNodes() {
-		return nil, fmt.Errorf("backend: group-by %d out of range", gb)
+	sc, err := e.openScan(gb)
+	if err != nil {
+		return nil, err
 	}
-	src := e.pickSource(gb)
 	ests := make([]int64, len(nums))
-	var sbuf []int
 	for i, num := range nums {
-		if num < 0 || num >= g.NumChunks(gb) {
-			return nil, fmt.Errorf("backend: chunk %d of group-by %s out of range", num, lat.LevelTupleString(gb))
-		}
-		sbuf = g.AncestorChunks(gb, num, src.gb, sbuf[:0])
-		for _, sc := range sbuf {
-			ests[i] += src.offsets[sc+1] - src.offsets[sc]
+		if _, ests[i], err = sc.runsOf(num); err != nil {
+			return nil, err
 		}
 	}
 	return ests, nil
@@ -334,21 +331,22 @@ func (e *Engine) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) (
 
 // EstimateScan implements Backend: the total over EstimateScans.
 func (e *Engine) EstimateScan(ctx context.Context, gb lattice.ID, nums []int) (int64, error) {
-	ests, err := e.EstimateScans(ctx, gb, nums)
-	if err != nil {
-		return 0, err
-	}
+	ests, err := e.EstimateScans(ctx, gb, nums) // nil on error
 	var total int64
 	for _, est := range ests {
 		total += est
 	}
-	return total, nil
+	return total, err
 }
 
 // ComputeGroupBy computes every chunk of a group-by; used for cache
 // preloading and for building exact size oracles.
 func (e *Engine) ComputeGroupBy(gb lattice.ID) ([]*chunk.Chunk, Stats, error) {
-	return e.ComputeChunks(context.Background(), gb, allChunks(e.grid, gb))
+	nums := make([]int, e.grid.NumChunks(gb))
+	for i := range nums {
+		nums[i] = i
+	}
+	return e.ComputeChunks(context.Background(), gb, nums)
 }
 
 // Close implements Backend; the in-process engine has nothing to release.

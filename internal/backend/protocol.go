@@ -2,6 +2,7 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aggcache/internal/chunk"
@@ -52,8 +53,14 @@ func decodeRequest(p []byte) (lattice.ID, []int, error) {
 }
 
 // encodeChunksResponse appends a frameChunks payload:
-// stats (4×u64) | nchunks u32 | chunk slabs.
+// stats (4×u64) | nchunks u32 | chunk slabs. The whole payload's size is known
+// up front, so b grows at most once.
 func encodeChunksResponse(b []byte, chunks []*chunk.Chunk, stats Stats) []byte {
+	size := 4*8 + 4
+	for _, c := range chunks {
+		size += wire.ChunkWireSize(c)
+	}
+	b = slices.Grow(b, size)
 	b = wire.AppendU64(b, uint64(stats.TuplesScanned))
 	b = wire.AppendU64(b, uint64(stats.ResultCells))
 	b = wire.AppendU64(b, uint64(stats.Sim))
@@ -65,7 +72,8 @@ func encodeChunksResponse(b []byte, chunks []*chunk.Chunk, stats Stats) []byte {
 	return b
 }
 
-// decodeChunksResponse parses a frameChunks payload.
+// decodeChunksResponse parses a frameChunks payload, which must hold exactly
+// the chunk slabs it announces.
 func decodeChunksResponse(p []byte) ([]*chunk.Chunk, Stats, error) {
 	d := wire.NewDec(p)
 	var stats Stats
@@ -84,6 +92,9 @@ func decodeChunksResponse(p []byte) ([]*chunk.Chunk, Stats, error) {
 			return nil, Stats{}, fmt.Errorf("backend: malformed chunks response")
 		}
 		chunks = append(chunks, c)
+	}
+	if d.Remaining() != 0 {
+		return nil, Stats{}, fmt.Errorf("backend: malformed chunks response: %d trailing bytes", d.Remaining())
 	}
 	return chunks, stats, nil
 }

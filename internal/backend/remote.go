@@ -332,6 +332,19 @@ func (r *Remote) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) (
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	// The caller files reply i under requested chunk i, so a reply that is
+	// not exactly the request — a confused or stale server — must never reach
+	// it. The server did answer, so this is a permanent error: not retried,
+	// not an outage.
+	if len(chunks) != len(nums) {
+		return nil, Stats{}, fmt.Errorf("backend: reply holds %d chunks, %d were requested", len(chunks), len(nums))
+	}
+	for i, c := range chunks {
+		if c.GB != gb || int(c.Num) != nums[i] {
+			return nil, Stats{}, fmt.Errorf("backend: reply slab %d is chunk %d of group-by %d, requested chunk %d of group-by %d",
+				i, c.Num, c.GB, nums[i], gb)
+		}
+	}
 	return chunks, stats, nil
 }
 

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"aggcache/internal/chunk"
+	"aggcache/internal/wire"
 )
 
 // quickPolicy keeps resilience tests fast: small backoffs, few attempts.
@@ -205,5 +209,99 @@ func TestServerRequestTimeoutRepliesTransient(t *testing.T) {
 	}
 	if !IsTransient(err) && !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("server timeout should classify as retryable/outage, got %v", err)
+	}
+}
+
+// fakeChunkServer answers every compute request through reply, which sees the
+// real engine's answer and returns the payload to send instead.
+func fakeChunkServer(t *testing.T, e *Engine, reply func(chunks []*chunk.Chunk, stats Stats) []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				wire.ServeConn(conn, wire.ConnOptions{}, func(fr *wire.Frame) wire.Frame {
+					gb, nums, err := decodeRequest(fr.Payload)
+					if err != nil {
+						return errorFrame(err.Error(), false)
+					}
+					chunks, stats, err := e.ComputeChunks(context.Background(), gb, nums)
+					if err != nil {
+						return errorFrame(err.Error(), false)
+					}
+					return wire.Frame{Type: frameChunks, Payload: reply(chunks, stats)}
+				})
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestRemoteRejectsReplyThatIsNotTheRequest: the middle tier files reply i
+// under requested chunk i, so a backend that answers with other chunks than
+// were asked for — two slabs swapped, one missing, another group-by's, or
+// bytes after the last slab — must be refused by the client, as a permanent
+// error that is neither retried nor counted as an outage, rather than
+// silently poisoning the cache.
+func TestRemoteRejectsReplyThatIsNotTheRequest(t *testing.T) {
+	e, _ := tinyEngine(t, LatencyModel{})
+	base := e.Grid().Lattice().Base()
+	cases := map[string]func(chunks []*chunk.Chunk, stats Stats) []byte{
+		"swapped": func(chunks []*chunk.Chunk, stats Stats) []byte {
+			chunks[0], chunks[1] = chunks[1], chunks[0]
+			return encodeChunksResponse(nil, chunks, stats)
+		},
+		"short": func(chunks []*chunk.Chunk, stats Stats) []byte {
+			return encodeChunksResponse(nil, chunks[:len(chunks)-1], stats)
+		},
+		"other group-by": func(chunks []*chunk.Chunk, stats Stats) []byte {
+			other := *chunks[0]
+			other.GB = base - 1
+			chunks[0] = &other
+			return encodeChunksResponse(nil, chunks, stats)
+		},
+		"trailing bytes": func(chunks []*chunk.Chunk, stats Stats) []byte {
+			return append(encodeChunksResponse(nil, chunks, stats), 0)
+		},
+		"faithful": func(chunks []*chunk.Chunk, stats Stats) []byte {
+			return encodeChunksResponse(nil, chunks, stats)
+		},
+	}
+	for name, reply := range cases {
+		var served atomic.Int64
+		addr := fakeChunkServer(t, e, func(chunks []*chunk.Chunk, stats Stats) []byte {
+			served.Add(1)
+			return reply(chunks, stats)
+		})
+		remote, err := DialPolicy(addr, quickPolicy(4))
+		if err != nil {
+			t.Fatalf("%s: Dial: %v", name, err)
+		}
+		chunks, _, err := remote.ComputeChunks(context.Background(), base, []int{0, 1, 2})
+		remote.Close()
+		if name == "faithful" {
+			if err != nil || len(chunks) != 3 {
+				t.Fatalf("faithful reply refused: %d chunks, %v", len(chunks), err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("%s: reply accepted: %v", name, chunks)
+		}
+		if IsTransient(err) || countsAsOutage(err) || errors.Is(err, ErrUnavailable) {
+			t.Fatalf("%s: refusal %v classified as transient or as an outage", name, err)
+		}
+		if n := served.Load(); n != 1 {
+			t.Fatalf("%s: request was sent %d times, want 1 (a wrong reply is not retried)", name, n)
+		}
 	}
 }

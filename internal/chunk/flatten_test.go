@@ -7,39 +7,9 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/chunk"
+	"aggcache/internal/chunk/chunktest"
 	"aggcache/internal/lattice"
-	"aggcache/internal/schema"
 )
-
-// starGrid is a small star schema that looks nothing like APB-1: four
-// dimensions with hierarchy depths 3, 3, 1 and 2, every multi-level
-// hierarchy ragged (parents own different numbers of children), and chunk
-// boundaries that therefore fall unevenly. It is the cheapest proof that the
-// roll-up tables carry no APB-shaped assumption.
-func starGrid(t testing.TB) *chunk.Grid {
-	t.Helper()
-	date := schema.MustNewDimension("Date", []schema.HierarchySpec{
-		{Name: "Year", Card: 2},
-		{Name: "Quarter", Card: 5, ParentOf: []int32{0, 0, 0, 1, 1}},
-		{Name: "Month", Card: 13, ParentOf: []int32{0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 4}},
-	})
-	customer := schema.MustNewDimension("Customer", []schema.HierarchySpec{
-		{Name: "Region", Card: 3},
-		{Name: "Nation", Card: 7, ParentOf: []int32{0, 0, 1, 1, 1, 2, 2}},
-		{Name: "City", Card: 17, ParentOf: []int32{0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 4, 4, 5, 5, 5, 6, 6}},
-	})
-	part := schema.MustNewDimension("Part", []schema.HierarchySpec{{Name: "Brand", Card: 6}})
-	supplier := schema.MustNewDimension("Supplier", []schema.HierarchySpec{
-		{Name: "Region", Card: 2},
-		{Name: "Nation", Card: 5, ParentOf: []int32{0, 0, 1, 1, 1}},
-	})
-	g, err := chunk.NewGrid(schema.MustNew("Revenue", date, customer, part, supplier),
-		[][]int{{1, 1, 2, 4}, {1, 1, 3, 5}, {1, 3}, {1, 2, 2}})
-	if err != nil {
-		t.Fatalf("star grid: %v", err)
-	}
-	return g
-}
 
 func apbGrid(t testing.TB) *chunk.Grid {
 	t.Helper()
@@ -55,7 +25,7 @@ func apbGrid(t testing.TB) *chunk.Grid {
 // per-dimension roll-up tables against the schema: the level-dl ancestor of
 // member m, as an offset inside the chunk that holds it.
 func TestAncestorOffsetsMatchDimAncestor(t *testing.T) {
-	for name, g := range map[string]*chunk.Grid{"apb": apbGrid(t), "star": starGrid(t)} {
+	for name, g := range map[string]*chunk.Grid{"apb": apbGrid(t), "star": chunktest.StarGrid()} {
 		sch := g.Schema()
 		var entries int64
 		for d := 0; d < sch.NumDims(); d++ {
@@ -87,7 +57,7 @@ func TestAncestorOffsetsMatchDimAncestor(t *testing.T) {
 // for cell, counts exactly, sums within 1e-9 relative (the two orders add
 // the same floats in different groupings).
 func TestFlattenedRollUpMatchesHopByHop(t *testing.T) {
-	for name, g := range map[string]*chunk.Grid{"apb": apbGrid(t), "star": starGrid(t)} {
+	for name, g := range map[string]*chunk.Grid{"apb": apbGrid(t), "star": chunktest.StarGrid()} {
 		lat := g.Lattice()
 		rng := rand.New(rand.NewSource(20000612))
 		multiHop := 0
@@ -181,6 +151,66 @@ func TestFlattenedRollUpMatchesHopByHop(t *testing.T) {
 		}
 		if multiHop < 100 {
 			t.Fatalf("%s: only %d of 300 trials crossed more than one lattice level", name, multiHop)
+		}
+	}
+}
+
+// TestRowKeyerMatchesChunkOfCell is the row keyer's property: for every
+// computable (source, destination) pair of group-bys and random rows at the
+// source's levels, the table-driven key equals the reference derivation —
+// map each member to its ancestor through the schema, then ChunkOfCell — for
+// whichever destination chunk the row's ancestors fall in.
+func TestRowKeyerMatchesChunkOfCell(t *testing.T) {
+	for name, g := range map[string]*chunk.Grid{"apb": apbGrid(t), "star": chunktest.StarGrid()} {
+		sch, lat := g.Schema(), g.Lattice()
+		nd := sch.NumDims()
+		rng := rand.New(rand.NewSource(21))
+		const rows = 64
+		cols := make([][]int32, nd)
+		for d := range cols {
+			cols[d] = make([]int32, rows)
+		}
+		anc := make([]int32, nd)
+		keys := make([]uint64, 1)
+		pairs := 0
+		for src := lattice.ID(0); int(src) < lat.NumNodes(); src++ {
+			for d := range cols {
+				card := sch.Dim(d).Card(lat.LevelAt(src, d))
+				for r := range cols[d] {
+					cols[d][r] = int32(rng.Intn(card))
+				}
+			}
+			for dst := lattice.ID(0); int(dst) < lat.NumNodes(); dst++ {
+				var k chunk.RowKeyer
+				if !lat.ComputableFrom(dst, src) {
+					if k.Compose(g, dst, 0, src) == nil {
+						t.Fatalf("%s: keyer composed for %s from %s, which cannot compute it",
+							name, lat.LevelTupleString(dst), lat.LevelTupleString(src))
+					}
+					continue
+				}
+				pairs++
+				for r := 0; r < rows; r++ {
+					for d := range anc {
+						anc[d] = sch.Dim(d).Ancestor(lat.LevelAt(src, d), lat.LevelAt(dst, d), cols[d][r])
+					}
+					num, want := g.ChunkOfCell(dst, anc)
+					if err := k.Compose(g, dst, num, src); err != nil {
+						t.Fatalf("%s: Compose: %v", name, err)
+					}
+					if k.Keys(keys, cols, r); keys[0] != want {
+						t.Fatalf("%s: %s -> %s chunk %d, row %d: keyer says %d, ChunkOfCell %d",
+							name, lat.LevelTupleString(src), lat.LevelTupleString(dst), num, r, keys[0], want)
+					}
+				}
+			}
+		}
+		if pairs < lat.NumNodes() {
+			t.Fatalf("%s: only %d computable pairs exercised", name, pairs)
+		}
+		var k chunk.RowKeyer
+		if k.Compose(g, lat.Top(), 1, lat.Base()) == nil || k.Compose(g, lat.Top(), -1, lat.Base()) == nil {
+			t.Fatalf("%s: keyer composed for a chunk that does not exist", name)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package chunk
 
 import (
 	"fmt"
+	"slices"
 
 	"aggcache/internal/lattice"
 	"aggcache/internal/schema"
@@ -375,6 +376,7 @@ func (g *Grid) AncestorChunks(gb lattice.ID, num int, anc lattice.ID, dst []int)
 	coords := g.Coords(gb, num, buf[:0])
 	nd := g.sch.NumDims()
 	ranges := make([]Range, nd)
+	total := 1
 	for d := 0; d < nd; d++ {
 		lo, hi := g.lat.LevelAt(gb, d), g.lat.LevelAt(anc, d)
 		r := Range{Lo: coords[d], Hi: coords[d] + 1}
@@ -385,7 +387,9 @@ func (g *Grid) AncestorChunks(gb lattice.ID, num int, anc lattice.ID, dst []int)
 			}
 		}
 		ranges[d] = r
+		total *= r.Len()
 	}
+	dst = slices.Grow(dst, total)
 	// Cartesian product.
 	cur := make([]int32, nd)
 	for d := range cur {

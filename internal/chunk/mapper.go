@@ -13,7 +13,8 @@ import (
 // the whole roll-up translation state of a Grid: Σ_d levels_d² · members_d
 // uint32s, built once in NewGrid, immutable afterwards and therefore read
 // without a lock. A chunk-to-chunk mapper is a window [sr.Lo, sr.Hi) into one
-// table per dimension, composed on the stack per RollUpInto call.
+// table per dimension, composed on the stack per RollUpInto call; a RowKeyer
+// (the backend scan) uses the same tables whole.
 func (g *Grid) buildAncestorOffsets(d int) {
 	dim := g.sch.Dim(d)
 	h := dim.Hierarchy()
@@ -94,4 +95,75 @@ func (m *rollUpMapper) compose(g *Grid, dstGB lattice.ID, dstNum int, srcGB latt
 		stride *= dstSpan
 	}
 	return nil
+}
+
+// RowKeyer is the key translation for aggregating relation rows — member ids
+// at a source group-by's levels, stored one column per dimension — into one
+// destination chunk at any descendant group-by: the backend scan's
+// counterpart of rollUpMapper and the second consumer of ancOff. Rows carry
+// absolute members rather than offsets inside a source chunk, so the tables
+// are used whole (no window) and one keyer serves every source run feeding
+// the destination chunk. Like rollUpMapper it is composed on the caller's
+// stack in O(dims) with no lock and no allocation.
+//
+// Only the n dimensions the destination chunk spans more than one member of
+// take part: every ancestor offset on a span-1 dimension (each ALL-level
+// dimension of an aggregated group-by) is zero.
+type RowKeyer struct {
+	n       int
+	dims    [maxDims]int      // column of each participating dimension
+	strides [maxDims]uint64   // destination strides of those dimensions
+	tables  [maxDims][]uint32 // tables[j][member] = destination offset
+}
+
+// Compose fills k with the translation from rows at srcGB's levels into
+// chunk dstNum of dstGB, verifying that dstGB is computable from srcGB and
+// that the chunk exists.
+func (k *RowKeyer) Compose(g *Grid, dstGB lattice.ID, dstNum int, srcGB lattice.ID) error {
+	if !g.lat.ComputableFrom(dstGB, srcGB) {
+		return fmt.Errorf("chunk: group-by %s is not computable from %s",
+			g.lat.LevelTupleString(dstGB), g.lat.LevelTupleString(srcGB))
+	}
+	if dstNum < 0 || dstNum >= g.numChunks[dstGB] {
+		return fmt.Errorf("chunk: chunk %d of group-by %s out of range", dstNum, g.lat.LevelTupleString(dstGB))
+	}
+	var cbuf [maxDims]int32
+	coords := g.Coords(dstGB, dstNum, cbuf[:0])
+	srcLv, dstLv := g.lat.Level(srcGB), g.lat.Level(dstGB)
+	k.n = 0
+	stride := uint64(1)
+	for d := len(coords) - 1; d >= 0; d-- {
+		span := uint64(g.MemberRange(d, dstLv[d], coords[d]).Len())
+		if span > 1 {
+			k.dims[k.n], k.strides[k.n], k.tables[k.n] = d, stride, g.ancOff[d][srcLv[d]][dstLv[d]]
+			k.n++
+		}
+		stride *= span
+	}
+	return nil
+}
+
+// Keys sets keys[i] to the destination cell key of row lo+i, where
+// cols[d][r] is row r's member of dimension d: one pass per participating
+// dimension, each adding table[member]·stride. A row whose ancestors fall
+// outside the destination chunk is keyed as the cell at the same offsets
+// inside it; feeding only rows of the chunk's region is the caller's job.
+func (k *RowKeyer) Keys(keys []uint64, cols [][]int32, lo int) {
+	if k.n == 0 {
+		clear(keys)
+		return
+	}
+	for j := 0; j < k.n; j++ {
+		col := cols[k.dims[j]][lo : lo+len(keys)]
+		tab, stride := k.tables[j], k.strides[j]
+		if j == 0 { // the first pass stores: ~1 ns/tuple cheaper than clear + add
+			for i, m := range col {
+				keys[i] = uint64(tab[m]) * stride
+			}
+			continue
+		}
+		for i, m := range col {
+			keys[i] += uint64(tab[m]) * stride
+		}
+	}
 }
