@@ -58,7 +58,6 @@ func main() {
 		backendFlag     = flag.String("backend", "", "remote backend address (empty = in-process)")
 		listenFlag      = flag.String("listen", "127.0.0.1:7071", "listen address")
 		preloadFlag     = flag.Bool("preload", false, "preload the best-fitting group-by before serving")
-		bypassFlag      = flag.Bool("cost-bypass", false, "enable the §5.2 cost-based cache/backend routing")
 		recycleFlag     = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
 		recycleMinFlag  = flag.Float64("recycle-min-benefit", core.DefaultRecycleMinBenefit, "recycler admission threshold in saved recompute cost per byte (0 = default)")
 		resultCacheFlag = flag.Int("result-cache", 256, "semantic result-cache entries above the chunk cache (0 = disabled)")
@@ -92,6 +91,13 @@ func main() {
 		peersFileFlag = flag.String("peers-file", "", "file with one peer address per line, merged with -peers at startup and re-read on SIGHUP to rebuild the ring")
 	)
 	flag.Parse()
+	if *snapIntFlag > 0 && *snapDirFlag == "" {
+		// Without a directory there is nowhere to flush to; refuse rather
+		// than run with snapshots silently off.
+		fmt.Fprintln(flag.CommandLine.Output(), "aggcached: -snapshot-interval needs -snapshot-dir")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	scale, err := apb.ParseScale(*scaleFlag)
 	if err != nil {
@@ -236,7 +242,6 @@ func main() {
 	}
 
 	eopts := []core.Option{
-		core.WithCostBypass(*bypassFlag),
 		core.WithRecycling(*recycleFlag),
 		core.WithRecycleMinBenefit(*recycleMinFlag),
 		core.WithResultCache(*resultCacheFlag),

@@ -13,13 +13,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"syscall"
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
 	"aggcache/internal/chunk"
 	"aggcache/internal/data"
-	"aggcache/internal/sizer"
-	"aggcache/internal/views"
 )
 
 func main() {
@@ -29,7 +28,6 @@ func main() {
 		dataFlag   = flag.String("data", "", "fact table file from apbgen (optional)")
 		listenFlag = flag.String("listen", "127.0.0.1:7070", "listen address")
 		sleepFlag  = flag.Bool("sleep", false, "actually sleep the simulated backend latency")
-		viewsFlag  = flag.Int("views", 0, "materialize up to this many greedy [HRU96] aggregate views")
 
 		readTimeoutFlag  = flag.Duration("read-timeout", backend.DefaultTimeouts.Read, "idle deadline per connection awaiting the next request (0 = none)")
 		writeTimeoutFlag = flag.Duration("write-timeout", backend.DefaultTimeouts.Write, "deadline for writing one response")
@@ -74,16 +72,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *viewsFlag > 0 {
-		sel, err := views.Greedy(grid, sizer.NewEstimate(grid, int64(tab.Len())), *viewsFlag, 0)
-		if err != nil {
-			fatal(err)
-		}
-		if err := engine.Materialize(sel.Views...); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("backendd: materialized %d views: %s\n", len(sel.Views), sel.Describe(grid.Lattice()))
-	}
 	srv := backend.NewServer(engine)
 	srv.SetTimeouts(backend.Timeouts{
 		Read:    *readTimeoutFlag,
@@ -100,7 +88,7 @@ func main() {
 	fmt.Printf("backendd: %d rows (%s scale) serving on %s\n", tab.Len(), scale, addr)
 
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("backendd: shutting down")
 	if err := srv.Close(); err != nil {

@@ -28,13 +28,9 @@ type Backend interface {
 	// fact data. Chunks are returned in request order; chunks with no data
 	// are returned empty (zero cells), never nil.
 	ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, Stats, error)
-	// EstimateScan returns the number of tuples ComputeChunks would scan
-	// for the request, without executing it. A cost-based middle tier (§5.2)
-	// compares it against VCMC's in-cache cost estimate.
-	EstimateScan(ctx context.Context, gb lattice.ID, nums []int) (int64, error)
-	// EstimateScans is the batched form: one estimate per requested chunk,
-	// in request order, so a Phase-1b pass over N cost-bypass candidates is
-	// one backend round trip instead of N.
+	// EstimateScans returns, per requested chunk in request order, the
+	// number of fact tuples ComputeChunks would scan for it, without
+	// executing the request.
 	EstimateScans(ctx context.Context, gb lattice.ID, nums []int) ([]int64, error)
 	// Close releases resources (network connections for remote backends).
 	Close() error

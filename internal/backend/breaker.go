@@ -202,18 +202,6 @@ func (b *Breaker) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) 
 	return chunks, stats, err
 }
 
-// EstimateScan implements Backend through the breaker.
-func (b *Breaker) EstimateScan(ctx context.Context, gb lattice.ID, nums []int) (int64, error) {
-	probe, err := b.admit()
-	if err != nil {
-		b.met.FastFails.Inc()
-		return 0, err
-	}
-	est, err := b.inner.EstimateScan(ctx, gb, nums)
-	b.record(err, probe)
-	return est, err
-}
-
 // EstimateScans implements Backend through the breaker.
 func (b *Breaker) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) ([]int64, error) {
 	probe, err := b.admit()

@@ -46,16 +46,12 @@ func (s *stubBackend) ComputeChunks(ctx context.Context, gb lattice.ID, nums []i
 	return make([]*chunk.Chunk, len(nums)), Stats{}, nil
 }
 
-func (s *stubBackend) EstimateScan(ctx context.Context, gb lattice.ID, nums []int) (int64, error) {
+func (s *stubBackend) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) ([]int64, error) {
 	s.mu.Lock()
 	s.calls++
 	err := s.err
 	s.mu.Unlock()
-	return 0, err
-}
-
-func (s *stubBackend) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) ([]int64, error) {
-	if _, err := s.EstimateScan(ctx, gb, nums); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return make([]int64, len(nums)), nil

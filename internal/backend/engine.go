@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"aggcache/internal/chunk"
@@ -13,53 +12,30 @@ import (
 	"aggcache/internal/obs"
 )
 
-// factSource is one chunk-clustered relation the engine can scan: the base
-// fact table, or a materialized aggregate of it. Rows are stored
-// column-major, sorted by chunk number at the source's group-by level, with a
-// dense offset index — the paper's "clustered index on the chunk number". A
-// source is immutable once built, so scans read it without a lock.
+// factSource is the chunk-clustered fact table. Rows are stored
+// column-major, sorted by base chunk number, with a dense offset index — the
+// paper's "clustered index on the chunk number". It is immutable once built,
+// so scans read it without a lock.
 type factSource struct {
-	gb      lattice.ID
-	cols    [][]int32 // cols[d][r] = row r's member of dimension d at gb's level
-	values  []float64 // measure sums
-	counts  []int64   // contributing fact-row counts; nil = one each (base rows)
-	offsets []int64   // offsets[c]..offsets[c+1] = row range of chunk c
+	cols    [][]int32 // cols[d][r] = row r's member of dimension d at base level
+	values  []float64 // measure values
+	offsets []int64   // offsets[c]..offsets[c+1] = row range of base chunk c
 }
 
-func (s *factSource) rows() int64 { return int64(len(s.values)) }
-
-func newFactSource(g *chunk.Grid, gb lattice.ID, rows int) *factSource {
-	s := &factSource{
-		gb:      gb,
-		cols:    make([][]int32, g.Schema().NumDims()),
-		values:  make([]float64, rows),
-		offsets: make([]int64, g.NumChunks(gb)+1),
-	}
-	for d := range s.cols {
-		s.cols[d] = make([]int32, rows)
-	}
-	return s
-}
-
-// Engine is the in-process backend: the fact table (plus any materialized
-// aggregate group-bys) stored clustered by chunk number, with an aggregation
-// executor. Materialized aggregates model the pre-computed summary tables a
-// production warehouse keeps (§7.1 notes the backend-vs-cache factor depends
-// on their presence).
+// Engine is the in-process backend: the fact table stored clustered by base
+// chunk number, with an aggregation executor.
 //
-// ComputeChunks and EstimateScan are safe for concurrent use: the cache
+// ComputeChunks and EstimateScans are safe for concurrent use: the cache
 // engine issues backend round trips outside its own lock, so several queries
-// can be in flight here at once. mu guards the sources map only (taken once
-// per request, to pick the source); a source is immutable once built.
+// can be in flight here at once. The fact source is immutable and every
+// request's scratch is its own, so no lock is taken.
 type Engine struct {
 	grid    *chunk.Grid
 	latency LatencyModel
-
-	mu      sync.RWMutex
-	sources map[lattice.ID]*factSource
+	src     *factSource
 
 	// met is the optional live-metrics bundle (zero value records nothing);
-	// handles are atomics, so ComputeChunks records without taking mu.
+	// handles are atomics, so ComputeChunks records without a lock.
 	met obs.BackendMetrics
 }
 
@@ -69,17 +45,13 @@ func NewEngine(g *chunk.Grid, tab *data.Table, latency LatencyModel) (*Engine, e
 	if tab.Schema() != g.Schema() {
 		return nil, fmt.Errorf("backend: table and grid use different schemas")
 	}
-	base := g.Lattice().Base()
-	return &Engine{
-		grid:    g,
-		latency: latency,
-		sources: map[lattice.ID]*factSource{base: clusterTable(g, base, tab)},
-	}, nil
+	return &Engine{grid: g, latency: latency, src: clusterTable(g, tab)}, nil
 }
 
 // clusterTable sorts the fact rows by base chunk number into a columnar
 // source and builds its offset index.
-func clusterTable(g *chunk.Grid, base lattice.ID, tab *data.Table) *factSource {
+func clusterTable(g *chunk.Grid, tab *data.Table) *factSource {
+	base := g.Lattice().Base()
 	n := tab.Len()
 	nums := make([]int32, n)
 	order := make([]int32, n)
@@ -89,7 +61,14 @@ func clusterTable(g *chunk.Grid, base lattice.ID, tab *data.Table) *factSource {
 		order[i] = int32(i)
 	}
 	sort.Slice(order, func(a, b int) bool { return nums[order[a]] < nums[order[b]] })
-	s := newFactSource(g, base, n)
+	s := &factSource{
+		cols:    make([][]int32, g.Schema().NumDims()),
+		values:  make([]float64, n),
+		offsets: make([]int64, g.NumChunks(base)+1),
+	}
+	for d := range s.cols {
+		s.cols[d] = make([]int32, n)
+	}
 	c := 0
 	for i, ri := range order {
 		for d, m := range tab.Row(int(ri)) {
@@ -107,11 +86,7 @@ func clusterTable(g *chunk.Grid, base lattice.ID, tab *data.Table) *factSource {
 }
 
 // Rows returns the number of base fact rows loaded.
-func (e *Engine) Rows() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.sources[e.grid.Lattice().Base()].rows()
-}
+func (e *Engine) Rows() int64 { return int64(len(e.src.values)) }
 
 // Grid returns the engine's chunk grid.
 func (e *Engine) Grid() *chunk.Grid { return e.grid }
@@ -120,67 +95,10 @@ func (e *Engine) Grid() *chunk.Grid { return e.grid }
 // serves requests; it is not synchronized with requests in flight.
 func (e *Engine) SetMetrics(m obs.BackendMetrics) { e.met = m }
 
-// Materialize precomputes and stores the given group-bys, clustered on
-// chunk number, so requests on their descendants scan the (much smaller)
-// aggregate instead of the base table — the warehouse's summary tables.
-func (e *Engine) Materialize(gbs ...lattice.ID) error {
-	lat := e.grid.Lattice()
-	for _, gb := range gbs {
-		if int(gb) < 0 || int(gb) >= lat.NumNodes() {
-			return fmt.Errorf("backend: materialize: group-by %d out of range", gb)
-		}
-		e.mu.RLock()
-		_, ok := e.sources[gb]
-		e.mu.RUnlock()
-		if ok {
-			continue
-		}
-		chunks, stats, err := e.ComputeGroupBy(gb)
-		if err != nil {
-			return fmt.Errorf("backend: materialize %s: %w", lat.LevelTupleString(gb), err)
-		}
-		// Chunks arrive in chunk-number order with keys sorted, so writing
-		// their cells out in sequence is already the clustered order.
-		src := newFactSource(e.grid, gb, int(stats.ResultCells))
-		src.counts = make([]int64, stats.ResultCells)
-		var mbuf [16]int32
-		r := 0
-		for num, c := range chunks {
-			src.offsets[num] = int64(r)
-			for i, key := range c.Keys {
-				for d, m := range e.grid.CellMembers(gb, num, key, mbuf[:0]) {
-					src.cols[d][r] = m
-				}
-				src.values[r], src.counts[r] = c.Vals[i], c.Counts[i]
-				r++
-			}
-		}
-		src.offsets[len(chunks)] = int64(r)
-		e.mu.Lock()
-		e.sources[gb] = src
-		e.mu.Unlock()
-	}
-	return nil
-}
-
-// Materialized returns the group-bys with a materialized source (always
-// including the base).
-func (e *Engine) Materialized() []lattice.ID {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]lattice.ID, 0, len(e.sources))
-	for gb := range e.sources {
-		out = append(out, gb)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// scan is one request resolved against the clustered index: the source that
-// answers it and, per requested chunk, the source row runs feeding that
-// chunk. ComputeChunks reads the runs and EstimateScans adds up their
-// lengths, so the estimate the §5.2 cost bypass compares against cannot
-// drift from what a scan reads.
+// scan is one request resolved against the clustered index: per requested
+// chunk, the fact row runs feeding that chunk. ComputeChunks reads the runs
+// and EstimateScans adds up their lengths, so an estimate cannot drift from
+// what a scan reads.
 type scan struct {
 	grid *chunk.Grid
 	gb   lattice.ID
@@ -189,35 +107,25 @@ type scan struct {
 	runs []rowRun
 }
 
-// rowRun is a half-open range of source rows.
+// rowRun is a half-open range of fact rows.
 type rowRun struct{ lo, hi int64 }
 
-// openScan validates the group-by and picks the smallest materialized
-// relation that can answer it.
+// openScan validates the group-by and opens a scan of the fact source.
 func (e *Engine) openScan(gb lattice.ID) (scan, error) {
-	lat := e.grid.Lattice()
-	if int(gb) < 0 || int(gb) >= lat.NumNodes() {
+	if int(gb) < 0 || int(gb) >= e.grid.Lattice().NumNodes() {
 		return scan{}, fmt.Errorf("backend: group-by %d out of range", gb)
 	}
-	sc := scan{grid: e.grid, gb: gb}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for sgb, s := range e.sources {
-		if lat.ComputableFrom(gb, sgb) && (sc.src == nil || s.rows() < sc.src.rows()) {
-			sc.src = s
-		}
-	}
-	return sc, nil // src is never nil: the base answers everything
+	return scan{grid: e.grid, gb: gb, src: e.src}, nil
 }
 
-// runsOf returns the source rows feeding chunk num and their count: the
-// clustered runs of its ancestor chunks in chunk-number order, empty runs
+// runsOf returns the fact rows feeding chunk num and their count: the
+// clustered runs of its base ancestor chunks in chunk-number order, empty runs
 // dropped and adjacent ones joined. The slice is reused by the next call.
 func (s *scan) runsOf(num int) ([]rowRun, int64, error) {
 	if num < 0 || num >= s.grid.NumChunks(s.gb) {
 		return nil, 0, fmt.Errorf("backend: chunk %d of group-by %s out of range", num, s.grid.Lattice().LevelTupleString(s.gb))
 	}
-	s.sbuf = s.grid.AncestorChunks(s.gb, num, s.src.gb, s.sbuf[:0])
+	s.sbuf = s.grid.AncestorChunks(s.gb, num, s.grid.Lattice().Base(), s.sbuf[:0])
 	s.runs = s.runs[:0]
 	var tuples int64
 	for _, c := range s.sbuf {
@@ -238,10 +146,10 @@ func (s *scan) runsOf(num int) ([]rowRun, int64, error) {
 const scanBlock = 512
 
 // ComputeChunks implements Backend. Each requested chunk's region is located
-// through the clustered index of the smallest applicable source and scanned
-// once, a block of rows at a time: one pass per dimension keys the block
-// through the grid's ancestor-offset tables (chunk.RowKeyer), then one bulk
-// accumulate folds it into the target chunk's cell map.
+// through the clustered index and scanned once, a block of rows at a time:
+// one pass per dimension keys the block through the grid's ancestor-offset
+// tables (chunk.RowKeyer), then one bulk accumulate folds it into the target
+// chunk's cell map.
 func (e *Engine) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, Stats, error) {
 	start := time.Now()
 	g := e.grid
@@ -249,7 +157,7 @@ func (e *Engine) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) (
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	src := sc.src
+	src, base := e.src, g.Lattice().Base()
 	var stats Stats
 	out := make([]*chunk.Chunk, 0, len(nums))
 	var keyer chunk.RowKeyer
@@ -264,7 +172,7 @@ func (e *Engine) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) (
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		if err := keyer.Compose(g, gb, num, src.gb); err != nil {
+		if err := keyer.Compose(g, gb, num, base); err != nil {
 			return nil, Stats{}, err
 		}
 		// Pooled accumulator: the built chunk is handed to the caller (which
@@ -277,11 +185,7 @@ func (e *Engine) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) (
 				hi := min(lo+scanBlock, run.hi)
 				k := keys[:hi-lo]
 				keyer.Keys(k, src.cols, int(lo))
-				if src.counts == nil {
-					cm.AddCells(k, src.values[lo:hi], nil)
-				} else {
-					cm.AddCells(k, src.values[lo:hi], src.counts[lo:hi])
-				}
+				cm.AddCells(k, src.values[lo:hi])
 			}
 		}
 		stats.TuplesScanned += tuples
@@ -327,16 +231,6 @@ func (e *Engine) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) (
 		}
 	}
 	return ests, nil
-}
-
-// EstimateScan implements Backend: the total over EstimateScans.
-func (e *Engine) EstimateScan(ctx context.Context, gb lattice.ID, nums []int) (int64, error) {
-	ests, err := e.EstimateScans(ctx, gb, nums) // nil on error
-	var total int64
-	for _, est := range ests {
-		total += est
-	}
-	return total, err
 }
 
 // ComputeGroupBy computes every chunk of a group-by; used for cache

@@ -142,14 +142,6 @@ func (f *Faulty) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) (
 	return f.inner.ComputeChunks(ctx, gb, nums)
 }
 
-// EstimateScan implements Backend with fault injection.
-func (f *Faulty) EstimateScan(ctx context.Context, gb lattice.ID, nums []int) (int64, error) {
-	if err := f.inject(ctx); err != nil {
-		return 0, err
-	}
-	return f.inner.EstimateScan(ctx, gb, nums)
-}
-
 // EstimateScans implements Backend with fault injection.
 func (f *Faulty) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) ([]int64, error) {
 	if err := f.inject(ctx); err != nil {

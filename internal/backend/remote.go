@@ -358,19 +358,6 @@ func (r *Remote) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) (
 	return decodeEstimatesResponse(fr.Payload)
 }
 
-// EstimateScan implements Backend over the wire.
-func (r *Remote) EstimateScan(ctx context.Context, gb lattice.ID, nums []int) (int64, error) {
-	ests, err := r.EstimateScans(ctx, gb, nums)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, e := range ests {
-		total += e
-	}
-	return total, nil
-}
-
 // Close implements Backend. The connection is torn down immediately:
 // exchanges in flight fail promptly with a permanent error (never retried,
 // never counted as an outage), and retry loops observe the flag on their

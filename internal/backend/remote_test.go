@@ -24,6 +24,57 @@ func quickPolicy(attempts int) RetryPolicy {
 	}
 }
 
+// TestRemoteEstimateScan checks the estimate op over the wire: per-chunk
+// estimates come back in request order equal to the engine's own, and an
+// out-of-range group-by or chunk is an error on the client too.
+func TestRemoteEstimateScan(t *testing.T) {
+	e, tab := tinyEngine(t, LatencyModel{})
+	srv := NewServer(e)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	remote, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer remote.Close()
+	ctx := context.Background()
+	g := e.Grid()
+	lat := g.Lattice()
+	ests, err := remote.EstimateScans(ctx, lat.Top(), []int{0})
+	if err != nil || len(ests) != 1 || ests[0] != int64(tab.Len()) {
+		t.Fatalf("remote top estimate %v, %v; want [%d]", ests, err, tab.Len())
+	}
+	nums := allChunkNums(g, lat.Base())
+	for i, j := 0, len(nums)-1; i < j; i, j = i+1, j-1 {
+		nums[i], nums[j] = nums[j], nums[i] // request order, not chunk order
+	}
+	want, err := e.EstimateScans(ctx, lat.Base(), nums)
+	if err != nil {
+		t.Fatalf("local EstimateScans: %v", err)
+	}
+	got, err := remote.EstimateScans(ctx, lat.Base(), nums)
+	if err != nil {
+		t.Fatalf("remote EstimateScans: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("remote returned %d estimates, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("estimate %d (chunk %d): remote %d, local %d", i, nums[i], got[i], want[i])
+		}
+	}
+	if _, err := remote.EstimateScans(ctx, 9999, []int{0}); err == nil {
+		t.Fatalf("remote out-of-range group-by estimate: expected error")
+	}
+	if _, err := remote.EstimateScans(ctx, lat.Top(), []int{7}); err == nil {
+		t.Fatalf("remote out-of-range chunk estimate: expected error")
+	}
+}
+
 func TestRemoteRedialsAfterServerRestart(t *testing.T) {
 	e, _ := tinyEngine(t, LatencyModel{})
 	srv := NewServer(e)

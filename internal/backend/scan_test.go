@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -14,20 +15,16 @@ import (
 )
 
 // oracleComputeChunks is the scan ComputeChunks replaced, kept as the
-// reference: per requested chunk, walk the ancestor chunks' clustered runs
-// and, per tuple, map every member to its ancestor through the schema,
-// re-derive the cell key with ChunkOfCell and accumulate one cell. It shares
-// only the choice of source with the engine. It returns the chunks and the
+// reference: per requested chunk, walk the base ancestor chunks' clustered
+// runs and, per tuple, map every member to its ancestor through the schema,
+// re-derive the cell key with ChunkOfCell and accumulate one fact row. It
+// shares only the fact source with the engine. It returns the chunks and the
 // tuples scanned per chunk.
 func oracleComputeChunks(t *testing.T, e *Engine, gb lattice.ID, nums []int) ([]*chunk.Chunk, []int64) {
 	t.Helper()
 	g := e.grid
 	sch, lat := g.Schema(), g.Lattice()
-	sc, err := e.openScan(gb)
-	if err != nil {
-		t.Fatalf("openScan: %v", err)
-	}
-	src := sc.src
+	src, base := e.src, lat.Base()
 	nd := sch.NumDims()
 	mapped := make([]int32, nd)
 	out := make([]*chunk.Chunk, 0, len(nums))
@@ -35,20 +32,16 @@ func oracleComputeChunks(t *testing.T, e *Engine, gb lattice.ID, nums []int) ([]
 	for _, num := range nums {
 		cm := g.NewCellMap(gb, num)
 		var tuples int64
-		for _, c := range g.AncestorChunks(gb, num, src.gb, nil) {
+		for _, c := range g.AncestorChunks(gb, num, base, nil) {
 			for r := src.offsets[c]; r < src.offsets[c+1]; r++ {
 				for d := 0; d < nd; d++ {
-					mapped[d] = sch.Dim(d).Ancestor(lat.LevelAt(src.gb, d), lat.LevelAt(gb, d), src.cols[d][r])
+					mapped[d] = sch.Dim(d).Ancestor(lat.LevelAt(base, d), lat.LevelAt(gb, d), src.cols[d][r])
 				}
 				at, key := g.ChunkOfCell(gb, mapped)
 				if at != num {
 					t.Fatalf("row %d of source chunk %d lands in chunk %d of %s, not %d", r, c, at, lat.LevelTupleString(gb), num)
 				}
-				count := int64(1)
-				if src.counts != nil {
-					count = src.counts[r]
-				}
-				cm.AddCell(key, src.values[r], count)
+				cm.Add(key, src.values[r])
 				tuples++
 			}
 		}
@@ -88,101 +81,82 @@ func allChunkNums(g *chunk.Grid, gb lattice.ID) []int {
 	return nums
 }
 
-// midGroupBy is one level up from the base on every dimension that has a
-// level to give: a materialized aggregate many group-bys can scan instead of
-// the base.
-func midGroupBy(g *chunk.Grid) lattice.ID {
-	lat := g.Lattice()
-	lv := append([]int(nil), lat.Level(lat.Base())...)
-	for d := range lv {
-		if lv[d] > 1 {
-			lv[d]--
-		}
-	}
-	return lat.MustID(lv...)
-}
-
 // TestScanMatchesPerTupleOracle is the differential test of the table-driven
-// columnar scan: for every group-by × every chunk, from the base source and
-// from a materialized aggregate, the chunks equal the per-tuple oracle's cell
-// for cell — keys, counts, sums bit-exact (same additions in the same scan
-// order) — and TuplesScanned, ResultCells and EstimateScans agree with it.
+// columnar scan: for every group-by × every chunk, the chunks equal the
+// per-tuple oracle's cell for cell — keys, counts, sums bit-exact (same
+// additions in the same scan order) — and TuplesScanned, ResultCells and
+// EstimateScans agree with it.
 func TestScanMatchesPerTupleOracle(t *testing.T) {
 	ctx := context.Background()
 	for name, build := range scanFixtures(t) {
-		for _, materialize := range []bool{false, true} {
-			e := build()
-			g := e.Grid()
-			lat := g.Lattice()
-			mid := midGroupBy(g)
-			if materialize {
-				if err := e.Materialize(mid); err != nil {
-					t.Fatalf("%s: Materialize: %v", name, err)
-				}
+		e := build()
+		g := e.Grid()
+		lat := g.Lattice()
+		for gb := lattice.ID(0); int(gb) < lat.NumNodes(); gb++ {
+			nums := allChunkNums(g, gb)
+			got, stats, err := e.ComputeChunks(ctx, gb, nums)
+			if err != nil {
+				t.Fatalf("%s: ComputeChunks(%s): %v", name, lat.LevelTupleString(gb), err)
 			}
-			fromAggregate := 0
-			for gb := lattice.ID(0); int(gb) < lat.NumNodes(); gb++ {
-				nums := allChunkNums(g, gb)
-				got, stats, err := e.ComputeChunks(ctx, gb, nums)
-				if err != nil {
-					t.Fatalf("%s: ComputeChunks(%s): %v", name, lat.LevelTupleString(gb), err)
-				}
-				ests, err := e.EstimateScans(ctx, gb, nums)
-				if err != nil {
-					t.Fatalf("%s: EstimateScans(%s): %v", name, lat.LevelTupleString(gb), err)
-				}
-				want, scanned := oracleComputeChunks(t, e, gb, nums)
-				if materialize && lat.ComputableFrom(gb, mid) {
-					fromAggregate++
-				}
-				var tuples, cells int64
-				for i, w := range want {
-					c := got[i]
-					where := name + " " + lat.LevelTupleString(gb)
-					if c.GB != gb || int(c.Num) != nums[i] || c.Cells() != w.Cells() {
-						t.Fatalf("%s chunk %d: got %v, oracle %v", where, i, c, w)
-					}
-					for j, key := range w.Keys {
-						if c.Keys[j] != key || c.Counts[j] != w.Counts[j] ||
-							math.Float64bits(c.Vals[j]) != math.Float64bits(w.Vals[j]) {
-							t.Fatalf("%s chunk %d cell %d: got (%d, %v, %d), oracle (%d, %v, %d)", where, i, j,
-								c.Keys[j], c.Vals[j], c.Counts[j], key, w.Vals[j], w.Counts[j])
-						}
-					}
-					if ests[i] != scanned[i] {
-						t.Fatalf("%s chunk %d: estimated %d tuples, oracle scanned %d", where, i, ests[i], scanned[i])
-					}
-					tuples += scanned[i]
-					cells += int64(w.Cells())
-				}
-				if stats.TuplesScanned != tuples || stats.ResultCells != cells {
-					t.Fatalf("%s %s: stats %+v, oracle scanned %d tuples into %d cells",
-						name, lat.LevelTupleString(gb), stats, tuples, cells)
-				}
+			ests, err := e.EstimateScans(ctx, gb, nums)
+			if err != nil {
+				t.Fatalf("%s: EstimateScans(%s): %v", name, lat.LevelTupleString(gb), err)
 			}
-			if materialize && fromAggregate < 2 {
-				t.Fatalf("%s: only %d group-bys were answered from the materialized aggregate", name, fromAggregate)
+			want, scanned := oracleComputeChunks(t, e, gb, nums)
+			var tuples, cells int64
+			for i, w := range want {
+				where := name + " " + lat.LevelTupleString(gb)
+				if err := sameChunk(got[i], w); err != nil {
+					t.Fatalf("%s chunk %d: %v", where, i, err)
+				}
+				if ests[i] != scanned[i] {
+					t.Fatalf("%s chunk %d: estimated %d tuples, oracle scanned %d", where, i, ests[i], scanned[i])
+				}
+				tuples += scanned[i]
+				cells += int64(w.Cells())
+			}
+			if stats.TuplesScanned != tuples || stats.ResultCells != cells {
+				t.Fatalf("%s %s: stats %+v, oracle scanned %d tuples into %d cells",
+					name, lat.LevelTupleString(gb), stats, tuples, cells)
 			}
 		}
 	}
 }
 
-// TestScanConcurrentWithMaterialize runs ComputeChunks on 8 goroutines while
-// aggregates are materialized underneath them (run under -race): sources are
-// immutable once published and every scan's scratch is its own, so each
-// answer must equal the one computed alone, whichever source served it —
-// same keys and counts, sums up to the re-association a different source
-// implies.
-func TestScanConcurrentWithMaterialize(t *testing.T) {
+// sameChunk reports how got differs from want: identity, cell count, or the
+// first cell whose key, count or sum bits differ.
+func sameChunk(got, want *chunk.Chunk) error {
+	if got.GB != want.GB || got.Num != want.Num || got.Cells() != want.Cells() {
+		return fmt.Errorf("got %v, want %v", got, want)
+	}
+	for j, key := range want.Keys {
+		if got.Keys[j] != key || got.Counts[j] != want.Counts[j] ||
+			math.Float64bits(got.Vals[j]) != math.Float64bits(want.Vals[j]) {
+			return fmt.Errorf("cell %d: got (%d, %v, %d), want (%d, %v, %d)", j,
+				got.Keys[j], got.Vals[j], got.Counts[j], key, want.Vals[j], want.Counts[j])
+		}
+	}
+	return nil
+}
+
+// TestScanConcurrent runs ComputeChunks and EstimateScans on 8 goroutines
+// (run under -race): the fact source is immutable and every scan's scratch
+// is its own, so each answer must equal the one computed alone bit for bit,
+// and each estimate the one computed alone.
+func TestScanConcurrent(t *testing.T) {
 	e, _ := tinyEngine(t, LatencyModel{})
 	g := e.Grid()
 	lat := g.Lattice()
 	ctx := context.Background()
 	want := make([][]*chunk.Chunk, lat.NumNodes())
+	wantEst := make([][]int64, lat.NumNodes())
 	for gb := range want {
 		var err error
 		if want[gb], _, err = e.ComputeGroupBy(lattice.ID(gb)); err != nil {
 			t.Fatalf("ComputeGroupBy: %v", err)
+		}
+		if wantEst[gb], err = e.EstimateScans(ctx, lattice.ID(gb), allChunkNums(g, lattice.ID(gb))); err != nil {
+			t.Fatalf("EstimateScans: %v", err)
 		}
 	}
 	var wg sync.WaitGroup
@@ -199,33 +173,44 @@ func TestScanConcurrentWithMaterialize(t *testing.T) {
 						t.Errorf("ComputeChunks: %v", err)
 						return
 					}
-					if _, err := e.EstimateScans(ctx, gb, nums); err != nil {
+					ests, err := e.EstimateScans(ctx, gb, nums)
+					if err != nil {
 						t.Errorf("EstimateScans: %v", err)
 						return
 					}
 					for j, c := range got {
-						ref := want[gb][j]
-						if c.Cells() != ref.Cells() {
-							t.Errorf("gb %d chunk %d: %d cells, want %d", gb, j, c.Cells(), ref.Cells())
+						if err := sameChunk(c, want[gb][j]); err != nil {
+							t.Errorf("gb %d chunk %d differs under concurrency: %v", gb, j, err)
 							return
 						}
-						for k, key := range ref.Keys {
-							if c.Keys[k] != key || c.Counts[k] != ref.Counts[k] || math.Abs(c.Vals[k]-ref.Vals[k]) > 1e-6 {
-								t.Errorf("gb %d chunk %d cell %d differs under concurrency", gb, j, k)
-								return
-							}
+						if ests[j] != wantEst[gb][j] {
+							t.Errorf("gb %d chunk %d: estimate %d under concurrency, %d alone", gb, j, ests[j], wantEst[gb][j])
+							return
 						}
 					}
 				}
 			}
 		}(w)
 	}
-	for _, gb := range []lattice.ID{midGroupBy(g), lat.MustID(0, 2, 1), lat.MustID(1, 1, 0), lat.Top()} {
-		if err := e.Materialize(gb); err != nil {
-			t.Errorf("Materialize: %v", err)
-		}
-	}
 	wg.Wait()
+}
+
+// TestEstimateScansOutOfRange checks the estimate's request validation: an
+// unknown group-by or chunk number is an error, never a silent zero.
+func TestEstimateScansOutOfRange(t *testing.T) {
+	e, tab := tinyEngine(t, LatencyModel{})
+	lat := e.Grid().Lattice()
+	ctx := context.Background()
+	ests, err := e.EstimateScans(ctx, lat.Top(), []int{0})
+	if err != nil || len(ests) != 1 || ests[0] != int64(tab.Len()) {
+		t.Fatalf("top estimate %v, %v; want [%d]", ests, err, tab.Len())
+	}
+	if _, err := e.EstimateScans(ctx, lattice.ID(9999), []int{0}); err == nil {
+		t.Fatalf("out-of-range group-by estimate: expected error")
+	}
+	if _, err := e.EstimateScans(ctx, lat.Top(), []int{7}); err == nil {
+		t.Fatalf("out-of-range chunk estimate: expected error")
+	}
 }
 
 // TestScanAllocatesPerChunkNotPerTuple pins the kernel's allocation shape: a

@@ -201,11 +201,11 @@ type SystemSpec struct {
 	ColdBytes int64
 	Preload   bool
 	Budget    int64
-	// EngineOpts tune the engine (core.WithCostBypass, core.WithReinforce,
+	// EngineOpts tune the engine (core.WithReinforce, core.WithRecycling,
 	// …).
 	EngineOpts []core.Option
-	// Backend overrides the environment's shared backend (e.g. one with
-	// materialized aggregates for the cost-bypass experiment).
+	// Backend overrides the environment's shared backend (e.g. one behind a
+	// fault injector or a slept latency model).
 	Backend backend.Backend
 	// Obs, when non-nil, wires live observability (cache, strategy and
 	// engine metrics) into the built system — the production aggcached

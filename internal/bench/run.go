@@ -67,7 +67,6 @@ var experiments = []struct {
 	{"fig9", one(Fig9)},
 	{"fig10", func(e *Env) ([]*Report, error) { a, b, err := Fig10AndTable4(e); return []*Report{a, b}, err }},
 	{"ablate", one(Ablations)},
-	{"bypass", one(CostBypass)},
 	{"mix-sweep", one(MixSweep)},
 	{"chunk-sweep", one(ChunkSizeSweep)},
 	{"lemma1", one(Lemma1)},

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"aggcache/internal/backend"
 	"aggcache/internal/core"
-	"aggcache/internal/views"
 	"aggcache/internal/workload"
 )
 
@@ -47,25 +45,18 @@ func (r *StreamResult) AvgHits() core.Breakdown {
 // stream is a deterministic function of the environment seed, so every
 // system under comparison answers exactly the same queries.
 func (e *Env) RunStream(spec SystemSpec) (*StreamResult, error) {
-	res, _, err := e.runStreamMix(spec, workload.DefaultMix)
-	return res, err
-}
-
-// runStreamSys runs the default mix and also returns the system for
-// post-run inspection.
-func (e *Env) runStreamSys(spec SystemSpec) (*StreamResult, *System, error) {
 	return e.runStreamMix(spec, workload.DefaultMix)
 }
 
 // runStreamMix is the generic stream runner with an explicit query mix.
-func (e *Env) runStreamMix(spec SystemSpec, mix workload.Mix) (*StreamResult, *System, error) {
+func (e *Env) runStreamMix(spec SystemSpec, mix workload.Mix) (*StreamResult, error) {
 	sys, err := e.NewSystem(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	gen, err := workload.NewGenerator(e.Grid, mix, e.Cfg.MaxQueryWidth, e.Cfg.Seed+1000)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res := &StreamResult{Spec: spec, Queries: e.Cfg.Queries}
 	start := time.Now()
@@ -73,7 +64,7 @@ func (e *Env) runStreamMix(spec SystemSpec, mix workload.Mix) (*StreamResult, *S
 		q, _ := gen.Next()
 		out, err := sys.Engine.Execute(context.Background(), q)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: query %d: %w", i, err)
+			return nil, fmt.Errorf("bench: query %d: %w", i, err)
 		}
 		res.All.Add(out.Breakdown)
 		if out.CompleteHit {
@@ -85,7 +76,7 @@ func (e *Env) runStreamMix(spec SystemSpec, mix workload.Mix) (*StreamResult, *S
 		}
 	}
 	res.Elapsed = time.Since(start)
-	return res, sys, nil
+	return res, nil
 }
 
 // Fig7And8 runs the replacement-policy comparison: the two-level policy
@@ -187,52 +178,6 @@ func Fig10AndTable4(e *Env) (*Report, *Report, error) {
 	f10.Addf("paper shape: ESM lookup dominates at small caches and vanishes once the base table fits")
 	t4.Addf("paper: speedups 5.8 / 4.11 / 3.17 / 1.11 for 10–25MB")
 	return f10, t4, nil
-}
-
-// CostBypass exercises the §5.2 optimizer hook: against a backend holding
-// materialized aggregates, compare VCMC with and without the cost-based
-// cache/backend routing decision. Also tracks the StreamResult.Bypassed
-// counter through engine stats.
-func CostBypass(e *Env) (*Report, error) {
-	// A warehouse-style backend: materialize the greedy [HRU96] view
-	// selection (up to 16 views within a quarter of the base table's size).
-	be, err := backend.NewEngine(e.Grid, e.Table, e.Cfg.Latency)
-	if err != nil {
-		return nil, err
-	}
-	lat := e.Grid.Lattice()
-	sel, err := views.Greedy(e.Grid, e.Sizer, 16, e.BaseBytes()/4)
-	if err != nil {
-		return nil, err
-	}
-	if err := be.Materialize(sel.Views...); err != nil {
-		return nil, err
-	}
-	sizes := e.CacheSizes()
-	bytes := sizes[len(sizes)-1]
-	r := &Report{ID: "bypass", Title: fmt.Sprintf("Cost-based cache/backend routing (§5.2) — %d greedy [HRU96] views at the backend, cache %s",
-		len(sel.Views), SizeLabel(bytes)),
-		Header: []string{"variant", "%hits", "avg ms", "bypassed chunks"}}
-	r.Addf("materialized: %s", sel.Describe(lat))
-	for _, enabled := range []bool{false, true} {
-		spec := SystemSpec{
-			Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true,
-			Backend:    be,
-			EngineOpts: []core.Option{core.WithCostBypass(enabled)},
-		}
-		res, sys, err := e.runStreamSys(spec)
-		if err != nil {
-			return nil, err
-		}
-		name := "VCMC (always aggregate in cache)"
-		if enabled {
-			name = "VCMC + cost bypass"
-		}
-		r.AddRow(name, fmt.Sprintf("%.0f", res.HitRatio()), msString(res.AvgAll()),
-			fmt.Sprintf("%d", sys.Engine.Stats().Bypassed))
-	}
-	r.Addf("the optimizer sends a chunk to the backend when the plan cost exceeds the backend's estimated scan (materialized views make that common)")
-	return r, nil
 }
 
 // Ablations quantifies the two-level policy's design choices (§6.3): group

@@ -21,11 +21,11 @@ func MixSweep(e *Env) (*Report, error) {
 		Header: []string{"roll-up share", "NoAgg %hits", "VCMC %hits", "NoAgg avg ms", "VCMC avg ms"}}
 	for _, roll := range []float64{0, 0.15, 0.30, 0.45, 0.60} {
 		mix := workload.Mix{DrillDown: 0.3, RollUp: roll, Proximity: 0.6 - roll, Random: 0.1}
-		noagg, _, err := e.runStreamMix(SystemSpec{Strategy: StratNoAgg, Policy: PolicyBenefit, Bytes: bytes}, mix)
+		noagg, err := e.runStreamMix(SystemSpec{Strategy: StratNoAgg, Policy: PolicyBenefit, Bytes: bytes}, mix)
 		if err != nil {
 			return nil, err
 		}
-		vcmc, _, err := e.runStreamMix(SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true}, mix)
+		vcmc, err := e.runStreamMix(SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true}, mix)
 		if err != nil {
 			return nil, err
 		}

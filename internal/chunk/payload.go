@@ -176,24 +176,16 @@ func (cm *CellMap) AddCell(key uint64, sum float64, count int64) {
 	cm.m[key] = a
 }
 
-// AddCells is AddCell over parallel arrays — cell i is (keys[i], sums[i],
-// counts[i]), accumulated in index order — with the dense/sparse choice made
-// once per call instead of once per cell. A nil counts means one fact row
-// per cell. It is the bulk half of the backend scan: a RowKeyer fills keys,
-// AddCells folds them in.
-func (cm *CellMap) AddCells(keys []uint64, sums []float64, counts []int64) {
-	sums = sums[:len(keys)]
-	if counts != nil {
-		counts = counts[:len(keys)]
-	}
+// AddCells is Add over parallel arrays — fact row i is (keys[i], vals[i]),
+// accumulated in index order — with the dense/sparse choice made once per
+// call instead of once per row. It is the bulk half of the backend scan: a
+// RowKeyer fills keys, AddCells folds them in.
+func (cm *CellMap) AddCells(keys []uint64, vals []float64) {
+	vals = vals[:len(keys)]
 	if !cm.isDense {
 		// The map dominates; nothing to hoist.
 		for i, key := range keys {
-			count := int64(1)
-			if counts != nil {
-				count = counts[i]
-			}
-			cm.AddCell(key, sums[i], count)
+			cm.AddCell(key, vals[i], 1)
 		}
 		return
 	}
@@ -203,12 +195,8 @@ func (cm *CellMap) AddCells(keys []uint64, sums []float64, counts []int64) {
 			occ[key/64] |= bit
 			n++
 		}
-		dense[key] += sums[i]
-		if counts != nil {
-			denseN[key] += counts[i]
-		} else {
-			denseN[key]++
-		}
+		dense[key] += vals[i]
+		denseN[key]++
 	}
 	cm.n = n
 }

@@ -97,51 +97,39 @@ func TestDenseCellMapMatchesSparse(t *testing.T) {
 	}
 }
 
-// TestAddCellsMatchesAddCell folds the same random cell stream through the
-// bulk and the per-cell entry points, in both accumulator modes, with and
-// without counts: the built chunks must agree bit for bit (same additions in
-// the same order).
+// TestAddCellsMatchesAddCell folds the same random fact-row stream through the
+// bulk and the per-row entry points, in both accumulator modes: the built
+// chunks must agree bit for bit (same additions in the same order).
 func TestAddCellsMatchesAddCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const capacity = 200
 	keys := make([]uint64, 1000)
-	sums := make([]float64, len(keys))
-	counts := make([]int64, len(keys))
+	vals := make([]float64, len(keys))
 	for i := range keys {
-		keys[i], sums[i], counts[i] = uint64(rng.Intn(capacity)), rng.NormFloat64(), 1+rng.Int63n(9)
+		keys[i], vals[i] = uint64(rng.Intn(capacity)), rng.NormFloat64()
 	}
 	for _, dense := range []bool{true, false} {
-		for _, cs := range [][]int64{counts, nil} {
-			bulk, each := NewCellMap(), NewCellMap()
-			if dense {
-				bulk.prepare(capacity)
-				each.prepare(capacity)
-			}
-			for lo := 0; lo < len(keys); lo += 300 { // several calls accumulate
-				hi := min(lo+300, len(keys))
-				if cs == nil {
-					bulk.AddCells(keys[lo:hi], sums[lo:hi], nil)
-				} else {
-					bulk.AddCells(keys[lo:hi], sums[lo:hi], cs[lo:hi])
-				}
-			}
-			for i, key := range keys {
-				if cs == nil {
-					each.Add(key, sums[i])
-				} else {
-					each.AddCell(key, sums[i], cs[i])
-				}
-			}
-			if bulk.Len() != each.Len() {
-				t.Fatalf("dense=%v counts=%v: Len %d vs %d", dense, cs != nil, bulk.Len(), each.Len())
-			}
-			got, want := bulk.Build(0, 0), each.Build(0, 0)
-			for i := range want.Keys {
-				if got.Keys[i] != want.Keys[i] || got.Counts[i] != want.Counts[i] ||
-					math.Float64bits(got.Vals[i]) != math.Float64bits(want.Vals[i]) {
-					t.Fatalf("dense=%v counts=%v cell %d: bulk (%d, %v, %d), per-cell (%d, %v, %d)", dense, cs != nil, i,
-						got.Keys[i], got.Vals[i], got.Counts[i], want.Keys[i], want.Vals[i], want.Counts[i])
-				}
+		bulk, each := NewCellMap(), NewCellMap()
+		if dense {
+			bulk.prepare(capacity)
+			each.prepare(capacity)
+		}
+		for lo := 0; lo < len(keys); lo += 300 { // several calls accumulate
+			hi := min(lo+300, len(keys))
+			bulk.AddCells(keys[lo:hi], vals[lo:hi])
+		}
+		for i, key := range keys {
+			each.Add(key, vals[i])
+		}
+		if bulk.Len() != each.Len() {
+			t.Fatalf("dense=%v: Len %d vs %d", dense, bulk.Len(), each.Len())
+		}
+		got, want := bulk.Build(0, 0), each.Build(0, 0)
+		for i := range want.Keys {
+			if got.Keys[i] != want.Keys[i] || got.Counts[i] != want.Counts[i] ||
+				math.Float64bits(got.Vals[i]) != math.Float64bits(want.Vals[i]) {
+				t.Fatalf("dense=%v cell %d: bulk (%d, %v, %d), per-row (%d, %v, %d)", dense, i,
+					got.Keys[i], got.Vals[i], got.Counts[i], want.Keys[i], want.Vals[i], want.Counts[i])
 			}
 		}
 	}

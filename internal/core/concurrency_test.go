@@ -106,44 +106,3 @@ func TestSingleflightDedupesIdenticalFetches(t *testing.T) {
 		}
 	}
 }
-
-// TestCostBypassUnderConcurrency runs a burst of queries whose plans the
-// §5.2 optimizer routes to the materialized backend; the demotion path
-// (unpin + refetch) must stay correct when interleaved with concurrent
-// hits on the freshly inserted chunk.
-func TestCostBypassUnderConcurrency(t *testing.T) {
-	f, _ := buildBypass(t, true)
-	lat := f.grid.Lattice()
-	if _, err := f.engine.Execute(context.Background(), WholeGroupBy(lat.Base())); err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-	const n = 8
-	results := make([]*Result, n)
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := f.engine.Execute(context.Background(), WholeGroupBy(lat.Top()))
-			if err != nil {
-				errs <- err
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent bypass query: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		assertMatchesOracle(t, f, WholeGroupBy(lat.Top()), results[i])
-	}
-	// At least the first arrival had a computable-but-expensive plan and
-	// took the bypass; later ones may simply hit the inserted chunk.
-	if f.engine.Stats().Bypassed == 0 {
-		t.Fatalf("no query took the cost bypass")
-	}
-}

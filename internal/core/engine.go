@@ -21,13 +21,10 @@ import (
 // options collects the engine tunables; construct through the With…
 // functional options on New.
 type options struct {
-	backendPenalty    float64
-	connectCostUnits  float64
 	recycle           bool
 	recycleMinBenefit float64
 	resultEntries     int
 	disableReinforce  bool
-	costBypass        bool
 	metrics           *obs.EngineMetrics
 }
 
@@ -35,27 +32,14 @@ type options struct {
 // order; later options win.
 type Option func(*options)
 
-// WithBackendPenalty scales backend tuples into benefit cost units relative
-// to in-cache aggregation — the paper measured backend computation to be
-// about 8× slower (§7.1). The default is 8; non-positive values keep it.
-func WithBackendPenalty(p float64) Option {
-	return func(o *options) {
-		if p > 0 {
-			o.backendPenalty = p
-		}
-	}
-}
+// backendPenalty scales backend tuples into benefit cost units relative to
+// in-cache aggregation — the paper measured backend computation to be about
+// 8× slower (§7.1).
+const backendPenalty = 8
 
-// WithConnectCost sets the per-backend-request fixed benefit surcharge in
-// cost units (tuples-equivalent). The default is 4000; non-positive values
-// keep it.
-func WithConnectCost(units float64) Option {
-	return func(o *options) {
-		if units > 0 {
-			o.connectCostUnits = units
-		}
-	}
-}
+// connectCost is the per-backend-request fixed benefit surcharge in cost
+// units (tuples-equivalent).
+const connectCost = 4000
 
 // DefaultRecycleMinBenefit is the admission threshold for recycled
 // intermediates, in recompute-cost units (tuples scanned) saved per byte
@@ -113,16 +97,6 @@ func WithReinforce(on bool) Option {
 	return func(o *options) { o.disableReinforce = !on }
 }
 
-// WithCostBypass enables the cost-based optimizer hook of §5.2: when a plan
-// carries an in-cache aggregation cost (VCMC and ESMC plans do) that exceeds
-// the backend's estimated cost in the same units, the chunk is fetched from
-// the backend instead. Useful when the backend holds materialized aggregates
-// (backend.Engine.Materialize) that make it cheaper than a long in-cache
-// aggregation.
-func WithCostBypass(on bool) Option {
-	return func(o *options) { o.costBypass = on }
-}
-
 // WithMetrics attaches the live-metrics bundle at construction time,
 // replacing a later SetMetrics call.
 func WithMetrics(m obs.EngineMetrics) Option {
@@ -145,7 +119,6 @@ type Stats struct {
 	BackendTuples  int64
 	AggTuples      int64
 	BudgetMisses   int64
-	Bypassed       int64
 	// PeerChunks counts missing chunks served by a cluster peer instead of
 	// the backend.
 	PeerChunks int64
@@ -173,7 +146,6 @@ type engineStats struct {
 	backendTuples  atomic.Int64
 	aggTuples      atomic.Int64
 	budgetMisses   atomic.Int64
-	bypassed       atomic.Int64
 	peerChunks     atomic.Int64
 	degradedHits   atomic.Int64
 	unavailable    atomic.Int64
@@ -195,7 +167,6 @@ func (s *engineStats) snapshot() Stats {
 		BackendTuples:   s.backendTuples.Load(),
 		AggTuples:       s.aggTuples.Load(),
 		BudgetMisses:    s.budgetMisses.Load(),
-		Bypassed:        s.bypassed.Load(),
 		PeerChunks:      s.peerChunks.Load(),
 		DegradedHits:    s.degradedHits.Load(),
 		Unavailable:     s.unavailable.Load(),
@@ -266,14 +237,14 @@ type PeerFiller interface {
 }
 
 // New wires a cache store, a lookup strategy and a backend into an engine,
-// tuned by functional options (WithCostBypass, WithReinforce, …). The
+// tuned by functional options (WithRecycling, WithResultCache, …). The
 // strategy is registered as the store's listener; the store must be empty
 // (or have been populated through the same strategy).
 func New(g *chunk.Grid, c cache.Store, s strategy.Strategy, b backend.Backend, sizes sizer.Sizer, opts ...Option) (*Engine, error) {
 	if g == nil || c == nil || s == nil || b == nil || sizes == nil {
 		return nil, errors.New("core: all of grid, cache, strategy, backend and sizer are required")
 	}
-	o := options{backendPenalty: 8, connectCostUnits: 4000, recycleMinBenefit: DefaultRecycleMinBenefit}
+	o := options{recycleMinBenefit: DefaultRecycleMinBenefit}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -433,17 +404,13 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 
 	res := &Result{Query: nq, Chunks: make([]*chunk.Chunk, len(nums))}
 
-	var plans []*planned  // answerable from cache; leaves pinned
-	var bypass []*planned // pinned, pending a §5.2 backend cost estimate
+	var plans []*planned // answerable from cache; leaves pinned
 	var missing []int
 	var missingIdx []int
 
 	// Whatever happens below, release every pin still held on exit.
 	defer func() {
 		for _, p := range plans {
-			e.unpinAll(p.leaves)
-		}
-		for _, p := range bypass {
 			e.unpinAll(p.leaves)
 		}
 	}()
@@ -482,56 +449,10 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 			missingIdx = append(missingIdx, i)
 			continue
 		}
-		if e.opts.costBypass && plan.Cost > int64(e.opts.connectCostUnits) {
-			// §5.2 optimizer: only worth a backend estimate when the plan
-			// is at least as expensive as a backend round trip. The
-			// estimate itself is a backend call, so it runs after the
-			// lookup loop.
-			bypass = append(bypass, p)
-		} else {
-			plans = append(plans, p)
-		}
+		plans = append(plans, p)
 	}
 	if lookupErr != nil {
 		return nil, lookupErr
-	}
-
-	// Phase 1b — resolve bypass candidates against the backend's estimated
-	// cost; demoted chunks join the miss list. All candidates ship as one
-	// batched EstimateScans round trip — the per-chunk estimates come back
-	// in request order — so the probe costs one exchange however many
-	// chunks the optimizer wants priced. An estimate failure keeps every
-	// candidate on its cache plan: the bypass is an optimization, never a
-	// correctness dependency.
-	if len(bypass) > 0 {
-		var demoted []*planned
-		bnums := make([]int, len(bypass))
-		for i, p := range bypass {
-			bnums[i] = nums[p.idx]
-		}
-		ests, eerr := e.back.EstimateScans(ctx, nq.GB, bnums)
-		if eerr != nil || len(ests) != len(bypass) {
-			ests = nil
-		}
-		for i, p := range bypass {
-			if ests != nil && float64(p.plan.Cost) > float64(ests[i])*e.opts.backendPenalty+e.opts.connectCostUnits {
-				demoted = append(demoted, p)
-			} else {
-				plans = append(plans, p)
-			}
-		}
-		bypass = nil
-		if len(demoted) > 0 {
-			for _, p := range demoted {
-				e.unpinAll(p.leaves)
-				p.leaves = nil
-				missing = append(missing, nums[p.idx])
-				missingIdx = append(missingIdx, p.idx)
-			}
-			res.Bypassed += len(demoted)
-			e.stats.bypassed.Add(int64(len(demoted)))
-			e.met.Bypassed.Add(int64(len(demoted)))
-		}
 	}
 	res.Breakdown.Lookup = time.Since(lookupStart)
 	res.HitChunks = len(plans)
@@ -669,7 +590,7 @@ func (e *Engine) rememberResult(nq Query, nums []int, res *Result) {
 	}
 	benefit := float64(res.AggregatedTuples)
 	if benefit == 0 {
-		benefit = float64(res.BackendTuples) * e.opts.backendPenalty
+		benefit = float64(res.BackendTuples) * backendPenalty
 	}
 	entry := e.rcache.put(nq, append([]*chunk.Chunk(nil), res.Chunks...), keys, benefit)
 	if entry == nil {

@@ -30,20 +30,6 @@ func (f *flakyBackend) ComputeChunks(ctx context.Context, gb lattice.ID, nums []
 	return f.Backend.ComputeChunks(ctx, gb, nums)
 }
 
-func (f *flakyBackend) EstimateScan(ctx context.Context, gb lattice.ID, nums []int) (int64, error) {
-	if f.fail {
-		return 0, errInjected
-	}
-	return f.Backend.EstimateScan(ctx, gb, nums)
-}
-
-func (f *flakyBackend) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) ([]int64, error) {
-	if f.fail {
-		return nil, errInjected
-	}
-	return f.Backend.EstimateScans(ctx, gb, nums)
-}
-
 // TestBackendFailureSurfacesAndRecovers injects a backend failure mid-run
 // and checks that the engine reports it, stays consistent, and recovers once
 // the backend heals.

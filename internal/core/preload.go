@@ -57,7 +57,7 @@ func (e *Engine) Preload(ctx context.Context) (lattice.ID, bool, error) {
 	if err != nil {
 		return 0, false, fmt.Errorf("core: preload: %w", err)
 	}
-	benefit := (float64(bstats.TuplesScanned)*e.opts.backendPenalty + e.opts.connectCostUnits) / float64(len(nums))
+	benefit := (float64(bstats.TuplesScanned)*backendPenalty + connectCost) / float64(len(nums))
 	for i, c := range chunks {
 		e.cache.Insert(cache.Key{GB: gb, Num: int32(nums[i])}, c, cache.AsBackend(benefit))
 	}

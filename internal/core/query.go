@@ -178,10 +178,6 @@ type Result struct {
 	// BudgetExceeded reports that the strategy gave up on at least one
 	// lookup (budget-limited ESM/ESMC) and the chunk went to the backend.
 	BudgetExceeded bool
-	// Bypassed counts chunks that were computable from the cache but were
-	// sent to the backend anyway because the cost-based optimizer (§5.2,
-	// Options.CostBypass) estimated the backend to be cheaper.
-	Bypassed int
 	// Degraded reports that the answer was produced from the cache alone
 	// while the backend circuit breaker was open or half-open — correct and
 	// complete, but served in cache-only degraded mode.

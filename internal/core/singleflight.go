@@ -158,7 +158,7 @@ func (e *Engine) fetchMissing(ctx context.Context, gb lattice.ID, missing, missi
 		e.stats.backendTuples.Add(bstats.TuplesScanned)
 		e.met.BackendRequests.Inc()
 		e.met.BackendTuples.Add(bstats.TuplesScanned)
-		benefit := (float64(bstats.TuplesScanned)*e.opts.backendPenalty + e.opts.connectCostUnits) / float64(len(own))
+		benefit := (float64(bstats.TuplesScanned)*backendPenalty + connectCost) / float64(len(own))
 
 		// Insert before publishing the flights so followers that re-probe
 		// find the chunks resident. The maintenance delta is approximate

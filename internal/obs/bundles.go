@@ -16,7 +16,6 @@ type EngineMetrics struct {
 	QueryErrors  *Counter
 	CompleteHits *Counter
 	BudgetMisses *Counter
-	Bypassed     *Counter
 
 	ChunksHit        *Counter
 	ChunksAggregated *Counter
@@ -52,7 +51,6 @@ func NewEngineMetrics(r *Registry) EngineMetrics {
 		QueryErrors:  r.Counter("aggcache_engine_query_errors_total", "Queries that failed inside the engine."),
 		CompleteHits: r.Counter("aggcache_engine_complete_hits_total", "Queries answered without any backend access."),
 		BudgetMisses: r.Counter("aggcache_engine_budget_misses_total", "Chunk lookups abandoned because the strategy exhausted its node budget."),
-		Bypassed:     r.Counter("aggcache_engine_bypassed_chunks_total", "Cache-computable chunks routed to the backend by the cost-based optimizer."),
 
 		ChunksHit:        r.Counter("aggcache_engine_chunks_hit_total", "Chunks answered directly by a resident cache entry."),
 		ChunksAggregated: r.Counter("aggcache_engine_chunks_aggregated_total", "Chunks computed by aggregating other cached chunks."),

@@ -37,9 +37,9 @@ func ExampleVCM() {
 	// count: 1 plan inputs: 2
 }
 
-// ExampleVCMC_CostEstimate shows the §5.2 optimizer hook: the least cost of
-// computing a chunk from the cache is available in constant time, without
-// aggregating anything.
+// ExampleVCMC_CostEstimate shows the recycler's pricing hook: the least cost
+// of computing a chunk from the cache (§5.2) is available in constant time,
+// without aggregating anything.
 func ExampleVCMC_CostEstimate() {
 	a := schema.MustNewDimension("A", []schema.HierarchySpec{{Name: "a", Card: 4}})
 	b := schema.MustNewDimension("B", []schema.HierarchySpec{{Name: "b", Card: 4}})

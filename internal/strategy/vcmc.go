@@ -27,7 +27,8 @@ const infCost = math.MaxInt64
 //
 // Find is O(plan size): it just follows BestParent pointers. CostEstimate
 // answers "how expensive would this chunk be?" in O(1) without aggregating —
-// the hook the paper offers to a cost-based optimizer. Maintenance
+// the hook the paper offers to a cost-based optimizer, which the engine's
+// recycler uses to price interior plan nodes. Maintenance
 // propagates on insert/evict whenever computability or least cost changes.
 type VCMC struct {
 	grid    *chunk.Grid
