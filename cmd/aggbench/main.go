@@ -1,7 +1,8 @@
 // Command aggbench reproduces the paper's evaluation: every table and
 // figure of "Aggregate Aware Caching for Multi-Dimensional Queries"
 // (Deshpande & Naughton, EDBT 2000), plus the Lemma checks and policy
-// ablations listed in DESIGN.md.
+// ablations listed in DESIGN.md. It exits non-zero when an experiment's
+// floor gate (cluster, overload, recycle, tiered) fails.
 //
 // Usage:
 //
@@ -81,6 +82,12 @@ func main() {
 		}
 	}
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
+	if failed := bench.FailedGates(reports); len(failed) > 0 {
+		for _, g := range failed {
+			fmt.Fprintln(os.Stderr, "aggbench:", g)
+		}
+		os.Exit(1)
+	}
 }
 
 func writeCSV(dir string, r *bench.Report) error {

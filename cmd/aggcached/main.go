@@ -36,7 +36,6 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
-	"aggcache/internal/bench"
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/core"
@@ -166,8 +165,7 @@ func main() {
 	defer be.Close()
 
 	sz := sizer.NewEstimate(grid, int64(rows))
-	env := &bench.Env{Grid: grid, Sizer: sz}
-	strat, err := env.NewStrategy(bench.StrategyName(*stratFlag), 2_000_000)
+	strat, err := strategy.New(*stratFlag, grid, sz, 2_000_000)
 	if err != nil {
 		fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
-	"aggcache/internal/bench"
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/core"
@@ -29,6 +28,7 @@ import (
 	"aggcache/internal/mdq"
 	"aggcache/internal/mtier"
 	"aggcache/internal/sizer"
+	"aggcache/internal/strategy"
 )
 
 func main() {
@@ -87,8 +87,7 @@ func main() {
 	defer be.Close()
 
 	sz := sizer.NewEstimate(grid, int64(rows))
-	env := &bench.Env{Grid: grid, Sizer: sz} // reuse the strategy factory
-	strat, err := env.NewStrategy(bench.StrategyName(*stratFlag), 2_000_000)
+	strat, err := strategy.New(*stratFlag, grid, sz, 2_000_000)
 	if err != nil {
 		fatal(err)
 	}

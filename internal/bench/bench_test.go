@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -36,11 +37,20 @@ func TestRunAllExperiments(t *testing.T) {
 		t.Fatalf("got %d reports, want ≥ 12", len(reports))
 	}
 	seen := map[string]bool{}
+	gated := map[string]bool{"cluster": true, "overload": true, "recycle": true, "tiered": true}
 	for _, r := range reports {
 		if r.ID == "" || r.Title == "" {
 			t.Fatalf("report missing metadata: %+v", r)
 		}
 		seen[r.ID] = true
+		// Floors are calibrated for the make bench-* scales; at tiny scale
+		// the verdicts are reported, not enforced.
+		if gated[r.ID] != (len(r.Gates) > 0) {
+			t.Fatalf("%s: %d gates, want gates only on %v", r.ID, len(r.Gates), gated)
+		}
+		for _, g := range r.Gates {
+			t.Logf("%s %s", r.ID, g)
+		}
 		out := r.String()
 		if !strings.Contains(out, r.ID) {
 			t.Fatalf("String() does not include the id:\n%s", out)
@@ -188,5 +198,104 @@ func TestAccumulator(t *testing.T) {
 	a.Observe(20)
 	if a.Min != 10 || a.Max != 30 || a.Avg() != 20 || a.N != 3 {
 		t.Fatalf("acc = %+v", a)
+	}
+}
+
+// TestGatesFailOnABrokenFloor feeds each gated experiment's floors one
+// passing metrics value and then one that breaks a single floor: the broken
+// floor's verdict must fail, which is what makes cmd/aggbench exit non-zero.
+func TestGatesFailOnABrokenFloor(t *testing.T) {
+	cluster := func() []Gate {
+		m := clusterMetrics{MonotonicQPS: true, MonotonicHit: true}
+		return clusterGates(&m)
+	}
+	overload := func() *overloadMetrics {
+		m := &overloadMetrics{GoodputRatio2x: 0.95, P99Bounded: true}
+		m.Fairness.HitDropPoints = 1.5
+		m.Fairness.FloodQuotaSheds = 12
+		return m
+	}
+	recycle := func() *recycleMetrics {
+		return &recycleMetrics{DrillQPSRatio: 1.2, DrillHitGain: 0.01, ProximityQPSRatio: 0.97}
+	}
+	tiered := func() *tieredMetrics {
+		return &tieredMetrics{RAMHit: 0.4, TieredHit: 0.6, Recovery: 0.9, QPSRatio: 0.95}
+	}
+	cases := []struct {
+		name string
+		pass []Gate
+		fail []Gate
+		gate string
+	}{
+		{"cluster qps", cluster(), func() []Gate {
+			m := clusterMetrics{MonotonicQPS: false, MonotonicHit: true}
+			return clusterGates(&m)
+		}(), "monotonic_qps"},
+		{"cluster hit rate", cluster(), func() []Gate {
+			m := clusterMetrics{MonotonicQPS: true, MonotonicHit: false}
+			return clusterGates(&m)
+		}(), "monotonic_hit_rate"},
+		{"overload goodput", overloadGates(overload()), func() []Gate {
+			m := overload()
+			m.GoodputRatio2x = 0.79
+			return overloadGates(m)
+		}(), "goodput_ratio_2x"},
+		{"overload p99", overloadGates(overload()), func() []Gate {
+			m := overload()
+			m.P99Bounded = false
+			return overloadGates(m)
+		}(), "p99_bounded"},
+		{"overload fairness", overloadGates(overload()), func() []Gate {
+			m := overload()
+			m.Fairness.HitDropPoints = 5.1
+			return overloadGates(m)
+		}(), "fairness.hit_drop_points"},
+		{"overload quota", overloadGates(overload()), func() []Gate {
+			m := overload()
+			m.Fairness.FloodQuotaSheds = 0
+			return overloadGates(m)
+		}(), "fairness.flood_quota_sheds"},
+		{"recycle drill qps", recycleGates(recycle()), func() []Gate {
+			m := recycle()
+			m.DrillQPSRatio = 0.99
+			return recycleGates(m)
+		}(), "drill_qps_ratio"},
+		{"recycle drill hit", recycleGates(recycle()), func() []Gate {
+			m := recycle()
+			m.DrillHitGain = -0.01
+			return recycleGates(m)
+		}(), "drill_hit_gain"},
+		{"recycle proximity", recycleGates(recycle()), func() []Gate {
+			m := recycle()
+			m.ProximityQPSRatio = math.NaN()
+			return recycleGates(m)
+		}(), "proximity_qps_ratio"},
+		{"tiered hit", tieredGates(tiered()), func() []Gate {
+			m := tiered()
+			m.TieredHit = 0.39
+			return tieredGates(m)
+		}(), "tiered_hit"},
+		{"tiered recovery", tieredGates(tiered()), func() []Gate {
+			m := tiered()
+			m.Recovery = 0.79
+			return tieredGates(m)
+		}(), "warm_restart_recovery"},
+		{"tiered qps", tieredGates(tiered()), func() []Gate {
+			m := tiered()
+			m.QPSRatio = 0.89
+			return tieredGates(m)
+		}(), "qps_ratio"},
+	}
+	for _, tc := range cases {
+		if failed := FailedGates([]*Report{{Gates: tc.pass}}); len(failed) != 0 {
+			t.Fatalf("%s: passing metrics failed %v", tc.name, failed)
+		}
+		failed := FailedGates([]*Report{{Gates: tc.pass}, {Gates: tc.fail}})
+		if len(failed) != 1 || failed[0].Name != tc.gate {
+			t.Fatalf("%s: failed gates %v, want exactly %s", tc.name, failed, tc.gate)
+		}
+		if !strings.Contains(failed[0].String(), "FAIL") {
+			t.Fatalf("%s: verdict %q does not say FAIL", tc.name, failed[0])
+		}
 	}
 }

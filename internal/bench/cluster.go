@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +16,8 @@ import (
 )
 
 // clusterJSONFile is the machine-readable artifact Cluster writes next to
-// its report. CI uploads it so the scale-out trajectory can be compared
-// across commits without parsing report text.
+// its report, so the scale-out trajectory can be compared across commits
+// without parsing report text.
 const clusterJSONFile = "BENCH_7.json"
 
 // Axes of the cluster sweep: node counts with a fixed number of clients per
@@ -43,10 +41,7 @@ var clusterMix = workload.Mix{DrillDown: 0.1, RollUp: 0.1, Proximity: 0.7, Rando
 
 // clusterMetrics is the BENCH_7.json schema.
 type clusterMetrics struct {
-	Bench     string `json:"bench"`
-	Scale     string `json:"scale"`
-	GoVersion string `json:"go_version"`
-	Procs     int    `json:"gomaxprocs"`
+	artifact
 	// ClientsPerNode is the offered load per member: total clients for a row
 	// are nodes × this, so the sweep measures sustained group throughput.
 	ClientsPerNode int `json:"clients_per_node"`
@@ -190,11 +185,7 @@ func Cluster(e *Env) (*Report, error) {
 	}
 	defer be.Close()
 
-	var m clusterMetrics
-	m.Bench = "cluster"
-	m.Scale = e.Cfg.Scale.String()
-	m.GoVersion = runtime.Version()
-	m.Procs = runtime.GOMAXPROCS(0)
+	m := clusterMetrics{artifact: newArtifact(e, "cluster")}
 	m.ClientsPerNode = clusterClientsPerNode
 	m.PerNodeBytes = perNode
 
@@ -325,19 +316,29 @@ func Cluster(e *Env) (*Report, error) {
 			m.MonotonicHit = false
 		}
 	}
-
-	buf, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(clusterJSONFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("bench: cluster: %w", err)
-	}
+	m.Gates = clusterGates(&m)
+	r.Gates = m.Gates
 
 	r.Addf("each row rebuilds an n-node cluster (%s local tier each), warms with one round-robin replay of the %d-query stream, converges with one untimed concurrent pass, then measures %d clients per node replaying it",
 		SizeLabel(perNode), len(queries), clusterClientsPerNode)
 	r.Addf("4-node vs 1-node throughput: %.2f× (qps monotonic: %v, group hit rate monotonic: %v)",
 		m.Speedup4v1, m.MonotonicQPS, m.MonotonicHit)
-	r.Addf("machine-readable copy written to %s", clusterJSONFile)
+	if err := writeArtifact(r, clusterJSONFile, &m); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// clusterGates are the scale-out floors: adding a node must never lower the
+// group's throughput or its hit rate.
+func clusterGates(m *clusterMetrics) []Gate {
+	var qps, hit []string
+	for _, row := range m.Rows {
+		qps = append(qps, fmt.Sprintf("%.0f", row.QPS))
+		hit = append(hit, fmt.Sprintf("%.3f", row.GroupHitRate))
+	}
+	return []Gate{
+		holds("monotonic_qps", m.MonotonicQPS, "qps by node count "+strings.Join(qps, ", ")),
+		holds("monotonic_hit_rate", m.MonotonicHit, "group hit rate by node count "+strings.Join(hit, ", ")),
+	}
 }

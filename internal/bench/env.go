@@ -15,7 +15,6 @@ import (
 	"aggcache/internal/chunk"
 	"aggcache/internal/core"
 	"aggcache/internal/data"
-	"aggcache/internal/obs"
 	"aggcache/internal/sizer"
 	"aggcache/internal/strategy"
 )
@@ -126,10 +125,10 @@ func SizeLabel(bytes int64) string {
 	return fmt.Sprintf("%dB", bytes)
 }
 
-// StrategyName selects a lookup strategy for builders.
+// StrategyName selects a lookup strategy (strategy.New).
 type StrategyName string
 
-// Strategy names accepted by NewStrategy.
+// Strategy names accepted by SystemSpec.
 const (
 	StratESM   StrategyName = "ESM"
 	StratESMC  StrategyName = "ESMC"
@@ -138,49 +137,22 @@ const (
 	StratNoAgg StrategyName = "NoAgg"
 )
 
-// NewStrategy instantiates a fresh strategy. budget applies to the
-// exhaustive methods only.
+// NewStrategy instantiates a fresh strategy over the environment's grid.
+// budget applies to the exhaustive methods only.
 func (e *Env) NewStrategy(name StrategyName, budget int64) (strategy.Strategy, error) {
-	switch name {
-	case StratESM:
-		return strategy.NewESM(e.Grid, budget), nil
-	case StratESMC:
-		return strategy.NewESMC(e.Grid, e.Sizer, budget), nil
-	case StratVCM:
-		return strategy.NewVCM(e.Grid), nil
-	case StratVCMC:
-		return strategy.NewVCMC(e.Grid, e.Sizer), nil
-	case StratNoAgg:
-		return strategy.NewNoAgg(e.Grid), nil
-	}
-	return nil, fmt.Errorf("bench: unknown strategy %q", name)
+	return strategy.New(string(name), e.Grid, e.Sizer, budget)
 }
 
-// PolicyName selects a replacement policy.
+// PolicyName selects a replacement policy (cache.NewPolicy).
 type PolicyName string
 
-// Policy names accepted by NewPolicy.
+// Policy names accepted by SystemSpec.
 const (
 	PolicyBenefit         PolicyName = "benefit"
 	PolicyTwoLevel        PolicyName = "two-level"
 	PolicyTwoLevelPromote PolicyName = "two-level-promote"
 	PolicyLRU             PolicyName = "lru"
 )
-
-// NewPolicy instantiates a fresh replacement policy.
-func NewPolicy(name PolicyName) (cache.Policy, error) {
-	switch name {
-	case PolicyBenefit:
-		return cache.NewBenefitClock(), nil
-	case PolicyTwoLevel:
-		return cache.NewTwoLevel(), nil
-	case PolicyTwoLevelPromote:
-		return cache.NewTwoLevelPromote(), nil
-	case PolicyLRU:
-		return cache.NewLRU(), nil
-	}
-	return nil, fmt.Errorf("bench: unknown policy %q", name)
-}
 
 // System bundles one cache/strategy/engine instance under test.
 type System struct {
@@ -207,10 +179,6 @@ type SystemSpec struct {
 	// Backend overrides the environment's shared backend (e.g. one behind a
 	// fault injector or a slept latency model).
 	Backend backend.Backend
-	// Obs, when non-nil, wires live observability (cache, strategy and
-	// engine metrics) into the built system — the production aggcached
-	// instrumentation, used by the observability overhead experiment.
-	Obs *obs.Registry
 }
 
 // NewSystem builds an engine with its own cache and strategy over the shared
@@ -220,40 +188,24 @@ func (e *Env) NewSystem(spec SystemSpec) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Obs != nil {
-		strat = strategy.Instrument(strat, obs.NewStrategyMetrics(spec.Obs, strat.Name()))
-	}
-	pol, err := NewPolicy(spec.Policy)
+	pol, err := cache.NewPolicy(string(spec.Policy))
 	if err != nil {
 		return nil, err
 	}
-	var copts []cache.Option
-	if spec.Obs != nil {
-		copts = append(copts, cache.WithMetrics(obs.NewCacheMetrics(spec.Obs)))
-	}
-	c, err := cache.New(spec.Bytes, pol, copts...)
+	c, err := cache.New(spec.Bytes, pol)
 	if err != nil {
 		return nil, err
 	}
 	if spec.ColdBytes > 0 {
-		tc, err := cache.NewTiered(c, spec.ColdBytes)
-		if err != nil {
+		if c, err = cache.NewTiered(c, spec.ColdBytes); err != nil {
 			return nil, err
 		}
-		if spec.Obs != nil {
-			tc.SetTierMetrics(obs.NewTierMetrics(spec.Obs))
-		}
-		c = tc
 	}
 	be := backend.Backend(e.Backend)
 	if spec.Backend != nil {
 		be = spec.Backend
 	}
-	eopts := spec.EngineOpts
-	if spec.Obs != nil {
-		eopts = append(eopts[:len(eopts):len(eopts)], core.WithMetrics(obs.NewEngineMetrics(spec.Obs)))
-	}
-	eng, err := core.New(e.Grid, c, strat, be, e.Sizer, eopts...)
+	eng, err := core.New(e.Grid, c, strat, be, e.Sizer, spec.EngineOpts...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"aggcache/internal/chunk"
@@ -12,18 +9,15 @@ import (
 )
 
 // kernelJSONFile is the machine-readable artifact Kernel writes next to its
-// report. CI uploads it so the aggregation kernel's perf trajectory can be
-// compared across commits without parsing report text.
+// report, so the aggregation kernel's perf trajectory can be compared across
+// commits without parsing report text.
 const kernelJSONFile = "BENCH_4.json"
 
 // kernelMetrics is the BENCH_4.json schema. Durations are nanoseconds per
 // unit of work so numbers stay comparable across scales and iteration counts.
 type kernelMetrics struct {
-	Bench     string `json:"bench"`
-	Scale     string `json:"scale"`
-	GoVersion string `json:"go_version"`
-	Procs     int    `json:"gomaxprocs"`
-	RollUp    struct {
+	artifact
+	RollUp struct {
 		Chunks      int     `json:"chunks"`
 		Cells       int64   `json:"cells"`
 		NsPerPass   float64 `json:"ns_per_pass"`
@@ -43,13 +37,6 @@ type kernelMetrics struct {
 		NsPerChunkHalf float64 `json:"ns_per_chunk_half"`
 		NsPerChunkFull float64 `json:"ns_per_chunk_full"`
 	} `json:"slice"`
-	Stream struct {
-		Queries   int     `json:"queries"`
-		HitPct    float64 `json:"hit_pct"`
-		AvgMs     float64 `json:"avg_ms"`
-		AggMsHits float64 `json:"agg_ms_hits"`
-		WallMs    float64 `json:"wall_ms"`
-	} `json:"stream"`
 }
 
 // kernelBest runs f in timed passes of reps iterations and returns the best
@@ -71,10 +58,10 @@ func kernelBest(passes, reps int, f func() error) (time.Duration, error) {
 	return best / time.Duration(reps), nil
 }
 
-// Kernel measures the aggregation kernel both in isolation (the roll-up and
-// slice hot paths over every base chunk) and end to end (an aggregation-heavy
-// preloaded VCMC stream where nearly every answer is computed by rolling up
-// cached chunks). It writes kernelJSONFile to the working directory.
+// Kernel measures the aggregation kernel in isolation: the roll-up (one hop
+// and flattened multi-hop) and slice hot paths over every base chunk. The
+// end-to-end view of the same kernel is the yardstick's rollup_hit workload.
+// It writes kernelJSONFile to the working directory.
 func Kernel(e *Env) (*Report, error) {
 	lat := e.Grid.Lattice()
 	base := lat.Base()
@@ -171,21 +158,7 @@ func Kernel(e *Env) (*Report, error) {
 		return nil, err
 	}
 
-	// End to end: a preloaded VCMC stream with the cache sized to hold the
-	// base table, so queries are answered by aggregating cached chunks — the
-	// workload the kernel optimizations target.
-	sizes := e.CacheSizes()
-	bytes := sizes[len(sizes)-1]
-	res, err := e.RunStream(SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true})
-	if err != nil {
-		return nil, err
-	}
-
-	var m kernelMetrics
-	m.Bench = "kernel"
-	m.Scale = e.Cfg.Scale.String()
-	m.GoVersion = runtime.Version()
-	m.Procs = runtime.GOMAXPROCS(0)
+	m := kernelMetrics{artifact: newArtifact(e, "kernel")}
 	m.RollUp.Chunks = len(chunks)
 	m.RollUp.Cells = cells
 	m.RollUp.NsPerPass = float64(rollPer)
@@ -197,20 +170,8 @@ func Kernel(e *Env) (*Report, error) {
 	m.Flattened.NsPerCell = float64(flatPer) / float64(cells)
 	m.Slice.NsPerChunkHalf = float64(halfPer)
 	m.Slice.NsPerChunkFull = float64(fullPer)
-	m.Stream.Queries = res.Queries
-	m.Stream.HitPct = res.HitRatio()
-	m.Stream.AvgMs = float64(res.AvgAll()) / float64(time.Millisecond)
-	m.Stream.AggMsHits = float64(res.AvgHits().Aggregate) / float64(time.Millisecond)
-	m.Stream.WallMs = float64(res.Elapsed) / float64(time.Millisecond)
-	buf, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(kernelJSONFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("bench: kernel: %w", err)
-	}
 
-	r := &Report{ID: "kernel", Title: "Aggregation kernel: roll-up and slice hot paths, plus an aggregation-heavy stream",
+	r := &Report{ID: "kernel", Title: "Aggregation kernel: roll-up and slice hot paths",
 		Header: []string{"metric", "value"}}
 	r.AddRow("roll-up pass (all base chunks -> top)", fmt.Sprintf("%.3f ms", float64(rollPer)/float64(time.Millisecond)))
 	r.AddRow("roll-up throughput", fmt.Sprintf("%.1f Mcells/s", m.RollUp.CellsPerSec/1e6))
@@ -218,9 +179,9 @@ func Kernel(e *Env) (*Report, error) {
 		fmt.Sprintf("%.3f ms, %.1f ns/cell", float64(flatPer)/float64(time.Millisecond), m.Flattened.NsPerCell))
 	r.AddRow("slice per chunk (half region)", fmt.Sprintf("%d ns", halfPer.Nanoseconds()))
 	r.AddRow("slice per chunk (full region)", fmt.Sprintf("%d ns", fullPer.Nanoseconds()))
-	r.AddRow("stream hit ratio", fmt.Sprintf("%.0f%%", m.Stream.HitPct))
-	r.AddRow("stream avg / wall", fmt.Sprintf("%.3f ms / %.1f ms", m.Stream.AvgMs, m.Stream.WallMs))
-	r.Addf("%d base chunks, %d cells; VCMC/two-level preloaded, cache %s, %d queries", len(chunks), cells, SizeLabel(bytes), res.Queries)
-	r.Addf("machine-readable copy written to %s", kernelJSONFile)
+	r.Addf("%d base chunks, %d cells", len(chunks), cells)
+	if err := writeArtifact(r, kernelJSONFile, &m); err != nil {
+		return nil, err
+	}
 	return r, nil
 }

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,9 +14,8 @@ import (
 )
 
 // overloadJSONFile is the machine-readable artifact Overload writes next to
-// its report. CI uploads it and gates on the goodput ratio, so a regression
-// that makes the server collapse under overload fails the build instead of
-// shipping.
+// its report, with the verdicts of overloadGates: a regression that makes
+// the server collapse under overload fails the run instead of shipping.
 const overloadJSONFile = "BENCH_8.json"
 
 // Admission configuration for the sweep server: few slots over a backend
@@ -53,10 +49,7 @@ const (
 
 // overloadMetrics is the BENCH_8.json schema.
 type overloadMetrics struct {
-	Bench     string `json:"bench"`
-	Scale     string `json:"scale"`
-	GoVersion string `json:"go_version"`
-	Procs     int    `json:"gomaxprocs"`
+	artifact
 	// Admission configuration of the server under test.
 	MaxConcurrent int     `json:"max_concurrent"`
 	MaxQueue      int     `json:"max_queue"`
@@ -66,7 +59,7 @@ type overloadMetrics struct {
 	CapacityQPS float64       `json:"capacity_qps"`
 	Rows        []overloadRow `json:"rows"`
 	// GoodputRatio2x is goodput at 2× offered load over goodput at 1× — the
-	// collapse detector CI gates on (≥ 0.8 means shedding works).
+	// collapse detector overloadGates checks (≥ 0.8 means shedding works).
 	GoodputRatio2x float64 `json:"goodput_ratio_2x"`
 	// P99BoundMs is 3× the uncontended (0.5× offered load) p99 — the
 	// acceptance bound; P99Bounded reports the 4× row stayed inside it:
@@ -234,11 +227,7 @@ func Overload(e *Env) (*Report, error) {
 	}
 	defer be.Close()
 
-	var m overloadMetrics
-	m.Bench = "overload"
-	m.Scale = e.Cfg.Scale.String()
-	m.GoVersion = runtime.Version()
-	m.Procs = runtime.GOMAXPROCS(0)
+	m := overloadMetrics{artifact: newArtifact(e, "overload")}
 	m.MaxConcurrent = overloadSlots
 	m.MaxQueue = overloadQueue
 	m.MaxWaitMs = float64(overloadMaxWait) / float64(time.Millisecond)
@@ -310,21 +299,34 @@ func Overload(e *Env) (*Report, error) {
 		return nil, err
 	}
 	m.Fairness = fair
+	m.Gates = overloadGates(&m)
+	r.Gates = m.Gates
 
-	buf, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(overloadJSONFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("bench: overload: %w", err)
-	}
-
-	r.Addf("goodput at 2× offered load is %.0f%% of goodput at 1× (collapse gate: ≥ 80%%)", m.GoodputRatio2x*100)
+	r.Addf("goodput at 2× offered load is %.0f%% of goodput at 1×", m.GoodputRatio2x*100)
 	r.Addf("p99 of admitted queries at 4× load within 3× the uncontended p99 (%.1fms bound): %v", m.P99BoundMs, m.P99Bounded)
 	r.Addf("fairness: polite tenant hit rate %.1f%% alone, %.1f%% beside an unpaced scan flood (%d quota sheds) — drop %.1f points",
 		fair.PoliteHitAlone*100, fair.PoliteHitWithFlood*100, fair.FloodQuotaSheds, fair.HitDropPoints)
-	r.Addf("machine-readable copy written to %s", overloadJSONFile)
+	if err := writeArtifact(r, overloadJSONFile, &m); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// overloadGates are the admission floors: goodput holds past saturation,
+// the admitted tail stays bounded, and the tenant quota both fires on the
+// flood and keeps it from costing the polite tenant more than 5 hit-rate
+// points.
+func overloadGates(m *overloadMetrics) []Gate {
+	var peak float64 // admitted p99 at the heaviest offered load
+	if n := len(m.Rows); n > 0 {
+		peak = m.Rows[n-1].P99Ms
+	}
+	return []Gate{
+		atLeast("goodput_ratio_2x", m.GoodputRatio2x, 0.8),
+		holds("p99_bounded", m.P99Bounded, fmt.Sprintf("peak-load p99 %.1fms, bound %.1fms", peak, m.P99BoundMs)),
+		atMost("fairness.hit_drop_points", m.Fairness.HitDropPoints, 5),
+		atLeast("fairness.flood_quota_sheds", float64(m.Fairness.FloodQuotaSheds), 1),
+	}
 }
 
 // overloadCapacity measures the closed-loop completion rate with exactly

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"aggcache/internal/core"
@@ -13,7 +10,7 @@ import (
 )
 
 // recycleJSONFile is the machine-readable artifact Recycle writes next to its
-// report. CI uploads it and gates the drill-mix gain on it.
+// report, with the verdicts of recycleGates.
 const recycleJSONFile = "BENCH_9.json"
 
 // recycleRow is one (mix, mode) cell of BENCH_9.json.
@@ -32,11 +29,8 @@ type recycleRow struct {
 
 // recycleMetrics is the BENCH_9.json schema.
 type recycleMetrics struct {
-	Bench     string       `json:"bench"`
-	Scale     string       `json:"scale"`
-	GoVersion string       `json:"go_version"`
-	Procs     int          `json:"gomaxprocs"`
-	Rows      []recycleRow `json:"rows"`
+	artifact
+	Rows []recycleRow `json:"rows"`
 	// DrillQPSRatio is qps(on)/qps(off) on the drill mix — the headline
 	// number for the recycler. QPS here is queries over simulated response
 	// time (the repo's standard cost metric), so the ratio is deterministic
@@ -77,16 +71,12 @@ var recycleMixes = []struct {
 // headroom is what keeps recycled chunks from displacing the proven working
 // set. All modes replay the identical seeded stream on a preloaded cache, so
 // the gain measures recycling's ability to turn one query's interior work
-// into later queries' one-step roll-ups. Writes BENCH_9.json for the CI
-// gate.
+// into later queries' one-step roll-ups. Writes BENCH_9.json with the
+// verdicts of recycleGates.
 func Recycle(e *Env) (*Report, error) {
 	bytes := int64(2.5 * float64(e.BaseBytes()))
 
-	var m recycleMetrics
-	m.Bench = "recycle"
-	m.Scale = e.Cfg.Scale.String()
-	m.GoVersion = runtime.Version()
-	m.Procs = runtime.GOMAXPROCS(0)
+	m := recycleMetrics{artifact: newArtifact(e, "recycle")}
 
 	r := &Report{
 		ID: "recycle",
@@ -169,17 +159,24 @@ func Recycle(e *Env) (*Report, error) {
 	m.DrillAggRatio = float64(agg[0][0]) / float64(agg[0][1])
 	m.DrillHitGain = hit[0][1] - hit[0][0]
 	m.ProximityQPSRatio = qps[1][1] / qps[1][0]
-
-	buf, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(recycleJSONFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("bench: recycle: %w", err)
-	}
+	m.Gates = recycleGates(&m)
+	r.Gates = m.Gates
 
 	r.Addf("all modes replay the identical seeded stream preloaded; \"on\" adds recycling (threshold %.3g/B), promote-on-reuse and a 256-entry result cache; \"all\" drops the benefit gate", core.DefaultRecycleMinBenefit)
 	r.Addf("drill mix: %.2f× qps (sim), %.2f× less aggregation work, hit rate %+.2f; proximity mix: %.2f× qps", m.DrillQPSRatio, m.DrillAggRatio, m.DrillHitGain, m.ProximityQPSRatio)
-	r.Addf("machine-readable copy written to %s", recycleJSONFile)
+	if err := writeArtifact(r, recycleJSONFile, &m); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// recycleGates are the recycler's floors: on the drill mix recycling is no
+// slower and loses no hit rate; on the proximity mix it costs at most 10%
+// qps.
+func recycleGates(m *recycleMetrics) []Gate {
+	return []Gate{
+		atLeast("drill_qps_ratio", m.DrillQPSRatio, 1.0),
+		atLeast("drill_hit_gain", m.DrillHitGain, 0),
+		atLeast("proximity_qps_ratio", m.ProximityQPSRatio, 0.9),
+	}
 }

@@ -71,10 +71,7 @@ var experiments = []struct {
 	{"chunk-sweep", one(ChunkSizeSweep)},
 	{"lemma1", one(Lemma1)},
 	{"lemma2", one(Lemma2)},
-	{"concurrency", one(ConcurrencySweep)},
 	{"kernel", one(Kernel)},
-	{"wire", one(Wire)},
-	{"observability", one(Observability)},
 	{"chaos", one(Chaos)},
 	{"cluster", one(Cluster)},
 	{"overload", one(Overload)},

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"aggcache/internal/core"
@@ -14,8 +12,7 @@ import (
 )
 
 // tieredJSONFile is the machine-readable artifact Tiered writes next to its
-// report. CI uploads it and gates the tiered hit rate, the qps penalty and
-// the warm-restart recovery on it.
+// report, with the verdicts of tieredGates.
 const tieredJSONFile = "BENCH_10.json"
 
 // tieredRow is one mode of BENCH_10.json.
@@ -33,11 +30,8 @@ type tieredRow struct {
 
 // tieredMetrics is the BENCH_10.json schema.
 type tieredMetrics struct {
-	Bench     string      `json:"bench"`
-	Scale     string      `json:"scale"`
-	GoVersion string      `json:"go_version"`
-	Procs     int         `json:"gomaxprocs"`
-	Rows      []tieredRow `json:"rows"`
+	artifact
+	Rows []tieredRow `json:"rows"`
 	// RAMHit and TieredHit are the steady-state complete-hit rates at equal
 	// hot-tier RAM; the cold tier must not lose to the flat store.
 	RAMHit    float64 `json:"ram_hit"`
@@ -105,17 +99,13 @@ func runSegment(sys *System, queries []core.Query) (tieredDelta, error) {
 // promote-on-hit buys over dropping victims. The run then simulates a kill:
 // the tiered cache is snapshotted, the process state discarded, and a fresh
 // system warm-restarts from the snapshot file; the same replay on both sides
-// yields the warm-restart recovery ratio. Writes BENCH_10.json for the CI
-// gate.
+// yields the warm-restart recovery ratio. Writes BENCH_10.json with the
+// verdicts of tieredGates.
 func Tiered(e *Env) (*Report, error) {
 	hot := int64(0.35 * float64(e.BaseBytes()))
 	cold := 4 * hot
 
-	var m tieredMetrics
-	m.Bench = "tiered"
-	m.Scale = e.Cfg.Scale.String()
-	m.GoVersion = runtime.Version()
-	m.Procs = runtime.GOMAXPROCS(0)
+	m := tieredMetrics{artifact: newArtifact(e, "tiered")}
 
 	r := &Report{
 		ID: "tiered",
@@ -219,20 +209,27 @@ func Tiered(e *Env) (*Report, error) {
 	if m.PreKillHit > 0 {
 		m.Recovery = m.RestartHit / m.PreKillHit
 	}
-
-	buf, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(tieredJSONFile, append(buf, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("bench: tiered: %w", err)
-	}
+	m.Gates = tieredGates(&m)
+	r.Gates = m.Gates
 
 	r.Addf("both modes replay the identical seeded stream; tiered adds a %s compressed cold tier (%.1fx compression at end of run)",
 		SizeLabel(cold), m.CompressionRatio)
 	r.Addf("hit rate %.2f (ram) vs %.2f (tiered), qps ratio %.2f", m.RAMHit, m.TieredHit, m.QPSRatio)
 	r.Addf("kill/restart: %d chunks snapshotted; replay hit rate %.2f pre-kill vs %.2f after warm restart (recovery %.2f)",
 		m.SnapshotChunks, m.PreKillHit, m.RestartHit, m.Recovery)
-	r.Addf("machine-readable copy written to %s", tieredJSONFile)
+	if err := writeArtifact(r, tieredJSONFile, &m); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// tieredGates are the cold tier's floors: it never loses hit rate to the
+// flat store, costs at most 10% qps, and a warm restart recovers at least
+// 80% of the pre-kill hit rate.
+func tieredGates(m *tieredMetrics) []Gate {
+	return []Gate{
+		atLeast("tiered_hit", m.TieredHit, m.RAMHit),
+		atLeast("warm_restart_recovery", m.Recovery, 0.8),
+		atLeast("qps_ratio", m.QPSRatio, 0.9),
+	}
 }

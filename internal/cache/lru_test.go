@@ -51,3 +51,20 @@ func TestLRUReinforceCountsAsAccess(t *testing.T) {
 		t.Fatalf("Name = %q", NewLRU().Name())
 	}
 }
+
+// TestNewPolicyByName: every accepted name builds the policy of that Name,
+// and an unknown one is an error.
+func TestNewPolicyByName(t *testing.T) {
+	for _, name := range []string{"benefit", "two-level", "two-level-promote", "lru"} {
+		p, err := NewPolicy(name)
+		if err != nil {
+			t.Fatalf("NewPolicy(%s): %v", name, err)
+		}
+		if p.Name() != name {
+			t.Fatalf("NewPolicy(%s) built %s", name, p.Name())
+		}
+	}
+	if _, err := NewPolicy("bogus"); err == nil {
+		t.Fatalf("NewPolicy(bogus): expected error")
+	}
+}

@@ -1,6 +1,9 @@
 package cache
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // maxClock caps clock weights so reinforcement cannot make an entry
 // permanently unevictable.
@@ -120,6 +123,22 @@ func (r *ring) sweepClass(cl Class) *Entry {
 		e = e.next
 	}
 	return min
+}
+
+// NewPolicy builds the replacement policy whose Name is name: benefit,
+// two-level, two-level-promote or lru.
+func NewPolicy(name string) (Policy, error) {
+	switch name {
+	case "benefit":
+		return NewBenefitClock(), nil
+	case "two-level":
+		return NewTwoLevel(), nil
+	case "two-level-promote":
+		return NewTwoLevelPromote(), nil
+	case "lru":
+		return NewLRU(), nil
+	}
+	return nil, fmt.Errorf("cache: unknown policy %q", name)
 }
 
 // BenefitClock is the [DRSN98] baseline replacement policy: a CLOCK

@@ -359,6 +359,40 @@ func TestQueryPayloadCompat(t *testing.T) {
 	}
 }
 
+// TestSubMillisecondBudgetStaysADeadline: the budget travels in whole
+// milliseconds and 0 means "no deadline", so a 500µs budget must round up
+// to 1ms on the wire rather than truncate to unbounded, and admission must
+// then shed it instead of running it without a deadline.
+func TestSubMillisecondBudgetStaysADeadline(t *testing.T) {
+	_, _, budget, err := decodeQuery(encodeQuery(nil, "SUM(UnitSales) BY Time:Year", "", 500*time.Microsecond))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if budget != time.Millisecond {
+		t.Fatalf("500µs budget decoded to %v, want 1ms", budget)
+	}
+
+	// Queries take ~40ms, so a 1ms budget is unmeetable and shed up front.
+	a := newAdmission(AdmissionConfig{MaxConcurrent: 4})
+	for i := 0; i < 100; i++ {
+		a.svc.Observe(40 * time.Millisecond)
+	}
+	if _, busy := a.Admit("", budget); busy == nil || busy.Reason != "deadline" {
+		t.Fatalf("decoded 500µs budget → %v, want a deadline shed", busy)
+	}
+	// With no service history the budget instead bounds the queue wait
+	// behind an occupied slot and expires there.
+	a = newAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 4, MaxWait: time.Second})
+	release, busy := a.Admit("", 0)
+	if busy != nil {
+		t.Fatalf("first admit shed: %v", busy)
+	}
+	defer release(0)
+	if _, busy := a.Admit("", budget); busy == nil || busy.Reason != "expired" {
+		t.Fatalf("decoded 500µs budget behind a busy slot → %v, want expired", busy)
+	}
+}
+
 func TestHealthzReportsShedding(t *testing.T) {
 	srv, _, _ := newTestServer(t)
 	srv.SetAdmission(AdmissionConfig{MaxConcurrent: 2})

@@ -37,6 +37,11 @@ const (
 func encodeQuery(b []byte, query, tenant string, budget time.Duration) []byte {
 	b = wire.AppendString(b, query)
 	ms := budget.Milliseconds()
+	if budget > 0 && ms < 1 {
+		// 0 on the wire means "no deadline": a sub-millisecond budget must
+		// still arrive as a deadline, the tightest one the field can carry.
+		ms = 1
+	}
 	if ms < 0 {
 		ms = 0
 	}
@@ -106,6 +111,9 @@ func encodeResponse(b []byte, r *Response) []byte {
 func decodeResponse(p []byte) (*Response, error) {
 	d := wire.NewDec(p)
 	flags := d.U8()
+	if flags&^(respCompleteHit|respAggregated|respDegraded) != 0 {
+		return nil, fmt.Errorf("mtier: malformed answer payload")
+	}
 	r := &Response{
 		Agg:         d.String(),
 		Err:         d.String(),

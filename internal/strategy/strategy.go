@@ -18,12 +18,14 @@ package strategy
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
+	"aggcache/internal/sizer"
 )
 
 // ErrBudget is returned by budget-limited strategies when a single Find
@@ -136,6 +138,25 @@ type Strategy interface {
 	// Find — the lookup-complexity metric behind Table 1. With concurrent
 	// Finds in flight the value is that of whichever Find stored last.
 	LastVisited() int64
+}
+
+// New builds the strategy whose Name is name: ESM, ESMC, VCM, VCMC or NoAgg.
+// budget bounds the nodes one exhaustive (ESM/ESMC) lookup visits; 0 is
+// unbounded.
+func New(name string, g *chunk.Grid, sz sizer.Sizer, budget int64) (Strategy, error) {
+	switch name {
+	case "ESM":
+		return NewESM(g, budget), nil
+	case "ESMC":
+		return NewESMC(g, sz, budget), nil
+	case "VCM":
+		return NewVCM(g), nil
+	case "VCMC":
+		return NewVCMC(g, sz), nil
+	case "NoAgg":
+		return NewNoAgg(g), nil
+	}
+	return nil, fmt.Errorf("strategy: unknown strategy %q", name)
 }
 
 // CostEstimator is the benefit API a strategy may offer on top of Find:

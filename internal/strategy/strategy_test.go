@@ -513,3 +513,22 @@ func TestMaintSub(t *testing.T) {
 		t.Fatalf("Sub = %+v", d)
 	}
 }
+
+// TestNewByName: every accepted name builds the strategy of that Name, and
+// an unknown one is an error.
+func TestNewByName(t *testing.T) {
+	g := fig4Grid(t)
+	sizes := sizer.NewEstimate(g, 100)
+	for _, name := range []string{"ESM", "ESMC", "VCM", "VCMC", "NoAgg"} {
+		s, err := New(name, g, sizes, 0)
+		if err != nil {
+			t.Fatalf("New(%s): %v", name, err)
+		}
+		if s.Name() != name {
+			t.Fatalf("New(%s) built %s", name, s.Name())
+		}
+	}
+	if _, err := New("bogus", g, sizes, 0); err == nil {
+		t.Fatalf("New(bogus): expected error")
+	}
+}
