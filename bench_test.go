@@ -36,7 +36,7 @@ func benchEnv(b *testing.B) *bench.Env {
 }
 
 // lookupBench measures Table 1's unit of work: one Find per group-by.
-func lookupBench(b *testing.B, name bench.StrategyName, preloaded bool) {
+func lookupBench(b *testing.B, name string, preloaded bool) {
 	e := benchEnv(b)
 	lat := e.Grid.Lattice()
 	s, err := e.NewStrategy(name, 1_000_000)
@@ -57,18 +57,18 @@ func lookupBench(b *testing.B, name bench.StrategyName, preloaded bool) {
 	}
 }
 
-func BenchmarkTable1LookupESMEmpty(b *testing.B)      { lookupBench(b, bench.StratESM, false) }
-func BenchmarkTable1LookupESMPreloaded(b *testing.B)  { lookupBench(b, bench.StratESM, true) }
-func BenchmarkTable1LookupESMCEmpty(b *testing.B)     { lookupBench(b, bench.StratESMC, false) }
-func BenchmarkTable1LookupESMCPreloaded(b *testing.B) { lookupBench(b, bench.StratESMC, true) }
-func BenchmarkTable1LookupVCMEmpty(b *testing.B)      { lookupBench(b, bench.StratVCM, false) }
-func BenchmarkTable1LookupVCMPreloaded(b *testing.B)  { lookupBench(b, bench.StratVCM, true) }
-func BenchmarkTable1LookupVCMCEmpty(b *testing.B)     { lookupBench(b, bench.StratVCMC, false) }
-func BenchmarkTable1LookupVCMCPreloaded(b *testing.B) { lookupBench(b, bench.StratVCMC, true) }
+func BenchmarkTable1LookupESMEmpty(b *testing.B)      { lookupBench(b, "ESM", false) }
+func BenchmarkTable1LookupESMPreloaded(b *testing.B)  { lookupBench(b, "ESM", true) }
+func BenchmarkTable1LookupESMCEmpty(b *testing.B)     { lookupBench(b, "ESMC", false) }
+func BenchmarkTable1LookupESMCPreloaded(b *testing.B) { lookupBench(b, "ESMC", true) }
+func BenchmarkTable1LookupVCMEmpty(b *testing.B)      { lookupBench(b, "VCM", false) }
+func BenchmarkTable1LookupVCMPreloaded(b *testing.B)  { lookupBench(b, "VCM", true) }
+func BenchmarkTable1LookupVCMCEmpty(b *testing.B)     { lookupBench(b, "VCMC", false) }
+func BenchmarkTable1LookupVCMCPreloaded(b *testing.B) { lookupBench(b, "VCMC", true) }
 
 // updateBench measures Table 2's unit of work: bulk-loading two adjacent
 // levels through the strategy's maintenance path.
-func updateBench(b *testing.B, name bench.StrategyName) {
+func updateBench(b *testing.B, name string) {
 	e := benchEnv(b)
 	lat := e.Grid.Lattice()
 	lvA := append([]int(nil), e.Grid.Schema().BaseLevel()...)
@@ -93,8 +93,8 @@ func updateBench(b *testing.B, name bench.StrategyName) {
 	}
 }
 
-func BenchmarkTable2UpdateVCM(b *testing.B)  { updateBench(b, bench.StratVCM) }
-func BenchmarkTable2UpdateVCMC(b *testing.B) { updateBench(b, bench.StratVCMC) }
+func BenchmarkTable2UpdateVCM(b *testing.B)  { updateBench(b, "VCM") }
+func BenchmarkTable2UpdateVCMC(b *testing.B) { updateBench(b, "VCMC") }
 
 // BenchmarkTable3SpaceOverhead reports the strategies' summary-state bytes
 // as benchmark metrics (Table 3 is a space, not time, artifact).
@@ -102,8 +102,8 @@ func BenchmarkTable3SpaceOverhead(b *testing.B) {
 	e := benchEnv(b)
 	var vcm, vcmc int64
 	for i := 0; i < b.N; i++ {
-		s1, _ := e.NewStrategy(bench.StratVCM, 0)
-		s2, _ := e.NewStrategy(bench.StratVCMC, 0)
+		s1, _ := e.NewStrategy("VCM", 0)
+		s2, _ := e.NewStrategy("VCMC", 0)
 		vcm, vcmc = s1.Overhead(), s2.Overhead()
 	}
 	b.ReportMetric(float64(vcm), "vcm-bytes")
@@ -112,7 +112,7 @@ func BenchmarkTable3SpaceOverhead(b *testing.B) {
 
 // streamBench measures one full query stream against a system; the unit of
 // Figures 7–9.
-func streamBench(b *testing.B, spec func(e *bench.Env) bench.SystemSpec) {
+func streamBench(b *testing.B, spec func(e *bench.Env) (core.Config, bool)) {
 	e := benchEnv(b)
 	var hits float64
 	b.ResetTimer()
@@ -129,32 +129,32 @@ func streamBench(b *testing.B, spec func(e *bench.Env) bench.SystemSpec) {
 func midCache(e *bench.Env) int64 { s := e.CacheSizes(); return s[len(s)/2] }
 
 func BenchmarkFig7StreamTwoLevel(b *testing.B) {
-	streamBench(b, func(e *bench.Env) bench.SystemSpec {
-		return bench.SystemSpec{Strategy: bench.StratVCMC, Policy: bench.PolicyTwoLevel, Bytes: midCache(e), Preload: true}
+	streamBench(b, func(e *bench.Env) (core.Config, bool) {
+		return core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: midCache(e)}, true
 	})
 }
 
 func BenchmarkFig8StreamBenefit(b *testing.B) {
-	streamBench(b, func(e *bench.Env) bench.SystemSpec {
-		return bench.SystemSpec{Strategy: bench.StratVCMC, Policy: bench.PolicyBenefit, Bytes: midCache(e)}
+	streamBench(b, func(e *bench.Env) (core.Config, bool) {
+		return core.Config{Strategy: "VCMC", Policy: "benefit", HotBytes: midCache(e)}, false
 	})
 }
 
 func BenchmarkFig9StreamNoAgg(b *testing.B) {
-	streamBench(b, func(e *bench.Env) bench.SystemSpec {
-		return bench.SystemSpec{Strategy: bench.StratNoAgg, Policy: bench.PolicyBenefit, Bytes: midCache(e)}
+	streamBench(b, func(e *bench.Env) (core.Config, bool) {
+		return core.Config{Strategy: "NoAgg", Policy: "benefit", HotBytes: midCache(e)}, false
 	})
 }
 
 func BenchmarkFig9StreamESM(b *testing.B) {
-	streamBench(b, func(e *bench.Env) bench.SystemSpec {
-		return bench.SystemSpec{Strategy: bench.StratESM, Policy: bench.PolicyTwoLevel, Bytes: midCache(e), Preload: true, Budget: 1_000_000}
+	streamBench(b, func(e *bench.Env) (core.Config, bool) {
+		return core.Config{Strategy: "ESM", Policy: "two-level", HotBytes: midCache(e), LookupBudget: 1_000_000}, true
 	})
 }
 
 func BenchmarkFig9StreamVCMC(b *testing.B) {
-	streamBench(b, func(e *bench.Env) bench.SystemSpec {
-		return bench.SystemSpec{Strategy: bench.StratVCMC, Policy: bench.PolicyTwoLevel, Bytes: midCache(e), Preload: true}
+	streamBench(b, func(e *bench.Env) (core.Config, bool) {
+		return core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: midCache(e)}, true
 	})
 }
 
@@ -165,11 +165,11 @@ func BenchmarkFig10Table4CompleteHits(b *testing.B) {
 	var speedup float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		esm, err := e.RunStream(bench.SystemSpec{Strategy: bench.StratESM, Policy: bench.PolicyTwoLevel, Bytes: midCache(e), Preload: true, Budget: 1_000_000})
+		esm, err := e.RunStream(core.Config{Strategy: "ESM", Policy: "two-level", HotBytes: midCache(e), LookupBudget: 1_000_000}, true)
 		if err != nil {
 			b.Fatalf("esm: %v", err)
 		}
-		vcmc, err := e.RunStream(bench.SystemSpec{Strategy: bench.StratVCMC, Policy: bench.PolicyTwoLevel, Bytes: midCache(e), Preload: true})
+		vcmc, err := e.RunStream(core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: midCache(e)}, true)
 		if err != nil {
 			b.Fatalf("vcmc: %v", err)
 		}
@@ -184,10 +184,10 @@ func BenchmarkFig10Table4CompleteHits(b *testing.B) {
 // aggregated chunk from cache vs from the backend.
 func BenchmarkUnitAggBenefit(b *testing.B) {
 	e := benchEnv(b)
-	sys, err := e.NewSystem(bench.SystemSpec{
-		Strategy: bench.StratVCMC, Policy: bench.PolicyTwoLevel,
-		Bytes: e.BaseBytes() * 4, Preload: true,
-	})
+	sys, err := e.NewSystem(core.Config{
+		Strategy: "VCMC", Policy: "two-level",
+		HotBytes: e.BaseBytes() * 4,
+	}, true)
 	if err != nil {
 		b.Fatalf("NewSystem: %v", err)
 	}
@@ -196,7 +196,7 @@ func BenchmarkUnitAggBenefit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Evict the computed top chunk so each iteration aggregates anew.
-		sys.Cache.Evict(cache.Key{GB: lat.Top(), Num: 0})
+		sys.Engine.Cache().Evict(cache.Key{GB: lat.Top(), Num: 0})
 		if _, err := sys.Engine.Execute(context.Background(), q); err != nil {
 			b.Fatalf("Execute: %v", err)
 		}
@@ -275,7 +275,7 @@ func BenchmarkBackendScan(b *testing.B) {
 func BenchmarkVCMCFind(b *testing.B) {
 	e := benchEnv(b)
 	lat := e.Grid.Lattice()
-	s, _ := e.NewStrategy(bench.StratVCMC, 0)
+	s, _ := e.NewStrategy("VCMC", 0)
 	base := lat.Base()
 	for num := 0; num < e.Grid.NumChunks(base); num++ {
 		s.OnInsert(&cache.Entry{Key: cache.Key{GB: base, Num: int32(num)}})
@@ -304,10 +304,10 @@ func BenchmarkWorkloadGenerator(b *testing.B) {
 // BenchmarkEngineCompleteHit measures a fully warm end-to-end query.
 func BenchmarkEngineCompleteHit(b *testing.B) {
 	e := benchEnv(b)
-	sys, err := e.NewSystem(bench.SystemSpec{
-		Strategy: bench.StratVCMC, Policy: bench.PolicyTwoLevel,
-		Bytes: e.BaseBytes() * 4, Preload: true,
-	})
+	sys, err := e.NewSystem(core.Config{
+		Strategy: "VCMC", Policy: "two-level",
+		HotBytes: e.BaseBytes() * 4,
+	}, true)
 	if err != nil {
 		b.Fatalf("NewSystem: %v", err)
 	}
@@ -325,10 +325,10 @@ func BenchmarkEngineCompleteHit(b *testing.B) {
 // singleflight dedup target. Run with -cpu 1,2,4 to see the scaling.
 func BenchmarkConcurrentStream(b *testing.B) {
 	e := benchEnv(b)
-	sys, err := e.NewSystem(bench.SystemSpec{
-		Strategy: bench.StratVCMC, Policy: bench.PolicyTwoLevel,
-		Bytes: e.BaseBytes() * 4, Preload: true,
-	})
+	sys, err := e.NewSystem(core.Config{
+		Strategy: "VCMC", Policy: "two-level",
+		HotBytes: e.BaseBytes() * 4,
+	}, true)
 	if err != nil {
 		b.Fatalf("NewSystem: %v", err)
 	}
@@ -358,8 +358,8 @@ func BenchmarkConcurrentStream(b *testing.B) {
 // BenchmarkStrategyInsertEvictChurn measures maintenance under churn (the
 // cost VCM/VCMC pay for O(1) lookups).
 func BenchmarkStrategyInsertEvictChurn(b *testing.B) {
-	for _, name := range []bench.StrategyName{bench.StratVCM, bench.StratVCMC} {
-		b.Run(string(name), func(b *testing.B) {
+	for _, name := range []string{"VCM", "VCMC"} {
+		b.Run(name, func(b *testing.B) {
 			e := benchEnv(b)
 			lat := e.Grid.Lattice()
 			s, _ := e.NewStrategy(name, 0)
@@ -385,7 +385,7 @@ func TestBenchEnvSanity(t *testing.T) {
 		t.Fatalf("NewEnv: %v", err)
 	}
 	var s strategy.Strategy
-	s, err = e.NewStrategy(bench.StratVCMC, 0)
+	s, err = e.NewStrategy("VCMC", 0)
 	if err != nil || s == nil {
 		t.Fatalf("NewStrategy: %v", err)
 	}

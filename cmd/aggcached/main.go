@@ -23,6 +23,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -42,8 +43,6 @@ import (
 	"aggcache/internal/data"
 	"aggcache/internal/mtier"
 	"aggcache/internal/obs"
-	"aggcache/internal/sizer"
-	"aggcache/internal/strategy"
 	"aggcache/internal/wire"
 )
 
@@ -61,7 +60,7 @@ func main() {
 		recycleMinFlag  = flag.Float64("recycle-min-benefit", core.DefaultRecycleMinBenefit, "recycler admission threshold in saved recompute cost per byte (0 = default)")
 		resultCacheFlag = flag.Int("result-cache", 256, "semantic result-cache entries above the chunk cache (0 = disabled)")
 		coldKBFlag      = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier size in KB: hot-tier victims are demoted (delta/varint-encoded) instead of dropped, and promoted back on hit (0 = disabled)")
-		snapDirFlag     = flag.String("snapshot-dir", "", "snapshot directory: cache.snap inside it is loaded at startup (warm restart) and written on SIGINT/SIGTERM and every -snapshot-interval")
+		snapDirFlag     = flag.String("snapshot-dir", "", "snapshot directory: cache.snap inside it is loaded at startup (warm restart) and written on SIGINT/SIGTERM and every -snapshot-interval; a snapshot is only valid for the dataset it was taken over (same -scale, -seed and backend), so use a fresh directory when the data changes")
 		snapIntFlag     = flag.Duration("snapshot-interval", 0, "periodic cache snapshot flush interval (0 = flush on shutdown only; needs -snapshot-dir)")
 		opsFlag         = flag.String("ops", "", "ops HTTP listen address serving /metrics, /healthz, /traces and /debug/pprof (empty = disabled)")
 		tracesFlag      = flag.Int("traces", obs.DefaultTraceDepth, "query traces retained for /traces")
@@ -86,7 +85,7 @@ func main() {
 		tenantBytesFlag = flag.Float64("tenant-bytes-per-sec", 0, "response bytes/sec per tenant, charged after encoding (0 = unlimited)")
 
 		peersFlag     = flag.String("peers", "", "comma-separated cluster membership (aggcached listen addresses, including this node's own); empty = no cluster tier")
-		peerSelfFlag  = flag.String("peer-self", "", "this node's address as it appears in -peers (default: the -listen address)")
+		peerSelfFlag  = flag.String("peer-self", "", "this node's address as it appears in -peers; startup fails, and a SIGHUP reload is refused, when the membership leaves it out (default: the -listen address, so set this when listening on a wildcard address)")
 		peersFileFlag = flag.String("peers-file", "", "file with one peer address per line, merged with -peers at startup and re-read on SIGHUP to rebuild the ring")
 	)
 	flag.Parse()
@@ -164,52 +163,9 @@ func main() {
 	}
 	defer be.Close()
 
-	sz := sizer.NewEstimate(grid, int64(rows))
-	strat, err := strategy.New(*stratFlag, grid, sz, 2_000_000)
-	if err != nil {
-		fatal(err)
-	}
-	if reg != nil {
-		strat = strategy.Instrument(strat, obs.NewStrategyMetrics(reg, strat.Name()))
-	}
-	copts := []cache.Option{cache.WithShards(*shardsFlag)}
-	if reg != nil {
-		copts = append(copts, cache.WithMetrics(obs.NewCacheMetrics(reg)))
-	}
-	// With recycling, replacement runs the probation+promote variant:
-	// recycled intermediates enter a probationary ring and only reuse
-	// (Reinforce) moves them next to the proven working set.
-	pol := cache.NewTwoLevel()
-	if *recycleFlag {
-		pol = cache.NewTwoLevelPromote()
-	}
-	c, err := cache.New(*cacheKBFlag<<10, pol, copts...)
-	if err != nil {
-		fatal(err)
-	}
-	shards := c.(*cache.Sharded).Shards()
-
-	// Tiered storage: hot-tier victims demote into a compressed in-RAM cold
-	// tier and promote back (into the protected ring) on hit. The cluster
-	// tier, when configured below, wraps the tiered store so peer fills land
-	// through the same demotion path.
-	var tc *cache.Tiered
-	if *coldKBFlag > 0 {
-		tc, err = cache.NewTiered(c, *coldKBFlag<<10)
-		if err != nil {
-			fatal(err)
-		}
-		if reg != nil {
-			tc.SetTierMetrics(obs.NewTierMetrics(reg))
-		}
-		c = tc
-		fmt.Printf("aggcached: cold tier enabled, %dKB compressed\n", *coldKBFlag)
-	}
-
-	// Cluster tier: compose the local store with the consistent-hash peer
-	// ring. The engine sees one cache.Store; misses route to the key's ring
-	// owner before the backend (see DESIGN.md §12).
-	var pc *cache.Peered
+	// Cluster tier: misses route to the key's ring owner before the backend
+	// (see DESIGN.md §12).
+	var peers *cache.PeeredConfig
 	if *peersFlag != "" || *peersFileFlag != "" {
 		members := splitPeers(*peersFlag)
 		if *peersFileFlag != "" {
@@ -219,37 +175,25 @@ func main() {
 			}
 			members = append(members, fm...)
 		}
-		self := *peerSelfFlag
-		if self == "" {
-			self = *listenFlag
-		}
-		pcfg := cache.PeeredConfig{
-			Self:    self,
-			Members: members,
-			Dial:    func(addr string) cache.Peer { return mtier.NewPeerClient(addr, *maxFrameFlag) },
-		}
-		if reg != nil {
-			pcfg.Metrics = func(peer string) obs.PeerMetrics { return obs.NewPeerMetrics(reg, peer) }
-		}
-		pc, err = cache.NewPeered(c, pcfg)
-		if err != nil {
-			fatal(err)
-		}
-		c = pc
-		fmt.Printf("aggcached: cluster %s, self=%s\n", pc.Ring(), self)
+		peers = &cache.PeeredConfig{Self: cmp.Or(*peerSelfFlag, *listenFlag), Members: members,
+			Dial: func(addr string) cache.Peer { return mtier.NewPeerClient(addr, *maxFrameFlag) }}
 	}
-
-	eopts := []core.Option{
-		core.WithRecycling(*recycleFlag),
-		core.WithRecycleMinBenefit(*recycleMinFlag),
-		core.WithResultCache(*resultCacheFlag),
-	}
-	if reg != nil {
-		eopts = append(eopts, core.WithMetrics(obs.NewEngineMetrics(reg)))
-	}
-	eng, err := core.New(grid, c, strat, be, sz, eopts...)
+	stack, err := core.Build(core.Config{
+		Grid: grid, Backend: be, Rows: int64(rows), Strategy: *stratFlag, LookupBudget: 2_000_000,
+		HotBytes: *cacheKBFlag << 10, ColdBytes: *coldKBFlag << 10, Peers: peers, Metrics: reg,
+		Shards: cmp.Or(*shardsFlag, -1), // -cache-shards 0 (auto) is a negative count to Build
+		Options: []core.Option{
+			core.WithRecycling(*recycleFlag),
+			core.WithRecycleMinBenefit(*recycleMinFlag),
+			core.WithResultCache(*resultCacheFlag),
+		},
+	})
 	if err != nil {
 		fatal(err)
+	}
+	eng, pc := stack.Engine, stack.Peered
+	if pc != nil {
+		fmt.Printf("aggcached: cluster %s, self=%s\n", pc.Ring(), pc.Self())
 	}
 	snapPath := ""
 	if *snapDirFlag != "" {
@@ -271,7 +215,7 @@ func main() {
 			fatal(lerr)
 		}
 	}
-	if *preloadFlag && c.Len() == 0 {
+	if *preloadFlag && eng.Cache().Len() == 0 {
 		if gb, ok, err := eng.Preload(context.Background()); err != nil {
 			fatal(err)
 		} else if ok {
@@ -311,8 +255,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("aggcached: %s scale, %s strategy, %dKB cache (%d shard(s)), serving on %s\n",
-		scale, strat.Name(), *cacheKBFlag, shards, addr)
+	fmt.Printf("aggcached: %s scale, %s strategy, %dKB cache (%d shard(s), %dKB compressed cold tier), serving on %s\n",
+		scale, eng.Strategy().Name(), *cacheKBFlag, stack.Hot.Shards(), max(*coldKBFlag, 0), addr)
 	if *opsFlag != "" {
 		opsAddr, err := srv.ServeOps(*opsFlag)
 		if err != nil {
@@ -330,12 +274,11 @@ func main() {
 		go func() {
 			for range hup {
 				members, err := readPeersFile(*peersFileFlag)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "aggcached: peers reload:", err)
-					continue
+				if err == nil {
+					err = pc.Rebuild(members)
 				}
-				if err := pc.Rebuild(members); err != nil {
-					fmt.Fprintln(os.Stderr, "aggcached: peers reload:", err)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "aggcached: peers reload refused, keeping the old ring:", err)
 					continue
 				}
 				fmt.Printf("aggcached: peer ring rebuilt: %s\n", pc.Ring())
@@ -376,16 +319,14 @@ func main() {
 		fmt.Printf("aggcached: cold tier: %d hits, %d promotes, %d demotes (%d denied), %d/%d bytes holding %d raw\n",
 			ts.ColdHits, ts.Promotes, ts.Demotes, ts.DemoteDenied, ts.ColdUsed, ts.ColdCapacity, ts.ColdRawBytes)
 	}
-	if pc != nil {
-		ps := pc.PeerStats()
-		fmt.Printf("aggcached: cluster: %d peer fills, %d fill misses, %d fill errors, %d puts\n",
-			ps.Fills, ps.FillMisses, ps.FillErrors, ps.Puts)
-	}
 	if err := srv.Close(); err != nil {
 		fatal(err)
 	}
 	if pc != nil {
-		pc.Close()
+		pc.Close() // drains the replication queue, so the counts are final
+		ps := pc.PeerStats()
+		fmt.Printf("aggcached: cluster: %d peer fills, %d fill misses, %d fill errors, %d puts\n",
+			ps.Fills, ps.FillMisses, ps.FillErrors, ps.Puts)
 	}
 	if snapPath != "" {
 		n, err := eng.SaveCacheFile(snapPath)
@@ -407,8 +348,8 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// readPeersFile reads one peer address per line; blank lines and #-comments
-// are skipped.
+// readPeersFile reads one peer address per line; blank lines and whole
+// #-comment lines are skipped.
 func readPeersFile(path string) ([]string, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -416,11 +357,9 @@ func readPeersFile(path string) ([]string, error) {
 	}
 	var out []string
 	for _, line := range strings.Split(string(b), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+			out = append(out, line)
 		}
-		out = append(out, line)
 	}
 	return out, nil
 }

@@ -13,6 +13,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -27,8 +28,6 @@ import (
 	"aggcache/internal/data"
 	"aggcache/internal/mdq"
 	"aggcache/internal/mtier"
-	"aggcache/internal/sizer"
-	"aggcache/internal/strategy"
 )
 
 func main() {
@@ -60,7 +59,7 @@ func main() {
 	}
 
 	var be backend.Backend
-	var rows int
+	rows := cfg.Rows // with a remote backend, assume the server runs the same preset
 	if *backendFlag != "" {
 		remote, err := backend.Dial(*backendFlag)
 		if err != nil {
@@ -68,7 +67,6 @@ func main() {
 		}
 		remote.SetMaxPayload(*maxFrame)
 		be = remote
-		rows = cfg.Rows // assume the server runs the same preset
 		fmt.Printf("olapcli: using remote backend %s\n", *backendFlag)
 	} else {
 		tab, err := data.Generate(cfg.Schema, data.Params{
@@ -86,62 +84,41 @@ func main() {
 	}
 	defer be.Close()
 
-	sz := sizer.NewEstimate(grid, int64(rows))
-	strat, err := strategy.New(*stratFlag, grid, sz, 2_000_000)
-	if err != nil {
-		fatal(err)
-	}
-	// With recycling, replacement runs the probation+promote variant so
-	// recycled intermediates earn their place via reuse.
-	pol := cache.NewTwoLevel()
-	if *recycleFlag {
-		pol = cache.NewTwoLevelPromote()
-	}
-	c, err := cache.New(*cacheKBFlag<<10, pol, cache.WithShards(*shardsFlag))
-	if err != nil {
-		fatal(err)
-	}
-	if *coldKBFlag > 0 {
-		tc, err := cache.NewTiered(c, *coldKBFlag<<10)
-		if err != nil {
-			fatal(err)
-		}
-		c = tc
-		fmt.Printf("olapcli: cold tier enabled, %dKB compressed\n", *coldKBFlag)
-	}
 	// Cluster tier: with -peers, local misses consult the key's ring owner
 	// in the aggcached group before the backend. Self is empty — the shell
 	// is a pure client of the ring, every owner is remote — and the same
 	// deterministic ring construction the servers use guarantees the shell
 	// routes each key to the node that would own it.
+	var peers *cache.PeeredConfig
 	if *peersFlag != "" {
-		var members []string
+		peers = &cache.PeeredConfig{Dial: func(addr string) cache.Peer { return mtier.NewPeerClient(addr, *maxFrame) }}
 		for _, p := range strings.Split(*peersFlag, ",") {
 			if p = strings.TrimSpace(p); p != "" {
-				members = append(members, p)
+				peers.Members = append(peers.Members, p)
 			}
 		}
-		pc, err := cache.NewPeered(c, cache.PeeredConfig{
-			Members: members,
-			Dial:    func(addr string) cache.Peer { return mtier.NewPeerClient(addr, *maxFrame) },
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer pc.Close()
-		c = pc
-		fmt.Printf("olapcli: cluster %s\n", pc.Ring())
 	}
-	eng, err := core.New(grid, c, strat, be, sz,
-		core.WithRecycling(*recycleFlag),
-		core.WithRecycleMinBenefit(*recycleMinFlag),
-		core.WithResultCache(*resultCacheFlag))
+	stack, err := core.Build(core.Config{
+		Grid: grid, Backend: be, Rows: int64(rows), Strategy: *stratFlag, LookupBudget: 2_000_000,
+		HotBytes: *cacheKBFlag << 10, ColdBytes: *coldKBFlag << 10, Peers: peers,
+		Shards: cmp.Or(*shardsFlag, -1), // -cache-shards 0 (auto) is a negative count to Build
+		Options: []core.Option{
+			core.WithRecycling(*recycleFlag),
+			core.WithRecycleMinBenefit(*recycleMinFlag),
+			core.WithResultCache(*resultCacheFlag),
+		},
+	})
 	if err != nil {
 		fatal(err)
 	}
+	eng := stack.Engine
+	if stack.Peered != nil {
+		defer stack.Peered.Close()
+		fmt.Printf("olapcli: cluster %s\n", stack.Peered.Ring())
+	}
 
-	fmt.Printf("olapcli: %s scale, %s strategy, %dKB cache. Type \\help for help.\n",
-		scale, strat.Name(), *cacheKBFlag)
+	fmt.Printf("olapcli: %s scale, %s strategy, %dKB cache, %dKB compressed cold tier. Type \\help for help.\n",
+		scale, eng.Strategy().Name(), *cacheKBFlag, max(*coldKBFlag, 0))
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Print("mdq> ")
 	for sc.Scan() {
@@ -155,7 +132,7 @@ func main() {
 		case line == `\schema`:
 			printSchema(grid)
 		case line == `\stats`:
-			printStats(eng)
+			printStats(stack)
 		case strings.HasPrefix(line, `\explain `):
 			explain(grid, eng, strings.TrimPrefix(line, `\explain `))
 		case line == `\preload`:
@@ -167,7 +144,7 @@ func main() {
 				fmt.Println("no group-by fits the cache")
 			default:
 				fmt.Printf("preloaded %s (%d chunks, cache %dKB used)\n",
-					grid.Lattice().LevelTupleString(gb), grid.NumChunks(gb), c.Used()>>10)
+					grid.Lattice().LevelTupleString(gb), grid.NumChunks(gb), eng.Cache().Used()>>10)
 			}
 		default:
 			runQuery(grid, eng, line, *rowsFlag)
@@ -249,14 +226,15 @@ func printSchema(grid *chunk.Grid) {
 	fmt.Printf("  measure: %s; %d group-bys in the lattice\n", sch.Measure(), grid.Lattice().NumNodes())
 }
 
-func printStats(eng *core.Engine) {
+func printStats(stack *core.Stack) {
+	eng := stack.Engine
 	st := eng.Stats()
 	fmt.Printf("  queries=%d complete-hits=%d backend-queries=%d backend-tuples=%d agg-tuples=%d\n",
 		st.Queries, st.CompleteHits, st.BackendQueries, st.BackendTuples, st.AggTuples)
 	fmt.Printf("  recycled=%d recycle-rejected=%d result-cache-hits=%d\n",
 		st.Recycled, st.RecycleRejected, st.ResultCacheHits)
-	if pc, ok := eng.Cache().(*cache.Peered); ok {
-		ps := pc.PeerStats()
+	if stack.Peered != nil {
+		ps := stack.Peered.PeerStats()
 		fmt.Printf("  cluster: peer-chunks=%d fills=%d fill-misses=%d fill-errors=%d skips=%d\n",
 			st.PeerChunks, ps.Fills, ps.FillMisses, ps.FillErrors, ps.FillSkips)
 	}

@@ -12,11 +12,8 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
-	"aggcache/internal/cache"
 	"aggcache/internal/core"
 	"aggcache/internal/mdq"
-	"aggcache/internal/sizer"
-	"aggcache/internal/strategy"
 )
 
 func main() {
@@ -29,15 +26,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sizes := sizer.NewEstimate(grid, int64(table.Len()))
-	c, err := cache.New(64<<10, cache.NewTwoLevel())
+	stack, err := core.Build(core.Config{
+		Grid: grid, Backend: be, Rows: int64(table.Len()),
+		Strategy: "VCMC", HotBytes: 64 << 10,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine, err := core.New(grid, c, strategy.NewVCMC(grid, sizes), be, sizes)
-	if err != nil {
-		log.Fatal(err)
-	}
+	engine := stack.Engine
 
 	// Two-level policy step 3: preload the group-by with the most lattice
 	// descendants that fits the cache.

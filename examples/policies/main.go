@@ -10,6 +10,7 @@ import (
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
 	"aggcache/internal/bench"
+	"aggcache/internal/core"
 )
 
 func main() {
@@ -25,22 +26,23 @@ func main() {
 		env.Table.Len(), bench.SizeLabel(bytes), cfg.Queries)
 
 	systems := []struct {
-		name string
-		spec bench.SystemSpec
+		name    string
+		cfg     core.Config
+		preload bool
 	}{
-		{"no aggregation + benefit policy", bench.SystemSpec{
-			Strategy: bench.StratNoAgg, Policy: bench.PolicyBenefit, Bytes: bytes}},
-		{"VCMC + benefit policy", bench.SystemSpec{
-			Strategy: bench.StratVCMC, Policy: bench.PolicyBenefit, Bytes: bytes}},
-		{"VCMC + two-level policy", bench.SystemSpec{
-			Strategy: bench.StratVCMC, Policy: bench.PolicyTwoLevel, Bytes: bytes, Preload: true}},
-		{"ESM + two-level policy", bench.SystemSpec{
-			Strategy: bench.StratESM, Policy: bench.PolicyTwoLevel, Bytes: bytes, Preload: true, Budget: 1_000_000}},
+		{"no aggregation + benefit policy", core.Config{
+			Strategy: "NoAgg", Policy: "benefit", HotBytes: bytes}, false},
+		{"VCMC + benefit policy", core.Config{
+			Strategy: "VCMC", Policy: "benefit", HotBytes: bytes}, false},
+		{"VCMC + two-level policy", core.Config{
+			Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true},
+		{"ESM + two-level policy", core.Config{
+			Strategy: "ESM", Policy: "two-level", HotBytes: bytes, LookupBudget: 1_000_000}, true},
 	}
 
 	fmt.Printf("%-34s %10s %12s %14s\n", "system", "hits", "avg query", "backend trips")
 	for _, s := range systems {
-		res, err := env.RunStream(s.spec)
+		res, err := env.RunStream(s.cfg, s.preload)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,10 +10,7 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
-	"aggcache/internal/cache"
 	"aggcache/internal/core"
-	"aggcache/internal/sizer"
-	"aggcache/internal/strategy"
 )
 
 func main() {
@@ -26,22 +23,22 @@ func main() {
 	fmt.Printf("dataset: %d rows, %d group-bys in the lattice\n",
 		table.Len(), grid.Lattice().NumNodes())
 
-	// 2. The three tiers: a backend engine, a chunk cache with the paper's
-	// two-level replacement policy, and the VCMC lookup strategy (virtual
-	// counts + cost-based path choice).
+	// 2. The three tiers: a backend engine, and a middle tier of a 1MB
+	// single-stripe chunk cache under the paper's two-level replacement
+	// policy (Build's default) with the VCMC lookup strategy (virtual counts
+	// + cost-based path choice).
 	be, err := backend.NewEngine(grid, table, backend.DefaultLatency)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sizes := sizer.NewEstimate(grid, int64(table.Len()))
-	c, err := cache.New(1<<20, cache.NewTwoLevel())
+	stack, err := core.Build(core.Config{
+		Grid: grid, Backend: be, Rows: int64(table.Len()),
+		Strategy: "VCMC", HotBytes: 1 << 20,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine, err := core.New(grid, c, strategy.NewVCMC(grid, sizes), be, sizes)
-	if err != nil {
-		log.Fatal(err)
-	}
+	engine := stack.Engine
 
 	lat := grid.Lattice()
 	show := func(name string, q core.Query) {

@@ -12,11 +12,8 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
-	"aggcache/internal/cache"
 	"aggcache/internal/core"
 	"aggcache/internal/mtier"
-	"aggcache/internal/sizer"
-	"aggcache/internal/strategy"
 )
 
 func main() {
@@ -45,16 +42,14 @@ func main() {
 		log.Fatal(err)
 	}
 	defer remoteDB.Close()
-	sizes := sizer.NewEstimate(grid, int64(table.Len()))
-	chunkCache, err := cache.New(256<<10, cache.NewTwoLevel())
+	middle, err := core.Build(core.Config{
+		Grid: grid, Backend: remoteDB, Rows: int64(table.Len()),
+		Strategy: "VCMC", HotBytes: 256 << 10,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	middle, err := core.New(grid, chunkCache, strategy.NewVCMC(grid, sizes), remoteDB, sizes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mtServer := mtier.NewServer(middle)
+	mtServer := mtier.NewServer(middle.Engine)
 	mtAddr, err := mtServer.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
+	"aggcache/internal/core"
 )
 
 // tinyConfig keeps experiment tests fast.
@@ -89,11 +90,11 @@ func TestFig9ShapeHolds(t *testing.T) {
 	e := tinyEnv(t)
 	sizes := e.CacheSizes()
 	bytes := sizes[len(sizes)-1]
-	noagg, err := e.RunStream(SystemSpec{Strategy: StratNoAgg, Policy: PolicyBenefit, Bytes: bytes})
+	noagg, err := e.RunStream(core.Config{Strategy: "NoAgg", Policy: "benefit", HotBytes: bytes}, false)
 	if err != nil {
 		t.Fatalf("noagg: %v", err)
 	}
-	vcmc, err := e.RunStream(SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true})
+	vcmc, err := e.RunStream(core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true)
 	if err != nil {
 		t.Fatalf("vcmc: %v", err)
 	}
@@ -110,12 +111,12 @@ func TestFig9ShapeHolds(t *testing.T) {
 // TestStreamDeterminism: identical specs produce identical hit counts.
 func TestStreamDeterminism(t *testing.T) {
 	e := tinyEnv(t)
-	spec := SystemSpec{Strategy: StratVCM, Policy: PolicyTwoLevel, Bytes: e.CacheSizes()[0], Preload: true}
-	a, err := e.RunStream(spec)
+	cfg := core.Config{Strategy: "VCM", Policy: "two-level", HotBytes: e.CacheSizes()[0]}
+	a, err := e.RunStream(cfg, true)
 	if err != nil {
 		t.Fatalf("a: %v", err)
 	}
-	b, err := e.RunStream(spec)
+	b, err := e.RunStream(cfg, true)
 	if err != nil {
 		t.Fatalf("b: %v", err)
 	}
@@ -177,13 +178,13 @@ func TestSizeLabel(t *testing.T) {
 
 func TestNewSystemErrors(t *testing.T) {
 	e := tinyEnv(t)
-	if _, err := e.NewSystem(SystemSpec{Strategy: "bogus", Policy: PolicyBenefit, Bytes: 1000}); err == nil {
+	if _, err := e.NewSystem(core.Config{Strategy: "bogus", Policy: "benefit", HotBytes: 1000}, false); err == nil {
 		t.Fatalf("bogus strategy: expected error")
 	}
-	if _, err := e.NewSystem(SystemSpec{Strategy: StratVCM, Policy: "bogus", Bytes: 1000}); err == nil {
+	if _, err := e.NewSystem(core.Config{Strategy: "VCM", Policy: "bogus", HotBytes: 1000}, false); err == nil {
 		t.Fatalf("bogus policy: expected error")
 	}
-	if _, err := e.NewSystem(SystemSpec{Strategy: StratVCM, Policy: PolicyBenefit, Bytes: 0}); err == nil {
+	if _, err := e.NewSystem(core.Config{Strategy: "VCM", Policy: "benefit", HotBytes: 0}, false); err == nil {
 		t.Fatalf("zero capacity: expected error")
 	}
 }

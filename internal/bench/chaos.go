@@ -31,13 +31,12 @@ func Chaos(e *Env) (*Report, error) {
 	// whose descendants stay cache-computable, while detail queries must
 	// reach the (faulty) backend — so the outage phase splits into degraded
 	// answers and fast-fails instead of being trivially all-hit.
-	sys, err := e.NewSystem(SystemSpec{
-		Strategy: StratVCMC,
-		Policy:   PolicyTwoLevel,
-		Bytes:    e.BaseBytes() / 2,
-		Preload:  true,
+	sys, err := e.NewSystem(core.Config{
+		Strategy: "VCMC",
+		Policy:   "two-level",
+		HotBytes: e.BaseBytes() / 2,
 		Backend:  breaker,
-	})
+	}, true)
 	if err != nil {
 		return nil, err
 	}

@@ -71,12 +71,10 @@ type clusterRow struct {
 	BackendChunks int64   `json:"backend_chunks"`
 }
 
-// clusterNode is one in-process cluster member: a local store wrapped in the
-// peer tier, its engine, and the mtier server carrying peer traffic.
+// clusterNode is one in-process cluster member: a stack whose local store is
+// wrapped in the peer tier, and the mtier server carrying peer traffic.
 type clusterNode struct {
-	name   string
-	peered *cache.Peered
-	engine *core.Engine
+	stack  *core.Stack
 	server *mtier.Server
 }
 
@@ -104,41 +102,26 @@ func buildCluster(e *Env, n int, be backend.Backend, perNode int64) ([]*clusterN
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		store, err := cache.New(perNode, cache.NewTwoLevel())
+		st, err := e.NewSystem(core.Config{
+			Strategy: "VCMC", Policy: "two-level", HotBytes: perNode, Backend: be,
+			Peers: &cache.PeeredConfig{Self: names[i], Members: []string{names[i]}, Dial: dial},
+		}, false)
 		if err != nil {
 			return fail(err)
 		}
-		pc, err := cache.NewPeered(store, cache.PeeredConfig{
-			Self:    names[i],
-			Members: []string{names[i]},
-			Dial:    dial,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		strat, err := e.NewStrategy(StratVCMC, 0)
-		if err != nil {
-			pc.Close()
-			return fail(err)
-		}
-		eng, err := core.New(e.Grid, pc, strat, be, e.Sizer)
-		if err != nil {
-			pc.Close()
-			return fail(err)
-		}
-		srv := mtier.NewServer(eng)
+		srv := mtier.NewServer(st.Engine)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
-			pc.Close()
+			st.Peered.Close()
 			return fail(err)
 		}
 		mu.Lock()
 		addrOf[names[i]] = addr
 		mu.Unlock()
-		nodes = append(nodes, &clusterNode{name: names[i], peered: pc, engine: eng, server: srv})
+		nodes = append(nodes, &clusterNode{stack: st, server: srv})
 	}
 	for _, nd := range nodes {
-		if err := nd.peered.Rebuild(names); err != nil {
+		if err := nd.stack.Peered.Rebuild(names); err != nil {
 			return fail(err)
 		}
 	}
@@ -148,7 +131,7 @@ func buildCluster(e *Env, n int, be backend.Backend, perNode int64) ([]*clusterN
 func closeCluster(nodes []*clusterNode) {
 	for _, nd := range nodes {
 		nd.server.Close()
-		nd.peered.Close()
+		nd.stack.Peered.Close()
 	}
 }
 
@@ -204,7 +187,7 @@ func Cluster(e *Env) (*Report, error) {
 		// Warm pass: one sequential round-robin replay populates the group
 		// and lets replication spread each backend fill to its ring owner.
 		for i, q := range queries {
-			if _, err := nodes[i%n].engine.Execute(context.Background(), q); err != nil {
+			if _, err := nodes[i%n].stack.Engine.Execute(context.Background(), q); err != nil {
 				closeCluster(nodes)
 				return nil, err
 			}
@@ -227,7 +210,7 @@ func Cluster(e *Env) (*Report, error) {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
-					eng := nodes[c%n].engine
+					eng := nodes[c%n].stack.Engine
 					off := c * len(queries) / clients
 					for i := range queries {
 						res, err := eng.Execute(context.Background(), queries[(off+i)%len(queries)])
@@ -260,7 +243,7 @@ func Cluster(e *Env) (*Report, error) {
 		sum := func() cache.PeerStats {
 			var ps cache.PeerStats
 			for _, nd := range nodes {
-				s := nd.peered.PeerStats()
+				s := nd.stack.Peered.PeerStats()
 				ps.Fills += s.Fills
 				ps.FillMisses += s.FillMisses
 				ps.FillErrors += s.FillErrors

@@ -11,7 +11,6 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
-	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/core"
 	"aggcache/internal/data"
@@ -125,101 +124,31 @@ func SizeLabel(bytes int64) string {
 	return fmt.Sprintf("%dB", bytes)
 }
 
-// StrategyName selects a lookup strategy (strategy.New).
-type StrategyName string
-
-// Strategy names accepted by SystemSpec.
-const (
-	StratESM   StrategyName = "ESM"
-	StratESMC  StrategyName = "ESMC"
-	StratVCM   StrategyName = "VCM"
-	StratVCMC  StrategyName = "VCMC"
-	StratNoAgg StrategyName = "NoAgg"
-)
-
-// NewStrategy instantiates a fresh strategy over the environment's grid.
-// budget applies to the exhaustive methods only.
-func (e *Env) NewStrategy(name StrategyName, budget int64) (strategy.Strategy, error) {
-	return strategy.New(string(name), e.Grid, e.Sizer, budget)
+// NewStrategy instantiates a fresh strategy (strategy.New) over the
+// environment's grid. budget applies to the exhaustive methods only.
+func (e *Env) NewStrategy(name string, budget int64) (strategy.Strategy, error) {
+	return strategy.New(name, e.Grid, e.Sizer, budget)
 }
 
-// PolicyName selects a replacement policy (cache.NewPolicy).
-type PolicyName string
-
-// Policy names accepted by SystemSpec.
-const (
-	PolicyBenefit         PolicyName = "benefit"
-	PolicyTwoLevel        PolicyName = "two-level"
-	PolicyTwoLevelPromote PolicyName = "two-level-promote"
-	PolicyLRU             PolicyName = "lru"
-)
-
-// System bundles one cache/strategy/engine instance under test.
-type System struct {
-	Engine   *core.Engine
-	Cache    cache.Store
-	Strategy strategy.Strategy
-	// Preloaded is the group-by preloading chose, if preloading ran.
-	Preloaded string
-}
-
-// SystemSpec describes how to build a System.
-type SystemSpec struct {
-	Strategy StrategyName
-	Policy   PolicyName
-	Bytes    int64
-	// ColdBytes, when positive, wraps the hot store in a Tiered store with a
-	// compressed in-RAM cold tier of that capacity.
-	ColdBytes int64
-	Preload   bool
-	Budget    int64
-	// EngineOpts tune the engine (core.WithReinforce, core.WithRecycling,
-	// …).
-	EngineOpts []core.Option
-	// Backend overrides the environment's shared backend (e.g. one behind a
-	// fault injector or a slept latency model).
-	Backend backend.Backend
-}
-
-// NewSystem builds an engine with its own cache and strategy over the shared
-// backend.
-func (e *Env) NewSystem(spec SystemSpec) (*System, error) {
-	strat, err := e.NewStrategy(spec.Strategy, spec.Budget)
+// NewSystem builds a stack from cfg over the environment's grid, dataset and
+// shared backend — cfg.Backend, when set, overrides the backend (e.g. one
+// behind a fault injector or a slept latency model) — and with preload
+// fills it with the best-fitting group-by first.
+func (e *Env) NewSystem(cfg core.Config, preload bool) (*core.Stack, error) {
+	cfg.Grid, cfg.Rows = e.Grid, int64(e.Table.Len())
+	if cfg.Backend == nil {
+		cfg.Backend = e.Backend
+	}
+	st, err := core.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	pol, err := cache.NewPolicy(string(spec.Policy))
-	if err != nil {
-		return nil, err
-	}
-	c, err := cache.New(spec.Bytes, pol)
-	if err != nil {
-		return nil, err
-	}
-	if spec.ColdBytes > 0 {
-		if c, err = cache.NewTiered(c, spec.ColdBytes); err != nil {
+	if preload {
+		if _, _, err := st.Engine.Preload(context.Background()); err != nil {
 			return nil, err
 		}
 	}
-	be := backend.Backend(e.Backend)
-	if spec.Backend != nil {
-		be = spec.Backend
-	}
-	eng, err := core.New(e.Grid, c, strat, be, e.Sizer, spec.EngineOpts...)
-	if err != nil {
-		return nil, err
-	}
-	sys := &System{Engine: eng, Cache: c, Strategy: strat}
-	if spec.Preload {
-		gb, ok, err := eng.Preload(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			sys.Preloaded = e.Grid.Lattice().LevelTupleString(gb)
-		}
-	}
-	return sys, nil
+	return st, nil
 }
 
 // msString renders a duration in fractional milliseconds like the paper's

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aggcache/internal/backend"
+	"aggcache/internal/core"
 	"aggcache/internal/mtier"
 	"aggcache/internal/wire"
 	"aggcache/internal/workload"
@@ -100,10 +101,10 @@ type overloadFairness struct {
 // overloadServer builds a fresh system (own cache) over a really-sleeping
 // backend and serves it with the given admission config.
 func overloadServer(e *Env, be backend.Backend, bytes int64, cfg mtier.AdmissionConfig) (*mtier.Server, string, error) {
-	sys, err := e.NewSystem(SystemSpec{
-		Strategy: StratVCMC, Policy: PolicyTwoLevel,
-		Bytes: bytes, Backend: be,
-	})
+	sys, err := e.NewSystem(core.Config{
+		Strategy: "VCMC", Policy: "two-level",
+		HotBytes: bytes, Backend: be,
+	}, false)
 	if err != nil {
 		return nil, "", err
 	}

@@ -86,14 +86,15 @@ func Recycle(e *Env) (*Report, error) {
 	}
 
 	modes := []struct {
-		name string
-		spec SystemSpec
+		name    string
+		cfg     core.Config
+		preload bool
 	}{
-		{"off", SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true}},
-		{"on", SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevelPromote, Bytes: bytes, Preload: true,
-			EngineOpts: []core.Option{core.WithRecycling(true), core.WithResultCache(256)}}},
-		{"all", SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevelPromote, Bytes: bytes, Preload: true,
-			EngineOpts: []core.Option{core.WithRecycling(true), core.WithRecycleMinBenefit(1e-9), core.WithResultCache(256)}}},
+		{"off", core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true},
+		{"on", core.Config{Strategy: "VCMC", Policy: "two-level-promote", HotBytes: bytes,
+			Options: []core.Option{core.WithRecycling(true), core.WithResultCache(256)}}, true},
+		{"all", core.Config{Strategy: "VCMC", Policy: "two-level-promote", HotBytes: bytes,
+			Options: []core.Option{core.WithRecycling(true), core.WithRecycleMinBenefit(1e-9), core.WithResultCache(256)}}, true},
 	}
 
 	// The first system built in a process pays the chunk-pool warmup; run a
@@ -103,7 +104,7 @@ func Recycle(e *Env) (*Report, error) {
 		return nil, err
 	}
 	warmQ, _ := warm.Stream(min(e.Cfg.Queries, 50))
-	sys, err := e.NewSystem(modes[0].spec)
+	sys, err := e.NewSystem(modes[0].cfg, modes[0].preload)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +128,7 @@ func Recycle(e *Env) (*Report, error) {
 		}
 		queries, _ := gen.Stream(e.Cfg.Queries)
 		for di, mode := range modes {
-			sys, err := e.NewSystem(mode.spec)
+			sys, err := e.NewSystem(mode.cfg, mode.preload)
 			if err != nil {
 				return nil, err
 			}

@@ -13,7 +13,7 @@ import (
 // Lemma2 measures VCM maintenance against the paper's bound: inserting a
 // chunk at level (l_1..l_n) updates at most n·Π(l_i+1) counts.
 func Lemma2(e *Env) (*Report, error) {
-	s, err := e.NewStrategy(StratVCM, 0)
+	s, err := e.NewStrategy("VCM", 0)
 	if err != nil {
 		return nil, err
 	}

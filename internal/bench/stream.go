@@ -11,7 +11,6 @@ import (
 
 // StreamResult aggregates one system's run over a query stream.
 type StreamResult struct {
-	Spec         SystemSpec
 	Queries      int
 	CompleteHits int
 	BudgetMisses int
@@ -40,16 +39,16 @@ func (r *StreamResult) AvgHits() core.Breakdown {
 }
 
 // RunStream executes the paper's query stream (30% drill-down, 30% roll-up,
-// 30% proximity, 10% random) against a fresh system built from spec. The
+// 30% proximity, 10% random) against a fresh system built by NewSystem. The
 // stream is a deterministic function of the environment seed, so every
 // system under comparison answers exactly the same queries.
-func (e *Env) RunStream(spec SystemSpec) (*StreamResult, error) {
-	return e.runStreamMix(spec, workload.DefaultMix)
+func (e *Env) RunStream(cfg core.Config, preload bool) (*StreamResult, error) {
+	return e.runStreamMix(cfg, preload, workload.DefaultMix)
 }
 
 // runStreamMix is the generic stream runner with an explicit query mix.
-func (e *Env) runStreamMix(spec SystemSpec, mix workload.Mix) (*StreamResult, error) {
-	sys, err := e.NewSystem(spec)
+func (e *Env) runStreamMix(cfg core.Config, preload bool, mix workload.Mix) (*StreamResult, error) {
+	sys, err := e.NewSystem(cfg, preload)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +56,7 @@ func (e *Env) runStreamMix(spec SystemSpec, mix workload.Mix) (*StreamResult, er
 	if err != nil {
 		return nil, err
 	}
-	res := &StreamResult{Spec: spec, Queries: e.Cfg.Queries}
+	res := &StreamResult{Queries: e.Cfg.Queries}
 	for i := 0; i < e.Cfg.Queries; i++ {
 		q, _ := gen.Next()
 		out, err := sys.Engine.Execute(context.Background(), q)
@@ -86,11 +85,11 @@ func Fig7And8(e *Env) (*Report, *Report, error) {
 	f8 := &Report{ID: "fig8", Title: "Average execution times vs cache size (two-level vs benefit policy)",
 		Header: []string{"cache", "two-level avg ms", "benefit avg ms"}}
 	for _, bytes := range e.CacheSizes() {
-		two, err := e.RunStream(SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true})
+		two, err := e.RunStream(core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		ben, err := e.RunStream(SystemSpec{Strategy: StratVCMC, Policy: PolicyBenefit, Bytes: bytes})
+		ben, err := e.RunStream(core.Config{Strategy: "VCMC", Policy: "benefit", HotBytes: bytes}, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -109,15 +108,15 @@ func Fig9(e *Env) (*Report, error) {
 	r := &Report{ID: "fig9", Title: "Average execution times: NoAgg vs ESM vs VCMC",
 		Header: []string{"cache", "NoAgg avg ms", "ESM avg ms", "VCMC avg ms", "NoAgg %hits", "ESM %hits", "VCMC %hits", "ESM budget misses"}}
 	for _, bytes := range e.CacheSizes() {
-		noagg, err := e.RunStream(SystemSpec{Strategy: StratNoAgg, Policy: PolicyBenefit, Bytes: bytes})
+		noagg, err := e.RunStream(core.Config{Strategy: "NoAgg", Policy: "benefit", HotBytes: bytes}, false)
 		if err != nil {
 			return nil, err
 		}
-		esm, err := e.RunStream(SystemSpec{Strategy: StratESM, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true, Budget: e.Cfg.LookupBudget})
+		esm, err := e.RunStream(core.Config{Strategy: "ESM", Policy: "two-level", HotBytes: bytes, LookupBudget: e.Cfg.LookupBudget}, true)
 		if err != nil {
 			return nil, err
 		}
-		vcmc, err := e.RunStream(SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true})
+		vcmc, err := e.RunStream(core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -145,11 +144,11 @@ func Fig10AndTable4(e *Env) (*Report, *Report, error) {
 	var rows []row
 	var labels []string
 	for _, bytes := range e.CacheSizes() {
-		esm, err := e.RunStream(SystemSpec{Strategy: StratESM, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true, Budget: e.Cfg.LookupBudget})
+		esm, err := e.RunStream(core.Config{Strategy: "ESM", Policy: "two-level", HotBytes: bytes, LookupBudget: e.Cfg.LookupBudget}, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		vcmc, err := e.RunStream(SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true})
+		vcmc, err := e.RunStream(core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -186,17 +185,18 @@ func Ablations(e *Env) (*Report, error) {
 	r := &Report{ID: "ablate", Title: fmt.Sprintf("Two-level policy ablations (VCMC, cache %s)", SizeLabel(bytes)),
 		Header: []string{"variant", "%hits", "avg ms"}}
 	variants := []struct {
-		name string
-		spec SystemSpec
+		name    string
+		cfg     core.Config
+		preload bool
 	}{
-		{"two-level (full)", SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true}},
-		{"- reinforcement", SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true, EngineOpts: []core.Option{core.WithReinforce(false)}}},
-		{"- preload", SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes}},
-		{"- admission (benefit rings)", SystemSpec{Strategy: StratVCMC, Policy: PolicyBenefit, Bytes: bytes, Preload: true}},
-		{"plain LRU baseline", SystemSpec{Strategy: StratVCMC, Policy: PolicyLRU, Bytes: bytes, Preload: true}},
+		{"two-level (full)", core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true},
+		{"- reinforcement", core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes, Options: []core.Option{core.WithReinforce(false)}}, true},
+		{"- preload", core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, false},
+		{"- admission (benefit rings)", core.Config{Strategy: "VCMC", Policy: "benefit", HotBytes: bytes}, true},
+		{"plain LRU baseline", core.Config{Strategy: "VCMC", Policy: "lru", HotBytes: bytes}, true},
 	}
 	for _, v := range variants {
-		res, err := e.RunStream(v.spec)
+		res, err := e.RunStream(v.cfg, v.preload)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"aggcache/internal/backend"
 	"aggcache/internal/chunk"
+	"aggcache/internal/core"
 	"aggcache/internal/sizer"
 	"aggcache/internal/workload"
 )
@@ -21,11 +22,11 @@ func MixSweep(e *Env) (*Report, error) {
 		Header: []string{"roll-up share", "NoAgg %hits", "VCMC %hits", "NoAgg avg ms", "VCMC avg ms"}}
 	for _, roll := range []float64{0, 0.15, 0.30, 0.45, 0.60} {
 		mix := workload.Mix{DrillDown: 0.3, RollUp: roll, Proximity: 0.6 - roll, Random: 0.1}
-		noagg, err := e.runStreamMix(SystemSpec{Strategy: StratNoAgg, Policy: PolicyBenefit, Bytes: bytes}, mix)
+		noagg, err := e.runStreamMix(core.Config{Strategy: "NoAgg", Policy: "benefit", HotBytes: bytes}, false, mix)
 		if err != nil {
 			return nil, err
 		}
-		vcmc, err := e.runStreamMix(SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true}, mix)
+		vcmc, err := e.runStreamMix(core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true, mix)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +101,7 @@ func ChunkSizeSweep(e *Env) (*Report, error) {
 		}
 		sizes := sub.CacheSizes()
 		bytes := sizes[len(sizes)/2]
-		res, err := sub.RunStream(SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevel, Bytes: bytes, Preload: true})
+		res, err := sub.RunStream(core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true)
 		if err != nil {
 			return nil, err
 		}

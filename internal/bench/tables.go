@@ -60,7 +60,7 @@ func Table1(e *Env) (*Report, error) {
 	r := &Report{ID: "table1", Title: "Lookup times (ms)",
 		Header: []string{"strategy", "empty min", "empty max", "empty avg", "preloaded min", "preloaded max", "preloaded avg", "truncated"}}
 	lat := e.Grid.Lattice()
-	for _, name := range []StrategyName{StratESM, StratESMC, StratVCM, StratVCMC} {
+	for _, name := range []string{"ESM", "ESMC", "VCM", "VCMC"} {
 		var cells []string
 		truncTotal := 0
 		for _, preloaded := range []bool{false, true} {
@@ -127,7 +127,7 @@ func Table2(e *Env) (*Report, error) {
 	r := &Report{ID: "table2", Title: fmt.Sprintf("Update times (ms) while loading %s then %s",
 		lat.LevelTupleString(gbA), lat.LevelTupleString(gbB)),
 		Header: []string{"strategy", "A min", "A max", "A avg", "B min", "B max", "B avg", "B updates"}}
-	for _, name := range []StrategyName{StratVCM, StratVCMC} {
+	for _, name := range []string{"VCM", "VCMC"} {
 		s, err := e.NewStrategy(name, 0)
 		if err != nil {
 			return nil, err
@@ -152,7 +152,7 @@ func Table3(e *Env) (*Report, error) {
 	r := &Report{ID: "table3", Title: "Maximum space overhead",
 		Header: []string{"strategy", "bytes", "vs base table"}}
 	base := e.BaseBytes()
-	for _, name := range []StrategyName{StratESM, StratESMC, StratVCM, StratVCMC} {
+	for _, name := range []string{"ESM", "ESMC", "VCM", "VCMC"} {
 		s, err := e.NewStrategy(name, 0)
 		if err != nil {
 			return nil, err

@@ -74,7 +74,7 @@ func (d tieredDelta) qps() float64 {
 }
 
 // runSegment executes queries and returns the segment's stats delta.
-func runSegment(sys *System, queries []core.Query) (tieredDelta, error) {
+func runSegment(sys *core.Stack, queries []core.Query) (tieredDelta, error) {
 	before := sys.Engine.Stats()
 	for _, q := range queries {
 		if _, err := sys.Engine.Execute(context.Background(), q); err != nil {
@@ -122,15 +122,15 @@ func Tiered(e *Env) (*Report, error) {
 
 	modes := []struct {
 		name string
-		spec SystemSpec
+		cfg  core.Config
 	}{
-		{"ram", SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevelPromote, Bytes: hot}},
-		{"tiered", SystemSpec{Strategy: StratVCMC, Policy: PolicyTwoLevelPromote, Bytes: hot, ColdBytes: cold}},
+		{"ram", core.Config{Strategy: "VCMC", Policy: "two-level-promote", HotBytes: hot}},
+		{"tiered", core.Config{Strategy: "VCMC", Policy: "two-level-promote", HotBytes: hot, ColdBytes: cold}},
 	}
 
 	// Throwaway replay so no measured mode pays the process-wide chunk-pool
 	// warmup.
-	warmSys, err := e.NewSystem(modes[0].spec)
+	warmSys, err := e.NewSystem(modes[0].cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -138,10 +138,10 @@ func Tiered(e *Env) (*Report, error) {
 		return nil, err
 	}
 
-	var tieredSys *System
+	var tieredSys *core.Stack
 	var rates [2]float64
 	for i, mode := range modes {
-		sys, err := e.NewSystem(mode.spec)
+		sys, err := e.NewSystem(mode.cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +194,7 @@ func Tiered(e *Env) (*Report, error) {
 		return nil, err
 	}
 	m.SnapshotChunks = n
-	restart, err := e.NewSystem(modes[1].spec)
+	restart, err := e.NewSystem(modes[1].cfg, false)
 	if err != nil {
 		return nil, err
 	}

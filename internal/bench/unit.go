@@ -14,12 +14,11 @@ import (
 // group-by by in-cache aggregation versus computing it at the backend. The
 // paper found cache aggregation ≈8× faster on average.
 func UnitAggBenefit(e *Env) (*Report, error) {
-	sys, err := e.NewSystem(SystemSpec{
-		Strategy: StratVCMC,
-		Policy:   PolicyTwoLevel,
-		Bytes:    e.BaseBytes() * 4,
-		Preload:  true,
-	})
+	sys, err := e.NewSystem(core.Config{
+		Strategy: "VCMC",
+		Policy:   "two-level",
+		HotBytes: e.BaseBytes() * 4,
+	}, true)
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,9 @@ type coldEntry struct {
 	class    Class
 	benefit  float64
 	recycled bool
+	// held marks an entry an in-flight promotion is moving to the hot tier;
+	// cold pressure must not evict it (see coldTier.hold).
+	held bool
 
 	newer, older *coldEntry // intrusive LRU list
 }
@@ -38,6 +41,7 @@ type coldTier struct {
 	capacity int64
 	used     int64
 	raw      int64 // sum of rawBytes over residents
+	held     int64 // sum of bytes() over held residents
 	entries  map[Key]*coldEntry
 	newest   *coldEntry
 	oldest   *coldEntry
@@ -82,12 +86,16 @@ func (t *coldTier) dropLocked(e *coldEntry) {
 	delete(t.entries, e.key)
 	t.used -= e.bytes()
 	t.raw -= e.rawBytes
+	if e.held {
+		t.held -= e.bytes()
+	}
 }
 
-// add admits a demoted chunk, evicting LRU residents until it fits. It
-// returns the entries evicted to make room and whether the chunk was
-// admitted (false when it cannot fit even in an empty tier, or the tier is
-// disabled). A key already resident is replaced in place.
+// add admits a demoted chunk, evicting LRU residents that are not held until
+// it fits. It returns the entries evicted to make room and whether the chunk
+// was admitted (false when it cannot fit even with every unheld resident
+// gone, or the tier is disabled). A key already resident is replaced in
+// place.
 func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool) (evicted []*coldEntry, ok bool) {
 	if t == nil || t.capacity <= 0 {
 		return nil, false
@@ -97,18 +105,23 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	need := e.bytes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if need > t.capacity {
+	if need > t.capacity-t.held {
 		t.stats.DemoteDenied++
 		return nil, false
 	}
 	if old, exists := t.entries[k]; exists {
 		t.dropLocked(old)
 	}
-	for t.used+need > t.capacity {
-		v := t.oldest
-		t.dropLocked(v)
-		t.stats.ColdEvicts++
-		evicted = append(evicted, v)
+	// The unheld residents alone free enough room, so the walk ends before
+	// running off the list.
+	for v := t.oldest; t.used+need > t.capacity; {
+		next := v.newer
+		if !v.held {
+			t.dropLocked(v)
+			t.stats.ColdEvicts++
+			evicted = append(evicted, v)
+		}
+		v = next
 	}
 	t.entries[k] = e
 	t.pushNewest(e)
@@ -131,6 +144,35 @@ func (t *coldTier) peek(k Key) (*coldEntry, bool) {
 	defer t.mu.Unlock()
 	e, ok := t.entries[k]
 	return e, ok
+}
+
+// hold returns k's entry like peek and shields it from cold-pressure
+// eviction until release or remove: a promotion holds its key while the hot
+// insert makes room, because the victims that insert demotes land here, and
+// evicting the promoting key to fit them would report a chunk gone that is
+// about to turn hot.
+func (t *coldTier) hold(k Key) (*coldEntry, bool) {
+	if t == nil {
+		return nil, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[k]
+	if ok && !e.held {
+		e.held = true
+		t.held += e.bytes()
+	}
+	return e, ok
+}
+
+// release makes a held entry evictable again (its promotion was denied).
+func (t *coldTier) release(k Key) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := t.entries[k]; ok && e.held {
+		e.held = false
+		t.held -= e.bytes()
+	}
 }
 
 // hit and miss record cold-tier lookup outcomes.

@@ -36,14 +36,15 @@ type PeerDialer func(addr string) Peer
 
 // PeeredConfig configures NewPeered.
 type PeeredConfig struct {
-	// Self is this node's own address as it appears in Members. Keys the
-	// ring assigns to Self are served locally (miss → backend). Empty means
-	// this process is not a cluster member (e.g. olapcli routing into an
-	// aggcached group): every owner is remote.
+	// Self is this node's own address as it appears in Members; NewPeered
+	// and Rebuild refuse a membership that leaves a non-empty Self out. Keys
+	// the ring assigns to Self are served locally (miss → backend). Empty
+	// means this process is not a cluster member (e.g. olapcli routing into
+	// an aggcached group): every owner is remote.
 	Self string
-	// Members is the full static cluster membership, including Self when
-	// this node serves peers. Order does not matter — ring ownership is
-	// name-determined, so every member (and every client) agrees.
+	// Members is the full static cluster membership, including a non-empty
+	// Self. Order does not matter — ring ownership is name-determined, so
+	// every member (and every client) agrees.
 	Members []string
 	// Vnodes is the virtual nodes per member (DefaultVnodes when <= 0).
 	Vnodes int
@@ -300,14 +301,23 @@ func (p *Peered) PeerStats() PeerStats {
 // atomically, peers leaving the membership are closed, and new members get
 // lazily-dialed handles. Safe to call while traffic is in flight — fills
 // route by whichever ring they load first, which is exactly the transient a
-// static-membership reload (SIGHUP) implies.
+// static-membership reload (SIGHUP) implies. A membership that leaves out a
+// non-empty Self is refused and the current ring stays: the node would
+// treat its own address as a remote peer, filling its own keys over the wire
+// and replicating to itself.
 func (p *Peered) Rebuild(members []string) error {
 	ring := NewRing(members, p.cfg.Vnodes)
+	hasSelf := p.cfg.Self == ""
 	remote := make([]string, 0, ring.Size())
 	for _, m := range ring.Members() {
-		if m != p.cfg.Self {
+		if m == p.cfg.Self {
+			hasSelf = true
+		} else {
 			remote = append(remote, m)
 		}
+	}
+	if !hasSelf {
+		return fmt.Errorf("cache: peered: self %q is not among the members %v", p.cfg.Self, ring.Members())
 	}
 	if len(remote) > 0 && p.cfg.Dial == nil {
 		return fmt.Errorf("cache: peered: %d remote member(s) but no dialer", len(remote))

@@ -313,6 +313,53 @@ func TestPeeredRebuildSwapsMembership(t *testing.T) {
 	}
 }
 
+// TestPeeredRejectsSelfOutsideMembers: a node whose Self is missing from the
+// membership would dial its own address as a remote peer, so NewPeered
+// refuses it before dialing anyone. An empty Self (a pure client of the
+// ring) stays legal.
+func TestPeeredRejectsSelfOutsideMembers(t *testing.T) {
+	local, err := New(1<<20, NewTwoLevel())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	dialed := 0
+	dial := func(addr string) Peer { dialed++; return newFakePeer(addr) }
+	if p, err := NewPeered(local, PeeredConfig{Self: "0.0.0.0:7071", Members: []string{"a", "b"}, Dial: dial}); err == nil {
+		p.Close()
+		t.Fatalf("NewPeered accepted a Self outside the members")
+	}
+	if dialed != 0 {
+		t.Fatalf("refused NewPeered dialed %d members", dialed)
+	}
+	client, err := NewPeered(local, PeeredConfig{Members: []string{"a", "b"}, Dial: dial})
+	if err != nil {
+		t.Fatalf("NewPeered with empty Self: %v", err)
+	}
+	client.Close()
+}
+
+// TestPeeredRebuildWithoutSelfKeepsRing: a membership reload that drops Self
+// is refused and the node keeps routing by its old ring.
+func TestPeeredRebuildWithoutSelfKeepsRing(t *testing.T) {
+	local, err := New(1<<20, NewTwoLevel())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	p, err := NewPeered(local, PeeredConfig{Self: "a", Members: []string{"a", "b"},
+		Dial: func(addr string) Peer { return newFakePeer(addr) }})
+	if err != nil {
+		t.Fatalf("NewPeered: %v", err)
+	}
+	defer p.Close()
+	before := p.Ring()
+	if err := p.Rebuild([]string{"b", "c"}); err == nil {
+		t.Fatalf("Rebuild accepted a membership without self")
+	}
+	if p.Ring() != before || p.peer("b") == nil || p.peer("c") != nil {
+		t.Fatalf("refused Rebuild changed the ring or its peers")
+	}
+}
+
 func TestPeeredCloseIsIdempotentAndStopsFills(t *testing.T) {
 	p, peer := newPeeredPair(t, PeeredConfig{})
 	peer.seed(key(5), mkChunk(0, 5, 3))

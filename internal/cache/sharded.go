@@ -265,22 +265,25 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 		c.syncGauges()
 		return true
 	}
+	wasCold := false
 	if c.hook != nil {
 		// A cold-resident key makes this insert a promotion: the chunk never
 		// stopped being answerable, so its preserved residency attributes
 		// override the caller's and no OnInsert fires. Decided here, under
 		// the stripe lock that serializes this key's tier transitions.
-		if ps, wasCold := c.hook.peekCold(k); wasCold {
+		var ps insertSpec
+		if ps, wasCold = c.hook.peekCold(k); wasCold {
 			spec = ps
 		}
 	}
-	if !c.makeRoomLocked(s, need, need, spec.class) {
+	admitted := c.makeRoomLocked(s, need, need, spec.class)
+	if wasCold {
+		c.hook.claimCold(k, admitted)
+	}
+	if !admitted {
 		s.stats.Denied++
 		c.met.Denied.Inc()
 		return false
-	}
-	if spec.promoted && c.hook != nil {
-		c.hook.claimCold(k)
 	}
 	e := &Entry{Key: k, Data: data, Class: spec.class, Benefit: spec.benefit, Recycled: spec.recycled, Promoted: spec.promoted}
 	s.entries[k] = e

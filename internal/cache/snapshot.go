@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -20,15 +21,17 @@ import (
 // file is a header followed by self-delimiting records, one per resident
 // chunk, each carrying its residency attributes and a codec-compressed
 // payload guarded by a CRC. Records are framed so the file can be produced
-// by appending and consumed record-at-a-time from an mmap'd byte slice; a
-// torn tail (the process died mid-write) or a flipped bit fails that
-// record's CRC and loading stops there with an error — the caller decides
-// whether the prefix read so far is worth keeping (the daemon keeps it: a
-// partially warm cache beats a cold one).
+// by appending and consumed record-at-a-time; a torn tail (the process died
+// mid-write) or a flipped bit fails that record's CRC and loading stops
+// there with an error — the caller decides whether the prefix read so far
+// is worth keeping (the daemon keeps it: a partially warm cache beats a cold
+// one). The header carries a fingerprint of the chunk grid the keys index
+// into, so a snapshot taken at one scale never loads into another.
 //
 // Layout, all little-endian:
 //
-//	[8]byte  magic "AGCSNAP\x02"   (the trailing byte is the format version)
+//	[8]byte  magic "AGCSNAP\x03"   (the trailing byte is the format version)
+//	u64      grid fingerprint       (gridFingerprint)
 //	repeated records:
 //	  u32 length   (of body)
 //	  u32 crc32    (IEEE, of body)
@@ -40,7 +43,10 @@ import (
 
 // snapMagic identifies a snapshot log; the last byte is the format version,
 // so a format change is a magic mismatch, not a silent misparse.
-var snapMagic = [8]byte{'A', 'G', 'C', 'S', 'N', 'A', 'P', 0x02}
+var snapMagic = [8]byte{'A', 'G', 'C', 'S', 'N', 'A', 'P', 0x03}
+
+// snapHeaderLen is the magic plus the grid fingerprint.
+const snapHeaderLen = len(snapMagic) + 8
 
 // snapRecycled marks a recycled resident in a record's flag byte.
 const snapRecycled = 0x01
@@ -49,9 +55,10 @@ const snapRecycled = 0x01
 // giant allocation: 16 MiB is ~700k cells, far beyond any real chunk.
 const snapMaxRecord = 16 << 20
 
-// ErrSnapshot is wrapped by snapshot load failures (bad magic, torn or
-// corrupt records), distinguishable from I/O errors with errors.Is.
-var ErrSnapshot = errors.New("cache: corrupt snapshot")
+// ErrSnapshot is wrapped by snapshot load failures (bad magic, another
+// grid's fingerprint, torn or corrupt records), distinguishable from I/O
+// errors with errors.Is.
+var ErrSnapshot = errors.New("cache: unusable snapshot")
 
 // snapErr builds an error that errors.Is-matches ErrSnapshot.
 func snapErr(format string, args ...any) error {
@@ -68,14 +75,36 @@ type SnapshotEntry struct {
 	Recycled bool
 }
 
-// WriteSnapshot writes a snapshot log of every resident entry of s — across
-// all tiers — to w, and returns the number of records written. The store
-// keeps serving while the snapshot is taken (Range visits shards one at a
-// time), so the result is a consistent-per-shard, not globally atomic,
-// picture; exactly what a warm restart needs.
-func WriteSnapshot(w io.Writer, s Store) (int, error) {
+// gridFingerprint hashes the geometry a snapshot's keys index into: per
+// dimension the level count, and per level the member cardinality and the
+// chunk count. Grids that differ in any of them number chunks differently,
+// so a record written over one would decode into a different region of the
+// other.
+func gridFingerprint(g *chunk.Grid) uint64 {
+	sch := g.Schema()
+	b := binary.LittleEndian.AppendUint32(nil, uint32(sch.NumDims()))
+	for d := 0; d < sch.NumDims(); d++ {
+		dim := sch.Dim(d)
+		b = binary.LittleEndian.AppendUint32(b, uint32(dim.Hierarchy()+1))
+		for l := 0; l <= dim.Hierarchy(); l++ {
+			b = binary.LittleEndian.AppendUint32(b, uint32(dim.Card(l)))
+			b = binary.LittleEndian.AppendUint32(b, uint32(g.ChunkCount(d, l)))
+		}
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// writeSnapshot writes a snapshot log of every resident entry of s — across
+// all tiers — keyed over grid g to w, and returns the number of records
+// written. The store keeps serving while the snapshot is taken (Range visits
+// shards one at a time), so the result is a consistent-per-shard, not
+// globally atomic, picture; exactly what a warm restart needs.
+func writeSnapshot(w io.Writer, s Store, g *chunk.Grid) (int, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(snapMagic[:]); err != nil {
+	header := binary.LittleEndian.AppendUint64(snapMagic[:], gridFingerprint(g))
+	if _, err := bw.Write(header); err != nil {
 		return 0, err
 	}
 	var (
@@ -119,16 +148,20 @@ func appendSnapshotRecord(dst []byte, e SnapshotEntry) []byte {
 	return append(dst, body...)
 }
 
-// ReadSnapshot parses the snapshot log in src (a whole file, typically
-// mmap'd) and calls fn for each record in file order. It stops at the first
-// corruption with an error wrapping ErrSnapshot — records already delivered
-// stand. fn may return an error to abort the scan; that error is returned
-// verbatim.
-func ReadSnapshot(src []byte, fn func(e SnapshotEntry) error) error {
-	if len(src) < len(snapMagic) || !bytes.Equal(src[:8], snapMagic[:]) {
+// readSnapshot parses the snapshot log in src (a whole file) and calls fn
+// for each record in file order. A header that does not match the format
+// version or grid g fails before any record is delivered; past the header
+// it stops at the first corruption. Either way the error wraps ErrSnapshot,
+// and records already delivered stand. fn may return an error to abort the
+// scan; that error is returned verbatim.
+func readSnapshot(src []byte, g *chunk.Grid, fn func(e SnapshotEntry) error) error {
+	if len(src) < snapHeaderLen || !bytes.Equal(src[:len(snapMagic)], snapMagic[:]) {
 		return snapErr("cache: snapshot magic/version mismatch")
 	}
-	rest := src[8:]
+	if binary.LittleEndian.Uint64(src[len(snapMagic):]) != gridFingerprint(g) {
+		return snapErr("cache: snapshot was written for a different chunk grid")
+	}
+	rest := src[snapHeaderLen:]
 	for len(rest) > 0 {
 		if len(rest) < 8 {
 			return snapErr("cache: snapshot record header truncated")
@@ -184,18 +217,18 @@ func decodeSnapshotBody(body []byte) (SnapshotEntry, error) {
 	return e, nil
 }
 
-// SaveSnapshotFile writes a snapshot of s to path atomically: the log is
-// written to a temp file in the same directory and renamed over path, so a
-// crash mid-save leaves the previous snapshot intact and a reader never
-// observes a torn file through the final name.
-func SaveSnapshotFile(path string, s Store) (int, error) {
+// SaveSnapshotFile writes a snapshot of s, whose keys index into grid g, to
+// path atomically: the log is written to a temp file in the same directory
+// and renamed over path, so a crash mid-save leaves the previous snapshot
+// intact and a reader never observes a torn file through the final name.
+func SaveSnapshotFile(path string, s Store, g *chunk.Grid) (int, error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return 0, err
 	}
 	tmp := f.Name()
-	n, err := WriteSnapshot(f, s)
+	n, err := writeSnapshot(f, s, g)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -212,23 +245,13 @@ func SaveSnapshotFile(path string, s Store) (int, error) {
 	return n, nil
 }
 
-// readFileFallback is the portable mapFile path.
-func readFileFallback(path string) ([]byte, func(), error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, func() {}, nil
-}
-
-// LoadSnapshotFile memory-maps (or, where mmap is unavailable, reads) the
-// snapshot at path and streams its records to fn; see ReadSnapshot for the
+// LoadSnapshotFile reads the snapshot at path, which must have been written
+// over grid g, and streams its records to fn; see readSnapshot for the
 // corruption contract. A missing file is reported as os.ErrNotExist.
-func LoadSnapshotFile(path string, fn func(e SnapshotEntry) error) error {
-	data, closeMap, err := mapFile(path)
+func LoadSnapshotFile(path string, g *chunk.Grid, fn func(e SnapshotEntry) error) error {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer closeMap()
-	return ReadSnapshot(data, fn)
+	return readSnapshot(data, g, fn)
 }

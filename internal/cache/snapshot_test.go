@@ -5,10 +5,16 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aggcache/internal/chunk"
+	"aggcache/internal/chunk/chunktest"
 )
+
+// snapGrid is the grid the store snapshots are keyed over; the store tests
+// never check keys against it, only the header fingerprint does.
+var snapGrid = chunktest.StarGrid()
 
 // snapAttrs is the per-key view the equivalence tests compare.
 type snapAttrs struct {
@@ -58,23 +64,23 @@ func TestSnapshotWriteLoadEquivalence(t *testing.T) {
 	want := storeContents(src)
 
 	var buf bytes.Buffer
-	n, err := WriteSnapshot(&buf, src)
+	n, err := writeSnapshot(&buf, src, snapGrid)
 	if err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+		t.Fatalf("writeSnapshot: %v", err)
 	}
 	if n != len(want) || n != src.Len() {
 		t.Fatalf("wrote %d records, store holds %d", n, src.Len())
 	}
 
 	got := map[Key]snapAttrs{}
-	if err := ReadSnapshot(buf.Bytes(), func(e SnapshotEntry) error {
+	if err := readSnapshot(buf.Bytes(), snapGrid, func(e SnapshotEntry) error {
 		if e.Data.GB != e.Key.GB || e.Data.Num != e.Key.Num {
 			t.Fatalf("record %v: chunk stamped (%d,%d)", e.Key, e.Data.GB, e.Data.Num)
 		}
 		got[e.Key] = snapAttrs{cells: len(e.Data.Keys), class: e.Class, benefit: e.Benefit, recycled: e.Recycled}
 		return nil
 	}); err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("readSnapshot: %v", err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("read %d records, want %d", len(got), len(want))
@@ -94,7 +100,7 @@ func TestSnapshotFileKillLoad(t *testing.T) {
 	want := storeContents(src)
 	path := filepath.Join(t.TempDir(), "cache.snap")
 
-	n, err := SaveSnapshotFile(path, src)
+	n, err := SaveSnapshotFile(path, src, snapGrid)
 	if err != nil {
 		t.Fatalf("SaveSnapshotFile: %v", err)
 	}
@@ -110,7 +116,7 @@ func TestSnapshotFileKillLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
 	}
-	if err := LoadSnapshotFile(path, func(e SnapshotEntry) error {
+	if err := LoadSnapshotFile(path, snapGrid, func(e SnapshotEntry) error {
 		opt := AsBackend(e.Benefit)
 		if e.Recycled {
 			opt = AsRecycled(e.Benefit)
@@ -132,7 +138,7 @@ func TestSnapshotFileKillLoad(t *testing.T) {
 		}
 	}
 
-	if err := LoadSnapshotFile(filepath.Join(t.TempDir(), "absent.snap"), func(SnapshotEntry) error { return nil }); !os.IsNotExist(err) {
+	if err := LoadSnapshotFile(filepath.Join(t.TempDir(), "absent.snap"), snapGrid, func(SnapshotEntry) error { return nil }); !os.IsNotExist(err) {
 		t.Fatalf("missing file: err = %v, want not-exist", err)
 	}
 }
@@ -143,14 +149,14 @@ func TestSnapshotFileKillLoad(t *testing.T) {
 func TestSnapshotTornTail(t *testing.T) {
 	src := populatedTiered(t)
 	var buf bytes.Buffer
-	n, err := WriteSnapshot(&buf, src)
+	n, err := writeSnapshot(&buf, src, snapGrid)
 	if err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+		t.Fatalf("writeSnapshot: %v", err)
 	}
 	torn := buf.Bytes()[:buf.Len()-5]
 
 	delivered := 0
-	err = ReadSnapshot(torn, func(SnapshotEntry) error { delivered++; return nil })
+	err = readSnapshot(torn, snapGrid, func(SnapshotEntry) error { delivered++; return nil })
 	if !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("torn tail: err = %v, want ErrSnapshot", err)
 	}
@@ -159,34 +165,44 @@ func TestSnapshotTornTail(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruption: flipped bits fail the record CRC; bad magic and
-// oversized lengths are rejected before any allocation.
+// TestSnapshotCorruption: flipped bits fail the record CRC; bad magic,
+// oversized lengths and another grid's fingerprint are rejected before any
+// allocation.
 func TestSnapshotCorruption(t *testing.T) {
 	src := populatedTiered(t)
 	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, src); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if _, err := writeSnapshot(&buf, src, snapGrid); err != nil {
+		t.Fatalf("writeSnapshot: %v", err)
 	}
 
 	// Flip one payload byte in the middle of the file.
 	bad := bytes.Clone(buf.Bytes())
 	bad[len(bad)/2] ^= 0x40
-	err := ReadSnapshot(bad, func(SnapshotEntry) error { return nil })
+	err := readSnapshot(bad, snapGrid, func(SnapshotEntry) error { return nil })
 	if !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("bit flip: err = %v, want ErrSnapshot", err)
 	}
 
-	if err := ReadSnapshot([]byte("not a snapshot"), func(SnapshotEntry) error { return nil }); !errors.Is(err, ErrSnapshot) {
+	if err := readSnapshot([]byte("not a snapshot"), snapGrid, func(SnapshotEntry) error { return nil }); !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("bad magic: err = %v, want ErrSnapshot", err)
 	}
-	if err := ReadSnapshot(nil, func(SnapshotEntry) error { return nil }); !errors.Is(err, ErrSnapshot) {
+	if err := readSnapshot(nil, snapGrid, func(SnapshotEntry) error { return nil }); !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("empty input: err = %v, want ErrSnapshot", err)
 	}
 
 	// A huge declared record length is rejected by the bound, not malloc'd.
-	huge := append(bytes.Clone(snapMagic[:]), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0)
-	if err := ReadSnapshot(huge, func(SnapshotEntry) error { return nil }); !errors.Is(err, ErrSnapshot) {
-		t.Fatalf("oversized record: err = %v, want ErrSnapshot", err)
+	huge := append(bytes.Clone(buf.Bytes()[:snapHeaderLen]), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0)
+	if err := readSnapshot(huge, snapGrid, func(SnapshotEntry) error { return nil }); !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("oversized record: err = %v, want the ErrSnapshot length bound", err)
+	}
+
+	// A header fingerprint that is not the reader's grid delivers nothing.
+	other := bytes.Clone(buf.Bytes())
+	other[len(snapMagic)] ^= 0x01
+	delivered := 0
+	err = readSnapshot(other, snapGrid, func(SnapshotEntry) error { delivered++; return nil })
+	if !errors.Is(err, ErrSnapshot) || delivered != 0 {
+		t.Fatalf("foreign grid: err = %v after %d records, want ErrSnapshot before any", err, delivered)
 	}
 }
 
@@ -195,11 +211,11 @@ func TestSnapshotCorruption(t *testing.T) {
 func TestSnapshotCallbackAbort(t *testing.T) {
 	src := populatedTiered(t)
 	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, src); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if _, err := writeSnapshot(&buf, src, snapGrid); err != nil {
+		t.Fatalf("writeSnapshot: %v", err)
 	}
 	sentinel := errors.New("stop here")
-	err := ReadSnapshot(buf.Bytes(), func(SnapshotEntry) error { return sentinel })
+	err := readSnapshot(buf.Bytes(), snapGrid, func(SnapshotEntry) error { return sentinel })
 	if !errors.Is(err, sentinel) || errors.Is(err, ErrSnapshot) {
 		t.Fatalf("callback abort: err = %v, want the sentinel verbatim", err)
 	}

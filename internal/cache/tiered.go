@@ -45,11 +45,13 @@ type TierStatser interface {
 type tierHook interface {
 	// peekCold reports whether k is cold-resident and, if so, its preserved
 	// residency attributes; the fresh-insert path calls it to turn the
-	// insert into a promotion. The cold copy is not removed yet.
+	// insert into a promotion. The cold copy is not removed yet, but it is
+	// held: the demotions the insert's room-making causes cannot evict it.
 	peekCold(k Key) (spec insertSpec, wasCold bool)
-	// claimCold drops k's cold copy after the hot insert was admitted; the
-	// key has just moved cold → hot.
-	claimCold(k Key)
+	// claimCold settles the promotion peekCold began: when the hot insert
+	// was admitted it drops k's cold copy (the key has just moved cold →
+	// hot), otherwise the copy stays cold and evictable again.
+	claimCold(k Key, admitted bool)
 	// demote offers a policy-evicted hot entry to the cold tier and reports
 	// whether it was admitted (in which case the eviction becomes a
 	// Demoted event).
@@ -136,9 +138,7 @@ func (f forwardListener) OnEvent(ev Event) {
 
 // peekCold implements tierHook.
 func (t *Tiered) peekCold(k Key) (insertSpec, bool) {
-	t.cold.mu.Lock()
-	defer t.cold.mu.Unlock()
-	e, ok := t.cold.entries[k]
+	e, ok := t.cold.hold(k)
 	if !ok {
 		return insertSpec{}, false
 	}
@@ -146,8 +146,12 @@ func (t *Tiered) peekCold(k Key) (insertSpec, bool) {
 }
 
 // claimCold implements tierHook.
-func (t *Tiered) claimCold(k Key) {
-	t.cold.remove(k)
+func (t *Tiered) claimCold(k Key, admitted bool) {
+	if admitted {
+		t.cold.remove(k)
+	} else {
+		t.cold.release(k)
+	}
 }
 
 // demote implements tierHook: encode the victim and admit it to the cold

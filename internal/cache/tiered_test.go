@@ -82,6 +82,38 @@ func TestTieredEventOrdering(t *testing.T) {
 	}
 }
 
+// TestTieredPromotionHoldsItsColdCopy: with room in the cold tier for one
+// chunk, promoting key 1 demotes key 2, which cannot fit next to 1's cold
+// copy. That copy must not be evicted to make room — the listener would see
+// key 1 leave while it turns hot — so the demotion is denied and key 2 is
+// the one that leaves.
+func TestTieredPromotionHoldsItsColdCopy(t *testing.T) {
+	tc, lis := tieredFixture(t, 160)
+
+	tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
+	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(2)) // demotes 1
+	if _, ok := tc.Get(key(1)); !ok {                  // promotes 1
+		t.Fatalf("cold-resident key 1 not served")
+	}
+
+	want := []string{"demoted 1", "evicted 2", "promoted 1"}
+	if got := reasons(lis.events); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v", got, want)
+	}
+	if !tc.hot.Contains(key(1)) || tc.Contains(key(2)) || tc.Len() != 1 {
+		t.Fatalf("after promotion: hot has 1 = %v, store has 2 = %v, Len %d; want only key 1, hot",
+			tc.hot.Contains(key(1)), tc.Contains(key(2)), tc.Len())
+	}
+	if ts := tc.TierStats(); ts.ColdUsed != 0 || ts.ColdChunks != 0 {
+		t.Fatalf("cold tier still charges %d bytes for %d chunks", ts.ColdUsed, ts.ColdChunks)
+	}
+	// The released hold leaves the tier fully usable.
+	tc.Insert(key(3), mkChunk(0, 3, 10), AsBackend(3)) // demotes 1
+	if got := tc.TierStats().ColdChunks; got != 1 || !tc.Contains(key(1)) {
+		t.Fatalf("cold tier holds %d chunks after demoting 1, want key 1 alone", got)
+	}
+}
+
 // TestTieredPromotePreservesAttributes checks that demotion and promotion
 // carry class, benefit and the recycled bit through the cold tier verbatim.
 func TestTieredPromotePreservesAttributes(t *testing.T) {

@@ -1,0 +1,176 @@
+// The configuration product lives in the external test package so it can
+// replay a workload stream (package workload imports core).
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"aggcache/internal/apb"
+	"aggcache/internal/backend"
+	"aggcache/internal/cache"
+	"aggcache/internal/chunk"
+	"aggcache/internal/core"
+	"aggcache/internal/workload"
+)
+
+// productConfig is one point of the configuration product.
+type productConfig struct {
+	strategy, policy string
+	cold, peers      bool
+	recycle          bool
+	resultEntries    int
+}
+
+func (c productConfig) String() string {
+	return fmt.Sprintf("%s/%s/cold=%v/peers=%v/recycle=%v/results=%d",
+		c.strategy, c.policy, c.cold, c.peers, c.recycle, c.resultEntries)
+}
+
+// TestBuildConfigurationProduct replays one seeded tiny-scale DefaultMix
+// stream through every stack Build composes from strategy {VCM, VCMC,
+// NoAgg} × policy {two-level, two-level-promote, benefit, lru} × cold tier
+// {none, a quarter of hot} × peers {none, a two-node ring} × recycling
+// {off, on} × result cache {0, 64 entries}. Every answer must equal the
+// NoAgg oracle's cell for cell, and afterwards every hot store must charge
+// exactly the bytes of the residents it reports, within its capacity. The
+// hot store holds a third of the base group-by, so every configuration
+// evicts (and, with a cold tier, demotes and promotes).
+func TestBuildConfigurationProduct(t *testing.T) {
+	g, tab, err := apb.New(apb.ScaleTiny).Build(29)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	be, err := backend.NewEngine(g, tab, backend.LatencyModel{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	base := core.Config{Grid: g, Backend: be, Rows: int64(tab.Len())}
+	baseBytes := int64(tab.Len())*chunk.CellBytes + int64(g.NumChunks(g.Lattice().Base()))*chunk.OverheadBytes
+
+	gen, err := workload.NewGenerator(g, workload.DefaultMix, 2, 5)
+	if err != nil {
+		t.Fatalf("NewGenerator: %v", err)
+	}
+	queries, _ := gen.Stream(40)
+	oracleCfg := base
+	oracleCfg.Strategy, oracleCfg.HotBytes = "NoAgg", 4*baseBytes
+	oracle, err := core.Build(oracleCfg)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	want := make([]*core.Result, len(queries))
+	for i, q := range queries {
+		if want[i], err = oracle.Engine.Execute(context.Background(), q); err != nil {
+			t.Fatalf("oracle query %d: %v", i, err)
+		}
+	}
+
+	var product []productConfig
+	for _, s := range []string{"VCM", "VCMC", "NoAgg"} {
+		for _, p := range []string{"two-level", "two-level-promote", "benefit", "lru"} {
+			for bits := 0; bits < 16; bits++ {
+				product = append(product, productConfig{
+					strategy: s, policy: p,
+					cold: bits&1 != 0, peers: bits&2 != 0, recycle: bits&4 != 0,
+					resultEntries: 64 * (bits >> 3),
+				})
+			}
+		}
+	}
+	for _, pc := range product {
+		cfg := base
+		cfg.Strategy, cfg.Policy, cfg.HotBytes = pc.strategy, pc.policy, baseBytes/3
+		if pc.cold {
+			cfg.ColdBytes = cfg.HotBytes / 4
+		}
+		cfg.Options = []core.Option{core.WithRecycling(pc.recycle), core.WithResultCache(pc.resultEntries)}
+		if err := runProductConfig(cfg, pc.peers, queries, want); err != nil {
+			t.Errorf("%s: %v", pc, err)
+		}
+	}
+}
+
+// runProductConfig builds cfg — twice, as a two-node ring, when peered —
+// replays queries round-robin across the nodes and checks every answer and
+// the hot stores' byte accounting.
+func runProductConfig(cfg core.Config, peered bool, queries []core.Query, want []*core.Result) error {
+	var stacks []*core.Stack
+	if !peered {
+		st, err := core.Build(cfg)
+		if err != nil {
+			return err
+		}
+		stacks = append(stacks, st)
+	} else {
+		// Each node's peer serves from the other node's local tiers. Rings
+		// start as singletons and take the full membership once both nodes
+		// exist, as a membership reload would.
+		names := []string{"a", "b"}
+		stacks = make([]*core.Stack, len(names))
+		for i, name := range names {
+			c := cfg
+			c.Peers = &cache.PeeredConfig{Self: name, Members: []string{name},
+				Dial: func(string) cache.Peer { return core.NewStorePeer(stacks[1-i].Peered.Local()) }}
+			st, err := core.Build(c)
+			if err != nil {
+				return err
+			}
+			defer st.Peered.Close()
+			stacks[i] = st
+		}
+		for _, st := range stacks {
+			if err := st.Peered.Rebuild(names); err != nil {
+				return err
+			}
+		}
+	}
+	for i, q := range queries {
+		res, err := stacks[i%len(stacks)].Engine.Execute(context.Background(), q)
+		if err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
+		}
+		if err := sameAnswer(res, want[i]); err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	for _, st := range stacks {
+		if st.Peered != nil {
+			st.Peered.Close() // drain replication so the stores are quiet
+		}
+	}
+	for i, st := range stacks {
+		var charged int64
+		st.Hot.Range(func(_ cache.Key, data *chunk.Chunk, _ cache.Class, _ float64, _ bool) {
+			charged += data.Bytes()
+		})
+		if used := st.Hot.Used(); used != charged || used > st.Hot.Capacity() {
+			return fmt.Errorf("node %d: hot store charges %d bytes for %d resident (capacity %d)",
+				i, used, charged, st.Hot.Capacity())
+		}
+	}
+	return nil
+}
+
+// sameAnswer compares two results chunk by chunk and cell by cell: keys and
+// fact-row counts exactly, sums within 1e-9 relative.
+func sameAnswer(got, want *core.Result) error {
+	if len(got.Chunks) != len(want.Chunks) {
+		return fmt.Errorf("%d chunks, oracle has %d", len(got.Chunks), len(want.Chunks))
+	}
+	for j, wc := range want.Chunks {
+		gc := got.Chunks[j]
+		if gc.Cells() != wc.Cells() {
+			return fmt.Errorf("chunk %d: %d cells, oracle has %d", j, gc.Cells(), wc.Cells())
+		}
+		for k, key := range wc.Keys {
+			sum, count, ok := gc.Cell(key)
+			if !ok || count != wc.Counts[k] || math.Abs(sum-wc.Vals[k]) > 1e-9*math.Max(1, math.Abs(wc.Vals[k])) {
+				return fmt.Errorf("chunk %d cell %d: (%v, %d, %v), oracle (%v, %d)", j, key, sum, count, ok, wc.Vals[k], wc.Counts[k])
+			}
+		}
+	}
+	return nil
+}

@@ -32,6 +32,15 @@ type options struct {
 // order; later options win.
 type Option func(*options)
 
+// resolveOptions applies opts over the defaults.
+func resolveOptions(opts []Option) options {
+	o := options{recycleMinBenefit: DefaultRecycleMinBenefit}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // backendPenalty scales backend tuples into benefit cost units relative to
 // in-cache aggregation — the paper measured backend computation to be about
 // 8× slower (§7.1).
@@ -244,10 +253,7 @@ func New(g *chunk.Grid, c cache.Store, s strategy.Strategy, b backend.Backend, s
 	if g == nil || c == nil || s == nil || b == nil || sizes == nil {
 		return nil, errors.New("core: all of grid, cache, strategy, backend and sizer are required")
 	}
-	o := options{recycleMinBenefit: DefaultRecycleMinBenefit}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := resolveOptions(opts)
 	e := &Engine{
 		grid:    g,
 		lat:     g.Lattice(),
