@@ -45,7 +45,6 @@ type coldTier struct {
 	entries  map[Key]*coldEntry
 	newest   *coldEntry
 	oldest   *coldEntry
-	stats    TierStats
 }
 
 func newColdTier(capacity int64) *coldTier {
@@ -106,7 +105,6 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if need > t.capacity-t.held {
-		t.stats.DemoteDenied++
 		return nil, false
 	}
 	if old, exists := t.entries[k]; exists {
@@ -118,7 +116,6 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 		next := v.newer
 		if !v.held {
 			t.dropLocked(v)
-			t.stats.ColdEvicts++
 			evicted = append(evicted, v)
 		}
 		v = next
@@ -127,7 +124,6 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	t.pushNewest(e)
 	t.used += need
 	t.raw += e.rawBytes
-	t.stats.Demotes++
 	return evicted, true
 }
 
@@ -175,19 +171,6 @@ func (t *coldTier) release(k Key) {
 	}
 }
 
-// hit and miss record cold-tier lookup outcomes.
-func (t *coldTier) hit() {
-	t.mu.Lock()
-	t.stats.ColdHits++
-	t.mu.Unlock()
-}
-
-func (t *coldTier) miss() {
-	t.mu.Lock()
-	t.stats.ColdMisses++
-	t.mu.Unlock()
-}
-
 // remove drops k without eviction accounting (administrative removal or a
 // hot re-insert superseding a stale cold copy).
 func (t *coldTier) remove(k Key) (*coldEntry, bool) {
@@ -230,35 +213,18 @@ func (t *coldTier) snapshot() []*coldEntry {
 	return out
 }
 
-func (t *coldTier) len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.entries)
-}
-
-func (t *coldTier) usedBytes() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.used
-}
-
-// tierStats snapshots the activity counters plus occupancy gauges.
-func (t *coldTier) tierStats() TierStats {
+// occupancy snapshots the tier's capacity and footprint; the traffic
+// counters are Tiered's.
+func (t *coldTier) occupancy() TierStats {
 	if t == nil {
 		return TierStats{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.stats
-	s.ColdCapacity = t.capacity
-	s.ColdUsed = t.used
-	s.ColdRawBytes = t.raw
-	s.ColdChunks = int64(len(t.entries))
-	return s
+	return TierStats{
+		ColdCapacity: t.capacity,
+		ColdUsed:     t.used,
+		ColdRawBytes: t.raw,
+		ColdChunks:   int64(len(t.entries)),
+	}
 }

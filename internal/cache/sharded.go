@@ -30,11 +30,11 @@ import (
 // key, never more than one at a time. Listener and Policy callbacks fire
 // synchronously under that lock and must not call back into the store.
 //
-// Stats, Range and Reinforce visit stripes one at a time — there is no
+// Range and Reinforce visit stripes one at a time — there is no
 // stop-the-world lock, so the result is a consistent-per-stripe (not globally
-// atomic) snapshot, which is all the callers (reports, snapshots, gauges)
-// need. Used, Len and the obs occupancy gauges are fed from the global
-// atomics and are therefore exact.
+// atomic) snapshot, which is all the callers (reports, snapshots) need.
+// Used, Len, Stats and the obs series are fed from global atomics and are
+// therefore exact.
 type Sharded struct {
 	capacity int64
 	limit    int64  // per-stripe byte cap: capacity/N + borrow margin
@@ -42,8 +42,10 @@ type Sharded struct {
 	used     atomic.Int64
 	resident atomic.Int64
 	shards   []shard
-	// met's zero value records nothing. The handles are atomics, so an ops
-	// scraper can read them while writers hold a stripe lock.
+	// met is the store's one set of counters: Stats reads it, and /metrics
+	// exports it when WithMetrics supplied a registered bundle. The handles
+	// are atomics, so an ops scraper can read them while writers hold a
+	// stripe lock.
 	met obs.CacheMetrics
 	// listener and hook are set before the store serves traffic (see the
 	// Store contract) and are read-only afterwards.
@@ -52,14 +54,14 @@ type Sharded struct {
 }
 
 // shard is one stripe: an independent map + policy under its own lock. The
-// padding keeps neighbouring stripes' mutexes off the same cache line.
+// padding rounds a stripe up to 128 bytes, keeping neighbouring stripes'
+// mutexes and byte counts off each other's cache lines.
 type shard struct {
 	mu      sync.Mutex
 	entries map[Key]*Entry
 	policy  Policy
 	used    int64
-	stats   Stats
-	_       [40]byte
+	_       [88]byte
 }
 
 // newSharded builds an n-stripe store; n must be a power of two in
@@ -147,22 +149,17 @@ func (c *Sharded) Used() int64 { return c.used.Load() }
 // Len implements Store.
 func (c *Sharded) Len() int { return int(c.resident.Load()) }
 
-// Stats implements Store: the sum over all shards, each read consistently
-// under its own lock.
+// Stats implements Store, reading the metrics bundle: policy evictions are
+// Evictions, administrative ones Removals.
 func (c *Sharded) Stats() Stats {
-	var t Stats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		t.Hits += s.stats.Hits
-		t.Misses += s.stats.Misses
-		t.Inserts += s.stats.Inserts
-		t.Evictions += s.stats.Evictions
-		t.Removals += s.stats.Removals
-		t.Denied += s.stats.Denied
-		s.mu.Unlock()
+	return Stats{
+		Hits:      c.met.Hits.Value(),
+		Misses:    c.met.Misses.Value(),
+		Inserts:   c.met.Inserts.Value(),
+		Evictions: c.met.EvictionsPolicy.Value(),
+		Removals:  c.met.EvictionsAdmin.Value(),
+		Denied:    c.met.Denied.Value(),
 	}
-	return t
 }
 
 // Contains implements Store.
@@ -183,12 +180,10 @@ func (c *Sharded) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if !ok {
-		s.stats.Misses++
 		s.mu.Unlock()
 		c.met.Misses.Inc()
 		return nil, 0, 0, false
 	}
-	s.stats.Hits++
 	s.policy.Accessed(e)
 	data, cl, benefit := e.Data, e.Class, e.Benefit
 	s.mu.Unlock()
@@ -229,7 +224,6 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if need > c.capacity {
-		s.stats.Denied++
 		c.met.Denied.Inc()
 		return false
 	}
@@ -240,7 +234,6 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 			e.pins++
 			if !c.makeRoomLocked(s, need, delta, spec.class) {
 				e.pins--
-				s.stats.Denied++
 				c.met.Denied.Inc()
 				return false
 			}
@@ -281,7 +274,6 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 		c.hook.claimCold(k, admitted)
 	}
 	if !admitted {
-		s.stats.Denied++
 		c.met.Denied.Inc()
 		return false
 	}
@@ -289,7 +281,6 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 	s.entries[k] = e
 	s.used += need
 	c.resident.Add(1)
-	s.stats.Inserts++
 	c.met.Inserts.Inc()
 	s.policy.Added(e)
 	c.syncGauges()
@@ -348,10 +339,8 @@ func (c *Sharded) removeLocked(s *shard, e *Entry, policyEvict bool) {
 	c.used.Add(-e.Bytes())
 	c.resident.Add(-1)
 	if policyEvict {
-		s.stats.Evictions++
 		c.met.EvictionsPolicy.Inc()
 	} else {
-		s.stats.Removals++
 		c.met.EvictionsAdmin.Inc()
 	}
 	c.syncGauges()

@@ -57,7 +57,7 @@ type Store interface {
 	// residency attributes. fn runs under the store's internal lock(s) and
 	// must not call back into the store.
 	Range(fn func(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool))
-	// Stats returns a consistent copy of the activity counters.
+	// Stats returns the activity counters, each exact when read.
 	Stats() Stats
 	// Capacity returns the byte bound.
 	Capacity() int64
@@ -158,8 +158,9 @@ func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
 
-// WithMetrics attaches the live-metrics bundle; its zero value records
-// nothing.
+// WithMetrics makes the store count into m — a bundle registered with
+// obs.NewCacheMetrics, so /metrics exports what Stats reports. Without it
+// the store counts into an unregistered bundle of its own.
 func WithMetrics(m obs.CacheMetrics) Option {
 	return func(c *config) { c.metrics = m }
 }
@@ -174,7 +175,7 @@ func New(capacity int64, policy Policy, opts ...Option) (Store, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("cache: policy must not be nil")
 	}
-	cfg := config{shards: 1}
+	cfg := config{shards: 1, metrics: obs.NewCacheMetrics(nil)}
 	for _, o := range opts {
 		o(&cfg)
 	}

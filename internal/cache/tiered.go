@@ -11,7 +11,8 @@ import (
 // TierStats is the cold-tier activity and occupancy snapshot a Tiered store
 // reports: the promote/demote traffic between tiers, cold-tier hit/miss
 // counts, and the compressed vs raw byte footprint (their ratio is the
-// effective compression).
+// effective compression). The traffic counters are read from the store's
+// tier metrics bundle, the occupancy from the cold tier itself.
 type TierStats struct {
 	ColdHits     int64 // hot-tier misses answered by decompressing a cold resident
 	ColdMisses   int64 // misses in both tiers
@@ -85,13 +86,15 @@ type Tiered struct {
 	// outer is the listener registered via SetListener; hot-store events are
 	// forwarded to it, with cold-pressure evictions synthesized here. Set
 	// before the store serves traffic, read-only afterwards.
-	outer    Listener
-	promotes atomic.Int64
+	outer Listener
 	// lookupColdHits counts the cold hits of the lookup paths (Get, GetInfo)
 	// — the ones the hot tier booked as a miss on the way through. A Pin
 	// that promotes is a cold hit too (TierStats.ColdHits) but no lookup.
 	lookupColdHits atomic.Int64
-	tmet           obs.TierMetrics
+	// tmet is the cold tier's one set of traffic counters; TierStats reads
+	// it, and /metrics exports it once SetTierMetrics attached a registered
+	// bundle.
+	tmet obs.TierMetrics
 }
 
 // hot names Tiered's embedded field.
@@ -110,6 +113,7 @@ func NewTiered(hot Store, coldBytes int64) (*Tiered, error) {
 		return nil, fmt.Errorf("cache: %T cannot host a cold tier", hot)
 	}
 	t := &Tiered{hot: hot, cold: newColdTier(coldBytes)}
+	t.SetTierMetrics(obs.NewTierMetrics(nil))
 	h.setTierHook(t)
 	hot.SetListener(forwardListener{t})
 	return t, nil
@@ -128,7 +132,6 @@ func (f forwardListener) OnInsert(e *Entry) {
 
 func (f forwardListener) OnEvent(ev Event) {
 	if ev.Reason == Promoted {
-		f.t.promotes.Add(1)
 		f.t.tmet.Promotes.Inc()
 	}
 	if f.t.outer != nil {
@@ -216,12 +219,10 @@ func (t *Tiered) promote(k Key) (*chunk.Chunk, Class, float64, bool) {
 
 // syncTierGauges publishes cold-tier occupancy.
 func (t *Tiered) syncTierGauges() {
-	t.cold.mu.Lock()
-	used, raw, n := t.cold.used, t.cold.raw, int64(len(t.cold.entries))
-	t.cold.mu.Unlock()
-	t.tmet.ColdOccupancyBytes.Set(used)
-	t.tmet.ColdRawBytes.Set(raw)
-	t.tmet.ColdChunks.Set(n)
+	o := t.cold.occupancy()
+	t.tmet.ColdOccupancyBytes.Set(o.ColdUsed)
+	t.tmet.ColdRawBytes.Set(o.ColdRawBytes)
+	t.tmet.ColdChunks.Set(o.ColdChunks)
 }
 
 // Get implements Store: a hot hit is served as usual; a hot miss consults
@@ -239,11 +240,9 @@ func (t *Tiered) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
 	}
 	if data, cl, benefit, ok := t.promote(k); ok {
 		t.lookupColdHits.Add(1)
-		t.cold.hit()
 		t.tmet.ColdHits.Inc()
 		return data, cl, benefit, true
 	}
-	t.cold.miss()
 	t.tmet.ColdMisses.Inc()
 	return nil, 0, 0, false
 }
@@ -307,7 +306,6 @@ func (t *Tiered) Pin(k Key) bool {
 	if _, _, _, ok := t.promote(k); !ok {
 		return false
 	}
-	t.cold.hit()
 	t.tmet.ColdHits.Inc()
 	return t.hot.Pin(k)
 }
@@ -336,19 +334,27 @@ func (t *Tiered) Range(fn func(k Key, data *chunk.Chunk, cl Class, benefit float
 // way through, so Misses cannot go negative and Hits+Misses stays the number
 // of lookups). Cold hits taken by Pin are not lookups and move nothing: the
 // engine pins a plan's leaves before it Gets them, and the Get that follows
-// a promoting Pin is an ordinary hot hit.
+// a promoting Pin is an ordinary hot hit. The cold hits are loaded first:
+// each was booked as a hot miss before it was counted, so the Misses read
+// after them already hold every one of those misses.
 func (t *Tiered) Stats() Stats {
-	s := t.hot.Stats()
 	n := t.lookupColdHits.Load()
+	s := t.hot.Stats()
 	s.Hits += n
 	s.Misses -= n
 	return s
 }
 
-// TierStats implements TierStatser.
+// TierStats implements TierStatser: traffic from the tier metrics bundle,
+// occupancy from the cold tier.
 func (t *Tiered) TierStats() TierStats {
-	ts := t.cold.tierStats()
-	ts.Promotes = t.promotes.Load()
+	ts := t.cold.occupancy()
+	ts.ColdHits = t.tmet.ColdHits.Value()
+	ts.ColdMisses = t.tmet.ColdMisses.Value()
+	ts.Promotes = t.tmet.Promotes.Value()
+	ts.Demotes = t.tmet.Demotes.Value()
+	ts.DemoteDenied = t.tmet.DemoteDenied.Value()
+	ts.ColdEvicts = t.tmet.ColdEvictions.Value()
 	return ts
 }
 
@@ -356,15 +362,17 @@ func (t *Tiered) TierStats() TierStats {
 func (t *Tiered) Capacity() int64 { return t.hot.Capacity() + t.cold.capacity }
 
 // Used implements Store: hot bytes plus compressed cold bytes.
-func (t *Tiered) Used() int64 { return t.hot.Used() + t.cold.usedBytes() }
+func (t *Tiered) Used() int64 { return t.hot.Used() + t.cold.occupancy().ColdUsed }
 
 // Len implements Store: residents across both tiers.
-func (t *Tiered) Len() int { return t.hot.Len() + t.cold.len() }
+func (t *Tiered) Len() int { return t.hot.Len() + int(t.cold.occupancy().ColdChunks) }
 
 // SetListener implements Store; the listener observes both tiers' events.
 func (t *Tiered) SetListener(l Listener) { t.outer = l }
 
-// SetTierMetrics attaches the cold-tier bundle; call before serving traffic.
+// SetTierMetrics makes the cold tier count into m — a bundle registered with
+// obs.NewTierMetrics, so /metrics exports what TierStats reports. Call it
+// before serving traffic: counts already taken stay in the old bundle.
 func (t *Tiered) SetTierMetrics(m obs.TierMetrics) {
 	t.tmet = m
 	t.tmet.ColdCapacityBytes.Set(t.cold.capacity)

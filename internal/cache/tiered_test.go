@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aggcache/internal/chunk"
@@ -244,6 +245,45 @@ func TestTieredStatsPinThenGet(t *testing.T) {
 	}
 	if ts := tc.TierStats(); ts.ColdHits != 7 {
 		t.Fatalf("ColdHits = %d, want 7 (6 Pin-path promotions + 1 Get-path)", ts.ColdHits)
+	}
+}
+
+// TestTieredStatsConcurrentColdHits: a hot tier of one chunk and two keys
+// that evict each other, so every Get is a cold hit, while another goroutine
+// polls Stats. A cold hit is booked as a hot miss first, so however a poll
+// interleaves with the lookups, Misses must never read below zero.
+func TestTieredStatsConcurrentColdHits(t *testing.T) {
+	tc, _ := tieredFixture(t, 4096)
+	tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(0))
+	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(0)) // demotes 1
+
+	var stop atomic.Bool
+	var minMisses atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if m := tc.Stats().Misses; m < minMisses.Load() {
+				minMisses.Store(m)
+			}
+		}
+	}()
+	const lookups = 20_000
+	for i := 0; i < lookups; i++ {
+		if _, ok := tc.Get(key(1 + i%2)); !ok { // the cold key, promoted
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("lookup %d missed", i)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if m := minMisses.Load(); m < 0 {
+		t.Fatalf("Stats read Misses = %d under concurrent cold hits", m)
+	}
+	if st, ts := tc.Stats(), tc.TierStats(); st.Hits != lookups || st.Misses != 0 || ts.ColdHits != lookups {
+		t.Fatalf("after %d cold hits: Stats %+v, ColdHits %d", lookups, st, ts.ColdHits)
 	}
 }
 

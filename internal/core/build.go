@@ -90,12 +90,11 @@ func Build(cfg Config) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	var copts []cache.Option
+	// The hot store, cold tier and engine count into their bundles whether
+	// or not a registry exports them; a nil reg leaves them unregistered.
+	copts := []cache.Option{cache.WithMetrics(obs.NewCacheMetrics(reg))}
 	if cfg.Shards != 0 {
 		copts = append(copts, cache.WithShards(cfg.Shards))
-	}
-	if reg != nil {
-		copts = append(copts, cache.WithMetrics(obs.NewCacheMetrics(reg)))
 	}
 	hot, err := cache.New(cfg.HotBytes, pol, copts...)
 	if err != nil {
@@ -109,9 +108,7 @@ func Build(cfg Config) (*Stack, error) {
 		if err != nil {
 			return nil, err
 		}
-		if reg != nil {
-			tiered.SetTierMetrics(obs.NewTierMetrics(reg))
-		}
+		tiered.SetTierMetrics(obs.NewTierMetrics(reg))
 		store = tiered
 	}
 	if cfg.Peers != nil {
@@ -125,10 +122,7 @@ func Build(cfg Config) (*Stack, error) {
 		store = st.Peered
 	}
 
-	opts := cfg.Options
-	if reg != nil {
-		opts = append(slices.Clip(opts), WithMetrics(obs.NewEngineMetrics(reg)))
-	}
+	opts := append(slices.Clip(cfg.Options), WithMetrics(obs.NewEngineMetrics(reg)))
 	if st.Engine, err = New(cfg.Grid, store, strat, cfg.Backend, sz, opts...); err != nil {
 		if st.Peered != nil {
 			st.Peered.Close()

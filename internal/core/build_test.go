@@ -6,13 +6,17 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/core"
+	"aggcache/internal/obs"
 	"aggcache/internal/workload"
 )
 
@@ -90,6 +94,105 @@ func TestBuildConfigurationProduct(t *testing.T) {
 		if err := runProductConfig(cfg, pc.peers, queries, want); err != nil {
 			t.Errorf("%s: %v", pc, err)
 		}
+	}
+}
+
+// TestBuildStatsMatchMetrics: Stats and /metrics are one set of counters. A
+// Build stack with a registry and a cold tier preloads, then replays a
+// seeded stream; every Engine.Stats, hot-store Stats and TierStats field
+// must then equal the registered series it is read from, as rendered.
+func TestBuildStatsMatchMetrics(t *testing.T) {
+	g, tab, err := apb.New(apb.ScaleTiny).Build(29)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	be, err := backend.NewEngine(g, tab, backend.LatencyModel{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	baseBytes := int64(tab.Len())*chunk.CellBytes + int64(g.NumChunks(g.Lattice().Base()))*chunk.OverheadBytes
+	reg := obs.NewRegistry()
+	st, err := core.Build(core.Config{
+		Grid: g, Backend: be, Rows: int64(tab.Len()), Strategy: "VCMC",
+		HotBytes: baseBytes / 3, ColdBytes: baseBytes / 12, Metrics: reg,
+		Options: []core.Option{core.WithRecycling(true), core.WithResultCache(64)},
+	})
+	if err != nil {
+		t.Fatalf("core.Build: %v", err)
+	}
+	if _, ok, err := st.Engine.Preload(context.Background()); err != nil || !ok {
+		t.Fatalf("Preload: ok=%v err=%v", ok, err)
+	}
+	gen, err := workload.NewGenerator(g, workload.DefaultMix, 2, 7)
+	if err != nil {
+		t.Fatalf("NewGenerator: %v", err)
+	}
+	queries, _ := gen.Stream(200)
+	for i, q := range queries {
+		if _, err := st.Engine.Execute(context.Background(), q); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	series := make(map[string]string)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			series[line[:i]] = line[i+1:]
+		}
+	}
+	es, hs := st.Engine.Stats(), st.Hot.Stats()
+	ts, ok := st.Engine.TierStats()
+	if !ok {
+		t.Fatalf("no TierStats on a stack with a cold tier")
+	}
+	n := func(v int64) string { return strconv.FormatInt(v, 10) }
+	sec := func(d time.Duration) string { return strconv.FormatFloat(d.Seconds(), 'g', -1, 64) }
+	for _, c := range []struct{ field, series, want string }{
+		{"Engine.Queries", "aggcache_engine_queries_total", n(es.Queries)},
+		{"Engine.CompleteHits", "aggcache_engine_complete_hits_total", n(es.CompleteHits)},
+		{"Engine.BackendQueries", "aggcache_engine_backend_requests_total", n(es.BackendQueries)},
+		{"Engine.BackendTuples", "aggcache_engine_backend_tuples_total", n(es.BackendTuples)},
+		{"Engine.AggTuples", "aggcache_engine_aggregated_tuples_total", n(es.AggTuples)},
+		{"Engine.BudgetMisses", "aggcache_engine_budget_misses_total", n(es.BudgetMisses)},
+		{"Engine.PeerChunks", "aggcache_engine_chunks_peer_filled_total", n(es.PeerChunks)},
+		{"Engine.DegradedHits", "aggcache_engine_degraded_answers_total", n(es.DegradedHits)},
+		{"Engine.Unavailable", "aggcache_engine_backend_unavailable_total", n(es.Unavailable)},
+		{"Engine.Recycled", "aggcache_engine_recycled_chunks_total", n(es.Recycled)},
+		{"Engine.RecycleRejected", "aggcache_engine_recycle_rejected_total", n(es.RecycleRejected)},
+		{"Engine.ResultCacheHits", "aggcache_engine_result_cache_hits_total", n(es.ResultCacheHits)},
+		{"Engine.Breakdown.Lookup", "aggcache_engine_lookup_seconds_sum", sec(es.Breakdown.Lookup)},
+		{"Engine.Breakdown.Aggregate", "aggcache_engine_aggregate_seconds_sum", sec(es.Breakdown.Aggregate)},
+		{"Engine.Breakdown.Update", "aggcache_engine_update_seconds_sum", sec(es.Breakdown.Update)},
+		{"Engine.Breakdown.Backend", "aggcache_engine_backend_seconds_sum", sec(es.Breakdown.Backend)},
+		{"Hot.Hits", "aggcache_cache_hits_total", n(hs.Hits)},
+		{"Hot.Misses", "aggcache_cache_misses_total", n(hs.Misses)},
+		{"Hot.Inserts", "aggcache_cache_inserts_total", n(hs.Inserts)},
+		{"Hot.Evictions", `aggcache_cache_evictions_total{cause="policy"}`, n(hs.Evictions)},
+		{"Hot.Removals", `aggcache_cache_evictions_total{cause="admin"}`, n(hs.Removals)},
+		{"Hot.Denied", "aggcache_cache_admission_denied_total", n(hs.Denied)},
+		{"Tier.ColdHits", "aggcache_cold_hits_total", n(ts.ColdHits)},
+		{"Tier.ColdMisses", "aggcache_cold_misses_total", n(ts.ColdMisses)},
+		{"Tier.Promotes", "aggcache_tier_promotes_total", n(ts.Promotes)},
+		{"Tier.Demotes", "aggcache_tier_demotes_total", n(ts.Demotes)},
+		{"Tier.DemoteDenied", "aggcache_tier_demote_denied_total", n(ts.DemoteDenied)},
+		{"Tier.ColdEvicts", "aggcache_cold_evictions_total", n(ts.ColdEvicts)},
+		{"Tier.ColdCapacity", "aggcache_cold_capacity_bytes", n(ts.ColdCapacity)},
+		{"Tier.ColdUsed", "aggcache_cold_occupancy_bytes", n(ts.ColdUsed)},
+		{"Tier.ColdRawBytes", "aggcache_cold_raw_bytes", n(ts.ColdRawBytes)},
+		{"Tier.ColdChunks", "aggcache_cold_resident_chunks", n(ts.ColdChunks)},
+	} {
+		if got, ok := series[c.series]; !ok || got != c.want {
+			t.Errorf("%s = %s, but %s reads %q", c.field, c.want, c.series, got)
+		}
+	}
+	// The comparison is only worth something if every layer was busy.
+	if es.BackendQueries < 2 || es.RecycleRejected == 0 || es.ResultCacheHits == 0 ||
+		hs.Evictions == 0 || ts.Demotes == 0 || ts.Promotes == 0 {
+		t.Fatalf("stream too quiet: engine %+v, hot %+v, tier %+v", es, hs, ts)
 	}
 }
 

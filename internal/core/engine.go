@@ -65,8 +65,7 @@ const connectCost = 4000
 const DefaultRecycleMinBenefit = 1.0
 
 // WithRecycling(true) enables benefit-driven recycling of intermediate
-// aggregates: every interior plan node of an in-cache aggregation — and
-// every lattice roll-up fully covered by an arriving backend batch — is
+// aggregates: every interior plan node of an in-cache aggregation is
 // scored in O(1) via the strategy's CostEstimate and, when the recompute
 // cost it saves per byte clears the threshold (WithRecycleMinBenefit),
 // materialized and admitted to the cache as a computed-class chunk; every
@@ -106,8 +105,9 @@ func WithReinforce(on bool) Option {
 	return func(o *options) { o.disableReinforce = !on }
 }
 
-// WithMetrics attaches the live-metrics bundle at construction time,
-// replacing a later SetMetrics call.
+// WithMetrics makes the engine count into m — a bundle registered with
+// obs.NewEngineMetrics, so /metrics exports what Stats reports. Without it
+// the engine counts into an unregistered bundle of its own.
 func WithMetrics(m obs.EngineMetrics) Option {
 	return func(o *options) { o.metrics = &m }
 }
@@ -120,7 +120,9 @@ func WithMetrics(m obs.EngineMetrics) Option {
 // Match with errors.Is.
 var ErrBackendUnavailable = backend.ErrUnavailable
 
-// Stats accumulates engine activity across queries.
+// Stats accumulates engine activity across queries. Every field is read
+// from the engine's metrics bundle (Engine.Stats), so it equals the matching
+// aggcache_engine_* series when the bundle is registered.
 type Stats struct {
 	Queries        int64
 	CompleteHits   int64
@@ -146,51 +148,6 @@ type Stats struct {
 	Breakdown       Breakdown
 }
 
-// engineStats is the engine's internal, atomically updated counterpart of
-// Stats, so concurrent queries can account without contending on a lock.
-type engineStats struct {
-	queries        atomic.Int64
-	completeHits   atomic.Int64
-	backendQueries atomic.Int64
-	backendTuples  atomic.Int64
-	aggTuples      atomic.Int64
-	budgetMisses   atomic.Int64
-	peerChunks     atomic.Int64
-	degradedHits   atomic.Int64
-	unavailable    atomic.Int64
-	recycled       atomic.Int64
-	recycleRejects atomic.Int64
-	resultHits     atomic.Int64
-
-	lookupNS  atomic.Int64
-	aggNS     atomic.Int64
-	updateNS  atomic.Int64
-	backendNS atomic.Int64
-}
-
-func (s *engineStats) snapshot() Stats {
-	return Stats{
-		Queries:         s.queries.Load(),
-		CompleteHits:    s.completeHits.Load(),
-		BackendQueries:  s.backendQueries.Load(),
-		BackendTuples:   s.backendTuples.Load(),
-		AggTuples:       s.aggTuples.Load(),
-		BudgetMisses:    s.budgetMisses.Load(),
-		PeerChunks:      s.peerChunks.Load(),
-		DegradedHits:    s.degradedHits.Load(),
-		Unavailable:     s.unavailable.Load(),
-		Recycled:        s.recycled.Load(),
-		RecycleRejected: s.recycleRejects.Load(),
-		ResultCacheHits: s.resultHits.Load(),
-		Breakdown: Breakdown{
-			Lookup:    time.Duration(s.lookupNS.Load()),
-			Aggregate: time.Duration(s.aggNS.Load()),
-			Update:    time.Duration(s.updateNS.Load()),
-			Backend:   time.Duration(s.backendNS.Load()),
-		},
-	}
-}
-
 // Engine is the aggregate aware cache manager. It is safe for concurrent
 // use, and queries genuinely overlap: the engine itself holds no lock — the
 // cache store and the lookup strategy each synchronize internally (a sharded
@@ -212,10 +169,10 @@ type Engine struct {
 	strat strategy.Strategy
 
 	flights flightGroup
-	stats   engineStats
-	// met is the optional live-metrics bundle; its zero value records
-	// nothing. All handles are atomics, so recording needs no lock and an
-	// ops scraper can read concurrently with queries in flight.
+	// met is the engine's one set of counters: Stats reads it, and /metrics
+	// exports it when WithMetrics supplied a registered bundle. All handles
+	// are atomics, so recording needs no lock and an ops scraper can read
+	// concurrently with queries in flight.
 	met obs.EngineMetrics
 	// avail reports the backend circuit breaker's state when the backend
 	// (or a wrapper in its chain) carries one; nil otherwise. Used for
@@ -277,6 +234,8 @@ func New(g *chunk.Grid, c cache.Store, s strategy.Strategy, b backend.Backend, s
 	}
 	if o.metrics != nil {
 		e.met = *o.metrics
+	} else {
+		e.met = obs.NewEngineMetrics(nil)
 	}
 	if a, ok := b.(interface{ State() backend.BreakerState }); ok {
 		e.avail = a
@@ -303,8 +262,31 @@ func (e *Engine) Cache() cache.Store { return e.cache }
 // Strategy returns the lookup strategy.
 func (e *Engine) Strategy() strategy.Strategy { return e.strat }
 
-// Stats returns a copy of the cumulative counters.
-func (e *Engine) Stats() Stats { return e.stats.snapshot() }
+// Stats returns the cumulative counters, read from the metrics bundle; the
+// Breakdown is the phase histograms' sums.
+func (e *Engine) Stats() Stats {
+	m := &e.met
+	return Stats{
+		Queries:         m.Queries.Value(),
+		CompleteHits:    m.CompleteHits.Value(),
+		BackendQueries:  m.BackendRequests.Value(),
+		BackendTuples:   m.BackendTuples.Value(),
+		AggTuples:       m.AggregatedTuples.Value(),
+		BudgetMisses:    m.BudgetMisses.Value(),
+		PeerChunks:      m.ChunksPeerFilled.Value(),
+		DegradedHits:    m.DegradedAnswers.Value(),
+		Unavailable:     m.BackendUnavailable.Value(),
+		Recycled:        m.RecycledChunks.Value(),
+		RecycleRejected: m.RecycleRejected.Value(),
+		ResultCacheHits: m.ResultCacheHits.Value(),
+		Breakdown: Breakdown{
+			Lookup:    m.Lookup.Sum(),
+			Aggregate: m.Aggregate.Sum(),
+			Update:    m.Update.Sum(),
+			Backend:   m.Backend.Sum(),
+		},
+	}
+}
 
 // TierStats returns the cache store's tier counters (cold-tier hits,
 // promotions, demotions, compression footprint) when the store — directly or
@@ -374,7 +356,6 @@ func (e *Engine) Execute(ctx context.Context, q Query) (*Result, error) {
 		e.met.QueryErrors.Inc()
 		switch {
 		case errors.Is(err, ErrBackendUnavailable):
-			e.stats.unavailable.Add(1)
 			e.met.BackendUnavailable.Inc()
 		case errors.Is(err, context.DeadlineExceeded):
 			e.met.DeadlineExceeded.Inc()
@@ -402,7 +383,6 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 				// protected ring here.
 				e.cache.Reinforce(keys, benefit)
 			}
-			e.stats.resultHits.Add(1)
 			e.met.ResultCacheHits.Inc()
 			return e.finishQuery(nq, res), nil
 		}
@@ -431,7 +411,6 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 		switch {
 		case errors.Is(err, strategy.ErrBudget):
 			res.BudgetExceeded = true
-			e.stats.budgetMisses.Add(1)
 			e.met.BudgetMisses.Inc()
 			found = false
 		case err != nil:
@@ -544,7 +523,6 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 				// presence-only (O(1)) bookkeeping.
 				if e.cache.Insert(ic.key, ic.data, cache.AsRecycled(ic.benefit)) {
 					res.RecycledChunks++
-					e.stats.recycled.Add(1)
 					e.met.RecycledChunks.Inc()
 				}
 			}
@@ -560,7 +538,6 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 			}
 		}
 		if rejected > 0 {
-			e.stats.recycleRejects.Add(rejected)
 			e.met.RecycleRejected.Add(rejected)
 		}
 		m1 := e.strat.Maintenance()
@@ -619,32 +596,20 @@ func (e *Engine) finishQuery(nq Query, res *Result) *Result {
 		}
 	}
 
-	e.stats.queries.Add(1)
-	if res.CompleteHit {
-		e.stats.completeHits.Add(1)
-		if e.Degraded() {
-			// The backend is unreachable but the cache answered anyway —
-			// the availability win degraded mode exists for.
-			res.Degraded = true
-			e.stats.degradedHits.Add(1)
-			e.met.DegradedAnswers.Inc()
-		}
+	if res.CompleteHit && e.Degraded() {
+		// The backend is unreachable but the cache answered anyway — the
+		// availability win degraded mode exists for.
+		res.Degraded = true
+		e.met.DegradedAnswers.Inc()
 	}
-	e.stats.aggTuples.Add(res.AggregatedTuples)
-	e.stats.peerChunks.Add(int64(res.PeerChunks))
-	e.stats.lookupNS.Add(int64(res.Breakdown.Lookup))
-	e.stats.aggNS.Add(int64(res.Breakdown.Aggregate))
-	e.stats.updateNS.Add(int64(res.Breakdown.Update))
-	e.stats.backendNS.Add(int64(res.Breakdown.Backend))
 	e.observe(res)
 	return res
 }
 
-// observe publishes one answered query to the live metrics. Every handle is
-// a preallocated atomic, so the whole call is branch-and-add when metrics
-// are attached and pure nil checks when they are not; phase histograms only
-// record phases the query actually ran, so quantiles are not diluted by
-// zeros.
+// observe counts one answered query. Every handle is a preallocated atomic,
+// so the whole call is branch-and-add; phase histograms only record phases
+// the query actually ran, so quantiles are not diluted by zeros (a phase
+// that did not run took no time, so the sums Stats reads are unaffected).
 func (e *Engine) observe(res *Result) {
 	e.met.Queries.Inc()
 	if res.CompleteHit {

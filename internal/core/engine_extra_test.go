@@ -68,6 +68,47 @@ func TestBackendFailureSurfacesAndRecovers(t *testing.T) {
 	}
 }
 
+// miscountBackend answers every request with one chunk more (delta > 0) or
+// one fewer (delta < 0) than it was asked for.
+type miscountBackend struct {
+	backend.Backend
+	delta int
+}
+
+func (m *miscountBackend) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, backend.Stats, error) {
+	chunks, st, err := m.Backend.ComputeChunks(ctx, gb, nums)
+	if err != nil || len(chunks) == 0 {
+		return chunks, st, err
+	}
+	if m.delta > 0 {
+		return append(chunks, chunks[0]), st, nil
+	}
+	return chunks[:len(chunks)-1], st, nil
+}
+
+// TestPreloadRejectsMiscountedReply: a preload reply with the wrong chunk
+// count is a failed fetch, as it is for a query — an error, nothing
+// inserted and nothing counted — not a panic (long reply) or a silently
+// partial preload (short reply).
+func TestPreloadRejectsMiscountedReply(t *testing.T) {
+	base := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
+	sz := sizer.NewEstimate(base.grid, 1000)
+	for _, delta := range []int{+1, -1} {
+		c, _ := cache.New(1<<20, cache.NewTwoLevel())
+		eng, err := New(base.grid, c, strategy.NewVCMC(base.grid, sz), &miscountBackend{Backend: base.oracle, delta: delta}, sz)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, _, err := eng.Preload(context.Background()); err == nil {
+			t.Fatalf("delta %+d: Preload accepted a miscounted reply", delta)
+		}
+		if st := eng.Stats(); st.BackendQueries != 0 || st.BackendTuples != 0 || c.Len() != 0 {
+			t.Fatalf("delta %+d: failed preload counted %d requests, %d tuples and left %d chunks",
+				delta, st.BackendQueries, st.BackendTuples, c.Len())
+		}
+	}
+}
+
 // TestEngineConcurrentExecute hammers one engine from many goroutines;
 // queries genuinely overlap and every answer must match the oracle.
 func TestEngineConcurrentExecute(t *testing.T) {
@@ -110,47 +151,6 @@ func TestEngineConcurrentExecute(t *testing.T) {
 		t.Fatalf("final: %v", err)
 	}
 	assertMatchesOracle(t, f, WholeGroupBy(lat.Top()), res)
-}
-
-// TestRecycleBackendFills: a cold whole-extent fetch at the base group-by
-// fully covers every one-step roll-up, so the recycler materializes and
-// admits them from the arriving batch — follow-up queries one level up are
-// complete hits with correct contents.
-func TestRecycleBackendFills(t *testing.T) {
-	f := build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20,
-		WithRecycling(true), WithRecycleMinBenefit(1e-9))
-	lat := f.grid.Lattice()
-	base := lat.Base()
-
-	res, err := f.engine.Execute(context.Background(), WholeGroupBy(base))
-	if err != nil {
-		t.Fatalf("cold base: %v", err)
-	}
-	if res.RecycledChunks == 0 {
-		t.Fatalf("whole-extent backend fill recycled no roll-ups")
-	}
-
-	for _, ch := range lat.Children(base) {
-		q := WholeGroupBy(ch)
-		cres, err := f.engine.Execute(context.Background(), q)
-		if err != nil {
-			t.Fatalf("child %v: %v", ch, err)
-		}
-		if !cres.CompleteHit {
-			t.Fatalf("child %v not a complete hit after covered backend fill", ch)
-		}
-		assertMatchesOracle(t, f, q, cres)
-	}
-
-	// Without recycling, the same cold fetch admits nothing beyond the base.
-	f2 := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
-	res2, err := f2.engine.Execute(context.Background(), WholeGroupBy(base))
-	if err != nil {
-		t.Fatalf("cold base (off): %v", err)
-	}
-	if res2.RecycledChunks != 0 {
-		t.Fatalf("recycling off but RecycledChunks = %d", res2.RecycledChunks)
-	}
 }
 
 // TestRecycleIntermediates checks that the recycler caches a plan's

@@ -8,6 +8,7 @@ import (
 
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
+	"aggcache/internal/lattice"
 )
 
 func TestExplainColdAndWarm(t *testing.T) {
@@ -140,13 +141,15 @@ func TestExplainScanTotal(t *testing.T) {
 		}
 		return total
 	}
-	run := func(t *testing.T, minBenefit float64) (explained, executed int64, f *fixture) {
+	run := func(t *testing.T, minBenefit float64, warm ...lattice.ID) (explained, executed int64, f *fixture) {
 		t.Helper()
 		f = build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20,
 			WithRecycling(true), WithRecycleMinBenefit(minBenefit))
 		lat := f.grid.Lattice()
-		if _, err := f.engine.Execute(context.Background(), WholeGroupBy(lat.Base())); err != nil {
-			t.Fatalf("warm: %v", err)
+		for _, gb := range append([]lattice.ID{lat.Base()}, warm...) {
+			if _, err := f.engine.Execute(context.Background(), WholeGroupBy(gb)); err != nil {
+				t.Fatalf("warm %v: %v", gb, err)
+			}
 		}
 		out, err := f.engine.Explain(WholeGroupBy(lat.Top()))
 		if err != nil {
@@ -176,10 +179,13 @@ func TestExplainScanTotal(t *testing.T) {
 		t.Fatalf("prohibitive threshold: recycled %d, rejected %d", st.Recycled, st.RecycleRejected)
 	}
 
-	// Admit-everything: the warm-up's backend fill already recycled the
-	// one-step roll-ups of the base, so the plan is shorter and cheaper; the
-	// admitted nodes' own cells come from the sizer, so allow it its error.
-	admitted, executed, f := run(t, 1e-9)
+	// Admit-everything: an executed two-level roll-up of the base leaves its
+	// result resident and recycles its interior node, so the plan for the top
+	// starts there and is shorter and cheaper; the admitted nodes' own cells
+	// come from the sizer, so allow it its error.
+	lat := f.grid.Lattice()
+	mid := lat.Children(lat.Children(lat.Base())[0])[0]
+	admitted, executed, f := run(t, 1e-9, mid)
 	if admitted >= inlined || executed >= inlined {
 		t.Fatalf("plan over recycled intermediates should scan less than the base: Explain %d, executor %d, base %d", admitted, executed, inlined)
 	}

@@ -54,6 +54,11 @@ func (e *Engine) Preload(ctx context.Context) (lattice.ID, bool, error) {
 		nums[i] = i
 	}
 	chunks, bstats, err := e.back.ComputeChunks(ctx, gb, nums)
+	if err == nil && len(chunks) != len(nums) {
+		// The same check fetchMissing makes: a long reply would index past
+		// nums, a short one would preload a prefix and report success.
+		err = fmt.Errorf("backend returned %d chunks, want %d", len(chunks), len(nums))
+	}
 	if err != nil {
 		return 0, false, fmt.Errorf("core: preload: %w", err)
 	}
@@ -61,7 +66,7 @@ func (e *Engine) Preload(ctx context.Context) (lattice.ID, bool, error) {
 	for i, c := range chunks {
 		e.cache.Insert(cache.Key{GB: gb, Num: int32(nums[i])}, c, cache.AsBackend(benefit))
 	}
-	e.stats.backendQueries.Add(1)
-	e.stats.backendTuples.Add(bstats.TuplesScanned)
+	e.met.BackendRequests.Inc()
+	e.met.BackendTuples.Add(bstats.TuplesScanned)
 	return gb, true, nil
 }

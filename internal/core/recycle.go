@@ -34,8 +34,8 @@ func (e *Engine) recycleTry(k cache.Key) bool {
 // worst) — far above any realistic distinct-intermediate count.
 const recycleGhostMax = 1 << 17
 
-// recyclePerByte is the recycler's one pricing rule, shared by plan nodes,
-// backend fills and Explain: the recompute cost (tuples scanned) a copy of
+// recyclePerByte is the recycler's one pricing rule, shared by the executor
+// and Explain: the recompute cost (tuples scanned) a copy of
 // chunk num of gb would save, per byte of the footprint the sizer expects it
 // to occupy. Nothing has to be built to ask.
 func (e *Engine) recyclePerByte(gb lattice.ID, num int, cost int64) float64 {
@@ -115,73 +115,5 @@ func (t listenerTee) OnEvent(ev cache.Event) {
 	t.strat.OnEvent(ev)
 	if !ev.Answerable() {
 		t.rcache.onEvict(ev.Key)
-	}
-}
-
-// recycleFills extends the recycler to backend fills: a batch of chunks
-// arriving at group-by gb is an admission candidate for each one-step
-// lattice roll-up it fully covers. For every child (more aggregated)
-// group-by, each distinct child chunk the batch touches is checked for full
-// input coverage within the batch, priced with the same saved-cost-per-byte
-// rule (recyclePerByte) — the roll-up's cost is the batch cells scanned —
-// and, when profitable and not already resident,
-// materialized and inserted as a computed-class chunk. One lattice step
-// only: deeper roll-ups derive more cheaply from the admitted copy if a
-// later query wants them, and chains would multiply work on the miss path.
-func (e *Engine) recycleFills(gb lattice.ID, nums []int, data []*chunk.Chunk, res *Result) {
-	byNum := make(map[int]*chunk.Chunk, len(nums))
-	for i, num := range nums {
-		byNum[num] = data[i]
-	}
-	var inputs []int
-	for _, ch := range e.lat.Children(gb) {
-		seen := make(map[int]struct{})
-		for _, num := range nums {
-			cc := e.grid.ChildChunk(gb, num, ch)
-			if _, dup := seen[cc]; dup {
-				continue
-			}
-			seen[cc] = struct{}{}
-			inputs = e.grid.ParentChunks(ch, cc, gb, inputs[:0])
-			covered := true
-			var cost int64
-			for _, in := range inputs {
-				src, ok := byNum[in]
-				if !ok {
-					covered = false
-					break
-				}
-				cost += int64(src.Cells())
-			}
-			if !covered {
-				continue
-			}
-			k := cache.Key{GB: ch, Num: int32(cc)}
-			if e.cache.Contains(k) {
-				continue
-			}
-			if e.recyclePerByte(ch, cc, cost) < e.opts.recycleMinBenefit {
-				e.stats.recycleRejects.Add(1)
-				e.met.RecycleRejected.Inc()
-				continue
-			}
-			if !e.recycleTry(k) {
-				continue
-			}
-			cm := e.grid.GetCellMap(ch, cc)
-			rollErr := false
-			for _, in := range inputs {
-				if _, err := e.grid.RollUpInto(cm, ch, cc, byNum[in]); err != nil {
-					rollErr = true
-					break
-				}
-			}
-			if !rollErr && e.cache.Insert(k, cm.Build(ch, cc), cache.AsRecycled(float64(cost))) {
-				res.RecycledChunks++
-				e.stats.recycled.Add(1)
-				e.met.RecycledChunks.Inc()
-			}
-			chunk.PutCellMap(cm)
-		}
 	}
 }

@@ -41,10 +41,6 @@ type resultCache struct {
 	// Intrusive LRU: newest at the head, eviction from the tail.
 	newest, oldest *resultEntry
 
-	hits        int64 // exact-match answers
-	subsumed    int64 // containment answers
-	misses      int64
-	puts        int64
 	invalidated int64 // entries dropped by contributing-chunk eviction
 	evicted     int64 // entries dropped by the LRU bound
 }
@@ -79,14 +75,11 @@ type resultEntry struct {
 	newer, older *resultEntry
 }
 
-// resultCacheStats is a snapshot of the result cache counters.
+// resultCacheStats is a snapshot of the result cache's occupancy and drop
+// counters. Its hits are the engine's ResultCacheHits.
 type resultCacheStats struct {
 	Entries     int
 	Bytes       int64
-	Hits        int64
-	Subsumed    int64
-	Misses      int64
-	Puts        int64
 	Invalidated int64
 	Evicted     int64
 }
@@ -113,7 +106,6 @@ func (rc *resultCache) get(nq Query) (chunks []*chunk.Chunk, keys []cache.Key, b
 	defer rc.mu.Unlock()
 	if e, found := rc.exact[resultKey{gb: nq.GB, rect: packRect(nq.Lo, nq.Hi)}]; found {
 		rc.touch(e)
-		rc.hits++
 		return append([]*chunk.Chunk(nil), e.chunks...), append([]cache.Key(nil), e.keys...), e.benefit, true
 	}
 	for e := range rc.byGB[nq.GB] {
@@ -122,10 +114,8 @@ func (rc *resultCache) get(nq Query) (chunks []*chunk.Chunk, keys []cache.Key, b
 		}
 		chunks, keys = e.slice(nq.Lo, nq.Hi)
 		rc.touch(e)
-		rc.subsumed++
 		return chunks, keys, e.benefit, true
 	}
-	rc.misses++
 	return nil, nil, 0, false
 }
 
@@ -231,7 +221,6 @@ func (rc *resultCache) put(nq Query, chunks []*chunk.Chunk, keys []cache.Key, be
 		rc.oldest = e
 	}
 	rc.bytes += bytes
-	rc.puts++
 	for (len(rc.exact) > rc.maxEntries || rc.bytes > rc.maxBytes) && rc.oldest != nil && rc.oldest != e {
 		rc.evicted++
 		rc.remove(rc.oldest)
@@ -324,10 +313,6 @@ func (rc *resultCache) snapshot() resultCacheStats {
 	return resultCacheStats{
 		Entries:     len(rc.exact),
 		Bytes:       rc.bytes,
-		Hits:        rc.hits,
-		Subsumed:    rc.subsumed,
-		Misses:      rc.misses,
-		Puts:        rc.puts,
 		Invalidated: rc.invalidated,
 		Evicted:     rc.evicted,
 	}

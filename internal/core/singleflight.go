@@ -154,8 +154,6 @@ func (e *Engine) fetchMissing(ctx context.Context, gb lattice.ID, missing, missi
 		}
 		res.Breakdown.Backend += bstats.Cost()
 		res.BackendTuples += bstats.TuplesScanned
-		e.stats.backendQueries.Add(1)
-		e.stats.backendTuples.Add(bstats.TuplesScanned)
 		e.met.BackendRequests.Inc()
 		e.met.BackendTuples.Add(bstats.TuplesScanned)
 		benefit := (float64(bstats.TuplesScanned)*backendPenalty + connectCost) / float64(len(own))
@@ -173,14 +171,6 @@ func (e *Engine) fetchMissing(ctx context.Context, gb lattice.ID, missing, missi
 
 		n := int64(len(own))
 		e.flights.finish(gb, own, ownCalls, chunks, bstats.TuplesScanned/n, bstats.Cost()/time.Duration(n), false, nil)
-
-		// The recycler also prices the roll-ups this arrival fully covers:
-		// a coarse batch often lands exactly the inputs a drill-down session
-		// will next aggregate. Runs after the flights are published so
-		// followers never wait on speculative work.
-		if e.opts.recycle {
-			e.recycleFills(gb, own, chunks, res)
-		}
 	}
 
 	// Chunks whose leader failed with a context error that was not ours:

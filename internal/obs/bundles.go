@@ -5,9 +5,12 @@ import "fmt"
 // This file defines the metric bundles the instrumented components record
 // into. Each bundle is a plain struct of metric handles; the zero value
 // (all-nil handles) is valid and records nothing, so components hold a
-// bundle by value and stay dependency-free of the registry itself. The
-// exported metric names below are the observability contract documented in
-// DESIGN.md §7.
+// bundle by value and stay dependency-free of the registry itself. Built
+// from a nil registry, a bundle's handles are live but exported nowhere: the
+// engine, the hot store and the cold tier always count into such a bundle
+// and read their Stats back from it, so /metrics and Stats are one set of
+// counters. The exported metric names below are the observability contract
+// documented in DESIGN.md §7.
 
 // EngineMetrics instruments core.Engine: query counts and outcomes, chunk
 // provenance, singleflight behavior, and the Figure-10 phase latencies.
@@ -120,7 +123,6 @@ func NewCacheMetrics(r *Registry) CacheMetrics {
 // TierMetrics instruments the cold tier of a cache.Tiered store: compressed
 // occupancy against the raw footprint of the same residents (their ratio is
 // the effective compression), and the promote/demote traffic between tiers.
-// The zero value records nothing, like every bundle here.
 type TierMetrics struct {
 	ColdCapacityBytes  *Gauge
 	ColdOccupancyBytes *Gauge

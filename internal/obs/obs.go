@@ -198,7 +198,9 @@ type metric struct {
 // Registry holds named metrics and renders them in Prometheus text format.
 // Registration takes a lock; recording on the returned metric handles is
 // lock-free. Registering a name twice returns the existing metric, so
-// several components may share a series.
+// several components may share a series. A nil *Registry hands out live
+// handles that are registered nowhere: components always count into a real
+// bundle, and a registry only decides whether the bundle is exported.
 type Registry struct {
 	mu      sync.Mutex
 	metrics []*metric
@@ -221,8 +223,12 @@ func splitName(name string) (family, labels string) {
 
 // register returns the metric for name, creating it with the given kind if
 // new. A kind clash on an existing name panics: it is a wiring bug, not a
-// runtime condition.
+// runtime condition. On a nil registry it returns a fresh, unregistered
+// metric.
 func (r *Registry) register(name, help string, kind metricKind) *metric {
+	if r == nil {
+		return newMetric(name, help, kind)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.index[name]; ok {
@@ -231,6 +237,14 @@ func (r *Registry) register(name, help string, kind metricKind) *metric {
 		}
 		return m
 	}
+	m := newMetric(name, help, kind)
+	r.metrics = append(r.metrics, m)
+	r.index[name] = m
+	return m
+}
+
+// newMetric allocates one series with its live handle.
+func newMetric(name, help string, kind metricKind) *metric {
 	family, labels := splitName(name)
 	m := &metric{name: name, family: family, labels: labels, help: help, kind: kind}
 	switch kind {
@@ -241,8 +255,6 @@ func (r *Registry) register(name, help string, kind metricKind) *metric {
 	case kindHistogram:
 		m.hist = &Histogram{}
 	}
-	r.metrics = append(r.metrics, m)
-	r.index[name] = m
 	return m
 }
 

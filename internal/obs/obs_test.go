@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"fmt"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -39,6 +40,58 @@ func TestCounterGauge(t *testing.T) {
 	nh.Observe(time.Second)
 	if nc.Value() != 0 || ng.Value() != 0 || nh.Count() != 0 || nh.Quantile(0.5) != 0 {
 		t.Fatalf("nil metrics recorded something")
+	}
+}
+
+// TestNilRegistryBundlesAreLive: every bundle built from a nil registry has
+// a live handle in every field — recording moves its Value or Count — and
+// none of them is registered anywhere: a second build of the same bundle
+// gets its own handles, which the first one's recordings leave untouched.
+func TestNilRegistryBundlesAreLive(t *testing.T) {
+	bundles := func() []any {
+		return []any{
+			NewEngineMetrics(nil), NewCacheMetrics(nil), NewTierMetrics(nil),
+			NewStrategyMetrics(nil, "VCMC"), NewBackendMetrics(nil), NewServerMetrics(nil),
+			NewRemoteMetrics(nil), NewPeerMetrics(nil, "peer"), NewAdmissionMetrics(nil),
+			NewBreakerMetrics(nil),
+		}
+	}
+	read := func(h any) int64 {
+		switch h := h.(type) {
+		case *Counter:
+			return h.Value()
+		case *Gauge:
+			return h.Value()
+		case *Histogram:
+			return h.Count()
+		}
+		t.Fatalf("unexpected handle type %T", h)
+		return 0
+	}
+	twins := bundles()
+	for i, b := range bundles() {
+		v, tw := reflect.ValueOf(b), reflect.ValueOf(twins[i])
+		for f := 0; f < v.NumField(); f++ {
+			name := v.Type().Name() + "." + v.Type().Field(f).Name
+			if v.Field(f).IsNil() {
+				t.Fatalf("%s is nil", name)
+			}
+			h, twin := v.Field(f).Interface(), tw.Field(f).Interface()
+			if h == twin {
+				t.Fatalf("%s: two nil-registry builds share a handle", name)
+			}
+			switch h := h.(type) {
+			case *Counter:
+				h.Inc()
+			case *Gauge:
+				h.Set(1)
+			case *Histogram:
+				h.Observe(time.Millisecond)
+			}
+			if read(h) != 1 || read(twin) != 0 {
+				t.Fatalf("%s: recorded %d, its twin %d; want 1 and 0", name, read(h), read(twin))
+			}
+		}
 	}
 }
 
