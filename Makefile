@@ -28,13 +28,16 @@ bench-e2e:
 
 # bench-kernel runs the aggregation-kernel micro-benchmarks (single roll-up,
 # flattened vs hop-by-hop multi-hop, accumulator sweeps at three occupancies,
-# slice) and the backend scan kernel's (ns/tuple over a seeded mix of
-# group-bys at medium scale) with allocation reporting, and the
-# machine-readable kernel experiment (writes BENCH_4.json). The kernel's
-# end-to-end number is the yardstick's rollup_hit workload.
+# slice), the backend scan kernel's (ns/tuple over a seeded mix of
+# group-bys at medium scale) and the VCMC maintenance kernel's (insert/evict
+# cycles on the medium grid, ns per count/cost update) with allocation
+# reporting, and the machine-readable kernel experiment (writes
+# BENCH_4.json). The kernels' end-to-end numbers are the yardstick's
+# rollup_hit and churn_miss workloads.
 bench-kernel:
 	$(GO) test ./internal/chunk -run XXX -bench 'RollUp|CellMap|GridSlice' -benchmem -benchtime 20000x | tee kernel_bench.txt
 	$(GO) test ./internal/backend -run XXX -bench 'ComputeChunks' -benchmem -benchtime 2000x | tee -a kernel_bench.txt
+	$(GO) test ./internal/strategy -run XXX -bench 'VCMCMaintenance' -benchmem -benchtime 20000x | tee -a kernel_bench.txt
 	$(GO) run ./cmd/aggbench -scale small -exp kernel
 
 # The four gated experiments below write their floor verdicts into their

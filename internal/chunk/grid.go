@@ -330,39 +330,68 @@ func (g *Grid) Number(gb lattice.ID, coords []int32) int {
 	return num
 }
 
-// ParentChunks returns the chunk numbers at parent group-by parent (one
-// level more detailed on a single dimension) whose aggregation yields chunk
-// num of gb — the paper's GetParentChunkNumbers. The result is appended to
-// dst.
+// Run is an arithmetic run of chunk numbers: First, First+Step, … (N of
+// them), in ascending order.
+type Run struct{ First, Step, N int }
+
+// At returns the i-th chunk number of the run.
+func (r Run) At(i int) int { return r.First + i*r.Step }
+
+// split decomposes chunk num of gb around dimension d: num = hi·(s·n) + c·s
+// + lo, where c is the chunk coordinate along d, s the stride of d (the
+// same in every group-by that differs from gb only on d) and n the chunk
+// count of d at gb's level l. A lattice step along d changes only c and n.
+func (g *Grid) split(gb lattice.ID, num, d int) (hi, c, lo, s, l int) {
+	l = g.lat.LevelAt(gb, d)
+	s = g.chunkStrides[gb][d]
+	// Chunk numbers fit in 32 bits, and 32-bit division is the cheaper one.
+	q := int(uint32(num) / uint32(s))
+	n := g.counts[d][l]
+	hi = int(uint32(q) / uint32(n))
+	return hi, q - hi*n, num - q*s, s, l
+}
+
+// ParentRun returns the chunks of gb's lattice parent one level more
+// detailed on dimension d (lattice.ParentDims) whose aggregation yields
+// chunk num of gb — the paper's GetParentChunkNumbers. They differ only in
+// their coordinate along d, so they form a run; enumerating it needs no
+// slice and no coordinate decoding.
+func (g *Grid) ParentRun(gb lattice.ID, num, d int) Run {
+	hi, c, lo, s, l := g.split(gb, num, d)
+	r := g.parentRange[d][l][c]
+	return Run{First: (hi*g.counts[d][l+1]+int(r.Lo))*s + lo, Step: s, N: r.Len()}
+}
+
+// ChildStep returns the chunk of gb's lattice child one level more
+// aggregated on dimension d (lattice.ChildDims) that chunk num of gb
+// contributes to — the paper's GetChildChunkNumber.
+func (g *Grid) ChildStep(gb lattice.ID, num, d int) int {
+	hi, c, lo, s, l := g.split(gb, num, d)
+	return (hi*g.counts[d][l-1]+int(g.childChunk[d][l][c]))*s + lo
+}
+
+// ParentChunks appends ParentRun(gb, num, d) to dst, where d is the
+// dimension on which parent is one level more detailed than gb.
 func (g *Grid) ParentChunks(gb lattice.ID, num int, parent lattice.ID, dst []int) []int {
 	d, ok := g.lat.StepDim(gb, parent)
 	if !ok {
 		panic(fmt.Sprintf("chunk: %s is not a lattice parent of %s", g.lat.LevelTupleString(parent), g.lat.LevelTupleString(gb)))
 	}
-	var buf [16]int32
-	coords := g.Coords(gb, num, buf[:0])
-	l := g.lat.LevelAt(gb, d)
-	r := g.parentRange[d][l][coords[d]]
-	for c := r.Lo; c < r.Hi; c++ {
-		coords[d] = c
-		dst = append(dst, g.Number(parent, coords))
+	r := g.ParentRun(gb, num, d)
+	for i := 0; i < r.N; i++ {
+		dst = append(dst, r.At(i))
 	}
 	return dst
 }
 
-// ChildChunk returns the chunk number at child group-by child (one level
-// more aggregated on a single dimension) that chunk num of gb contributes to
-// — the paper's GetChildChunkNumber.
+// ChildChunk is ChildStep(gb, num, d), where d is the dimension on which
+// child is one level more aggregated than gb.
 func (g *Grid) ChildChunk(gb lattice.ID, num int, child lattice.ID) int {
 	d, ok := g.lat.StepDim(child, gb)
 	if !ok {
 		panic(fmt.Sprintf("chunk: %s is not a lattice child of %s", g.lat.LevelTupleString(child), g.lat.LevelTupleString(gb)))
 	}
-	var buf [16]int32
-	coords := g.Coords(gb, num, buf[:0])
-	l := g.lat.LevelAt(gb, d)
-	coords[d] = g.childChunk[d][l][coords[d]]
-	return g.Number(child, coords)
+	return g.ChildStep(gb, num, d)
 }
 
 // AncestorChunks appends the chunk numbers at ancestor group-by anc

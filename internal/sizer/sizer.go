@@ -7,7 +7,6 @@ package sizer
 
 import (
 	"math"
-	"sync"
 
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
@@ -28,85 +27,38 @@ type Sizer interface {
 // Estimate is a probabilistic Sizer. It assumes base tuples are spread
 // uniformly over the base cross product and applies the standard
 // distinct-count ("birthday") estimate: a chunk with dense capacity C
-// receiving n tuples materializes C·(1−(1−1/C)^n) cells.
+// receiving n tuples materializes C·(1−(1−1/C)^n) cells. Every chunk's size
+// is computed by NewEstimate, so an Estimate is immutable and one may be
+// shared lock-free by every engine of an in-process cluster.
 type Estimate struct {
-	grid *chunk.Grid
-	rows int64
-	// baseCells = total dense capacity of the base cross product.
-	baseCells float64
-	// cache[gb][num]; built lazily per group-by. One Estimate may be shared
-	// by every engine of an in-process cluster, so the memo is guarded.
-	mu    sync.RWMutex
-	cache map[lattice.ID][]int64
-	gbTot map[lattice.ID]int64
+	cells [][]int64 // cells[gb][num]
+	tot   []int64   // tot[gb] = Σ cells[gb]
 }
 
 // NewEstimate returns an Estimate for rows base tuples over grid.
 func NewEstimate(grid *chunk.Grid, rows int64) *Estimate {
-	sch := grid.Schema()
-	bc := 1.0
-	for d := 0; d < sch.NumDims(); d++ {
-		bc *= float64(sch.Dim(d).Card(sch.Dim(d).Hierarchy()))
+	n := grid.Lattice().NumNodes()
+	e := &Estimate{cells: make([][]int64, n), tot: make([]int64, n)}
+	for gb := lattice.ID(0); int(gb) < n; gb++ {
+		sizes := make([]int64, grid.NumChunks(gb))
+		for num := range sizes {
+			sizes[num] = estimateChunk(grid, rows, gb, num)
+			e.tot[gb] += sizes[num]
+		}
+		e.cells[gb] = sizes
 	}
-	return &Estimate{
-		grid:      grid,
-		rows:      rows,
-		baseCells: bc,
-		cache:     make(map[lattice.ID][]int64),
-		gbTot:     make(map[lattice.ID]int64),
-	}
+	return e
 }
 
 // ChunkCells implements Sizer.
-func (e *Estimate) ChunkCells(gb lattice.ID, num int) int64 {
-	e.mu.RLock()
-	sizes, ok := e.cache[gb]
-	e.mu.RUnlock()
-	if !ok {
-		sizes = e.buildGroupBy(gb)
-	}
-	return sizes[num]
-}
+func (e *Estimate) ChunkCells(gb lattice.ID, num int) int64 { return e.cells[gb][num] }
 
 // GroupByCells implements Sizer.
-func (e *Estimate) GroupByCells(gb lattice.ID) int64 {
-	e.mu.RLock()
-	tot, ok := e.gbTot[gb]
-	e.mu.RUnlock()
-	if ok {
-		return tot
-	}
-	e.buildGroupBy(gb)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.gbTot[gb]
-}
+func (e *Estimate) GroupByCells(gb lattice.ID) int64 { return e.tot[gb] }
 
-func (e *Estimate) buildGroupBy(gb lattice.ID) []int64 {
-	n := e.grid.NumChunks(gb)
-	sizes := make([]int64, n)
-	var tot int64
-	for num := 0; num < n; num++ {
-		sizes[num] = e.estimateChunk(gb, num)
-		tot += sizes[num]
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Two builders may race to the lock; the first stored result wins so
-	// callers never observe the memo flapping between equal slices.
-	if prev, ok := e.cache[gb]; ok {
-		return prev
-	}
-	e.cache[gb] = sizes
-	e.gbTot[gb] = tot
-	return sizes
-}
-
-func (e *Estimate) estimateChunk(gb lattice.ID, num int) int64 {
-	g := e.grid
-	lat := g.Lattice()
+func estimateChunk(g *chunk.Grid, rows int64, gb lattice.ID, num int) int64 {
 	sch := g.Schema()
-	lv := lat.Level(gb)
+	lv := g.Lattice().Level(gb)
 	var cbuf [16]int32
 	coords := g.Coords(gb, num, cbuf[:0])
 	// Dense capacity of the chunk and the fraction of base tuples that land
@@ -121,7 +73,7 @@ func (e *Estimate) estimateChunk(gb lattice.ID, num int) int64 {
 		_, bhi = dim.DescendantRange(lv[d], dim.Hierarchy(), r.Hi-1)
 		frac *= float64(bhi-blo) / float64(dim.Card(dim.Hierarchy()))
 	}
-	n := float64(e.rows) * frac
+	n := float64(rows) * frac
 	cells := distinct(capacity, n)
 	if cells < 1 {
 		cells = 1

@@ -100,7 +100,9 @@ func (s *ESM) Overhead() int64 { return 0 }
 // Maintenance implements Strategy; ESM performs none.
 func (s *ESM) Maintenance() Maint { return Maint{} }
 
-// LastVisited implements Strategy.
+// LastVisited returns the number of nodes visited by the most recent Find —
+// the lookup-complexity metric behind Table 1. With concurrent Finds in
+// flight it is that of whichever Find stored last.
 func (s *ESM) LastVisited() int64 { return s.visited.Load() }
 
 // ESMC is the cost-based exhaustive method (§5.1): it explores *all* lattice
@@ -194,7 +196,7 @@ func (s *ESMC) Overhead() int64 { return 0 }
 // Maintenance implements Strategy.
 func (s *ESMC) Maintenance() Maint { return Maint{} }
 
-// LastVisited implements Strategy.
+// LastVisited is ESM.LastVisited for ESMC.
 func (s *ESMC) LastVisited() int64 { return s.visited.Load() }
 
 // NoAgg is the conventional chunk cache of the paper's comparison (§7.2
@@ -202,7 +204,6 @@ func (s *ESMC) LastVisited() int64 { return s.visited.Load() }
 type NoAgg struct {
 	mu      sync.RWMutex
 	present *presence
-	visited atomic.Int64
 }
 
 // NewNoAgg creates the no-aggregation baseline.
@@ -215,7 +216,6 @@ func (s *NoAgg) Name() string { return "NoAgg" }
 func (s *NoAgg) Find(gb lattice.ID, num int) (*Plan, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.visited.Store(1)
 	if s.present.has(gb, num) {
 		return &Plan{GB: gb, Num: num, Present: true}, true, nil
 	}
@@ -245,6 +245,3 @@ func (s *NoAgg) Overhead() int64 { return 0 }
 
 // Maintenance implements Strategy.
 func (s *NoAgg) Maintenance() Maint { return Maint{} }
-
-// LastVisited implements Strategy.
-func (s *NoAgg) LastVisited() int64 { return s.visited.Load() }

@@ -36,6 +36,12 @@ func Instrument(s Strategy, m obs.StrategyMetrics) *Instrumented {
 // Find delegates to the wrapped strategy, recording call count, plan hits,
 // visited nodes, and (for sampled calls) latency. The added cost is a few
 // atomic adds, plus two clock reads on every sixteenth call.
+//
+// Visited nodes are counted from the call's own result: a hit visits the
+// plan's nodes and a miss one node, which is exactly what VCM, VCMC and
+// NoAgg do. (For the exhaustive ESM/ESMC it counts the plan, not the search
+// behind it.) Nothing is read back from shared state, so concurrent Finds
+// are never charged each other's counts.
 func (i *Instrumented) Find(gb lattice.ID, num int) (*Plan, bool, error) {
 	sampled := i.n.Add(1)&findSampleMask == 0
 	var start time.Time
@@ -50,7 +56,11 @@ func (i *Instrumented) Find(gb lattice.ID, num int) (*Plan, bool, error) {
 	if ok {
 		i.met.FindHits.Inc()
 	}
-	i.met.NodesVisited.Add(i.Strategy.LastVisited())
+	visited := int64(1)
+	if ok {
+		visited = int64(p.Nodes())
+	}
+	i.met.NodesVisited.Add(visited)
 	return p, ok, err
 }
 

@@ -134,10 +134,6 @@ type Strategy interface {
 	Overhead() int64
 	// Maintenance returns cumulative maintenance counters.
 	Maintenance() Maint
-	// LastVisited returns the number of nodes visited by the most recent
-	// Find — the lookup-complexity metric behind Table 1. With concurrent
-	// Finds in flight the value is that of whichever Find stored last.
-	LastVisited() int64
 }
 
 // New builds the strategy whose Name is name: ESM, ESMC, VCM, VCMC or NoAgg.
@@ -208,4 +204,16 @@ func (p *presence) set(gb lattice.ID, num int)   { p.bits[gb][num/64] |= 1 << (n
 func (p *presence) clear(gb lattice.ID, num int) { p.bits[gb][num/64] &^= 1 << (num % 64) }
 func (p *presence) has(gb lattice.ID, num int) bool {
 	return p.bits[gb][num/64]&(1<<(num%64)) != 0
+}
+
+// presentInputs returns the inputs of a one-step roll-up over run r of
+// resident chunks of parent: one Present leaf per chunk, allocated together.
+func presentInputs(parent lattice.ID, r chunk.Run) []*Plan {
+	leaves := make([]Plan, r.N)
+	inputs := make([]*Plan, r.N)
+	for i := range inputs {
+		leaves[i] = Plan{GB: parent, Num: r.At(i), Present: true}
+		inputs[i] = &leaves[i]
+	}
+	return inputs
 }

@@ -51,43 +51,73 @@ func evicted(gb lattice.ID, num int) cache.Event {
 
 // oracle answers computability and least cost by exhaustive memoized search
 // over the present set — the ground truth for Property 1 and for VCMC/ESMC
-// costs.
+// costs. Silent (recycled) residents answer lookups but never count, so the
+// oracle keeps them apart and can search with or without them.
 type oracle struct {
 	grid    *chunk.Grid
 	lat     *lattice.Lattice
 	sizes   sizer.Sizer
 	present map[cache.Key]bool
-	memo    map[cache.Key]int64 // least cost; infCost = not computable
+	silent  map[cache.Key]bool
+	// memo[0] holds least costs over present, memo[1] over present ∪
+	// silent; infCost = not computable.
+	memo [2]map[cache.Key]int64
 }
 
 func newOracle(g *chunk.Grid, sizes sizer.Sizer) *oracle {
-	return &oracle{
+	o := &oracle{
 		grid:    g,
 		lat:     g.Lattice(),
 		sizes:   sizes,
 		present: make(map[cache.Key]bool),
-		memo:    make(map[cache.Key]int64),
+		silent:  make(map[cache.Key]bool),
 	}
+	o.reset()
+	return o
+}
+
+func (o *oracle) reset() {
+	o.memo = [2]map[cache.Key]int64{make(map[cache.Key]int64), make(map[cache.Key]int64)}
 }
 
 func (o *oracle) insert(gb lattice.ID, num int) {
 	o.present[cache.Key{GB: gb, Num: int32(num)}] = true
-	o.memo = make(map[cache.Key]int64)
+	o.reset()
+}
+
+func (o *oracle) insertSilent(gb lattice.ID, num int) {
+	o.silent[cache.Key{GB: gb, Num: int32(num)}] = true
+	o.reset()
 }
 
 func (o *oracle) evict(gb lattice.ID, num int) {
 	delete(o.present, cache.Key{GB: gb, Num: int32(num)})
-	o.memo = make(map[cache.Key]int64)
+	delete(o.silent, cache.Key{GB: gb, Num: int32(num)})
+	o.reset()
 }
 
-// cost returns the least cost of computing the chunk, or infCost.
-func (o *oracle) cost(gb lattice.ID, num int) int64 {
+// resident reports whether the chunk is in the cache, silent or not.
+func (o *oracle) resident(gb lattice.ID, num int) bool {
 	k := cache.Key{GB: gb, Num: int32(num)}
-	if c, ok := o.memo[k]; ok {
+	return o.present[k] || o.silent[k]
+}
+
+// cost returns the least cost of computing the chunk from the counted
+// residents, or infCost.
+func (o *oracle) cost(gb lattice.ID, num int) int64 { return o.costOver(gb, num, false) }
+
+// costOver is cost, over present ∪ silent when withSilent is set.
+func (o *oracle) costOver(gb lattice.ID, num int, withSilent bool) int64 {
+	k := cache.Key{GB: gb, Num: int32(num)}
+	memo := o.memo[0]
+	if withSilent {
+		memo = o.memo[1]
+	}
+	if c, ok := memo[k]; ok {
 		return c
 	}
-	if o.present[k] {
-		o.memo[k] = 0
+	if o.present[k] || withSilent && o.silent[k] {
+		memo[k] = 0
 		return 0
 	}
 	best := int64(infCost)
@@ -95,7 +125,7 @@ func (o *oracle) cost(gb lattice.ID, num int) int64 {
 		total := int64(0)
 		ok := true
 		for _, cn := range o.grid.ParentChunks(gb, num, parent, nil) {
-			c := o.cost(parent, cn)
+			c := o.costOver(parent, cn, withSilent)
 			if c == infCost {
 				ok = false
 				break
@@ -106,7 +136,7 @@ func (o *oracle) cost(gb lattice.ID, num int) int64 {
 			best = total
 		}
 	}
-	o.memo[k] = best
+	memo[k] = best
 	return best
 }
 
@@ -139,7 +169,7 @@ func (o *oracle) count(gb lattice.ID, num int) int32 {
 func checkPlan(t *testing.T, g *chunk.Grid, o *oracle, p *Plan) {
 	t.Helper()
 	if p.Present {
-		if !o.present[cache.Key{GB: p.GB, Num: int32(p.Num)}] {
+		if !o.resident(p.GB, p.Num) {
 			t.Fatalf("plan leaf (%d,%d) is not present", p.GB, p.Num)
 		}
 		if len(p.Inputs) != 0 {
@@ -460,7 +490,7 @@ func TestNoAgg(t *testing.T) {
 	if _, found, _ := s.Find(base, 0); found {
 		t.Fatalf("evicted chunk still found")
 	}
-	if s.Overhead() != 0 || s.LastVisited() != 1 || s.Name() != "NoAgg" {
+	if s.Overhead() != 0 || s.Name() != "NoAgg" {
 		t.Fatalf("NoAgg metadata wrong")
 	}
 }

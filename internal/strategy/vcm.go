@@ -3,7 +3,6 @@ package strategy
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
@@ -28,7 +27,6 @@ type VCM struct {
 	present *presence
 	counts  [][]int32
 	maint   maintCounters
-	visited atomic.Int64
 }
 
 // NewVCM creates a VCM strategy with all-zero counts (empty cache).
@@ -57,14 +55,11 @@ func (s *VCM) Count(gb lattice.ID, num int) int32 {
 func (s *VCM) Find(gb lattice.ID, num int) (*Plan, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var visited int64
-	plan := s.build(gb, num, &visited)
-	s.visited.Store(visited)
+	plan := s.build(gb, num)
 	return plan, plan != nil, nil
 }
 
-func (s *VCM) build(gb lattice.ID, num int, visited *int64) *Plan {
-	*visited++
+func (s *VCM) build(gb lattice.ID, num int) *Plan {
 	// Presence is checked before the count: recycled intermediates are
 	// resident but excluded from count bookkeeping, so a present chunk may
 	// legitimately carry a zero count.
@@ -78,51 +73,46 @@ func (s *VCM) build(gb lattice.ID, num int, visited *int64) *Plan {
 	// intermediates included — they are excluded from count bookkeeping, so
 	// the count scan below cannot see them): one roll-up step over present
 	// chunks beats re-deriving a deeper path.
-	var nums []int
-	for _, parent := range s.lat.Parents(gb) {
-		nums = s.grid.ParentChunks(gb, num, parent, nums[:0])
+	pdims := s.lat.ParentDims(gb)
+	for pi, parent := range s.lat.Parents(gb) {
+		r := s.grid.ParentRun(gb, num, int(pdims[pi]))
 		all := true
-		for _, cn := range nums {
-			if !s.present.has(parent, cn) {
-				all = false
-				break
-			}
+		for i := 0; i < r.N && all; i++ {
+			all = s.present.has(parent, r.At(i))
 		}
-		if !all {
-			continue
+		if all {
+			return &Plan{GB: gb, Num: num, Via: parent, Inputs: presentInputs(parent, r)}
 		}
-		*visited += int64(len(nums))
-		inputs := make([]*Plan, 0, len(nums))
-		for _, cn := range nums {
-			inputs = append(inputs, &Plan{GB: parent, Num: cn, Present: true})
-		}
-		return &Plan{GB: gb, Num: num, Via: parent, Inputs: inputs}
 	}
-	for _, parent := range s.lat.Parents(gb) {
-		nums = s.grid.ParentChunks(gb, num, parent, nums[:0])
-		ok := true
-		for _, cn := range nums {
-			if s.counts[parent][cn] == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+	for pi, parent := range s.lat.Parents(gb) {
+		r := s.grid.ParentRun(gb, num, int(pdims[pi]))
+		if !s.computable(parent, r, -1) {
 			continue
 		}
-		inputs := make([]*Plan, 0, len(nums))
-		for _, cn := range nums {
-			sub := s.build(parent, cn, visited)
-			if sub == nil {
+		inputs := make([]*Plan, r.N)
+		for i := range inputs {
+			cn := r.At(i)
+			if inputs[i] = s.build(parent, cn); inputs[i] == nil {
 				// Property 1 guarantees this cannot happen.
 				panic(fmt.Sprintf("strategy: VCM count invariant violated at gb %d chunk %d", parent, cn))
 			}
-			inputs = append(inputs, sub)
 		}
 		return &Plan{GB: gb, Num: num, Via: parent, Inputs: inputs}
 	}
 	panic(fmt.Sprintf("strategy: VCM count %d at gb %d chunk %d but no successful parent",
 		s.counts[gb][num], gb, num))
+}
+
+// computable reports whether every chunk of run r at gb, except skip, has a
+// non-zero count.
+func (s *VCM) computable(gb lattice.ID, r chunk.Run, skip int) bool {
+	counts := s.counts[gb]
+	for i := 0; i < r.N; i++ {
+		if cn := r.At(i); cn != skip && counts[cn] == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // OnInsert implements cache.Listener: the paper's VCM_InsertUpdateCount.
@@ -154,18 +144,11 @@ func (s *VCM) inc(gb lattice.ID, num int) {
 	if s.counts[gb][num] > 1 {
 		return // was already computable; children unaffected
 	}
-	var nums []int
-	for _, child := range s.lat.Children(gb) {
-		ccn := s.grid.ChildChunk(gb, num, child)
-		nums = s.grid.ParentChunks(child, ccn, gb, nums[:0])
-		complete := true
-		for _, cn := range nums {
-			if s.counts[gb][cn] == 0 {
-				complete = false
-				break
-			}
-		}
-		if complete {
+	cdims := s.lat.ChildDims(gb)
+	for i, child := range s.lat.Children(gb) {
+		d := int(cdims[i])
+		ccn := s.grid.ChildStep(gb, num, d)
+		if s.computable(gb, s.grid.ParentRun(child, ccn, d), -1) {
 			s.inc(child, ccn)
 		}
 	}
@@ -206,20 +189,13 @@ func (s *VCM) dec(gb lattice.ID, num int) {
 	if s.counts[gb][num] < 0 {
 		panic(fmt.Sprintf("strategy: VCM count below zero at gb %d chunk %d", gb, num))
 	}
-	var nums []int
-	for _, child := range s.lat.Children(gb) {
-		ccn := s.grid.ChildChunk(gb, num, child)
-		nums = s.grid.ParentChunks(child, ccn, gb, nums[:0])
+	cdims := s.lat.ChildDims(gb)
+	for i, child := range s.lat.Children(gb) {
+		d := int(cdims[i])
+		ccn := s.grid.ChildStep(gb, num, d)
 		// The path through gb existed before this chunk went to zero iff all
 		// of its siblings are (still) computable.
-		complete := true
-		for _, cn := range nums {
-			if cn != num && s.counts[gb][cn] == 0 {
-				complete = false
-				break
-			}
-		}
-		if complete {
+		if s.computable(gb, s.grid.ParentRun(child, ccn, d), num) {
 			s.dec(child, ccn)
 		}
 	}
@@ -231,6 +207,3 @@ func (s *VCM) Overhead() int64 { return s.grid.TotalChunks() }
 
 // Maintenance implements Strategy.
 func (s *VCM) Maintenance() Maint { return s.maint.snapshot() }
-
-// LastVisited implements Strategy.
-func (s *VCM) LastVisited() int64 { return s.visited.Load() }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
@@ -40,17 +39,23 @@ type VCMC struct {
 	// excluded from count/cost bookkeeping, so the cost field stays a
 	// consistent upper bound that never has to be re-derived when they
 	// churn. recompute must ignore silent presence when assigning cost 0.
-	silent  *presence
-	counts  [][]int32
-	costs   [][]int64
-	best    [][]int16 // index into lat.Parents(gb); -1 none, -2 present
-	maint   maintCounters
-	visited atomic.Int64
+	silent *presence
+	counts [][]int32
+	costs  [][]int64
+	best   [][]int16 // index into lat.Parents(gb); -1 none, -2 present
+	maint  maintCounters
 	// levelSum[gb] orders propagation: children always have a strictly
 	// smaller sum, so processing pending nodes by descending sum recomputes
 	// each affected chunk exactly once per maintenance operation.
 	levelSum []int
-	maxSum   int
+	// Propagation scratch, owned by the write lock and reused across
+	// operations so warm maintenance allocates nothing: pending[sum] is the
+	// worklist of chunks at group-bys of that level sum, and mark[gb][num]
+	// == epoch when the chunk is already queued by the current propagation.
+	// None of it is summary state (Overhead does not count it).
+	pending [][]nodeRef
+	mark    [][]uint32
+	epoch   uint32
 }
 
 // NewVCMC creates a VCMC strategy; sizes supplies the cost model's chunk
@@ -59,31 +64,29 @@ func NewVCMC(g *chunk.Grid, sizes sizer.Sizer) *VCMC {
 	lat := g.Lattice()
 	n := lat.NumNodes()
 	s := &VCMC{
-		grid:    g,
-		lat:     lat,
-		sizes:   sizes,
-		present: newPresence(g),
-		silent:  newPresence(g),
-		counts:  make([][]int32, n),
-		costs:   make([][]int64, n),
-		best:    make([][]int16, n),
+		grid:     g,
+		lat:      lat,
+		sizes:    sizes,
+		present:  newPresence(g),
+		silent:   newPresence(g),
+		counts:   make([][]int32, n),
+		costs:    make([][]int64, n),
+		best:     make([][]int16, n),
+		levelSum: make([]int, n),
+		mark:     make([][]uint32, n),
 	}
-	s.levelSum = make([]int, n)
 	for id := 0; id < n; id++ {
-		sum := 0
 		for _, l := range lat.Level(lattice.ID(id)) {
-			sum += l
-		}
-		s.levelSum[id] = sum
-		if sum > s.maxSum {
-			s.maxSum = sum
+			s.levelSum[id] += l
 		}
 	}
+	s.pending = make([][]nodeRef, s.levelSum[lat.Base()]+1)
 	for id := 0; id < n; id++ {
 		nc := g.NumChunks(lattice.ID(id))
 		s.counts[id] = make([]int32, nc)
 		s.costs[id] = make([]int64, nc)
 		s.best[id] = make([]int16, nc)
+		s.mark[id] = make([]uint32, nc)
 		for i := 0; i < nc; i++ {
 			s.costs[id][i] = infCost
 			s.best[id][i] = -1
@@ -120,14 +123,11 @@ func (s *VCMC) CostEstimate(gb lattice.ID, num int) (cost int64, ok bool) {
 func (s *VCMC) Find(gb lattice.ID, num int) (*Plan, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var visited int64
-	plan := s.build(gb, num, &visited)
-	s.visited.Store(visited)
+	plan := s.build(gb, num)
 	return plan, plan != nil, nil
 }
 
-func (s *VCMC) build(gb lattice.ID, num int, visited *int64) *Plan {
-	*visited++
+func (s *VCMC) build(gb lattice.ID, num int) *Plan {
 	// Presence is checked before the count: recycled intermediates are
 	// resident but excluded from count/cost bookkeeping, so a present chunk
 	// may carry a zero count.
@@ -146,43 +146,36 @@ func (s *VCMC) build(gb lattice.ID, num int, visited *int64) *Plan {
 	// all-present candidate is one of the paths the stored cost already
 	// minimized over, and with them the stored cost is an upper bound the
 	// candidate must beat or match.
-	{
-		var nums []int
-		for _, parent := range s.lat.Parents(gb) {
-			nums = s.grid.ParentChunks(gb, num, parent, nums[:0])
-			all := true
-			cost := int64(0)
-			for _, cn := range nums {
-				if !s.present.has(parent, cn) {
-					all = false
-					break
-				}
-				cost += s.sizes.ChunkCells(parent, cn)
+	pdims := s.lat.ParentDims(gb)
+	for pi, parent := range s.lat.Parents(gb) {
+		r := s.grid.ParentRun(gb, num, int(pdims[pi]))
+		all := true
+		cost := int64(0)
+		for i := 0; i < r.N; i++ {
+			cn := r.At(i)
+			if !s.present.has(parent, cn) {
+				all = false
+				break
 			}
-			if !all || cost > s.costs[gb][num] {
-				continue
-			}
-			*visited += int64(len(nums))
-			inputs := make([]*Plan, 0, len(nums))
-			for _, cn := range nums {
-				inputs = append(inputs, &Plan{GB: parent, Num: cn, Present: true})
-			}
-			return &Plan{GB: gb, Num: num, Via: parent, Inputs: inputs, Cost: cost}
+			cost += s.sizes.ChunkCells(parent, cn)
 		}
+		if !all || cost > s.costs[gb][num] {
+			continue
+		}
+		return &Plan{GB: gb, Num: num, Via: parent, Inputs: presentInputs(parent, r), Cost: cost}
 	}
 	bp := s.best[gb][num]
 	if bp < 0 {
 		panic(fmt.Sprintf("strategy: VCMC computable chunk without best parent (gb %d chunk %d)", gb, num))
 	}
 	parent := s.lat.Parents(gb)[bp]
-	nums := s.grid.ParentChunks(gb, num, parent, nil)
-	inputs := make([]*Plan, 0, len(nums))
-	for _, cn := range nums {
-		sub := s.build(parent, cn, visited)
-		if sub == nil {
+	r := s.grid.ParentRun(gb, num, int(pdims[bp]))
+	inputs := make([]*Plan, r.N)
+	for i := range inputs {
+		cn := r.At(i)
+		if inputs[i] = s.build(parent, cn); inputs[i] == nil {
 			panic(fmt.Sprintf("strategy: VCMC best-parent path broken at gb %d chunk %d", parent, cn))
 		}
-		inputs = append(inputs, sub)
 	}
 	return &Plan{GB: gb, Num: num, Via: parent, Inputs: inputs, Cost: s.costs[gb][num]}
 }
@@ -247,25 +240,41 @@ type nodeRef struct {
 // least-cost change of (gb, num). Pending nodes are processed in descending
 // level-sum order, so each affected chunk is recomputed exactly once, after
 // all of its parents have settled — avoiding the exponential re-derivation a
-// naive depth-first walk would do through lattice diamonds.
+// naive depth-first walk would do through lattice diamonds. Children only
+// ever join lists of a smaller sum than the one being drained, so every
+// list is empty again when propagate returns.
 func (s *VCMC) propagate(gb lattice.ID, num int) {
-	pending := make([]map[nodeRef]struct{}, s.maxSum+1)
-	enqueue := func(gb lattice.ID, num int) {
-		for _, child := range s.lat.Children(gb) {
-			sum := s.levelSum[child]
-			if pending[sum] == nil {
-				pending[sum] = make(map[nodeRef]struct{})
-			}
-			pending[sum][nodeRef{child, s.grid.ChildChunk(gb, num, child)}] = struct{}{}
+	if s.epoch++; s.epoch == 0 {
+		// Wrapped: clear the marks so none can equal a future epoch.
+		for _, m := range s.mark {
+			clear(m)
 		}
+		s.epoch = 1
 	}
-	enqueue(gb, num)
+	s.enqueueChildren(gb, num)
 	for sum := s.levelSum[gb] - 1; sum >= 0; sum-- {
-		for ref := range pending[sum] {
+		list := s.pending[sum]
+		for _, ref := range list {
 			if s.recompute(ref.gb, ref.num) {
-				enqueue(ref.gb, ref.num)
+				s.enqueueChildren(ref.gb, ref.num)
 			}
 		}
+		s.pending[sum] = list[:0]
+	}
+}
+
+// enqueueChildren queues, once per propagation, the chunk each lattice child
+// of gb aggregates chunk num into.
+func (s *VCMC) enqueueChildren(gb lattice.ID, num int) {
+	cdims := s.lat.ChildDims(gb)
+	for i, child := range s.lat.Children(gb) {
+		cn := s.grid.ChildStep(gb, num, int(cdims[i]))
+		if s.mark[child][cn] == s.epoch {
+			continue
+		}
+		s.mark[child][cn] = s.epoch
+		sum := s.levelSum[child]
+		s.pending[sum] = append(s.pending[sum], nodeRef{child, cn})
 	}
 }
 
@@ -283,13 +292,15 @@ func (s *VCMC) recompute(gb lattice.ID, num int) bool {
 		newCost = 0
 		newBest = -2
 	}
-	var nums []int
+	pdims := s.lat.ParentDims(gb)
 	for pi, parent := range s.lat.Parents(gb) {
-		nums = s.grid.ParentChunks(gb, num, parent, nums[:0])
+		r := s.grid.ParentRun(gb, num, int(pdims[pi]))
+		costs := s.costs[parent]
 		complete := true
 		cand := int64(0)
-		for _, cn := range nums {
-			c := s.costs[parent][cn]
+		for i := 0; i < r.N; i++ {
+			cn := r.At(i)
+			c := costs[cn]
 			if c == infCost {
 				complete = false
 				break
@@ -317,6 +328,3 @@ func (s *VCMC) Overhead() int64 { return 6 * s.grid.TotalChunks() }
 
 // Maintenance implements Strategy.
 func (s *VCMC) Maintenance() Maint { return s.maint.snapshot() }
-
-// LastVisited implements Strategy.
-func (s *VCMC) LastVisited() int64 { return s.visited.Load() }
