@@ -137,10 +137,12 @@ cover:
 	$(GO) test -coverprofile=$(COVERFILE) ./...
 	$(GO) tool cover -func=$(COVERFILE) | tail -1
 
-# chaos runs the fault-injection suite under the race detector and the
-# availability experiment end to end.
+# chaos runs the fault-injection suite under the race detector — both users
+# of the one circuit (backend.Breaker and the Peered peers) and of the one
+# exchange (Remote and PeerClient) included — and the availability
+# experiment end to end.
 chaos:
-	$(GO) test -race -run 'Chaos|Degraded|Flight|Breaker|Faulty|Remote|Malformed' ./internal/core ./internal/backend ./internal/mtier
+	$(GO) test -race -run 'Chaos|Degraded|Flight|Breaker|Faulty|Remote|Malformed|Peered|Exchange' ./internal/core ./internal/backend ./internal/mtier ./internal/cache
 	$(GO) run ./cmd/aggbench -scale tiny -exp chaos
 
 # examples runs the four examples end to end; each must exit 0.

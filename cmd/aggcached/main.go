@@ -108,7 +108,8 @@ func main() {
 	}
 
 	// Observability: one registry and trace ring shared by every tier of
-	// the process; disabled entirely (nil bundles, no overhead) without -ops.
+	// the process; without -ops there is neither (a nil registry's bundles
+	// count into unregistered handles).
 	var reg *obs.Registry
 	var ring *obs.TraceRing
 	if *opsFlag != "" {
@@ -123,13 +124,9 @@ func main() {
 		pol.MaxAttempts = *attemptsFlag
 		pol.BaseBackoff = *backoffFlag
 		pol.IOTimeout = *ioTimeoutFlag
-		remote, err := backend.DialPolicy(*backendFlag, pol)
+		remote, err := backend.DialPolicy(*backendFlag, pol, *maxFrameFlag, obs.NewRemoteMetrics(reg))
 		if err != nil {
 			fatal(err)
-		}
-		remote.SetMaxPayload(*maxFrameFlag)
-		if reg != nil {
-			remote.SetMetrics(obs.NewRemoteMetrics(reg))
 		}
 		be = remote
 		fmt.Printf("aggcached: using remote backend %s (%d attempts, %v base backoff)\n",

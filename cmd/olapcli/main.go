@@ -28,6 +28,7 @@ import (
 	"aggcache/internal/data"
 	"aggcache/internal/mdq"
 	"aggcache/internal/mtier"
+	"aggcache/internal/obs"
 )
 
 func main() {
@@ -61,11 +62,10 @@ func main() {
 	var be backend.Backend
 	rows := cfg.Rows // with a remote backend, assume the server runs the same preset
 	if *backendFlag != "" {
-		remote, err := backend.Dial(*backendFlag)
+		remote, err := backend.DialPolicy(*backendFlag, backend.DefaultRetryPolicy, *maxFrame, obs.RemoteMetrics{})
 		if err != nil {
 			fatal(err)
 		}
-		remote.SetMaxPayload(*maxFrame)
 		be = remote
 		fmt.Printf("olapcli: using remote backend %s\n", *backendFlag)
 	} else {

@@ -39,17 +39,14 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int32(s))
 }
 
-// BreakerConfig tunes the circuit breaker.
+// BreakerConfig tunes a circuit (Breaker's, or one Peered peer's).
 type BreakerConfig struct {
 	// FailureThreshold is the run of consecutive outage-class failures
-	// (see countsAsOutage) that opens the breaker. Default 5.
+	// (see countsAsOutage) that opens the circuit. Default 5.
 	FailureThreshold int
-	// Cooldown is how long the breaker stays open before admitting a
+	// Cooldown is how long the circuit stays open before admitting a
 	// half-open probe. Default 2s.
 	Cooldown time.Duration
-	// SuccessThreshold is the run of successful probes that closes a
-	// half-open breaker. Default 1.
-	SuccessThreshold int
 
 	// now is a test hook; nil means time.Now.
 	now func() time.Time
@@ -62,155 +59,167 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Second
 	}
-	if c.SuccessThreshold <= 0 {
-		c.SuccessThreshold = 1
-	}
 	if c.now == nil {
 		c.now = time.Now
 	}
 	return c
 }
 
-// Breaker wraps a Backend with a circuit breaker: a run of outage-class
-// failures opens it, and while open every request fails fast with
-// ErrUnavailable instead of waiting out dial timeouts and retry budgets.
-// After the cooldown a single probe is let through; its success closes the
-// breaker, its failure re-opens it. Permanent per-request errors (the
-// engine answered, the request was bad) and caller cancellation never move
-// the breaker — only availability failures do.
-type Breaker struct {
-	inner Backend
-	cfg   BreakerConfig
-	met   obs.BreakerMetrics
+// Circuit is the closed → open → half-open state machine of every circuit
+// breaker in the middle tier: Breaker wraps one around a Backend, and the
+// Peered cache tier holds one per remote member. A run of FailureThreshold
+// consecutive outage-class failures (countsAsOutage) opens it, and while
+// open every call fails fast with ErrUnavailable instead of waiting out dial
+// timeouts and retry budgets. After the cooldown a single probe call is let
+// through; its success closes the circuit, its failure re-opens it.
+// Permanent per-request errors and Busy replies prove the far side is
+// answering and reset the run; the caller's own cancellation neither
+// advances nor resets it.
+type Circuit struct {
+	cfg BreakerConfig
+	met obs.BreakerMetrics
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int
-	successes int
-	openedAt  time.Time
-	probing   bool
+	mu       sync.Mutex
+	state    BreakerState
+	failures int
+	openedAt time.Time
+	probing  bool
 }
 
-// NewBreaker wraps inner with a circuit breaker.
-func NewBreaker(inner Backend, cfg BreakerConfig) *Breaker {
-	return &Breaker{inner: inner, cfg: cfg.withDefaults()}
+// NewCircuit returns a closed circuit reporting into met (the zero value
+// reports nothing).
+func NewCircuit(cfg BreakerConfig, met obs.BreakerMetrics) *Circuit {
+	met.State.Set(int64(BreakerClosed))
+	return &Circuit{cfg: cfg.withDefaults(), met: met}
 }
 
-// SetMetrics attaches live observability metrics. Call it before the first
-// request; it is not synchronized with requests in flight.
-func (b *Breaker) SetMetrics(m obs.BreakerMetrics) {
-	b.met = m
-	b.met.State.Set(int64(b.State()))
+// Do runs call if the circuit admits it, folds its outcome back in, and
+// returns call's error. A call the circuit refuses is not run; Do returns
+// ErrUnavailable for it.
+func (c *Circuit) Do(call func() error) error {
+	probe, err := c.admit()
+	if err != nil {
+		c.met.FastFails.Inc()
+		return err
+	}
+	err = call()
+	c.record(err, probe)
+	return err
 }
 
-// State returns the breaker's current state.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stateLocked()
+// current returns the circuit's state.
+func (c *Circuit) current() BreakerState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stateLocked()
 }
 
 // stateLocked folds the cooldown expiry into the reported state so readers
 // (health checks, the engine's degraded-mode accounting) see half-open as
 // soon as a probe would be admitted.
-func (b *Breaker) stateLocked() BreakerState {
-	if b.state == BreakerOpen && b.cfg.now().Sub(b.openedAt) >= b.cfg.Cooldown {
+func (c *Circuit) stateLocked() BreakerState {
+	if c.state == BreakerOpen && c.cfg.now().Sub(c.openedAt) >= c.cfg.Cooldown {
 		return BreakerHalfOpen
 	}
-	return b.state
+	return c.state
 }
 
-// admit decides one request's fate: proceed (probe reports whether it is a
+// admit decides one call's fate: proceed (probe reports whether it is the
 // half-open probe) or fail fast with ErrUnavailable.
-func (b *Breaker) admit() (probe bool, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.stateLocked() {
+func (c *Circuit) admit() (probe bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch c.stateLocked() {
 	case BreakerClosed:
 		return false, nil
 	case BreakerHalfOpen:
-		if b.state == BreakerOpen {
+		if c.state == BreakerOpen {
 			// Cooldown just elapsed: materialize the half-open transition.
-			b.state = BreakerHalfOpen
-			b.met.State.Set(int64(BreakerHalfOpen))
+			c.state = BreakerHalfOpen
+			c.met.State.Set(int64(BreakerHalfOpen))
 		}
-		if b.probing {
+		if c.probing {
 			return false, fmt.Errorf("backend: circuit half-open, probe in flight: %w", ErrUnavailable)
 		}
-		b.probing = true
-		b.met.Probes.Inc()
+		c.probing = true
+		c.met.Probes.Inc()
 		return true, nil
 	default: // BreakerOpen
 		return false, fmt.Errorf("backend: circuit open: %w", ErrUnavailable)
 	}
 }
 
-// record folds one request's outcome back into the breaker.
-func (b *Breaker) record(err error, probe bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// record folds one admitted call's outcome back into the circuit.
+func (c *Circuit) record(err error, probe bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if probe {
-		b.probing = false
+		c.probing = false
 	}
 	if countsAsOutage(err) {
-		b.failures++
-		b.successes = 0
-		if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.failures >= b.cfg.FailureThreshold) {
-			b.openLocked()
-		} else if b.state == BreakerOpen {
+		c.failures++
+		if c.state == BreakerHalfOpen || (c.state == BreakerClosed && c.failures >= c.cfg.FailureThreshold) {
+			c.state = BreakerOpen
+			c.openedAt = c.cfg.now()
+			c.probing = false
+			c.met.Opens.Inc()
+			c.met.State.Set(int64(BreakerOpen))
+		} else if c.state == BreakerOpen {
 			// A failure while open (a probe raced the cooldown) restarts it.
-			b.openedAt = b.cfg.now()
+			c.openedAt = c.cfg.now()
 		}
 		return
 	}
-	if err != nil && errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.Canceled) {
 		// The caller gave up; says nothing about availability either way.
 		return
 	}
 	// Success — or a permanent per-request error, which still proves the
-	// backend is reachable and answering.
-	b.failures = 0
-	if b.state == BreakerHalfOpen {
-		b.successes++
-		if b.successes >= b.cfg.SuccessThreshold {
-			b.state = BreakerClosed
-			b.successes = 0
-			b.met.State.Set(int64(BreakerClosed))
-		}
+	// far side is reachable and answering.
+	c.failures = 0
+	if c.state == BreakerHalfOpen {
+		c.state = BreakerClosed
+		c.met.State.Set(int64(BreakerClosed))
 	}
 }
 
-// openLocked trips the breaker. The caller must hold b.mu.
-func (b *Breaker) openLocked() {
-	b.state = BreakerOpen
-	b.openedAt = b.cfg.now()
-	b.probing = false
-	b.successes = 0
-	b.met.Opens.Inc()
-	b.met.State.Set(int64(BreakerOpen))
+// Breaker wraps a Backend in a Circuit: while the backend is presumed down,
+// requests fail fast with ErrUnavailable.
+type Breaker struct {
+	inner Backend
+	c     *Circuit
 }
 
-// ComputeChunks implements Backend through the breaker.
-func (b *Breaker) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, Stats, error) {
-	probe, err := b.admit()
-	if err != nil {
-		b.met.FastFails.Inc()
-		return nil, Stats{}, err
-	}
-	chunks, stats, err := b.inner.ComputeChunks(ctx, gb, nums)
-	b.record(err, probe)
+// NewBreaker wraps inner with a circuit breaker.
+func NewBreaker(inner Backend, cfg BreakerConfig) *Breaker {
+	return &Breaker{inner: inner, c: NewCircuit(cfg, obs.BreakerMetrics{})}
+}
+
+// SetMetrics attaches live observability metrics. Call it before the first
+// request; it is not synchronized with requests in flight.
+func (b *Breaker) SetMetrics(m obs.BreakerMetrics) {
+	b.c.met = m
+	m.State.Set(int64(b.State()))
+}
+
+// State returns the breaker's current state.
+func (b *Breaker) State() BreakerState { return b.c.current() }
+
+// ComputeChunks implements Backend through the circuit.
+func (b *Breaker) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) (chunks []*chunk.Chunk, stats Stats, err error) {
+	err = b.c.Do(func() error {
+		chunks, stats, err = b.inner.ComputeChunks(ctx, gb, nums)
+		return err
+	})
 	return chunks, stats, err
 }
 
-// EstimateScans implements Backend through the breaker.
-func (b *Breaker) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) ([]int64, error) {
-	probe, err := b.admit()
-	if err != nil {
-		b.met.FastFails.Inc()
-		return nil, err
-	}
-	ests, err := b.inner.EstimateScans(ctx, gb, nums)
-	b.record(err, probe)
+// EstimateScans implements Backend through the circuit.
+func (b *Breaker) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) (ests []int64, err error) {
+	err = b.c.Do(func() error {
+		ests, err = b.inner.EstimateScans(ctx, gb, nums)
+		return err
+	})
 	return ests, err
 }
 

@@ -64,9 +64,6 @@ func NewFaulty(inner Backend, plan FaultPlan) *Faulty {
 // SetDown toggles the simulated hard outage.
 func (f *Faulty) SetDown(down bool) { f.down.Store(down) }
 
-// Down reports whether the simulated outage is active.
-func (f *Faulty) Down() bool { return f.down.Load() }
-
 // Counts returns the number of injected faults so far, by kind.
 func (f *Faulty) Counts() FaultCounts {
 	return FaultCounts{

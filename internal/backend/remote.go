@@ -2,12 +2,9 @@ package backend
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aggcache/internal/chunk"
@@ -81,13 +78,9 @@ func (r *Remote) backoff(retry int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// errRemoteClosed is the permanent error after Close: never retried, never
-// counted as an outage (the owner chose to shut down).
-var errRemoteClosed = errors.New("backend: remote is closed")
-
 // Remote is a Backend talking to a Server over TCP. It is safe for
 // concurrent use: callers multiplex one connection through per-request
-// frame ids (wire.Mux), so N in-flight requests pipeline instead of
+// frame ids (an Exchange), so N in-flight requests pipeline instead of
 // queueing on a client-side lock. The client is self-healing — a broken
 // connection is torn down and transparently re-dialed, and transient
 // failures are retried with capped exponential backoff + jitter up to the
@@ -96,185 +89,37 @@ var errRemoteClosed = errors.New("backend: remote is closed")
 // a permanent (non-retried, non-outage) error rather than waiting out
 // their I/O deadlines.
 type Remote struct {
-	addr   string
-	pol    RetryPolicy
-	met    obs.RemoteMetrics
-	maxPay int
-
-	closed atomic.Bool
+	x   *Exchange
+	pol RetryPolicy
+	met obs.RemoteMetrics
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	mu   sync.Mutex // guards conn/mux pointer swaps only, never held across I/O
-	conn net.Conn   // eagerly dialed, not yet multiplexed (configuration window)
-	mux  *wire.Mux
 }
 
-// Dial connects to a backend server with DefaultRetryPolicy.
+// Dial connects to a backend server with DefaultRetryPolicy, the default
+// reply payload bound and no metrics.
 func Dial(addr string) (*Remote, error) {
-	return DialPolicy(addr, DefaultRetryPolicy)
+	return DialPolicy(addr, DefaultRetryPolicy, 0, obs.RemoteMetrics{})
 }
 
 // DialPolicy connects to a backend server with an explicit retry policy.
-// The initial connection is established eagerly so configuration errors
-// fail fast, but it is not multiplexed until the first request — the window
-// in which SetMetrics and SetMaxPayload may still reconfigure the client.
-func DialPolicy(addr string, pol RetryPolicy) (*Remote, error) {
+// maxPayload bounds reply frames (0 means wire.DefaultMaxPayload) and met
+// receives the client's metrics (the zero value counts nothing). The
+// connection is dialed and multiplexed at once, so configuration errors
+// fail fast.
+func DialPolicy(addr string, pol RetryPolicy, maxPayload int, met obs.RemoteMetrics) (*Remote, error) {
 	pol = pol.withDefaults()
-	r := &Remote{addr: addr, pol: pol, rng: rand.New(rand.NewSource(pol.Seed))}
-	conn, err := r.rawDial(context.Background())
-	if err != nil {
+	r := &Remote{
+		x:   NewExchange(addr, frameError, pol.DialTimeout, pol.IOTimeout, maxPayload, met),
+		pol: pol,
+		met: met,
+		rng: rand.New(rand.NewSource(pol.Seed)),
+	}
+	if _, err := r.x.connect(context.Background()); err != nil {
 		return nil, fmt.Errorf("backend: dial %s: %w", addr, err)
 	}
-	r.mu.Lock()
-	r.conn = conn
-	r.mu.Unlock()
 	return r, nil
-}
-
-// SetMetrics attaches live observability metrics. Call it before the first
-// request; it is not synchronized with requests in flight.
-func (r *Remote) SetMetrics(m obs.RemoteMetrics) { r.met = m }
-
-// SetMaxPayload bounds response frame payloads (0 means
-// wire.DefaultMaxPayload). Call it before the first request.
-func (r *Remote) SetMaxPayload(n int) { r.maxPay = n }
-
-// rawDial opens one TCP connection.
-func (r *Remote) rawDial(ctx context.Context) (net.Conn, error) {
-	d := net.Dialer{Timeout: r.pol.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", r.addr)
-	if err != nil {
-		return nil, MarkTransient(err)
-	}
-	return conn, nil
-}
-
-// newMux wraps a connection with the multiplexer under the client's current
-// configuration (metrics, payload bound).
-func (r *Remote) newMux(conn net.Conn) *wire.Mux {
-	return wire.NewMux(conn, r.maxPay, wire.Metrics{
-		BytesIn:   r.met.WireBytesIn,
-		BytesOut:  r.met.WireBytesOut,
-		FramesIn:  r.met.FramesIn,
-		FramesOut: r.met.FramesOut,
-		InFlight:  r.met.InFlight,
-	})
-}
-
-// dial establishes one multiplexed connection.
-func (r *Remote) dial(ctx context.Context) (*wire.Mux, error) {
-	conn, err := r.rawDial(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return r.newMux(conn), nil
-}
-
-// getMux returns the live multiplexed connection, re-dialing if the
-// previous one was torn down. Concurrent callers share the result.
-func (r *Remote) getMux(ctx context.Context) (*wire.Mux, error) {
-	r.mu.Lock()
-	if r.closed.Load() {
-		r.mu.Unlock()
-		return nil, errRemoteClosed
-	}
-	if m := r.mux; m != nil && m.Healthy() {
-		r.mu.Unlock()
-		return m, nil
-	}
-	if c := r.conn; c != nil {
-		// First request: multiplex the eagerly-dialed connection now that
-		// configuration is settled. Not a redial.
-		r.conn = nil
-		m := r.newMux(c)
-		r.mux = m
-		r.mu.Unlock()
-		return m, nil
-	}
-	r.mu.Unlock()
-	// Dial outside the lock so a slow connect never blocks Close or callers
-	// racing toward an already-live connection.
-	r.met.Redials.Inc()
-	m, err := r.dial(ctx)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if r.closed.Load() {
-		r.mu.Unlock()
-		m.Close()
-		return nil, errRemoteClosed
-	}
-	if cur := r.mux; cur != nil && cur.Healthy() {
-		// Another caller re-dialed first; share theirs.
-		r.mu.Unlock()
-		m.Close()
-		return cur, nil
-	}
-	old := r.mux
-	r.mux = m
-	r.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return m, nil
-}
-
-// dropMux discards a connection whose stream failed, if it is still the
-// current one.
-func (r *Remote) dropMux(m *wire.Mux) {
-	r.mu.Lock()
-	if r.mux == m {
-		r.mux = nil
-	}
-	r.mu.Unlock()
-	m.Close()
-}
-
-// attempt performs one pipelined exchange. Wire-level failures are marked
-// transient (the PR-3 taxonomy: a retry over a fresh connection may cure
-// them) and the connection is dropped; in-band error frames become
-// RemoteError, transient or permanent per the frame's flag; Close and the
-// caller's context produce permanent errors untouched.
-func (r *Remote) attempt(ctx context.Context, typ uint8, payload []byte) (*wire.Frame, error) {
-	m, err := r.getMux(ctx)
-	if err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(r.pol.IOTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	fr, err := m.RoundTrip(ctx, typ, 0, payload, deadline)
-	if err != nil {
-		// The caller's context expiring dominates any wire classification:
-		// the exchange deadline that fired may have been the context's own.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		if errors.Is(err, wire.ErrClosed) {
-			return nil, errRemoteClosed
-		}
-		r.dropMux(m)
-		return nil, MarkTransient(fmt.Errorf("backend: exchange: %w", err))
-	}
-	if fr.Type == wire.FrameBusy {
-		// The server shed this request before doing any work on it.
-		// Transient (a retry may get through) but never an outage, and the
-		// retry loop honors the frame's retry-after hint.
-		r.met.Busy.Inc()
-		return nil, wire.DecodeBusy(fr.Payload)
-	}
-	if fr.Type == frameError {
-		rerr := &RemoteError{Msg: decodeErrorFrame(fr.Payload)}
-		if fr.Flags&wire.FlagTransient == 0 {
-			return nil, rerr // deterministic per-request failure
-		}
-		return nil, MarkTransient(rerr)
-	}
-	return &fr, nil
 }
 
 // roundTrip sends one request, retrying transient failures per the policy.
@@ -282,8 +127,8 @@ func (r *Remote) roundTrip(ctx context.Context, typ uint8, payload []byte) (*wir
 	r.met.Requests.Inc()
 	var lastErr error
 	for try := 0; try < r.pol.MaxAttempts; try++ {
-		if r.closed.Load() {
-			return nil, errRemoteClosed
+		if r.x.closed.Load() {
+			return nil, errClosed
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -304,7 +149,7 @@ func (r *Remote) roundTrip(ctx context.Context, typ uint8, payload []byte) (*wir
 				return nil, ctx.Err()
 			}
 		}
-		fr, err := r.attempt(ctx, typ, payload)
+		fr, err := r.x.RoundTrip(ctx, typ, payload)
 		if err == nil {
 			return fr, nil
 		}
@@ -317,8 +162,8 @@ func (r *Remote) roundTrip(ctx context.Context, typ uint8, payload []byte) (*wir
 		lastErr = err
 	}
 	r.met.Unavailable.Inc()
-	return nil, fmt.Errorf("backend: %s unreachable after %d attempts (%v): %w",
-		r.addr, r.pol.MaxAttempts, lastErr, ErrUnavailable)
+	return nil, fmt.Errorf("backend: %s unreachable after %d attempts: %w: %w",
+		r.x.addr, r.pol.MaxAttempts, ErrUnavailable, lastErr)
 }
 
 // ComputeChunks implements Backend over the wire: one frame out, one frame
@@ -362,21 +207,4 @@ func (r *Remote) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) (
 // exchanges in flight fail promptly with a permanent error (never retried,
 // never counted as an outage), and retry loops observe the flag on their
 // next attempt and stop.
-func (r *Remote) Close() error {
-	if r.closed.Swap(true) {
-		return nil
-	}
-	r.mu.Lock()
-	m := r.mux
-	c := r.conn
-	r.mux = nil
-	r.conn = nil
-	r.mu.Unlock()
-	if m != nil {
-		m.Close()
-	}
-	if c != nil {
-		c.Close()
-	}
-	return nil
-}
+func (r *Remote) Close() error { return r.x.Close() }

@@ -93,13 +93,12 @@ func TestServerPipelinedOutOfOrderContents(t *testing.T) {
 	}
 	defer srv.Close()
 
-	remote, err := Dial(addr)
+	met := obs.NewRemoteMetrics(obs.NewRegistry())
+	remote, err := DialPolicy(addr, DefaultRetryPolicy, 0, met)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer remote.Close()
-	met := obs.NewRemoteMetrics(obs.NewRegistry())
-	remote.SetMetrics(met)
 
 	g := e.Grid()
 	gb := g.Lattice().Top()

@@ -65,8 +65,7 @@ var recycleMixes = []struct {
 
 // Recycle compares benefit-driven recycling + the semantic result cache
 // against the plain engine on a drill/jump stream and on a proximity-heavy
-// control stream, plus an "all" mode that recycles indiscriminately
-// (threshold ≈0) to show what the benefit gate is worth. The cache gets
+// control stream. The cache gets
 // 2.5× the base table: recycling is a speculation for spare capacity, and
 // headroom is what keeps recycled chunks from displacing the proven working
 // set. All modes replay the identical seeded stream on a preloaded cache, so
@@ -93,8 +92,6 @@ func Recycle(e *Env) (*Report, error) {
 		{"off", core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true},
 		{"on", core.Config{Strategy: "VCMC", Policy: "two-level-promote", HotBytes: bytes,
 			Options: []core.Option{core.WithRecycling(true), core.WithResultCache(256)}}, true},
-		{"all", core.Config{Strategy: "VCMC", Policy: "two-level-promote", HotBytes: bytes,
-			Options: []core.Option{core.WithRecycling(true), core.WithRecycleMinBenefit(1e-9), core.WithResultCache(256)}}, true},
 	}
 
 	// The first system built in a process pays the chunk-pool warmup; run a
@@ -163,7 +160,7 @@ func Recycle(e *Env) (*Report, error) {
 	m.Gates = recycleGates(&m)
 	r.Gates = m.Gates
 
-	r.Addf("all modes replay the identical seeded stream preloaded; \"on\" adds recycling (threshold %.3g/B), promote-on-reuse and a 256-entry result cache; \"all\" drops the benefit gate", core.DefaultRecycleMinBenefit)
+	r.Addf("all modes replay the identical seeded stream preloaded; \"on\" adds recycling (threshold %.3g/B), promote-on-reuse and a 256-entry result cache", core.DefaultRecycleMinBenefit)
 	r.Addf("drill mix: %.2f× qps (sim), %.2f× less aggregation work, hit rate %+.2f; proximity mix: %.2f× qps", m.DrillQPSRatio, m.DrillAggRatio, m.DrillHitGain, m.ProximityQPSRatio)
 	if err := writeArtifact(r, recycleJSONFile, &m); err != nil {
 		return nil, err

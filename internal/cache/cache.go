@@ -54,7 +54,7 @@ type Entry struct {
 	// them is O(1) instead of a lattice propagation.
 	Recycled bool
 	// Promoted marks an entry re-entering the hot tier from a colder one
-	// (AsPromoted). The two-level policy admits such entries straight into
+	// (Tiered's promotion). The two-level policy admits such entries straight into
 	// its protected ring — a chunk that earned demotion over a drop and was
 	// then asked for again has proven reuse, so it must not re-enter on
 	// probation ("protect on promote").

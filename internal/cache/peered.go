@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aggcache/internal/backend"
 	"aggcache/internal/chunk"
 	"aggcache/internal/obs"
 )
@@ -56,10 +57,10 @@ type PeeredConfig struct {
 	GetTimeout time.Duration
 	// PutTimeout bounds one asynchronous replication put (default 2s).
 	PutTimeout time.Duration
-	// BreakerThreshold is the consecutive per-peer failure count that opens
-	// that peer's breaker (default 5; negative disables the breaker).
+	// BreakerThreshold is the run of consecutive outage-class failures that
+	// opens one peer's circuit (default 5).
 	BreakerThreshold int
-	// BreakerCooldown is how long an open peer breaker rejects traffic
+	// BreakerCooldown is how long an open peer circuit rejects traffic
 	// before the next probe (default 2s).
 	BreakerCooldown time.Duration
 	// PutQueue bounds the asynchronous replication queue (default 256);
@@ -82,12 +83,6 @@ func (c PeeredConfig) withDefaults() PeeredConfig {
 	if c.PutTimeout <= 0 {
 		c.PutTimeout = 2 * time.Second
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
 	if c.PutQueue <= 0 {
 		c.PutQueue = 256
 	}
@@ -107,93 +102,26 @@ type PeerStats struct {
 	// FillErrors counts failed peer exchanges (timeout, connection, or
 	// protocol failure).
 	FillErrors int64
-	// FillSkips counts fills suppressed by an open per-peer breaker.
+	// FillSkips counts fills suppressed by an open per-peer circuit.
 	FillSkips int64
 	// Puts counts successful replication puts to owner peers.
 	Puts int64
 	// PutDrops counts puts dropped because the replication queue was full
-	// or the owner's breaker was open.
+	// or the owner's circuit was open.
 	PutDrops int64
 	// PutErrors counts failed replication puts.
 	PutErrors int64
 }
 
-// peerBreakerState mirrors the backend breaker's gauge encoding
-// (0 closed, 1 half-open/probing, 2 open).
-const (
-	peerClosed int64 = 0
-	peerProbe  int64 = 1
-	peerOpen   int64 = 2
-)
-
-// peerState is one remote member: its connection handle plus the per-peer
-// circuit breaker. The breaker follows the PR-3 taxonomy at the granularity
-// a cache tier needs: consecutive failures open it, an open breaker rejects
-// both fills and puts until the cooldown passes, then a single probe
-// exchange decides whether it closes again. A dead peer therefore costs the
-// steady state nothing — keys it owns degrade to local+backend.
+// peerState is one remote member: its connection handle plus its circuit
+// (backend.Circuit, the backend breaker's state machine and taxonomy). A
+// dead peer therefore costs the steady state nothing — keys it owns degrade
+// to local+backend — while a shedding peer's Busy reply or a caller's own
+// cancellation never opens it.
 type peerState struct {
-	name string
-	peer Peer
-	met  obs.PeerMetrics
-
-	mu        sync.Mutex
-	fails     int
-	openUntil time.Time
-	probing   bool
-}
-
-// allow reports whether an exchange may proceed, claiming the half-open
-// probe slot when the cooldown has passed.
-func (p *peerState) allow(threshold int, now time.Time) bool {
-	if threshold < 0 {
-		return true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fails < threshold {
-		return true
-	}
-	if now.Before(p.openUntil) {
-		return false
-	}
-	if p.probing {
-		// Someone else holds the probe; stay degraded until it reports.
-		return false
-	}
-	p.probing = true
-	p.met.BreakerState.Set(peerProbe)
-	return true
-}
-
-// report feeds an exchange outcome into the breaker.
-func (p *peerState) report(ok bool, threshold int, cooldown time.Duration, now time.Time) {
-	if threshold < 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.probing = false
-	if ok {
-		p.fails = 0
-		p.met.BreakerState.Set(peerClosed)
-		return
-	}
-	p.fails++
-	if p.fails >= threshold {
-		p.openUntil = now.Add(cooldown)
-		p.met.BreakerState.Set(peerOpen)
-	}
-}
-
-// peerFlight is one in-flight peer fill; concurrent fills of the same key
-// collapse onto it.
-type peerFlight struct {
-	done    chan struct{}
-	data    *chunk.Chunk
-	cl      Class
-	benefit float64
-	ok      bool
+	peer    Peer
+	met     obs.PeerMetrics
+	circuit *backend.Circuit
 }
 
 // peerPut is one queued replication put.
@@ -209,20 +137,20 @@ type peerPut struct {
 // or a Tiered over one) with a consistent-hash ring of remote peers (the
 // cluster tier):
 //
-//   - Get serves from the local tier; on a local miss the key's ring owner
-//     is asked before the caller falls through to the backend (PeerFill —
-//     the engine calls it explicitly for strategy-declared misses too).
-//     Concurrent fills of one key collapse into a single exchange.
+//   - PeerFill asks a key's ring owner for a chunk the local tier lacks,
+//     before the caller falls through to the backend. The engine calls it
+//     only for the chunks whose fetch its flight group leads, so concurrent
+//     fills of one key are already one exchange.
 //   - Insert stores locally and, for backend-class chunks whose ring owner
 //     is a remote peer, replicates asynchronously (best-effort, bounded
 //     queue) so the whole group can reuse this node's backend fills.
-//   - A per-peer circuit breaker (threshold/cooldown, the PR-3 taxonomy)
-//     degrades a dead peer to local+backend service without blocking.
+//   - A per-peer circuit (backend.Circuit) degrades a dead peer to
+//     local+backend service without blocking.
 //
 // Everything else is the embedded local store's own method, so snapshots,
-// strategies and reports see exactly the local tier. That includes GetInfo,
-// the PeerGet answer path: answering one peer's lookup from another peer
-// would let a chunk resident nowhere bounce around the ring.
+// strategies and reports see exactly the local tier. That includes Get and
+// GetInfo, the PeerGet answer path: answering one peer's lookup from
+// another peer would let a chunk resident nowhere bounce around the ring.
 type Peered struct {
 	local
 	cfg PeeredConfig
@@ -231,9 +159,6 @@ type Peered struct {
 
 	mu    sync.Mutex // guards peers (membership rebuilds)
 	peers map[string]*peerState
-
-	fmu     sync.Mutex
-	flights map[Key]*peerFlight
 
 	puts   chan peerPut
 	closed atomic.Bool
@@ -258,11 +183,10 @@ func NewPeered(local Store, cfg PeeredConfig) (*Peered, error) {
 	}
 	cfg = cfg.withDefaults()
 	p := &Peered{
-		local:   local,
-		cfg:     cfg,
-		peers:   make(map[string]*peerState),
-		flights: make(map[Key]*peerFlight),
-		puts:    make(chan peerPut, cfg.PutQueue),
+		local: local,
+		cfg:   cfg,
+		peers: make(map[string]*peerState),
+		puts:  make(chan peerPut, cfg.PutQueue),
 	}
 	if err := p.Rebuild(cfg.Members); err != nil {
 		return nil, err
@@ -338,10 +262,12 @@ func (p *Peered) Rebuild(members []string) error {
 		if _, ok := p.peers[m]; ok {
 			continue
 		}
-		st := &peerState{name: m, peer: p.cfg.Dial(m)}
+		st := &peerState{peer: p.cfg.Dial(m)}
 		if p.cfg.Metrics != nil {
 			st.met = p.cfg.Metrics(m)
 		}
+		st.circuit = backend.NewCircuit(backend.BreakerConfig{FailureThreshold: p.cfg.BreakerThreshold, Cooldown: p.cfg.BreakerCooldown},
+			obs.BreakerMetrics{State: st.met.BreakerState})
 		p.peers[m] = st
 	}
 	p.mu.Unlock()
@@ -382,75 +308,46 @@ func (p *Peered) Close() error {
 
 // PeerFill asks the key's ring owner for a chunk the local tier does not
 // hold, inserting it locally on success. It is the engine's pre-backend
-// hook: false means the caller should fall through to the backend. Fills of
-// the same key collapse into one exchange; a dead or breaker-open owner
-// returns false immediately.
+// hook: false means the caller should fall through to the backend. A dead
+// or circuit-open owner returns false immediately.
 func (p *Peered) PeerFill(ctx context.Context, k Key) (*chunk.Chunk, bool) {
-	data, _, _, ok := p.fill(ctx, k)
-	return data, ok
-}
-
-// fill implements PeerFill, returning the replacement attributes too (the
-// transparent Get path reuses them).
-func (p *Peered) fill(ctx context.Context, k Key) (*chunk.Chunk, Class, float64, bool) {
 	if p.closed.Load() {
-		return nil, 0, 0, false
+		return nil, false
 	}
 	owner := p.ring.Load().Owner(k)
 	if owner == "" || owner == p.cfg.Self {
-		return nil, 0, 0, false
+		return nil, false
 	}
 	st := p.peer(owner)
 	if st == nil {
-		return nil, 0, 0, false
+		return nil, false
 	}
-
-	p.fmu.Lock()
-	if fl, ok := p.flights[k]; ok {
-		p.fmu.Unlock()
-		select {
-		case <-fl.done:
-			return fl.data, fl.cl, fl.benefit, fl.ok
-		case <-ctx.Done():
-			return nil, 0, 0, false
-		}
-	}
-	fl := &peerFlight{done: make(chan struct{})}
-	p.flights[k] = fl
-	p.fmu.Unlock()
-
-	fl.data, fl.cl, fl.benefit, fl.ok = p.exchange(ctx, st, k)
-	p.fmu.Lock()
-	delete(p.flights, k)
-	p.fmu.Unlock()
-	close(fl.done)
-	return fl.data, fl.cl, fl.benefit, fl.ok
-}
-
-// exchange performs one breaker-guarded peer get and installs a successful
-// fill in the local tier.
-func (p *Peered) exchange(ctx context.Context, st *peerState, k Key) (*chunk.Chunk, Class, float64, bool) {
-	if !st.allow(p.cfg.BreakerThreshold, time.Now()) {
+	var data *chunk.Chunk
+	var benefit float64
+	var found, ran bool
+	err := st.circuit.Do(func() error {
+		ran = true
+		ctx, cancel := context.WithTimeout(ctx, p.cfg.GetTimeout)
+		defer cancel()
+		start := time.Now()
+		var err error
+		data, _, benefit, found, err = st.peer.Get(ctx, k)
+		st.met.Latency.Observe(time.Since(start))
+		return err
+	})
+	switch {
+	case !ran:
 		p.fillSkips.Add(1)
 		st.met.Skips.Inc()
-		return nil, 0, 0, false
-	}
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.GetTimeout)
-	defer cancel()
-	start := time.Now()
-	data, cl, benefit, found, err := st.peer.Get(ctx, k)
-	st.met.Latency.Observe(time.Since(start))
-	if err != nil {
-		st.report(false, p.cfg.BreakerThreshold, p.cfg.BreakerCooldown, time.Now())
+		return nil, false
+	case err != nil:
 		p.fillErrors.Add(1)
 		st.met.Errors.Inc()
-		return nil, 0, 0, false
-	}
-	st.report(true, p.cfg.BreakerThreshold, p.cfg.BreakerCooldown, time.Now())
-	if !found {
+		return nil, false
+	case !found:
 		p.fillMisses.Add(1)
 		st.met.Misses.Inc()
-		return nil, 0, 0, false
+		return nil, false
 	}
 	p.fills.Add(1)
 	st.met.Hits.Inc()
@@ -462,7 +359,7 @@ func (p *Peered) exchange(ctx context.Context, st *peerState, k Key) (*chunk.Chu
 	// stops growing with membership. The insert goes straight to the local
 	// store — a fill must never re-enter the replication path it came from.
 	p.local.Insert(k, data, AsComputed(benefit))
-	return data, cl, benefit, true
+	return data, true
 }
 
 // replicate queues a best-effort put of a freshly backend-fetched chunk to
@@ -490,15 +387,18 @@ func (p *Peered) putLoop() {
 		if st == nil {
 			continue
 		}
-		if !st.allow(p.cfg.BreakerThreshold, time.Now()) {
+		ran := false
+		err := st.circuit.Do(func() error {
+			ran = true
+			ctx, cancel := context.WithTimeout(context.Background(), p.cfg.PutTimeout)
+			defer cancel()
+			return st.peer.Put(ctx, req.key, req.data, req.cl, req.benefit)
+		})
+		if !ran {
 			p.putDrops.Add(1)
 			st.met.PutDrops.Inc()
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.PutTimeout)
-		err := st.peer.Put(ctx, req.key, req.data, req.cl, req.benefit)
-		cancel()
-		st.report(err == nil, p.cfg.BreakerThreshold, p.cfg.BreakerCooldown, time.Now())
 		if err != nil {
 			p.putErrors.Add(1)
 			st.met.PutErrors.Inc()
@@ -509,25 +409,15 @@ func (p *Peered) putLoop() {
 	}
 }
 
-// Get implements Store: the local tier first, then — on a local miss — the
-// key's ring owner, installing a successful peer fill locally.
-func (p *Peered) Get(k Key) (*chunk.Chunk, bool) {
-	if data, ok := p.local.Get(k); ok {
-		return data, true
-	}
-	data, _, _, ok := p.fill(context.Background(), k)
-	return data, ok
-}
-
 // Insert implements Store: the chunk becomes resident locally, and backend
 // fills whose ring owner is a remote peer replicate asynchronously so the
-// group can reuse them. Computed, recycled and promoted chunks stay local —
-// they are cheap to rebuild (or already replicated when first fetched), so
-// shipping them would turn in-cache work into wire traffic.
+// group can reuse them. Computed and recycled chunks stay local — they are
+// cheap to rebuild, so shipping them would turn in-cache work into wire
+// traffic.
 func (p *Peered) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
 	spec := applyInsertOptions(opts)
 	ok := p.local.Insert(k, data, opts...)
-	if ok && spec.class == ClassBackend && !spec.recycled && !spec.promoted {
+	if ok && spec.class == ClassBackend {
 		p.replicate(k, data, spec.class, spec.benefit)
 	}
 	return ok

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"aggcache/internal/backend"
 	"aggcache/internal/chunk"
+	"aggcache/internal/wire"
 )
 
 // fakePeer is an in-process Peer with a scriptable store and failure switch.
@@ -18,7 +20,7 @@ type fakePeer struct {
 	mu     sync.Mutex
 	chunks map[Key]*chunk.Chunk
 	puts   []Key
-	fail   bool
+	err    error // non-nil: every exchange fails with it
 	gets   atomic.Int64
 	closed atomic.Bool
 
@@ -35,14 +37,21 @@ func (f *fakePeer) seed(k Key, c *chunk.Chunk) {
 	f.mu.Unlock()
 }
 
-func (f *fakePeer) setFail(v bool) {
+// errPeerDown is how a fake models a dead peer: a transient failure, as
+// mtier.PeerClient reports a broken or refused connection.
+var errPeerDown = backend.MarkTransient(errors.New("fake peer down"))
+
+func (f *fakePeer) setErr(err error) {
 	f.mu.Lock()
-	f.fail = v
+	f.err = err
 	f.mu.Unlock()
 }
 
 func (f *fakePeer) Get(ctx context.Context, k Key) (*chunk.Chunk, Class, float64, bool, error) {
 	f.gets.Add(1)
+	if err := ctx.Err(); err != nil {
+		return nil, 0, 0, false, err
+	}
 	if f.block != nil {
 		select {
 		case <-f.block:
@@ -52,8 +61,8 @@ func (f *fakePeer) Get(ctx context.Context, k Key) (*chunk.Chunk, Class, float64
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.fail {
-		return nil, 0, 0, false, errors.New("fake peer down")
+	if f.err != nil {
+		return nil, 0, 0, false, f.err
 	}
 	if c, ok := f.chunks[k]; ok {
 		return c, ClassBackend, 42, true, nil
@@ -64,8 +73,8 @@ func (f *fakePeer) Get(ctx context.Context, k Key) (*chunk.Chunk, Class, float64
 func (f *fakePeer) Put(ctx context.Context, k Key, data *chunk.Chunk, cl Class, benefit float64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.fail {
-		return errors.New("fake peer down")
+	if f.err != nil {
+		return f.err
 	}
 	f.chunks[k] = data
 	f.puts = append(f.puts, k)
@@ -182,7 +191,7 @@ func TestPeeredBreakerOpensAndRecovers(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  50 * time.Millisecond,
 	})
-	peer.setFail(true)
+	peer.setErr(errPeerDown)
 	k := key(9)
 	peer.seed(k, mkChunk(0, 9, 4))
 
@@ -205,7 +214,7 @@ func TestPeeredBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	// After the cooldown the peer heals; one probe closes the breaker.
-	peer.setFail(false)
+	peer.setErr(nil)
 	time.Sleep(60 * time.Millisecond)
 	if _, ok := p.PeerFill(context.Background(), k); !ok {
 		t.Fatalf("probe fill failed after peer recovered")
@@ -215,57 +224,41 @@ func TestPeeredBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-func TestPeeredBreakerHalfOpenSingleProbe(t *testing.T) {
-	st := &peerState{}
-	now := time.Now()
-	for i := 0; i < 3; i++ {
-		st.report(false, 3, time.Minute, now)
-	}
-	if st.allow(3, now) {
-		t.Fatalf("breaker should be open inside cooldown")
-	}
-	later := now.Add(2 * time.Minute)
-	if !st.allow(3, later) {
-		t.Fatalf("first post-cooldown call should claim the probe")
-	}
-	if st.allow(3, later) {
-		t.Fatalf("second caller must not probe concurrently")
-	}
-	st.report(true, 3, time.Minute, later)
-	if !st.allow(3, later) {
-		t.Fatalf("breaker should close after successful probe")
-	}
-}
+// TestPeeredBreakerIgnoresBusyAndCancel: a peer circuit counts outage-class
+// failures only, like the backend breaker. A shedding peer's Busy reply
+// proves the peer is up, and the caller's own cancellation says nothing
+// about it, so neither may open the circuit and turn the peer's keys into
+// backend trips.
+func TestPeeredBreakerIgnoresBusyAndCancel(t *testing.T) {
+	const threshold = 2
+	p, peer := newPeeredPair(t, PeeredConfig{BreakerThreshold: threshold, BreakerCooldown: time.Minute})
+	k := key(13)
 
-func TestPeeredFillSingleflight(t *testing.T) {
-	p, peer := newPeeredPair(t, PeeredConfig{})
-	k := key(11)
-	peer.seed(k, mkChunk(0, 11, 4))
-	peer.block = make(chan struct{})
-
-	const callers = 8
-	var wg sync.WaitGroup
-	var hits atomic.Int64
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, ok := p.PeerFill(context.Background(), k); ok {
-				hits.Add(1)
-			}
-		}()
+	peer.setErr(&wire.BusyError{RetryAfter: time.Millisecond})
+	for i := 0; i < 2*threshold; i++ {
+		if _, ok := p.PeerFill(context.Background(), k); ok {
+			t.Fatalf("fill %d succeeded against a shedding peer", i)
+		}
 	}
-	// Let every caller either start the exchange or park on the flight,
-	// then release the peer.
-	time.Sleep(20 * time.Millisecond)
-	close(peer.block)
-	wg.Wait()
-
-	if hits.Load() != callers {
-		t.Fatalf("hits = %d, want %d", hits.Load(), callers)
+	peer.setErr(nil)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 2*threshold; i++ {
+		if _, ok := p.PeerFill(cancelled, k); ok {
+			t.Fatalf("fill %d succeeded under a cancelled context", i)
+		}
 	}
-	if got := peer.gets.Load(); got != 1 {
-		t.Fatalf("peer exchanges = %d, want 1 (singleflight)", got)
+
+	peer.seed(k, mkChunk(0, 13, 4))
+	before := peer.gets.Load()
+	if _, ok := p.PeerFill(context.Background(), k); !ok {
+		t.Fatalf("fill after Busy and cancellation did not reach the peer: %+v", p.PeerStats())
+	}
+	if got := peer.gets.Load(); got != before+1 {
+		t.Fatalf("peer gets %d → %d, want one more", before, got)
+	}
+	if st := p.PeerStats(); st.FillSkips != 0 || st.Fills != 1 {
+		t.Fatalf("stats = %+v, want no skips and one fill", st)
 	}
 }
 
@@ -374,14 +367,5 @@ func TestPeeredCloseIsIdempotentAndStopsFills(t *testing.T) {
 	}
 	if _, ok := p.PeerFill(context.Background(), key(5)); ok {
 		t.Fatalf("fill succeeded after Close")
-	}
-}
-
-func TestPeeredGetFallsBackToPeer(t *testing.T) {
-	p, peer := newPeeredPair(t, PeeredConfig{})
-	k := key(21)
-	peer.seed(k, mkChunk(0, 21, 6))
-	if data, ok := p.Get(k); !ok || data.Cells() != 6 {
-		t.Fatalf("Get through peer = %v, %v", data, ok)
 	}
 }

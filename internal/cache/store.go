@@ -116,17 +116,6 @@ func AsRecycled(benefit float64) InsertOption {
 	return func(s *insertSpec) { s.class, s.benefit, s.recycled = ClassComputed, benefit, true }
 }
 
-// AsPromoted marks the insert as a tier promotion: the chunk is re-entering
-// the hot tier from a colder one, so it was never gone. The policy admits it
-// straight into the protected ring, and the listener receives an OnEvent
-// with Reason Promoted instead of OnInsert — insert-side strategy
-// bookkeeping (counts, costs) survived the demotion and must not run twice.
-// Compose it after a class option (AsBackend/AsComputed/AsRecycled) to
-// restore the entry's pre-demotion residency.
-func AsPromoted() InsertOption {
-	return func(s *insertSpec) { s.promoted = true }
-}
-
 // Forker is implemented by replacement policies that can produce fresh,
 // state-free instances of themselves. A store needs one policy instance per
 // stripe (policies are stateful and synchronized by their stripe's lock), so

@@ -186,9 +186,8 @@ func (t *Tiered) demote(e *Entry) bool {
 // payload with its preserved attributes. The hot insert re-consults the
 // cold tier under the shard lock (peekCold), so the promotion spec
 // (preserved class/benefit/recycled, protected-ring admission) and the
-// Promoted event are applied atomically with the insert — the AsPromoted
-// flag is never trusted from out here, where it could race a concurrent
-// claim. The promotion charges the hot budget exactly once, through the
+// Promoted event are applied atomically with the insert — the promotion
+// flag is never set from out here, where it could race a concurrent claim. The promotion charges the hot budget exactly once, through the
 // ordinary insert path.
 func (t *Tiered) promote(k Key) (*chunk.Chunk, Class, float64, bool) {
 	ce, ok := t.cold.peek(k)

@@ -197,7 +197,9 @@ type Engine struct {
 // PeerFiller is the optional cluster tier a cache store can expose:
 // PeerFill asks the chunk key's ring owner for the payload, installing it in
 // the local tier on success. false means fall through to the backend.
-// cache.Peered implements it; the engine detects it on the store at New.
+// cache.Peered implements it; the engine detects it on the store at New and
+// calls it only for the chunks whose flight it leads, so an implementation
+// needs no deduplication of its own.
 type PeerFiller interface {
 	PeerFill(ctx context.Context, k cache.Key) (*chunk.Chunk, bool)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,4 +218,110 @@ func TestEnginePeerFillServesRemoteChunks(t *testing.T) {
 			backendChunks, soloBackend)
 	}
 	t.Logf("peer fills: %d chunks; backend chunks %d (standalone %d)", peerChunks, backendChunks, soloBackend)
+}
+
+// parkedPeer owns every key it is asked for, parks each Get until release
+// closes, and then answers with the backend's chunk.
+type parkedPeer struct {
+	be      backend.Backend
+	gets    atomic.Int64
+	release chan struct{}
+}
+
+func (p *parkedPeer) Get(ctx context.Context, k cache.Key) (*chunk.Chunk, cache.Class, float64, bool, error) {
+	p.gets.Add(1)
+	select {
+	case <-p.release:
+	case <-ctx.Done():
+		return nil, 0, 0, false, ctx.Err()
+	}
+	chunks, _, err := p.be.ComputeChunks(ctx, k.GB, []int{int(k.Num)})
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	return chunks[0], cache.ClassBackend, 1, true, nil
+}
+
+func (p *parkedPeer) Put(context.Context, cache.Key, *chunk.Chunk, cache.Class, float64) error {
+	return nil
+}
+
+func (p *parkedPeer) Close() error { return nil }
+
+// TestEnginePeerFillOneExchangePerChunk: the engine's flight group is the
+// only deduplication of peer fills. Queries that miss one remotely owned
+// chunk together make one peer exchange — the flight's leader makes it —
+// and every query counts the chunk as peer-filled.
+func TestEnginePeerFillOneExchangePerChunk(t *testing.T) {
+	cfg := apb.New(apb.ScaleTiny)
+	g, tab, err := cfg.Build(21)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	be, err := backend.NewEngine(g, tab, backend.LatencyModel{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	sz := sizer.NewEstimate(g, int64(tab.Len()))
+	local, err := cache.New(1<<20, cache.NewTwoLevel())
+	if err != nil {
+		t.Fatalf("cache.New: %v", err)
+	}
+	// An empty Self makes every key remotely owned, all by the one member.
+	peer := &parkedPeer{be: be, release: make(chan struct{})}
+	pc, err := cache.NewPeered(local, cache.PeeredConfig{
+		Members:    []string{"owner"},
+		Dial:       func(string) cache.Peer { return peer },
+		GetTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatalf("NewPeered: %v", err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	eng, err := New(g, pc, strategy.NewVCMC(g, sz), be, sz)
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
+	}
+
+	const queries = 8
+	q := WholeGroupBy(g.Lattice().Top())
+	results := make([]*Result, queries)
+	errs := make([]error, queries)
+	var wg sync.WaitGroup
+	for i := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = eng.Execute(context.Background(), q)
+		}()
+	}
+	// Release the peer only once the leader is parked in it and the other
+	// queries wait on its flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for peer.gets.Load() == 0 || eng.met.FlightFollowerChunks.Value() < queries-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gets %d, followers %d: the queries never met on one flight",
+				peer.gets.Load(), eng.met.FlightFollowerChunks.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(peer.release)
+	wg.Wait()
+
+	if got := peer.gets.Load(); got != 1 {
+		t.Fatalf("peer gets = %d, want 1", got)
+	}
+	want, _, err := be.ComputeChunks(context.Background(), q.GB, []int{0})
+	if err != nil {
+		t.Fatalf("ComputeChunks: %v", err)
+	}
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("query %d: %v", i, errs[i])
+		}
+		if res.PeerChunks != 1 || res.Cells() != want[0].Cells() {
+			t.Fatalf("query %d: %d peer chunks, %d cells; want 1 peer chunk, %d cells",
+				i, res.PeerChunks, res.Cells(), want[0].Cells())
+		}
+	}
 }

@@ -31,9 +31,10 @@ type flightCall struct {
 	err    error
 }
 
-// flightGroup deduplicates identical concurrent backend chunk fetches: a
-// burst of queries missing the same (group-by, chunk) issues one backend
-// request. Leaders always publish and retire their own flights before
+// flightGroup deduplicates identical concurrent chunk fetches: a burst of
+// queries missing the same (group-by, chunk) issues one peer fill and at
+// most one backend request. It is the only deduplication of peer fills —
+// the leader alone calls PeerFill. Leaders always publish and retire their own flights before
 // waiting on anyone else's, so flights cannot deadlock. A leader that fails
 // — backend error, cancelled context — publishes the error and retires the
 // flight all the same, so followers never strand; a follower whose leader

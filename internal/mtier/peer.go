@@ -4,15 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"aggcache/internal/backend"
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
+	"aggcache/internal/obs"
 	"aggcache/internal/wire"
 )
 
@@ -195,127 +193,25 @@ func (s *Server) handlePeerPut(fr *wire.Frame) wire.Frame {
 	return wire.Frame{Type: framePeerAck, Payload: encodePeerAck(nil, stored)}
 }
 
-// errPeerClosed is the permanent error after PeerClient.Close.
-var errPeerClosed = errors.New("mtier: peer client is closed")
-
-// DefaultPeerIOTimeout bounds one peer exchange when the caller's context
-// carries no earlier deadline (the Peered store always supplies one).
-const DefaultPeerIOTimeout = 2 * time.Second
-
 // PeerClient is the cache.Peer implementation over the middle-tier wire
-// protocol: one lazily-dialed multiplexed connection per peer, shared by
-// concurrent fills and puts. There is no retry loop here — the Peered
-// store's per-peer breaker owns failure policy, so one failed exchange
-// reports immediately (marked transient when a fresh connection might cure
-// it) and the broken connection is dropped for the next exchange to redial.
-type PeerClient struct {
-	addr    string
-	maxPay  int
-	dialTmo time.Duration
-
-	closed atomic.Bool
-
-	mu  sync.Mutex // guards mux swaps only, never held across I/O
-	mux *wire.Mux
-}
+// protocol: one backend.Exchange per peer, shared by concurrent fills and
+// puts. There is no retry loop here — the Peered store's per-peer circuit
+// owns failure policy, so one failed exchange reports immediately (marked
+// transient when a fresh connection might cure it) and the broken
+// connection is dropped for the next exchange to redial.
+type PeerClient struct{ x *backend.Exchange }
 
 // NewPeerClient returns a lazily-connecting peer client. maxPayload bounds
 // response frames (0 means wire.DefaultMaxPayload); the peer need not be
-// reachable yet.
+// reachable yet. Dials and exchanges are bounded by 2s each; the Peered
+// store's fill and put timeouts are shorter or equal.
 func NewPeerClient(addr string, maxPayload int) *PeerClient {
-	return &PeerClient{addr: addr, maxPay: maxPayload, dialTmo: 2 * time.Second}
-}
-
-// getMux returns the live multiplexed connection, dialing if needed.
-func (c *PeerClient) getMux(ctx context.Context) (*wire.Mux, error) {
-	c.mu.Lock()
-	if c.closed.Load() {
-		c.mu.Unlock()
-		return nil, errPeerClosed
-	}
-	if m := c.mux; m != nil && m.Healthy() {
-		c.mu.Unlock()
-		return m, nil
-	}
-	c.mu.Unlock()
-	d := net.Dialer{Timeout: c.dialTmo}
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		return nil, backend.MarkTransient(err)
-	}
-	m := wire.NewMux(conn, c.maxPay, wire.Metrics{})
-	c.mu.Lock()
-	if c.closed.Load() {
-		c.mu.Unlock()
-		m.Close()
-		return nil, errPeerClosed
-	}
-	if cur := c.mux; cur != nil && cur.Healthy() {
-		c.mu.Unlock()
-		m.Close()
-		return cur, nil
-	}
-	old := c.mux
-	c.mux = m
-	c.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return m, nil
-}
-
-// dropMux discards a connection whose stream failed, if still current.
-func (c *PeerClient) dropMux(m *wire.Mux) {
-	c.mu.Lock()
-	if c.mux == m {
-		c.mux = nil
-	}
-	c.mu.Unlock()
-	m.Close()
-}
-
-// exchange performs one peer round trip with the PR-3 error taxonomy:
-// wire-level failures are transient (and tear the connection down), in-band
-// PeerErr frames become RemoteError transient-or-not per the frame flag.
-func (c *PeerClient) exchange(ctx context.Context, typ uint8, payload []byte) (*wire.Frame, error) {
-	m, err := c.getMux(ctx)
-	if err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(DefaultPeerIOTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	fr, err := m.RoundTrip(ctx, typ, 0, payload, deadline)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		if errors.Is(err, wire.ErrClosed) {
-			return nil, errPeerClosed
-		}
-		c.dropMux(m)
-		return nil, backend.MarkTransient(fmt.Errorf("mtier: peer exchange: %w", err))
-	}
-	if fr.Type == wire.FrameBusy {
-		// A shedding peer is transient, not a protocol violation: the fill
-		// falls back to the backend and the put is dropped, both by design.
-		return nil, wire.DecodeBusy(fr.Payload)
-	}
-	if fr.Type == framePeerErr {
-		d := wire.NewDec(fr.Payload)
-		rerr := &backend.RemoteError{Msg: d.String()}
-		if fr.Flags&wire.FlagTransient != 0 {
-			return nil, backend.MarkTransient(rerr)
-		}
-		return nil, rerr
-	}
-	return &fr, nil
+	return &PeerClient{x: backend.NewExchange(addr, framePeerErr, 2*time.Second, 2*time.Second, maxPayload, obs.RemoteMetrics{})}
 }
 
 // Get implements cache.Peer.
 func (c *PeerClient) Get(ctx context.Context, k cache.Key) (*chunk.Chunk, cache.Class, float64, bool, error) {
-	fr, err := c.exchange(ctx, framePeerGet, encodePeerGet(nil, k))
+	fr, err := c.x.RoundTrip(ctx, framePeerGet, encodePeerGet(nil, k))
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
@@ -327,7 +223,7 @@ func (c *PeerClient) Get(ctx context.Context, k cache.Key) (*chunk.Chunk, cache.
 
 // Put implements cache.Peer.
 func (c *PeerClient) Put(ctx context.Context, k cache.Key, data *chunk.Chunk, cl cache.Class, benefit float64) error {
-	fr, err := c.exchange(ctx, framePeerPut, encodePeerPut(nil, k, data, cl, benefit))
+	fr, err := c.x.RoundTrip(ctx, framePeerPut, encodePeerPut(nil, k, data, cl, benefit))
 	if err != nil {
 		return err
 	}
@@ -341,16 +237,4 @@ func (c *PeerClient) Put(ctx context.Context, k cache.Key, data *chunk.Chunk, cl
 }
 
 // Close implements cache.Peer.
-func (c *PeerClient) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	c.mu.Lock()
-	m := c.mux
-	c.mux = nil
-	c.mu.Unlock()
-	if m != nil {
-		m.Close()
-	}
-	return nil
-}
+func (c *PeerClient) Close() error { return c.x.Close() }
