@@ -77,10 +77,12 @@ fuzz-codec:
 	$(GO) test ./internal/chunk -run XXX -fuzz FuzzChunkCodec -fuzztime 10s
 
 # soak-tiered runs the tiered-store concurrency suite (demote/promote/evict
-# races, byte-accounting and dual-residency invariants) under the race
-# detector.
+# races, overlapping cold pins, byte-accounting and dual-residency
+# invariants) and the engine-level cold-tier tests (pin -> plan -> answer)
+# under the race detector.
 soak-tiered:
 	$(GO) test -race -run 'Tiered|Snapshot' ./internal/cache -count=1
+	$(GO) test -race -run 'Tiered|Cold' ./internal/core -count=1
 
 # fuzz-wire smoke-fuzzes the frame and chunk-slab codecs: malformed input
 # must never panic or over-allocate.

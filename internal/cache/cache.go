@@ -92,7 +92,8 @@ const (
 	// Removed: an administrative removal via Evict; the chunk is gone.
 	Removed
 	// Promoted: a cold-resident chunk was decompressed back into the hot
-	// tier (on access or pin). No OnInsert fires for a promotion — the
+	// tier (on a lookup outside a pin, or a re-insert; a pin reads a cold
+	// chunk where it lives). No OnInsert fires for a promotion — the
 	// chunk never stopped being resident, so insert-side bookkeeping
 	// (counts, costs) must not run again.
 	Promoted

@@ -20,9 +20,13 @@ type coldEntry struct {
 	class    Class
 	benefit  float64
 	recycled bool
-	// held marks an entry an in-flight promotion is moving to the hot tier;
-	// cold pressure must not evict it (see coldTier.hold).
-	held bool
+	// holds counts what shields the entry from cold-pressure eviction: one
+	// per pin (a plan leaf read in place) plus one while an insert promotes
+	// it (see coldTier.hold). pins counts the holds that are pins, and pinned
+	// is the payload the first of them decoded, served by Get until the last
+	// Unpin (nil while pins is 0).
+	holds, pins int
+	pinned      *chunk.Chunk
 
 	newer, older *coldEntry // intrusive LRU list
 }
@@ -31,11 +35,11 @@ type coldEntry struct {
 func (e *coldEntry) bytes() int64 { return int64(len(e.enc)) + coldEntryOverhead }
 
 // coldTier is the compressed in-RAM second tier: a byte-bounded map of
-// codec-encoded payloads in LRU order (recency = demotion or cold-hit time).
+// codec-encoded payloads in LRU order (recency = demotion or pin time).
 // It is deliberately not a Store — it holds opaque compressed residents with
-// no pins, no policy and no listener; the Tiered wrapper owns all event
-// plumbing. All methods synchronize on mu; none call out while holding it,
-// so a caller may hold a hot-shard lock (the demotion path does).
+// no policy and no listener; the Tiered wrapper owns all event plumbing.
+// All methods synchronize on mu; none call out while holding it, so a caller
+// may hold a hot-shard lock (the demotion and pin paths do).
 type coldTier struct {
 	mu       sync.Mutex
 	capacity int64
@@ -85,7 +89,22 @@ func (t *coldTier) dropLocked(e *coldEntry) {
 	delete(t.entries, e.key)
 	t.used -= e.bytes()
 	t.raw -= e.rawBytes
-	if e.held {
+	if e.holds > 0 {
+		t.held -= e.bytes()
+	}
+}
+
+// holdLocked and releaseLocked take and drop one hold on e; caller holds mu.
+func (t *coldTier) holdLocked(e *coldEntry) {
+	if e.holds == 0 {
+		t.held += e.bytes()
+	}
+	e.holds++
+}
+
+func (t *coldTier) releaseLocked(e *coldEntry) {
+	e.holds--
+	if e.holds == 0 {
 		t.held -= e.bytes()
 	}
 }
@@ -114,7 +133,7 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	// running off the list.
 	for v := t.oldest; t.used+need > t.capacity; {
 		next := v.newer
-		if !v.held {
+		if v.holds == 0 {
 			t.dropLocked(v)
 			evicted = append(evicted, v)
 		}
@@ -146,29 +165,103 @@ func (t *coldTier) peek(k Key) (*coldEntry, bool) {
 // eviction until release or remove: a promotion holds its key while the hot
 // insert makes room, because the victims that insert demotes land here, and
 // evicting the promoting key to fit them would report a chunk gone that is
-// about to turn hot.
-func (t *coldTier) hold(k Key) (*coldEntry, bool) {
+// about to turn hot. A pinned entry is being read in place and stays cold
+// until its last Unpin, so hold takes no hold on it and reports pinned.
+func (t *coldTier) hold(k Key) (e *coldEntry, ok, pinned bool) {
 	if t == nil {
-		return nil, false
+		return nil, false, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok = t.entries[k]; !ok {
+		return nil, false, false
+	}
+	if e.pins > 0 {
+		return e, true, true
+	}
+	t.holdLocked(e)
+	return e, true, false
+}
+
+// release drops the hold a denied promotion took.
+func (t *coldTier) release(k Key) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := t.entries[k]; ok && e.holds > 0 {
+		t.releaseLocked(e)
+	}
+}
+
+// pin holds k's entry for a plan leaf read in place and moves it to the
+// newest end of the LRU. It returns the payload an earlier, still-held pin
+// decoded, or nil when this is the only pin: the caller then decodes the
+// entry and publishes the payload with setPinned.
+func (t *coldTier) pin(k Key) (e *coldEntry, data *chunk.Chunk, ok bool) {
+	if t == nil {
+		return nil, nil, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok = t.entries[k]; !ok {
+		return nil, nil, false
+	}
+	t.holdLocked(e)
+	e.pins++
+	t.unlink(e)
+	t.pushNewest(e)
+	return e, e.pinned, true
+}
+
+// setPinned publishes the payload the first pin of e decoded.
+func (t *coldTier) setPinned(e *coldEntry, data *chunk.Chunk) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e.pinned = data
+}
+
+// unpin releases one pin on k and forgets the decoded payload with the last.
+func (t *coldTier) unpin(k Key) {
+	if t == nil {
+		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entries[k]
-	if ok && !e.held {
-		e.held = true
-		t.held += e.bytes()
+	if !ok || e.pins == 0 {
+		return
 	}
-	return e, ok
+	e.pins--
+	if e.pins == 0 {
+		e.pinned = nil
+	}
+	t.releaseLocked(e)
 }
 
-// release makes a held entry evictable again (its promotion was denied).
-func (t *coldTier) release(k Key) {
+// pinnedPayload returns k's entry and the payload its pins decoded, or a nil
+// payload when k holds no cold pin.
+func (t *coldTier) pinnedPayload(k Key) (*coldEntry, *chunk.Chunk) {
+	if t == nil {
+		return nil, nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.entries[k]; ok && e.held {
-		e.held = false
-		t.held -= e.bytes()
+	e, ok := t.entries[k]
+	if !ok || e.pinned == nil {
+		return nil, nil
 	}
+	return e, e.pinned
+}
+
+// dropUnheld removes e if it is still its key's resident and nothing holds
+// it, and reports whether it did.
+func (t *coldTier) dropUnheld(e *coldEntry) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.entries[e.key] != e || e.holds > 0 {
+		return false
+	}
+	t.dropLocked(e)
+	return true
 }
 
 // remove drops k without eviction accounting (administrative removal or a

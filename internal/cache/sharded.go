@@ -263,9 +263,14 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 		// A cold-resident key makes this insert a promotion: the chunk never
 		// stopped being answerable, so its preserved residency attributes
 		// override the caller's and no OnInsert fires. Decided here, under
-		// the stripe lock that serializes this key's tier transitions.
-		var ps insertSpec
-		if ps, wasCold = c.hook.peekCold(k); wasCold {
+		// the stripe lock that serializes this key's tier transitions. A
+		// pinned cold copy stays where its plans read it.
+		ps, cold, pinned := c.hook.peekCold(k)
+		if pinned {
+			c.met.Denied.Inc()
+			return false
+		}
+		if wasCold = cold; wasCold {
 			spec = ps
 		}
 	}
@@ -357,18 +362,22 @@ func (c *Sharded) removeLocked(s *shard, e *Entry, policyEvict bool) {
 	}
 }
 
-// Pin implements Store.
+// Pin implements Store. A key that is not hot is pinned where it lives when
+// a cold tier hosts this store (tierHook.pinCold); a pinned key does not
+// change tiers until its last Unpin.
 func (c *Sharded) Pin(k Key) bool {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if !ok {
-		c.met.PinFailures.Inc()
-		return false
+	if e, ok := s.entries[k]; ok {
+		e.pins++
+		return true
 	}
-	e.pins++
-	return true
+	if c.hook != nil && c.hook.pinCold(k) {
+		return true
+	}
+	c.met.PinFailures.Inc()
+	return false
 }
 
 // Unpin implements Store.
@@ -376,8 +385,14 @@ func (c *Sharded) Unpin(k Key) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok && e.pins > 0 {
-		e.pins--
+	if e, ok := s.entries[k]; ok {
+		if e.pins > 0 {
+			e.pins--
+		}
+		return
+	}
+	if c.hook != nil {
+		c.hook.unpinCold(k)
 	}
 }
 

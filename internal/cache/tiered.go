@@ -14,12 +14,12 @@ import (
 // effective compression). The traffic counters are read from the store's
 // tier metrics bundle, the occupancy from the cold tier itself.
 type TierStats struct {
-	ColdHits     int64 // hot-tier misses answered by decompressing a cold resident
-	ColdMisses   int64 // misses in both tiers
-	Promotes     int64 // chunks decompressed back into the hot tier
+	ColdHits     int64 // pins and lookups a cold resident served (a Get under a cold pin is that pin's hit)
+	ColdMisses   int64 // lookups that missed both tiers
+	Promotes     int64 // chunks decompressed back into the hot tier (lookups outside a pin, re-inserts)
 	Demotes      int64 // hot-tier victims re-admitted compressed
 	DemoteDenied int64 // victims the cold tier refused (oversized or disabled)
-	ColdEvicts   int64 // cold residents dropped for cold-tier space
+	ColdEvicts   int64 // cold residents dropped for cold-tier space, or because they no longer decode
 
 	ColdCapacity int64 // cold-tier byte bound
 	ColdUsed     int64 // compressed bytes charged
@@ -39,16 +39,18 @@ type TierStatser interface {
 // under the lock that serializes that key's hot-store mutations (the shard
 // lock), or two racing goroutines can leave a chunk resident in both tiers —
 // and a later cold eviction would then fire a spurious Evicted while the
-// chunk still answers, corrupting strategy counts. All three methods are
-// invoked with that lock held; implementations may take the cold tier's
-// lock (lock order is always hot shard → cold, never the reverse) and must
-// not call back into the hot store.
+// chunk still answers, corrupting strategy counts. Every method is invoked
+// with that lock held; implementations may take the cold tier's lock (lock
+// order is always hot shard → cold, never the reverse) and must not call
+// back into the hot store.
 type tierHook interface {
 	// peekCold reports whether k is cold-resident and, if so, its preserved
 	// residency attributes; the fresh-insert path calls it to turn the
 	// insert into a promotion. The cold copy is not removed yet, but it is
 	// held: the demotions the insert's room-making causes cannot evict it.
-	peekCold(k Key) (spec insertSpec, wasCold bool)
+	// A pinned cold copy is not promoted — a plan is reading it where it
+	// lives — so pinned refuses the insert instead.
+	peekCold(k Key) (spec insertSpec, wasCold, pinned bool)
 	// claimCold settles the promotion peekCold began: when the hot insert
 	// was admitted it drops k's cold copy (the key has just moved cold →
 	// hot), otherwise the copy stays cold and evictable again.
@@ -57,6 +59,12 @@ type tierHook interface {
 	// whether it was admitted (in which case the eviction becomes a
 	// Demoted event).
 	demote(e *Entry) bool
+	// pinCold pins k's cold copy where it lives, for a Pin of a key that is
+	// not hot, and reports whether k was cold-resident.
+	pinCold(k Key) bool
+	// unpinCold releases one cold pin on k, for an Unpin of a key that is
+	// not hot.
+	unpinCold(k Key)
 }
 
 // hookable is implemented by the hot store: it can host a Tiered wrapper.
@@ -67,29 +75,34 @@ type hookable interface {
 
 // Tiered composes a hot Store with a compressed in-RAM cold tier. Hot-tier
 // victims are delta/varint-encoded and demoted to the cold tier instead of
-// dropped; a miss that finds its chunk cold decompresses it back into the
-// hot tier, where the two-level policy admits it straight into the
-// protected ring (protect on promote). Listeners registered on the Tiered
-// store observe the full event taxonomy: Demoted when a victim stays
+// dropped. A pin of a cold-resident key reads it where it lives: the pin
+// holds the cold copy against cold pressure and decodes it once for the Gets
+// made under it, so a plan leaf never needs hot-tier room. A lookup outside
+// a pin, or an insert of a cold-resident key, promotes the chunk back into
+// the hot tier instead, where the two-level policy admits it straight into
+// the protected ring (protect on promote). Listeners registered on the
+// Tiered store observe the full event taxonomy: Demoted when a victim stays
 // answerable compressed, Promoted when it returns to the hot tier, Evicted
 // only when a chunk truly leaves the store.
 //
-// Residency invariant: a key is resident in at most one tier. Transitions
-// are decided under the hot store's per-key lock (see tierHook), so the
-// invariant holds under arbitrary concurrency.
+// Residency invariant: a key is resident in at most one tier, and a pinned
+// key stays in the tier it was pinned in. Transitions are decided under the
+// hot store's per-key lock (see tierHook), so the invariant holds under
+// arbitrary concurrency.
 type Tiered struct {
 	// hot is the wrapped store, embedded so that the Store methods this file
-	// does not define (Unpin, Reinforce — only hot residents carry pins and
-	// replacement clocks) are the hot tier's own.
+	// does not define are the hot tier's own: Reinforce (only hot residents
+	// carry replacement clocks), and Pin and Unpin, which reach a cold key
+	// through the tierHook under the lock that serializes its transitions.
 	hot
 	cold *coldTier
 	// outer is the listener registered via SetListener; hot-store events are
 	// forwarded to it, with cold-pressure evictions synthesized here. Set
 	// before the store serves traffic, read-only afterwards.
 	outer Listener
-	// lookupColdHits counts the cold hits of the lookup paths (Get, GetInfo)
-	// — the ones the hot tier booked as a miss on the way through. A Pin
-	// that promotes is a cold hit too (TierStats.ColdHits) but no lookup.
+	// lookupColdHits counts the lookups (Get, GetInfo) a cold resident
+	// served — each booked as a hot miss on the way through. A cold Pin is
+	// a cold hit too (TierStats.ColdHits) but no lookup.
 	lookupColdHits atomic.Int64
 	// tmet is the cold tier's one set of traffic counters; TierStats reads
 	// it, and /metrics exports it once SetTierMetrics attached a registered
@@ -139,13 +152,24 @@ func (f forwardListener) OnEvent(ev Event) {
 	}
 }
 
-// peekCold implements tierHook.
-func (t *Tiered) peekCold(k Key) (insertSpec, bool) {
-	e, ok := t.cold.hold(k)
-	if !ok {
-		return insertSpec{}, false
+// coldGone tells the listener that cold resident e has left the store.
+func (t *Tiered) coldGone(e *coldEntry, r EventReason) {
+	if t.outer != nil {
+		t.outer.OnEvent(Event{
+			Key:    e.key,
+			Reason: r,
+			Entry:  &Entry{Key: e.key, Class: e.class, Benefit: e.benefit, Recycled: e.recycled},
+		})
 	}
-	return insertSpec{class: e.class, benefit: e.benefit, recycled: e.recycled, promoted: true}, true
+}
+
+// peekCold implements tierHook.
+func (t *Tiered) peekCold(k Key) (insertSpec, bool, bool) {
+	e, ok, pinned := t.cold.hold(k)
+	if !ok || pinned {
+		return insertSpec{}, ok, pinned
+	}
+	return insertSpec{class: e.class, benefit: e.benefit, recycled: e.recycled, promoted: true}, true, false
 }
 
 // claimCold implements tierHook.
@@ -170,25 +194,58 @@ func (t *Tiered) demote(e *Entry) bool {
 	}
 	for _, v := range victims {
 		t.tmet.ColdEvictions.Inc()
-		if t.outer != nil {
-			t.outer.OnEvent(Event{
-				Key:    v.key,
-				Reason: Evicted,
-				Entry:  &Entry{Key: v.key, Class: v.class, Benefit: v.benefit, Recycled: v.recycled},
-			})
-		}
+		t.coldGone(v, Evicted)
 	}
 	t.syncTierGauges()
 	return ok
 }
 
-// promote decompresses k's cold copy into the hot tier and returns the
-// payload with its preserved attributes. The hot insert re-consults the
-// cold tier under the shard lock (peekCold), so the promotion spec
-// (preserved class/benefit/recycled, protected-ring admission) and the
-// Promoted event are applied atomically with the insert — the promotion
-// flag is never set from out here, where it could race a concurrent claim. The promotion charges the hot budget exactly once, through the
-// ordinary insert path.
+// pinCold implements tierHook: the pin reads k where it lives, so it cannot
+// fail for lack of hot-tier room. The first pin decodes the payload the
+// Gets under every overlapping pin are served.
+func (t *Tiered) pinCold(k Key) bool {
+	e, data, ok := t.cold.pin(k)
+	if !ok {
+		return false
+	}
+	if data == nil {
+		var err error
+		if data, err = chunk.DecodePayload(k.GB, k.Num, e.enc); err != nil {
+			t.cold.unpin(k)
+			t.dropUndecodable(e)
+			return false
+		}
+		t.cold.setPinned(e, data)
+	}
+	t.tmet.ColdHits.Inc()
+	return true
+}
+
+// unpinCold implements tierHook.
+func (t *Tiered) unpinCold(k Key) { t.cold.unpin(k) }
+
+// dropUndecodable drops a cold resident whose payload does not decode, unless
+// a pin or a promotion holds it. This cannot happen short of memory
+// corruption — the tier only stores its own encodings — but the chunk is
+// then gone, so it counts as a cold eviction and its Evicted event fires:
+// otherwise the strategy would go on planning through it.
+func (t *Tiered) dropUndecodable(e *coldEntry) {
+	if !t.cold.dropUnheld(e) {
+		return
+	}
+	t.tmet.ColdEvictions.Inc()
+	t.syncTierGauges()
+	t.coldGone(e, Evicted)
+}
+
+// promote decompresses k's cold copy into the hot tier for a lookup outside
+// a pin and returns the payload with its preserved attributes. The hot insert
+// re-consults the cold tier under the shard lock (peekCold), so the promotion
+// spec (preserved class/benefit/recycled, protected-ring admission) and the
+// Promoted event are applied atomically with the insert — the promotion flag
+// is never set from out here, where it could race a concurrent claim. The
+// promotion charges the hot budget exactly once, through the ordinary insert
+// path.
 func (t *Tiered) promote(k Key) (*chunk.Chunk, Class, float64, bool) {
 	ce, ok := t.cold.peek(k)
 	if !ok {
@@ -196,10 +253,7 @@ func (t *Tiered) promote(k Key) (*chunk.Chunk, Class, float64, bool) {
 	}
 	data, err := chunk.DecodePayload(k.GB, k.Num, ce.enc)
 	if err != nil {
-		// An undecodable cold resident is unusable; drop it so it stops
-		// occupying cold bytes. This cannot happen short of memory
-		// corruption — the tier only stores its own encodings.
-		t.cold.remove(k)
+		t.dropUndecodable(ce)
 		return nil, 0, 0, false
 	}
 	opt := AsBackend(ce.benefit)
@@ -211,8 +265,9 @@ func (t *Tiered) promote(k Key) (*chunk.Chunk, Class, float64, bool) {
 	t.hot.Insert(k, data, opt)
 	t.syncTierGauges()
 	// Serve the decoded payload even if the hot tier refused admission (all
-	// entries pinned, say): the cold copy is still resident in that case, so
-	// the chunk remains answerable.
+	// entries pinned, say, or a pin holding the cold copy in place): the
+	// cold copy is still resident in that case, so the chunk remains
+	// answerable.
 	return data, ce.class, ce.benefit, true
 }
 
@@ -224,9 +279,10 @@ func (t *Tiered) syncTierGauges() {
 	t.tmet.ColdChunks.Set(o.ColdChunks)
 }
 
-// Get implements Store: a hot hit is served as usual; a hot miss consults
-// the cold tier and, on a cold hit, promotes the chunk back into the hot
-// tier before returning it.
+// Get implements Store: a hot hit is served as usual. On a hot miss, a key
+// pinned in the cold tier is served the payload its pin decoded, and any
+// other cold-resident key is promoted back into the hot tier before it is
+// returned.
 func (t *Tiered) Get(k Key) (*chunk.Chunk, bool) {
 	data, _, _, ok := t.GetInfo(k)
 	return data, ok
@@ -236,6 +292,11 @@ func (t *Tiered) Get(k Key) (*chunk.Chunk, bool) {
 func (t *Tiered) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
 	if data, cl, benefit, ok := t.hot.GetInfo(k); ok {
 		return data, cl, benefit, true
+	}
+	if e, data := t.cold.pinnedPayload(k); data != nil {
+		// The Pin this Get is made under counted the cold hit.
+		t.lookupColdHits.Add(1)
+		return data, e.class, e.benefit, true
 	}
 	if data, cl, benefit, ok := t.promote(k); ok {
 		t.lookupColdHits.Add(1)
@@ -266,7 +327,8 @@ func (t *Tiered) Peek(k Key) (*chunk.Chunk, bool) {
 // Insert implements Store, delegating to the hot tier. If the key is
 // cold-resident the insert is turned into a promotion under the shard lock
 // (the cold copy is superseded; no OnInsert fires because the chunk never
-// stopped being answerable).
+// stopped being answerable) — unless a pin holds the cold copy, which then
+// stays where it is and the insert is refused.
 func (t *Tiered) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
 	ok := t.hot.Insert(k, data, opts...)
 	t.syncTierGauges()
@@ -285,28 +347,8 @@ func (t *Tiered) Evict(k Key) bool {
 		return false
 	}
 	t.syncTierGauges()
-	if t.outer != nil {
-		t.outer.OnEvent(Event{
-			Key:    k,
-			Reason: Removed,
-			Entry:  &Entry{Key: k, Class: e.class, Benefit: e.benefit, Recycled: e.recycled},
-		})
-	}
+	t.coldGone(e, Removed)
 	return true
-}
-
-// Pin implements Store. Pinning a cold-resident key promotes it first — a
-// pin means an aggregation is about to read the payload, which requires it
-// decoded and protected from eviction.
-func (t *Tiered) Pin(k Key) bool {
-	if t.hot.Pin(k) {
-		return true
-	}
-	if _, _, _, ok := t.promote(k); !ok {
-		return false
-	}
-	t.tmet.ColdHits.Inc()
-	return t.hot.Pin(k)
 }
 
 // Contains implements Store: resident in either tier.
@@ -328,12 +370,11 @@ func (t *Tiered) Range(fn func(k Key, data *chunk.Chunk, cl Class, benefit float
 	}
 }
 
-// Stats implements Store: the hot tier's counters with the lookup paths'
-// cold hits moved from Misses to Hits (each was counted as a hot miss on the
-// way through, so Misses cannot go negative and Hits+Misses stays the number
-// of lookups). Cold hits taken by Pin are not lookups and move nothing: the
-// engine pins a plan's leaves before it Gets them, and the Get that follows
-// a promoting Pin is an ordinary hot hit. The cold hits are loaded first:
+// Stats implements Store: the hot tier's counters with the lookups a cold
+// resident served moved from Misses to Hits (each was counted as a hot miss
+// on the way through, so Misses cannot go negative and Hits+Misses stays the
+// number of lookups). A Get under a cold pin is such a lookup; the Pin
+// itself is not a lookup and moves nothing. The cold hits are loaded first:
 // each was booked as a hot miss before it was counted, so the Misses read
 // after them already hold every one of those misses.
 func (t *Tiered) Stats() Stats {

@@ -206,32 +206,43 @@ func TestTieredGetServesAndCounts(t *testing.T) {
 }
 
 // TestTieredStatsPinThenGet is the engine's access pattern on a
-// cold-resident plan leaf: Pin promotes it, Get then finds it hot. The cold
-// hit belongs to the Pin, which is not a lookup, so it must not be
-// subtracted from Misses (Stats used to report Misses = -1 here).
+// cold-resident plan leaf: Pin reads it where it lives — a cold hit, not a
+// promotion — and the Get made under that pin is served the decoded payload
+// and counts as a hit. Hits+Misses stays the number of lookups.
 func TestTieredStatsPinThenGet(t *testing.T) {
 	tc, _ := tieredFixture(t, 4096)
-	tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(0))
+	orig := mkChunk(0, 1, 10)
+	tc.Insert(key(1), orig, AsBackend(0))
 	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(0)) // demotes 1
 
 	lookups := int64(0)
 	for round := 0; round < 3; round++ {
-		for _, k := range []Key{key(1), key(2)} { // each Pin promotes k, demoting the other
+		for _, k := range []Key{key(1), key(2)} { // 1 stays cold, 2 stays hot
 			if !tc.Pin(k) {
-				t.Fatalf("round %d: Pin(%v) on a cold-resident key failed", round, k)
+				t.Fatalf("round %d: Pin(%v) failed", round, k)
 			}
-			if _, ok := tc.Get(k); !ok {
-				t.Fatalf("round %d: Get(%v) after Pin missed", round, k)
+			got, ok := tc.Get(k)
+			if !ok {
+				t.Fatalf("round %d: Get(%v) under a pin missed", round, k)
+			}
+			if k == key(1) && (len(got.Keys) != len(orig.Keys) || got.Keys[9] != orig.Keys[9]) {
+				t.Fatalf("round %d: pinned cold payload differs from the demoted one", round)
 			}
 			tc.Unpin(k)
 			lookups++
 		}
+		if tc.hot.Contains(key(1)) {
+			t.Fatalf("round %d: pinning cold key 1 promoted it", round)
+		}
+	}
+	if tc.cold.held != 0 {
+		t.Fatalf("cold tier still holds %d bytes after every Unpin", tc.cold.held)
 	}
 	if _, ok := tc.Get(key(9)); ok { // one true miss
 		t.Fatalf("absent key served")
 	}
 	lookups++
-	if _, ok := tc.Get(key(1)); !ok { // one Get-path cold hit
+	if _, ok := tc.Get(key(1)); !ok { // a lookup outside a pin promotes
 		t.Fatalf("cold-resident key 1 not served")
 	}
 	lookups++
@@ -243,8 +254,119 @@ func TestTieredStatsPinThenGet(t *testing.T) {
 	if st.Misses != 1 {
 		t.Fatalf("Misses = %d, want the 1 absent-key lookup", st.Misses)
 	}
-	if ts := tc.TierStats(); ts.ColdHits != 7 {
-		t.Fatalf("ColdHits = %d, want 7 (6 Pin-path promotions + 1 Get-path)", ts.ColdHits)
+	if ts := tc.TierStats(); ts.ColdHits != 4 || ts.Promotes != 1 {
+		t.Fatalf("ColdHits = %d, Promotes = %d; want 4 (3 cold pins + 1 lookup) and 1 (the lookup)", ts.ColdHits, ts.Promotes)
+	}
+}
+
+// TestTieredColdPinNeedsNoHotRoom: the hot tier's one resident is pinned, so
+// it cannot admit a promotion. A pin of the cold key must still succeed — it
+// reads the chunk where it lives — and an insert of that key while it is
+// pinned must leave it cold.
+func TestTieredColdPinNeedsNoHotRoom(t *testing.T) {
+	tc, lis := tieredFixture(t, 4096)
+	tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(0))
+	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(0)) // demotes 1
+	if !tc.Pin(key(2)) {
+		t.Fatalf("Pin(2) on the hot resident failed")
+	}
+	if !tc.Pin(key(1)) {
+		t.Fatalf("Pin(1) on a cold resident failed for lack of hot-tier room")
+	}
+	if tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(0)) {
+		t.Fatalf("insert of a cold-pinned key was admitted")
+	}
+	if tc.hot.Contains(key(1)) || !tc.cold.contains(key(1)) {
+		t.Fatalf("cold-pinned key 1 changed tiers")
+	}
+	tc.Unpin(key(1))
+	tc.Unpin(key(2))
+	if got := reasons(lis.events); fmt.Sprint(got) != "[demoted 1]" {
+		t.Fatalf("events %v, want [demoted 1]", got)
+	}
+}
+
+// TestTieredColdPinHoldRefcount overlaps pins of one key from several
+// goroutines while another promotes it through lookups and churns both tiers
+// with inserts. A pinned key keeps answering from exactly one tier until its
+// pin is released, is never evicted while pinned, and the cold tier's held
+// bytes return to zero once the last holder has left. Run under -race.
+func TestTieredColdPinHoldRefcount(t *testing.T) {
+	hot, err := New(2*mkChunk(0, 0, 10).Bytes(), NewLRU())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	tc, err := NewTiered(hot, 3*160)
+	if err != nil {
+		t.Fatalf("NewTiered: %v", err)
+	}
+	target := key(1)
+	var pinned atomic.Int64 // goroutines between a successful Pin and its Unpin
+	var evictedWhilePinned atomic.Int64
+	tc.SetListener(evictWatch{key: target, pinned: &pinned, bad: &evictedWhilePinned})
+	tc.Insert(target, mkChunk(0, 1, 10), AsBackend(0))
+
+	const pinners, rounds = 4, 2_000
+	var wg sync.WaitGroup
+	for w := 0; w < pinners; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if !tc.Pin(target) {
+					// Cold pressure evicted it while nobody held it.
+					tc.Insert(target, mkChunk(0, 1, 10), AsBackend(0))
+					continue
+				}
+				pinned.Add(1)
+				if _, ok := tc.Get(target); !ok {
+					t.Errorf("Get under a pin missed")
+				}
+				if tc.hot.Contains(target) == tc.cold.contains(target) {
+					t.Errorf("pinned key resident in %s tiers", map[bool]string{true: "both", false: "neither"}[tc.hot.Contains(target)])
+				}
+				pinned.Add(-1)
+				tc.Unpin(target)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			tc.Get(target) // promotes whenever target is cold and unpinned
+			k := key(2 + i%6)
+			tc.Insert(k, mkChunk(0, int(k.Num), 10), AsBackend(0))
+		}
+	}()
+	wg.Wait()
+
+	if n := evictedWhilePinned.Load(); n != 0 {
+		t.Fatalf("target left the store %d times while pinned", n)
+	}
+	if tc.cold.held != 0 {
+		t.Fatalf("cold tier holds %d bytes after the last Unpin", tc.cold.held)
+	}
+	seen := map[Key]bool{}
+	for _, k := range keysOf(tc) {
+		if seen[k] {
+			t.Fatalf("key %v resident in both tiers", k)
+		}
+		seen[k] = true
+	}
+}
+
+// evictWatch counts departures of key while pinned reports a holder.
+type evictWatch struct {
+	key         Key
+	pinned, bad *atomic.Int64
+}
+
+func (evictWatch) OnInsert(*Entry) {}
+
+func (w evictWatch) OnEvent(ev Event) {
+	if ev.Key == w.key && !ev.Answerable() && w.pinned.Load() > 0 {
+		w.bad.Add(1)
 	}
 }
 

@@ -189,9 +189,11 @@ func TestBuildStatsMatchMetrics(t *testing.T) {
 			t.Errorf("%s = %s, but %s reads %q", c.field, c.want, c.series, got)
 		}
 	}
-	// The comparison is only worth something if every layer was busy.
+	// The comparison is only worth something if every layer was busy. Plan
+	// leaves are pinned where they live, so the cold tier shows up as cold
+	// hits, not promotions.
 	if es.BackendQueries < 2 || es.RecycleRejected == 0 || es.ResultCacheHits == 0 ||
-		hs.Evictions == 0 || ts.Demotes == 0 || ts.Promotes == 0 {
+		hs.Evictions == 0 || ts.Demotes == 0 || ts.ColdHits == 0 {
 		t.Fatalf("stream too quiet: engine %+v, hot %+v, tier %+v", es, hs, ts)
 	}
 }

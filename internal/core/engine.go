@@ -409,33 +409,23 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 	lookupStart := time.Now()
 	var lookupErr error
 	for i, num := range nums {
-		plan, found, err := e.strat.Find(nq.GB, num)
+		p, err := e.lookup(nq.GB, num)
 		switch {
 		case errors.Is(err, strategy.ErrBudget):
 			res.BudgetExceeded = true
 			e.met.BudgetMisses.Inc()
-			found = false
 		case err != nil:
 			lookupErr = fmt.Errorf("core: lookup: %w", err)
 		}
 		if lookupErr != nil {
 			break
 		}
-		if !found {
+		if p == nil {
 			missing = append(missing, num)
 			missingIdx = append(missingIdx, i)
 			continue
 		}
-		p := &planned{idx: i, plan: plan, leaves: plan.Leaves(nil)}
-		if !e.pinAll(p.leaves) {
-			// A leaf the strategy believed resident was evicted between the
-			// lookup and the pin (the strategy's summary state and the cache
-			// are updated under different locks, so a brief window exists).
-			// Fall back to fetching the chunk, not failing the query.
-			missing = append(missing, num)
-			missingIdx = append(missingIdx, i)
-			continue
-		}
+		p.idx = i
 		plans = append(plans, p)
 	}
 	if lookupErr != nil {
@@ -633,6 +623,27 @@ func (e *Engine) observe(res *Result) {
 		e.met.Backend.Observe(res.Breakdown.Backend)
 	}
 	e.met.Query.Observe(res.Breakdown.Total())
+}
+
+// lookup plans chunk num of gb and pins the plan's leaves, or returns nil
+// when the chunk must be fetched. A leaf the strategy believed resident can
+// leave between the lookup and the pin: the strategy's summary state and the
+// store are updated under different locks. The eviction's listener event
+// has usually reached the strategy by the time the pin fails (a hot
+// eviction's always has: it fires under the stripe lock the pin then takes),
+// so one more lookup plans around the leaf. Only when that plan cannot be
+// pinned either is the chunk fetched.
+func (e *Engine) lookup(gb lattice.ID, num int) (*planned, error) {
+	for try := 0; try < 2; try++ {
+		plan, found, err := e.strat.Find(gb, num)
+		if err != nil || !found {
+			return nil, err
+		}
+		if leaves := plan.Leaves(nil); e.pinAll(leaves) {
+			return &planned{plan: plan, leaves: leaves}, nil
+		}
+	}
+	return nil, nil
 }
 
 // pinAll pins every key, rolling back already-taken pins on the first

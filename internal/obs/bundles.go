@@ -145,12 +145,12 @@ func NewTierMetrics(r *Registry) TierMetrics {
 		ColdRawBytes:       r.Gauge("aggcache_cold_raw_bytes", "Uncompressed footprint of the cold residents (raw/occupancy = compression ratio)."),
 		ColdChunks:         r.Gauge("aggcache_cold_resident_chunks", "Number of cold-tier residents."),
 
-		ColdHits:      r.Counter("aggcache_cold_hits_total", "Hot-tier misses answered by decompressing a cold resident."),
+		ColdHits:      r.Counter("aggcache_cold_hits_total", "Pins and lookups a cold resident served."),
 		ColdMisses:    r.Counter("aggcache_cold_misses_total", "Lookups that missed both tiers."),
 		Promotes:      r.Counter("aggcache_tier_promotes_total", "Chunks decompressed back into the hot tier."),
 		Demotes:       r.Counter("aggcache_tier_demotes_total", "Hot-tier victims re-admitted to the cold tier compressed."),
 		DemoteDenied:  r.Counter("aggcache_tier_demote_denied_total", "Hot-tier victims the cold tier refused."),
-		ColdEvictions: r.Counter("aggcache_cold_evictions_total", "Cold residents dropped for cold-tier space."),
+		ColdEvictions: r.Counter("aggcache_cold_evictions_total", "Cold residents dropped for cold-tier space, or because they no longer decoded."),
 	}
 }
 
