@@ -76,13 +76,15 @@ bench-tiered:
 fuzz-codec:
 	$(GO) test ./internal/chunk -run XXX -fuzz FuzzChunkCodec -fuzztime 10s
 
-# soak-tiered runs the tiered-store concurrency suite (demote/promote/evict
-# races, overlapping cold pins, byte-accounting and dual-residency
-# invariants) and the engine-level cold-tier tests (pin -> plan -> answer)
-# under the race detector.
+# soak-tiered runs the tiered-store concurrency suite (demote/evict races,
+# overlapping cold pins against cold lookups and inserts, byte-accounting
+# and dual-residency invariants), the engine-level cold-tier tests
+# (pin -> plan -> answer) and the peer protocol's cold reads under the race
+# detector.
 soak-tiered:
 	$(GO) test -race -run 'Tiered|Snapshot' ./internal/cache -count=1
 	$(GO) test -race -run 'Tiered|Cold' ./internal/core -count=1
+	$(GO) test -race -run 'Tiered|Cold' ./internal/mtier -count=1
 
 # fuzz-wire smoke-fuzzes the frame and chunk-slab codecs: malformed input
 # must never panic or over-allocate.

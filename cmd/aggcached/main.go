@@ -59,7 +59,7 @@ func main() {
 		recycleFlag     = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
 		recycleMinFlag  = flag.Float64("recycle-min-benefit", core.DefaultRecycleMinBenefit, "recycler admission threshold in saved recompute cost per byte (0 = default)")
 		resultCacheFlag = flag.Int("result-cache", 256, "semantic result-cache entries above the chunk cache (0 = disabled)")
-		coldKBFlag      = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier size in KB: hot-tier victims are demoted (delta/varint-encoded) instead of dropped, and promoted back on hit (0 = disabled)")
+		coldKBFlag      = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier size in KB: hot-tier victims are demoted (delta/varint-encoded) instead of dropped, and answer from the cold tier until cold pressure evicts them (0 = disabled)")
 		snapDirFlag     = flag.String("snapshot-dir", "", "snapshot directory: cache.snap inside it is loaded at startup (warm restart) and written on SIGINT/SIGTERM and every -snapshot-interval; a snapshot is only valid for the dataset it was taken over (same -scale, -seed and backend), so use a fresh directory when the data changes")
 		snapIntFlag     = flag.Duration("snapshot-interval", 0, "periodic cache snapshot flush interval (0 = flush on shutdown only; needs -snapshot-dir)")
 		opsFlag         = flag.String("ops", "", "ops HTTP listen address serving /metrics, /healthz, /traces and /debug/pprof (empty = disabled)")
@@ -313,8 +313,8 @@ func main() {
 	fmt.Printf("aggcached: served %d queries, %d complete hits, %d backend trips\n",
 		st.Queries, st.CompleteHits, st.BackendQueries)
 	if ts, ok := eng.TierStats(); ok {
-		fmt.Printf("aggcached: cold tier: %d hits, %d promotes, %d demotes (%d denied), %d/%d bytes holding %d raw\n",
-			ts.ColdHits, ts.Promotes, ts.Demotes, ts.DemoteDenied, ts.ColdUsed, ts.ColdCapacity, ts.ColdRawBytes)
+		fmt.Printf("aggcached: cold tier: %d hits, %d demotes (%d denied), %d/%d bytes holding %d raw\n",
+			ts.ColdHits, ts.Demotes, ts.DemoteDenied, ts.ColdUsed, ts.ColdCapacity, ts.ColdRawBytes)
 	}
 	if err := srv.Close(); err != nil {
 		fatal(err)

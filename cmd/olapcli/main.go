@@ -45,7 +45,7 @@ func main() {
 		recycleFlag     = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
 		recycleMinFlag  = flag.Float64("recycle-min-benefit", core.DefaultRecycleMinBenefit, "recycler admission threshold in saved recompute cost per byte (0 = default)")
 		resultCacheFlag = flag.Int("result-cache", 256, "semantic result-cache entries above the chunk cache (0 = disabled)")
-		coldKBFlag      = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier size in KB: hot-tier victims demote instead of dropping, and promote back on hit (0 = disabled)")
+		coldKBFlag      = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier size in KB: hot-tier victims demote instead of dropping, and answer from the cold tier until cold pressure evicts them (0 = disabled)")
 	)
 	flag.Parse()
 
@@ -246,9 +246,9 @@ func printStats(stack *core.Stack) {
 		if ts.ColdUsed > 0 {
 			ratio = float64(ts.ColdRawBytes) / float64(ts.ColdUsed)
 		}
-		fmt.Printf("  cold tier: %d chunks, %dKB/%dKB (%.1fx compressed), hits=%d promotes=%d demotes=%d denied=%d\n",
+		fmt.Printf("  cold tier: %d chunks, %dKB/%dKB (%.1fx compressed), hits=%d demotes=%d denied=%d\n",
 			ts.ColdChunks, ts.ColdUsed>>10, ts.ColdCapacity>>10, ratio,
-			ts.ColdHits, ts.Promotes, ts.Demotes, ts.DemoteDenied)
+			ts.ColdHits, ts.Demotes, ts.DemoteDenied)
 	}
 }
 

@@ -24,7 +24,6 @@ type tieredRow struct {
 	HitRate       float64 `json:"complete_hit_rate"`
 	BackendTuples int64   `json:"backend_tuples"`
 	ColdHits      int64   `json:"cold_hits"`
-	Promotes      int64   `json:"promotes"`
 	Demotes       int64   `json:"demotes"`
 }
 
@@ -36,9 +35,9 @@ type tieredMetrics struct {
 	// hot-tier RAM; the cold tier must not lose to the flat store.
 	RAMHit    float64 `json:"ram_hit"`
 	TieredHit float64 `json:"tiered_hit"`
-	// QPSRatio is qps(tiered)/qps(ram) — the cost of codec work and promote
-	// traffic on the same stream. QPS is queries over simulated response
-	// time, so the ratio is deterministic for a given seed.
+	// QPSRatio is qps(tiered)/qps(ram) — the cost of codec work on the same
+	// stream. QPS is queries over simulated response time, so the ratio is
+	// deterministic for a given seed.
 	QPSRatio float64 `json:"qps_ratio"`
 	// CompressionRatio is raw bytes over encoded bytes across the cold
 	// tier's final contents.
@@ -95,8 +94,8 @@ func runSegment(sys *core.Stack, queries []core.Query) (tieredDelta, error) {
 // adds a compressed cold tier at 4× the hot bytes. Both modes run the
 // identical seeded stream twice — the first pass fills the cache past its
 // capacity, the measured second pass revisits everything (a rerun dashboard)
-// — so the measured delta is exactly what demote-instead-of-drop plus
-// promote-on-hit buys over dropping victims. The run then simulates a kill:
+// — so the measured delta is exactly what demoting victims and answering
+// from the cold tier buys over dropping them. The run then simulates a kill:
 // the tiered cache is snapshotted, the process state discarded, and a fresh
 // system warm-restarts from the snapshot file; the same replay on both sides
 // yields the warm-restart recovery ratio. Writes BENCH_10.json with the
@@ -111,7 +110,7 @@ func Tiered(e *Env) (*Report, error) {
 		ID: "tiered",
 		Title: fmt.Sprintf("Tiered storage: hot %s vs hot %s + cold %s compressed (%d queries x2)",
 			SizeLabel(hot), SizeLabel(hot), SizeLabel(cold), e.Cfg.Queries),
-		Header: []string{"mode", "queries", "sim ms", "queries/s (sim)", "hit rate", "backend tuples", "cold hits", "promotes", "demotes"},
+		Header: []string{"mode", "queries", "sim ms", "queries/s (sim)", "hit rate", "backend tuples", "cold hits", "demotes"},
 	}
 
 	gen, err := workload.NewGenerator(e.Grid, workload.Mix{Proximity: 0.6, Random: 0.4}, e.Cfg.MaxQueryWidth, e.Cfg.Seed+10_000)
@@ -158,13 +157,13 @@ func Tiered(e *Env) (*Report, error) {
 			Mode: mode.name, Queries: replay.queries,
 			SimMs: float64(replay.sim) / float64(time.Millisecond), QPS: replay.qps(),
 			HitRate: replay.hitRate(), BackendTuples: replay.backendTuples,
-			ColdHits: ts.ColdHits, Promotes: ts.Promotes, Demotes: ts.Demotes,
+			ColdHits: ts.ColdHits, Demotes: ts.Demotes,
 		}
 		m.Rows = append(m.Rows, row)
 		r.AddRow(mode.name, fmt.Sprintf("%d", replay.queries), msString(replay.sim),
 			fmt.Sprintf("%.0f", replay.qps()), fmt.Sprintf("%.2f", replay.hitRate()),
 			fmt.Sprintf("%d", replay.backendTuples), fmt.Sprintf("%d", ts.ColdHits),
-			fmt.Sprintf("%d", ts.Promotes), fmt.Sprintf("%d", ts.Demotes))
+			fmt.Sprintf("%d", ts.Demotes))
 		switch mode.name {
 		case "ram":
 			m.RAMHit = replay.hitRate()

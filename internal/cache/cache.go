@@ -53,17 +53,11 @@ type Entry struct {
 	// stay out of the count/cost bookkeeping, so admitting and evicting
 	// them is O(1) instead of a lattice propagation.
 	Recycled bool
-	// Promoted marks an entry re-entering the hot tier from a colder one
-	// (Tiered's promotion). The two-level policy admits such entries straight into
-	// its protected ring — a chunk that earned demotion over a drop and was
-	// then asked for again has proven reuse, so it must not re-enter on
-	// probation ("protect on promote").
-	Promoted bool
 
 	clock      float64
 	pins       int
 	next, prev *Entry // intrusive ring, owned by the policy
-	ringID     int8   // which policy ring holds the entry
+	ringID     int8   // which policy ring has the entry
 }
 
 // Bytes returns the entry's charged footprint.
@@ -74,11 +68,11 @@ func (e *Entry) Bytes() int64 { return e.Data.Bytes() }
 func (e *Entry) Pinned() bool { return e.pins > 0 }
 
 // EventReason classifies a residency transition reported to the Listener.
-// The distinction the reasons exist for: after Demoted and Promoted the
-// chunk is STILL ANSWERABLE from the store (it moved between tiers), so
-// derived state — strategy presence bits, virtual counts, result-cache
-// dependencies — must be kept; after Evicted and Removed it is gone and
-// that state must be torn down.
+// The distinction the reasons exist for: after Demoted the chunk is STILL
+// ANSWERABLE from the store (it moved to the cold tier), so derived state —
+// strategy presence bits, virtual counts, result-cache dependencies — must
+// be kept; after Evicted and Removed it is gone and that state must be torn
+// down.
 type EventReason uint8
 
 const (
@@ -91,12 +85,6 @@ const (
 	Demoted
 	// Removed: an administrative removal via Evict; the chunk is gone.
 	Removed
-	// Promoted: a cold-resident chunk was decompressed back into the hot
-	// tier (on a lookup outside a pin, or a re-insert; a pin reads a cold
-	// chunk where it lives). No OnInsert fires for a promotion — the
-	// chunk never stopped being resident, so insert-side bookkeeping
-	// (counts, costs) must not run again.
-	Promoted
 )
 
 // String implements fmt.Stringer.
@@ -108,8 +96,6 @@ func (r EventReason) String() string {
 		return "demoted"
 	case Removed:
 		return "removed"
-	case Promoted:
-		return "promoted"
 	}
 	return fmt.Sprintf("reason(%d)", uint8(r))
 }
@@ -124,15 +110,15 @@ type Event struct {
 
 // Answerable reports whether the chunk can still be served by the store
 // after this event — the predicate result caches and strategies branch on.
-func (ev Event) Answerable() bool { return ev.Reason == Demoted || ev.Reason == Promoted }
+func (ev Event) Answerable() bool { return ev.Reason == Demoted }
 
 // Listener observes insertions and residency events; the lookup strategies
 // register one to maintain virtual counts and costs, and the engine's result
 // cache to invalidate dependent results.
 type Listener interface {
 	// OnInsert is called after a chunk with no prior residency becomes
-	// resident. Tier moves do not fire it — they arrive as OnEvent with
-	// Reason Demoted/Promoted.
+	// resident. A demotion does not fire it — it arrives as OnEvent with
+	// Reason Demoted.
 	OnInsert(e *Entry)
 	// OnEvent is called after a residency transition; see EventReason for
 	// which reasons leave the chunk answerable.

@@ -11,8 +11,8 @@ import (
 const coldEntryOverhead = 64
 
 // coldEntry is one compressed resident of the cold tier. The residency
-// attributes (class, benefit, recycled) are preserved verbatim so a later
-// promotion restores the chunk's exact pre-demotion standing.
+// attributes (class, benefit, recycled) are preserved verbatim, so a cold
+// read reports the chunk's exact pre-demotion standing.
 type coldEntry struct {
 	key      Key
 	enc      []byte // codec-encoded cells (chunk.AppendPayload)
@@ -20,13 +20,11 @@ type coldEntry struct {
 	class    Class
 	benefit  float64
 	recycled bool
-	// holds counts what shields the entry from cold-pressure eviction: one
-	// per pin (a plan leaf read in place) plus one while an insert promotes
-	// it (see coldTier.hold). pins counts the holds that are pins, and pinned
-	// is the payload the first of them decoded, served by Get until the last
-	// Unpin (nil while pins is 0).
-	holds, pins int
-	pinned      *chunk.Chunk
+	// pins counts the plan leaves reading the entry in place, which shield
+	// it from cold-pressure eviction; pinned is the payload the first of them
+	// decoded, served by Get until the last Unpin (nil while pins is 0).
+	pins   int
+	pinned *chunk.Chunk
 
 	newer, older *coldEntry // intrusive LRU list
 }
@@ -35,9 +33,10 @@ type coldEntry struct {
 func (e *coldEntry) bytes() int64 { return int64(len(e.enc)) + coldEntryOverhead }
 
 // coldTier is the compressed in-RAM second tier: a byte-bounded map of
-// codec-encoded payloads in LRU order (recency = demotion or pin time).
-// It is deliberately not a Store — it holds opaque compressed residents with
-// no policy and no listener; the Tiered wrapper owns all event plumbing.
+// codec-encoded payloads in LRU order (recency = demotion, pin or lookup
+// time). It is deliberately not a Store — it keeps opaque compressed
+// residents with no policy and no listener; the Tiered wrapper owns all
+// event plumbing.
 // All methods synchronize on mu; none call out while holding it, so a caller
 // may hold a hot-shard lock (the demotion and pin paths do).
 type coldTier struct {
@@ -45,7 +44,7 @@ type coldTier struct {
 	capacity int64
 	used     int64
 	raw      int64 // sum of rawBytes over residents
-	held     int64 // sum of bytes() over held residents
+	held     int64 // sum of bytes() over pinned residents
 	entries  map[Key]*coldEntry
 	newest   *coldEntry
 	oldest   *coldEntry
@@ -55,7 +54,7 @@ func newColdTier(capacity int64) *coldTier {
 	return &coldTier{capacity: capacity, entries: make(map[Key]*coldEntry)}
 }
 
-// unlink removes e from the LRU list; caller holds mu.
+// unlink removes e from the LRU list; mu is locked by the caller.
 func (t *coldTier) unlink(e *coldEntry) {
 	if e.newer != nil {
 		e.newer.older = e.older
@@ -70,7 +69,7 @@ func (t *coldTier) unlink(e *coldEntry) {
 	e.newer, e.older = nil, nil
 }
 
-// pushNewest links e at the head of the LRU list; caller holds mu.
+// pushNewest links e at the head of the LRU list; mu is locked by the caller.
 func (t *coldTier) pushNewest(e *coldEntry) {
 	e.older = t.newest
 	e.newer = nil
@@ -83,37 +82,22 @@ func (t *coldTier) pushNewest(e *coldEntry) {
 	}
 }
 
-// dropLocked removes e entirely; caller holds mu.
+// dropLocked removes e entirely; mu is locked by the caller.
 func (t *coldTier) dropLocked(e *coldEntry) {
 	t.unlink(e)
 	delete(t.entries, e.key)
 	t.used -= e.bytes()
 	t.raw -= e.rawBytes
-	if e.holds > 0 {
+	if e.pins > 0 {
 		t.held -= e.bytes()
 	}
 }
 
-// holdLocked and releaseLocked take and drop one hold on e; caller holds mu.
-func (t *coldTier) holdLocked(e *coldEntry) {
-	if e.holds == 0 {
-		t.held += e.bytes()
-	}
-	e.holds++
-}
-
-func (t *coldTier) releaseLocked(e *coldEntry) {
-	e.holds--
-	if e.holds == 0 {
-		t.held -= e.bytes()
-	}
-}
-
-// add admits a demoted chunk, evicting LRU residents that are not held until
-// it fits. It returns the entries evicted to make room and whether the chunk
-// was admitted (false when it cannot fit even with every unheld resident
-// gone, or the tier is disabled). A key already resident is replaced in
-// place.
+// add admits a demoted chunk, evicting LRU residents that are not pinned
+// until it fits. It returns the entries evicted to make room and whether the
+// chunk was admitted (false when it cannot fit even with every unpinned
+// resident gone, or the tier is disabled). A key already resident is
+// replaced in place.
 func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool) (evicted []*coldEntry, ok bool) {
 	if t == nil || t.capacity <= 0 {
 		return nil, false
@@ -129,11 +113,11 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	if old, exists := t.entries[k]; exists {
 		t.dropLocked(old)
 	}
-	// The unheld residents alone free enough room, so the walk ends before
+	// The unpinned residents alone free enough room, so the walk ends before
 	// running off the list.
 	for v := t.oldest; t.used+need > t.capacity; {
 		next := v.newer
-		if v.holds == 0 {
+		if v.pins == 0 {
 			t.dropLocked(v)
 			evicted = append(evicted, v)
 		}
@@ -148,9 +132,7 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 
 // peek returns the entry for k without removing it or touching recency. The
 // returned entry's payload and attributes are immutable after add, so the
-// caller may read them outside the lock; only the Tiered hook (under the hot
-// shard lock) removes entries, so a promotion's peek-then-claim is not a
-// lost-update hazard.
+// caller may read them outside the lock.
 func (t *coldTier) peek(k Key) (*coldEntry, bool) {
 	if t == nil {
 		return nil, false
@@ -161,38 +143,7 @@ func (t *coldTier) peek(k Key) (*coldEntry, bool) {
 	return e, ok
 }
 
-// hold returns k's entry like peek and shields it from cold-pressure
-// eviction until release or remove: a promotion holds its key while the hot
-// insert makes room, because the victims that insert demotes land here, and
-// evicting the promoting key to fit them would report a chunk gone that is
-// about to turn hot. A pinned entry is being read in place and stays cold
-// until its last Unpin, so hold takes no hold on it and reports pinned.
-func (t *coldTier) hold(k Key) (e *coldEntry, ok, pinned bool) {
-	if t == nil {
-		return nil, false, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok = t.entries[k]; !ok {
-		return nil, false, false
-	}
-	if e.pins > 0 {
-		return e, true, true
-	}
-	t.holdLocked(e)
-	return e, true, false
-}
-
-// release drops the hold a denied promotion took.
-func (t *coldTier) release(k Key) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.entries[k]; ok && e.holds > 0 {
-		t.releaseLocked(e)
-	}
-}
-
-// pin holds k's entry for a plan leaf read in place and moves it to the
+// pin shields k's entry for a plan leaf read in place and moves it to the
 // newest end of the LRU. It returns the payload an earlier, still-held pin
 // decoded, or nil when this is the only pin: the caller then decodes the
 // entry and publishes the payload with setPinned.
@@ -205,7 +156,9 @@ func (t *coldTier) pin(k Key) (e *coldEntry, data *chunk.Chunk, ok bool) {
 	if e, ok = t.entries[k]; !ok {
 		return nil, nil, false
 	}
-	t.holdLocked(e)
+	if e.pins == 0 {
+		t.held += e.bytes()
+	}
 	e.pins++
 	t.unlink(e)
 	t.pushNewest(e)
@@ -233,39 +186,43 @@ func (t *coldTier) unpin(k Key) {
 	e.pins--
 	if e.pins == 0 {
 		e.pinned = nil
+		t.held -= e.bytes()
 	}
-	t.releaseLocked(e)
 }
 
-// pinnedPayload returns k's entry and the payload its pins decoded, or a nil
-// payload when k holds no cold pin.
-func (t *coldTier) pinnedPayload(k Key) (*coldEntry, *chunk.Chunk) {
+// lookup returns k's entry and the payload its pins decoded, or a nil
+// payload when no pin shields it. An unpinned entry moves to the newest end of
+// the LRU: a lookup outside a pin uses the chunk as a pin does.
+func (t *coldTier) lookup(k Key) (*coldEntry, *chunk.Chunk, bool) {
 	if t == nil {
-		return nil, nil
+		return nil, nil, false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entries[k]
-	if !ok || e.pinned == nil {
-		return nil, nil
+	if !ok {
+		return nil, nil, false
 	}
-	return e, e.pinned
+	if e.pinned == nil {
+		t.unlink(e)
+		t.pushNewest(e)
+	}
+	return e, e.pinned, true
 }
 
-// dropUnheld removes e if it is still its key's resident and nothing holds
+// dropUnpinned removes e if it is still its key's resident and no pin shields
 // it, and reports whether it did.
-func (t *coldTier) dropUnheld(e *coldEntry) bool {
+func (t *coldTier) dropUnpinned(e *coldEntry) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.entries[e.key] != e || e.holds > 0 {
+	if t.entries[e.key] != e || e.pins > 0 {
 		return false
 	}
 	t.dropLocked(e)
 	return true
 }
 
-// remove drops k without eviction accounting (administrative removal or a
-// hot re-insert superseding a stale cold copy).
+// remove drops k without eviction accounting (administrative removal).
 func (t *coldTier) remove(k Key) (*coldEntry, bool) {
 	if t == nil {
 		return nil, false

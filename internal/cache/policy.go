@@ -234,18 +234,10 @@ func (p *TwoLevel) ringOf(e *Entry) *ring {
 // are probationary: they enter at the minimum clock weight so unproven
 // chunks are the first reclaimed, and earn their benefit-derived weight with
 // the first reinforcement (which also promotes them to the protected ring).
-// Tier promotions (Entry.Promoted) skip probation entirely and land in the
-// protected ring whatever their class: a chunk that survived demotion and
-// was asked for again has proven reuse ("protect on promote").
 func (p *TwoLevel) Added(e *Entry) {
 	e.clock = clockWeight(e.Benefit)
 	if e.Class == ClassBackend {
 		p.backend.push(e)
-		return
-	}
-	if e.Promoted {
-		p.backend.push(e)
-		p.promoted++
 		return
 	}
 	if p.promote {

@@ -258,31 +258,18 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 		c.syncGauges()
 		return true
 	}
-	wasCold := false
-	if c.hook != nil {
-		// A cold-resident key makes this insert a promotion: the chunk never
-		// stopped being answerable, so its preserved residency attributes
-		// override the caller's and no OnInsert fires. Decided here, under
-		// the stripe lock that serializes this key's tier transitions. A
-		// pinned cold copy stays where its plans read it.
-		ps, cold, pinned := c.hook.peekCold(k)
-		if pinned {
-			c.met.Denied.Inc()
-			return false
-		}
-		if wasCold = cold; wasCold {
-			spec = ps
-		}
-	}
-	admitted := c.makeRoomLocked(s, need, need, spec.class)
-	if wasCold {
-		c.hook.claimCold(k, admitted)
-	}
-	if !admitted {
+	if c.hook != nil && c.hook.coldResident(k) {
+		// The cold copy already answers k. Decided here, under the stripe
+		// lock that serializes this key's tier transitions, so k is never
+		// resident in both tiers.
 		c.met.Denied.Inc()
 		return false
 	}
-	e := &Entry{Key: k, Data: data, Class: spec.class, Benefit: spec.benefit, Recycled: spec.recycled, Promoted: spec.promoted}
+	if !c.makeRoomLocked(s, need, need, spec.class) {
+		c.met.Denied.Inc()
+		return false
+	}
+	e := &Entry{Key: k, Data: data, Class: spec.class, Benefit: spec.benefit, Recycled: spec.recycled}
 	s.entries[k] = e
 	s.used += need
 	c.resident.Add(1)
@@ -290,16 +277,12 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 	s.policy.Added(e)
 	c.syncGauges()
 	if c.listener != nil {
-		if spec.promoted {
-			c.listener.OnEvent(Event{Key: k, Reason: Promoted, Entry: e})
-		} else {
-			c.listener.OnInsert(e)
-		}
+		c.listener.OnInsert(e)
 	}
 	return true
 }
 
-// makeRoomLocked evicts from s (whose lock the caller holds) until delta more
+// makeRoomLocked evicts from s (locked by the caller) until delta more
 // bytes — the growth an arriving chunk of need bytes causes — fit under both
 // the stripe limit and the global capacity, reserving the global bytes on
 // success. The stripe limit shares capacity between stripes; it is not an
@@ -333,7 +316,7 @@ func (c *Sharded) Evict(k Key) bool {
 	return true
 }
 
-// removeLocked drops e from s (whose lock the caller holds), releasing its
+// removeLocked drops e from s (locked by the caller), releasing its
 // global reservation. policyEvict distinguishes policy-driven victim eviction
 // (counted as Evictions, offered to the cold tier) from administrative
 // removal (counted as Removals); the listener is notified either way so

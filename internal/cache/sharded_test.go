@@ -115,7 +115,7 @@ func TestShardDistributionUniformity(t *testing.T) {
 		mean := float64(total) / float64(len(counts))
 		for i, n := range counts {
 			if float64(n) > 2*mean || float64(n) < mean/4 {
-				t.Errorf("%v: shard %d holds %d of %d keys (mean %.1f)", scale, i, n, total, mean)
+				t.Errorf("%v: shard %d has %d of %d keys (mean %.1f)", scale, i, n, total, mean)
 			}
 		}
 	}
@@ -225,8 +225,8 @@ func TestShardedPinInterleavings(t *testing.T) {
 }
 
 // TestShardedCapacityBorrowing checks the borrow margin: one hot shard may
-// charge up to 1.5× its even share, the global bound still holds, and when it
-// binds the inserting shard evicts locally.
+// charge up to 1.5× its even share, the global bound is still respected, and
+// when it binds the inserting shard evicts locally.
 func TestShardedCapacityBorrowing(t *testing.T) {
 	const chunkBytes = 304 // 10 cells
 	s, err := New(4*chunkBytes, NewBenefitClock(), WithShards(2))

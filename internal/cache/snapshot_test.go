@@ -69,7 +69,7 @@ func TestSnapshotWriteLoadEquivalence(t *testing.T) {
 		t.Fatalf("writeSnapshot: %v", err)
 	}
 	if n != len(want) || n != src.Len() {
-		t.Fatalf("wrote %d records, store holds %d", n, src.Len())
+		t.Fatalf("wrote %d records, store has %d", n, src.Len())
 	}
 
 	got := map[Key]snapAttrs{}

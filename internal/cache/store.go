@@ -16,7 +16,7 @@ import (
 //
 // Locking contract: implementations synchronize internally; callers never
 // wrap Store calls in an external lock. Listener and Policy callbacks fire
-// synchronously while the store holds the internal lock covering the affected
+// synchronously while the store has the internal lock covering the affected
 // key, so they must be fast and must not call back into the same Store (that
 // would self-deadlock). Chunk payloads (*chunk.Chunk) are immutable, so a
 // payload pointer returned by Get/GetInfo/Peek/Range may be read after the
@@ -75,14 +75,11 @@ type insertSpec struct {
 	class    Class
 	benefit  float64
 	recycled bool
-	promoted bool
 }
 
-// InsertOption selects the residency variant of one Insert. The store used
-// to expose three entry points (Insert with a class, InsertRecycled, and an
-// implicit promote path) whose semantics differed subtly; the options fold
-// them into one method so a composed store (Peered over Tiered over Sharded)
-// can inspect a single spec instead of mirroring three signatures.
+// InsertOption selects the residency variant of one Insert. The options fold
+// the variants into one method, so a composed store (Peered over Tiered over
+// Sharded) inspects a single spec instead of mirroring one signature each.
 type InsertOption func(*insertSpec)
 
 // applyInsertOptions resolves opts over the default spec: a backend-class

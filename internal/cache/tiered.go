@@ -9,14 +9,17 @@ import (
 )
 
 // TierStats is the cold-tier activity and occupancy snapshot a Tiered store
-// reports: the promote/demote traffic between tiers, cold-tier hit/miss
-// counts, and the compressed vs raw byte footprint (their ratio is the
-// effective compression). The traffic counters are read from the store's
-// tier metrics bundle, the occupancy from the cold tier itself.
+// reports: the demote traffic into the cold tier, cold-tier hit/miss counts,
+// and the compressed vs raw byte footprint (their ratio is the effective
+// compression). The traffic counters are read from the store's tier metrics
+// bundle, the occupancy from the cold tier itself.
 type TierStats struct {
-	ColdHits     int64 // pins and lookups a cold resident served (a Get under a cold pin is that pin's hit)
-	ColdMisses   int64 // lookups that missed both tiers
-	Promotes     int64 // chunks decompressed back into the hot tier (lookups outside a pin, re-inserts)
+	ColdHits   int64 // pins and lookups a cold resident served (a Get under a cold pin is that pin's hit)
+	ColdMisses int64 // lookups that missed both tiers
+	// Promotes is always 0: nothing moves a chunk from the cold tier back to
+	// the hot tier. The field stays while the end-to-end benchmark still
+	// reports cache.promotes_per_query from it.
+	Promotes     int64
 	Demotes      int64 // hot-tier victims re-admitted compressed
 	DemoteDenied int64 // victims the cold tier refused (oversized or disabled)
 	ColdEvicts   int64 // cold residents dropped for cold-tier space, or because they no longer decode
@@ -35,26 +38,19 @@ type TierStatser interface {
 }
 
 // tierHook is the package-internal seam between the hot store (Sharded) and
-// the Tiered wrapper. Every per-key tier transition must be decided
-// under the lock that serializes that key's hot-store mutations (the shard
-// lock), or two racing goroutines can leave a chunk resident in both tiers —
-// and a later cold eviction would then fire a spurious Evicted while the
-// chunk still answers, corrupting strategy counts. Every method is invoked
-// with that lock held; implementations may take the cold tier's lock (lock
-// order is always hot shard → cold, never the reverse) and must not call
-// back into the hot store.
+// the Tiered wrapper. Every per-key tier decision is made under the lock
+// that serializes that key's hot-store mutations (the shard lock), or two
+// racing goroutines could leave a chunk resident in both tiers — and a later
+// cold eviction would then fire a spurious Evicted while the chunk still
+// answers, corrupting strategy counts. Every method is invoked with that
+// lock held; implementations may take the cold tier's lock (lock order is
+// always hot shard → cold, never the reverse) and must not call back into
+// the hot store.
 type tierHook interface {
-	// peekCold reports whether k is cold-resident and, if so, its preserved
-	// residency attributes; the fresh-insert path calls it to turn the
-	// insert into a promotion. The cold copy is not removed yet, but it is
-	// held: the demotions the insert's room-making causes cannot evict it.
-	// A pinned cold copy is not promoted — a plan is reading it where it
-	// lives — so pinned refuses the insert instead.
-	peekCold(k Key) (spec insertSpec, wasCold, pinned bool)
-	// claimCold settles the promotion peekCold began: when the hot insert
-	// was admitted it drops k's cold copy (the key has just moved cold →
-	// hot), otherwise the copy stays cold and evictable again.
-	claimCold(k Key, admitted bool)
+	// coldResident reports whether k is cold-resident. The fresh-insert path
+	// refuses such an insert: the cold copy already answers k, and a key is
+	// resident in at most one tier.
+	coldResident(k Key) bool
 	// demote offers a policy-evicted hot entry to the cold tier and reports
 	// whether it was admitted (in which case the eviction becomes a
 	// Demoted event).
@@ -75,30 +71,30 @@ type hookable interface {
 
 // Tiered composes a hot Store with a compressed in-RAM cold tier. Hot-tier
 // victims are delta/varint-encoded and demoted to the cold tier instead of
-// dropped. A pin of a cold-resident key reads it where it lives: the pin
-// holds the cold copy against cold pressure and decodes it once for the Gets
-// made under it, so a plan leaf never needs hot-tier room. A lookup outside
-// a pin, or an insert of a cold-resident key, promotes the chunk back into
-// the hot tier instead, where the two-level policy admits it straight into
-// the protected ring (protect on promote). Listeners registered on the
-// Tiered store observe the full event taxonomy: Demoted when a victim stays
-// answerable compressed, Promoted when it returns to the hot tier, Evicted
-// only when a chunk truly leaves the store.
+// dropped, and a cold resident answers from the cold tier until cold
+// pressure evicts it: nothing moves a chunk back to the hot tier. A pin of a
+// cold-resident key shields the cold copy against cold pressure and decodes
+// it once for the Gets made under it, so a plan leaf never needs hot-tier
+// room; a lookup outside a pin decodes the cold copy for that lookup alone.
+// An insert of a cold-resident key is refused, because the cold copy
+// already answers it. Listeners registered on the Tiered store observe the
+// full event taxonomy: Demoted when a victim stays answerable compressed,
+// Evicted only when a chunk truly leaves the store, Removed on Evict.
 //
-// Residency invariant: a key is resident in at most one tier, and a pinned
-// key stays in the tier it was pinned in. Transitions are decided under the
-// hot store's per-key lock (see tierHook), so the invariant holds under
-// arbitrary concurrency.
+// Residency invariant: a key is resident in at most one tier. Demotion and
+// the insert refusal are decided under the hot store's per-key lock (see
+// tierHook), so the invariant holds under arbitrary concurrency.
 type Tiered struct {
 	// hot is the wrapped store, embedded so that the Store methods this file
 	// does not define are the hot tier's own: Reinforce (only hot residents
-	// carry replacement clocks), and Pin and Unpin, which reach a cold key
-	// through the tierHook under the lock that serializes its transitions.
+	// carry replacement clocks), and Insert, Pin and Unpin, which consult the
+	// cold tier through the tierHook under the lock that serializes the
+	// key's transitions (an insert of a cold-resident key is Denied).
 	hot
 	cold *coldTier
-	// outer is the listener registered via SetListener; hot-store events are
-	// forwarded to it, with cold-pressure evictions synthesized here. Set
-	// before the store serves traffic, read-only afterwards.
+	// outer is the listener registered via SetListener, which also receives
+	// the hot store's events; cold-pressure evictions are synthesized here.
+	// Set before the store serves traffic, read-only afterwards.
 	outer Listener
 	// lookupColdHits counts the lookups (Get, GetInfo) a cold resident
 	// served — each booked as a hot miss on the way through. A cold Pin is
@@ -128,28 +124,7 @@ func NewTiered(hot Store, coldBytes int64) (*Tiered, error) {
 	t := &Tiered{hot: hot, cold: newColdTier(coldBytes)}
 	t.SetTierMetrics(obs.NewTierMetrics(nil))
 	h.setTierHook(t)
-	hot.SetListener(forwardListener{t})
 	return t, nil
-}
-
-// forwardListener relays hot-store events to the Tiered store's outer
-// listener. It is a separate type (not Tiered itself) so SetListener on the
-// wrapper cannot be confused with the hot store's listener slot.
-type forwardListener struct{ t *Tiered }
-
-func (f forwardListener) OnInsert(e *Entry) {
-	if f.t.outer != nil {
-		f.t.outer.OnInsert(e)
-	}
-}
-
-func (f forwardListener) OnEvent(ev Event) {
-	if ev.Reason == Promoted {
-		f.t.tmet.Promotes.Inc()
-	}
-	if f.t.outer != nil {
-		f.t.outer.OnEvent(ev)
-	}
 }
 
 // coldGone tells the listener that cold resident e has left the store.
@@ -163,23 +138,8 @@ func (t *Tiered) coldGone(e *coldEntry, r EventReason) {
 	}
 }
 
-// peekCold implements tierHook.
-func (t *Tiered) peekCold(k Key) (insertSpec, bool, bool) {
-	e, ok, pinned := t.cold.hold(k)
-	if !ok || pinned {
-		return insertSpec{}, ok, pinned
-	}
-	return insertSpec{class: e.class, benefit: e.benefit, recycled: e.recycled, promoted: true}, true, false
-}
-
-// claimCold implements tierHook.
-func (t *Tiered) claimCold(k Key, admitted bool) {
-	if admitted {
-		t.cold.remove(k)
-	} else {
-		t.cold.release(k)
-	}
-}
+// coldResident implements tierHook.
+func (t *Tiered) coldResident(k Key) bool { return t.cold.contains(k) }
 
 // demote implements tierHook: encode the victim and admit it to the cold
 // tier; chunks the cold tier displaces in turn are gone for good, so their
@@ -225,50 +185,17 @@ func (t *Tiered) pinCold(k Key) bool {
 func (t *Tiered) unpinCold(k Key) { t.cold.unpin(k) }
 
 // dropUndecodable drops a cold resident whose payload does not decode, unless
-// a pin or a promotion holds it. This cannot happen short of memory
-// corruption — the tier only stores its own encodings — but the chunk is
-// then gone, so it counts as a cold eviction and its Evicted event fires:
-// otherwise the strategy would go on planning through it.
+// a pin shields it. This cannot happen short of memory corruption — the tier
+// only stores its own encodings — but the chunk is then gone, so it counts
+// as a cold eviction and its Evicted event fires: otherwise the strategy
+// would go on planning through it.
 func (t *Tiered) dropUndecodable(e *coldEntry) {
-	if !t.cold.dropUnheld(e) {
+	if !t.cold.dropUnpinned(e) {
 		return
 	}
 	t.tmet.ColdEvictions.Inc()
 	t.syncTierGauges()
 	t.coldGone(e, Evicted)
-}
-
-// promote decompresses k's cold copy into the hot tier for a lookup outside
-// a pin and returns the payload with its preserved attributes. The hot insert
-// re-consults the cold tier under the shard lock (peekCold), so the promotion
-// spec (preserved class/benefit/recycled, protected-ring admission) and the
-// Promoted event are applied atomically with the insert — the promotion flag
-// is never set from out here, where it could race a concurrent claim. The
-// promotion charges the hot budget exactly once, through the ordinary insert
-// path.
-func (t *Tiered) promote(k Key) (*chunk.Chunk, Class, float64, bool) {
-	ce, ok := t.cold.peek(k)
-	if !ok {
-		return nil, 0, 0, false
-	}
-	data, err := chunk.DecodePayload(k.GB, k.Num, ce.enc)
-	if err != nil {
-		t.dropUndecodable(ce)
-		return nil, 0, 0, false
-	}
-	opt := AsBackend(ce.benefit)
-	if ce.recycled {
-		opt = AsRecycled(ce.benefit)
-	} else if ce.class == ClassComputed {
-		opt = AsComputed(ce.benefit)
-	}
-	t.hot.Insert(k, data, opt)
-	t.syncTierGauges()
-	// Serve the decoded payload even if the hot tier refused admission (all
-	// entries pinned, say, or a pin holding the cold copy in place): the
-	// cold copy is still resident in that case, so the chunk remains
-	// answerable.
-	return data, ce.class, ce.benefit, true
 }
 
 // syncTierGauges publishes cold-tier occupancy.
@@ -281,8 +208,8 @@ func (t *Tiered) syncTierGauges() {
 
 // Get implements Store: a hot hit is served as usual. On a hot miss, a key
 // pinned in the cold tier is served the payload its pin decoded, and any
-// other cold-resident key is promoted back into the hot tier before it is
-// returned.
+// other cold-resident key is decoded where it lives, with its preserved
+// class and benefit; it stays cold.
 func (t *Tiered) Get(k Key) (*chunk.Chunk, bool) {
 	data, _, _, ok := t.GetInfo(k)
 	return data, ok
@@ -293,22 +220,28 @@ func (t *Tiered) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
 	if data, cl, benefit, ok := t.hot.GetInfo(k); ok {
 		return data, cl, benefit, true
 	}
-	if e, data := t.cold.pinnedPayload(k); data != nil {
-		// The Pin this Get is made under counted the cold hit.
-		t.lookupColdHits.Add(1)
-		return data, e.class, e.benefit, true
+	e, data, ok := t.cold.lookup(k)
+	if ok && data == nil {
+		// Outside a pin: decode the cold copy for this lookup alone. (Under a
+		// pin, data is the pin's payload and the Pin counted the cold hit.)
+		var err error
+		if data, err = chunk.DecodePayload(k.GB, k.Num, e.enc); err != nil {
+			t.dropUndecodable(e)
+			ok = false
+		} else {
+			t.tmet.ColdHits.Inc()
+		}
 	}
-	if data, cl, benefit, ok := t.promote(k); ok {
-		t.lookupColdHits.Add(1)
-		t.tmet.ColdHits.Inc()
-		return data, cl, benefit, true
+	if !ok {
+		t.tmet.ColdMisses.Inc()
+		return nil, 0, 0, false
 	}
-	t.tmet.ColdMisses.Inc()
-	return nil, 0, 0, false
+	t.lookupColdHits.Add(1)
+	return data, e.class, e.benefit, true
 }
 
-// Peek implements Store: hot first, then a cold decode — without promoting,
-// touching recency, or counting hits/misses.
+// Peek implements Store: hot first, then a cold decode — without touching
+// recency or counting hits/misses.
 func (t *Tiered) Peek(k Key) (*chunk.Chunk, bool) {
 	if data, ok := t.hot.Peek(k); ok {
 		return data, true
@@ -322,17 +255,6 @@ func (t *Tiered) Peek(k Key) (*chunk.Chunk, bool) {
 		return nil, false
 	}
 	return data, true
-}
-
-// Insert implements Store, delegating to the hot tier. If the key is
-// cold-resident the insert is turned into a promotion under the shard lock
-// (the cold copy is superseded; no OnInsert fires because the chunk never
-// stopped being answerable) — unless a pin holds the cold copy, which then
-// stays where it is and the insert is refused.
-func (t *Tiered) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
-	ok := t.hot.Insert(k, data, opts...)
-	t.syncTierGauges()
-	return ok
 }
 
 // Evict implements Store: an administrative removal drops the key from
@@ -391,7 +313,6 @@ func (t *Tiered) TierStats() TierStats {
 	ts := t.cold.occupancy()
 	ts.ColdHits = t.tmet.ColdHits.Value()
 	ts.ColdMisses = t.tmet.ColdMisses.Value()
-	ts.Promotes = t.tmet.Promotes.Value()
 	ts.Demotes = t.tmet.Demotes.Value()
 	ts.DemoteDenied = t.tmet.DemoteDenied.Value()
 	ts.ColdEvicts = t.tmet.ColdEvictions.Value()
@@ -408,7 +329,10 @@ func (t *Tiered) Used() int64 { return t.hot.Used() + t.cold.occupancy().ColdUse
 func (t *Tiered) Len() int { return t.hot.Len() + int(t.cold.occupancy().ColdChunks) }
 
 // SetListener implements Store; the listener observes both tiers' events.
-func (t *Tiered) SetListener(l Listener) { t.outer = l }
+func (t *Tiered) SetListener(l Listener) {
+	t.outer = l
+	t.hot.SetListener(l)
+}
 
 // SetTierMetrics makes the cold tier count into m — a bundle registered with
 // obs.NewTierMetrics, so /metrics exports what TierStats reports. Call it

@@ -13,9 +13,9 @@ import (
 )
 
 // TestTieredUndecodableColdEntryIsEvicted: a cold resident whose bytes no
-// longer decode is dropped by the next read of it — a lookup's promotion or
-// a pin — and the drop is an eviction. The strategy hears Evicted, so VCMC
-// stops counting the chunk and Find stops planning through it.
+// longer decode is dropped by the next read of it — a lookup or a pin — and
+// the drop is an eviction. The strategy hears Evicted, so VCMC stops counting
+// the chunk and Find stops planning through it.
 func TestTieredUndecodableColdEntryIsEvicted(t *testing.T) {
 	for _, read := range []struct {
 		name string

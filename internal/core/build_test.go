@@ -176,7 +176,6 @@ func TestBuildStatsMatchMetrics(t *testing.T) {
 		{"Hot.Denied", "aggcache_cache_admission_denied_total", n(hs.Denied)},
 		{"Tier.ColdHits", "aggcache_cold_hits_total", n(ts.ColdHits)},
 		{"Tier.ColdMisses", "aggcache_cold_misses_total", n(ts.ColdMisses)},
-		{"Tier.Promotes", "aggcache_tier_promotes_total", n(ts.Promotes)},
 		{"Tier.Demotes", "aggcache_tier_demotes_total", n(ts.Demotes)},
 		{"Tier.DemoteDenied", "aggcache_tier_demote_denied_total", n(ts.DemoteDenied)},
 		{"Tier.ColdEvicts", "aggcache_cold_evictions_total", n(ts.ColdEvicts)},
@@ -189,9 +188,8 @@ func TestBuildStatsMatchMetrics(t *testing.T) {
 			t.Errorf("%s = %s, but %s reads %q", c.field, c.want, c.series, got)
 		}
 	}
-	// The comparison is only worth something if every layer was busy. Plan
-	// leaves are pinned where they live, so the cold tier shows up as cold
-	// hits, not promotions.
+	// The comparison is only worth something if every layer was busy; the
+	// cold tier shows up as cold hits.
 	if es.BackendQueries < 2 || es.RecycleRejected == 0 || es.ResultCacheHits == 0 ||
 		hs.Evictions == 0 || ts.Demotes == 0 || ts.ColdHits == 0 {
 		t.Fatalf("stream too quiet: engine %+v, hot %+v, tier %+v", es, hs, ts)

@@ -291,10 +291,10 @@ func (e *Engine) Stats() Stats {
 }
 
 // TierStats returns the cache store's tier counters (cold-tier hits,
-// promotions, demotions, compression footprint) when the store — directly or
-// behind a Peered wrapper — is tiered; ok=false for a flat store. Promote
-// cost shows up in plans as cache hits whose bytes were paid once at
-// promotion time, so these counters are what attributes that cost.
+// demotions, compression footprint) when the store — directly or behind a
+// Peered wrapper — is tiered; ok=false for a flat store. A cold read shows up
+// in plans as a cache hit whose decode cost the plan does not see, so these
+// counters are what attributes that cost.
 func (e *Engine) TierStats() (cache.TierStats, bool) {
 	st := e.cache
 	for {

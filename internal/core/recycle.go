@@ -109,8 +109,8 @@ func (t listenerTee) OnInsert(e *cache.Entry) { t.strat.OnInsert(e) }
 
 // OnEvent forwards every event to the strategy (it distinguishes tier moves
 // itself) but invalidates result-cache entries only on true departures: a
-// demoted chunk still answers through the store's cold tier and a promoted
-// one never left, so cached answers built on them remain valid.
+// demoted chunk still answers through the store's cold tier, so cached
+// answers built on it remain valid.
 func (t listenerTee) OnEvent(ev cache.Event) {
 	t.strat.OnEvent(ev)
 	if !ev.Answerable() {

@@ -107,6 +107,13 @@ func TestPeerCodecRejectsMalformed(t *testing.T) {
 // served from the local tier behind the Peered, never the peer tier itself.
 func startPeeredServer(t *testing.T) (string, *cache.Peered) {
 	t.Helper()
+	c, _ := cache.New(1<<20, cache.NewTwoLevel())
+	return startPeeredServerOver(t, c)
+}
+
+// startPeeredServerOver is startPeeredServer with local as the local tier.
+func startPeeredServerOver(t *testing.T, local cache.Store) (string, *cache.Peered) {
+	t.Helper()
 	cfg := apb.New(apb.ScaleTiny)
 	g, tab, err := cfg.Build(44)
 	if err != nil {
@@ -117,8 +124,7 @@ func startPeeredServer(t *testing.T) (string, *cache.Peered) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	sz := sizer.NewEstimate(g, int64(tab.Len()))
-	c, _ := cache.New(1<<20, cache.NewTwoLevel())
-	pc, err := cache.NewPeered(c, cache.PeeredConfig{Self: "self", Members: []string{"self"}})
+	pc, err := cache.NewPeered(local, cache.PeeredConfig{Self: "self", Members: []string{"self"}})
 	if err != nil {
 		t.Fatalf("NewPeered: %v", err)
 	}
@@ -160,6 +166,43 @@ func TestPeerClientGetPut(t *testing.T) {
 	got, gcl, gbenefit, found, err := cl.Get(ctx, k)
 	if err != nil || !found || got.Cells() != 4 || gcl != cache.ClassComputed || gbenefit != 33 {
 		t.Fatalf("warm Get = %v %v %v %v %v", got, gcl, gbenefit, found, err)
+	}
+}
+
+// TestPeerGetOfColdChunkStaysCold: a PeerGet of a key that is cold-resident
+// on the owner is answered found, with the class and benefit the chunk was
+// demoted with, and the key stays cold on the owner: serving a peer moves
+// nothing between tiers.
+func TestPeerGetOfColdChunkStaysCold(t *testing.T) {
+	hot, err := cache.New(peerChunk(0, 4).Bytes(), cache.NewLRU())
+	if err != nil {
+		t.Fatalf("cache.New: %v", err)
+	}
+	tc, err := cache.NewTiered(hot, 1<<16)
+	if err != nil {
+		t.Fatalf("NewTiered: %v", err)
+	}
+	addr, _ := startPeeredServerOver(t, tc)
+	cold, warm := cache.Key{GB: 0, Num: 0}, cache.Key{GB: 1, Num: 0}
+	warmData := peerChunk(0, 4)
+	warmData.GB = warm.GB
+	tc.Insert(cold, peerChunk(0, 4), cache.AsBackend(21))
+	tc.Insert(warm, warmData, cache.AsBackend(1)) // demotes cold
+	if hot.Contains(cold) || !tc.Contains(cold) {
+		t.Fatalf("key %v is not cold-resident on the owner", cold)
+	}
+
+	cl := NewPeerClient(addr, 0)
+	defer cl.Close()
+	got, gcl, gbenefit, found, err := cl.Get(context.Background(), cold)
+	if err != nil || !found || got.Cells() != 4 || gcl != cache.ClassBackend || gbenefit != 21 {
+		t.Fatalf("PeerGet of the cold key = %v %v %v found %v, err %v", got, gcl, gbenefit, found, err)
+	}
+	if hot.Contains(cold) || !hot.Contains(warm) {
+		t.Fatalf("serving a peer moved the cold key into the hot tier")
+	}
+	if ts := tc.TierStats(); ts.ColdHits != 1 || ts.ColdChunks != 1 || ts.Demotes != 1 {
+		t.Fatalf("owner tier stats %+v: want 1 cold hit, the key still cold, 1 demote", ts)
 	}
 }
 

@@ -122,7 +122,7 @@ func NewCacheMetrics(r *Registry) CacheMetrics {
 
 // TierMetrics instruments the cold tier of a cache.Tiered store: compressed
 // occupancy against the raw footprint of the same residents (their ratio is
-// the effective compression), and the promote/demote traffic between tiers.
+// the effective compression), and the demote traffic into the cold tier.
 type TierMetrics struct {
 	ColdCapacityBytes  *Gauge
 	ColdOccupancyBytes *Gauge
@@ -131,7 +131,6 @@ type TierMetrics struct {
 
 	ColdHits      *Counter
 	ColdMisses    *Counter
-	Promotes      *Counter
 	Demotes       *Counter
 	DemoteDenied  *Counter
 	ColdEvictions *Counter
@@ -147,7 +146,6 @@ func NewTierMetrics(r *Registry) TierMetrics {
 
 		ColdHits:      r.Counter("aggcache_cold_hits_total", "Pins and lookups a cold resident served."),
 		ColdMisses:    r.Counter("aggcache_cold_misses_total", "Lookups that missed both tiers."),
-		Promotes:      r.Counter("aggcache_tier_promotes_total", "Chunks decompressed back into the hot tier."),
 		Demotes:       r.Counter("aggcache_tier_demotes_total", "Hot-tier victims re-admitted to the cold tier compressed."),
 		DemoteDenied:  r.Counter("aggcache_tier_demote_denied_total", "Hot-tier victims the cold tier refused."),
 		ColdEvictions: r.Counter("aggcache_cold_evictions_total", "Cold residents dropped for cold-tier space, or because they no longer decoded."),

@@ -83,8 +83,8 @@ func (s *ESM) OnInsert(e *cache.Entry) {
 	s.mu.Unlock()
 }
 
-// OnEvent implements cache.Listener. Tier moves (Demoted, Promoted) leave
-// the chunk answerable through the store, so presence is untouched.
+// OnEvent implements cache.Listener. A tier move (Demoted) leaves the chunk
+// answerable through the store, so presence is untouched.
 func (s *ESM) OnEvent(ev cache.Event) {
 	if ev.Answerable() {
 		return
@@ -179,8 +179,8 @@ func (s *ESMC) OnInsert(e *cache.Entry) {
 	s.mu.Unlock()
 }
 
-// OnEvent implements cache.Listener. Tier moves (Demoted, Promoted) leave
-// the chunk answerable through the store, so presence is untouched.
+// OnEvent implements cache.Listener. A tier move (Demoted) leaves the chunk
+// answerable through the store, so presence is untouched.
 func (s *ESMC) OnEvent(ev cache.Event) {
 	if ev.Answerable() {
 		return
@@ -229,8 +229,8 @@ func (s *NoAgg) OnInsert(e *cache.Entry) {
 	s.mu.Unlock()
 }
 
-// OnEvent implements cache.Listener. Tier moves (Demoted, Promoted) leave
-// the chunk answerable through the store, so presence is untouched.
+// OnEvent implements cache.Listener. A tier move (Demoted) leaves the chunk
+// answerable through the store, so presence is untouched.
 func (s *NoAgg) OnEvent(ev cache.Event) {
 	if ev.Answerable() {
 		return

@@ -23,7 +23,7 @@ func apbGrid(scale apb.Scale) (*chunk.Grid, int64) {
 // TestPropertyOneSilentAndTierMoves extends TestPropertyOneAndCosts to the
 // ragged star grid and the APB small grid, under an event stream that
 // interleaves counted inserts, recycled (silent) inserts, true departures
-// and tier moves (Demoted/Promoted). After every event it checks VCM and
+// and tier moves (Demoted). After every event it checks VCM and
 // VCMC against the from-scratch oracle:
 //   - counts equal the Definition 1 count over the counted residents;
 //   - VCMC's cost equals the oracle's least cost over the counted residents;
@@ -131,7 +131,7 @@ func checkSilentStream(t *testing.T, g *chunk.Grid, sizes sizer.Sizer, ops int) 
 		case r < 9:
 			send(rng.Intn(len(keys)), []cache.EventReason{cache.Evicted, cache.Removed}[rng.Intn(2)])
 		default:
-			send(rng.Intn(len(keys)), []cache.EventReason{cache.Demoted, cache.Promoted}[rng.Intn(2)])
+			send(rng.Intn(len(keys)), cache.Demoted)
 		}
 		checkAll(op, op%25 == 24)
 	}

@@ -123,8 +123,8 @@ type Strategy interface {
 	// was exhausted before an answer was established.
 	Find(gb lattice.ID, num int) (*Plan, bool, error)
 	// OnInsert and OnEvent implement cache.Listener to maintain summary
-	// state. OnEvent distinguishes tier moves (Demoted, Promoted — the chunk
-	// stays answerable, summary state must not change) from true departures
+	// state. OnEvent distinguishes tier moves (Demoted — the chunk stays
+	// answerable, summary state must not change) from true departures
 	// (Evicted, Removed).
 	OnInsert(e *cache.Entry)
 	OnEvent(ev cache.Event)

@@ -155,10 +155,10 @@ func (s *VCM) inc(gb lattice.ID, num int) {
 }
 
 // OnEvent implements cache.Listener: the eviction dual of insert (the paper
-// notes it is "similar in implementation and complexity"). A demotion or
-// promotion is a tier move — the chunk still answers through the store, so
-// presence and counts are untouched; the count teardown runs only when the
-// chunk truly leaves (Evicted, Removed).
+// notes it is "similar in implementation and complexity"). A demotion is a
+// tier move — the chunk still answers through the store, so presence and
+// counts are untouched; the count teardown runs only when the chunk truly
+// leaves (Evicted, Removed).
 func (s *VCM) OnEvent(ev cache.Event) {
 	if ev.Answerable() {
 		return

@@ -206,9 +206,9 @@ func (s *VCMC) OnInsert(e *cache.Entry) {
 
 // OnEvent implements cache.Listener: the eviction dual. A recycled entry
 // never touched the cost lattice, so clearing its presence bits is the
-// entire dual. Tier moves (Demoted, Promoted) leave the chunk answerable
-// through the store, so they are ignored here; the dual runs only when the
-// chunk truly leaves (Evicted, Removed).
+// entire dual. A tier move (Demoted) leaves the chunk answerable through the
+// store, so it is ignored here; the dual runs only when the chunk truly
+// leaves (Evicted, Removed).
 func (s *VCMC) OnEvent(ev cache.Event) {
 	if ev.Answerable() {
 		return
