@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race examples depguard bench bench-e2e bench-kernel bench-cluster bench-overload bench-recycle bench-tiered soak-shards soak-cluster soak-overload soak-tiered fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
+.PHONY: build test vet race examples depguard bench bench-e2e bench-kernel bench-cluster bench-overload bench-recycle bench-tiered soak-store soak-cluster soak-overload fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
 
 build:
 	$(GO) build ./...
@@ -76,16 +76,6 @@ bench-tiered:
 fuzz-codec:
 	$(GO) test ./internal/chunk -run XXX -fuzz FuzzChunkCodec -fuzztime 10s
 
-# soak-tiered runs the tiered-store concurrency suite (demote/evict races,
-# overlapping cold pins against cold lookups and inserts, byte-accounting
-# and dual-residency invariants), the engine-level cold-tier tests
-# (pin -> plan -> answer) and the peer protocol's cold reads under the race
-# detector.
-soak-tiered:
-	$(GO) test -race -run 'Tiered|Snapshot' ./internal/cache -count=1
-	$(GO) test -race -run 'Tiered|Cold' ./internal/core -count=1
-	$(GO) test -race -run 'Tiered|Cold' ./internal/mtier -count=1
-
 # fuzz-wire smoke-fuzzes the frame and chunk-slab codecs: malformed input
 # must never panic or over-allocate.
 fuzz-wire:
@@ -99,11 +89,15 @@ fuzz-peer:
 	$(GO) test ./internal/mtier -run XXX -fuzz FuzzPeerFrame -fuzztime 10s
 	$(GO) test ./internal/mtier -run XXX -fuzz FuzzAnswerFrame -fuzztime 10s
 
-# soak-shards runs the striped-store concurrency suite under the race
-# detector: the cache-level invariant soak plus the engine-level soak whose
-# 4-stripe subject must match a serialized one-stripe reference.
-soak-shards:
-	$(GO) test -race -run 'Sharded|ShardDistribution|StoreStats|ConcurrentSoak|EngineConcurrent' ./internal/cache ./internal/core
+# soak-store runs the local store's concurrency suites under the race
+# detector: the striped hot tier (the cache-level invariant soak plus the
+# engine-level soak whose 4-stripe subject must match a serialized
+# one-stripe reference) and its cold tier (demote/evict races, overlapping
+# cold pins against cold lookups and inserts, byte-accounting and
+# dual-residency invariants, the engine's pin -> plan -> answer path and the
+# peer protocol's cold reads).
+soak-store:
+	$(GO) test -race -count=1 -run 'Sharded|ShardDistribution|StoreStats|ConcurrentSoak|EngineConcurrent|Tiered|Snapshot|Cold' ./internal/cache ./internal/core ./internal/mtier
 
 # soak-cluster runs the 3-node in-process cluster under the race detector
 # with one fault-injected peer: every query must still be served.

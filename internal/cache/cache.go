@@ -77,8 +77,8 @@ type EventReason uint8
 
 const (
 	// Evicted: a policy-driven victim removal; the chunk left the store
-	// entirely (from a tiered store: it fell out of the last tier, or the
-	// cold tier refused the demotion).
+	// entirely (with a cold tier: it fell out of the cold tier, or the cold
+	// tier refused the demotion).
 	Evicted EventReason = iota
 	// Demoted: the hot tier's victim was re-admitted to a colder tier in
 	// compressed form. The chunk remains answerable through the store.
@@ -142,6 +142,10 @@ type Policy interface {
 	// NextVictim returns the next unpinned entry to evict to make room for
 	// an incoming entry of class cl, or nil to deny admission.
 	NextVictim(cl Class) *Entry
+	// Fork returns a new empty policy of the same kind and configuration. A
+	// store needs one policy instance per stripe: policies are stateful and
+	// synchronized by their stripe's lock.
+	Fork() Policy
 }
 
 // Stats counts cache activity. Evictions counts only policy-driven victim

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"sync"
 
 	"aggcache/internal/chunk"
+	"aggcache/internal/obs"
 )
 
 // coldEntryOverhead is the fixed footprint charged per cold-tier entry on
@@ -32,13 +34,15 @@ type coldEntry struct {
 // bytes returns the entry's charged cold-tier footprint.
 func (e *coldEntry) bytes() int64 { return int64(len(e.enc)) + coldEntryOverhead }
 
-// coldTier is the compressed in-RAM second tier: a byte-bounded map of
-// codec-encoded payloads in LRU order (recency = demotion, pin or lookup
-// time). It is deliberately not a Store — it keeps opaque compressed
-// residents with no policy and no listener; the Tiered wrapper owns all
-// event plumbing.
+// coldTier is the compressed in-RAM second tier of a Sharded store: a
+// byte-bounded map of codec-encoded payloads in LRU order (recency =
+// demotion, pin or lookup time). It is deliberately not a Store — it keeps
+// opaque compressed residents with no policy and no listener; the Sharded
+// store that owns it makes every tier decision and fires every event.
 // All methods synchronize on mu; none call out while holding it, so a caller
-// may hold a hot-shard lock (the demotion and pin paths do).
+// may hold a stripe lock (the demotion, insert and pin paths do). The
+// methods a flat store reaches accept a nil receiver: no cold tier holds
+// nothing.
 type coldTier struct {
 	mu       sync.Mutex
 	capacity int64
@@ -96,10 +100,10 @@ func (t *coldTier) dropLocked(e *coldEntry) {
 // add admits a demoted chunk, evicting LRU residents that are not pinned
 // until it fits. It returns the entries evicted to make room and whether the
 // chunk was admitted (false when it cannot fit even with every unpinned
-// resident gone, or the tier is disabled). A key already resident is
+// resident gone, or there is no cold tier). A key already resident is
 // replaced in place.
 func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool) (evicted []*coldEntry, ok bool) {
-	if t == nil || t.capacity <= 0 {
+	if t == nil {
 		return nil, false
 	}
 	enc := chunk.AppendPayload(make([]byte, 0, chunk.EncodedSize(data)), data)
@@ -264,7 +268,7 @@ func (t *coldTier) snapshot() []*coldEntry {
 }
 
 // occupancy snapshots the tier's capacity and footprint; the traffic
-// counters are Tiered's.
+// counters are the owning store's.
 func (t *coldTier) occupancy() TierStats {
 	if t == nil {
 		return TierStats{}
@@ -277,4 +281,166 @@ func (t *coldTier) occupancy() TierStats {
 		ColdRawBytes: t.raw,
 		ColdChunks:   int64(len(t.entries)),
 	}
+}
+
+// TierStats is the cold-tier activity and occupancy snapshot of a Sharded
+// store: the demote traffic into the cold tier, cold-tier hit/miss counts,
+// and the compressed vs raw byte footprint (their ratio is the effective
+// compression). The traffic counters are read from the store's tier metrics
+// bundle, the occupancy from the cold tier itself. A store without a cold
+// tier reports the zero value.
+type TierStats struct {
+	ColdHits   int64 // pins and lookups a cold resident served (a Get under a cold pin is that pin's hit)
+	ColdMisses int64 // lookups that missed both tiers
+	// Promotes is always 0: nothing moves a chunk from the cold tier back to
+	// the hot tier. The field stays while the end-to-end benchmark still
+	// reports cache.promotes_per_query from it.
+	Promotes     int64
+	Demotes      int64 // hot-tier victims re-admitted compressed
+	DemoteDenied int64 // victims the cold tier refused (larger than its unpinned room)
+	ColdEvicts   int64 // cold residents dropped for cold-tier space, or because they no longer decode
+
+	ColdCapacity int64 // cold-tier byte bound
+	ColdUsed     int64 // compressed bytes charged
+	ColdRawBytes int64 // uncompressed footprint of the same residents
+	ColdChunks   int64 // cold residents
+}
+
+// NewTiered gives hot a compressed cold tier of coldBytes capacity and
+// returns it: hot-tier victims are delta/varint-encoded and demoted to the
+// cold tier instead of dropped (see Sharded). Call it before the store
+// serves traffic. It refuses a non-positive capacity and a store that
+// already has a cold tier.
+func NewTiered(hot *Sharded, coldBytes int64) (*Sharded, error) {
+	if coldBytes <= 0 {
+		return nil, fmt.Errorf("cache: cold tier capacity must be positive, got %d", coldBytes)
+	}
+	if hot.cold != nil {
+		return nil, fmt.Errorf("cache: store already has a cold tier")
+	}
+	hot.cold = newColdTier(coldBytes)
+	hot.SetTierMetrics(obs.NewTierMetrics(nil))
+	return hot, nil
+}
+
+// SetTierMetrics makes the cold tier count into m — a bundle registered with
+// obs.NewTierMetrics, so /metrics exports what TierStats reports. Call it
+// before serving traffic: counts already taken stay in the old bundle.
+func (c *Sharded) SetTierMetrics(m obs.TierMetrics) {
+	c.tmet = m
+	c.syncTierGauges()
+}
+
+// TierStats reports the cold tier's traffic, from the tier metrics bundle,
+// and its occupancy; the zero value without a cold tier.
+func (c *Sharded) TierStats() TierStats {
+	if c.cold == nil {
+		return TierStats{}
+	}
+	ts := c.cold.occupancy()
+	ts.ColdHits = c.tmet.ColdHits.Value()
+	ts.ColdMisses = c.tmet.ColdMisses.Value()
+	ts.Demotes = c.tmet.Demotes.Value()
+	ts.DemoteDenied = c.tmet.DemoteDenied.Value()
+	ts.ColdEvicts = c.tmet.ColdEvictions.Value()
+	return ts
+}
+
+// syncTierGauges publishes cold-tier capacity and occupancy.
+func (c *Sharded) syncTierGauges() {
+	o := c.cold.occupancy()
+	c.tmet.ColdCapacityBytes.Set(o.ColdCapacity)
+	c.tmet.ColdOccupancyBytes.Set(o.ColdUsed)
+	c.tmet.ColdRawBytes.Set(o.ColdRawBytes)
+	c.tmet.ColdChunks.Set(o.ColdChunks)
+}
+
+// coldGone tells the listener that cold resident e has left the store.
+func (c *Sharded) coldGone(e *coldEntry, r EventReason) {
+	if c.listener != nil {
+		c.listener.OnEvent(Event{
+			Key:    e.key,
+			Reason: r,
+			Entry:  &Entry{Key: e.key, Class: e.class, Benefit: e.benefit, Recycled: e.recycled},
+		})
+	}
+}
+
+// demote offers policy-evicted hot entry e to the cold tier and reports
+// whether it was admitted (the eviction then becomes a Demoted event); the
+// caller holds e's stripe lock. Chunks the cold tier displaces in turn are
+// gone for good, so their Evicted events fire here (the displaced keys are
+// cold-resident and therefore, by the residency invariant, not hot).
+func (c *Sharded) demote(e *Entry) bool {
+	victims, ok := c.cold.add(e.Key, e.Data, e.Class, e.Benefit, e.Recycled)
+	if ok {
+		c.tmet.Demotes.Inc()
+	} else {
+		c.tmet.DemoteDenied.Inc()
+	}
+	for _, v := range victims {
+		c.tmet.ColdEvictions.Inc()
+		c.coldGone(v, Evicted)
+	}
+	c.syncTierGauges()
+	return ok
+}
+
+// pinCold pins k's cold copy where it lives, for a Pin of a key that is not
+// hot, and reports whether k was cold-resident; the caller holds k's stripe
+// lock. The pin reads k in place, so it cannot fail for lack of hot-tier
+// room. The first pin decodes the payload the Gets under every overlapping
+// pin are served.
+func (c *Sharded) pinCold(k Key) bool {
+	e, data, ok := c.cold.pin(k)
+	if !ok {
+		return false
+	}
+	if data == nil {
+		var err error
+		if data, err = chunk.DecodePayload(k.GB, k.Num, e.enc); err != nil {
+			c.cold.unpin(k)
+			c.dropUndecodable(e)
+			return false
+		}
+		c.cold.setPinned(e, data)
+	}
+	c.tmet.ColdHits.Inc()
+	return true
+}
+
+// coldGet serves a hot miss of k from the cold tier: under a pin, the
+// payload the pin decoded (the Pin counted the cold hit); otherwise the cold
+// copy decoded for this lookup alone. A miss in both tiers counts as a cold
+// miss.
+func (c *Sharded) coldGet(k Key) (*chunk.Chunk, Class, float64, bool) {
+	e, data, ok := c.cold.lookup(k)
+	if ok && data == nil {
+		var err error
+		if data, err = chunk.DecodePayload(k.GB, k.Num, e.enc); err != nil {
+			c.dropUndecodable(e)
+			ok = false
+		} else {
+			c.tmet.ColdHits.Inc()
+		}
+	}
+	if !ok {
+		c.tmet.ColdMisses.Inc()
+		return nil, 0, 0, false
+	}
+	return data, e.class, e.benefit, true
+}
+
+// dropUndecodable drops a cold resident whose payload does not decode, unless
+// a pin shields it. This cannot happen short of memory corruption — the tier
+// only stores its own encodings — but the chunk is then gone, so it counts
+// as a cold eviction and its Evicted event fires: otherwise the strategy
+// would go on planning through it.
+func (c *Sharded) dropUndecodable(e *coldEntry) {
+	if !c.cold.dropUnpinned(e) {
+		return
+	}
+	c.tmet.ColdEvictions.Inc()
+	c.syncTierGauges()
+	c.coldGone(e, Evicted)
 }

@@ -134,7 +134,7 @@ type peerPut struct {
 }
 
 // Peered is a Store composing a local store (this node's tiers — a Sharded,
-// or a Tiered over one) with a consistent-hash ring of remote peers (the
+// with or without a cold tier) with a consistent-hash ring of remote peers (the
 // cluster tier):
 //
 //   - PeerFill asks a key's ring owner for a chunk the local tier lacks,

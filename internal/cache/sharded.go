@@ -10,12 +10,25 @@ import (
 	"aggcache/internal/obs"
 )
 
-// Sharded is the hot Store, the only one: keys are spread across a
+// Sharded is the local Store, the only one: keys are spread across a
 // power-of-two number of stripes by a cheap hash of (GB, Num), and each stripe
 // is an independent map + policy instance guarded by its own mutex. With one
 // stripe (New's default) it is the paper's single bounded cache under one
 // lock; with more, concurrent queries touching different stripes never
 // contend.
+//
+// The stripes are the hot tier. NewTiered adds an optional compressed cold
+// tier below them: a hot-tier victim is demoted to it instead of dropped, and
+// a cold resident answers where it lives until cold pressure evicts it;
+// nothing moves back up. A key is resident in at most one tier. Every per-key
+// tier decision (demotion, the refusal of an insert of a cold-resident key,
+// a pin of a cold key) is made under the stripe lock that serializes the
+// key's hot-tier mutations; the cold tier's own lock is taken inside it
+// (lock order stripe → cold tier, never the reverse). A lookup that misses
+// the hot tier is served by the cold tier and counts once, as one hit or one
+// miss. Listeners observe the full event taxonomy: Demoted when a victim
+// stays answerable compressed, Evicted only when a chunk leaves the store,
+// Removed on Evict.
 //
 // Capacity is partitioned per stripe with a borrow margin: each stripe may
 // charge up to capacity/N plus half again (so a hot stripe can steal headroom
@@ -33,8 +46,8 @@ import (
 // Range and Reinforce visit stripes one at a time — there is no
 // stop-the-world lock, so the result is a consistent-per-stripe (not globally
 // atomic) snapshot, which is all the callers (reports, snapshots) need.
-// Used, Len, Stats and the obs series are fed from global atomics and are
-// therefore exact.
+// Used, Len, Stats and the obs series are fed from global atomics (and the
+// cold tier's own lock) and are therefore exact.
 type Sharded struct {
 	capacity int64
 	limit    int64  // per-stripe byte cap: capacity/N + borrow margin
@@ -47,10 +60,15 @@ type Sharded struct {
 	// are atomics, so an ops scraper can read them while writers hold a
 	// stripe lock.
 	met obs.CacheMetrics
-	// listener and hook are set before the store serves traffic (see the
-	// Store contract) and are read-only afterwards.
+	// listener, cold and tmet are set before the store serves traffic (see
+	// the Store contract) and are read-only afterwards.
 	listener Listener
-	hook     tierHook
+	// cold is the compressed cold tier, nil without one (NewTiered).
+	cold *coldTier
+	// tmet is the cold tier's one set of traffic counters; TierStats reads
+	// it, and /metrics exports it once SetTierMetrics attached a registered
+	// bundle.
+	tmet obs.TierMetrics
 }
 
 // shard is one stripe: an independent map + policy under its own lock. The
@@ -65,15 +83,11 @@ type shard struct {
 }
 
 // newSharded builds an n-stripe store; n must be a power of two in
-// [1, MaxShards]. The seed policy serves stripe 0 and forks the rest, so it
-// must implement Forker when n > 1. Callers go through New.
+// [1, MaxShards]. The seed policy serves stripe 0 and forks the rest.
+// Callers go through New.
 func newSharded(capacity int64, n int, seed Policy, met obs.CacheMetrics) (*Sharded, error) {
 	if n < 1 || n > MaxShards || n&(n-1) != 0 {
 		return nil, fmt.Errorf("cache: shard count must be a power of two in [1, %d], got %d", MaxShards, n)
-	}
-	fork, ok := seed.(Forker)
-	if n > 1 && !ok {
-		return nil, fmt.Errorf("cache: policy %s cannot be forked across %d shards (implement Forker)", seed.Name(), n)
 	}
 	base := capacity / int64(n)
 	limit := base + base/2
@@ -86,7 +100,7 @@ func newSharded(capacity int64, n int, seed Policy, met obs.CacheMetrics) (*Shar
 	for i := range c.shards {
 		p := seed
 		if i > 0 {
-			p = fork.Fork()
+			p = seed.Fork()
 		}
 		c.shards[i].entries = make(map[Key]*Entry)
 		c.shards[i].policy = p
@@ -137,17 +151,14 @@ func (c *Sharded) Shards() int { return len(c.shards) }
 // SetListener implements Store.
 func (c *Sharded) SetListener(l Listener) { c.listener = l }
 
-// setTierHook implements hookable.
-func (c *Sharded) setTierHook(h tierHook) { c.hook = h }
+// Capacity implements Store: the combined byte bound of both tiers.
+func (c *Sharded) Capacity() int64 { return c.capacity + c.cold.occupancy().ColdCapacity }
 
-// Capacity implements Store.
-func (c *Sharded) Capacity() int64 { return c.capacity }
+// Used implements Store: hot bytes plus compressed cold bytes.
+func (c *Sharded) Used() int64 { return c.used.Load() + c.cold.occupancy().ColdUsed }
 
-// Used implements Store.
-func (c *Sharded) Used() int64 { return c.used.Load() }
-
-// Len implements Store.
-func (c *Sharded) Len() int { return int(c.resident.Load()) }
+// Len implements Store: residents across both tiers.
+func (c *Sharded) Len() int { return int(c.resident.Load() + c.cold.occupancy().ColdChunks) }
 
 // Stats implements Store, reading the metrics bundle: policy evictions are
 // Evictions, administrative ones Removals.
@@ -162,10 +173,14 @@ func (c *Sharded) Stats() Stats {
 	}
 }
 
-// Contains implements Store.
+// Contains implements Store: resident in either tier. Unlike Peek it never
+// decodes a cold copy.
 func (c *Sharded) Contains(k Key) bool {
-	_, ok := c.Peek(k)
-	return ok
+	s := c.shard(k)
+	s.mu.Lock()
+	_, ok := s.entries[k]
+	s.mu.Unlock()
+	return ok || c.cold.contains(k)
 }
 
 // Get implements Store.
@@ -174,24 +189,33 @@ func (c *Sharded) Get(k Key) (*chunk.Chunk, bool) {
 	return data, ok
 }
 
-// GetInfo implements Store: a hit counts as an access.
+// GetInfo implements Store: a hot hit counts as an access. A hot miss is
+// served by the cold tier when it holds k (see coldGet), with the class and
+// benefit k was demoted with; k stays cold. Either way the lookup counts as
+// one hit or one miss.
 func (c *Sharded) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
-	e, ok := s.entries[k]
-	if !ok {
+	if e, ok := s.entries[k]; ok {
+		s.policy.Accessed(e)
+		data, cl, benefit := e.Data, e.Class, e.Benefit
 		s.mu.Unlock()
-		c.met.Misses.Inc()
-		return nil, 0, 0, false
+		c.met.Hits.Inc()
+		return data, cl, benefit, true
 	}
-	s.policy.Accessed(e)
-	data, cl, benefit := e.Data, e.Class, e.Benefit
 	s.mu.Unlock()
-	c.met.Hits.Inc()
-	return data, cl, benefit, true
+	if c.cold != nil {
+		if data, cl, benefit, ok := c.coldGet(k); ok {
+			c.met.Hits.Inc()
+			return data, cl, benefit, true
+		}
+	}
+	c.met.Misses.Inc()
+	return nil, 0, 0, false
 }
 
-// Peek implements Store.
+// Peek implements Store: hot first, then a cold decode — without touching
+// recency or counting hits/misses.
 func (c *Sharded) Peek(k Key) (*chunk.Chunk, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -201,7 +225,18 @@ func (c *Sharded) Peek(k Key) (*chunk.Chunk, bool) {
 		data = e.Data
 	}
 	s.mu.Unlock()
-	return data, ok
+	if ok {
+		return data, true
+	}
+	ce, ok := c.cold.peek(k)
+	if !ok {
+		return nil, false
+	}
+	data, err := chunk.DecodePayload(k.GB, k.Num, ce.enc)
+	if err != nil {
+		return nil, false
+	}
+	return data, true
 }
 
 // Insert implements Store: it makes data resident under k, evicting from k's
@@ -212,8 +247,10 @@ func (c *Sharded) Peek(k Key) (*chunk.Chunk, bool) {
 // the store overflows), refreshes class/benefit and counts as an access;
 // presence is unchanged, so no listener event fires. A chunk larger than the
 // whole store is not admitted, and a replacement that is denied leaves the old
-// entry resident. Room is bounded by both the stripe limit (local evictions)
-// and the global capacity (reserved atomically); see makeRoomLocked.
+// entry resident. An insert of a cold-resident key is denied: the cold copy
+// already answers it. Room is bounded by both the stripe limit (local
+// evictions) and the global capacity (reserved atomically); see
+// makeRoomLocked.
 func (c *Sharded) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
 	return c.insert(k, data, applyInsertOptions(opts))
 }
@@ -258,7 +295,7 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 		c.syncGauges()
 		return true
 	}
-	if c.hook != nil && c.hook.coldResident(k) {
+	if c.cold.contains(k) {
 		// The cold copy already answers k. Decided here, under the stripe
 		// lock that serializes this key's tier transitions, so k is never
 		// resident in both tiers.
@@ -302,17 +339,23 @@ func (c *Sharded) makeRoomLocked(s *shard, need, delta int64, cl Class) bool {
 	return true
 }
 
-// Evict implements Store. Explicit removals count as Stats.Removals, not
+// Evict implements Store: an administrative removal drops k from whichever
+// tier holds it. Explicit hot removals count as Stats.Removals, not
 // Stats.Evictions.
 func (c *Sharded) Evict(k Key) bool {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[k]
+	if e, ok := s.entries[k]; ok {
+		c.removeLocked(s, e, false)
+		return true
+	}
+	ce, ok := c.cold.remove(k)
 	if !ok {
 		return false
 	}
-	c.removeLocked(s, e, false)
+	c.syncTierGauges()
+	c.coldGone(ce, Removed)
 	return true
 }
 
@@ -336,7 +379,7 @@ func (c *Sharded) removeLocked(s *shard, e *Entry, policyEvict bool) {
 	reason := Removed
 	if policyEvict {
 		reason = Evicted
-		if c.hook != nil && c.hook.demote(e) {
+		if c.cold != nil && c.demote(e) {
 			reason = Demoted
 		}
 	}
@@ -346,8 +389,8 @@ func (c *Sharded) removeLocked(s *shard, e *Entry, policyEvict bool) {
 }
 
 // Pin implements Store. A key that is not hot is pinned where it lives when
-// a cold tier hosts this store (tierHook.pinCold); a pinned key does not
-// change tiers until its last Unpin.
+// the cold tier holds it (pinCold); a pinned key does not change tiers until
+// its last Unpin.
 func (c *Sharded) Pin(k Key) bool {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -356,7 +399,7 @@ func (c *Sharded) Pin(k Key) bool {
 		e.pins++
 		return true
 	}
-	if c.hook != nil && c.hook.pinCold(k) {
+	if c.pinCold(k) {
 		return true
 	}
 	c.met.PinFailures.Inc()
@@ -374,9 +417,7 @@ func (c *Sharded) Unpin(k Key) {
 		}
 		return
 	}
-	if c.hook != nil {
-		c.hook.unpinCold(k)
-	}
+	c.cold.unpin(k)
 }
 
 // Reinforce implements Store — the two-level policy's group maintenance
@@ -407,8 +448,10 @@ func (c *Sharded) Reinforce(keys []Key, benefit float64) {
 	}
 }
 
-// Range implements Store, visiting shards one at a time; fn runs under the
-// owning shard's lock and must not call back into the store.
+// Range implements Store over both tiers, visiting shards one at a time; fn
+// runs under the owning shard's lock and must not call back into the store.
+// Cold residents follow, decoded per call (Range is a snapshot/diagnostic
+// path, not a hot path), with fn outside every lock.
 func (c *Sharded) Range(fn func(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool)) {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -417,5 +460,12 @@ func (c *Sharded) Range(fn func(k Key, data *chunk.Chunk, cl Class, benefit floa
 			fn(k, e.Data, e.Class, e.Benefit, e.Recycled)
 		}
 		s.mu.Unlock()
+	}
+	for _, e := range c.cold.snapshot() {
+		data, err := chunk.DecodePayload(e.key.GB, e.key.Num, e.enc)
+		if err != nil {
+			continue
+		}
+		fn(e.key, data, e.class, e.benefit, e.recycled)
 	}
 }

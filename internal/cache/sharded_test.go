@@ -15,7 +15,7 @@ import (
 	"aggcache/internal/obs"
 )
 
-// stubPolicy is a minimal Policy that deliberately does not implement Forker.
+// stubPolicy is a minimal Policy that never offers a victim.
 type stubPolicy struct{}
 
 func (stubPolicy) Name() string               { return "stub" }
@@ -24,6 +24,7 @@ func (stubPolicy) Removed(*Entry)             {}
 func (stubPolicy) Accessed(*Entry)            {}
 func (stubPolicy) Reinforced(*Entry, float64) {}
 func (stubPolicy) NextVictim(cl Class) *Entry { return nil }
+func (stubPolicy) Fork() Policy               { return stubPolicy{} }
 
 func newSharded4(t *testing.T, capacity int64) *Sharded {
 	t.Helper()
@@ -31,7 +32,7 @@ func newSharded4(t *testing.T, capacity int64) *Sharded {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return s.(*Sharded)
+	return s
 }
 
 // shardKey returns the i-th key num (starting the probe at from) that hashes
@@ -45,13 +46,13 @@ func shardKey(c *Sharded, want uint64, from int) Key {
 }
 
 func TestNewShardSelection(t *testing.T) {
-	// Default and n=1 build one stripe, which needs no Forker.
+	// Default and n=1 build one stripe.
 	for _, opts := range [][]Option{nil, {WithShards(1)}} {
 		s, err := New(1000, stubPolicy{}, opts...)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		if n := s.(*Sharded).Shards(); n != 1 {
+		if n := s.Shards(); n != 1 {
 			t.Fatalf("default store has %d stripes, want 1", n)
 		}
 	}
@@ -61,12 +62,8 @@ func TestNewShardSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WithShards(%d): %v", tc.ask, err)
 		}
-		sh, ok := s.(*Sharded)
-		if !ok {
-			t.Fatalf("WithShards(%d): got %T", tc.ask, s)
-		}
-		if sh.Shards() != tc.want {
-			t.Fatalf("WithShards(%d) = %d shards, want %d", tc.ask, sh.Shards(), tc.want)
+		if s.Shards() != tc.want {
+			t.Fatalf("WithShards(%d) = %d shards, want %d", tc.ask, s.Shards(), tc.want)
 		}
 	}
 	// Auto (n = 0) must build a valid store whatever GOMAXPROCS is.
@@ -74,12 +71,8 @@ func TestNewShardSelection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WithShards(0): %v", err)
 	}
-	if n := s.(*Sharded).Shards(); n < 1 {
+	if n := s.Shards(); n < 1 {
 		t.Fatalf("auto store has %d stripes", n)
-	}
-	// A policy without Fork cannot back more than one stripe.
-	if _, err := New(1000, stubPolicy{}, WithShards(2)); err == nil {
-		t.Fatalf("non-Forker policy accepted for a two-stripe store")
 	}
 	// Invalid direct constructions are rejected.
 	if _, err := newSharded(1000, 3, NewLRU(), obs.CacheMetrics{}); err == nil {
@@ -98,11 +91,10 @@ func TestShardDistributionUniformity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewGrid: %v", err)
 		}
-		s, err := New(1<<30, NewTwoLevel(), WithShards(16))
+		c, err := New(1<<30, NewTwoLevel(), WithShards(16))
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		c := s.(*Sharded)
 		counts := make([]int, c.Shards())
 		total := 0
 		lat := g.Lattice()
@@ -172,11 +164,10 @@ func TestShardedBasics(t *testing.T) {
 // 2-shard store, aiming keys at specific stripes.
 func TestShardedPinInterleavings(t *testing.T) {
 	// Capacity for 4 chunks of 304 bytes; per-shard limit is 912 (3 chunks).
-	s, err := New(4*304, NewBenefitClock(), WithShards(2))
+	c, err := New(4*304, NewBenefitClock(), WithShards(2))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c := s.(*Sharded)
 	a1 := shardKey(c, 0, 0)
 	a2 := shardKey(c, 0, int(a1.Num)+1)
 	a3 := shardKey(c, 0, int(a2.Num)+1)
@@ -229,11 +220,10 @@ func TestShardedPinInterleavings(t *testing.T) {
 // when it binds the inserting shard evicts locally.
 func TestShardedCapacityBorrowing(t *testing.T) {
 	const chunkBytes = 304 // 10 cells
-	s, err := New(4*chunkBytes, NewBenefitClock(), WithShards(2))
+	c, err := New(4*chunkBytes, NewBenefitClock(), WithShards(2))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c := s.(*Sharded)
 	// Even share is 2 chunks; the margin lets a hot shard hold 3.
 	hot := make([]Key, 4)
 	hot[0] = shardKey(c, 0, 0)
@@ -282,8 +272,7 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	// Edge: the stripe limit shares capacity, it does not bound admission. A
 	// chunk above it takes its stripe alone — evicting the stripe's unpinned
 	// residents — as long as the global pool has room.
-	s2, _ := New(1000, NewBenefitClock(), WithShards(2))
-	c2 := s2.(*Sharded)
+	c2, _ := New(1000, NewBenefitClock(), WithShards(2))
 	small := shardKey(c2, 0, 0)
 	bigKey := shardKey(c2, 0, int(small.Num)+1)
 	other := shardKey(c2, 1, 0)
@@ -318,8 +307,7 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	// on a 64-proc box has an 8,910-byte stripe limit, while the scale's
 	// largest chunk is 47,872 bytes and its p99 30,280 — 18.8 % of all chunks
 	// were refused on every request, even by an empty store.
-	s64, _ := New(380_160, NewTwoLevelPromote(), WithShards(64))
-	c64 := s64.(*Sharded)
+	c64, _ := New(380_160, NewTwoLevelPromote(), WithShards(64))
 	if c64.limit != 8_910 {
 		t.Fatalf("64-stripe limit = %d, want 8910", c64.limit)
 	}
@@ -334,8 +322,7 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 
 	// Degenerate: capacity below the shard count would give a zero per-shard
 	// limit; the store falls back to the global bound only.
-	s3, _ := New(50, NewBenefitClock(), WithShards(64))
-	c3 := s3.(*Sharded)
+	c3, _ := New(50, NewBenefitClock(), WithShards(64))
 	if c3.limit != c3.capacity {
 		t.Fatalf("degenerate limit = %d, want the full capacity %d", c3.limit, c3.capacity)
 	}
@@ -345,11 +332,10 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 // one stripe of a sharded store: Reinforce's shard grouping must reach the
 // policy instance that owns the keys, and missing keys are ignored.
 func TestShardedReinforceKeepsGroup(t *testing.T) {
-	s, err := New(4*304, NewTwoLevel(), WithShards(2))
+	c, err := New(4*304, NewTwoLevel(), WithShards(2))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c := s.(*Sharded)
 	k1 := shardKey(c, 0, 0)
 	k2 := shardKey(c, 0, int(k1.Num)+1)
 	k3 := shardKey(c, 0, int(k2.Num)+1)

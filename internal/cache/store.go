@@ -11,8 +11,9 @@ import (
 
 // Store is the chunk-cache contract the rest of the system programs against:
 // the surface the engine, the lookup strategies, snapshots and the peer
-// protocol call. There is one hot implementation, [Sharded]; [Tiered] and
-// [Peered] decorate a Store with a cold tier and a peer ring.
+// protocol call. There is one local implementation, [Sharded], with an
+// optional compressed cold tier ([NewTiered]); [Peered] is the one decorator,
+// adding a peer ring.
 //
 // Locking contract: implementations synchronize internally; callers never
 // wrap Store calls in an external lock. Listener and Policy callbacks fire
@@ -78,8 +79,8 @@ type insertSpec struct {
 }
 
 // InsertOption selects the residency variant of one Insert. The options fold
-// the variants into one method, so a composed store (Peered over Tiered over
-// Sharded) inspects a single spec instead of mirroring one signature each.
+// the variants into one method, so a composed store (Peered over Sharded)
+// inspects a single spec instead of mirroring one signature each.
 type InsertOption func(*insertSpec)
 
 // applyInsertOptions resolves opts over the default spec: a backend-class
@@ -113,16 +114,6 @@ func AsRecycled(benefit float64) InsertOption {
 	return func(s *insertSpec) { s.class, s.benefit, s.recycled = ClassComputed, benefit, true }
 }
 
-// Forker is implemented by replacement policies that can produce fresh,
-// state-free instances of themselves. A store needs one policy instance per
-// stripe (policies are stateful and synchronized by their stripe's lock), so
-// New requires the policy to implement Forker whenever more than one stripe
-// is requested. TwoLevel, BenefitClock and LRU all implement it.
-type Forker interface {
-	// Fork returns a new empty policy of the same kind and configuration.
-	Fork() Policy
-}
-
 // MaxShards bounds the stripe count; 64 keeps Reinforce's stripe grouping a
 // single uint64 bitmask and is far beyond the core counts this tier runs on.
 const MaxShards = 64
@@ -151,10 +142,10 @@ func WithMetrics(m obs.CacheMetrics) Option {
 	return func(c *config) { c.metrics = m }
 }
 
-// New creates the hot chunk store, a *Sharded bounded to capacity bytes under
-// the given replacement policy: one stripe by default, WithShards for more.
-// The policy must implement Forker when more than one stripe is requested.
-func New(capacity int64, policy Policy, opts ...Option) (Store, error) {
+// New creates the local chunk store, a *Sharded bounded to capacity bytes
+// under the given replacement policy: one stripe by default, WithShards for
+// more. NewTiered adds a cold tier to it.
+func New(capacity int64, policy Policy, opts ...Option) (*Sharded, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cache: capacity must be positive, got %d", capacity)
 	}
@@ -170,9 +161,5 @@ func New(capacity int64, policy Policy, opts ...Option) (Store, error) {
 		n = runtime.GOMAXPROCS(0)
 	}
 	n = min(1<<bits.Len(uint(n-1)), MaxShards) // round up to a power of two
-	s, err := newSharded(capacity, n, policy, cfg.metrics)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return newSharded(capacity, n, policy, cfg.metrics)
 }

@@ -19,10 +19,10 @@ import (
 func TestTieredUndecodableColdEntryIsEvicted(t *testing.T) {
 	for _, read := range []struct {
 		name string
-		fn   func(*cache.Tiered, cache.Key) bool
+		fn   func(*cache.Sharded, cache.Key) bool
 	}{
-		{"Get", func(tc *cache.Tiered, k cache.Key) bool { _, ok := tc.Get(k); return ok }},
-		{"Pin", func(tc *cache.Tiered, k cache.Key) bool { return tc.Pin(k) }},
+		{"Get", func(tc *cache.Sharded, k cache.Key) bool { _, ok := tc.Get(k); return ok }},
+		{"Pin", func(tc *cache.Sharded, k cache.Key) bool { return tc.Pin(k) }},
 	} {
 		t.Run(read.name, func(t *testing.T) {
 			g := chunktest.StarGrid()

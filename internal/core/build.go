@@ -40,14 +40,14 @@ type Config struct {
 	// one lock, a negative count one stripe per GOMAXPROCS.
 	HotBytes int64
 	Shards   int
-	// ColdBytes, when positive, adds a compressed cold tier of that capacity
-	// under the hot store (cache.NewTiered).
+	// ColdBytes, when positive, gives the local store a compressed cold tier
+	// of that capacity below its hot tier (cache.NewTiered).
 	ColdBytes int64
 	// Peers, when set, joins the stack to a consistent-hash peer ring
 	// (cache.NewPeered) above the local tiers.
 	Peers *cache.PeeredConfig
 	// Metrics, when set, attaches live metrics registered on it to the
-	// strategy, the hot store, the cold tier, every peer and the engine.
+	// strategy, the local store, its cold tier, every peer and the engine.
 	Metrics *obs.Registry
 	// Options tune the engine (WithRecycling, WithResultCache, …).
 	Options []Option
@@ -58,13 +58,14 @@ type Config struct {
 // caller closes it when done.
 type Stack struct {
 	Engine *Engine
-	// Hot is the hot store, innermost layer of the engine's cache.
+	// Hot is the local store, innermost layer of the engine's cache: the hot
+	// tier and, with ColdBytes, the cold tier below it.
 	Hot    *cache.Sharded
 	Peered *cache.Peered
 }
 
-// Build turns cfg into a running stack: sizer, strategy, hot store, cold
-// tier, peer ring and engine, each layer wrapping the one before it.
+// Build turns cfg into a running stack: sizer, strategy, local store and
+// its cold tier, peer ring and engine, each layer wrapping the one before it.
 func Build(cfg Config) (*Stack, error) {
 	if cfg.Grid == nil || cfg.Backend == nil {
 		return nil, errors.New("core: Build needs a grid and a backend")
@@ -90,8 +91,8 @@ func Build(cfg Config) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The hot store, cold tier and engine count into their bundles whether
-	// or not a registry exports them; a nil reg leaves them unregistered.
+	// The local store, its cold tier and the engine count into their bundles
+	// whether or not a registry exports them; a nil reg leaves them unexported.
 	copts := []cache.Option{cache.WithMetrics(obs.NewCacheMetrics(reg))}
 	if cfg.Shards != 0 {
 		copts = append(copts, cache.WithShards(cfg.Shards))
@@ -100,17 +101,14 @@ func Build(cfg Config) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Stack{Hot: hot.(*cache.Sharded)}
-	store := hot
-
 	if cfg.ColdBytes > 0 {
-		tiered, err := cache.NewTiered(store, cfg.ColdBytes)
-		if err != nil {
+		if _, err := cache.NewTiered(hot, cfg.ColdBytes); err != nil {
 			return nil, err
 		}
-		tiered.SetTierMetrics(obs.NewTierMetrics(reg))
-		store = tiered
+		hot.SetTierMetrics(obs.NewTierMetrics(reg))
 	}
+	st := &Stack{Hot: hot}
+	var store cache.Store = hot
 	if cfg.Peers != nil {
 		pcfg := *cfg.Peers
 		if reg != nil && pcfg.Metrics == nil {

@@ -290,16 +290,17 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// TierStats returns the cache store's tier counters (cold-tier hits,
-// demotions, compression footprint) when the store — directly or behind a
-// Peered wrapper — is tiered; ok=false for a flat store. A cold read shows up
-// in plans as a cache hit whose decode cost the plan does not see, so these
-// counters are what attributes that cost.
+// TierStats returns the local store's tier counters (cold-tier hits,
+// demotions, compression footprint) when that store — directly or behind a
+// Peered wrapper — has a cold tier; ok=false for a flat store. A cold read
+// shows up in plans as a cache hit whose decode cost the plan does not see,
+// so these counters are what attributes that cost.
 func (e *Engine) TierStats() (cache.TierStats, bool) {
 	st := e.cache
 	for {
-		if ts, ok := st.(cache.TierStatser); ok {
-			return ts.TierStats(), true
+		if s, ok := st.(*cache.Sharded); ok {
+			ts := s.TierStats()
+			return ts, ts.ColdCapacity > 0
 		}
 		u, ok := st.(interface{ Local() cache.Store })
 		if !ok {

@@ -67,7 +67,9 @@ func TestTieredColdLeafPinnedInPlace(t *testing.T) {
 		t.Fatalf("cold plan leaf not answered in place: complete hit %v, %d backend requests",
 			res.CompleteHit, eng.Stats().BackendQueries-before)
 	}
-	if ts := tc.TierStats(); ts.ColdHits == 0 || hot.Contains(cache.Key{GB: base, Num: 0}) {
+	// The hot tier fits one chunk: the leaf still cold means one cold
+	// resident after the one demote that put it there.
+	if ts := tc.TierStats(); ts.ColdHits == 0 || ts.ColdChunks != 1 || ts.Demotes != 1 || !tc.Contains(cache.Key{GB: base, Num: 0}) {
 		t.Fatalf("tier stats %+v: want the leaf read as a cold hit, where it lives", ts)
 	}
 	assertMatchesOracle(t, f, q, res)

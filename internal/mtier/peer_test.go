@@ -188,8 +188,8 @@ func TestPeerGetOfColdChunkStaysCold(t *testing.T) {
 	warmData.GB = warm.GB
 	tc.Insert(cold, peerChunk(0, 4), cache.AsBackend(21))
 	tc.Insert(warm, warmData, cache.AsBackend(1)) // demotes cold
-	if hot.Contains(cold) || !tc.Contains(cold) {
-		t.Fatalf("key %v is not cold-resident on the owner", cold)
+	if ts := tc.TierStats(); ts.ColdChunks != 1 || ts.Demotes != 1 || !tc.Contains(cold) {
+		t.Fatalf("key %v is not cold-resident on the owner: %+v", cold, ts)
 	}
 
 	cl := NewPeerClient(addr, 0)
@@ -198,11 +198,10 @@ func TestPeerGetOfColdChunkStaysCold(t *testing.T) {
 	if err != nil || !found || got.Cells() != 4 || gcl != cache.ClassBackend || gbenefit != 21 {
 		t.Fatalf("PeerGet of the cold key = %v %v %v found %v, err %v", got, gcl, gbenefit, found, err)
 	}
-	if hot.Contains(cold) || !hot.Contains(warm) {
-		t.Fatalf("serving a peer moved the cold key into the hot tier")
-	}
-	if ts := tc.TierStats(); ts.ColdHits != 1 || ts.ColdChunks != 1 || ts.Demotes != 1 {
-		t.Fatalf("owner tier stats %+v: want 1 cold hit, the key still cold, 1 demote", ts)
+	// Moving the cold key up would have demoted the warm one: a second
+	// demote.
+	if ts := tc.TierStats(); ts.ColdHits != 1 || ts.ColdChunks != 1 || ts.Demotes != 1 || tc.Len() != 2 {
+		t.Fatalf("owner tier stats %+v, %d residents: want 1 cold hit, the key still cold, 1 demote", ts, tc.Len())
 	}
 }
 

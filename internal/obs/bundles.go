@@ -7,7 +7,7 @@ import "fmt"
 // (all-nil handles) is valid and records nothing, so components hold a
 // bundle by value and stay dependency-free of the registry itself. Built
 // from a nil registry, a bundle's handles are live but exported nowhere: the
-// engine, the hot store and the cold tier always count into such a bundle
+// engine, the local store and its cold tier always count into such a bundle
 // and read their Stats back from it, so /metrics and Stats are one set of
 // counters. The exported metric names below are the observability contract
 // documented in DESIGN.md §7.
@@ -120,9 +120,11 @@ func NewCacheMetrics(r *Registry) CacheMetrics {
 	}
 }
 
-// TierMetrics instruments the cold tier of a cache.Tiered store: compressed
-// occupancy against the raw footprint of the same residents (their ratio is
-// the effective compression), and the demote traffic into the cold tier.
+// TierMetrics instruments the cold tier of a cache.Sharded store (see
+// cache.NewTiered): compressed occupancy against the raw footprint of the
+// same residents (their ratio is the effective compression), the demote
+// traffic into the cold tier, and its hits and misses. A lookup the cold
+// tier serves is also one hit in the store's CacheMetrics.
 type TierMetrics struct {
 	ColdCapacityBytes  *Gauge
 	ColdOccupancyBytes *Gauge
