@@ -57,7 +57,7 @@ bench-overload:
 	$(GO) run ./cmd/aggbench -scale tiny -exp overload
 
 # bench-recycle compares benefit-driven recycling of intermediate aggregates
-# + the semantic result cache against the plain engine on drill/jump and
+# (with promote-on-reuse) against the plain engine on drill/jump and
 # proximity mixes (writes BENCH_9.json; gates the drill-mix qps and hit
 # rate with recycling on >= off and proximity qps >= 90% of off).
 bench-recycle:

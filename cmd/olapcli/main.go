@@ -33,19 +33,18 @@ import (
 
 func main() {
 	var (
-		scaleFlag       = flag.String("scale", "tiny", "dataset scale: tiny|small|medium|full")
-		seedFlag        = flag.Int64("seed", 1, "generator seed")
-		stratFlag       = flag.String("strategy", "VCMC", "lookup strategy: ESM|ESMC|VCM|VCMC|NoAgg")
-		cacheKBFlag     = flag.Int64("cache-kb", 256, "cache size in KB")
-		shardsFlag      = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
-		backendFlag     = flag.String("backend", "", "remote backend address (empty = in-process)")
-		rowsFlag        = flag.Int("rows", 20, "max result rows to print")
-		maxFrame        = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes for the remote backend (0 = 64MiB default)")
-		peersFlag       = flag.String("peers", "", "comma-separated aggcached cluster addresses; local misses are peer-filled from the key's ring owner before the backend")
-		recycleFlag     = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
-		recycleMinFlag  = flag.Float64("recycle-min-benefit", core.DefaultRecycleMinBenefit, "recycler admission threshold in saved recompute cost per byte (0 = default)")
-		resultCacheFlag = flag.Int("result-cache", 256, "semantic result-cache entries above the chunk cache (0 = disabled)")
-		coldKBFlag      = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier size in KB: hot-tier victims demote instead of dropping, and answer from the cold tier until cold pressure evicts them (0 = disabled)")
+		scaleFlag      = flag.String("scale", "tiny", "dataset scale: tiny|small|medium|full")
+		seedFlag       = flag.Int64("seed", 1, "generator seed")
+		stratFlag      = flag.String("strategy", "VCMC", "lookup strategy: ESM|ESMC|VCM|VCMC|NoAgg")
+		cacheKBFlag    = flag.Int64("cache-kb", 256, "cache size in KB")
+		shardsFlag     = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
+		backendFlag    = flag.String("backend", "", "remote backend address (empty = in-process)")
+		rowsFlag       = flag.Int("rows", 20, "max result rows to print")
+		maxFrame       = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes for the remote backend (0 = 64MiB default)")
+		peersFlag      = flag.String("peers", "", "comma-separated aggcached cluster addresses; local misses are peer-filled from the key's ring owner before the backend")
+		recycleFlag    = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
+		recycleMinFlag = flag.Float64("recycle-min-benefit", core.DefaultRecycleMinBenefit, "recycler admission threshold in saved recompute cost per byte (0 = default)")
+		coldKBFlag     = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier size in KB: hot-tier victims demote instead of dropping, and answer from the cold tier until cold pressure evicts them (0 = disabled)")
 	)
 	flag.Parse()
 
@@ -105,7 +104,6 @@ func main() {
 		Options: []core.Option{
 			core.WithRecycling(*recycleFlag),
 			core.WithRecycleMinBenefit(*recycleMinFlag),
-			core.WithResultCache(*resultCacheFlag),
 		},
 	})
 	if err != nil {
@@ -231,8 +229,7 @@ func printStats(stack *core.Stack) {
 	st := eng.Stats()
 	fmt.Printf("  queries=%d complete-hits=%d backend-queries=%d backend-tuples=%d agg-tuples=%d\n",
 		st.Queries, st.CompleteHits, st.BackendQueries, st.BackendTuples, st.AggTuples)
-	fmt.Printf("  recycled=%d recycle-rejected=%d result-cache-hits=%d\n",
-		st.Recycled, st.RecycleRejected, st.ResultCacheHits)
+	fmt.Printf("  recycled=%d recycle-rejected=%d\n", st.Recycled, st.RecycleRejected)
 	if stack.Peered != nil {
 		ps := stack.Peered.PeerStats()
 		fmt.Printf("  cluster: peer-chunks=%d fills=%d fill-misses=%d fill-errors=%d skips=%d\n",

@@ -24,7 +24,6 @@ type recycleRow struct {
 	BackendTuples int64   `json:"backend_tuples"`
 	AggTuples     int64   `json:"agg_tuples"`
 	Recycled      int64   `json:"recycled"`
-	ResultHits    int64   `json:"result_cache_hits"`
 }
 
 // recycleMetrics is the BENCH_9.json schema.
@@ -63,9 +62,8 @@ var recycleMixes = []struct {
 	{"proximity", workload.Mix{Proximity: 0.75, Random: 0.25}},
 }
 
-// Recycle compares benefit-driven recycling + the semantic result cache
-// against the plain engine on a drill/jump stream and on a proximity-heavy
-// control stream. The cache gets
+// Recycle compares benefit-driven recycling against the plain engine on a
+// drill/jump stream and on a proximity-heavy control stream. The cache gets
 // 2.5× the base table: recycling is a speculation for spare capacity, and
 // headroom is what keeps recycled chunks from displacing the proven working
 // set. All modes replay the identical seeded stream on a preloaded cache, so
@@ -79,9 +77,9 @@ func Recycle(e *Env) (*Report, error) {
 
 	r := &Report{
 		ID: "recycle",
-		Title: fmt.Sprintf("Benefit-driven recycling + result cache (VCMC, cache %s, %d queries)",
+		Title: fmt.Sprintf("Benefit-driven recycling (VCMC, cache %s, %d queries)",
 			SizeLabel(bytes), e.Cfg.Queries),
-		Header: []string{"mix", "mode", "queries", "sim ms", "queries/s (sim)", "hit rate", "backend tuples", "agg tuples", "recycled", "result hits"},
+		Header: []string{"mix", "mode", "queries", "sim ms", "queries/s (sim)", "hit rate", "backend tuples", "agg tuples", "recycled"},
 	}
 
 	modes := []struct {
@@ -91,7 +89,7 @@ func Recycle(e *Env) (*Report, error) {
 	}{
 		{"off", core.Config{Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true},
 		{"on", core.Config{Strategy: "VCMC", Policy: "two-level-promote", HotBytes: bytes,
-			Options: []core.Option{core.WithRecycling(true), core.WithResultCache(256)}}, true},
+			Options: []core.Option{core.WithRecycling(true)}}, true},
 	}
 
 	// The first system built in a process pays the chunk-pool warmup; run a
@@ -145,12 +143,12 @@ func Recycle(e *Env) (*Report, error) {
 				Mix: mx.name, Mode: mode.name, Queries: st.Queries,
 				SimMs: float64(sim) / float64(time.Millisecond), QPS: rate,
 				HitRate: hr, BackendTuples: st.BackendTuples, AggTuples: st.AggTuples,
-				Recycled: st.Recycled, ResultHits: st.ResultCacheHits,
+				Recycled: st.Recycled,
 			})
 			r.AddRow(mx.name, mode.name, fmt.Sprintf("%d", st.Queries), msString(sim),
 				fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.2f", hr),
 				fmt.Sprintf("%d", st.BackendTuples), fmt.Sprintf("%d", st.AggTuples),
-				fmt.Sprintf("%d", st.Recycled), fmt.Sprintf("%d", st.ResultCacheHits))
+				fmt.Sprintf("%d", st.Recycled))
 		}
 	}
 	m.DrillQPSRatio = qps[0][1] / qps[0][0]
@@ -160,7 +158,7 @@ func Recycle(e *Env) (*Report, error) {
 	m.Gates = recycleGates(&m)
 	r.Gates = m.Gates
 
-	r.Addf("all modes replay the identical seeded stream preloaded; \"on\" adds recycling (threshold %.3g/B), promote-on-reuse and a 256-entry result cache", core.DefaultRecycleMinBenefit)
+	r.Addf("all modes replay the identical seeded stream preloaded; \"on\" adds recycling (threshold %.3g/B) and promote-on-reuse", core.DefaultRecycleMinBenefit)
 	r.Addf("drill mix: %.2f× qps (sim), %.2f× less aggregation work, hit rate %+.2f; proximity mix: %.2f× qps", m.DrillQPSRatio, m.DrillAggRatio, m.DrillHitGain, m.ProximityQPSRatio)
 	if err := writeArtifact(r, recycleJSONFile, &m); err != nil {
 		return nil, err

@@ -70,9 +70,8 @@ func (e *Entry) Pinned() bool { return e.pins > 0 }
 // EventReason classifies a residency transition reported to the Listener.
 // The distinction the reasons exist for: after Demoted the chunk is STILL
 // ANSWERABLE from the store (it moved to the cold tier), so derived state —
-// strategy presence bits, virtual counts, result-cache dependencies — must
-// be kept; after Evicted and Removed it is gone and that state must be torn
-// down.
+// strategy presence bits and virtual counts — must be kept; after Evicted
+// and Removed it is gone and that state must be torn down.
 type EventReason uint8
 
 const (
@@ -109,12 +108,11 @@ type Event struct {
 }
 
 // Answerable reports whether the chunk can still be served by the store
-// after this event — the predicate result caches and strategies branch on.
+// after this event — the predicate strategies branch on.
 func (ev Event) Answerable() bool { return ev.Reason == Demoted }
 
 // Listener observes insertions and residency events; the lookup strategies
-// register one to maintain virtual counts and costs, and the engine's result
-// cache to invalidate dependent results.
+// register one to maintain virtual counts and costs.
 type Listener interface {
 	// OnInsert is called after a chunk with no prior residency becomes
 	// resident. A demotion does not fire it — it arrives as OnEvent with

@@ -106,14 +106,16 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	if t == nil {
 		return nil, false
 	}
-	enc := chunk.AppendPayload(make([]byte, 0, chunk.EncodedSize(data)), data)
-	e := &coldEntry{key: k, enc: enc, rawBytes: data.Bytes(), class: cl, benefit: benefit, recycled: recycled}
-	need := e.bytes()
+	// Refuse before encoding: a payload that cannot fit is never built.
+	size := chunk.EncodedSize(data)
+	need := int64(size) + coldEntryOverhead
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if need > t.capacity-t.held {
 		return nil, false
 	}
+	e := &coldEntry{key: k, enc: chunk.AppendPayload(make([]byte, 0, size), data),
+		rawBytes: data.Bytes(), class: cl, benefit: benefit, recycled: recycled}
 	if old, exists := t.entries[k]; exists {
 		t.dropLocked(old)
 	}

@@ -173,8 +173,8 @@ func (c *Sharded) Stats() Stats {
 	}
 }
 
-// Contains implements Store: resident in either tier. Unlike Peek it never
-// decodes a cold copy.
+// Contains reports residence in either tier without touching replacement
+// state or counters. Unlike Peek it never decodes a cold copy.
 func (c *Sharded) Contains(k Key) bool {
 	s := c.shard(k)
 	s.mu.Lock()

@@ -52,8 +52,6 @@ type Store interface {
 	// Reinforce bumps the replacement weight of every listed resident chunk
 	// by benefit (two-level policy group maintenance, §6.3).
 	Reinforce(keys []Key, benefit float64)
-	// Contains reports residence without touching replacement state.
-	Contains(k Key) bool
 	// Range calls fn for every resident entry (order unspecified) with its
 	// residency attributes. fn runs under the store's internal lock(s) and
 	// must not call back into the store.

@@ -676,3 +676,78 @@ func TestTieredMatchesRecordedReference(t *testing.T) {
 		}
 	}
 }
+
+// TestTieredColdBufferIsCharged: every cold resident's buffer is exactly the
+// payload bytes the tier charges for it, so the tier holds no more memory than
+// it reports.
+func TestTieredColdBufferIsCharged(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	chunks := make([]*chunk.Chunk, 12)
+	var largest int64
+	for i := range chunks {
+		c := &chunk.Chunk{Num: int32(i)}
+		k := uint64(0)
+		for j := 5 + rng.Intn(60); j > 0; j-- {
+			k += 1 + uint64(rng.Intn(1000))
+			c.Keys = append(c.Keys, k)
+			c.Vals = append(c.Vals, rng.Float64())
+			if i%2 == 0 {
+				c.Counts = append(c.Counts, int64(rng.Intn(500)))
+			}
+		}
+		chunks[i] = c
+		largest = max(largest, c.Bytes())
+	}
+	hot, err := New(largest+8, NewLRU())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	tc, err := NewTiered(hot, 1<<20)
+	if err != nil {
+		t.Fatalf("NewTiered: %v", err)
+	}
+	for i, c := range chunks {
+		tc.Insert(key(i), c, AsBackend(0))
+	}
+	ts := tc.TierStats()
+	if ts.ColdChunks == 0 || ts.Demotes != ts.ColdChunks {
+		t.Fatalf("tier stats %+v: want every demoted chunk cold-resident", ts)
+	}
+	var held int64
+	for _, e := range tc.cold.snapshot() {
+		held += int64(cap(e.enc))
+	}
+	if charged := ts.ColdUsed - ts.ColdChunks*coldEntryOverhead; held != charged {
+		t.Fatalf("cold buffers hold %d bytes, the tier charges %d", held, charged)
+	}
+}
+
+// TestTieredRefusedDemotionAllocatesNothing: the cold tier refuses a victim
+// it has no room for before encoding it — when the victim is larger than the
+// whole tier, and when pins hold the room it would need.
+func TestTieredRefusedDemotionAllocatesNothing(t *testing.T) {
+	tiny, _ := tieredFixture(t, 1)
+	held, _ := tieredFixture(t, 200) // one 10-cell resident fits, two do not
+	held.Insert(key(1), mkChunk(0, 1, 10), AsBackend(0))
+	held.Insert(key(2), mkChunk(0, 2, 10), AsBackend(0)) // demotes 1
+	if !held.Pin(key(1)) {
+		t.Fatalf("cold key 1 not pinned")
+	}
+	defer held.Unpin(key(1))
+
+	victim := &Entry{Key: key(9), Data: mkChunk(0, 9, 10), Class: ClassBackend}
+	for name, s := range map[string]*Sharded{"oversized": tiny, "pinned room": held} {
+		denied := s.TierStats().DemoteDenied
+		admitted := false
+		allocs := testing.AllocsPerRun(100, func() { admitted = admitted || s.demote(victim) })
+		if admitted {
+			t.Fatalf("%s: the cold tier admitted the victim", name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a refused demotion allocates %.1f times", name, allocs)
+		}
+		if got := s.TierStats().DemoteDenied - denied; got != 101 {
+			t.Errorf("%s: DemoteDenied rose by %d, want 101", name, got)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 
 	"aggcache/internal/lattice"
 )
@@ -57,7 +58,7 @@ func (e *codecError) Is(target error) bool {
 
 // AppendPayload appends the encoded form of c's cells to dst and returns the
 // extended slice. The result decodes back with DecodePayload; EncodedSize
-// bounds the growth for pre-allocation.
+// is its exact length, for pre-allocation.
 func AppendPayload(dst []byte, c *Chunk) []byte {
 	var flags byte
 	if c.Counts != nil {
@@ -85,12 +86,30 @@ func AppendPayload(dst []byte, c *Chunk) []byte {
 	return dst
 }
 
-// EncodedSize returns an upper bound on AppendPayload's output for c, for
-// sizing destination buffers.
+// EncodedSize returns the exact length of AppendPayload's output for c, for
+// sizing destination buffers. It walks the cells once, summing varint lengths
+// without writing them.
 func EncodedSize(c *Chunk) int {
-	n := len(c.Keys)
-	// flags + cells varint + worst-case 10-byte key deltas and counts + raw vals.
-	return 1 + binary.MaxVarintLen64 + n*(2*binary.MaxVarintLen64+8)
+	// flags + cells varint + raw vals.
+	n := 1 + uvarintLen(uint64(len(c.Keys))) + 8*len(c.Vals)
+	prev := uint64(0)
+	for i, k := range c.Keys {
+		if i == 0 {
+			n += uvarintLen(k)
+		} else {
+			n += uvarintLen(k - prev - 1)
+		}
+		prev = k
+	}
+	for _, cnt := range c.Counts {
+		n += uvarintLen(uint64(cnt))
+	}
+	return n
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // uvarint decodes a canonical (minimal-length) varint from src. Overlong

@@ -31,8 +31,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		orig := randChunk(rng, rng.Intn(300), trial%2 == 0)
 		enc := AppendPayload(nil, orig)
-		if len(enc) > EncodedSize(orig) {
-			t.Fatalf("trial %d: encoded %d bytes exceeds EncodedSize bound %d", trial, len(enc), EncodedSize(orig))
+		if len(enc) != EncodedSize(orig) {
+			t.Fatalf("trial %d: encoded %d bytes, EncodedSize says %d", trial, len(enc), EncodedSize(orig))
 		}
 		dec, err := DecodePayload(orig.GB, orig.Num, enc)
 		if err != nil {
@@ -162,6 +162,9 @@ func FuzzChunkCodec(f *testing.F) {
 		enc := AppendPayload(nil, c)
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("re-encode mismatch: %d bytes in, %d out", len(data), len(enc))
+		}
+		if n := EncodedSize(c); n != len(data) {
+			t.Fatalf("EncodedSize %d for a %d-byte encoding", n, len(data))
 		}
 	})
 }

@@ -25,23 +25,21 @@ type productConfig struct {
 	strategy, policy string
 	cold, peers      bool
 	recycle          bool
-	resultEntries    int
 }
 
 func (c productConfig) String() string {
-	return fmt.Sprintf("%s/%s/cold=%v/peers=%v/recycle=%v/results=%d",
-		c.strategy, c.policy, c.cold, c.peers, c.recycle, c.resultEntries)
+	return fmt.Sprintf("%s/%s/cold=%v/peers=%v/recycle=%v",
+		c.strategy, c.policy, c.cold, c.peers, c.recycle)
 }
 
 // TestBuildConfigurationProduct replays one seeded tiny-scale DefaultMix
 // stream through every stack Build composes from strategy {VCM, VCMC,
 // NoAgg} × policy {two-level, two-level-promote, benefit, lru} × cold tier
 // {none, a quarter of hot} × peers {none, a two-node ring} × recycling
-// {off, on} × result cache {0, 64 entries}. Every answer must equal the
-// NoAgg oracle's cell for cell, and afterwards every hot store must charge
-// exactly the bytes of the residents it reports, within its capacity. The
-// hot store holds a third of the base group-by, so every configuration
-// evicts (and, with a cold tier, demotes and promotes).
+// {off, on}. Every answer must equal the NoAgg oracle's cell for cell, and
+// afterwards every hot store must charge exactly the bytes of the residents
+// it reports, within its capacity. The hot store holds a third of the base
+// group-by, so every configuration evicts (and, with a cold tier, demotes).
 func TestBuildConfigurationProduct(t *testing.T) {
 	g, tab, err := apb.New(apb.ScaleTiny).Build(29)
 	if err != nil {
@@ -75,11 +73,10 @@ func TestBuildConfigurationProduct(t *testing.T) {
 	var product []productConfig
 	for _, s := range []string{"VCM", "VCMC", "NoAgg"} {
 		for _, p := range []string{"two-level", "two-level-promote", "benefit", "lru"} {
-			for bits := 0; bits < 16; bits++ {
+			for bits := 0; bits < 8; bits++ {
 				product = append(product, productConfig{
 					strategy: s, policy: p,
 					cold: bits&1 != 0, peers: bits&2 != 0, recycle: bits&4 != 0,
-					resultEntries: 64 * (bits >> 3),
 				})
 			}
 		}
@@ -90,7 +87,7 @@ func TestBuildConfigurationProduct(t *testing.T) {
 		if pc.cold {
 			cfg.ColdBytes = cfg.HotBytes / 4
 		}
-		cfg.Options = []core.Option{core.WithRecycling(pc.recycle), core.WithResultCache(pc.resultEntries)}
+		cfg.Options = []core.Option{core.WithRecycling(pc.recycle)}
 		if err := runProductConfig(cfg, pc.peers, queries, want); err != nil {
 			t.Errorf("%s: %v", pc, err)
 		}
@@ -115,7 +112,7 @@ func TestBuildStatsMatchMetrics(t *testing.T) {
 	st, err := core.Build(core.Config{
 		Grid: g, Backend: be, Rows: int64(tab.Len()), Strategy: "VCMC",
 		HotBytes: baseBytes / 3, ColdBytes: baseBytes / 12, Metrics: reg,
-		Options: []core.Option{core.WithRecycling(true), core.WithResultCache(64)},
+		Options: []core.Option{core.WithRecycling(true)},
 	})
 	if err != nil {
 		t.Fatalf("core.Build: %v", err)
@@ -168,7 +165,6 @@ func TestBuildStatsMatchMetrics(t *testing.T) {
 		{"Engine.Unavailable", "aggcache_engine_backend_unavailable_total", n(es.Unavailable)},
 		{"Engine.Recycled", "aggcache_engine_recycled_chunks_total", n(es.Recycled)},
 		{"Engine.RecycleRejected", "aggcache_engine_recycle_rejected_total", n(es.RecycleRejected)},
-		{"Engine.ResultCacheHits", "aggcache_engine_result_cache_hits_total", n(es.ResultCacheHits)},
 		{"Engine.Breakdown.Lookup", "aggcache_engine_lookup_seconds_sum", sec(es.Breakdown.Lookup)},
 		{"Engine.Breakdown.Aggregate", "aggcache_engine_aggregate_seconds_sum", sec(es.Breakdown.Aggregate)},
 		{"Engine.Breakdown.Update", "aggcache_engine_update_seconds_sum", sec(es.Breakdown.Update)},
@@ -195,7 +191,7 @@ func TestBuildStatsMatchMetrics(t *testing.T) {
 	}
 	// The comparison is only worth something if every layer was busy; the
 	// cold tier shows up as cold hits.
-	if es.BackendQueries < 2 || es.RecycleRejected == 0 || es.ResultCacheHits == 0 ||
+	if es.BackendQueries < 2 || es.RecycleRejected == 0 ||
 		hs.Evictions == 0 || ts.Demotes == 0 || ts.ColdHits == 0 {
 		t.Fatalf("stream too quiet: engine %+v, hot %+v, tier %+v", es, hs, ts)
 	}

@@ -23,7 +23,6 @@ import (
 type options struct {
 	recycle           bool
 	recycleMinBenefit float64
-	resultEntries     int
 	disableReinforce  bool
 	metrics           *obs.EngineMetrics
 }
@@ -85,18 +84,13 @@ func WithRecycleMinBenefit(perByte float64) Option {
 	}
 }
 
-// WithResultCache bounds the semantic result cache above the chunk cache at
-// the given number of entries (0, the default, disables it). Canonicalized
-// (group-by, chunk-range) rectangles map to their assembled chunk sets;
-// repeated or contained queries are answered without planning, aggregation
-// or backend work. Entries are dropped as soon as any contributing chunk is
-// evicted from the store.
+// WithResultCache does nothing.
+//
+// Deprecated: there is no result cache above the chunk cache. A repeated or
+// contained query is a present-chunk hit on the chunks its first run left
+// resident. The option stays only for callers that still pass it.
 func WithResultCache(entries int) Option {
-	return func(o *options) {
-		if entries >= 0 {
-			o.resultEntries = entries
-		}
-	}
+	return func(*options) {}
 }
 
 // WithReinforce(false) turns off group reinforcement (§6.3 second bullet);
@@ -142,8 +136,9 @@ type Stats struct {
 	// to the cache; RecycleRejected counts the interior nodes it declined.
 	Recycled        int64
 	RecycleRejected int64
-	// ResultCacheHits counts queries answered entirely from the semantic
-	// result cache (exact or by containment subsumption).
+	// ResultCacheHits is always 0.
+	//
+	// Deprecated: there is no result cache; see WithResultCache.
 	ResultCacheHits int64
 	Breakdown       Breakdown
 }
@@ -186,8 +181,6 @@ type Engine struct {
 	// through decorators); nil otherwise. The recycler falls back to the
 	// node's exact subtree scan count without it.
 	est strategy.CostEstimator
-	// rcache is the semantic result cache; nil when disabled.
-	rcache *resultCache
 	// recycleSeen is the recycler's one-shot admission ghost set (see
 	// recycleTry); guarded by recycleMu, nil unless recycling is on.
 	recycleMu   sync.Mutex
@@ -205,7 +198,7 @@ type PeerFiller interface {
 }
 
 // New wires a cache store, a lookup strategy and a backend into an engine,
-// tuned by functional options (WithRecycling, WithResultCache, …). The
+// tuned by functional options (WithRecycling, WithMetrics, …). The
 // strategy is registered as the store's listener; the store must be empty
 // (or have been populated through the same strategy).
 func New(g *chunk.Grid, c cache.Store, s strategy.Strategy, b backend.Backend, sizes sizer.Sizer, opts ...Option) (*Engine, error) {
@@ -223,17 +216,7 @@ func New(g *chunk.Grid, c cache.Store, s strategy.Strategy, b backend.Backend, s
 		opts:    o,
 		flights: flightGroup{m: make(map[flightKey]*flightCall)},
 	}
-	if o.resultEntries > 0 {
-		// Budget the result cache's retained bytes at a quarter of the chunk
-		// cache so subsumption entries never rival the store itself.
-		e.rcache = newResultCache(o.resultEntries, c.Capacity()/4)
-		// Both the strategy and the result cache need eviction callbacks; the
-		// store takes a single listener, so tee them. Callbacks run under the
-		// shard lock — the tee fans out, it never calls back into the store.
-		c.SetListener(listenerTee{s, e.rcache})
-	} else {
-		c.SetListener(s)
-	}
+	c.SetListener(s)
 	if o.metrics != nil {
 		e.met = *o.metrics
 	} else {
@@ -280,7 +263,6 @@ func (e *Engine) Stats() Stats {
 		Unavailable:     m.BackendUnavailable.Value(),
 		Recycled:        m.RecycledChunks.Value(),
 		RecycleRejected: m.RecycleRejected.Value(),
-		ResultCacheHits: m.ResultCacheHits.Value(),
 		Breakdown: Breakdown{
 			Lookup:    m.Lookup.Sum(),
 			Aggregate: m.Aggregate.Sum(),
@@ -374,23 +356,6 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 		return nil, err
 	}
 	nums := nq.chunkNumbers(e.grid)
-
-	// Phase 0 — semantic result cache: an identical or containing rectangle
-	// answered before skips planning, aggregation and the backend outright.
-	if e.rcache != nil {
-		if chunks, keys, benefit, ok := e.rcache.get(nq); ok {
-			res := &Result{Query: nq, Chunks: chunks, CompleteHit: true, HitChunks: len(chunks), FromResultCache: true}
-			if !e.opts.disableReinforce {
-				// The contributing chunks just proved useful again; the
-				// promote-on-reuse policy moves recycled ones to the
-				// protected ring here.
-				e.cache.Reinforce(keys, benefit)
-			}
-			e.met.ResultCacheHits.Inc()
-			return e.finishQuery(nq, res), nil
-		}
-	}
-
 	res := &Result{Query: nq, Chunks: make([]*chunk.Chunk, len(nums))}
 
 	var plans []*planned // answerable from cache; leaves pinned
@@ -542,53 +507,11 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 		res.Breakdown.Update += m1.Sub(m0).Time
 	}
 
-	// Remember the untrimmed, chunk-aligned answer for repeated or contained
-	// rectangles — but only answers that did real work (aggregation or a
-	// backend trip); pure present-chunk hits are already as cheap as the
-	// result cache would make them.
-	if e.rcache != nil && len(nums) > 0 && (res.AggChunks > 0 || res.MissChunks > 0) && !res.BudgetExceeded {
-		e.rememberResult(nq, nums, res)
-	}
-
-	return e.finishQuery(nq, res), nil
-}
-
-// rememberResult registers a finished answer with the semantic result cache
-// and re-verifies, after registration, that every contributing chunk is
-// still resident — an eviction racing the put would otherwise leave a
-// registered entry the listener never saw. The order matters: register
-// first, then check, so a concurrent eviction either fires the listener on
-// the registered entry or is caught by the re-check.
-func (e *Engine) rememberResult(nq Query, nums []int, res *Result) {
-	keys := make([]cache.Key, len(nums))
-	for i, num := range nums {
-		keys[i] = cache.Key{GB: nq.GB, Num: int32(num)}
-	}
-	benefit := float64(res.AggregatedTuples)
-	if benefit == 0 {
-		benefit = float64(res.BackendTuples) * backendPenalty
-	}
-	entry := e.rcache.put(nq, append([]*chunk.Chunk(nil), res.Chunks...), keys, benefit)
-	if entry == nil {
-		return
-	}
-	for _, k := range keys {
-		if !e.cache.Contains(k) {
-			e.rcache.drop(entry)
-			return
-		}
-	}
-}
-
-// finishQuery applies member trimming and the per-query accounting shared by
-// the regular path and the result-cache fast path.
-func (e *Engine) finishQuery(nq Query, res *Result) *Result {
 	if nq.MemberRanges != nil {
 		for i, c := range res.Chunks {
 			res.Chunks[i] = e.grid.Slice(c, nq.MemberRanges)
 		}
 	}
-
 	if res.CompleteHit && e.Degraded() {
 		// The backend is unreachable but the cache answered anyway — the
 		// availability win degraded mode exists for.
@@ -596,7 +519,7 @@ func (e *Engine) finishQuery(nq Query, res *Result) *Result {
 		e.met.DegradedAnswers.Inc()
 	}
 	e.observe(res)
-	return res
+	return res, nil
 }
 
 // observe counts one answered query. Every handle is a preallocated atomic,

@@ -78,7 +78,8 @@ func randomQuery(rng *rand.Rand, g *chunk.Grid) Query {
 	return Query{GB: gb, Lo: lo, Hi: hi}
 }
 
-// assertMatchesOracle compares a result against direct backend computation.
+// assertMatchesOracle compares a result against direct backend computation,
+// trimmed to the query's member ranges.
 func assertMatchesOracle(t *testing.T, f *fixture, q Query, res *Result) {
 	t.Helper()
 	nq, err := q.normalize(f.grid)
@@ -94,6 +95,9 @@ func assertMatchesOracle(t *testing.T, f *fixture, q Query, res *Result) {
 		t.Fatalf("result has %d chunks, want %d", len(res.Chunks), len(want))
 	}
 	for i, wc := range want {
+		if nq.MemberRanges != nil {
+			wc = f.grid.Slice(wc, nq.MemberRanges)
+		}
 		gc := res.Chunks[i]
 		if gc == nil {
 			t.Fatalf("nil chunk %d", i)
@@ -219,6 +223,145 @@ func TestComputedChunkGetsCached(t *testing.T) {
 	if !res.CompleteHit || res.AggregatedTuples != 0 {
 		t.Fatalf("computed chunk was not cached: %+v", res)
 	}
+}
+
+// TestRepeatedAndContainedQueriesArePointHits: a roll-up answer stays
+// resident as chunks, so repeating the query, and asking for a contained
+// sub-rectangle trimmed by member ranges, are both answered from those chunks
+// alone — no aggregation, no backend request, exactly the trimmed cells. On a
+// store with a cold tier the answer chunks are first demoted, and are then
+// read where they live.
+func TestRepeatedAndContainedQueriesArePointHits(t *testing.T) {
+	f := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
+	lat := f.grid.Lattice()
+	base := lat.Base()
+	// The roll-up is the non-base group-by with the most chunks; the filler
+	// is the one with the most chunks among those it cannot answer.
+	var gb, filler lattice.ID
+	for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
+		if id != base && f.grid.NumChunks(id) > f.grid.NumChunks(gb) {
+			gb = id
+		}
+	}
+	for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
+		finer := false
+		for d, l := range lat.Level(id) {
+			finer = finer || l > lat.Level(gb)[d]
+		}
+		if finer && id != base && f.grid.NumChunks(id) > f.grid.NumChunks(filler) {
+			filler = id
+		}
+	}
+	rollup := WholeGroupBy(gb)
+	nq, err := rollup.normalize(f.grid)
+	if err != nil {
+		t.Fatalf("normalize: %v", err)
+	}
+	// The contained query keeps the upper half of the first dimension with
+	// more than one chunk, and trims one member off each end of every
+	// dimension wide enough to keep some.
+	sub := Query{GB: gb, Lo: append([]int32(nil), nq.Lo...), Hi: nq.Hi, MemberRanges: make([]chunk.Range, len(nq.Lo))}
+	halved := false
+	for d := range sub.Lo {
+		if !halved && nq.Hi[d] > 1 {
+			sub.Lo[d], halved = nq.Hi[d]/2, true
+		}
+		card := int32(f.grid.Schema().Dim(d).Card(lat.Level(gb)[d]))
+		sub.MemberRanges[d] = chunk.Range{Lo: 0, Hi: card}
+		if card > 2 {
+			sub.MemberRanges[d] = chunk.Range{Lo: 1, Hi: card - 1}
+		}
+	}
+
+	// pointHit runs q and checks it is answered from resident chunks alone.
+	pointHit := func(t *testing.T, eng *Engine, q Query) *Result {
+		t.Helper()
+		before := eng.Stats().BackendQueries
+		res, err := eng.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		if !res.CompleteHit || res.AggregatedTuples != 0 || eng.Stats().BackendQueries != before {
+			t.Fatalf("not a point hit: complete %v, %d tuples aggregated, %d backend requests",
+				res.CompleteHit, res.AggregatedTuples, eng.Stats().BackendQueries-before)
+		}
+		assertMatchesOracle(t, f, q, res)
+		return res
+	}
+	// run executes each query in turn.
+	run := func(t *testing.T, eng *Engine, qs ...Query) {
+		t.Helper()
+		for _, q := range qs {
+			if _, err := eng.Execute(context.Background(), q); err != nil {
+				t.Fatalf("Execute: %v", err)
+			}
+		}
+	}
+
+	t.Run("flat", func(t *testing.T) {
+		run(t, f.engine, WholeGroupBy(base), rollup)
+		if f.engine.Stats().AggTuples == 0 {
+			t.Fatalf("the roll-up did not aggregate")
+		}
+		full := pointHit(t, f.engine, rollup)
+		trimmed := pointHit(t, f.engine, sub)
+		if trimmed.Cells() == 0 || trimmed.Cells() >= full.Cells() {
+			t.Fatalf("contained query has %d cells, the roll-up %d", trimmed.Cells(), full.Cells())
+		}
+	})
+
+	t.Run("cold", func(t *testing.T) {
+		// The hot tier fits the base plus one more chunk: the roll-up's
+		// pinned leaves stay hot, and every chunk inserted after them
+		// demotes the least recently used one that is not a leaf.
+		var baseBytes, largest int64
+		for _, id := range []lattice.ID{base, gb, filler} {
+			nums := make([]int, f.grid.NumChunks(id))
+			for i := range nums {
+				nums[i] = i
+			}
+			cs, _, err := f.oracle.ComputeChunks(context.Background(), id, nums)
+			if err != nil {
+				t.Fatalf("oracle: %v", err)
+			}
+			for _, c := range cs {
+				largest = max(largest, c.Bytes())
+				if id == base {
+					baseBytes += c.Bytes()
+				}
+			}
+		}
+		hot, err := cache.New(baseBytes+largest, cache.NewLRU())
+		if err != nil {
+			t.Fatalf("cache.New: %v", err)
+		}
+		tc, err := cache.NewTiered(hot, 1<<20)
+		if err != nil {
+			t.Fatalf("NewTiered: %v", err)
+		}
+		sz := sizer.NewEstimate(f.grid, 1000)
+		eng, err := New(f.grid, tc, strategy.NewVCMC(f.grid, sz), f.oracle, sz)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		// The filler rolls up from the base alone, and its chunks demote
+		// the roll-up chunks still hot.
+		run(t, eng, WholeGroupBy(base), rollup, WholeGroupBy(filler))
+		if eng.Stats().AggTuples == 0 {
+			t.Fatalf("the roll-up did not aggregate")
+		}
+		for _, q := range []Query{rollup, sub} {
+			before := tc.TierStats()
+			res := pointHit(t, eng, q)
+			ts := tc.TierStats()
+			if got := ts.ColdHits - before.ColdHits; got != int64(len(res.Chunks)) {
+				t.Fatalf("%d of %d answer chunks read from the cold tier", got, len(res.Chunks))
+			}
+			if ts.ColdChunks != before.ColdChunks || ts.Demotes != before.Demotes {
+				t.Fatalf("a point hit moved chunks between tiers: %+v -> %+v", before, ts)
+			}
+		}
+	})
 }
 
 func TestBudgetExceededFallsBackToBackend(t *testing.T) {

@@ -44,7 +44,7 @@ func TestExplainColdAndWarm(t *testing.T) {
 		t.Fatalf("warm explain missing complete-hit line:\n%s", out)
 	}
 	// Explain must not execute: the top chunk is still not resident.
-	if f.engine.Cache().Contains(cache.Key{GB: lat.Top(), Num: 0}) {
+	if _, ok := f.engine.Cache().Peek(cache.Key{GB: lat.Top(), Num: 0}); ok {
 		t.Fatalf("Explain materialized the chunk")
 	}
 

@@ -82,7 +82,7 @@ func TestRecycledIntermediatesPeered(t *testing.T) {
 	t.Cleanup(func() { pc.Close() })
 
 	eng, err := New(g, pc, strategy.NewVCMC(g, sz), be, sz,
-		WithRecycling(true), WithRecycleMinBenefit(1e-9), WithResultCache(32))
+		WithRecycling(true), WithRecycleMinBenefit(1e-9))
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}

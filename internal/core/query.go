@@ -186,10 +186,6 @@ type Result struct {
 	// backend-fill roll-ups) computed that the benefit heuristic admitted to
 	// the cache for reuse by later queries.
 	RecycledChunks int
-	// FromResultCache reports that the whole answer came from the semantic
-	// result cache — no planning, aggregation or backend work ran. Such an
-	// answer is always a CompleteHit.
-	FromResultCache bool
 }
 
 // Cells returns the total number of cells across the result's chunks.

@@ -12,8 +12,8 @@ import (
 // evicted unpromoted and comes around again is refused — it had its
 // residency window and nothing reused it. Without this, a steady-state
 // workload re-materializes, re-admits and re-evicts the same unprofitable
-// intermediates every pass, and the churn costs strategy maintenance and
-// invalidates result-cache entries wholesale. Intermediates that DO get
+// intermediates every pass, and the churn costs strategy maintenance.
+// Intermediates that DO get
 // reused are promoted to the protected ring by the reinforcement path and
 // never come back through here. The ghost set is bounded by reset: losing it
 // merely re-opens one admission window per key.
@@ -94,26 +94,4 @@ func (e *Engine) recycleScore(n *strategy.Plan, leafData map[cache.Key]*chunk.Ch
 		return false, 0
 	}
 	return true, float64(cost)
-}
-
-// listenerTee fans the store's single listener slot out to the strategy and
-// the result cache. Callbacks fire synchronously under a store shard lock;
-// both receivers do in-memory bookkeeping only and never call back into the
-// store, preserving the one-way shard-lock order.
-type listenerTee struct {
-	strat  cache.Listener
-	rcache *resultCache
-}
-
-func (t listenerTee) OnInsert(e *cache.Entry) { t.strat.OnInsert(e) }
-
-// OnEvent forwards every event to the strategy (it distinguishes tier moves
-// itself) but invalidates result-cache entries only on true departures: a
-// demoted chunk still answers through the store's cold tier, so cached
-// answers built on it remain valid.
-func (t listenerTee) OnEvent(ev cache.Event) {
-	t.strat.OnEvent(ev)
-	if !ev.Answerable() {
-		t.rcache.onEvict(ev.Key)
-	}
 }

@@ -113,10 +113,10 @@ func TestClusterSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewPeered: %v", err)
 		}
-		// Recycling, the semantic result cache and promote-on-reuse all run
-		// under the soak's fault injection and the race detector.
+		// Recycling and promote-on-reuse run under the soak's fault
+		// injection and the race detector.
 		eng, err := core.New(g, pc, strategy.NewVCMC(g, sz), be, sz,
-			core.WithRecycling(true), core.WithResultCache(64))
+			core.WithRecycling(true))
 		if err != nil {
 			t.Fatalf("core.New: %v", err)
 		}

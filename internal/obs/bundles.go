@@ -38,7 +38,6 @@ type EngineMetrics struct {
 
 	RecycledChunks  *Counter
 	RecycleRejected *Counter
-	ResultCacheHits *Counter
 
 	Lookup    *Histogram
 	Aggregate *Histogram
@@ -73,7 +72,6 @@ func NewEngineMetrics(r *Registry) EngineMetrics {
 
 		RecycledChunks:  r.Counter("aggcache_engine_recycled_chunks_total", "Intermediate aggregates admitted to the cache by the benefit-driven recycler."),
 		RecycleRejected: r.Counter("aggcache_engine_recycle_rejected_total", "Interior plan nodes the recycler priced and declined to cache."),
-		ResultCacheHits: r.Counter("aggcache_engine_result_cache_hits_total", "Queries answered entirely from the semantic result cache (exact or subsumed)."),
 
 		Lookup:    r.Histogram("aggcache_engine_lookup_seconds", "Per-query cache lookup (strategy Find) phase latency."),
 		Aggregate: r.Histogram("aggcache_engine_aggregate_seconds", "Per-query in-cache aggregation phase latency."),
