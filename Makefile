@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race examples depguard bench bench-e2e bench-kernel bench-cluster bench-overload bench-recycle bench-tiered soak-store soak-cluster soak-overload fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
+.PHONY: build test vet race examples depguard surface bench bench-e2e bench-kernel bench-cluster bench-overload bench-recycle bench-tiered soak-store soak-cluster soak-overload fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
 
 build:
 	$(GO) build ./...
@@ -149,12 +149,23 @@ examples:
 		echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; \
 	done
 
-# depguard fails when a daemon links the experiment harness: aggcached and
-# olapcli build their stack with core.Build, never through internal/bench.
+# depguard fails when a daemon links experiment code: aggcached and olapcli
+# build their stack with core.Build, never through internal/bench, and serve
+# only the middle tier's strategies, never the exhaustive paper baselines.
 depguard:
-	@if $(GO) list -deps ./cmd/aggcached ./cmd/olapcli | grep -qx 'aggcache/internal/bench'; then \
-		echo "depguard: cmd/aggcached or cmd/olapcli depends on aggcache/internal/bench"; exit 1; \
+	@bad="$$($(GO) list -deps ./cmd/aggcached ./cmd/olapcli | grep -xE 'aggcache/internal/(bench|strategy/exhaustive)')"; \
+	if [ -n "$$bad" ]; then \
+		echo "depguard: cmd/aggcached or cmd/olapcli depends on" $$bad; exit 1; \
 	fi
+
+# surface prints the size of each product package's API: exported
+# package-level names (go doc -short lines) and exported methods.
+surface:
+	@for p in cache core strategy backend mtier; do \
+		printf '%-9s %3d names %3d methods\n' $$p \
+			"$$($(GO) doc -short ./internal/$$p | wc -l)" \
+			"$$($(GO) doc -all ./internal/$$p | grep -c '^func (')"; \
+	done
 
 # ci also vets and smoke-tests benchmark/, which is its own Go module:
 # `go build ./... && go test ./...` from the root never compiles it, so an API

@@ -113,11 +113,16 @@ func BenchmarkTable3SpaceOverhead(b *testing.B) {
 // streamBench measures one full query stream against a system; the unit of
 // Figures 7–9.
 func streamBench(b *testing.B, spec func(e *bench.Env) (core.Config, bool)) {
+	runBench(b, func(e *bench.Env) (*bench.StreamResult, error) { return e.RunStream(spec(e)) })
+}
+
+// runBench measures one full query stream run by run.
+func runBench(b *testing.B, run func(e *bench.Env) (*bench.StreamResult, error)) {
 	e := benchEnv(b)
 	var hits float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.RunStream(spec(e))
+		res, err := run(e)
 		if err != nil {
 			b.Fatalf("RunStream: %v", err)
 		}
@@ -147,9 +152,7 @@ func BenchmarkFig9StreamNoAgg(b *testing.B) {
 }
 
 func BenchmarkFig9StreamESM(b *testing.B) {
-	streamBench(b, func(e *bench.Env) (core.Config, bool) {
-		return core.Config{Strategy: "ESM", Policy: "two-level", HotBytes: midCache(e), LookupBudget: 1_000_000}, true
-	})
+	runBench(b, func(e *bench.Env) (*bench.StreamResult, error) { return e.RunESM(midCache(e)) })
 }
 
 func BenchmarkFig9StreamVCMC(b *testing.B) {
@@ -165,7 +168,7 @@ func BenchmarkFig10Table4CompleteHits(b *testing.B) {
 	var speedup float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		esm, err := e.RunStream(core.Config{Strategy: "ESM", Policy: "two-level", HotBytes: midCache(e), LookupBudget: 1_000_000}, true)
+		esm, err := e.RunESM(midCache(e))
 		if err != nil {
 			b.Fatalf("esm: %v", err)
 		}
@@ -184,19 +187,20 @@ func BenchmarkFig10Table4CompleteHits(b *testing.B) {
 // aggregated chunk from cache vs from the backend.
 func BenchmarkUnitAggBenefit(b *testing.B) {
 	e := benchEnv(b)
-	sys, err := e.NewSystem(core.Config{
-		Strategy: "VCMC", Policy: "two-level",
-		HotBytes: e.BaseBytes() * 4,
-	}, true)
-	if err != nil {
-		b.Fatalf("NewSystem: %v", err)
-	}
-	lat := e.Grid.Lattice()
-	q := core.Query{GB: lat.Top()}
+	q := core.Query{GB: e.Grid.Lattice().Top()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Evict the computed top chunk so each iteration aggregates anew.
-		sys.Engine.Cache().Evict(cache.Key{GB: lat.Top(), Num: 0})
+		// A fresh preloaded stack per iteration, so each one aggregates the
+		// top chunk anew from the base group-by.
+		b.StopTimer()
+		sys, err := e.NewSystem(core.Config{
+			Strategy: "VCMC", Policy: "two-level",
+			HotBytes: e.BaseBytes() * 4,
+		}, true)
+		if err != nil {
+			b.Fatalf("NewSystem: %v", err)
+		}
+		b.StartTimer()
 		if _, err := sys.Engine.Execute(context.Background(), q); err != nil {
 			b.Fatalf("Execute: %v", err)
 		}

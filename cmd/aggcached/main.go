@@ -50,7 +50,7 @@ func main() {
 	var (
 		scaleFlag      = flag.String("scale", "small", "dataset scale: tiny|small|medium|full")
 		seedFlag       = flag.Int64("seed", 1, "generator seed (in-process backend)")
-		stratFlag      = flag.String("strategy", "VCMC", "lookup strategy: ESM|ESMC|VCM|VCMC|NoAgg")
+		stratFlag      = flag.String("strategy", "VCMC", "lookup strategy: VCM|VCMC|NoAgg")
 		cacheKBFlag    = flag.Int64("cache-kb", 512, "cache size in KB")
 		shardsFlag     = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
 		backendFlag    = flag.String("backend", "", "remote backend address (empty = in-process)")
@@ -81,7 +81,6 @@ func main() {
 		admitWaitFlag   = flag.Duration("admit-max-wait", 0, "longest a query may wait for a slot before being shed (0 = 250ms)")
 		tenantQPSFlag   = flag.Float64("tenant-qps", 0, "admitted queries/sec per tenant (0 = unlimited)")
 		tenantBurstFlag = flag.Int("tenant-burst", 0, "per-tenant qps burst size (0 = 2x -tenant-qps)")
-		tenantBytesFlag = flag.Float64("tenant-bytes-per-sec", 0, "response bytes/sec per tenant, charged after encoding (0 = unlimited)")
 
 		peersFlag     = flag.String("peers", "", "comma-separated cluster membership (aggcached listen addresses, including this node's own); empty = no cluster tier")
 		peerSelfFlag  = flag.String("peer-self", "", "this node's address as it appears in -peers; startup fails, and a SIGHUP reload is refused, when the membership leaves it out (default: the -listen address, so set this when listening on a wildcard address)")
@@ -175,7 +174,7 @@ func main() {
 			Dial: func(addr string) cache.Peer { return mtier.NewPeerClient(addr, *maxFrameFlag) }}
 	}
 	stack, err := core.Build(core.Config{
-		Grid: grid, Backend: be, Rows: int64(rows), Strategy: *stratFlag, LookupBudget: 2_000_000,
+		Grid: grid, Backend: be, Rows: int64(rows), Strategy: *stratFlag,
 		HotBytes: *cacheKBFlag << 10, ColdBytes: *coldKBFlag << 10, Peers: peers, Metrics: reg,
 		Shards: cmp.Or(*shardsFlag, -1), // -cache-shards 0 (auto) is a negative count to Build
 		Options: []core.Option{
@@ -226,12 +225,11 @@ func main() {
 	srv.SetMaxInFlight(*inFlightFlag)
 	if *admitMaxFlag > 0 {
 		srv.SetAdmission(mtier.AdmissionConfig{
-			MaxConcurrent:     *admitMaxFlag,
-			MaxQueue:          *admitQueueFlag,
-			MaxWait:           *admitWaitFlag,
-			TenantQPS:         *tenantQPSFlag,
-			TenantBurst:       *tenantBurstFlag,
-			TenantBytesPerSec: *tenantBytesFlag,
+			MaxConcurrent: *admitMaxFlag,
+			MaxQueue:      *admitQueueFlag,
+			MaxWait:       *admitWaitFlag,
+			TenantQPS:     *tenantQPSFlag,
+			TenantBurst:   *tenantBurstFlag,
 		})
 		queue, wait := *admitQueueFlag, *admitWaitFlag
 		if queue <= 0 {

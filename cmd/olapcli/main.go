@@ -35,7 +35,7 @@ func main() {
 	var (
 		scaleFlag      = flag.String("scale", "tiny", "dataset scale: tiny|small|medium|full")
 		seedFlag       = flag.Int64("seed", 1, "generator seed")
-		stratFlag      = flag.String("strategy", "VCMC", "lookup strategy: ESM|ESMC|VCM|VCMC|NoAgg")
+		stratFlag      = flag.String("strategy", "VCMC", "lookup strategy: VCM|VCMC|NoAgg")
 		cacheKBFlag    = flag.Int64("cache-kb", 256, "cache size in KB")
 		shardsFlag     = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
 		backendFlag    = flag.String("backend", "", "remote backend address (empty = in-process)")
@@ -98,7 +98,7 @@ func main() {
 		}
 	}
 	stack, err := core.Build(core.Config{
-		Grid: grid, Backend: be, Rows: int64(rows), Strategy: *stratFlag, LookupBudget: 2_000_000,
+		Grid: grid, Backend: be, Rows: int64(rows), Strategy: *stratFlag,
 		HotBytes: *cacheKBFlag << 10, ColdBytes: *coldKBFlag << 10, Peers: peers,
 		Shards: cmp.Or(*shardsFlag, -1), // -cache-shards 0 (auto) is a negative count to Build
 		Options: []core.Option{

@@ -17,6 +17,7 @@ func main() {
 	cfg := bench.DefaultConfig(apb.ScaleTiny)
 	cfg.Queries = 150
 	cfg.Latency = backend.DefaultLatency
+	cfg.LookupBudget = 1_000_000
 	env, err := bench.NewEnv(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -25,24 +26,25 @@ func main() {
 	fmt.Printf("dataset: %d rows; cache %s; stream of %d queries (30/30/30/10 drill/roll/proximity/random)\n\n",
 		env.Table.Len(), bench.SizeLabel(bytes), cfg.Queries)
 
+	stream := func(c core.Config, preload bool) func() (*bench.StreamResult, error) {
+		return func() (*bench.StreamResult, error) { return env.RunStream(c, preload) }
+	}
 	systems := []struct {
-		name    string
-		cfg     core.Config
-		preload bool
+		name string
+		run  func() (*bench.StreamResult, error)
 	}{
-		{"no aggregation + benefit policy", core.Config{
-			Strategy: "NoAgg", Policy: "benefit", HotBytes: bytes}, false},
-		{"VCMC + benefit policy", core.Config{
-			Strategy: "VCMC", Policy: "benefit", HotBytes: bytes}, false},
-		{"VCMC + two-level policy", core.Config{
-			Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true},
-		{"ESM + two-level policy", core.Config{
-			Strategy: "ESM", Policy: "two-level", HotBytes: bytes, LookupBudget: 1_000_000}, true},
+		{"no aggregation + benefit policy", stream(core.Config{
+			Strategy: "NoAgg", Policy: "benefit", HotBytes: bytes}, false)},
+		{"VCMC + benefit policy", stream(core.Config{
+			Strategy: "VCMC", Policy: "benefit", HotBytes: bytes}, false)},
+		{"VCMC + two-level policy", stream(core.Config{
+			Strategy: "VCMC", Policy: "two-level", HotBytes: bytes}, true)},
+		{"ESM + two-level policy", func() (*bench.StreamResult, error) { return env.RunESM(bytes) }},
 	}
 
 	fmt.Printf("%-34s %10s %12s %14s\n", "system", "hits", "avg query", "backend trips")
 	for _, s := range systems {
-		res, err := env.RunStream(s.cfg, s.preload)
+		res, err := s.run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,6 +16,7 @@ import (
 	"aggcache/internal/data"
 	"aggcache/internal/sizer"
 	"aggcache/internal/strategy"
+	"aggcache/internal/strategy/exhaustive"
 )
 
 // Config tunes an experiment run.
@@ -124,10 +125,17 @@ func SizeLabel(bytes int64) string {
 	return fmt.Sprintf("%dB", bytes)
 }
 
-// NewStrategy instantiates a fresh strategy (strategy.New) over the
-// environment's grid. budget applies to the exhaustive methods only.
+// NewStrategy instantiates a fresh strategy over the environment's grid:
+// the exhaustive baselines ESM and ESMC (package exhaustive) bounded to
+// budget nodes per lookup, any other name through strategy.New.
 func (e *Env) NewStrategy(name string, budget int64) (strategy.Strategy, error) {
-	return strategy.New(name, e.Grid, e.Sizer, budget)
+	switch name {
+	case "ESM":
+		return exhaustive.NewESM(e.Grid, budget), nil
+	case "ESMC":
+		return exhaustive.NewESMC(e.Grid, e.Sizer, budget), nil
+	}
+	return strategy.New(name, e.Grid, e.Sizer)
 }
 
 // NewSystem builds a stack from cfg over the environment's grid, dataset and

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"aggcache/internal/cache"
 	"aggcache/internal/core"
+	"aggcache/internal/strategy/exhaustive"
 	"aggcache/internal/workload"
 )
 
@@ -46,12 +48,35 @@ func (e *Env) RunStream(cfg core.Config, preload bool) (*StreamResult, error) {
 	return e.runStreamMix(cfg, preload, workload.DefaultMix)
 }
 
+// RunESM executes the same query stream against ESM, each lookup bounded by
+// Cfg.LookupBudget, on the paper's flat stack (one preloaded two-level store
+// of hotBytes), composed here because core.Build serves only VCM/VCMC/NoAgg.
+func (e *Env) RunESM(hotBytes int64) (*StreamResult, error) {
+	store, err := cache.New(hotBytes, cache.NewTwoLevel())
+	if err != nil {
+		return nil, err
+	}
+	eng, err := core.New(e.Grid, store, exhaustive.NewESM(e.Grid, e.Cfg.LookupBudget), e.Backend, e.Sizer)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := eng.Preload(context.Background()); err != nil {
+		return nil, err
+	}
+	return e.stream(eng, workload.DefaultMix)
+}
+
 // runStreamMix is the generic stream runner with an explicit query mix.
 func (e *Env) runStreamMix(cfg core.Config, preload bool, mix workload.Mix) (*StreamResult, error) {
 	sys, err := e.NewSystem(cfg, preload)
 	if err != nil {
 		return nil, err
 	}
+	return e.stream(sys.Engine, mix)
+}
+
+// stream runs the seeded stream of mix against eng.
+func (e *Env) stream(eng *core.Engine, mix workload.Mix) (*StreamResult, error) {
 	gen, err := workload.NewGenerator(e.Grid, mix, e.Cfg.MaxQueryWidth, e.Cfg.Seed+1000)
 	if err != nil {
 		return nil, err
@@ -59,7 +84,7 @@ func (e *Env) runStreamMix(cfg core.Config, preload bool, mix workload.Mix) (*St
 	res := &StreamResult{Queries: e.Cfg.Queries}
 	for i := 0; i < e.Cfg.Queries; i++ {
 		q, _ := gen.Next()
-		out, err := sys.Engine.Execute(context.Background(), q)
+		out, err := eng.Execute(context.Background(), q)
 		if err != nil {
 			return nil, fmt.Errorf("bench: query %d: %w", i, err)
 		}
@@ -112,7 +137,7 @@ func Fig9(e *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		esm, err := e.RunStream(core.Config{Strategy: "ESM", Policy: "two-level", HotBytes: bytes, LookupBudget: e.Cfg.LookupBudget}, true)
+		esm, err := e.RunESM(bytes)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +169,7 @@ func Fig10AndTable4(e *Env) (*Report, *Report, error) {
 	var rows []row
 	var labels []string
 	for _, bytes := range e.CacheSizes() {
-		esm, err := e.RunStream(core.Config{Strategy: "ESM", Policy: "two-level", HotBytes: bytes, LookupBudget: e.Cfg.LookupBudget}, true)
+		esm, err := e.RunESM(bytes)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -70,8 +70,8 @@ func (e *Entry) Pinned() bool { return e.pins > 0 }
 // EventReason classifies a residency transition reported to the Listener.
 // The distinction the reasons exist for: after Demoted the chunk is STILL
 // ANSWERABLE from the store (it moved to the cold tier), so derived state —
-// strategy presence bits and virtual counts — must be kept; after Evicted
-// and Removed it is gone and that state must be torn down.
+// strategy presence bits and virtual counts — must be kept; after Evicted it
+// is gone and that state must be torn down.
 type EventReason uint8
 
 const (
@@ -82,8 +82,6 @@ const (
 	// Demoted: the hot tier's victim was re-admitted to a colder tier in
 	// compressed form. The chunk remains answerable through the store.
 	Demoted
-	// Removed: an administrative removal via Evict; the chunk is gone.
-	Removed
 )
 
 // String implements fmt.Stringer.
@@ -93,8 +91,6 @@ func (r EventReason) String() string {
 		return "evicted"
 	case Demoted:
 		return "demoted"
-	case Removed:
-		return "removed"
 	}
 	return fmt.Sprintf("reason(%d)", uint8(r))
 }
@@ -146,12 +142,10 @@ type Policy interface {
 	Fork() Policy
 }
 
-// Stats counts cache activity. Evictions counts only policy-driven victim
-// removals (the replacement traffic Figures 7/8 report); explicit removals
-// via Evict are counted separately as Removals.
+// Stats counts cache activity. Evictions counts policy-driven victim
+// removals, the replacement traffic Figures 7/8 report.
 type Stats struct {
 	Hits, Misses       int64
 	Inserts, Evictions int64
-	Removals           int64 // explicit removals via Evict
 	Denied             int64 // admissions denied by the policy
 }

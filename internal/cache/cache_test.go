@@ -49,7 +49,7 @@ func TestCacheBasics(t *testing.T) {
 	if !c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(100)) {
 		t.Fatalf("insert denied")
 	}
-	if !c.Contains(key(1)) {
+	if !IsResident(c, key(1)) {
 		t.Fatalf("Contains(1) = false")
 	}
 	if d, ok := c.Get(key(1)); !ok || d.Cells() != 10 {
@@ -71,12 +71,6 @@ func TestCacheBasics(t *testing.T) {
 	wantUsed := mkChunk(0, 1, 10).Bytes()
 	if c.Used() != wantUsed {
 		t.Fatalf("Used = %d, want %d", c.Used(), wantUsed)
-	}
-	if !c.Evict(key(1)) || c.Len() != 0 || c.Used() != 0 {
-		t.Fatalf("Evict failed: len=%d used=%d", c.Len(), c.Used())
-	}
-	if c.Evict(key(1)) {
-		t.Fatalf("double Evict should return false")
 	}
 }
 
@@ -148,10 +142,10 @@ func TestCachePinPreventsEviction(t *testing.T) {
 	if !c.Insert(key(3), mkChunk(0, 3, 10), AsBackend(1)) {
 		t.Fatalf("insert denied after unpin")
 	}
-	if !c.Contains(key(2)) {
+	if !IsResident(c, key(2)) {
 		t.Fatalf("pinned chunk was evicted")
 	}
-	if c.Contains(key(1)) {
+	if IsResident(c, key(1)) {
 		t.Fatalf("unpinned chunk should have been the victim")
 	}
 	if c.Pin(key(99)) {
@@ -165,10 +159,10 @@ func TestBenefitClockPrefersLowBenefit(t *testing.T) {
 	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1e6)) // expensive
 	c.Insert(key(2), mkChunk(0, 2, 10), AsBackend(1))   // cheap
 	c.Insert(key(3), mkChunk(0, 3, 10), AsBackend(1e6))
-	if !c.Contains(key(1)) || !c.Contains(key(3)) {
+	if !IsResident(c, key(1)) || !IsResident(c, key(3)) {
 		t.Fatalf("high-benefit chunks evicted before low-benefit one")
 	}
-	if c.Contains(key(2)) {
+	if IsResident(c, key(2)) {
 		t.Fatalf("low-benefit chunk survived over high-benefit ones")
 	}
 }
@@ -192,10 +186,10 @@ func TestTwoLevelAdmission(t *testing.T) {
 	if !c2.Insert(key(3), mkChunk(0, 3, 10), AsBackend(1)) {
 		t.Fatalf("backend insert denied")
 	}
-	if c2.Contains(key(1)) {
+	if IsResident(c2, key(1)) {
 		t.Fatalf("computed chunk should be displaced before backend chunks")
 	}
-	if !c2.Contains(key(2)) {
+	if !IsResident(c2, key(2)) {
 		t.Fatalf("backend chunk was displaced while a computed chunk existed")
 	}
 }
@@ -221,10 +215,10 @@ func TestTwoLevelReinforceKeepsGroup(t *testing.T) {
 	if !c.Insert(key(3), mkChunk(0, 3, 10), AsComputed(1)) {
 		t.Fatalf("insert denied")
 	}
-	if !c.Contains(key(1)) {
+	if !IsResident(c, key(1)) {
 		t.Fatalf("reinforced chunk was evicted")
 	}
-	if c.Contains(key(2)) {
+	if IsResident(c, key(2)) {
 		t.Fatalf("non-reinforced chunk should have been the victim")
 	}
 }
@@ -245,7 +239,7 @@ func TestTwoLevelPromoteOnReuse(t *testing.T) {
 	for i := 0; i < 3*maxClock; i++ {
 		c.Insert(key(10+i), mkChunk(0, 10+i, 10), AsComputed(1e9))
 	}
-	if !c.Contains(key(1)) {
+	if !IsResident(c, key(1)) {
 		t.Fatalf("promoted entry displaced by computed-class pressure")
 	}
 
@@ -270,7 +264,7 @@ func TestTwoLevelPromoteOnReuse(t *testing.T) {
 	for i := 0; i < 3*maxClock; i++ {
 		p.Insert(key(10+i), mkChunk(0, 10+i, 10), AsComputed(1e9))
 	}
-	if p.Contains(key(1)) {
+	if IsResident(p, key(1)) {
 		t.Fatalf("plain two-level kept the entry; promote test proves nothing")
 	}
 
@@ -351,14 +345,14 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				return false
 			}
 			for k := range resident {
-				if !c.Contains(k) {
+				if !IsResident(c, k) {
 					return false
 				}
 			}
 		}
 		// Pinned entries must all still be resident.
 		for _, k := range pinned {
-			if !c.Contains(k) {
+			if !IsResident(c, k) {
 				return false
 			}
 		}
@@ -414,8 +408,8 @@ func TestCacheReplaceEvictsOnGrowth(t *testing.T) {
 	if !c.Insert(key(1), mkChunk(0, 1, 20), AsBackend(1)) {
 		t.Fatalf("growing replacement denied")
 	}
-	if !c.Contains(key(1)) || c.Contains(key(2)) {
-		t.Fatalf("wrong victim: has1=%v has2=%v", c.Contains(key(1)), c.Contains(key(2)))
+	if !IsResident(c, key(1)) || IsResident(c, key(2)) {
+		t.Fatalf("wrong victim: has1=%v has2=%v", IsResident(c, key(1)), IsResident(c, key(2)))
 	}
 	if d, _ := c.Peek(key(1)); d.Cells() != 20 {
 		t.Fatalf("payload not replaced")
@@ -462,28 +456,8 @@ func TestCacheReplaceClassMigratesRing(t *testing.T) {
 	if c.Insert(key(3), mkChunk(0, 3, 10), AsComputed(1e9)) {
 		t.Fatalf("computed chunk displaced a promoted backend chunk")
 	}
-	if !c.Contains(key(1)) || !c.Contains(key(2)) {
-		t.Fatalf("backend chunk lost: has1=%v has2=%v", c.Contains(key(1)), c.Contains(key(2)))
-	}
-}
-
-// Regression: administrative Evict must not inflate the policy-eviction
-// counter used for replacement accounting.
-func TestEvictCountsRemovalNotEviction(t *testing.T) {
-	c, _ := New(10_000, NewBenefitClock())
-	l := &recordingListener{}
-	c.SetListener(l)
-	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
-	if !c.Evict(key(1)) {
-		t.Fatalf("Evict failed")
-	}
-	st := c.Stats()
-	if st.Evictions != 0 || st.Removals != 1 {
-		t.Fatalf("stats = %+v, want Evictions=0 Removals=1", st)
-	}
-	// The listener must still observe the removal so strategies stay in sync.
-	if len(l.evicted) != 1 {
-		t.Fatalf("listener missed administrative removal")
+	if !IsResident(c, key(1)) || !IsResident(c, key(2)) {
+		t.Fatalf("backend chunk lost: has1=%v has2=%v", IsResident(c, key(1)), IsResident(c, key(2)))
 	}
 }
 

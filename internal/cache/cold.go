@@ -228,21 +228,6 @@ func (t *coldTier) dropUnpinned(e *coldEntry) bool {
 	return true
 }
 
-// remove drops k without eviction accounting (administrative removal).
-func (t *coldTier) remove(k Key) (*coldEntry, bool) {
-	if t == nil {
-		return nil, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[k]
-	if !ok {
-		return nil, false
-	}
-	t.dropLocked(e)
-	return e, true
-}
-
 // contains reports cold residence without touching recency.
 func (t *coldTier) contains(k Key) bool {
 	if t == nil {
@@ -357,12 +342,13 @@ func (c *Sharded) syncTierGauges() {
 	c.tmet.ColdChunks.Set(o.ColdChunks)
 }
 
-// coldGone tells the listener that cold resident e has left the store.
-func (c *Sharded) coldGone(e *coldEntry, r EventReason) {
+// coldGone tells the listener that cold resident e was evicted and has left
+// the store.
+func (c *Sharded) coldGone(e *coldEntry) {
 	if c.listener != nil {
 		c.listener.OnEvent(Event{
 			Key:    e.key,
-			Reason: r,
+			Reason: Evicted,
 			Entry:  &Entry{Key: e.key, Class: e.class, Benefit: e.benefit, Recycled: e.recycled},
 		})
 	}
@@ -382,7 +368,7 @@ func (c *Sharded) demote(e *Entry) bool {
 	}
 	for _, v := range victims {
 		c.tmet.ColdEvictions.Inc()
-		c.coldGone(v, Evicted)
+		c.coldGone(v)
 	}
 	c.syncTierGauges()
 	return ok
@@ -444,5 +430,5 @@ func (c *Sharded) dropUndecodable(e *coldEntry) {
 	}
 	c.tmet.ColdEvictions.Inc()
 	c.syncTierGauges()
-	c.coldGone(e, Evicted)
+	c.coldGone(e)
 }

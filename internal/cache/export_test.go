@@ -19,6 +19,10 @@ func (c *Sharded) hotContains(k Key) bool {
 	return ok
 }
 
+// IsResident reports residence in either tier without touching replacement
+// state or counters, and without decoding a cold copy.
+func IsResident(c *Sharded, k Key) bool { return c.hotContains(k) || c.cold.contains(k) }
+
 // hotUsed returns the bytes charged to the hot tier alone.
 func (c *Sharded) hotUsed() int64 { return c.used.Load() }
 

@@ -13,7 +13,7 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	if !c.Insert(key(3), mkChunk(0, 3, 10), AsBackend(1)) {
 		t.Fatalf("insert denied")
 	}
-	if !c.Contains(key(1)) || c.Contains(key(2)) {
+	if !IsResident(c, key(1)) || IsResident(c, key(2)) {
 		t.Fatalf("LRU evicted the wrong entry")
 	}
 }
@@ -26,7 +26,7 @@ func TestLRURespectsPins(t *testing.T) {
 	if !c.Insert(key(3), mkChunk(0, 3, 10), AsBackend(1)) {
 		t.Fatalf("insert denied")
 	}
-	if !c.Contains(key(1)) || c.Contains(key(2)) {
+	if !IsResident(c, key(1)) || IsResident(c, key(2)) {
 		t.Fatalf("pinned LRU entry was evicted")
 	}
 	c.Pin(key(1))
@@ -44,7 +44,7 @@ func TestLRUReinforceCountsAsAccess(t *testing.T) {
 	if !c.Insert(key(3), mkChunk(0, 3, 10), AsComputed(1)) {
 		t.Fatalf("insert denied")
 	}
-	if !c.Contains(key(1)) || c.Contains(key(2)) {
+	if !IsResident(c, key(1)) || IsResident(c, key(2)) {
 		t.Fatalf("reinforced entry was evicted")
 	}
 	if NewLRU().Name() != "lru" {

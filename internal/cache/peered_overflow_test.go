@@ -98,7 +98,7 @@ func TestPeeredPutQueueOverflow(t *testing.T) {
 	}
 	// Every insert — dropped or not — is resident locally regardless.
 	for i := 0; i <= queue+overflow; i++ {
-		if !local.Contains(key(i)) {
+		if !IsResident(local, key(i)) {
 			t.Fatalf("chunk %d missing from the local store", i)
 		}
 	}

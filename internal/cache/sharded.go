@@ -27,8 +27,7 @@ import (
 // (lock order stripe → cold tier, never the reverse). A lookup that misses
 // the hot tier is served by the cold tier and counts once, as one hit or one
 // miss. Listeners observe the full event taxonomy: Demoted when a victim
-// stays answerable compressed, Evicted only when a chunk leaves the store,
-// Removed on Evict.
+// stays answerable compressed, Evicted only when a chunk leaves the store.
 //
 // Capacity is partitioned per stripe with a borrow margin: each stripe may
 // charge up to capacity/N plus half again (so a hot stripe can steal headroom
@@ -160,27 +159,15 @@ func (c *Sharded) Used() int64 { return c.used.Load() + c.cold.occupancy().ColdU
 // Len implements Store: residents across both tiers.
 func (c *Sharded) Len() int { return int(c.resident.Load() + c.cold.occupancy().ColdChunks) }
 
-// Stats implements Store, reading the metrics bundle: policy evictions are
-// Evictions, administrative ones Removals.
+// Stats implements Store, reading the metrics bundle.
 func (c *Sharded) Stats() Stats {
 	return Stats{
 		Hits:      c.met.Hits.Value(),
 		Misses:    c.met.Misses.Value(),
 		Inserts:   c.met.Inserts.Value(),
 		Evictions: c.met.EvictionsPolicy.Value(),
-		Removals:  c.met.EvictionsAdmin.Value(),
 		Denied:    c.met.Denied.Value(),
 	}
-}
-
-// Contains reports residence in either tier without touching replacement
-// state or counters. Unlike Peek it never decodes a cold copy.
-func (c *Sharded) Contains(k Key) bool {
-	s := c.shard(k)
-	s.mu.Lock()
-	_, ok := s.entries[k]
-	s.mu.Unlock()
-	return ok || c.cold.contains(k)
 }
 
 // Get implements Store.
@@ -214,8 +201,8 @@ func (c *Sharded) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
 	return nil, 0, 0, false
 }
 
-// Peek implements Store: hot first, then a cold decode — without touching
-// recency or counting hits/misses.
+// Peek returns k's payload, hot first, then a cold decode, without touching
+// recency or counting hits/misses — a diagnostic read (Explain, tests).
 func (c *Sharded) Peek(k Key) (*chunk.Chunk, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -334,54 +321,25 @@ func (c *Sharded) makeRoomLocked(s *shard, need, delta int64, cl Class) bool {
 		if v == nil {
 			return false
 		}
-		c.removeLocked(s, v, true)
+		c.evictLocked(s, v)
 	}
 	return true
 }
 
-// Evict implements Store: an administrative removal drops k from whichever
-// tier holds it. Explicit hot removals count as Stats.Removals, not
-// Stats.Evictions.
-func (c *Sharded) Evict(k Key) bool {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		c.removeLocked(s, e, false)
-		return true
-	}
-	ce, ok := c.cold.remove(k)
-	if !ok {
-		return false
-	}
-	c.syncTierGauges()
-	c.coldGone(ce, Removed)
-	return true
-}
-
-// removeLocked drops e from s (locked by the caller), releasing its
-// global reservation. policyEvict distinguishes policy-driven victim eviction
-// (counted as Evictions, offered to the cold tier) from administrative
-// removal (counted as Removals); the listener is notified either way so
-// strategies stay consistent with residence.
-func (c *Sharded) removeLocked(s *shard, e *Entry, policyEvict bool) {
+// evictLocked drops the policy's victim e from s (locked by the caller),
+// releasing its global reservation and offering it to the cold tier; the
+// listener learns whether it stays answerable (Demoted) or left (Evicted).
+func (c *Sharded) evictLocked(s *shard, e *Entry) {
 	delete(s.entries, e.Key)
 	s.used -= e.Bytes()
 	c.used.Add(-e.Bytes())
 	c.resident.Add(-1)
-	if policyEvict {
-		c.met.EvictionsPolicy.Inc()
-	} else {
-		c.met.EvictionsAdmin.Inc()
-	}
+	c.met.EvictionsPolicy.Inc()
 	c.syncGauges()
 	s.policy.Removed(e)
-	reason := Removed
-	if policyEvict {
-		reason = Evicted
-		if c.cold != nil && c.demote(e) {
-			reason = Demoted
-		}
+	reason := Evicted
+	if c.cold != nil && c.demote(e) {
+		reason = Demoted
 	}
 	if c.listener != nil {
 		c.listener.OnEvent(Event{Key: e.Key, Reason: reason, Entry: e})

@@ -149,15 +149,6 @@ func TestShardedBasics(t *testing.T) {
 	if sum != c.Used() {
 		t.Fatalf("Range bytes %d != Used %d", sum, c.Used())
 	}
-	if !c.Evict(key(3)) || c.Evict(key(3)) {
-		t.Fatalf("Evict misbehaved")
-	}
-	if st := c.Stats(); st.Removals != 1 || st.Evictions != 0 {
-		t.Fatalf("admin evict stats = %+v", st)
-	}
-	if c.Len() != 7 {
-		t.Fatalf("Len after evict = %d", c.Len())
-	}
 }
 
 // TestShardedPinInterleavings exercises pin/evict/insert orderings on a
@@ -187,17 +178,17 @@ func TestShardedPinInterleavings(t *testing.T) {
 	if c.Insert(a4, mk(a4), AsBackend(1)) {
 		t.Fatalf("insert admitted with the whole shard pinned")
 	}
-	if !c.Contains(b1) {
+	if !IsResident(c, b1) {
 		t.Fatalf("other shard's chunk was evicted")
 	}
 	c.Unpin(a2)
 	if !c.Insert(a4, mk(a4), AsBackend(1)) {
 		t.Fatalf("insert denied after unpin")
 	}
-	if c.Contains(a2) {
+	if IsResident(c, a2) {
 		t.Fatalf("unpinned chunk should have been the victim")
 	}
-	if !c.Contains(a1) || !c.Contains(a3) {
+	if !IsResident(c, a1) || !IsResident(c, a3) {
 		t.Fatalf("pinned chunk evicted")
 	}
 	// Pinning a missing key fails; unpinning one is a no-op.
@@ -205,10 +196,7 @@ func TestShardedPinInterleavings(t *testing.T) {
 		t.Fatalf("pinned a missing key")
 	}
 	c.Unpin(a2)
-	// Administrative Evict overrides pins.
-	if !c.Evict(a1) {
-		t.Fatalf("admin evict of a pinned key failed")
-	}
+	c.Unpin(a1)
 	c.Unpin(a3)
 	if c.Used() > c.Capacity() {
 		t.Fatalf("Used %d > Capacity %d", c.Used(), c.Capacity())
@@ -245,7 +233,7 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	if !c.Insert(hot[3], mkChunk(0, int(hot[3].Num), 10), AsBackend(1)) {
 		t.Fatalf("insert at the shard limit denied")
 	}
-	if c.Len() != 3 || !c.Contains(hot[3]) {
+	if c.Len() != 3 || !IsResident(c, hot[3]) {
 		t.Fatalf("local eviction failed: Len = %d", c.Len())
 	}
 
@@ -262,7 +250,7 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	if !c.Insert(cold2, mkChunk(0, int(cold2.Num), 10), AsBackend(1)) {
 		t.Fatalf("insert under a binding global bound denied")
 	}
-	if !c.Contains(cold2) || c.Contains(cold1) {
+	if !IsResident(c, cold2) || IsResident(c, cold1) {
 		t.Fatalf("global-bound eviction chose a remote victim")
 	}
 	if c.Used() > c.Capacity() {
@@ -282,8 +270,8 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	if !c2.Insert(bigKey, big, AsBackend(1)) {
 		t.Fatalf("chunk above the stripe limit denied with room in the store")
 	}
-	if c2.Contains(small) || !c2.Contains(other) {
-		t.Fatalf("oversized chunk must evict its own stripe only: small=%v other=%v", c2.Contains(small), c2.Contains(other))
+	if IsResident(c2, small) || !IsResident(c2, other) {
+		t.Fatalf("oversized chunk must evict its own stripe only: small=%v other=%v", IsResident(c2, small), IsResident(c2, other))
 	}
 	// A same-key replacement growing past the limit follows the same rule.
 	if !c2.Insert(bigKey, mkChunk(0, int(bigKey.Num), 32), AsBackend(1)) {
@@ -292,15 +280,15 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	if c2.Used() != 832+112 || c2.Used() > c2.Capacity() {
 		t.Fatalf("Used = %d after oversized inserts", c2.Used())
 	}
-	// With its stripe emptied, only the global pool can refuse it: the other
+	// With its stripe empty, only the global pool can refuse it: the other
 	// stripe's bytes are not this stripe's to evict.
-	c2.Evict(bigKey)
-	c2.Insert(other, mkChunk(0, int(other.Num), 10), AsBackend(1)) // grows to 304
+	c2, _ = New(1000, NewBenefitClock(), WithShards(2))
+	c2.Insert(other, mkChunk(0, int(other.Num), 10), AsBackend(1)) // 304 bytes
 	if c2.Insert(bigKey, big, AsBackend(1)) {
 		t.Fatalf("784 bytes admitted beside 304 in a 1000-byte store")
 	}
-	if st := c2.Stats(); st.Denied != 1 || !c2.Contains(other) {
-		t.Fatalf("global-pool denial: %+v, other resident %v", st, c2.Contains(other))
+	if st := c2.Stats(); st.Denied != 1 || !IsResident(c2, other) {
+		t.Fatalf("global-pool denial: %+v, other resident %v", st, IsResident(c2, other))
 	}
 
 	// Regression, the measured case: churn_miss's 0.10× store at medium scale
@@ -347,10 +335,10 @@ func TestShardedReinforceKeepsGroup(t *testing.T) {
 	if !c.Insert(shardKey(c, 0, int(k3.Num)+1), mkChunk(0, 99, 10), AsComputed(1)) {
 		t.Fatalf("insert denied")
 	}
-	if !c.Contains(k1) || !c.Contains(k3) {
+	if !IsResident(c, k1) || !IsResident(c, k3) {
 		t.Fatalf("reinforced chunks were evicted")
 	}
-	if c.Contains(k2) {
+	if IsResident(c, k2) {
 		t.Fatalf("non-reinforced chunk should have been the victim")
 	}
 }
@@ -371,7 +359,7 @@ func TestShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for op := 0; op < 2000; op++ {
 		num := rng.Intn(200)
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0, 1, 2:
 			n := 1 + rng.Intn(20)
 			opt := AsBackend
@@ -389,10 +377,6 @@ func TestShardedEquivalence(t *testing.T) {
 				t.Fatalf("op %d: Get(%d) differs", op, num)
 			}
 		case 4:
-			if single.Evict(key(num)) != sharded.Evict(key(num)) {
-				t.Fatalf("op %d: Evict verdicts differ", op)
-			}
-		case 5:
 			ks := []Key{key(num), key(rng.Intn(200))}
 			single.Reinforce(ks, float64(rng.Intn(100)))
 			sharded.Reinforce(ks, float64(rng.Intn(100)))
@@ -407,7 +391,7 @@ func TestShardedEquivalence(t *testing.T) {
 		t.Fatalf("stats diverged: %+v vs %+v", st1, st2)
 	}
 	for _, k := range keysOf(single) {
-		if !sharded.Contains(k) {
+		if !IsResident(sharded, k) {
 			t.Fatalf("key %v resident in single but not sharded", k)
 		}
 	}
@@ -534,22 +518,30 @@ func (l transcriptListener) OnInsert(e *Entry) {
 
 func (l transcriptListener) OnEvent(ev Event) { fmt.Fprintf(l.w, "ev %v %v\n", ev.Key, ev.Reason) }
 
+// statsLine renders the counters a transcript hashes, field by field, so a
+// recorded hash does not depend on the Stats struct's layout.
+func statsLine(st Stats) string {
+	return fmt.Sprintf("{Hits:%d Misses:%d Inserts:%d Evictions:%d Denied:%d}", st.Hits, st.Misses, st.Inserts, st.Evictions, st.Denied)
+}
+
 // TestOneStripeMatchesRecordedReference replays a seeded 5,000-op stream
 // against a default (one-stripe) store small enough to evict constantly and
 // hashes the full transcript: every verdict, every listener callback in
-// order, and the final counters. The expected hashes were recorded at commit
-// c294517 from the single-lock store (the Cache struct) this one replaced,
-// immediately before it was deleted, so a one-stripe store's replacement
-// decisions are pinned event-for-event to that reference under every policy.
+// order, and the final counters. The stream was first pinned to the
+// single-lock store (the Cache struct) this one replaced; when
+// administrative removal was deleted, its removal ops were dropped and the
+// hashes re-recorded at commit 92e69ab, whose one-stripe store still matched
+// that reference, so a one-stripe store's replacement decisions stay pinned
+// event-for-event under every policy.
 func TestOneStripeMatchesRecordedReference(t *testing.T) {
 	for _, tc := range []struct {
 		policy Policy
 		want   string
 	}{
-		{NewLRU(), "9f5f68a9166bf045e4a0cba19bfa49be7eaf77c3f27aff5a4a1d57393dc77938"},
-		{NewBenefitClock(), "b3ecb47a2b2350d3d216f5f5e51ddcaaab34f06b392ee1e7ebad4479fc414e58"},
-		{NewTwoLevel(), "2d2c61709a725f1a523803e3174bd6662c35fdff0e47ac4314228072adc0af0e"},
-		{NewTwoLevelPromote(), "05efe9af8549b3d2b72dcad947e1a1669bac980a4e1a4e83ca55455be97cbeab"},
+		{NewLRU(), "02460f8d82fd4ed68e0d569404ac859a709cbebaf0d4b4c1dbbf0bf7fe3ca332"},
+		{NewBenefitClock(), "0553a3eefe8a93c5db5121bb2e6dcd5873fd952e8c3da515aebea2eda345cfb9"},
+		{NewTwoLevel(), "a95cc9f0145be55a9606aa2e7246a62b3cb312f7c82f95b362099dbb216c9a0b"},
+		{NewTwoLevelPromote(), "3381758fb9ceb9433c3a73850ac94add667f52541cfab01a10987d8967a89040"},
 	} {
 		s, err := New(4_000, tc.policy)
 		if err != nil {
@@ -561,7 +553,7 @@ func TestOneStripeMatchesRecordedReference(t *testing.T) {
 		var pinned []Key
 		for op := 0; op < 5000; op++ {
 			k := key(rng.Intn(40))
-			switch rng.Intn(10) {
+			switch rng.Intn(9) {
 			case 0, 1, 2, 3:
 				// Re-inserting a resident key with a different cell count is
 				// the same-key replacement path, growth included.
@@ -590,15 +582,13 @@ func TestOneStripeMatchesRecordedReference(t *testing.T) {
 				}
 			case 8:
 				s.Reinforce([]Key{k, key(rng.Intn(40))}, float64(rng.Intn(100)))
-			case 9:
-				fmt.Fprintf(h, "evict %v %v\n", k, s.Evict(k))
 			}
 		}
 		st := s.Stats()
 		if st.Evictions < 500 {
 			t.Fatalf("%s: stream does not stress replacement: %+v", tc.policy.Name(), st)
 		}
-		fmt.Fprintf(h, "%+v %d %d\n", st, s.Used(), s.Len())
+		fmt.Fprintf(h, "%s %d %d\n", statsLine(st), s.Used(), s.Len())
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("%s: transcript hash %s, want %s (stats %+v)", tc.policy.Name(), got, tc.want, st)
 		}

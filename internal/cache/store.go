@@ -20,7 +20,7 @@ import (
 // synchronously while the store has the internal lock covering the affected
 // key, so they must be fast and must not call back into the same Store (that
 // would self-deadlock). Chunk payloads (*chunk.Chunk) are immutable, so a
-// payload pointer returned by Get/GetInfo/Peek/Range may be read after the
+// payload pointer returned by Get/GetInfo/Range may be read after the
 // call returns; pin the key first if the payload must stay resident while you
 // use it.
 type Store interface {
@@ -33,17 +33,11 @@ type Store interface {
 	// access — a chunk the group keeps asking for should stay resident on
 	// its owner.
 	GetInfo(k Key) (*chunk.Chunk, Class, float64, bool)
-	// Peek returns the chunk payload without touching replacement state or
-	// hit/miss counters.
-	Peek(k Key) (*chunk.Chunk, bool)
 	// Insert makes data resident under k, evicting per the policy as needed,
 	// and reports whether the chunk was admitted. The options select the
 	// residency variant (backend-class with zero benefit by default); see
 	// InsertOption, and Sharded.Insert for the replacement semantics.
 	Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool
-	// Evict removes k if resident (administrative removal, not a policy
-	// eviction).
-	Evict(k Key) bool
 	// Pin marks k in use so the policy will not evict it; it must be
 	// balanced by Unpin. Pinning a non-resident key returns false.
 	Pin(k Key) bool

@@ -64,9 +64,9 @@ func TestTieredUndecodableColdEntryIsEvicted(t *testing.T) {
 			if _, found, _ := vcmc.Find(top.GB, int(top.Num)); found {
 				t.Fatalf("Find still plans through the dropped chunk")
 			}
-			if tc.Contains(top) || tc.TierStats().ColdEvicts != 1 {
+			if cache.IsResident(tc, top) || tc.TierStats().ColdEvicts != 1 {
 				t.Fatalf("dropped chunk: resident %v, cold evictions %d; want gone and 1",
-					tc.Contains(top), tc.TierStats().ColdEvicts)
+					cache.IsResident(tc, top), tc.TierStats().ColdEvicts)
 			}
 		})
 	}

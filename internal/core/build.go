@@ -25,11 +25,8 @@ type Config struct {
 	// strategies, preloading and the recycler are estimated from it
 	// (sizer.NewEstimate).
 	Rows int64
-	// Strategy names the lookup strategy (strategy.New: ESM, ESMC, VCM, VCMC
-	// or NoAgg); LookupBudget bounds one exhaustive ESM/ESMC lookup, 0 is
-	// unbounded.
-	Strategy     string
-	LookupBudget int64
+	// Strategy names the lookup strategy (strategy.New: VCM, VCMC or NoAgg).
+	Strategy string
 	// Policy names the hot store's replacement policy (cache.NewPolicy).
 	// Empty selects the paper's two-level policy, or two-level-promote when
 	// Options turn recycling on, so recycled intermediates enter on
@@ -72,7 +69,7 @@ func Build(cfg Config) (*Stack, error) {
 	}
 	reg := cfg.Metrics
 	sz := sizer.NewEstimate(cfg.Grid, cfg.Rows)
-	strat, err := strategy.New(cfg.Strategy, cfg.Grid, sz, cfg.LookupBudget)
+	strat, err := strategy.New(cfg.Strategy, cfg.Grid, sz)
 	if err != nil {
 		return nil, err
 	}

@@ -94,6 +94,31 @@ func TestBuildConfigurationProduct(t *testing.T) {
 	}
 }
 
+// TestBuildServesOnlyMiddleTierStrategies: Build composes the middle tier's
+// strategies only. The exhaustive paper baselines (package exhaustive) are
+// refused with an error naming the ones it accepts.
+func TestBuildServesOnlyMiddleTierStrategies(t *testing.T) {
+	g, tab, err := apb.New(apb.ScaleTiny).Build(29)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	be, err := backend.NewEngine(g, tab, backend.LatencyModel{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for _, name := range []string{"ESM", "ESMC"} {
+		_, err := core.Build(core.Config{Grid: g, Backend: be, Rows: int64(tab.Len()), Strategy: name, HotBytes: 1 << 20})
+		if err == nil {
+			t.Fatalf("Build(%s) built a stack", name)
+		}
+		for _, want := range []string{"VCM", "VCMC", "NoAgg"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("Build(%s): error %q does not name %s", name, err, want)
+			}
+		}
+	}
+}
+
 // TestBuildStatsMatchMetrics: Stats and /metrics are one set of counters. A
 // Build stack with a registry and a cold tier preloads, then replays a
 // seeded stream; every Engine.Stats, hot-store Stats and TierStats field
@@ -173,7 +198,6 @@ func TestBuildStatsMatchMetrics(t *testing.T) {
 		{"Hot.Misses", "aggcache_cache_misses_total", n(hs.Misses)},
 		{"Hot.Inserts", "aggcache_cache_inserts_total", n(hs.Inserts)},
 		{"Hot.Evictions", `aggcache_cache_evictions_total{cause="policy"}`, n(hs.Evictions)},
-		{"Hot.Removals", `aggcache_cache_evictions_total{cause="admin"}`, n(hs.Removals)},
 		{"Hot.Denied", "aggcache_cache_admission_denied_total", n(hs.Denied)},
 		{"Tier.ColdHits", "aggcache_cold_hits_total", n(ts.ColdHits)},
 		{"Tier.ColdMisses", "aggcache_cold_misses_total", n(ts.ColdMisses)},

@@ -278,15 +278,25 @@ func (e *Engine) Stats() Stats {
 // shows up in plans as a cache hit whose decode cost the plan does not see,
 // so these counters are what attributes that cost.
 func (e *Engine) TierStats() (cache.TierStats, bool) {
+	if s := e.local(); s != nil {
+		ts := s.TierStats()
+		return ts, ts.ColdCapacity > 0
+	}
+	return cache.TierStats{}, false
+}
+
+// local returns the local store under the engine's cache, unwrapping a
+// Peered ring (or any decorator with a Local method); nil when the innermost
+// store is not a *cache.Sharded.
+func (e *Engine) local() *cache.Sharded {
 	st := e.cache
 	for {
 		if s, ok := st.(*cache.Sharded); ok {
-			ts := s.TierStats()
-			return ts, ts.ColdCapacity > 0
+			return s
 		}
 		u, ok := st.(interface{ Local() cache.Store })
 		if !ok {
-			return cache.TierStats{}, false
+			return nil
 		}
 		st = u.Local()
 	}

@@ -12,6 +12,7 @@ import (
 	"aggcache/internal/lattice"
 	"aggcache/internal/sizer"
 	"aggcache/internal/strategy"
+	"aggcache/internal/strategy/exhaustive"
 )
 
 type fixture struct {
@@ -36,11 +37,11 @@ func build(t testing.TB, stratName string, policy cache.Policy, capacity int64, 
 	var s strategy.Strategy
 	switch stratName {
 	case "ESM":
-		s = strategy.NewESM(g, 0)
+		s = exhaustive.NewESM(g, 0)
 	case "ESM-tiny-budget":
-		s = strategy.NewESM(g, 1)
+		s = exhaustive.NewESM(g, 1)
 	case "ESMC":
-		s = strategy.NewESMC(g, sz, 0)
+		s = exhaustive.NewESMC(g, sz, 0)
 	case "VCM":
 		s = strategy.NewVCM(g)
 	case "VCMC":

@@ -35,12 +35,14 @@ func (e *Engine) Explain(q Query) (string, error) {
 		case plan.Present:
 			fmt.Fprintf(&b, "chunk %d: resident in cache\n", num)
 		default:
-			// Peek (no replacement or counter side effects) at the leaves so
-			// the scan total is the resident chunks' real cell counts.
+			// Peek (no replacement or counter side effects) at the local
+			// store's leaves so the scan total is their real cell counts.
 			leafData := make(map[cache.Key]*chunk.Chunk)
-			for _, k := range plan.Leaves(nil) {
-				if c, ok := e.cache.Peek(k); ok {
-					leafData[k] = c
+			if local := e.local(); local != nil {
+				for _, k := range plan.Leaves(nil) {
+					if c, ok := local.Peek(k); ok {
+						leafData[k] = c
+					}
 				}
 			}
 			cost := plan.Cost

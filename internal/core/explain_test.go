@@ -9,6 +9,8 @@ import (
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
+	"aggcache/internal/sizer"
+	"aggcache/internal/strategy"
 )
 
 func TestExplainColdAndWarm(t *testing.T) {
@@ -44,7 +46,7 @@ func TestExplainColdAndWarm(t *testing.T) {
 		t.Fatalf("warm explain missing complete-hit line:\n%s", out)
 	}
 	// Explain must not execute: the top chunk is still not resident.
-	if _, ok := f.engine.Cache().Peek(cache.Key{GB: lat.Top(), Num: 0}); ok {
+	if _, ok := f.engine.local().Peek(cache.Key{GB: lat.Top(), Num: 0}); ok {
 		t.Fatalf("Explain materialized the chunk")
 	}
 
@@ -122,25 +124,27 @@ func TestExplainRecycleAnnotation(t *testing.T) {
 	}
 }
 
+// explainScans sums the "scans N tuples" totals of an Explain output.
+func explainScans(t *testing.T, out string) int64 {
+	t.Helper()
+	var total int64
+	for _, line := range strings.Split(out, "\n") {
+		if i := strings.Index(line, ", scans "); i >= 0 {
+			var n int64
+			if _, err := fmt.Sscanf(line[i:], ", scans %d tuples)", &n); err != nil {
+				t.Fatalf("unparsable scan total in %q: %v", line, err)
+			}
+			total += n
+		}
+	}
+	return total
+}
+
 // TestExplainScanTotal: the "scans N tuples" figure Explain prints is what
 // the executor then really scans. With every interior node inlined that is
 // exactly the plan's leaf cells; an admitted node adds the re-scan of its
 // own (sizer-estimated) cells.
 func TestExplainScanTotal(t *testing.T) {
-	scans := func(t *testing.T, out string) int64 {
-		t.Helper()
-		var total int64
-		for _, line := range strings.Split(out, "\n") {
-			if i := strings.Index(line, ", scans "); i >= 0 {
-				var n int64
-				if _, err := fmt.Sscanf(line[i:], ", scans %d tuples)", &n); err != nil {
-					t.Fatalf("unparsable scan total in %q: %v", line, err)
-				}
-				total += n
-			}
-		}
-		return total
-	}
 	run := func(t *testing.T, minBenefit float64, warm ...lattice.ID) (explained, executed int64, f *fixture) {
 		t.Helper()
 		f = build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20,
@@ -159,7 +163,7 @@ func TestExplainScanTotal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
-		return scans(t, out), res.AggregatedTuples, f
+		return explainScans(t, out), res.AggregatedTuples, f
 	}
 
 	inlined, executed, f := run(t, 1e12)
@@ -211,5 +215,63 @@ func TestExplainPlanCostFallback(t *testing.T) {
 	}
 	if !strings.Contains(out, "aggregate in cache (cost") {
 		t.Fatalf("ESM explain missing cost:\n%s", out)
+	}
+}
+
+// TestExplainReadsColdLeaves: Explain reads plan leaves from the local store
+// below a peer ring, cold residents included, and without side effects: the
+// scan total is the leaves' real cells even when most of them live
+// compressed in the cold tier, and no hit, miss or cold read is counted.
+func TestExplainReadsColdLeaves(t *testing.T) {
+	f := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
+	lat := f.grid.Lattice()
+	base := lat.Base()
+	nums := make([]int, f.grid.NumChunks(base))
+	for i := range nums {
+		nums[i] = i
+	}
+	cs, _, err := f.oracle.ComputeChunks(context.Background(), base, nums)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	var largest, baseCells int64
+	for _, c := range cs {
+		largest = max(largest, c.Bytes())
+		baseCells += int64(c.Cells())
+	}
+	hot, err := cache.New(largest, cache.NewLRU())
+	if err != nil {
+		t.Fatalf("cache.New: %v", err)
+	}
+	tc, err := cache.NewTiered(hot, 1<<20)
+	if err != nil {
+		t.Fatalf("NewTiered: %v", err)
+	}
+	ring, err := cache.NewPeered(tc, cache.PeeredConfig{})
+	if err != nil {
+		t.Fatalf("NewPeered: %v", err)
+	}
+	defer ring.Close()
+	sz := sizer.NewEstimate(f.grid, 1000)
+	eng, err := New(f.grid, ring, strategy.NewVCMC(f.grid, sz), f.oracle, sz)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := eng.Execute(context.Background(), WholeGroupBy(base)); err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	if ts := tc.TierStats(); ts.ColdChunks != int64(len(nums)-1) {
+		t.Fatalf("tier stats %+v: want all but one base chunk cold", ts)
+	}
+	st, ts := tc.Stats(), tc.TierStats()
+	out, err := eng.Explain(WholeGroupBy(lat.Top()))
+	if err != nil {
+		t.Fatalf("Explain: %v", err)
+	}
+	if got := explainScans(t, out); got != baseCells {
+		t.Fatalf("Explain scans %d tuples, the base group-by holds %d cells:\n%s", got, baseCells, out)
+	}
+	if tc.Stats() != st || tc.TierStats() != ts {
+		t.Fatalf("Explain touched the store: %+v %+v, was %+v %+v", tc.Stats(), tc.TierStats(), st, ts)
 	}
 }

@@ -69,27 +69,44 @@ func TestTieredColdLeafPinnedInPlace(t *testing.T) {
 	}
 	// The hot tier fits one chunk: the leaf still cold means one cold
 	// resident after the one demote that put it there.
-	if ts := tc.TierStats(); ts.ColdHits == 0 || ts.ColdChunks != 1 || ts.Demotes != 1 || !tc.Contains(cache.Key{GB: base, Num: 0}) {
+	_, resident := tc.Peek(cache.Key{GB: base, Num: 0})
+	if ts := tc.TierStats(); ts.ColdHits == 0 || ts.ColdChunks != 1 || ts.Demotes != 1 || !resident {
 		t.Fatalf("tier stats %+v: want the leaf read as a cold hit, where it lives", ts)
 	}
 	assertMatchesOracle(t, f, q, res)
 }
 
-// evictBeforePin is a Store that administratively evicts victim just before
-// the first Pin reaches the store, the way a concurrent query's eviction
-// lands between a lookup and its pin.
+// evictBeforePin is an LRU store whose first armed Pin has the policy evict
+// victim just before the pin reaches the store, the way a concurrent query's
+// insert lands between a lookup and its pin: with keep pinned, it inserts
+// fillers (real chunks, so any plan through them is still right) until
+// victim is the LRU victim that makes room.
 type evictBeforePin struct {
-	cache.Store
-	victim cache.Key
-	armed  bool
+	*cache.Sharded
+	victim  cache.Key
+	keep    []cache.Key
+	fillers []*chunk.Chunk
+	fillGB  lattice.ID
+	armed   bool
 }
 
 func (s *evictBeforePin) Pin(k cache.Key) bool {
 	if s.armed {
 		s.armed = false
-		s.Store.Evict(s.victim)
+		for _, p := range s.keep {
+			s.Sharded.Pin(p)
+		}
+		for _, c := range s.fillers {
+			if _, resident := s.Peek(s.victim); !resident {
+				break
+			}
+			s.Insert(cache.Key{GB: s.fillGB, Num: c.Num}, c)
+		}
+		for _, p := range s.keep {
+			s.Sharded.Unpin(p)
+		}
 	}
-	return s.Store.Pin(k)
+	return s.Sharded.Pin(k)
 }
 
 // TestReplanAfterPinRace: the cached top chunk is evicted between Find and
@@ -99,11 +116,38 @@ func (s *evictBeforePin) Pin(k cache.Key) bool {
 func TestReplanAfterPinRace(t *testing.T) {
 	f := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
 	lat := f.grid.Lattice()
-	hot, err := cache.New(1<<20, cache.NewTwoLevel())
+	base := lat.Base()
+	st := &evictBeforePin{victim: cache.Key{GB: lat.Top(), Num: 0}}
+	nums := make([]int, f.grid.NumChunks(base))
+	for i := range nums {
+		nums[i] = i
+		st.keep = append(st.keep, cache.Key{GB: base, Num: int32(i)})
+	}
+	// Room for the base group-by and two top chunks: a filler fits beside
+	// the warm top chunk, and the next one must evict it.
+	cs, _, err := f.oracle.ComputeChunks(context.Background(), base, nums)
 	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	tops, _, err := f.oracle.ComputeChunks(context.Background(), lat.Top(), []int{0})
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	capacity := 2 * tops[0].Bytes()
+	for _, c := range cs {
+		capacity += c.Bytes()
+	}
+	st.fillGB = lat.Children(base)[0]
+	fill := make([]int, f.grid.NumChunks(st.fillGB))
+	for i := range fill {
+		fill[i] = i
+	}
+	if st.fillers, _, err = f.oracle.ComputeChunks(context.Background(), st.fillGB, fill); err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	if st.Sharded, err = cache.New(capacity, cache.NewLRU()); err != nil {
 		t.Fatalf("cache.New: %v", err)
 	}
-	st := &evictBeforePin{Store: hot, victim: cache.Key{GB: lat.Top(), Num: 0}}
 	sz := sizer.NewEstimate(f.grid, 1000)
 	eng, err := New(f.grid, st, strategy.NewVCMC(f.grid, sz), f.oracle, sz)
 	if err != nil {

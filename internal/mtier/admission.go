@@ -12,7 +12,7 @@ import (
 
 // AdmissionConfig tunes the server-wide admission controller: a bounded
 // queue of execution slots in front of the engine, deadline-aware shedding,
-// and per-tenant rate quotas. The zero value disables admission entirely
+// and a per-tenant query-rate quota. The zero value disables admission entirely
 // (every query executes immediately, the pre-admission behavior).
 type AdmissionConfig struct {
 	// MaxConcurrent is the number of queries executing at once, server-wide
@@ -32,11 +32,6 @@ type AdmissionConfig struct {
 	// TenantBurst is the qps bucket's burst size; <= 0 means
 	// max(1, ceil(2×TenantQPS)).
 	TenantBurst int
-	// TenantBytesPerSec caps response bytes per second per tenant. Bytes are
-	// charged after the response is encoded (their size is unknowable at
-	// admission), so the bucket runs a debt model: a tenant that overdraws
-	// is shed until the debt refills. 0 means unlimited.
-	TenantBytesPerSec float64
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
@@ -89,14 +84,13 @@ func newAdmission(cfg AdmissionConfig) *admission {
 }
 
 // Admit gates one query. On admission it returns a release closure the
-// caller must invoke exactly once with the encoded response size — release
-// frees the execution slot, feeds the service-time histogram, and charges
-// the tenant's byte quota. On shed it returns the BusyError to reply with
-// (reason + retry-after hint) and a nil release.
-func (a *admission) Admit(tenant string, budget time.Duration) (release func(respBytes int), busy *wire.BusyError) {
+// caller must invoke exactly once when the response is written — release
+// frees the execution slot and feeds the service-time histogram. On shed it
+// returns the BusyError to reply with (reason + retry-after hint) and a nil
+// release.
+func (a *admission) Admit(tenant string, budget time.Duration) (release func(), busy *wire.BusyError) {
 	start := time.Now()
-	ts := a.tenant(tenant)
-	if ts != nil {
+	if ts := a.tenant(tenant); ts != nil {
 		if be := ts.admit(start); be != nil {
 			a.shed(a.met.ShedQuota, start)
 			return nil, be
@@ -150,12 +144,9 @@ func (a *admission) Admit(tenant string, budget time.Duration) (release func(res
 	a.met.QueueWait.Observe(waited)
 	a.met.Admitted.Inc()
 	admitted := time.Now()
-	return func(respBytes int) {
+	return func() {
 		<-a.slots
 		a.svc.Observe(time.Since(admitted))
-		if ts != nil {
-			ts.charge(time.Now(), respBytes)
-		}
 	}, nil
 }
 
@@ -204,59 +195,34 @@ func (a *admission) ShedsPerSec() float64 {
 // sight. Nil when the id is empty or no tenant quota is configured —
 // quota-free tenants skip the lock entirely.
 func (a *admission) tenant(id string) *tenantState {
-	if id == "" || (a.cfg.TenantQPS <= 0 && a.cfg.TenantBytesPerSec <= 0) {
+	if id == "" || a.cfg.TenantQPS <= 0 {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ts := a.tenants[id]
 	if ts == nil {
-		now := time.Now()
-		ts = &tenantState{
-			qps:   bucket{rate: a.cfg.TenantQPS, burst: float64(a.cfg.TenantBurst), tokens: float64(a.cfg.TenantBurst), last: now},
-			bytes: bucket{rate: a.cfg.TenantBytesPerSec, burst: a.cfg.TenantBytesPerSec, tokens: a.cfg.TenantBytesPerSec, last: now},
-		}
+		ts = &tenantState{qps: bucket{rate: a.cfg.TenantQPS, burst: float64(a.cfg.TenantBurst), tokens: float64(a.cfg.TenantBurst), last: time.Now()}}
 		a.tenants[id] = ts
 	}
 	return ts
 }
 
-// tenantState is one tenant's pair of token buckets.
+// tenantState is one tenant's query-rate bucket.
 type tenantState struct {
-	mu    sync.Mutex
-	qps   bucket // admitted queries per second
-	bytes bucket // response bytes per second, debt model
+	mu  sync.Mutex
+	qps bucket // admitted queries per second
 }
 
-// admit checks both quotas at admission time, returning the quota shed to
-// reply with or nil. The byte bucket is only *checked* here (is the tenant
-// in debt from earlier responses?); the actual charge lands in charge once
-// the response size is known.
+// admit takes one token from the tenant's qps bucket, returning the quota
+// shed to reply with when it is empty, or nil.
 func (ts *tenantState) admit(now time.Time) *wire.BusyError {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.bytes.rate > 0 {
-		ts.bytes.refill(now)
-		if ts.bytes.tokens < 0 {
-			return &wire.BusyError{RetryAfter: ts.bytes.delay(0), Reason: "quota"}
-		}
-	}
-	if ts.qps.rate > 0 && !ts.qps.take(now, 1) {
+	if !ts.qps.take(now, 1) {
 		return &wire.BusyError{RetryAfter: ts.qps.delay(1), Reason: "quota"}
 	}
 	return nil
-}
-
-// charge debits the byte bucket for one delivered response; the balance may
-// go negative (debt), which admit sheds against until it refills.
-func (ts *tenantState) charge(now time.Time, n int) {
-	if ts.bytes.rate <= 0 {
-		return
-	}
-	ts.mu.Lock()
-	ts.bytes.refill(now)
-	ts.bytes.tokens -= float64(n)
-	ts.mu.Unlock()
 }
 
 // bucket is a token bucket refilled by wall clock. Callers hold the owning
@@ -264,7 +230,7 @@ func (ts *tenantState) charge(now time.Time, n int) {
 type bucket struct {
 	rate   float64 // tokens per second
 	burst  float64 // capacity
-	tokens float64 // may be negative under the debt model
+	tokens float64
 	last   time.Time
 }
 

@@ -30,13 +30,13 @@ func TestAdmissionAdmitReleaseCycle(t *testing.T) {
 	if busy != nil {
 		t.Fatalf("second admit shed: %v", busy)
 	}
-	r1(100)
+	r1()
 	r3, busy := a.Admit("", 0)
 	if busy != nil {
 		t.Fatalf("admit after release shed: %v", busy)
 	}
-	r2(100)
-	r3(100)
+	r2()
+	r3()
 	if a.Depth() != 0 {
 		t.Fatalf("queue depth %d after all released", a.Depth())
 	}
@@ -60,7 +60,7 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 			t.Errorf("queued admit shed: %v", busy)
 			return
 		}
-		r(0)
+		r()
 	}()
 	<-queued
 	// Wait until the waiter is actually counted in the queue.
@@ -77,7 +77,7 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	if busy.RetryAfter <= 0 {
 		t.Fatalf("queue_full shed carries no retry-after hint")
 	}
-	release(0) // hands the slot to the waiter
+	release() // hands the slot to the waiter
 	wg.Wait()
 }
 
@@ -105,7 +105,7 @@ func TestAdmissionExpiresWhileQueued(t *testing.T) {
 	if busy != nil {
 		t.Fatalf("first admit shed: %v", busy)
 	}
-	defer release(0)
+	defer release()
 	start := time.Now()
 	_, busy = a.Admit("", 20*time.Millisecond)
 	if busy == nil {
@@ -126,7 +126,7 @@ func TestTenantQPSQuota(t *testing.T) {
 		if busy != nil {
 			t.Fatalf("admit %d within burst shed: %v", i, busy)
 		}
-		r(0)
+		r()
 	}
 	_, busy := a.Admit("noisy", 0)
 	if busy == nil {
@@ -139,37 +139,12 @@ func TestTenantQPSQuota(t *testing.T) {
 	if r, busy := a.Admit("polite", 0); busy != nil {
 		t.Fatalf("other tenant shed: %v", busy)
 	} else {
-		r(0)
+		r()
 	}
 	if r, busy := a.Admit("", 0); busy != nil {
 		t.Fatalf("anonymous query shed: %v", busy)
 	} else {
-		r(0)
-	}
-}
-
-func TestTenantByteDebt(t *testing.T) {
-	now := time.Now()
-	ts := &tenantState{bytes: bucket{rate: 1000, burst: 1000, tokens: 1000, last: now}}
-	if be := ts.admit(now); be != nil {
-		t.Fatalf("fresh bucket shed: %v", be)
-	}
-	// Charge 3KB against a 1KB balance: 2KB of debt.
-	ts.charge(now, 3000)
-	be := ts.admit(now)
-	if be == nil {
-		t.Fatalf("tenant in byte debt was admitted")
-	}
-	if be.Reason != "quota" {
-		t.Fatalf("shed reason %q, want quota", be.Reason)
-	}
-	// At 1000 B/s the 2KB debt needs ~2s to refill.
-	if be.RetryAfter < time.Second || be.RetryAfter > 3*time.Second {
-		t.Fatalf("debt retry-after %v, want ≈2s", be.RetryAfter)
-	}
-	// After the refill interval the tenant is served again.
-	if be := ts.admit(now.Add(2100 * time.Millisecond)); be != nil {
-		t.Fatalf("tenant still shed after debt refilled: %v", be)
+		r()
 	}
 }
 
@@ -387,7 +362,7 @@ func TestSubMillisecondBudgetStaysADeadline(t *testing.T) {
 	if busy != nil {
 		t.Fatalf("first admit shed: %v", busy)
 	}
-	defer release(0)
+	defer release()
 	if _, busy := a.Admit("", budget); busy == nil || busy.Reason != "expired" {
 		t.Fatalf("decoded 500µs budget behind a busy slot → %v, want expired", busy)
 	}

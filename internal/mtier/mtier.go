@@ -364,7 +364,7 @@ func (s *Server) handleFrame(fr *wire.Frame) wire.Frame {
 		req.Budget = time.Until(deadline)
 	}
 	payload := encodeResponse(nil, s.answer(req))
-	release(len(payload))
+	release()
 	return wire.Frame{Type: frameAnswer, Payload: payload}
 }
 

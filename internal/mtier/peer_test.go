@@ -188,8 +188,8 @@ func TestPeerGetOfColdChunkStaysCold(t *testing.T) {
 	warmData.GB = warm.GB
 	tc.Insert(cold, peerChunk(0, 4), cache.AsBackend(21))
 	tc.Insert(warm, warmData, cache.AsBackend(1)) // demotes cold
-	if ts := tc.TierStats(); ts.ColdChunks != 1 || ts.Demotes != 1 || !tc.Contains(cold) {
-		t.Fatalf("key %v is not cold-resident on the owner: %+v", cold, ts)
+	if _, ok := tc.Peek(cold); !ok || tc.TierStats().ColdChunks != 1 || tc.TierStats().Demotes != 1 {
+		t.Fatalf("key %v is not cold-resident on the owner: %+v", cold, tc.TierStats())
 	}
 
 	cl := NewPeerClient(addr, 0)

@@ -94,7 +94,6 @@ type CacheMetrics struct {
 	Replacements *Counter
 
 	EvictionsPolicy *Counter
-	EvictionsAdmin  *Counter
 	Denied          *Counter
 	PinFailures     *Counter
 }
@@ -111,8 +110,7 @@ func NewCacheMetrics(r *Registry) CacheMetrics {
 		Inserts:      r.Counter("aggcache_cache_inserts_total", "Chunks newly admitted to the cache."),
 		Replacements: r.Counter("aggcache_cache_replacements_total", "Resident chunks whose payload was replaced in place."),
 
-		EvictionsPolicy: r.Counter(`aggcache_cache_evictions_total{cause="policy"}`, "Chunks removed, by cause: policy-chosen victims vs administrative removal."),
-		EvictionsAdmin:  r.Counter(`aggcache_cache_evictions_total{cause="admin"}`, ""),
+		EvictionsPolicy: r.Counter(`aggcache_cache_evictions_total{cause="policy"}`, "Chunks the replacement policy chose as victims."),
 		Denied:          r.Counter("aggcache_cache_admission_denied_total", "Insertions denied by the replacement policy or the size bound."),
 		PinFailures:     r.Counter("aggcache_cache_pin_failures_total", "Pin attempts on chunks that were not resident."),
 	}

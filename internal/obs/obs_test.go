@@ -182,7 +182,6 @@ func TestWritePrometheusParses(t *testing.T) {
 	em.Lookup.Observe(3 * time.Millisecond)
 	cm.OccupancyBytes.Set(1 << 20)
 	cm.EvictionsPolicy.Add(2)
-	cm.EvictionsAdmin.Inc()
 	sm.Finds.Add(7)
 	sm.FindLatency.Observe(40 * time.Microsecond)
 	bm.Requests.Inc()
@@ -217,7 +216,6 @@ func TestWritePrometheusParses(t *testing.T) {
 		"aggcache_engine_queries_total",
 		"aggcache_cache_occupancy_bytes",
 		`aggcache_cache_evictions_total{cause="policy"}`,
-		`aggcache_cache_evictions_total{cause="admin"}`,
 		`aggcache_strategy_find_total{strategy="VCMC"}`,
 		"aggcache_engine_lookup_seconds_count",
 		"aggcache_backend_request_seconds_sum",

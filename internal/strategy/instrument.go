@@ -39,7 +39,7 @@ func Instrument(s Strategy, m obs.StrategyMetrics) *Instrumented {
 //
 // Visited nodes are counted from the call's own result: a hit visits the
 // plan's nodes and a miss one node, which is exactly what VCM, VCMC and
-// NoAgg do. (For the exhaustive ESM/ESMC it counts the plan, not the search
+// NoAgg do. (For an exhaustive strategy it counts the plan, not the search
 // behind it.) Nothing is read back from shared state, so concurrent Finds
 // are never charged each other's counts.
 func (i *Instrumented) Find(gb lattice.ID, num int) (*Plan, bool, error) {

@@ -129,7 +129,7 @@ func checkSilentStream(t *testing.T, g *chunk.Grid, sizes sizer.Sizer, ops int) 
 			insert(gb, num, true)
 		case len(keys) == 0:
 		case r < 9:
-			send(rng.Intn(len(keys)), []cache.EventReason{cache.Evicted, cache.Removed}[rng.Intn(2)])
+			send(rng.Intn(len(keys)), cache.Evicted)
 		default:
 			send(rng.Intn(len(keys)), cache.Demoted)
 		}

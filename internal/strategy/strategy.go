@@ -3,14 +3,15 @@
 // directly or by aggregating other cached chunks — and produce an executable
 // aggregation plan.
 //
-//   - ESM  (§3.1): exhaustive search over all lattice paths, first hit wins.
-//   - ESMC (§5.1): exhaustive search returning the cheapest plan.
 //   - VCM  (§4):   virtual counts make the computability test O(1); one
 //     successful path is materialized.
 //   - VCMC (§5.2): virtual counts plus Cost/BestParent arrays; the cheapest
 //     plan is materialized in time linear in the plan size.
 //   - NoAgg:       a conventional cache (exact chunk hits only), the paper's
 //     "no aggregation" baseline.
+//
+// The exhaustive baselines ESM (§3.1) and ESMC (§5.1) live in the
+// subpackage exhaustive, which only experiments link.
 //
 // Strategies register as the cache's Listener so inserts and evictions keep
 // their summary state (virtual counts, costs) current.
@@ -19,6 +20,7 @@ package strategy
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,7 +118,7 @@ func timeMaint(m *maintCounters, fn func()) {
 // residence at lookup time; the engine re-validates it by pinning the leaves
 // and falls back to fetching when a leaf has since been evicted.
 type Strategy interface {
-	// Name identifies the strategy in reports ("ESM", "VCMC", …).
+	// Name identifies the strategy in reports ("VCMC", "NoAgg", …).
 	Name() string
 	// Find reports whether chunk num of gb is answerable from the cache and
 	// returns an executable plan. It returns ErrBudget when a node budget
@@ -125,7 +127,7 @@ type Strategy interface {
 	// OnInsert and OnEvent implement cache.Listener to maintain summary
 	// state. OnEvent distinguishes tier moves (Demoted — the chunk stays
 	// answerable, summary state must not change) from true departures
-	// (Evicted, Removed).
+	// (Evicted).
 	OnInsert(e *cache.Entry)
 	OnEvent(ev cache.Event)
 	// Overhead returns the strategy's summary-state space in bytes using the
@@ -136,15 +138,10 @@ type Strategy interface {
 	Maintenance() Maint
 }
 
-// New builds the strategy whose Name is name: ESM, ESMC, VCM, VCMC or NoAgg.
-// budget bounds the nodes one exhaustive (ESM/ESMC) lookup visits; 0 is
-// unbounded.
-func New(name string, g *chunk.Grid, sz sizer.Sizer, budget int64) (Strategy, error) {
+// New builds the middle tier's strategy whose Name is name: VCM, VCMC or
+// NoAgg.
+func New(name string, g *chunk.Grid, sz sizer.Sizer) (Strategy, error) {
 	switch name {
-	case "ESM":
-		return NewESM(g, budget), nil
-	case "ESMC":
-		return NewESMC(g, sz, budget), nil
 	case "VCM":
 		return NewVCM(g), nil
 	case "VCMC":
@@ -152,7 +149,7 @@ func New(name string, g *chunk.Grid, sz sizer.Sizer, budget int64) (Strategy, er
 	case "NoAgg":
 		return NewNoAgg(g), nil
 	}
-	return nil, fmt.Errorf("strategy: unknown strategy %q", name)
+	return nil, fmt.Errorf("strategy: unknown strategy %q (want VCM, VCMC or NoAgg)", name)
 }
 
 // CostEstimator is the benefit API a strategy may offer on top of Find:
@@ -169,7 +166,7 @@ type CostEstimator interface {
 
 // AsCostEstimator returns the CostEstimator behind s, unwrapping decorators
 // (e.g. Instrumented) via their Unwrap method. It reports false for
-// strategies with no cost model (ESM, VCM, NoAgg).
+// strategies with no cost model (VCM, NoAgg).
 func AsCostEstimator(s Strategy) (CostEstimator, bool) {
 	for s != nil {
 		if ce, ok := s.(CostEstimator); ok {
@@ -217,3 +214,50 @@ func presentInputs(parent lattice.ID, r chunk.Run) []*Plan {
 	}
 	return inputs
 }
+
+// NoAgg is the conventional chunk cache of the paper's comparison (§7.2
+// "no aggregation"): a chunk is answerable only when it is itself resident.
+type NoAgg struct {
+	mu      sync.RWMutex
+	present *presence
+}
+
+// NewNoAgg creates the no-aggregation baseline.
+func NewNoAgg(g *chunk.Grid) *NoAgg { return &NoAgg{present: newPresence(g)} }
+
+// Name implements Strategy.
+func (s *NoAgg) Name() string { return "NoAgg" }
+
+// Find implements Strategy.
+func (s *NoAgg) Find(gb lattice.ID, num int) (*Plan, bool, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.present.has(gb, num) {
+		return &Plan{GB: gb, Num: num, Present: true}, true, nil
+	}
+	return nil, false, nil
+}
+
+// OnInsert implements cache.Listener.
+func (s *NoAgg) OnInsert(e *cache.Entry) {
+	s.mu.Lock()
+	s.present.set(e.Key.GB, int(e.Key.Num))
+	s.mu.Unlock()
+}
+
+// OnEvent implements cache.Listener. A tier move (Demoted) leaves the chunk
+// answerable through the store, so presence is untouched.
+func (s *NoAgg) OnEvent(ev cache.Event) {
+	if ev.Answerable() {
+		return
+	}
+	s.mu.Lock()
+	s.present.clear(ev.Key.GB, int(ev.Key.Num))
+	s.mu.Unlock()
+}
+
+// Overhead implements Strategy.
+func (s *NoAgg) Overhead() int64 { return 0 }
+
+// Maintenance implements Strategy.
+func (s *NoAgg) Maintenance() Maint { return Maint{} }

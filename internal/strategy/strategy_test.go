@@ -1,8 +1,8 @@
 package strategy
 
 import (
-	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +50,7 @@ func evicted(gb lattice.ID, num int) cache.Event {
 }
 
 // oracle answers computability and least cost by exhaustive memoized search
-// over the present set — the ground truth for Property 1 and for VCMC/ESMC
+// over the present set — the ground truth for Property 1 and for VCMC
 // costs. Silent (recycled) residents answer lookups but never count, so the
 // oracle keeps them apart and can search with or without them.
 type oracle struct {
@@ -190,30 +190,18 @@ func checkPlan(t *testing.T, g *chunk.Grid, o *oracle, p *Plan) {
 	}
 }
 
-// allStrategies builds one of each lookup strategy over the grid.
-func allStrategies(g *chunk.Grid, sizes sizer.Sizer) []Strategy {
-	return []Strategy{
-		NewESM(g, 0),
-		NewESMC(g, sizes, 0),
-		NewVCM(g),
-		NewVCMC(g, sizes),
-	}
-}
-
 // TestPropertyOneAndCosts drives random insert/evict sequences and checks,
 // after every operation and for every chunk of every group-by:
-//   - ESM/VCM/ESMC/VCMC agree with the oracle on computability (Property 1);
+//   - VCM and VCMC agree with the oracle on computability (Property 1);
 //   - VCM and VCMC counts equal the from-scratch Definition 1 count;
-//   - VCMC's O(1) cost equals the oracle's least cost, and ESMC's plan cost
-//     matches it;
+//   - VCMC's O(1) cost and its plan's cost equal the oracle's least cost;
 //   - all returned plans are structurally valid.
 func TestPropertyOneAndCosts(t *testing.T) {
 	g := apb3Grid(t)
 	lat := g.Lattice()
 	sizes := sizer.NewEstimate(g, 500)
-	strategies := allStrategies(g, sizes)
-	vcm := strategies[2].(*VCM)
-	vcmc := strategies[3].(*VCMC)
+	vcm, vcmc := NewVCM(g), NewVCMC(g, sizes)
+	strategies := []Strategy{vcm, vcmc}
 	o := newOracle(g, sizes)
 	rng := rand.New(rand.NewSource(17))
 
@@ -278,14 +266,11 @@ func TestPropertyOneAndCosts(t *testing.T) {
 						checkPlan(t, g, o, plan)
 					}
 				}
-				// Cost-based strategies must return minimum-cost plans.
+				// The cost-based strategy must return minimum-cost plans.
 				if want {
-					for _, s := range []Strategy{strategies[1], strategies[3]} {
-						plan, _, _ := s.Find(id, n)
-						if plan.Cost != wantCost {
-							t.Fatalf("op %d: %s plan cost %d for (%s,%d), oracle %d",
-								op, s.Name(), plan.Cost, lat.LevelTupleString(id), n, wantCost)
-						}
+					if plan, _, _ := vcmc.Find(id, n); plan.Cost != wantCost {
+						t.Fatalf("op %d: VCMC plan cost %d for (%s,%d), oracle %d",
+							op, plan.Cost, lat.LevelTupleString(id), n, wantCost)
 					}
 				}
 			}
@@ -431,45 +416,6 @@ func TestAmortizedInsertCheap(t *testing.T) {
 	}
 }
 
-func TestESMBudget(t *testing.T) {
-	g := apb3Grid(t)
-	lat := g.Lattice()
-	esm := NewESM(g, 3)
-	// Empty cache: the exhaustive search would visit many nodes; the budget
-	// must trip.
-	_, _, err := esm.Find(lat.Top(), 0)
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	esmc := NewESMC(g, sizer.NewEstimate(g, 100), 3)
-	if _, _, err := esmc.Find(lat.Top(), 0); !errors.Is(err, ErrBudget) {
-		t.Fatalf("ESMC err = %v, want ErrBudget", err)
-	}
-	// A present chunk is found within any budget.
-	esm.OnInsert(entry(lat.Top(), 0))
-	if _, found, err := esm.Find(lat.Top(), 0); !found || err != nil {
-		t.Fatalf("present chunk not found: %v %v", found, err)
-	}
-}
-
-func TestESMVisitedGrowsWithAggregation(t *testing.T) {
-	g := apb3Grid(t)
-	lat := g.Lattice()
-	esm := NewESM(g, 0)
-	// Lookup misses: highly aggregated chunks must visit far more nodes than
-	// base-level chunks (Lemma 1's point behind Table 1).
-	_, found, _ := esm.Find(lat.Base(), 0)
-	if found {
-		t.Fatalf("empty cache should not find")
-	}
-	baseVisits := esm.LastVisited()
-	_, _, _ = esm.Find(lat.Top(), 0)
-	topVisits := esm.LastVisited()
-	if topVisits <= baseVisits*10 {
-		t.Fatalf("top visits %d not ≫ base visits %d", topVisits, baseVisits)
-	}
-}
-
 func TestNoAgg(t *testing.T) {
 	g := fig4Grid(t)
 	lat := g.Lattice()
@@ -499,12 +445,6 @@ func TestOverheadAccounting(t *testing.T) {
 	g := apb3Grid(t)
 	total := g.TotalChunks()
 	sizes := sizer.NewEstimate(g, 100)
-	if got := NewESM(g, 0).Overhead(); got != 0 {
-		t.Fatalf("ESM overhead = %d", got)
-	}
-	if got := NewESMC(g, sizes, 0).Overhead(); got != 0 {
-		t.Fatalf("ESMC overhead = %d", got)
-	}
 	if got := NewVCM(g).Overhead(); got != total {
 		t.Fatalf("VCM overhead = %d, want %d", got, total)
 	}
@@ -545,12 +485,13 @@ func TestMaintSub(t *testing.T) {
 }
 
 // TestNewByName: every accepted name builds the strategy of that Name, and
-// an unknown one is an error.
+// any other — the exhaustive baselines included — is an error naming the
+// accepted ones.
 func TestNewByName(t *testing.T) {
 	g := fig4Grid(t)
 	sizes := sizer.NewEstimate(g, 100)
-	for _, name := range []string{"ESM", "ESMC", "VCM", "VCMC", "NoAgg"} {
-		s, err := New(name, g, sizes, 0)
+	for _, name := range []string{"VCM", "VCMC", "NoAgg"} {
+		s, err := New(name, g, sizes)
 		if err != nil {
 			t.Fatalf("New(%s): %v", name, err)
 		}
@@ -558,7 +499,9 @@ func TestNewByName(t *testing.T) {
 			t.Fatalf("New(%s) built %s", name, s.Name())
 		}
 	}
-	if _, err := New("bogus", g, sizes, 0); err == nil {
-		t.Fatalf("New(bogus): expected error")
+	for _, name := range []string{"bogus", "ESM", "ESMC"} {
+		if _, err := New(name, g, sizes); err == nil || !strings.Contains(err.Error(), "VCM, VCMC or NoAgg") {
+			t.Fatalf("New(%s): err %v, want one naming VCM, VCMC and NoAgg", name, err)
+		}
 	}
 }

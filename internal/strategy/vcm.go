@@ -158,7 +158,7 @@ func (s *VCM) inc(gb lattice.ID, num int) {
 // notes it is "similar in implementation and complexity"). A demotion is a
 // tier move — the chunk still answers through the store, so presence and
 // counts are untouched; the count teardown runs only when the chunk truly
-// leaves (Evicted, Removed).
+// leaves (Evicted).
 func (s *VCM) OnEvent(ev cache.Event) {
 	if ev.Answerable() {
 		return

@@ -208,7 +208,7 @@ func (s *VCMC) OnInsert(e *cache.Entry) {
 // never touched the cost lattice, so clearing its presence bits is the
 // entire dual. A tier move (Demoted) leaves the chunk answerable through the
 // store, so it is ignored here; the dual runs only when the chunk truly
-// leaves (Evicted, Removed).
+// leaves (Evicted).
 func (s *VCMC) OnEvent(ev cache.Event) {
 	if ev.Answerable() {
 		return

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"aggcache/internal/obs"
 )
@@ -158,31 +159,36 @@ func (r *Reader) ReadFrame() (Frame, error) {
 
 // Writer encodes frames to a stream. Not safe for concurrent use; callers
 // multiplexing a connection serialize writes externally (Mux, ServeConn).
-// The header and payload are assembled into one reused buffer and written
-// with a single Write, so frames never interleave even on a raw net.Conn.
+// The header is encoded into a fixed array and sent together with the
+// caller's payload in one vectored write (writev on a TCP connection), so
+// the payload is never copied and the Writer retains no buffer that grows
+// with the largest frame it has written.
 type Writer struct {
 	w   io.Writer
 	met Metrics
-	buf []byte
+	hdr [HeaderSize]byte
+	vec [2][]byte   // header and payload; backs out, so a frame allocates nothing
+	out net.Buffers // consumed by WriteTo
 }
 
 // NewWriter wraps w with a frame encoder.
 func NewWriter(w io.Writer, met Metrics) *Writer {
-	return &Writer{w: w, met: met, buf: make([]byte, 0, 4096)}
+	return &Writer{w: w, met: met}
 }
 
 // WriteFrame encodes and writes one frame.
 func (w *Writer) WriteFrame(f Frame) error {
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, magic[0], magic[1], magic[2], Version, f.Type, f.Flags, 0, 0)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, f.ID)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(f.Payload)))
-	w.buf = append(w.buf, f.Payload...)
-	n, err := w.w.Write(w.buf)
+	copy(w.hdr[:], []byte{magic[0], magic[1], magic[2], Version, f.Type, f.Flags, 0, 0})
+	binary.LittleEndian.PutUint64(w.hdr[8:16], f.ID)
+	binary.LittleEndian.PutUint32(w.hdr[16:20], uint32(len(f.Payload)))
+	w.vec = [2][]byte{w.hdr[:], f.Payload}
+	w.out = w.vec[:]
+	n, err := w.out.WriteTo(w.w)
+	w.vec, w.out = [2][]byte{}, nil // keep no reference to the payload
 	if err != nil {
 		return err
 	}
 	w.met.FramesOut.Inc()
-	w.met.BytesOut.Add(int64(n))
+	w.met.BytesOut.Add(n)
 	return nil
 }

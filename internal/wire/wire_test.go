@@ -49,6 +49,47 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriterRetainsNoFrameBuffer: after a large frame is written, the
+// Writer holds on to no copy of it, so a long-lived connection does not keep
+// a buffer the size of the largest frame it ever sent.
+func TestWriterRetainsNoFrameBuffer(t *testing.T) {
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	w := NewWriter(io.Discard, Metrics{})
+	writeBig := func() {
+		if err := w.WriteFrame(Frame{Type: 1, Payload: make([]byte, 4<<20)}); err != nil {
+			t.Fatalf("WriteFrame: %v", err)
+		}
+	}
+	writeBig()
+	// The Writer's own fields hold no slice after the write: nothing else in
+	// the process can disturb this check.
+	if cap(w.vec[0]) != 0 || cap(w.vec[1]) != 0 || w.out != nil {
+		t.Fatalf("writer keeps slices after WriteFrame: vec caps %d/%d, out %d buffers",
+			cap(w.vec[0]), cap(w.vec[1]), len(w.out))
+	}
+	// And the heap agrees, with a margin for other goroutines in the test
+	// binary: a retained copy would be the whole 4 MiB.
+	after := heap()
+	runtime.KeepAlive(w)
+	if after > before && after-before > 1<<20 {
+		t.Fatalf("writer retains %d bytes after a 4 MiB frame, want well under 1 MiB", after-before)
+	}
+	small := Frame{Type: 1, ID: 7, Payload: []byte("payload")}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := w.WriteFrame(small); err != nil {
+			t.Fatalf("WriteFrame: %v", err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("WriteFrame allocates %v times per frame, want 0", allocs)
+	}
+}
+
 func TestReaderRejectsBadMagic(t *testing.T) {
 	r := NewReader(bytes.NewReader(bytes.Repeat([]byte{0xFF}, HeaderSize)), 0, Metrics{})
 	if _, err := r.ReadFrame(); !errors.Is(err, ErrBadMagic) {
