@@ -83,8 +83,7 @@ fuzz-wire:
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzChunkDecode -fuzztime 10s
 
 # fuzz-peer smoke-fuzzes the middle tier's protocol decoders the same way:
-# the peer cache payloads (PeerGet/PeerChunk/PeerPut/PeerAck) and the client
-# answer frame.
+# the peer cache payloads (PeerGet/PeerChunk) and the client answer frame.
 fuzz-peer:
 	$(GO) test ./internal/mtier -run XXX -fuzz FuzzPeerFrame -fuzztime 10s
 	$(GO) test ./internal/mtier -run XXX -fuzz FuzzAnswerFrame -fuzztime 10s

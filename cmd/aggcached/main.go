@@ -316,10 +316,10 @@ func main() {
 		fatal(err)
 	}
 	if pc != nil {
-		pc.Close() // drains the replication queue, so the counts are final
+		pc.Close()
 		ps := pc.PeerStats()
-		fmt.Printf("aggcached: cluster: %d peer fills, %d fill misses, %d fill errors, %d puts\n",
-			ps.Fills, ps.FillMisses, ps.FillErrors, ps.Puts)
+		fmt.Printf("aggcached: cluster: %d peer fills, %d fill misses, %d fill errors, %d skips\n",
+			ps.Fills, ps.FillMisses, ps.FillErrors, ps.FillSkips)
 	}
 	if snapPath != "" {
 		n, err := eng.SaveCacheFile(snapPath)

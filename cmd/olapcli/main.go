@@ -84,10 +84,10 @@ func main() {
 	defer be.Close()
 
 	// Cluster tier: with -peers, local misses consult the key's ring owner
-	// in the aggcached group before the backend. Self is empty — the shell
-	// is a pure client of the ring, every owner is remote — and the same
-	// deterministic ring construction the servers use guarantees the shell
-	// routes each key to the node that would own it.
+	// in the aggcached group before the backend; the shell only reads, and
+	// its own backend fills stay local. Self is empty — the shell is a pure
+	// client of the ring, every owner is remote — and the same deterministic
+	// ring construction the servers use routes each key to its owner.
 	var peers *cache.PeeredConfig
 	if *peersFlag != "" {
 		peers = &cache.PeeredConfig{Dial: func(addr string) cache.Peer { return mtier.NewPeerClient(addr, *maxFrame) }}

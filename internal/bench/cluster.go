@@ -67,7 +67,6 @@ type clusterRow struct {
 	PeerFills     int64   `json:"peer_fills"`
 	PeerFillMiss  int64   `json:"peer_fill_misses"`
 	PeerFillErrs  int64   `json:"peer_fill_errors"`
-	PeerPuts      int64   `json:"peer_puts"`
 	BackendChunks int64   `json:"backend_chunks"`
 }
 
@@ -184,17 +183,14 @@ func Cluster(e *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Warm pass: one sequential round-robin replay populates the group
-		// and lets replication spread each backend fill to its ring owner.
+		// Warm pass: one sequential round-robin replay populates the group;
+		// each node keeps what its own queries fetched.
 		for i, q := range queries {
 			if _, err := nodes[i%n].stack.Engine.Execute(context.Background(), q); err != nil {
 				closeCluster(nodes)
 				return nil, err
 			}
 		}
-		// Let the asynchronous replication queues drain before measuring.
-		time.Sleep(200 * time.Millisecond)
-
 		// Two concurrent passes: the first converges the group — every node
 		// pulls the chunks its pinned clients will keep asking for — and the
 		// second is the measured steady state, the regime a long-lived tier
@@ -247,7 +243,6 @@ func Cluster(e *Env) (*Report, error) {
 				ps.Fills += s.Fills
 				ps.FillMisses += s.FillMisses
 				ps.FillErrors += s.FillErrors
-				ps.Puts += s.Puts
 			}
 			return ps
 		}
@@ -264,7 +259,6 @@ func Cluster(e *Env) (*Report, error) {
 			Fills:      after.Fills - before.Fills,
 			FillMisses: after.FillMisses - before.FillMisses,
 			FillErrors: after.FillErrors - before.FillErrors,
-			Puts:       after.Puts - before.Puts,
 		}
 		closeCluster(nodes)
 
@@ -279,7 +273,6 @@ func Cluster(e *Env) (*Report, error) {
 			PeerFills:     ps.Fills,
 			PeerFillMiss:  ps.FillMisses,
 			PeerFillErrs:  ps.FillErrors,
-			PeerPuts:      ps.Puts,
 			BackendChunks: miss.Load() - peer.Load(),
 		}
 		m.Rows = append(m.Rows, row)

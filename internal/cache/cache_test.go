@@ -244,7 +244,7 @@ func TestTwoLevelPromoteOnReuse(t *testing.T) {
 	}
 
 	// Provenance survives the ring change: the entry still reports
-	// ClassComputed (so a Peered store would still never replicate it).
+	// ClassComputed.
 	cl := ClassBackend
 	c.Range(func(k Key, _ *chunk.Chunk, class Class, _ float64, _ bool) {
 		if k == key(1) {

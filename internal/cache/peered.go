@@ -14,17 +14,19 @@ import (
 )
 
 // Peer is one remote cache node the Peered store can consult: a thin
-// chunk-granularity get/put surface over the peer wire protocol (the mtier
-// package provides the TCP implementation; tests substitute in-process
-// ones). Implementations must be safe for concurrent use and must honor the
+// chunk-granularity lookup over the peer wire protocol (the mtier package
+// provides the TCP implementation; tests substitute in-process ones).
+// Implementations must be safe for concurrent use and must honor the
 // context's deadline — a Peered store never waits on a peer longer than its
 // configured timeouts.
 type Peer interface {
 	// Get asks the peer for k. found=false with a nil error is an
 	// authoritative miss (the peer answered; it does not hold the chunk).
 	Get(ctx context.Context, k Key) (data *chunk.Chunk, cl Class, benefit float64, found bool, err error)
-	// Put hands the peer a chunk it owns on the ring, with the replacement
-	// attributes the local tier stored it under.
+	// Put is never called: the peer tier fills, it does not replicate.
+	//
+	// Deprecated: kept only so existing Peer decorators still compile; it
+	// goes with them.
 	Put(ctx context.Context, k Key, data *chunk.Chunk, cl Class, benefit float64) error
 	// Close releases the peer's connection.
 	Close() error
@@ -47,47 +49,26 @@ type PeeredConfig struct {
 	// Self. Order does not matter — ring ownership is name-determined, so
 	// every member (and every client) agrees.
 	Members []string
-	// Vnodes is the virtual nodes per member (DefaultVnodes when <= 0).
-	Vnodes int
 	// Dial produces peer handles; required when Members names anyone but
 	// Self.
 	Dial PeerDialer
 	// GetTimeout bounds one peer-fill exchange (default 250ms): past it the
 	// fill degrades to the backend path rather than stalling the query.
 	GetTimeout time.Duration
-	// PutTimeout bounds one asynchronous replication put (default 2s).
-	PutTimeout time.Duration
 	// BreakerThreshold is the run of consecutive outage-class failures that
 	// opens one peer's circuit (default 5).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open peer circuit rejects traffic
 	// before the next probe (default 2s).
 	BreakerCooldown time.Duration
-	// PutQueue bounds the asynchronous replication queue (default 256);
-	// puts beyond it are dropped and counted, never blocking an insert.
-	PutQueue int
-	// PutWorkers is the number of replication workers (default 2).
-	PutWorkers int
 	// Metrics, when set, supplies the per-peer observability bundle for
 	// each member address.
 	Metrics func(peer string) obs.PeerMetrics
 }
 
 func (c PeeredConfig) withDefaults() PeeredConfig {
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
-	}
 	if c.GetTimeout <= 0 {
 		c.GetTimeout = 250 * time.Millisecond
-	}
-	if c.PutTimeout <= 0 {
-		c.PutTimeout = 2 * time.Second
-	}
-	if c.PutQueue <= 0 {
-		c.PutQueue = 256
-	}
-	if c.PutWorkers <= 0 {
-		c.PutWorkers = 2
 	}
 	return c
 }
@@ -104,13 +85,14 @@ type PeerStats struct {
 	FillErrors int64
 	// FillSkips counts fills suppressed by an open per-peer circuit.
 	FillSkips int64
-	// Puts counts successful replication puts to owner peers.
+	// Puts is always 0: the peer tier does not replicate.
+	//
+	// Deprecated: kept only for existing readers; it goes with them.
 	Puts int64
-	// PutDrops counts puts dropped because the replication queue was full
-	// or the owner's circuit was open.
+	// PutDrops is always 0.
+	//
+	// Deprecated: kept only for existing readers; it goes with them.
 	PutDrops int64
-	// PutErrors counts failed replication puts.
-	PutErrors int64
 }
 
 // peerState is one remote member: its connection handle plus its circuit
@@ -124,15 +106,6 @@ type peerState struct {
 	circuit *backend.Circuit
 }
 
-// peerPut is one queued replication put.
-type peerPut struct {
-	owner   string
-	key     Key
-	data    *chunk.Chunk
-	cl      Class
-	benefit float64
-}
-
 // Peered is a Store composing a local store (this node's tiers — a Sharded,
 // with or without a cold tier) with a consistent-hash ring of remote peers (the
 // cluster tier):
@@ -141,16 +114,16 @@ type peerPut struct {
 //     before the caller falls through to the backend. The engine calls it
 //     only for the chunks whose fetch its flight group leads, so concurrent
 //     fills of one key are already one exchange.
-//   - Insert stores locally and, for backend-class chunks whose ring owner
-//     is a remote peer, replicates asynchronously (best-effort, bounded
-//     queue) so the whole group can reuse this node's backend fills.
 //   - A per-peer circuit (backend.Circuit) degrades a dead peer to
 //     local+backend service without blocking.
 //
-// Everything else is the embedded local store's own method, so snapshots,
-// strategies and reports see exactly the local tier. That includes Get and
-// GetInfo, the PeerGet answer path: answering one peer's lookup from
-// another peer would let a chunk resident nowhere bounce around the ring.
+// Nothing is pushed to peers: each node caches what its own clients fetch,
+// and an owner serves a key only if its own traffic made it resident.
+// Everything else, Insert included, is the embedded local store's own
+// method, so snapshots, strategies and reports see exactly the local tier.
+// That includes Get and GetInfo, the PeerGet answer path: answering one
+// peer's lookup from another peer would let a chunk resident nowhere bounce
+// around the ring.
 type Peered struct {
 	local
 	cfg PeeredConfig
@@ -160,17 +133,12 @@ type Peered struct {
 	mu    sync.Mutex // guards peers (membership rebuilds)
 	peers map[string]*peerState
 
-	puts   chan peerPut
 	closed atomic.Bool
-	wg     sync.WaitGroup
 
 	fills      atomic.Int64
 	fillMisses atomic.Int64
 	fillErrors atomic.Int64
 	fillSkips  atomic.Int64
-	putOKs     atomic.Int64
-	putDrops   atomic.Int64
-	putErrors  atomic.Int64
 }
 
 // local names Peered's embedded field.
@@ -186,14 +154,9 @@ func NewPeered(local Store, cfg PeeredConfig) (*Peered, error) {
 		local: local,
 		cfg:   cfg,
 		peers: make(map[string]*peerState),
-		puts:  make(chan peerPut, cfg.PutQueue),
 	}
 	if err := p.Rebuild(cfg.Members); err != nil {
 		return nil, err
-	}
-	for i := 0; i < cfg.PutWorkers; i++ {
-		p.wg.Add(1)
-		go p.putLoop()
 	}
 	return p, nil
 }
@@ -215,9 +178,6 @@ func (p *Peered) PeerStats() PeerStats {
 		FillMisses: p.fillMisses.Load(),
 		FillErrors: p.fillErrors.Load(),
 		FillSkips:  p.fillSkips.Load(),
-		Puts:       p.putOKs.Load(),
-		PutDrops:   p.putDrops.Load(),
-		PutErrors:  p.putErrors.Load(),
 	}
 }
 
@@ -227,10 +187,10 @@ func (p *Peered) PeerStats() PeerStats {
 // route by whichever ring they load first, which is exactly the transient a
 // static-membership reload (SIGHUP) implies. A membership that leaves out a
 // non-empty Self is refused and the current ring stays: the node would
-// treat its own address as a remote peer, filling its own keys over the wire
-// and replicating to itself.
+// treat its own address as a remote peer and fill its own keys over the
+// wire.
 func (p *Peered) Rebuild(members []string) error {
-	ring := NewRing(members, p.cfg.Vnodes)
+	ring := NewRing(members, DefaultVnodes)
 	hasSelf := p.cfg.Self == ""
 	remote := make([]string, 0, ring.Size())
 	for _, m := range ring.Members() {
@@ -285,14 +245,12 @@ func (p *Peered) peer(name string) *peerState {
 	return p.peers[name]
 }
 
-// Close stops the replication workers and closes every peer connection. The
-// local store is left untouched (the caller owns it).
+// Close closes every peer connection and stops further fills. The local
+// store is left untouched (the caller owns it).
 func (p *Peered) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
-	close(p.puts)
-	p.wg.Wait()
 	p.mu.Lock()
 	peers := make([]*peerState, 0, len(p.peers))
 	for _, st := range p.peers {
@@ -356,69 +314,7 @@ func (p *Peered) PeerFill(ctx context.Context, k Key) (*chunk.Chunk, bool) {
 	// wire exchange, not a backend scan), so it gets the weak residency of
 	// a recomputable chunk. Without this, every node's hot tier converges
 	// on duplicates of the same hot set and the group's distinct capacity
-	// stops growing with membership. The insert goes straight to the local
-	// store — a fill must never re-enter the replication path it came from.
+	// stops growing with membership.
 	p.local.Insert(k, data, AsComputed(benefit))
 	return data, true
-}
-
-// replicate queues a best-effort put of a freshly backend-fetched chunk to
-// its ring owner.
-func (p *Peered) replicate(k Key, data *chunk.Chunk, cl Class, benefit float64) {
-	owner := p.ring.Load().Owner(k)
-	if owner == "" || owner == p.cfg.Self || p.closed.Load() {
-		return
-	}
-	select {
-	case p.puts <- peerPut{owner: owner, key: k, data: data, cl: cl, benefit: benefit}:
-	default:
-		p.putDrops.Add(1)
-		if st := p.peer(owner); st != nil {
-			st.met.PutDrops.Inc()
-		}
-	}
-}
-
-// putLoop drains the replication queue.
-func (p *Peered) putLoop() {
-	defer p.wg.Done()
-	for req := range p.puts {
-		st := p.peer(req.owner)
-		if st == nil {
-			continue
-		}
-		ran := false
-		err := st.circuit.Do(func() error {
-			ran = true
-			ctx, cancel := context.WithTimeout(context.Background(), p.cfg.PutTimeout)
-			defer cancel()
-			return st.peer.Put(ctx, req.key, req.data, req.cl, req.benefit)
-		})
-		if !ran {
-			p.putDrops.Add(1)
-			st.met.PutDrops.Inc()
-			continue
-		}
-		if err != nil {
-			p.putErrors.Add(1)
-			st.met.PutErrors.Inc()
-			continue
-		}
-		p.putOKs.Add(1)
-		st.met.Puts.Inc()
-	}
-}
-
-// Insert implements Store: the chunk becomes resident locally, and backend
-// fills whose ring owner is a remote peer replicate asynchronously so the
-// group can reuse them. Computed and recycled chunks stay local — they are
-// cheap to rebuild, so shipping them would turn in-cache work into wire
-// traffic.
-func (p *Peered) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
-	spec := applyInsertOptions(opts)
-	ok := p.local.Insert(k, data, opts...)
-	if ok && spec.class == ClassBackend {
-		p.replicate(k, data, spec.class, spec.benefit)
-	}
-	return ok
 }

@@ -206,9 +206,8 @@ func NewTwoLevel() *TwoLevel {
 // aggregation input after being admitted) migrates to the protected ring, so
 // proven-useful recycled intermediates stop competing with speculative ones.
 // Entry.Class still records provenance (a promoted entry remains
-// ClassComputed and is never replicated to peers); only its replacement ring
-// changes. The plain NewTwoLevel keeps the paper's exact §6.3 semantics for
-// the replication experiments.
+// ClassComputed); only its replacement ring changes. The plain NewTwoLevel
+// keeps the paper's exact §6.3 semantics for reproducing its experiments.
 func NewTwoLevelPromote() *TwoLevel {
 	p := NewTwoLevel()
 	p.promote = true

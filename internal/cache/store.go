@@ -101,7 +101,7 @@ func AsComputed(benefit float64) InsertOption {
 // AsRecycled admits a speculative intermediate aggregate as a computed-class
 // resident whose Entry carries the Recycled mark, so listener strategies
 // apply presence-only (O(1)) maintenance instead of full count/cost
-// propagation. Peered stores never replicate such chunks.
+// propagation.
 func AsRecycled(benefit float64) InsertOption {
 	return func(s *insertSpec) { s.class, s.benefit, s.recycled = ClassComputed, benefit, true }
 }

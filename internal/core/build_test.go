@@ -264,11 +264,6 @@ func runProductConfig(cfg core.Config, peered bool, queries []core.Query, want [
 			return fmt.Errorf("query %d: %w", i, err)
 		}
 	}
-	for _, st := range stacks {
-		if st.Peered != nil {
-			st.Peered.Close() // drain replication so the stores are quiet
-		}
-	}
 	// Per tier: Range reports cold residents at their raw size, so the hot
 	// tier charges Range's bytes less the cold raw bytes.
 	for i, st := range stacks {

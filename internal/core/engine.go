@@ -486,8 +486,7 @@ func (e *Engine) execute(ctx context.Context, q Query) (*Result, error) {
 			for _, ic := range out.inter {
 				// Recycled intermediates enter as computed-class residents
 				// with the Recycled mark: they can never displace the
-				// backend-class hot set, a Peered store never replicates
-				// them to ring owners, and strategies maintain them with
+				// backend-class hot set, and strategies maintain them with
 				// presence-only (O(1)) bookkeeping.
 				if e.cache.Insert(ic.key, ic.data, cache.AsRecycled(ic.benefit)) {
 					res.RecycledChunks++

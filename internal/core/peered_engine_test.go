@@ -18,8 +18,7 @@ import (
 
 // storePeer serves cache.Peer exchanges straight from a sibling node's local
 // store — the in-process equivalent of the mtier peer protocol, so the
-// engine's peer-fill path can be exercised without TCP. Replicas take
-// computed-class residency exactly as the wire handler stores them.
+// engine's peer-fill path can be exercised without TCP.
 type storePeer struct{ st cache.Store }
 
 func (p *storePeer) Get(ctx context.Context, k cache.Key) (*chunk.Chunk, cache.Class, float64, bool, error) {
@@ -27,31 +26,14 @@ func (p *storePeer) Get(ctx context.Context, k cache.Key) (*chunk.Chunk, cache.C
 	return d, cl, b, f, nil
 }
 
-func (p *storePeer) Put(ctx context.Context, k cache.Key, data *chunk.Chunk, cl cache.Class, benefit float64) error {
-	p.st.Insert(k, data, cache.AsComputed(benefit))
+func (p *storePeer) Put(context.Context, cache.Key, *chunk.Chunk, cache.Class, float64) error {
 	return nil
 }
 
 func (p *storePeer) Close() error { return nil }
 
-// recordingPeer wraps storePeer and records every replication Put with its
-// class, so tests can assert what the Peered store ships to ring owners.
-type recordingPeer struct {
-	storePeer
-	mu   sync.Mutex
-	puts map[cache.Key]cache.Class
-}
-
-func (p *recordingPeer) Put(ctx context.Context, k cache.Key, data *chunk.Chunk, cl cache.Class, benefit float64) error {
-	p.mu.Lock()
-	p.puts[k] = cl
-	p.mu.Unlock()
-	return p.storePeer.Put(ctx, k, data, cl, benefit)
-}
-
 // TestRecycledIntermediatesPeered: intermediates the recycler admits on a
-// clustered node take computed-class residency in the local tier and are
-// never enqueued for owner replication — only backend-class fills ship.
+// clustered node take computed-class residency in the local tier.
 func TestRecycledIntermediatesPeered(t *testing.T) {
 	cfg := apb.New(apb.ScaleTiny)
 	g, tab, err := cfg.Build(21)
@@ -70,7 +52,7 @@ func TestRecycledIntermediatesPeered(t *testing.T) {
 		t.Fatalf("cache.New: %v", err)
 	}
 	remote, _ := cache.New(1<<20, cache.NewTwoLevelPromote())
-	peer := &recordingPeer{storePeer: storePeer{st: remote}, puts: make(map[cache.Key]cache.Class)}
+	peer := &storePeer{st: remote}
 	pc, err := cache.NewPeered(local, cache.PeeredConfig{
 		Self:    "a",
 		Members: []string{"a", "b"},
@@ -97,8 +79,6 @@ func TestRecycledIntermediatesPeered(t *testing.T) {
 	if res.RecycledChunks == 0 {
 		t.Fatalf("no intermediates recycled")
 	}
-	time.Sleep(100 * time.Millisecond) // drain the async replication queue
-
 	// Every recycled (non-base, non-top) resident carries computed class.
 	recycled := map[cache.Key]bool{}
 	local.Range(func(k cache.Key, _ *chunk.Chunk, cl cache.Class, _ float64, _ bool) {
@@ -112,22 +92,6 @@ func TestRecycledIntermediatesPeered(t *testing.T) {
 	})
 	if len(recycled) == 0 {
 		t.Fatalf("no recycled intermediates resident")
-	}
-
-	// Replication shipped backend-class fills only; no recycled key ever
-	// reached the peer.
-	peer.mu.Lock()
-	defer peer.mu.Unlock()
-	if len(peer.puts) == 0 {
-		t.Fatalf("no backend-class replication observed; the check below proves nothing")
-	}
-	for k, cl := range peer.puts {
-		if cl != cache.ClassBackend {
-			t.Errorf("peer received a %v-class put for %v", cl, k)
-		}
-		if recycled[k] {
-			t.Errorf("recycled intermediate %v was replicated to its ring owner", k)
-		}
 	}
 }
 
@@ -178,14 +142,13 @@ func TestEnginePeerFillServesRemoteChunks(t *testing.T) {
 		queries[i] = randomQuery(rng, g)
 	}
 
-	// Warm node A with the whole stream, then let its asynchronous
-	// replication install B-owned chunks at B.
+	// Warm node A with the whole stream: B can fill the A-owned half of its
+	// misses from A.
 	for _, q := range queries {
 		if _, err := engines[0].Execute(context.Background(), q); err != nil {
 			t.Fatalf("warm: %v", err)
 		}
 	}
-	time.Sleep(100 * time.Millisecond)
 
 	// A cold standalone engine replaying the same stream is the baseline for
 	// how much backend traffic the peer tier saves.

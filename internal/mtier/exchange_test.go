@@ -65,7 +65,7 @@ func scriptedListener(t *testing.T) (addr string, set func(script)) {
 func errorReply(transient bool) script {
 	return func(fr wire.Frame, w *wire.Writer, _ net.Conn) {
 		typ := backendFrameError
-		if fr.Type == framePeerGet || fr.Type == framePeerPut {
+		if fr.Type == framePeerGet {
 			typ = framePeerErr
 		}
 		reply := wire.Frame{Type: typ, ID: fr.ID, Payload: wire.AppendString(nil, "scripted failure")}

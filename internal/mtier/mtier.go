@@ -335,8 +335,8 @@ func (s *Server) handleFrame(fr *wire.Frame) wire.Frame {
 	switch fr.Type {
 	case framePeerGet:
 		return s.handlePeerGet(fr)
-	case framePeerPut:
-		return s.handlePeerPut(fr)
+	case frameLegacyPeerPut:
+		return peerErrFrame("mtier: peer put is not supported: the peer tier does not replicate", false)
 	}
 	if fr.Type != frameQuery {
 		resp := &Response{Err: fmt.Sprintf("unknown frame type 0x%02x", fr.Type)}

@@ -16,22 +16,25 @@ import (
 
 // Frame types of the peer cache protocol. Peers ride the same listener,
 // framing layer and mux as client queries — a cluster member is just another
-// pipelined client of its neighbor, with two extra request types:
+// pipelined client of its neighbor, with one extra request type:
 //
 //	PeerGet   0x20 → PeerChunk 0xA0   ask the owner for one chunk
-//	PeerPut   0x21 → PeerAck   0xA1   replicate a backend fill to the owner
-//	                 PeerErr   0xE1   in-band failure for either request
+//	                 PeerErr   0xE1   in-band failure
 //
 // A PeerGet miss is an authoritative answer (found=0), never an error: the
 // owner does not consult its own backend on a peer's behalf — only the
 // querying node charges a backend trip, so a chunk resident nowhere costs
 // the cluster exactly one fetch.
+//
+// 0x21 was PeerPut, the replication request older nodes still send. It is
+// answered with a permanent PeerErr: a permanent error proves the far side
+// is up, so it resets the sender's circuit and never opens it, and the
+// older node's fills to this one keep working.
 const (
-	framePeerGet   uint8 = 0x20
-	framePeerPut   uint8 = 0x21
-	framePeerChunk uint8 = 0xA0
-	framePeerAck   uint8 = 0xA1
-	framePeerErr   uint8 = 0xE1
+	framePeerGet       uint8 = 0x20
+	frameLegacyPeerPut uint8 = 0x21
+	framePeerChunk     uint8 = 0xA0
+	framePeerErr       uint8 = 0xE1
 )
 
 // encodePeerGet appends a framePeerGet payload: gb u32 | num u32.
@@ -86,49 +89,6 @@ func decodePeerChunk(p []byte) (data *chunk.Chunk, cl cache.Class, benefit float
 	return data, cache.Class(c), benefit, true, nil
 }
 
-// encodePeerPut appends a framePeerPut payload:
-// gb u32 | num u32 | class u8 | benefit f64 | chunk slab.
-func encodePeerPut(b []byte, k cache.Key, data *chunk.Chunk, cl cache.Class, benefit float64) []byte {
-	b = wire.AppendU32(b, uint32(k.GB))
-	b = wire.AppendU32(b, uint32(k.Num))
-	b = wire.AppendU8(b, uint8(cl))
-	b = wire.AppendF64(b, benefit)
-	return wire.AppendChunk(b, data)
-}
-
-// decodePeerPut parses a framePeerPut payload.
-func decodePeerPut(p []byte) (k cache.Key, data *chunk.Chunk, cl cache.Class, benefit float64, err error) {
-	bad := errors.New("mtier: malformed peer put payload")
-	d := wire.NewDec(p)
-	k = cache.Key{GB: lattice.ID(d.U32()), Num: int32(d.U32())}
-	c := d.U8()
-	benefit = d.F64()
-	data = d.Chunk()
-	if data == nil || d.Err() != nil || d.Remaining() != 0 || c > uint8(cache.ClassComputed) {
-		return cache.Key{}, nil, 0, 0, bad
-	}
-	return k, data, cache.Class(c), benefit, nil
-}
-
-// encodePeerAck appends a framePeerAck payload: stored u8.
-func encodePeerAck(b []byte, stored bool) []byte {
-	v := uint8(0)
-	if stored {
-		v = 1
-	}
-	return wire.AppendU8(b, v)
-}
-
-// decodePeerAck parses a framePeerAck payload.
-func decodePeerAck(p []byte) (stored bool, err error) {
-	d := wire.NewDec(p)
-	v := d.U8()
-	if d.Err() != nil || d.Remaining() != 0 || v > 1 {
-		return false, errors.New("mtier: malformed peer ack payload")
-	}
-	return v == 1, nil
-}
-
 // peerErrFrame builds an in-band peer error reply; transient failures carry
 // wire.FlagTransient so the caller's breaker taxonomy sees them as such.
 func peerErrFrame(msg string, transient bool) wire.Frame {
@@ -173,29 +133,9 @@ func (s *Server) handlePeerGet(fr *wire.Frame) wire.Frame {
 	return wire.Frame{Type: framePeerChunk, Payload: encodePeerChunk(nil, data, cl, benefit, found)}
 }
 
-// handlePeerPut stores a peer-replicated chunk in the local tier. The
-// replica is inserted with computed-class residency whatever class the
-// sender fetched it under: it is a second copy the cluster can re-obtain
-// cheaply (the origin node has it, and the backend always does), so it must
-// never displace the chunks this node's own clients keep hot — the owner
-// holds its partition in spare capacity, opportunistically. The benefit
-// still travels with the replica, so within the computed ring the most
-// expensive chunks survive longest.
-func (s *Server) handlePeerPut(fr *wire.Frame) wire.Frame {
-	k, data, _, benefit, err := decodePeerPut(fr.Payload)
-	if err != nil {
-		return peerErrFrame(err.Error(), false)
-	}
-	if !s.validKey(k) {
-		return peerErrFrame(fmt.Sprintf("mtier: peer put: no such chunk (%d,%d)", k.GB, k.Num), false)
-	}
-	stored := s.peerStore().Insert(k, data, cache.AsComputed(benefit))
-	return wire.Frame{Type: framePeerAck, Payload: encodePeerAck(nil, stored)}
-}
-
 // PeerClient is the cache.Peer implementation over the middle-tier wire
-// protocol: one backend.Exchange per peer, shared by concurrent fills and
-// puts. There is no retry loop here — the Peered store's per-peer circuit
+// protocol: one backend.Exchange per peer, shared by concurrent fills. There
+// is no retry loop here — the Peered store's per-peer circuit
 // owns failure policy, so one failed exchange reports immediately (marked
 // transient when a fresh connection might cure it) and the broken
 // connection is dropped for the next exchange to redial.
@@ -204,7 +144,7 @@ type PeerClient struct{ x *backend.Exchange }
 // NewPeerClient returns a lazily-connecting peer client. maxPayload bounds
 // response frames (0 means wire.DefaultMaxPayload); the peer need not be
 // reachable yet. Dials and exchanges are bounded by 2s each; the Peered
-// store's fill and put timeouts are shorter or equal.
+// store's fill timeout is shorter or equal.
 func NewPeerClient(addr string, maxPayload int) *PeerClient {
 	return &PeerClient{x: backend.NewExchange(addr, framePeerErr, 2*time.Second, 2*time.Second, maxPayload, obs.RemoteMetrics{})}
 }
@@ -221,19 +161,10 @@ func (c *PeerClient) Get(ctx context.Context, k cache.Key) (*chunk.Chunk, cache.
 	return decodePeerChunk(fr.Payload)
 }
 
-// Put implements cache.Peer.
-func (c *PeerClient) Put(ctx context.Context, k cache.Key, data *chunk.Chunk, cl cache.Class, benefit float64) error {
-	fr, err := c.x.RoundTrip(ctx, framePeerPut, encodePeerPut(nil, k, data, cl, benefit))
-	if err != nil {
-		return err
-	}
-	if fr.Type != framePeerAck {
-		return fmt.Errorf("mtier: peer put: unexpected frame type 0x%02x", fr.Type)
-	}
-	// A denied insert (owner declined admission) is not a peer failure; the
-	// ack only needs to be well-formed.
-	_, err = decodePeerAck(fr.Payload)
-	return err
+// Put implements cache.Peer's deprecated method: it does no I/O and always
+// fails.
+func (c *PeerClient) Put(context.Context, cache.Key, *chunk.Chunk, cache.Class, float64) error {
+	return errors.New("mtier: peer put: the peer tier does not replicate")
 }
 
 // Close implements cache.Peer.

@@ -6,7 +6,7 @@ import (
 	"aggcache/internal/cache"
 )
 
-// FuzzPeerFrame throws arbitrary bytes at all four peer payload decoders.
+// FuzzPeerFrame throws arbitrary bytes at both peer payload decoders.
 // The invariants mirror wire.FuzzFrame: no panic, no allocation the payload
 // cannot back, and everything a decoder accepts re-encodes byte-identically.
 func FuzzPeerFrame(f *testing.F) {
@@ -15,9 +15,9 @@ func FuzzPeerFrame(f *testing.F) {
 	f.Add(encodePeerGet(nil, k))
 	f.Add(encodePeerChunk(nil, data, cache.ClassBackend, 2.5, true))
 	f.Add(encodePeerChunk(nil, nil, 0, 0, false))
-	f.Add(encodePeerPut(nil, k, data, cache.ClassComputed, 9.75))
-	f.Add(encodePeerAck(nil, true))
-	f.Add(encodePeerAck(nil, false))
+	f.Add(encodePeerChunk(nil, data, cache.Class(9), 2.5, true)) // class out of range
+	f.Add(append(encodePeerGet(nil, k), 0xFF))                   // trailing byte
+	f.Add(encodePeerChunk(nil, peerChunk(0, 0), cache.ClassComputed, 0, true))
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{2, 0xFF, 0xFF})
@@ -34,19 +34,6 @@ func FuzzPeerFrame(f *testing.F) {
 			}
 			if got := encodePeerChunk(nil, c, cl, benefit, found); string(got) != string(payload) {
 				t.Fatalf("peer chunk did not round-trip: %x vs %x", got, payload)
-			}
-		}
-		if pk, c, cl, benefit, err := decodePeerPut(payload); err == nil {
-			if 16*c.Cells() > len(payload) {
-				t.Fatalf("decoded %d cells from %d payload bytes", c.Cells(), len(payload))
-			}
-			if got := encodePeerPut(nil, pk, c, cl, benefit); string(got) != string(payload) {
-				t.Fatalf("peer put did not round-trip: %x vs %x", got, payload)
-			}
-		}
-		if stored, err := decodePeerAck(payload); err == nil {
-			if got := encodePeerAck(nil, stored); string(got) != string(payload) {
-				t.Fatalf("peer ack did not round-trip: %x vs %x", got, payload)
 			}
 		}
 	})

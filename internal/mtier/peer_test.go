@@ -2,6 +2,8 @@ package mtier
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/core"
+	"aggcache/internal/obs"
 	"aggcache/internal/sizer"
 	"aggcache/internal/strategy"
 	"aggcache/internal/wire"
@@ -44,18 +47,6 @@ func TestPeerCodecRoundTrips(t *testing.T) {
 			t.Fatalf("peer chunk fields: %v %v %v", got, cl, benefit)
 		}
 	}
-
-	pk, pdata, cl, benefit, err := decodePeerPut(encodePeerPut(nil, k, data, cache.ClassBackend, 7.25))
-	if err != nil || pk != k || pdata.Cells() != 9 || cl != cache.ClassBackend || benefit != 7.25 {
-		t.Fatalf("peer put round trip: %v %v %v %v %v", pk, pdata, cl, benefit, err)
-	}
-
-	for _, stored := range []bool{true, false} {
-		got, err := decodePeerAck(encodePeerAck(nil, stored))
-		if err != nil || got != stored {
-			t.Fatalf("peer ack(%v) round trip = %v, %v", stored, got, err)
-		}
-	}
 }
 
 func TestPeerCodecRejectsMalformed(t *testing.T) {
@@ -64,14 +55,10 @@ func TestPeerCodecRejectsMalformed(t *testing.T) {
 	valid := map[string][]byte{
 		"get":   encodePeerGet(nil, k),
 		"chunk": encodePeerChunk(nil, data, cache.ClassBackend, 1, true),
-		"put":   encodePeerPut(nil, k, data, cache.ClassBackend, 1),
-		"ack":   encodePeerAck(nil, true),
 	}
 	decode := map[string]func([]byte) error{
 		"get":   func(p []byte) error { _, err := decodePeerGet(p); return err },
 		"chunk": func(p []byte) error { _, _, _, _, err := decodePeerChunk(p); return err },
-		"put":   func(p []byte) error { _, _, _, _, err := decodePeerPut(p); return err },
-		"ack":   func(p []byte) error { _, err := decodePeerAck(p); return err },
 	}
 	for name, payload := range valid {
 		if err := decode[name](payload); err != nil {
@@ -92,13 +79,6 @@ func TestPeerCodecRejectsMalformed(t *testing.T) {
 	bad := encodePeerChunk(nil, data, cache.Class(9), 1, true)
 	if _, _, _, _, err := decodePeerChunk(bad); err == nil {
 		t.Errorf("chunk: out-of-range class accepted")
-	}
-	if _, _, _, _, err := decodePeerPut(encodePeerPut(nil, k, data, cache.Class(9), 1)); err == nil {
-		t.Errorf("put: out-of-range class accepted")
-	}
-	// Ack with a non-boolean value.
-	if _, err := decodePeerAck([]byte{2}); err == nil {
-		t.Errorf("ack: value 2 accepted")
 	}
 }
 
@@ -153,19 +133,67 @@ func TestPeerClientGetPut(t *testing.T) {
 		t.Fatalf("cold Get = found %v, err %v", found, err)
 	}
 
-	// Put installs at the owner; a replica takes computed-class residency.
-	if err := cl.Put(ctx, k, peerChunk(0, 4), cache.ClassBackend, 33); err != nil {
-		t.Fatalf("Put: %v", err)
+	// The deprecated Put fails without reaching the owner.
+	if err := cl.Put(ctx, k, peerChunk(0, 4), cache.ClassBackend, 33); err == nil {
+		t.Fatalf("Put succeeded; the peer tier does not replicate")
 	}
-	data, cl2, benefit, found := pc.GetInfo(k)
-	if !found || data.Cells() != 4 || cl2 != cache.ClassComputed || benefit != 33 {
-		t.Fatalf("owner state after put: %v %v %v %v", data, cl2, benefit, found)
+	if _, _, _, found := pc.GetInfo(k); found {
+		t.Fatalf("Put installed the chunk at the owner")
 	}
 
-	// Get now serves the chunk with the owner's stored attributes.
+	// A chunk the owner's own traffic made resident is served with the
+	// owner's stored attributes.
+	pc.Insert(k, peerChunk(0, 4), cache.AsComputed(33))
 	got, gcl, gbenefit, found, err := cl.Get(ctx, k)
 	if err != nil || !found || got.Cells() != 4 || gcl != cache.ClassComputed || gbenefit != 33 {
 		t.Fatalf("warm Get = %v %v %v %v %v", got, gcl, gbenefit, found, err)
+	}
+}
+
+// TestLegacyPeerPutKeepsSenderCircuitClosed: an older node still replicates
+// with raw PeerPut (0x21) frames. An upgraded node answers each with a
+// permanent in-band PeerErr, which the sender's circuit counts as proof the
+// peer is up: even at a failure threshold of one it stays closed, and the
+// older node's fills to this one keep working on the same connection.
+func TestLegacyPeerPutKeepsSenderCircuitClosed(t *testing.T) {
+	addr, _ := startPeeredServer(t)
+	x := backend.NewExchange(addr, framePeerErr, 2*time.Second, 2*time.Second, 0, obs.RemoteMetrics{})
+	defer x.Close()
+	reg := obs.NewRegistry()
+	met := obs.BreakerMetrics{State: reg.Gauge("state", ""), Opens: reg.Counter("opens", "")}
+	circuit := backend.NewCircuit(backend.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute}, met)
+	ctx := context.Background()
+
+	// The legacy payload: gb u32 | num u32 | class u8 | benefit f64 | chunk.
+	legacy := wire.AppendU32(nil, 0)
+	legacy = wire.AppendU32(legacy, 0)
+	legacy = wire.AppendU8(legacy, uint8(cache.ClassBackend))
+	legacy = wire.AppendF64(legacy, 7)
+	legacy = wire.AppendChunk(legacy, peerChunk(0, 4))
+	for i := 0; i < 3; i++ {
+		err := circuit.Do(func() error {
+			_, err := x.RoundTrip(ctx, frameLegacyPeerPut, legacy)
+			return err
+		})
+		var re *backend.RemoteError
+		if !errors.As(err, &re) || backend.IsTransient(err) {
+			t.Fatalf("legacy put %d: err %v, want a permanent in-band PeerErr", i, err)
+		}
+	}
+	if opens, state := met.Opens.Value(), backend.BreakerState(met.State.Value()); opens != 0 || state != backend.BreakerClosed {
+		t.Fatalf("sender circuit: %d opens, state %v; want closed", opens, state)
+	}
+	ran := false
+	err := circuit.Do(func() error {
+		ran = true
+		fr, err := x.RoundTrip(ctx, framePeerGet, encodePeerGet(nil, cache.Key{GB: 0, Num: 0}))
+		if err == nil && fr.Type != framePeerChunk {
+			err = fmt.Errorf("reply type %#x, want PeerChunk", fr.Type)
+		}
+		return err
+	})
+	if !ran || err != nil {
+		t.Fatalf("fill after legacy puts: ran %v, err %v", ran, err)
 	}
 }
 
@@ -215,9 +243,6 @@ func TestPeerServerRejectsInvalidKey(t *testing.T) {
 	for _, k := range []cache.Key{{GB: 1 << 20, Num: 0}, {GB: 0, Num: 1 << 20}} {
 		if _, _, _, _, err := cl.Get(ctx, k); err == nil {
 			t.Errorf("Get(%v) accepted", k)
-		}
-		if err := cl.Put(ctx, k, peerChunk(0, 1), cache.ClassBackend, 1); err == nil {
-			t.Errorf("Put(%v) accepted", k)
 		}
 	}
 }

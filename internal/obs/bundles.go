@@ -288,13 +288,10 @@ func NewRemoteMetrics(r *Registry) RemoteMetrics {
 // PeerMetrics instruments one remote member of the peered cache tier. All
 // series carry a peer=… label so every cluster member shares a registry.
 type PeerMetrics struct {
-	Hits      *Counter
-	Misses    *Counter
-	Errors    *Counter
-	Skips     *Counter
-	Puts      *Counter
-	PutDrops  *Counter
-	PutErrors *Counter
+	Hits   *Counter
+	Misses *Counter
+	Errors *Counter
+	Skips  *Counter
 
 	BreakerState *Gauge
 	Latency      *Histogram
@@ -305,13 +302,10 @@ type PeerMetrics struct {
 func NewPeerMetrics(r *Registry, peer string) PeerMetrics {
 	l := fmt.Sprintf("{peer=%q}", peer)
 	return PeerMetrics{
-		Hits:      r.Counter("aggcache_peer_fill_hits_total"+l, "Peer-fill exchanges that returned the chunk."),
-		Misses:    r.Counter("aggcache_peer_fill_misses_total"+l, "Peer-fill exchanges the peer answered without the chunk."),
-		Errors:    r.Counter("aggcache_peer_fill_errors_total"+l, "Peer-fill exchanges that failed (timeout, connection or protocol error)."),
-		Skips:     r.Counter("aggcache_peer_fill_skips_total"+l, "Peer-fill attempts suppressed by the peer's open circuit breaker."),
-		Puts:      r.Counter("aggcache_peer_puts_total"+l, "Replication puts delivered to the peer."),
-		PutDrops:  r.Counter("aggcache_peer_put_drops_total"+l, "Replication puts dropped (queue full or breaker open)."),
-		PutErrors: r.Counter("aggcache_peer_put_errors_total"+l, "Replication puts that failed."),
+		Hits:   r.Counter("aggcache_peer_fill_hits_total"+l, "Peer-fill exchanges that returned the chunk."),
+		Misses: r.Counter("aggcache_peer_fill_misses_total"+l, "Peer-fill exchanges the peer answered without the chunk."),
+		Errors: r.Counter("aggcache_peer_fill_errors_total"+l, "Peer-fill exchanges that failed (timeout, connection or protocol error)."),
+		Skips:  r.Counter("aggcache_peer_fill_skips_total"+l, "Peer-fill attempts suppressed by the peer's open circuit breaker."),
 
 		BreakerState: r.Gauge("aggcache_peer_breaker_state"+l, "Per-peer breaker state: 0 closed, 1 probing, 2 open."),
 		Latency:      r.Histogram("aggcache_peer_fill_seconds"+l, "Peer-fill exchange latency."),
