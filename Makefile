@@ -28,14 +28,15 @@ bench-e2e:
 
 # bench-kernel runs the aggregation-kernel micro-benchmarks (single roll-up,
 # flattened vs hop-by-hop multi-hop, accumulator sweeps at three occupancies,
-# slice), the backend scan kernel's (ns/tuple over a seeded mix of
+# slice, and the cold-tier decode whose ns/cell over the roll-up's ns/tuple
+# prices cold reads in the cache's budget split), the backend scan kernel's (ns/tuple over a seeded mix of
 # group-bys at medium scale) and the VCMC maintenance kernel's (insert/evict
 # cycles on the medium grid, ns per count/cost update) with allocation
 # reporting, and the machine-readable kernel experiment (writes
 # BENCH_4.json). The kernels' end-to-end numbers are the yardstick's
 # rollup_hit and churn_miss workloads.
 bench-kernel:
-	$(GO) test ./internal/chunk -run XXX -bench 'RollUp|CellMap|GridSlice' -benchmem -benchtime 20000x | tee kernel_bench.txt
+	$(GO) test ./internal/chunk -run XXX -bench 'RollUp|CellMap|GridSlice|CodecDecode' -benchmem -benchtime 20000x | tee kernel_bench.txt
 	$(GO) test ./internal/backend -run XXX -bench 'ComputeChunks' -benchmem -benchtime 2000x | tee -a kernel_bench.txt
 	$(GO) test ./internal/strategy -run XXX -bench 'VCMCMaintenance' -benchmem -benchtime 20000x | tee -a kernel_bench.txt
 	$(GO) run ./cmd/aggbench -scale small -exp kernel
@@ -94,9 +95,11 @@ fuzz-peer:
 # one-stripe reference) and its cold tier (demote/evict races, overlapping
 # cold pins against cold lookups and inserts, byte-accounting and
 # dual-residency invariants, the engine's pin -> plan -> answer path and the
-# peer protocol's cold reads).
+# peer protocol's cold reads), and the one budget both tiers share (its byte
+# bounds while the boundary moves both ways under concurrent traffic, and
+# the boundary's convergence).
 soak-store:
-	$(GO) test -race -count=1 -run 'Sharded|ShardDistribution|StoreStats|ConcurrentSoak|EngineConcurrent|Tiered|Snapshot|Cold' ./internal/cache ./internal/core ./internal/mtier
+	$(GO) test -race -count=1 -run 'Sharded|ShardDistribution|StoreStats|ConcurrentSoak|EngineConcurrent|Tiered|Snapshot|Cold|Budget' ./internal/cache ./internal/core ./internal/mtier
 
 # soak-cluster runs the 3-node in-process cluster under the race detector
 # with one fault-injected peer: every query must still be served.

@@ -51,14 +51,14 @@ func main() {
 		scaleFlag      = flag.String("scale", "small", "dataset scale: tiny|small|medium|full")
 		seedFlag       = flag.Int64("seed", 1, "generator seed (in-process backend)")
 		stratFlag      = flag.String("strategy", "VCMC", "lookup strategy: VCM|VCMC|NoAgg")
-		cacheKBFlag    = flag.Int64("cache-kb", 512, "cache size in KB")
+		cacheKBFlag    = flag.Int64("cache-kb", 512, "cache size in KB; with -cold-kb, hot + cold is one budget and this is the hot tier's starting share")
 		shardsFlag     = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
 		backendFlag    = flag.String("backend", "", "remote backend address (empty = in-process)")
 		listenFlag     = flag.String("listen", "127.0.0.1:7071", "listen address")
 		preloadFlag    = flag.Bool("preload", false, "preload the best-fitting group-by before serving")
 		recycleFlag    = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
 		recycleMinFlag = flag.Float64("recycle-min-benefit", core.DefaultRecycleMinBenefit, "recycler admission threshold in saved recompute cost per byte (0 = default)")
-		coldKBFlag     = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier size in KB: hot-tier victims are demoted (delta/varint-encoded) instead of dropped, and answer from the cold tier until cold pressure evicts them (0 = disabled)")
+		coldKBFlag     = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier's starting share in KB: hot-tier victims are demoted (delta/varint-encoded) instead of dropped, and answer from the cold tier until cold pressure evicts them; hot + cold is one budget and this is the starting split, which the store moves online (0 = disabled)")
 		snapDirFlag    = flag.String("snapshot-dir", "", "snapshot directory: cache.snap inside it is loaded at startup (warm restart) and written on SIGINT/SIGTERM and every -snapshot-interval; a snapshot is only valid for the dataset it was taken over (same -scale, -seed and backend), so use a fresh directory when the data changes")
 		snapIntFlag    = flag.Duration("snapshot-interval", 0, "periodic cache snapshot flush interval (0 = flush on shutdown only; needs -snapshot-dir)")
 		opsFlag        = flag.String("ops", "", "ops HTTP listen address serving /metrics, /healthz, /traces and /debug/pprof (empty = disabled)")
@@ -248,8 +248,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("aggcached: %s scale, %s strategy, %dKB cache (%d shard(s), %dKB compressed cold tier), serving on %s\n",
-		scale, eng.Strategy().Name(), *cacheKBFlag, stack.Hot.Shards(), max(*coldKBFlag, 0), addr)
+	cacheDesc := fmt.Sprintf("%dKB cache", *cacheKBFlag)
+	if *coldKBFlag > 0 {
+		cacheDesc = fmt.Sprintf("%dKB cache budget (starting split %dKB hot + %dKB compressed cold)",
+			stack.Hot.Capacity()>>10, *cacheKBFlag, *coldKBFlag)
+	}
+	fmt.Printf("aggcached: %s scale, %s strategy, %s, %d shard(s), serving on %s\n",
+		scale, eng.Strategy().Name(), cacheDesc, stack.Hot.Shards(), addr)
 	if *opsFlag != "" {
 		opsAddr, err := srv.ServeOps(*opsFlag)
 		if err != nil {
@@ -311,6 +316,8 @@ func main() {
 	if ts, ok := eng.TierStats(); ok {
 		fmt.Printf("aggcached: cold tier: %d hits, %d demotes (%d denied), %d/%d bytes holding %d raw\n",
 			ts.ColdHits, ts.Demotes, ts.DemoteDenied, ts.ColdUsed, ts.ColdCapacity, ts.ColdRawBytes)
+		fmt.Printf("aggcached: cache budget %d bytes, final split %d hot + %d cold (%d hot / %d cold ghost hits)\n",
+			stack.Hot.Capacity(), ts.HotCapacity, ts.ColdCapacity, ts.HotGhostHits, ts.ColdGhostHits)
 	}
 	if err := srv.Close(); err != nil {
 		fatal(err)

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"aggcache/internal/chunk"
 	"aggcache/internal/obs"
@@ -43,20 +44,37 @@ func (e *coldEntry) bytes() int64 { return int64(len(e.enc)) + coldEntryOverhead
 // may hold a stripe lock (the demotion, insert and pin paths do). The
 // methods a flat store reaches accept a nil receiver: no cold tier holds
 // nothing.
+//
+// The tier's byte bound is its share of the store's budget, budget less the
+// hot share. mu also guards the boundary between the shares (budget.go):
+// the hot share is written only under it, so the cold share is stable while
+// mu is held, and the ghosts and the fill mean that price a move live here.
 type coldTier struct {
-	mu       sync.Mutex
-	capacity int64
-	used     int64
-	raw      int64 // sum of rawBytes over residents
-	held     int64 // sum of bytes() over pinned residents
-	entries  map[Key]*coldEntry
-	newest   *coldEntry
-	oldest   *coldEntry
+	mu      sync.Mutex
+	budget  int64         // hot + cold bytes, fixed
+	hot     *atomic.Int64 // the owning store's hot share
+	hotInit int64         // the configured hot share
+	used    int64
+	raw     int64 // sum of rawBytes over residents
+	held    int64 // sum of bytes() over pinned residents
+	entries map[Key]*coldEntry
+	newest  *coldEntry
+	oldest  *coldEntry
+
+	coldMax   int64   // largest bytes() ever admitted: the cold floor
+	fillMean  float64 // running mean benefit of fresh inserts
+	owed      int64   // bytes of a move toward hot not yet handed over
+	hotGhost  ghost   // recently demoted keys
+	coldGhost ghost   // keys dropped under cold pressure
+	frozen    bool    // tests only (export_test.go): the boundary never moves
 }
 
-func newColdTier(capacity int64) *coldTier {
-	return &coldTier{capacity: capacity, entries: make(map[Key]*coldEntry)}
+func newColdTier(budget int64, hot *atomic.Int64) *coldTier {
+	return &coldTier{budget: budget, hot: hot, hotInit: hot.Load(), entries: make(map[Key]*coldEntry)}
 }
+
+// shareLocked is the cold tier's byte bound; mu is locked by the caller.
+func (t *coldTier) shareLocked() int64 { return t.budget - t.hot.Load() }
 
 // unlink removes e from the LRU list; mu is locked by the caller.
 func (t *coldTier) unlink(e *coldEntry) {
@@ -97,12 +115,33 @@ func (t *coldTier) dropLocked(e *coldEntry) {
 	}
 }
 
+// evictLocked drops e for cold-tier room and remembers its key on the cold
+// ghost; mu is locked by the caller, and hotResidents is the hot tier's
+// resident count.
+func (t *coldTier) evictLocked(e *coldEntry, hotResidents int) *coldEntry {
+	t.dropLocked(e)
+	t.coldGhost.push(e.key, t.ghostBoundLocked(hotResidents))
+	return e
+}
+
+// ghostBoundLocked is the number of keys each ghost remembers: four times the
+// store's residents, so a ghost hit speaks for reuse well past what either
+// tier holds. Bounded by their own tier's residents, the ghosts shrank with
+// the tier that was losing room and the boundary stopped wherever it
+// drifted; at twice the store's residents, paper_mix_open's split took 14 of
+// its 20 seconds to leave the configured split (EXPERIMENTS.md, "One
+// budget"). mu is locked by the caller.
+func (t *coldTier) ghostBoundLocked(hotResidents int) int {
+	return 4 * (hotResidents + len(t.entries))
+}
+
 // add admits a demoted chunk, evicting LRU residents that are not pinned
-// until it fits. It returns the entries evicted to make room and whether the
-// chunk was admitted (false when it cannot fit even with every unpinned
-// resident gone, or there is no cold tier). A key already resident is
-// replaced in place.
-func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool) (evicted []*coldEntry, ok bool) {
+// until it fits, and remembers k on the hot ghost; hotResidents is the hot
+// tier's resident count. It returns the entries evicted to make room and
+// whether the chunk was admitted (false when it cannot fit even with every
+// unpinned resident gone, or there is no cold tier). A key already resident
+// is replaced in place.
+func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool, hotResidents int) (evicted []*coldEntry, ok bool) {
 	if t == nil {
 		return nil, false
 	}
@@ -111,7 +150,8 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	need := int64(size) + coldEntryOverhead
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if need > t.capacity-t.held {
+	share := t.shareLocked()
+	if need > share-t.held {
 		return nil, false
 	}
 	e := &coldEntry{key: k, enc: chunk.AppendPayload(make([]byte, 0, size), data),
@@ -121,11 +161,10 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	}
 	// The unpinned residents alone free enough room, so the walk ends before
 	// running off the list.
-	for v := t.oldest; t.used+need > t.capacity; {
+	for v := t.oldest; t.used+need > share; {
 		next := v.newer
 		if v.pins == 0 {
-			t.dropLocked(v)
-			evicted = append(evicted, v)
+			evicted = append(evicted, t.evictLocked(v, hotResidents))
 		}
 		v = next
 	}
@@ -133,6 +172,8 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	t.pushNewest(e)
 	t.used += need
 	t.raw += e.rawBytes
+	t.coldMax = max(t.coldMax, need)
+	t.hotGhost.push(k, t.ghostBoundLocked(hotResidents))
 	return evicted, true
 }
 
@@ -152,15 +193,16 @@ func (t *coldTier) peek(k Key) (*coldEntry, bool) {
 // pin shields k's entry for a plan leaf read in place and moves it to the
 // newest end of the LRU. It returns the payload an earlier, still-held pin
 // decoded, or nil when this is the only pin: the caller then decodes the
-// entry and publishes the payload with setPinned.
-func (t *coldTier) pin(k Key) (e *coldEntry, data *chunk.Chunk, ok bool) {
+// entry and publishes the payload with setPinned. ghostHit reports that the
+// decode is of a key on the hot ghost (which it leaves).
+func (t *coldTier) pin(k Key) (e *coldEntry, data *chunk.Chunk, ghostHit, ok bool) {
 	if t == nil {
-		return nil, nil, false
+		return nil, nil, false, false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok = t.entries[k]; !ok {
-		return nil, nil, false
+		return nil, nil, false, false
 	}
 	if e.pins == 0 {
 		t.held += e.bytes()
@@ -168,7 +210,7 @@ func (t *coldTier) pin(k Key) (e *coldEntry, data *chunk.Chunk, ok bool) {
 	e.pins++
 	t.unlink(e)
 	t.pushNewest(e)
-	return e, e.pinned, true
+	return e, e.pinned, e.pinned == nil && t.hotGhost.take(k), true
 }
 
 // setPinned publishes the payload the first pin of e decoded.
@@ -198,22 +240,23 @@ func (t *coldTier) unpin(k Key) {
 
 // lookup returns k's entry and the payload its pins decoded, or a nil
 // payload when no pin shields it. An unpinned entry moves to the newest end of
-// the LRU: a lookup outside a pin uses the chunk as a pin does.
-func (t *coldTier) lookup(k Key) (*coldEntry, *chunk.Chunk, bool) {
+// the LRU: a lookup outside a pin uses the chunk as a pin does, and its
+// decode may be a hot ghost hit, as pin's.
+func (t *coldTier) lookup(k Key) (e *coldEntry, data *chunk.Chunk, ghostHit, ok bool) {
 	if t == nil {
-		return nil, nil, false
+		return nil, nil, false, false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[k]
-	if !ok {
-		return nil, nil, false
+	if e, ok = t.entries[k]; !ok {
+		return nil, nil, false, false
 	}
-	if e.pinned == nil {
-		t.unlink(e)
-		t.pushNewest(e)
+	if e.pinned != nil {
+		return e, e.pinned, false, true
 	}
-	return e, e.pinned, true
+	t.unlink(e)
+	t.pushNewest(e)
+	return e, nil, t.hotGhost.take(k), true
 }
 
 // dropUnpinned removes e if it is still its key's resident and no pin shields
@@ -263,7 +306,8 @@ func (t *coldTier) occupancy() TierStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return TierStats{
-		ColdCapacity: t.capacity,
+		HotCapacity:  t.hot.Load(),
+		ColdCapacity: t.shareLocked(),
 		ColdUsed:     t.used,
 		ColdRawBytes: t.raw,
 		ColdChunks:   int64(len(t.entries)),
@@ -287,17 +331,27 @@ type TierStats struct {
 	DemoteDenied int64 // victims the cold tier refused (larger than its unpinned room)
 	ColdEvicts   int64 // cold residents dropped for cold-tier space, or because they no longer decode
 
-	ColdCapacity int64 // cold-tier byte bound
+	ColdCapacity int64 // cold-tier byte bound: the cold share of the budget
 	ColdUsed     int64 // compressed bytes charged
 	ColdRawBytes int64 // uncompressed footprint of the same residents
 	ColdChunks   int64 // cold residents
+
+	// HotCapacity is the hot share of the budget; it and ColdCapacity sum to
+	// the store's Capacity. The ghost hits are the events that move the
+	// boundary between them (see NewTiered).
+	HotCapacity   int64
+	HotGhostHits  int64 // cold decodes of recently demoted chunks
+	ColdGhostHits int64 // fresh inserts of chunks the cold tier dropped
 }
 
-// NewTiered gives hot a compressed cold tier of coldBytes capacity and
-// returns it: hot-tier victims are delta/varint-encoded and demoted to the
-// cold tier instead of dropped (see Sharded). Call it before the store
-// serves traffic. It refuses a non-positive capacity and a store that
-// already has a cold tier.
+// NewTiered gives hot a compressed cold tier and returns it: hot-tier victims
+// are delta/varint-encoded and demoted to the cold tier instead of dropped
+// (see Sharded). From then on the store holds one byte budget, its hot
+// capacity plus coldBytes, which Capacity reports; coldBytes is only the
+// starting split. The boundary between the hot and the cold share moves
+// online, priced by ghost hits and hot-tier pressure (budget.go). Call it
+// before the store serves traffic. It refuses a non-positive capacity and a
+// store that already has a cold tier.
 func NewTiered(hot *Sharded, coldBytes int64) (*Sharded, error) {
 	if coldBytes <= 0 {
 		return nil, fmt.Errorf("cache: cold tier capacity must be positive, got %d", coldBytes)
@@ -305,7 +359,8 @@ func NewTiered(hot *Sharded, coldBytes int64) (*Sharded, error) {
 	if hot.cold != nil {
 		return nil, fmt.Errorf("cache: store already has a cold tier")
 	}
-	hot.cold = newColdTier(coldBytes)
+	hot.capacity += coldBytes
+	hot.cold = newColdTier(hot.capacity, &hot.hotCap)
 	hot.SetTierMetrics(obs.NewTierMetrics(nil))
 	return hot, nil
 }
@@ -330,12 +385,15 @@ func (c *Sharded) TierStats() TierStats {
 	ts.Demotes = c.tmet.Demotes.Value()
 	ts.DemoteDenied = c.tmet.DemoteDenied.Value()
 	ts.ColdEvicts = c.tmet.ColdEvictions.Value()
+	ts.HotGhostHits = c.tmet.HotGhostHits.Value()
+	ts.ColdGhostHits = c.tmet.ColdGhostHits.Value()
 	return ts
 }
 
-// syncTierGauges publishes cold-tier capacity and occupancy.
+// syncTierGauges publishes the split and cold-tier occupancy.
 func (c *Sharded) syncTierGauges() {
 	o := c.cold.occupancy()
+	c.met.CapacityBytes.Set(c.hotCap.Load())
 	c.tmet.ColdCapacityBytes.Set(o.ColdCapacity)
 	c.tmet.ColdOccupancyBytes.Set(o.ColdUsed)
 	c.tmet.ColdRawBytes.Set(o.ColdRawBytes)
@@ -360,7 +418,7 @@ func (c *Sharded) coldGone(e *coldEntry) {
 // gone for good, so their Evicted events fire here (the displaced keys are
 // cold-resident and therefore, by the residency invariant, not hot).
 func (c *Sharded) demote(e *Entry) bool {
-	victims, ok := c.cold.add(e.Key, e.Data, e.Class, e.Benefit, e.Recycled)
+	victims, ok := c.cold.add(e.Key, e.Data, e.Class, e.Benefit, e.Recycled, int(c.resident.Load()))
 	if ok {
 		c.tmet.Demotes.Inc()
 	} else {
@@ -380,7 +438,7 @@ func (c *Sharded) demote(e *Entry) bool {
 // room. The first pin decodes the payload the Gets under every overlapping
 // pin are served.
 func (c *Sharded) pinCold(k Key) bool {
-	e, data, ok := c.cold.pin(k)
+	e, data, ghostHit, ok := c.cold.pin(k)
 	if !ok {
 		return false
 	}
@@ -394,6 +452,9 @@ func (c *Sharded) pinCold(k Key) bool {
 		c.cold.setPinned(e, data)
 	}
 	c.tmet.ColdHits.Inc()
+	if ghostHit {
+		c.hotGhostHit(data)
+	}
 	return true
 }
 
@@ -402,7 +463,7 @@ func (c *Sharded) pinCold(k Key) bool {
 // copy decoded for this lookup alone. A miss in both tiers counts as a cold
 // miss.
 func (c *Sharded) coldGet(k Key) (*chunk.Chunk, Class, float64, bool) {
-	e, data, ok := c.cold.lookup(k)
+	e, data, ghostHit, ok := c.cold.lookup(k)
 	if ok && data == nil {
 		var err error
 		if data, err = chunk.DecodePayload(k.GB, k.Num, e.enc); err != nil {
@@ -410,6 +471,9 @@ func (c *Sharded) coldGet(k Key) (*chunk.Chunk, Class, float64, bool) {
 			ok = false
 		} else {
 			c.tmet.ColdHits.Inc()
+			if ghostHit {
+				c.hotGhostHit(data)
+			}
 		}
 	}
 	if !ok {

@@ -29,14 +29,16 @@ import (
 // miss. Listeners observe the full event taxonomy: Demoted when a victim
 // stays answerable compressed, Evicted only when a chunk leaves the store.
 //
-// Capacity is partitioned per stripe with a borrow margin: each stripe may
-// charge up to capacity/N plus half again (so a hot stripe can steal headroom
-// from idle ones), while a global atomic reservation keeps the sum of all
-// stripes within the configured capacity. When the global bound binds, the
+// The hot tier's bytes are partitioned per stripe with a borrow margin: each
+// stripe may charge up to hot/N plus half again (so a hot stripe can steal
+// headroom from idle ones), while a global atomic reservation keeps the sum
+// of all stripes within the hot share. When the global bound binds, the
 // inserting stripe evicts locally until its reservation fits — so a saturated
-// store converges to roughly capacity/N per active stripe without any
-// cross-stripe locking. With one stripe the limit is the capacity and the two
-// bounds coincide.
+// store converges to roughly hot/N per active stripe without any
+// cross-stripe locking. With one stripe the limit is the hot share and the
+// two bounds coincide. Without a cold tier the hot share is the capacity;
+// with one, capacity is one budget whose split between the tiers moves
+// online (see NewTiered and budget.go).
 //
 // Locking contract: every method takes the lock of the stripe that owns the
 // key, never more than one at a time. Listener and Policy callbacks fire
@@ -48,10 +50,13 @@ import (
 // Used, Len, Stats and the obs series are fed from global atomics (and the
 // cold tier's own lock) and are therefore exact.
 type Sharded struct {
-	capacity int64
-	limit    int64  // per-stripe byte cap: capacity/N + borrow margin
-	mask     uint64 // len(shards) - 1
-	used     atomic.Int64
+	capacity int64 // byte budget of both tiers
+	// hotCap is the hot tier's share of capacity, all of it without a cold
+	// tier; with one, it is written only under the cold tier's lock.
+	hotCap   atomic.Int64
+	hotMax   atomic.Int64 // largest chunk the hot tier has admitted: its floor
+	mask     uint64       // len(shards) - 1
+	used     atomic.Int64 // hot-tier bytes charged, never above hotCap
 	resident atomic.Int64
 	shards   []shard
 	// met is the store's one set of counters: Stats reads it, and /metrics
@@ -88,14 +93,8 @@ func newSharded(capacity int64, n int, seed Policy, met obs.CacheMetrics) (*Shar
 	if n < 1 || n > MaxShards || n&(n-1) != 0 {
 		return nil, fmt.Errorf("cache: shard count must be a power of two in [1, %d], got %d", MaxShards, n)
 	}
-	base := capacity / int64(n)
-	limit := base + base/2
-	if limit <= 0 || limit > capacity {
-		// One stripe, or fewer bytes than stripes: the global bound is the
-		// only bound.
-		limit = capacity
-	}
-	c := &Sharded{capacity: capacity, limit: limit, mask: uint64(n - 1), shards: make([]shard, n), met: met}
+	c := &Sharded{capacity: capacity, mask: uint64(n - 1), shards: make([]shard, n), met: met}
+	c.hotCap.Store(capacity)
 	for i := range c.shards {
 		p := seed
 		if i > 0 {
@@ -123,18 +122,33 @@ func (c *Sharded) shardIndex(k Key) uint64 {
 
 func (c *Sharded) shard(k Key) *shard { return &c.shards[c.shardIndex(k)] }
 
-// reserve charges delta bytes against the global capacity, failing without
-// side effects when it would overflow.
+// reserve charges delta bytes against the hot share, failing without side
+// effects when it would overflow. The share only shrinks together with the
+// charge (coldTier.transfer), so a reservation that raced a shrink fails its
+// CAS and retries against the smaller share.
 func (c *Sharded) reserve(delta int64) bool {
 	for {
 		u := c.used.Load()
-		if u+delta > c.capacity {
+		if u+delta > c.hotCap.Load() {
 			return false
 		}
 		if c.used.CompareAndSwap(u, u+delta) {
 			return true
 		}
 	}
+}
+
+// stripeLimit is the per-stripe byte cap for hot share hot: hot/N plus the
+// borrow margin.
+func (c *Sharded) stripeLimit(hot int64) int64 {
+	base := hot / int64(len(c.shards))
+	limit := base + base/2
+	if limit <= 0 || limit > hot {
+		// One stripe, or fewer bytes than stripes: the global bound is the
+		// only bound.
+		limit = hot
+	}
+	return limit
 }
 
 // syncGauges publishes occupancy from the global atomics; callers may hold a
@@ -150,11 +164,21 @@ func (c *Sharded) Shards() int { return len(c.shards) }
 // SetListener implements Store.
 func (c *Sharded) SetListener(l Listener) { c.listener = l }
 
-// Capacity implements Store: the combined byte bound of both tiers.
-func (c *Sharded) Capacity() int64 { return c.capacity + c.cold.occupancy().ColdCapacity }
+// Capacity implements Store: the combined byte bound of both tiers, fixed
+// for the store's life however the split between them moves.
+func (c *Sharded) Capacity() int64 { return c.capacity }
 
-// Used implements Store: hot bytes plus compressed cold bytes.
-func (c *Sharded) Used() int64 { return c.used.Load() + c.cold.occupancy().ColdUsed }
+// Used implements Store: hot bytes plus compressed cold bytes, read together
+// under the cold tier's lock, where the split cannot move, so the sum never
+// exceeds Capacity.
+func (c *Sharded) Used() int64 {
+	if c.cold == nil {
+		return c.used.Load()
+	}
+	c.cold.mu.Lock()
+	defer c.cold.mu.Unlock()
+	return c.used.Load() + c.cold.used
+}
 
 // Len implements Store: residents across both tiers.
 func (c *Sharded) Len() int { return int(c.resident.Load() + c.cold.occupancy().ColdChunks) }
@@ -236,8 +260,10 @@ func (c *Sharded) Peek(k Key) (*chunk.Chunk, bool) {
 // whole store is not admitted, and a replacement that is denied leaves the old
 // entry resident. An insert of a cold-resident key is denied: the cold copy
 // already answers it. Room is bounded by both the stripe limit (local
-// evictions) and the global capacity (reserved atomically); see
-// makeRoomLocked.
+// evictions) and the hot share (reserved atomically); see makeRoomLocked.
+// With a cold tier, a fresh insert of a key the cold tier dropped, and an
+// insert denied for want of a victim, move the boundary between the tiers
+// (budget.go).
 func (c *Sharded) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
 	return c.insert(k, data, applyInsertOptions(opts))
 }
@@ -247,7 +273,7 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if need > c.capacity {
+	if need > c.hotCap.Load() {
 		c.met.Denied.Inc()
 		return false
 	}
@@ -259,9 +285,11 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 			if !c.makeRoomLocked(s, need, delta, spec.class) {
 				e.pins--
 				c.met.Denied.Inc()
+				c.hotPressure(need, spec)
 				return false
 			}
 			e.pins--
+			c.noteHotMax(need)
 		} else {
 			c.used.Add(delta)
 		}
@@ -282,17 +310,24 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 		c.syncGauges()
 		return true
 	}
-	if c.cold.contains(k) {
+	resident, ghostHit, step := c.cold.filling(k, data, spec.benefit)
+	if resident {
 		// The cold copy already answers k. Decided here, under the stripe
 		// lock that serializes this key's tier transitions, so k is never
 		// resident in both tiers.
 		c.met.Denied.Inc()
 		return false
 	}
+	if ghostHit {
+		c.tmet.ColdGhostHits.Inc()
+		c.shrinkHotLocked(s, step)
+	}
 	if !c.makeRoomLocked(s, need, need, spec.class) {
 		c.met.Denied.Inc()
+		c.hotPressure(need, spec)
 		return false
 	}
+	c.noteHotMax(need)
 	e := &Entry{Key: k, Data: data, Class: spec.class, Benefit: spec.benefit, Recycled: spec.recycled}
 	s.entries[k] = e
 	s.used += need
@@ -308,20 +343,19 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 
 // makeRoomLocked evicts from s (locked by the caller) until delta more
 // bytes — the growth an arriving chunk of need bytes causes — fit under both
-// the stripe limit and the global capacity, reserving the global bytes on
-// success. The stripe limit shares capacity between stripes; it is not an
-// admission bound: a chunk above it may hold its stripe alone, so only what
-// the whole store cannot hold is refused for size. It reports false — with
-// nothing reserved — when the policy runs out of victims first: other
-// stripes' bytes are not this one's to evict.
+// the stripe limit and the hot share, reserving the global bytes on
+// success. The stripe limit shares the hot share between stripes; it is not
+// an admission bound: a chunk above it may hold its stripe alone, so only
+// what the whole hot share cannot hold is refused for size. It reports
+// false — with nothing reserved — when the policy runs out of victims first:
+// other stripes' bytes are not this one's to evict.
 func (c *Sharded) makeRoomLocked(s *shard, need, delta int64, cl Class) bool {
-	limit := max(c.limit, need)
-	for s.used+delta > limit || !c.reserve(delta) {
+	for s.used+delta > max(c.stripeLimit(c.hotCap.Load()), need) || !c.reserve(delta) {
 		v := s.policy.NextVictim(cl)
 		if v == nil {
 			return false
 		}
-		c.evictLocked(s, v)
+		c.evictLocked(s, v, false)
 	}
 	return true
 }
@@ -329,10 +363,19 @@ func (c *Sharded) makeRoomLocked(s *shard, need, delta int64, cl Class) bool {
 // evictLocked drops the policy's victim e from s (locked by the caller),
 // releasing its global reservation and offering it to the cold tier; the
 // listener learns whether it stays answerable (Demoted) or left (Evicted).
-func (c *Sharded) evictLocked(s *shard, e *Entry) {
+// With shrink, e's bytes leave the hot share together with its charge
+// (coldTier.transfer); when the hot floor refuses that, e stays resident and
+// evictLocked reports false.
+func (c *Sharded) evictLocked(s *shard, e *Entry, shrink bool) bool {
+	if shrink {
+		if !c.cold.transfer(e.Bytes(), c.hotMax.Load(), &c.used) {
+			return false
+		}
+	} else {
+		c.used.Add(-e.Bytes())
+	}
 	delete(s.entries, e.Key)
 	s.used -= e.Bytes()
-	c.used.Add(-e.Bytes())
 	c.resident.Add(-1)
 	c.met.EvictionsPolicy.Inc()
 	c.syncGauges()
@@ -344,6 +387,7 @@ func (c *Sharded) evictLocked(s *shard, e *Entry) {
 	if c.listener != nil {
 		c.listener.OnEvent(Event{Key: e.Key, Reason: reason, Entry: e})
 	}
+	return true
 }
 
 // Pin implements Store. A key that is not hot is pinned where it lives when

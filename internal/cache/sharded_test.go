@@ -296,12 +296,12 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	// largest chunk is 47,872 bytes and its p99 30,280 — 18.8 % of all chunks
 	// were refused on every request, even by an empty store.
 	c64, _ := New(380_160, NewTwoLevelPromote(), WithShards(64))
-	if c64.limit != 8_910 {
-		t.Fatalf("64-stripe limit = %d, want 8910", c64.limit)
+	if c64.stripeLimit(c64.capacity) != 8_910 {
+		t.Fatalf("64-stripe limit = %d, want 8910", c64.stripeLimit(c64.capacity))
 	}
 	for num, cells := range []int{1992, 1259} {
 		if !c64.Insert(key(num), mkChunk(0, num, cells), AsBackend(1)) {
-			t.Fatalf("%d-byte chunk denied by an %d-byte stripe limit", mkChunk(0, num, cells).Bytes(), c64.limit)
+			t.Fatalf("%d-byte chunk denied by an %d-byte stripe limit", mkChunk(0, num, cells).Bytes(), c64.stripeLimit(c64.capacity))
 		}
 	}
 	if c64.Used() != 47_872+30_280 || c64.Stats().Denied != 0 {
@@ -311,8 +311,8 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	// Degenerate: capacity below the shard count would give a zero per-shard
 	// limit; the store falls back to the global bound only.
 	c3, _ := New(50, NewBenefitClock(), WithShards(64))
-	if c3.limit != c3.capacity {
-		t.Fatalf("degenerate limit = %d, want the full capacity %d", c3.limit, c3.capacity)
+	if c3.stripeLimit(c3.capacity) != c3.capacity {
+		t.Fatalf("degenerate limit = %d, want the full capacity %d", c3.stripeLimit(c3.capacity), c3.capacity)
 	}
 }
 

@@ -48,8 +48,11 @@ func reasons(events []Event) []string {
 // sequence.
 func TestTieredEventOrdering(t *testing.T) {
 	// Cold tier sized for two encoded 10-cell chunks (~156 charged bytes
-	// each): a third demotion forces a cold eviction.
+	// each): a third demotion forces a cold eviction. The split stays where
+	// it is configured: the cold read of a just-demoted key would move it
+	// toward hot and evict from the cold tier (TestBudget*).
 	tc, lis := tieredFixture(t, 2*160)
+	freezeBoundary(tc)
 
 	tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
 	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(2)) // hot evicts 1 -> demote
@@ -82,7 +85,11 @@ func TestTieredEventOrdering(t *testing.T) {
 // counts as a use: the touched key outlives an older cold key under the
 // next cold eviction.
 func TestTieredColdLookupServesInPlace(t *testing.T) {
+	// The split stays where it is configured: the cold read of a
+	// just-demoted key would move it toward hot and evict from the cold tier
+	// (TestBudget*).
 	tc, lis := tieredFixture(t, 2*160)
+	freezeBoundary(tc)
 
 	tc.Insert(key(1), mkChunk(0, 1, 10), AsRecycled(42.5))
 	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(1)) // demotes 1
@@ -502,11 +509,14 @@ func TestTieredConcurrentSoak(t *testing.T) {
 	if got, want := tc.hotUsed(), recount-ts.ColdRawBytes; got != want {
 		t.Fatalf("hot Used %d != recounted %d", got, want)
 	}
-	if got := tc.hotUsed(); got > hotCap {
-		t.Fatalf("hot tier over capacity: %d > %d", got, hotCap)
+	if got := tc.hotUsed(); got > ts.HotCapacity {
+		t.Fatalf("hot tier over its share: %d > %d", got, ts.HotCapacity)
 	}
 	if ts.ColdUsed > ts.ColdCapacity {
-		t.Fatalf("cold tier over capacity: %d > %d", ts.ColdUsed, ts.ColdCapacity)
+		t.Fatalf("cold tier over its share: %d > %d", ts.ColdUsed, ts.ColdCapacity)
+	}
+	if ts.HotCapacity+ts.ColdCapacity != hotCap+4*160 {
+		t.Fatalf("shares %d + %d do not sum to the budget %d", ts.HotCapacity, ts.ColdCapacity, hotCap+4*160)
 	}
 	if ts.ColdUsed < 0 || ts.ColdRawBytes < 0 || ts.ColdChunks < 0 {
 		t.Fatalf("negative cold occupancy: %+v", ts)
@@ -572,18 +582,110 @@ func (l tieredTranscript) OnEvent(ev Event) {
 	fmt.Fprintf(l.w, "ev %v %v %v %v %v\n", ev.Key, ev.Reason, ev.Entry.Class, ev.Entry.Benefit, ev.Entry.Recycled)
 }
 
-// TestTieredMatchesRecordedReference replays a seeded, single-goroutine
-// 5,000-op stream against a store with a cold tier, over one stripe and over
-// four, and hashes the full transcript: every verdict, every listener
-// callback in order, and Stats plus TierStats after every op. The stream
-// mixes inserts of all three classes (with same-key growth), lookups, peeks
-// (by value and by presence), pins and unpins of hot and cold keys,
-// reinforcement and ranges, and the stores are small enough to demote and
-// cold-evict constantly. The stream was first pinned to the decorator that
-// composed a cold tier over a hot Sharded store (commit fb5f992); when
-// administrative removal was deleted, its removal ops were dropped, the
-// presence probes became Peeks and the hashes were re-recorded at commit
-// 92e69ab, whose merged store still matched that reference.
+// replayTieredStream replays a seeded, single-goroutine 5,000-op stream
+// against a store with a cold tier over the given stripe count and returns
+// the hash of the full transcript: every verdict, every listener callback in
+// order, and Stats plus tier(TierStats) after every op. The stream mixes
+// inserts of all three classes (with same-key growth), lookups, peeks (by
+// value and by presence), pins and unpins of hot and cold keys,
+// reinforcement and ranges, and the store is small enough to demote and
+// cold-evict constantly. With frozen, the boundary between the tiers stays
+// at its configured split.
+func replayTieredStream(t *testing.T, shards int, frozen bool, tier func(TierStats) string) (string, Stats, TierStats) {
+	t.Helper()
+	hot, err := New(2_000, NewTwoLevel(), WithShards(shards))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s, err := NewTiered(hot, 1_500)
+	if err != nil {
+		t.Fatalf("NewTiered: %v", err)
+	}
+	if frozen {
+		freezeBoundary(s)
+	}
+	h := sha256.New()
+	s.SetListener(tieredTranscript{h})
+	rng := rand.New(rand.NewSource(35))
+	var pinned []Key
+	cells := func(d *chunk.Chunk, ok bool) int {
+		if !ok {
+			return -1
+		}
+		return d.Cells()
+	}
+	for op := 0; op < 5000; op++ {
+		k := key(rng.Intn(40))
+		switch rng.Intn(15) {
+		case 0, 1, 2, 3, 4:
+			opt := []func(float64) InsertOption{AsBackend, AsComputed, AsRecycled}[rng.Intn(3)]
+			ok := s.Insert(k, mkChunk(0, int(k.Num), 1+rng.Intn(20)), opt(float64(rng.Intn(1000))))
+			fmt.Fprintf(h, "insert %v %v\n", k, ok)
+		case 5, 6:
+			d, ok := s.Get(k)
+			fmt.Fprintf(h, "get %v %v %d\n", k, ok, cells(d, ok))
+		case 7:
+			d, cl, benefit, ok := s.GetInfo(k)
+			fmt.Fprintf(h, "getinfo %v %v %d %v %v\n", k, ok, cells(d, ok), cl, benefit)
+		case 8:
+			d, ok := s.Peek(k)
+			fmt.Fprintf(h, "peek %v %v %d\n", k, ok, cells(d, ok))
+		case 9:
+			_, ok := s.Peek(k)
+			fmt.Fprintf(h, "contains %v %v\n", k, ok)
+		case 10:
+			ok := s.Pin(k)
+			if ok {
+				pinned = append(pinned, k)
+			}
+			fmt.Fprintf(h, "pin %v %v\n", k, ok)
+		case 11:
+			if n := len(pinned); n > 0 {
+				i := rng.Intn(n)
+				s.Unpin(pinned[i])
+				fmt.Fprintf(h, "unpin %v\n", pinned[i])
+				pinned[i] = pinned[n-1]
+				pinned = pinned[:n-1]
+			}
+		case 12:
+			s.Reinforce([]Key{k, key(rng.Intn(40))}, float64(rng.Intn(100)))
+		case 13:
+			var rows []string
+			s.Range(func(k Key, d *chunk.Chunk, cl Class, benefit float64, recycled bool) {
+				rows = append(rows, fmt.Sprintf("%v %d %v %v %v", k, d.Cells(), cl, benefit, recycled))
+			})
+			sort.Strings(rows)
+			fmt.Fprintf(h, "range %q\n", rows)
+		case 14:
+			fmt.Fprintf(h, "size %d %d %d\n", s.Used(), s.Len(), s.Capacity())
+		}
+		fmt.Fprintf(h, "%s %s\n", statsLine(s.Stats()), tier(s.TierStats()))
+	}
+	for _, k := range pinned {
+		s.Unpin(k)
+	}
+	st, ts := s.Stats(), s.TierStats()
+	fmt.Fprintf(h, "%s %s %d %d\n", statsLine(st), tier(ts), s.Used(), s.Len())
+	return hex.EncodeToString(h.Sum(nil)), st, ts
+}
+
+// fixedSplitTier formats the TierStats fields a fixed-split store had, as
+// %+v printed them before the budget's fields existed, so the recorded
+// reference hashes below still apply.
+func fixedSplitTier(ts TierStats) string {
+	return fmt.Sprintf("{ColdHits:%d ColdMisses:%d Promotes:%d Demotes:%d DemoteDenied:%d ColdEvicts:%d ColdCapacity:%d ColdUsed:%d ColdRawBytes:%d ColdChunks:%d}",
+		ts.ColdHits, ts.ColdMisses, ts.Promotes, ts.Demotes, ts.DemoteDenied, ts.ColdEvicts,
+		ts.ColdCapacity, ts.ColdUsed, ts.ColdRawBytes, ts.ColdChunks)
+}
+
+// TestTieredMatchesRecordedReference pins the store, with its boundary
+// frozen at the configured split, event for event to a recorded reference
+// (replayTieredStream over one stripe and over four). The stream was first
+// pinned to the decorator that composed a cold tier over a hot Sharded store
+// (commit fb5f992); when administrative removal was deleted, its removal ops
+// were dropped, the presence probes became Peeks and the hashes were
+// re-recorded at commit 92e69ab, whose merged store still matched that
+// reference. The hashes predate the moving boundary and are unchanged by it.
 func TestTieredMatchesRecordedReference(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
@@ -592,81 +694,37 @@ func TestTieredMatchesRecordedReference(t *testing.T) {
 		{1, "01641f21c99797c557695b823dada6f04ba656accf5666f095c24061bfdfb18e"},
 		{4, "2b091b633de0d13c9ff9a885fbe557a52e16c1084aa313810ccfdd819ee59c0e"},
 	} {
-		hot, err := New(2_000, NewTwoLevel(), WithShards(tc.shards))
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		s, err := NewTiered(hot, 1_500)
-		if err != nil {
-			t.Fatalf("NewTiered: %v", err)
-		}
-		h := sha256.New()
-		s.SetListener(tieredTranscript{h})
-		rng := rand.New(rand.NewSource(35))
-		var pinned []Key
-		cells := func(d *chunk.Chunk, ok bool) int {
-			if !ok {
-				return -1
-			}
-			return d.Cells()
-		}
-		for op := 0; op < 5000; op++ {
-			k := key(rng.Intn(40))
-			switch rng.Intn(15) {
-			case 0, 1, 2, 3, 4:
-				opt := []func(float64) InsertOption{AsBackend, AsComputed, AsRecycled}[rng.Intn(3)]
-				ok := s.Insert(k, mkChunk(0, int(k.Num), 1+rng.Intn(20)), opt(float64(rng.Intn(1000))))
-				fmt.Fprintf(h, "insert %v %v\n", k, ok)
-			case 5, 6:
-				d, ok := s.Get(k)
-				fmt.Fprintf(h, "get %v %v %d\n", k, ok, cells(d, ok))
-			case 7:
-				d, cl, benefit, ok := s.GetInfo(k)
-				fmt.Fprintf(h, "getinfo %v %v %d %v %v\n", k, ok, cells(d, ok), cl, benefit)
-			case 8:
-				d, ok := s.Peek(k)
-				fmt.Fprintf(h, "peek %v %v %d\n", k, ok, cells(d, ok))
-			case 9:
-				_, ok := s.Peek(k)
-				fmt.Fprintf(h, "contains %v %v\n", k, ok)
-			case 10:
-				ok := s.Pin(k)
-				if ok {
-					pinned = append(pinned, k)
-				}
-				fmt.Fprintf(h, "pin %v %v\n", k, ok)
-			case 11:
-				if n := len(pinned); n > 0 {
-					i := rng.Intn(n)
-					s.Unpin(pinned[i])
-					fmt.Fprintf(h, "unpin %v\n", pinned[i])
-					pinned[i] = pinned[n-1]
-					pinned = pinned[:n-1]
-				}
-			case 12:
-				s.Reinforce([]Key{k, key(rng.Intn(40))}, float64(rng.Intn(100)))
-			case 13:
-				var rows []string
-				s.Range(func(k Key, d *chunk.Chunk, cl Class, benefit float64, recycled bool) {
-					rows = append(rows, fmt.Sprintf("%v %d %v %v %v", k, d.Cells(), cl, benefit, recycled))
-				})
-				sort.Strings(rows)
-				fmt.Fprintf(h, "range %q\n", rows)
-			case 14:
-				fmt.Fprintf(h, "size %d %d %d\n", s.Used(), s.Len(), s.Capacity())
-			}
-			fmt.Fprintf(h, "%s %+v\n", statsLine(s.Stats()), s.TierStats())
-		}
-		for _, k := range pinned {
-			s.Unpin(k)
-		}
-		st, ts := s.Stats(), s.TierStats()
+		got, st, ts := replayTieredStream(t, tc.shards, true, fixedSplitTier)
 		if ts.Demotes < 500 || ts.ColdEvicts < 100 || ts.ColdHits < 100 || st.Denied == 0 {
 			t.Fatalf("shards=%d: stream does not stress both tiers: %+v %+v", tc.shards, st, ts)
 		}
-		fmt.Fprintf(h, "%s %+v %d %d\n", statsLine(st), ts, s.Used(), s.Len())
-		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+		if got != tc.want {
 			t.Errorf("shards=%d: transcript hash %s, want %s (stats %+v, tier %+v)", tc.shards, got, tc.want, st, ts)
+		}
+		if ts.HotCapacity != 2_000 {
+			t.Errorf("shards=%d: frozen boundary moved: hot share %d", tc.shards, ts.HotCapacity)
+		}
+	}
+}
+
+// TestTieredAdaptiveMatchesRecordedTranscript records the same stream with
+// the boundary moving, every TierStats field in the transcript, so any drift
+// in the adaptive store's event stream or its split shows as a changed hash.
+// The hashes were recorded when the moving boundary was introduced.
+func TestTieredAdaptiveMatchesRecordedTranscript(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		want   string
+	}{
+		{1, "af7abaad61bc43d9f4e122121f500e83e17005c329f6813a981ca1d3a3fde46b"},
+		{4, "419db215cac51897630b1366ce548b45999760f79eef50fc3de9f7c15121754e"},
+	} {
+		got, st, ts := replayTieredStream(t, tc.shards, false, func(ts TierStats) string { return fmt.Sprintf("%+v", ts) })
+		if got != tc.want {
+			t.Errorf("shards=%d: transcript hash %s, want %s (stats %+v, tier %+v)", tc.shards, got, tc.want, st, ts)
+		}
+		if ts.HotGhostHits == 0 || ts.ColdGhostHits == 0 || ts.HotCapacity == 2_000 {
+			t.Errorf("shards=%d: the stream does not exercise the moving boundary: %+v", tc.shards, ts)
 		}
 	}
 }

@@ -45,6 +45,24 @@ func BenchmarkRollUpInto(b *testing.B) {
 			b.Fatalf("RollUpInto: %v", err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*f.src.Cells()), "ns/tuple")
+}
+
+// BenchmarkCodecDecode measures decoding the same dense 64-cell base chunk
+// from the cold tier's encoding, the work a cold read pays per cell. Its
+// ns/cell over RollUpInto's ns/tuple is the decode-to-scan factor the
+// store prices cold decodes with (cache.decodeCost).
+func BenchmarkCodecDecode(b *testing.B) {
+	f := newKernelFixture(b)
+	enc := AppendPayload(nil, f.src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodePayload(f.src.GB, f.src.Num, enc); err != nil {
+			b.Fatalf("DecodePayload: %v", err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*f.src.Cells()), "ns/cell")
 }
 
 // BenchmarkRollUpIntoWide is RollUpInto against the top chunk: every source

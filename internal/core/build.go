@@ -38,7 +38,9 @@ type Config struct {
 	HotBytes int64
 	Shards   int
 	// ColdBytes, when positive, gives the local store a compressed cold tier
-	// of that capacity below its hot tier (cache.NewTiered).
+	// below its hot tier (cache.NewTiered). HotBytes + ColdBytes is then one
+	// budget and these two only its starting split: the store moves the
+	// boundary between the tiers online.
 	ColdBytes int64
 	// Peers, when set, joins the stack to a consistent-hash peer ring
 	// (cache.NewPeered) above the local tiers.

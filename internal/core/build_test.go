@@ -208,6 +208,9 @@ func TestBuildStatsMatchMetrics(t *testing.T) {
 		{"Tier.ColdUsed", "aggcache_cold_occupancy_bytes", n(ts.ColdUsed)},
 		{"Tier.ColdRawBytes", "aggcache_cold_raw_bytes", n(ts.ColdRawBytes)},
 		{"Tier.ColdChunks", "aggcache_cold_resident_chunks", n(ts.ColdChunks)},
+		{"Tier.HotCapacity", "aggcache_cache_capacity_bytes", n(ts.HotCapacity)},
+		{"Tier.HotGhostHits", `aggcache_tier_ghost_hits_total{tier="hot"}`, n(ts.HotGhostHits)},
+		{"Tier.ColdGhostHits", `aggcache_tier_ghost_hits_total{tier="cold"}`, n(ts.ColdGhostHits)},
 	} {
 		if got, ok := series[c.series]; !ok || got != c.want {
 			t.Errorf("%s = %s, but %s reads %q", c.field, c.want, c.series, got)

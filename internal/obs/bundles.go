@@ -101,7 +101,7 @@ type CacheMetrics struct {
 // NewCacheMetrics registers the cache metric set on r.
 func NewCacheMetrics(r *Registry) CacheMetrics {
 	return CacheMetrics{
-		CapacityBytes:  r.Gauge("aggcache_cache_capacity_bytes", "Configured cache capacity."),
+		CapacityBytes:  r.Gauge("aggcache_cache_capacity_bytes", "Byte bound of the hot tier: the whole cache without a cold tier, else its live share of the hot + cold budget."),
 		OccupancyBytes: r.Gauge("aggcache_cache_occupancy_bytes", "Bytes currently charged to resident chunks."),
 		ResidentChunks: r.Gauge("aggcache_cache_resident_chunks", "Number of resident chunks."),
 
@@ -119,8 +119,9 @@ func NewCacheMetrics(r *Registry) CacheMetrics {
 // TierMetrics instruments the cold tier of a cache.Sharded store (see
 // cache.NewTiered): compressed occupancy against the raw footprint of the
 // same residents (their ratio is the effective compression), the demote
-// traffic into the cold tier, and its hits and misses. A lookup the cold
-// tier serves is also one hit in the store's CacheMetrics.
+// traffic into the cold tier, its hits and misses, and the ghost hits that
+// move the boundary between the tiers' shares of one byte budget. A lookup
+// the cold tier serves is also one hit in the store's CacheMetrics.
 type TierMetrics struct {
 	ColdCapacityBytes  *Gauge
 	ColdOccupancyBytes *Gauge
@@ -132,12 +133,17 @@ type TierMetrics struct {
 	Demotes       *Counter
 	DemoteDenied  *Counter
 	ColdEvictions *Counter
+
+	HotGhostHits    *Counter
+	ColdGhostHits   *Counter
+	MovesTowardHot  *Counter
+	MovesTowardCold *Counter
 }
 
 // NewTierMetrics registers the cold-tier metric set on r.
 func NewTierMetrics(r *Registry) TierMetrics {
 	return TierMetrics{
-		ColdCapacityBytes:  r.Gauge("aggcache_cold_capacity_bytes", "Configured cold-tier capacity."),
+		ColdCapacityBytes:  r.Gauge("aggcache_cold_capacity_bytes", "Byte bound of the cold tier: its live share of the hot + cold budget."),
 		ColdOccupancyBytes: r.Gauge("aggcache_cold_occupancy_bytes", "Compressed bytes charged to cold residents."),
 		ColdRawBytes:       r.Gauge("aggcache_cold_raw_bytes", "Uncompressed footprint of the cold residents (raw/occupancy = compression ratio)."),
 		ColdChunks:         r.Gauge("aggcache_cold_resident_chunks", "Number of cold-tier residents."),
@@ -147,6 +153,11 @@ func NewTierMetrics(r *Registry) TierMetrics {
 		Demotes:       r.Counter("aggcache_tier_demotes_total", "Hot-tier victims re-admitted to the cold tier compressed."),
 		DemoteDenied:  r.Counter("aggcache_tier_demote_denied_total", "Hot-tier victims the cold tier refused."),
 		ColdEvictions: r.Counter("aggcache_cold_evictions_total", "Cold residents dropped for cold-tier space, or because they no longer decoded."),
+
+		HotGhostHits:    r.Counter(`aggcache_tier_ghost_hits_total{tier="hot"}`, "Cold decodes of recently demoted chunks: a larger hot share would have kept them hot."),
+		ColdGhostHits:   r.Counter(`aggcache_tier_ghost_hits_total{tier="cold"}`, "Fresh inserts of chunks the cold tier dropped: a larger cold share would have kept them."),
+		MovesTowardHot:  r.Counter(`aggcache_tier_boundary_moves_total{toward="hot"}`, "Moves of the hot/cold boundary that grew the hot share."),
+		MovesTowardCold: r.Counter(`aggcache_tier_boundary_moves_total{toward="cold"}`, "Moves of the hot/cold boundary that grew the cold share."),
 	}
 }
 
