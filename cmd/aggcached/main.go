@@ -48,23 +48,22 @@ import (
 
 func main() {
 	var (
-		scaleFlag      = flag.String("scale", "small", "dataset scale: tiny|small|medium|full")
-		seedFlag       = flag.Int64("seed", 1, "generator seed (in-process backend)")
-		stratFlag      = flag.String("strategy", "VCMC", "lookup strategy: VCM|VCMC|NoAgg")
-		cacheKBFlag    = flag.Int64("cache-kb", 512, "cache size in KB; with -cold-kb, hot + cold is one budget and this is the hot tier's starting share")
-		shardsFlag     = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
-		backendFlag    = flag.String("backend", "", "remote backend address (empty = in-process)")
-		listenFlag     = flag.String("listen", "127.0.0.1:7071", "listen address")
-		preloadFlag    = flag.Bool("preload", false, "preload the best-fitting group-by before serving")
-		recycleFlag    = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
-		recycleMinFlag = flag.Float64("recycle-min-benefit", core.DefaultRecycleMinBenefit, "recycler admission threshold in saved recompute cost per byte (0 = default)")
-		coldKBFlag     = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier's starting share in KB: hot-tier victims are demoted (delta/varint-encoded) instead of dropped, and answer from the cold tier until cold pressure evicts them; hot + cold is one budget and this is the starting split, which the store moves online (0 = disabled)")
-		snapDirFlag    = flag.String("snapshot-dir", "", "snapshot directory: cache.snap inside it is loaded at startup (warm restart) and written on SIGINT/SIGTERM and every -snapshot-interval; a snapshot is only valid for the dataset it was taken over (same -scale, -seed and backend), so use a fresh directory when the data changes")
-		snapIntFlag    = flag.Duration("snapshot-interval", 0, "periodic cache snapshot flush interval (0 = flush on shutdown only; needs -snapshot-dir)")
-		opsFlag        = flag.String("ops", "", "ops HTTP listen address serving /metrics, /healthz, /traces and /debug/pprof (empty = disabled)")
-		tracesFlag     = flag.Int("traces", obs.DefaultTraceDepth, "query traces retained for /traces")
+		scaleFlag   = flag.String("scale", "small", "dataset scale: tiny|small|medium|full")
+		seedFlag    = flag.Int64("seed", 1, "generator seed (in-process backend)")
+		stratFlag   = flag.String("strategy", "VCMC", "lookup strategy: VCM|VCMC|NoAgg")
+		cacheKBFlag = flag.Int64("cache-kb", 512, "cache size in KB; with -cold-kb, hot + cold is one budget and this is the hot tier's starting share")
+		shardsFlag  = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
+		backendFlag = flag.String("backend", "", "remote backend address (empty = in-process)")
+		listenFlag  = flag.String("listen", "127.0.0.1:7071", "listen address")
+		preloadFlag = flag.Bool("preload", false, "preload the best-fitting group-by before serving")
+		recycleFlag = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
+		coldKBFlag  = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier's starting share in KB: hot-tier victims are demoted (delta/varint-encoded) instead of dropped, and answer from the cold tier until cold pressure evicts them; hot + cold is one budget and this is the starting split, which the store moves online (0 = disabled)")
+		snapDirFlag = flag.String("snapshot-dir", "", "snapshot directory: cache.snap inside it is loaded at startup (warm restart) and written on SIGINT/SIGTERM and every -snapshot-interval; a snapshot is only valid for the dataset it was taken over (same -scale, -seed and backend), so use a fresh directory when the data changes")
+		snapIntFlag = flag.Duration("snapshot-interval", 0, "periodic cache snapshot flush interval (0 = flush on shutdown only; needs -snapshot-dir)")
+		opsFlag     = flag.String("ops", "", "ops HTTP listen address serving /metrics, /healthz, /traces and /debug/pprof (empty = disabled)")
+		tracesFlag  = flag.Int("traces", obs.DefaultTraceDepth, "query traces retained for /traces")
 
-		queryTimeoutFlag = flag.Duration("query-timeout", 0, "per-query execution deadline (0 = unbounded)")
+		queryTimeoutFlag = flag.Duration("query-timeout", 0, "per-query deadline, admission queue wait included; a tighter client deadline wins (0 = unbounded)")
 		attemptsFlag     = flag.Int("backend-attempts", backend.DefaultRetryPolicy.MaxAttempts, "tries per remote backend request, including the first")
 		backoffFlag      = flag.Duration("backend-backoff", backend.DefaultRetryPolicy.BaseBackoff, "base backoff before the first remote retry (doubles, jittered, capped)")
 		ioTimeoutFlag    = flag.Duration("backend-io-timeout", backend.DefaultRetryPolicy.IOTimeout, "wire deadline per remote backend exchange")
@@ -179,7 +178,6 @@ func main() {
 		Shards: cmp.Or(*shardsFlag, -1), // -cache-shards 0 (auto) is a negative count to Build
 		Options: []core.Option{
 			core.WithRecycling(*recycleFlag),
-			core.WithRecycleMinBenefit(*recycleMinFlag),
 		},
 	})
 	if err != nil {
@@ -219,8 +217,7 @@ func main() {
 	}
 
 	srv := mtier.NewServer(eng)
-	srv.SetQueryTimeout(*queryTimeoutFlag)
-	srv.SetTimeouts(wire.Timeouts{Read: *clientReadFlag, Write: *clientWriteFlag})
+	srv.SetTimeouts(wire.Timeouts{Read: *clientReadFlag, Write: *clientWriteFlag, Request: *queryTimeoutFlag})
 	srv.SetMaxPayload(*maxFrameFlag)
 	srv.SetMaxInFlight(*inFlightFlag)
 	if *admitMaxFlag > 0 {

@@ -34,7 +34,6 @@ func main() {
 		reqTimeoutFlag   = flag.Duration("request-timeout", backend.DefaultTimeouts.Request, "compute deadline per request, replied as a transient error (0 = none)")
 		maxFrameFlag     = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes (0 = 64MiB default)")
 		inFlightFlag     = flag.Int("wire-max-inflight", 0, "max concurrently served frames per connection (0 = 32 default)")
-		busyLimitFlag    = flag.Int("busy-limit", 0, "max concurrently computed requests server-wide before shedding with a Busy reply (0 = unlimited)")
 	)
 	flag.Parse()
 
@@ -80,7 +79,6 @@ func main() {
 	})
 	srv.SetMaxPayload(*maxFrameFlag)
 	srv.SetMaxInFlight(*inFlightFlag)
-	srv.SetBusyLimit(*busyLimitFlag)
 	addr, err := srv.Listen(*listenFlag)
 	if err != nil {
 		fatal(err)

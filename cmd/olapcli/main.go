@@ -33,18 +33,17 @@ import (
 
 func main() {
 	var (
-		scaleFlag      = flag.String("scale", "tiny", "dataset scale: tiny|small|medium|full")
-		seedFlag       = flag.Int64("seed", 1, "generator seed")
-		stratFlag      = flag.String("strategy", "VCMC", "lookup strategy: VCM|VCMC|NoAgg")
-		cacheKBFlag    = flag.Int64("cache-kb", 256, "cache size in KB; with -cold-kb, hot + cold is one budget and this is the hot tier's starting share")
-		shardsFlag     = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
-		backendFlag    = flag.String("backend", "", "remote backend address (empty = in-process)")
-		rowsFlag       = flag.Int("rows", 20, "max result rows to print")
-		maxFrame       = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes for the remote backend (0 = 64MiB default)")
-		peersFlag      = flag.String("peers", "", "comma-separated aggcached cluster addresses; local misses are peer-filled from the key's ring owner before the backend")
-		recycleFlag    = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
-		recycleMinFlag = flag.Float64("recycle-min-benefit", core.DefaultRecycleMinBenefit, "recycler admission threshold in saved recompute cost per byte (0 = default)")
-		coldKBFlag     = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier's starting share in KB: hot-tier victims demote instead of dropping, and answer from the cold tier until cold pressure evicts them; hot + cold is one budget and this is the starting split, which the store moves online (0 = disabled)")
+		scaleFlag   = flag.String("scale", "tiny", "dataset scale: tiny|small|medium|full")
+		seedFlag    = flag.Int64("seed", 1, "generator seed")
+		stratFlag   = flag.String("strategy", "VCMC", "lookup strategy: VCM|VCMC|NoAgg")
+		cacheKBFlag = flag.Int64("cache-kb", 256, "cache size in KB; with -cold-kb, hot + cold is one budget and this is the hot tier's starting share")
+		shardsFlag  = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
+		backendFlag = flag.String("backend", "", "remote backend address (empty = in-process)")
+		rowsFlag    = flag.Int("rows", 20, "max result rows to print")
+		maxFrame    = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes for the remote backend (0 = 64MiB default)")
+		peersFlag   = flag.String("peers", "", "comma-separated aggcached cluster addresses; local misses are peer-filled from the key's ring owner before the backend")
+		recycleFlag = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
+		coldKBFlag  = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier's starting share in KB: hot-tier victims demote instead of dropping, and answer from the cold tier until cold pressure evicts them; hot + cold is one budget and this is the starting split, which the store moves online (0 = disabled)")
 	)
 	flag.Parse()
 
@@ -103,7 +102,6 @@ func main() {
 		Shards: cmp.Or(*shardsFlag, -1), // -cache-shards 0 (auto) is a negative count to Build
 		Options: []core.Option{
 			core.WithRecycling(*recycleFlag),
-			core.WithRecycleMinBenefit(*recycleMinFlag),
 		},
 	})
 	if err != nil {

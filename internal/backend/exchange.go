@@ -63,13 +63,7 @@ func (x *Exchange) connect(ctx context.Context) (*wire.Mux, error) {
 	if err != nil {
 		return nil, MarkTransient(err)
 	}
-	m := wire.NewMux(conn, x.maxPay, wire.Metrics{
-		BytesIn:   x.met.WireBytesIn,
-		BytesOut:  x.met.WireBytesOut,
-		FramesIn:  x.met.FramesIn,
-		FramesOut: x.met.FramesOut,
-		InFlight:  x.met.InFlight,
-	})
+	m := wire.NewMux(conn, x.maxPay, x.met.WireMetrics)
 	x.mu.Lock()
 	if x.closed.Load() {
 		x.mu.Unlock()

@@ -232,34 +232,23 @@ func TestServerRequestTimeoutRepliesTransient(t *testing.T) {
 // real engine's answer and returns the payload to send instead.
 func fakeChunkServer(t *testing.T, e *Engine, reply func(chunks []*chunk.Chunk, stats Stats) []byte) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv := wire.NewServer(func(ctx context.Context, fr *wire.Frame) wire.Frame {
+		gb, nums, err := decodeRequest(fr.Payload)
+		if err != nil {
+			return errorFrame(err.Error(), false)
+		}
+		chunks, stats, err := e.ComputeChunks(ctx, gb, nums)
+		if err != nil {
+			return errorFrame(err.Error(), false)
+		}
+		return wire.Frame{Type: frameChunks, Payload: reply(chunks, stats)}
+	}, func(_ *wire.Frame, msg string) wire.Frame { return errorFrame(msg, true) })
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				wire.ServeConn(conn, wire.ConnOptions{}, func(fr *wire.Frame) wire.Frame {
-					gb, nums, err := decodeRequest(fr.Payload)
-					if err != nil {
-						return errorFrame(err.Error(), false)
-					}
-					chunks, stats, err := e.ComputeChunks(context.Background(), gb, nums)
-					if err != nil {
-						return errorFrame(err.Error(), false)
-					}
-					return wire.Frame{Type: frameChunks, Payload: reply(chunks, stats)}
-				})
-			}()
-		}
-	}()
-	return ln.Addr().String()
+	t.Cleanup(func() { srv.Close() })
+	return addr
 }
 
 // TestRemoteRejectsReplyThatIsNotTheRequest: the middle tier files reply i

@@ -3,9 +3,6 @@ package backend
 import (
 	"context"
 	"fmt"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"aggcache/internal/obs"
@@ -21,152 +18,64 @@ var DefaultTimeouts = Timeouts{Write: time.Minute}
 
 // Server exposes an Engine over a TCP listener speaking the length-prefixed
 // binary frame protocol of package wire (DESIGN.md §11). It stands in for
-// the paper's remote commercial DBMS tier. Each connection is pipelined:
+// the paper's remote commercial DBMS tier. It is the backend's frame
+// handler on a wire.Server, which owns the listener, the connections, the
+// request deadline and the panic guard. Each connection is pipelined:
 // request frames are dispatched to concurrent handlers and responses return
 // in completion order, matched to their request by id. Per-request engine
 // errors are replied in-band; only wire-level failures (bad magic, a
 // truncated frame, a reset) close the connection, and an idle-deadline
 // reaping is counted separately from those.
 type Server struct {
-	engine      *Engine
-	tmo         Timeouts
-	met         obs.BackendMetrics
-	maxPay      int
-	maxInFlight int
-	busyLimit   int
-
-	busy atomic.Int64 // requests executing server-wide, for the busy limit
-
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	engine *Engine
+	srv    *wire.Server
 }
 
 // NewServer wraps an engine for serving with DefaultTimeouts.
 func NewServer(e *Engine) *Server {
-	return &Server{engine: e, tmo: DefaultTimeouts, conns: make(map[net.Conn]struct{})}
+	s := &Server{engine: e}
+	s.srv = wire.NewServer(s.handleFrame, func(_ *wire.Frame, msg string) wire.Frame {
+		return errorFrame(msg, true)
+	})
+	s.srv.Options.Timeouts = DefaultTimeouts
+	return s
 }
 
 // SetTimeouts replaces the deadline policy. Call it before Listen; it is not
 // synchronized with connections in flight.
-func (s *Server) SetTimeouts(t Timeouts) { s.tmo = t }
+func (s *Server) SetTimeouts(t Timeouts) { s.srv.Options.Timeouts = t }
 
 // SetMaxPayload bounds request frame payloads (0 means
 // wire.DefaultMaxPayload). Call it before Listen.
-func (s *Server) SetMaxPayload(n int) { s.maxPay = n }
+func (s *Server) SetMaxPayload(n int) { s.srv.Options.MaxPayload = n }
 
 // SetMaxInFlight caps concurrently executing handlers per connection (0
 // means wire.DefaultMaxInFlight). Call it before Listen.
-func (s *Server) SetMaxInFlight(n int) { s.maxInFlight = n }
-
-// SetBusyLimit caps concurrently executing requests across all connections;
-// excess requests are refused with an in-band Busy reply (transient, with a
-// retry-after hint) instead of queueing behind the engine. 0 disables the
-// limit. Call it before Listen.
-func (s *Server) SetBusyLimit(n int) { s.busyLimit = n }
+func (s *Server) SetMaxInFlight(n int) { s.srv.Options.MaxInFlight = n }
 
 // SetMetrics attaches live observability metrics (the server records the
 // wire-level counters; attach the same bundle to the engine for the compute
 // counters). Call it before Listen.
-func (s *Server) SetMetrics(m obs.BackendMetrics) { s.met = m }
+func (s *Server) SetMetrics(m obs.BackendMetrics) { s.srv.Options.Metrics = m.WireMetrics }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
-// returns the bound address. Serving happens on background goroutines until
-// Close.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("backend: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
+// returns the bound address. A server listens at most once; serving happens
+// on background goroutines until Close.
+func (s *Server) Listen(addr string) (string, error) { return s.srv.Listen(addr) }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+// Close stops the listener and closes active connections, returning once
+// every request in flight has been answered or abandoned.
+func (s *Server) Close() error { return s.srv.Close() }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	wire.ServeConn(conn, wire.ConnOptions{
-		Timeouts:    s.tmo,
-		MaxPayload:  s.maxPay,
-		MaxInFlight: s.maxInFlight,
-		Metrics: wire.Metrics{
-			BytesIn:   s.met.WireBytesIn,
-			BytesOut:  s.met.WireBytesOut,
-			FramesIn:  s.met.FramesIn,
-			FramesOut: s.met.FramesOut,
-			InFlight:  s.met.InFlight,
-		},
-		WireErrors: s.met.WireErrors,
-		IdleCloses: s.met.IdleCloses,
-	}, s.handleFrame)
-}
-
-// handleFrame serves one request frame, converting engine errors — and
-// panics — into in-band error frames so one bad request never tears down
-// the connection under its pipelined neighbors. The transient flag carries
-// the PR-3 taxonomy to the client: countsAsOutage failures (the engine did
-// not answer) are retryable, deterministic rejections are not.
-func (s *Server) handleFrame(fr *wire.Frame) (resp wire.Frame) {
-	if s.busyLimit > 0 {
-		if s.busy.Add(1) > int64(s.busyLimit) {
-			s.busy.Add(-1)
-			s.met.Sheds.Inc()
-			// The hint is rough — half the request timeout, floored — but any
-			// positive value beats clients retrying in lockstep immediately.
-			hint := s.tmo.Request / 2
-			if hint <= 0 {
-				hint = 10 * time.Millisecond
-			}
-			return wire.BusyFrame(hint, "queue_full")
-		}
-		defer s.busy.Add(-1)
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.met.Panics.Inc()
-			resp = errorFrame(fmt.Sprintf("panic serving request: %v", p), true)
-		}
-	}()
+// handleFrame serves one request frame, converting engine errors into
+// in-band error frames so one bad request never tears down the connection
+// under its pipelined neighbors. The transient flag carries the PR-3
+// taxonomy to the client: countsAsOutage failures (the engine did not
+// answer) are retryable, deterministic rejections are not.
+func (s *Server) handleFrame(ctx context.Context, fr *wire.Frame) wire.Frame {
 	gb, nums, err := decodeRequest(fr.Payload)
 	if err != nil {
 		return errorFrame(err.Error(), false)
-	}
-	ctx := context.Background()
-	if s.tmo.Request > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.tmo.Request)
-		defer cancel()
 	}
 	switch fr.Type {
 	case frameCompute:
@@ -184,21 +93,4 @@ func (s *Server) handleFrame(fr *wire.Frame) (resp wire.Frame) {
 	default:
 		return errorFrame(fmt.Sprintf("unknown frame type 0x%02x", fr.Type), false)
 	}
-}
-
-// Close stops the listener and closes active connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
 }

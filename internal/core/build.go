@@ -48,7 +48,7 @@ type Config struct {
 	// Metrics, when set, attaches live metrics registered on it to the
 	// strategy, the local store, its cold tier, every peer and the engine.
 	Metrics *obs.Registry
-	// Options tune the engine (WithRecycling, WithRecycleMinBenefit, …).
+	// Options tune the engine (WithRecycling, WithReinforce, …).
 	Options []Option
 }
 

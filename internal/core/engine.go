@@ -66,22 +66,12 @@ const DefaultRecycleMinBenefit = 1.0
 // WithRecycling(true) enables benefit-driven recycling of intermediate
 // aggregates: every interior plan node of an in-cache aggregation is
 // scored in O(1) via the strategy's CostEstimate and, when the recompute
-// cost it saves per byte clears the threshold (WithRecycleMinBenefit),
+// cost it saves per byte clears DefaultRecycleMinBenefit,
 // materialized and admitted to the cache as a computed-class chunk; every
 // other interior node is never built (see Engine.rollInto). Off by default:
 // the paper's engine caches only the newly computed result chunk.
 func WithRecycling(on bool) Option {
 	return func(o *options) { o.recycle = on }
-}
-
-// WithRecycleMinBenefit sets the recycler's admission threshold in saved
-// recompute cost (tuples) per byte. Non-positive values keep the default.
-func WithRecycleMinBenefit(perByte float64) Option {
-	return func(o *options) {
-		if perByte > 0 {
-			o.recycleMinBenefit = perByte
-		}
-	}
 }
 
 // WithResultCache does nothing.

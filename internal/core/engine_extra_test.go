@@ -188,7 +188,7 @@ func TestRecycleIntermediates(t *testing.T) {
 	}
 
 	// A tiny threshold admits every interior node of the top-level roll-up.
-	eng, c := run(t, WithRecycling(true), WithRecycleMinBenefit(1e-9))
+	eng, c := run(t, WithRecycling(true), withRecycleMinBenefit(1e-9))
 	if !midResident(c) {
 		t.Fatalf("no intermediate chunks were recycled")
 	}
@@ -197,7 +197,7 @@ func TestRecycleIntermediates(t *testing.T) {
 	}
 
 	// A prohibitive threshold rejects them all and counts the rejections.
-	eng, c = run(t, WithRecycling(true), WithRecycleMinBenefit(1e12))
+	eng, c = run(t, WithRecycling(true), withRecycleMinBenefit(1e12))
 	if midResident(c) {
 		t.Fatalf("intermediate chunks cached despite prohibitive threshold")
 	}

@@ -88,7 +88,7 @@ func TestExplainRecycleAnnotation(t *testing.T) {
 	// Admit-everything threshold: every interior node annotated as admitted,
 	// with a benefit score.
 	f := build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20,
-		WithRecycling(true), WithRecycleMinBenefit(1e-9))
+		WithRecycling(true), withRecycleMinBenefit(1e-9))
 	out := probe(t, f)
 	if !strings.Contains(out, "[recycle: admit, benefit ") {
 		t.Fatalf("no admit annotation on interior nodes:\n%s", out)
@@ -104,7 +104,7 @@ func TestExplainRecycleAnnotation(t *testing.T) {
 	// Prohibitive threshold: same plan, all interior nodes rejected — and a
 	// rejected node is inlined, never built.
 	f = build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20,
-		WithRecycling(true), WithRecycleMinBenefit(1e12))
+		WithRecycling(true), withRecycleMinBenefit(1e12))
 	out = probe(t, f)
 	if !strings.Contains(out, "[recycle: reject, benefit ") {
 		t.Fatalf("no reject annotation at prohibitive threshold:\n%s", out)
@@ -148,7 +148,7 @@ func TestExplainScanTotal(t *testing.T) {
 	run := func(t *testing.T, minBenefit float64, warm ...lattice.ID) (explained, executed int64, f *fixture) {
 		t.Helper()
 		f = build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20,
-			WithRecycling(true), WithRecycleMinBenefit(minBenefit))
+			WithRecycling(true), withRecycleMinBenefit(minBenefit))
 		lat := f.grid.Lattice()
 		for _, gb := range append([]lattice.ID{lat.Base()}, warm...) {
 			if _, err := f.engine.Execute(context.Background(), WholeGroupBy(gb)); err != nil {

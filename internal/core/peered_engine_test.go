@@ -64,7 +64,7 @@ func TestRecycledIntermediatesPeered(t *testing.T) {
 	t.Cleanup(func() { pc.Close() })
 
 	eng, err := New(g, pc, strategy.NewVCMC(g, sz), be, sz,
-		WithRecycling(true), WithRecycleMinBenefit(1e-9))
+		WithRecycling(true), withRecycleMinBenefit(1e-9))
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}

@@ -69,6 +69,25 @@ func (g *flightGroup) finish(gb lattice.ID, nums []int, calls []*flightCall, chu
 	g.mu.Unlock()
 }
 
+// errLeaderAborted is what followers of a flight read when its leader
+// unwound without publishing an outcome — a panic below the engine, which
+// the server's panic guard turns into an error reply for the leader alone.
+var errLeaderAborted = errors.New("core: the query fetching this chunk aborted")
+
+// abandon publishes errLeaderAborted to the flights among calls that are
+// still open. Only their leader publishes its flights, so reading done
+// needs no lock, and a published flight's key, which may belong to a newer
+// flight by now, is left alone.
+func (g *flightGroup) abandon(gb lattice.ID, nums []int, calls []*flightCall) {
+	for i, c := range calls {
+		select {
+		case <-c.done:
+		default:
+			g.finish(gb, nums[i:i+1], calls[i:i+1], nil, 0, 0, false, errLeaderAborted)
+		}
+	}
+}
+
 // fetchMissing obtains every missing chunk from the backend, deduplicating
 // against identical fetches already in flight. Chunks nobody is fetching are
 // batched into one ComputeChunks call led by this query; chunks with an
@@ -96,6 +115,10 @@ func (e *Engine) fetchMissing(ctx context.Context, gb lattice.ID, missing, missi
 		ownIdx = append(ownIdx, missingIdx[i])
 	}
 	e.flights.mu.Unlock()
+	// Whatever happens below, no flight this query leads stays open: a
+	// panicking backend or peer call must fail the followers, not strand
+	// them.
+	defer func() { e.flights.abandon(gb, own, ownCalls) }()
 	e.met.FlightLeaderChunks.Add(int64(len(own)))
 	e.met.FlightFollowerChunks.Add(int64(len(waits)))
 

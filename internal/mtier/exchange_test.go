@@ -47,7 +47,7 @@ func scriptedListener(t *testing.T) (addr string, set func(script)) {
 			go func() {
 				defer conns.Done()
 				defer conn.Close()
-				r, w := wire.NewReader(conn, 0, wire.Metrics{}), wire.NewWriter(conn, wire.Metrics{})
+				r, w := wire.NewReader(conn, 0, obs.WireMetrics{}), wire.NewWriter(conn, obs.WireMetrics{})
 				for {
 					fr, err := r.ReadFrame()
 					if err != nil {
@@ -140,7 +140,7 @@ func TestExchangeConformance(t *testing.T) {
 			name: "connection dropped mid-frame",
 			script: func(fr wire.Frame, _ *wire.Writer, conn net.Conn) {
 				var buf bytes.Buffer
-				wire.NewWriter(&buf, wire.Metrics{}).WriteFrame(wire.Frame{Type: 0x81, ID: fr.ID, Payload: make([]byte, 64)})
+				wire.NewWriter(&buf, obs.WireMetrics{}).WriteFrame(wire.Frame{Type: 0x81, ID: fr.ID, Payload: make([]byte, 64)})
 				conn.Write(buf.Bytes()[:buf.Len()/2])
 				conn.Close()
 			},

@@ -14,6 +14,7 @@ import (
 	"aggcache/internal/obs"
 	"aggcache/internal/sizer"
 	"aggcache/internal/strategy"
+	"aggcache/internal/wire"
 )
 
 // newFaultyServer builds a middle tier whose backend path is
@@ -120,7 +121,7 @@ func TestQueryTimeoutOutcome(t *testing.T) {
 		t.Fatalf("core.New: %v", err)
 	}
 	srv := NewServer(eng)
-	srv.SetQueryTimeout(30 * time.Millisecond)
+	srv.SetTimeouts(wire.Timeouts{Request: 30 * time.Millisecond})
 	ring := obs.NewTraceRing(8)
 	srv.SetObs(obs.NewRegistry(), ring)
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -28,19 +28,6 @@ import (
 	"aggcache/internal/wire"
 )
 
-// Request is one client query.
-type Request struct {
-	// Query is an mdq statement, e.g.
-	// "SUM(UnitSales) BY Product:Group WHERE Product:Group IN 0..3".
-	Query string
-	// Tenant identifies the client for per-tenant admission quotas; empty
-	// means anonymous (no quota applies).
-	Tenant string
-	// Budget is the query's remaining deadline budget; the engine runs
-	// under min(Budget, server query timeout). 0 means no client deadline.
-	Budget time.Duration
-}
-
 // Cell is one result cell: absolute member ids at the queried levels plus
 // the aggregate value (already computed per the query's aggregate function)
 // and the underlying sum/count pair.
@@ -77,21 +64,15 @@ func (r *Response) Total() time.Duration {
 	return time.Duration(r.Lookup + r.Aggregate + r.Update + r.Backend)
 }
 
-// Server serves one engine to many clients. Each connection is served by
-// its own goroutine and the engine executes queries concurrently, so
-// clients scale with cores instead of queueing on a global engine lock.
+// Server serves one engine to many clients: the middle tier's frame
+// handler on a wire.Server, which owns the listener, the connections, the
+// request deadline and the panic guard. Each connection is served by its
+// own goroutine and the engine executes queries concurrently, so clients
+// scale with cores instead of queueing on a global engine lock.
 type Server struct {
 	engine *core.Engine
 	grid   *chunk.Grid
-	// queryTimeout bounds each query's execution; zero means no bound.
-	queryTimeout time.Duration
-	// tmo is the wire deadline policy (idle reaping, response writes).
-	tmo wire.Timeouts
-	// maxPay bounds request frames; 0 means wire.DefaultMaxPayload.
-	maxPay int
-	// maxInFlight caps concurrently executing handlers per connection; 0
-	// means wire.DefaultMaxInFlight.
-	maxInFlight int
+	srv    *wire.Server
 	// adm is the server-wide admission controller; nil means every query is
 	// admitted (the pre-admission behavior).
 	adm *admission
@@ -103,39 +84,41 @@ type Server struct {
 	ring *obs.TraceRing
 	met  obs.ServerMetrics
 
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	conns  map[net.Conn]struct{}
-	ops    *obs.OpsServer
-	wg     sync.WaitGroup
+	mu  sync.Mutex // guards ops
+	ops *obs.OpsServer
 }
 
 // DefaultTimeouts is the middle-tier server's out-of-the-box wire deadline
 // policy: no idle limit (clients legitimately hold idle persistent
-// connections), one minute to write a response to a slow client.
+// connections), one minute to write a response to a slow client, no
+// request deadline.
 var DefaultTimeouts = wire.Timeouts{Write: time.Minute}
 
 // NewServer wraps an engine for serving with DefaultTimeouts.
 func NewServer(engine *core.Engine) *Server {
-	return &Server{engine: engine, grid: engine.Grid(), tmo: DefaultTimeouts, conns: make(map[net.Conn]struct{})}
+	s := &Server{engine: engine, grid: engine.Grid()}
+	s.srv = wire.NewServer(s.handleFrame, failFrame)
+	s.srv.Options.Timeouts = DefaultTimeouts
+	return s
 }
 
-// SetTimeouts replaces the wire deadline policy — the same Timeouts the
-// backend server uses, so a stuck or idle client can never wedge a serving
-// goroutine forever. The Request field is ignored; use SetQueryTimeout,
-// which also classifies the failure for /metrics. Call before Listen; it is
-// not synchronized with connections in flight.
-func (s *Server) SetTimeouts(t wire.Timeouts) { s.tmo = t }
+// SetTimeouts replaces the deadline policy — the same Timeouts the backend
+// server uses, so a stuck or idle client can never wedge a serving
+// goroutine forever. Request bounds each query: the engine runs it under
+// that deadline, or under the client's budget when that is tighter, so a
+// hung or slow backend fails the query with a timeout error (counted on
+// /metrics) instead of hanging the client. Call before Listen; it is not
+// synchronized with connections in flight.
+func (s *Server) SetTimeouts(t wire.Timeouts) { s.srv.Options.Timeouts = t }
 
 // SetMaxPayload bounds request frame payloads (0 means
 // wire.DefaultMaxPayload). Call before Listen.
-func (s *Server) SetMaxPayload(n int) { s.maxPay = n }
+func (s *Server) SetMaxPayload(n int) { s.srv.Options.MaxPayload = n }
 
 // SetMaxInFlight caps concurrently executing handlers per connection (0
 // means wire.DefaultMaxInFlight). It bounds one connection's pipelining;
 // SetAdmission bounds the whole server. Call before Listen.
-func (s *Server) SetMaxInFlight(n int) { s.maxInFlight = n }
+func (s *Server) SetMaxInFlight(n int) { s.srv.Options.MaxInFlight = n }
 
 // SetAdmission installs the server-wide admission controller: every client
 // query passes its bounded queue, deadline check and tenant quotas before
@@ -154,13 +137,6 @@ func (s *Server) SetAdmission(cfg AdmissionConfig) {
 	}
 }
 
-// SetQueryTimeout bounds each query's execution time: the engine runs it
-// under a context with this deadline, so a hung or slow backend fails the
-// query with a timeout error instead of hanging the client. Zero (the
-// default) means unbounded. Call before Listen; it is not synchronized with
-// requests in flight.
-func (s *Server) SetQueryTimeout(d time.Duration) { s.queryTimeout = d }
-
 // SetObs attaches a metrics registry and query-trace ring. Call it before
 // Listen; it is not synchronized with requests in flight. Either argument
 // may be nil to disable that half.
@@ -169,6 +145,7 @@ func (s *Server) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 	s.ring = ring
 	if reg != nil {
 		s.met = obs.NewServerMetrics(reg)
+		s.srv.Options.Metrics = s.met.WireMetrics
 		if s.adm != nil {
 			// SetAdmission ran first; attach its metrics now.
 			s.adm.met = obs.NewAdmissionMetrics(reg)
@@ -178,11 +155,7 @@ func (s *Server) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 
 // Healthy reports whether the server is accepting queries; it is the
 // /healthz signal and flips to false on Close.
-func (s *Server) Healthy() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.closed
-}
+func (s *Server) Healthy() bool { return !s.srv.Closed() }
 
 // Traces returns the server's trace ring (nil when tracing is off).
 func (s *Server) Traces() *obs.TraceRing { return s.ring }
@@ -218,19 +191,14 @@ func (s *Server) OpsHandler() http.Handler {
 // address. The listener is shut down by Close. Like Listen, a server serves
 // ops at most once.
 func (s *Server) ServeOps(addr string) (string, error) {
-	h := s.OpsHandler()
-	s.mu.Lock()
-	if s.closed || s.ops != nil {
-		s.mu.Unlock()
-		return "", errors.New("mtier: ops listener already started or server closed")
-	}
-	s.mu.Unlock()
-	ops, err := obs.Serve(addr, h)
+	ops, err := obs.Serve(addr, s.OpsHandler())
 	if err != nil {
 		return "", fmt.Errorf("mtier: ops: %w", err)
 	}
+	// Close marks the wire server closed before it takes mu to read ops, so
+	// either it sees this listener or this check sees it closed.
 	s.mu.Lock()
-	if s.closed || s.ops != nil {
+	if s.ops != nil || s.srv.Closed() {
 		s.mu.Unlock()
 		ops.Close()
 		return "", errors.New("mtier: ops listener already started or server closed")
@@ -243,163 +211,85 @@ func (s *Server) ServeOps(addr string) (string, error) {
 // Listen starts accepting connections on addr and returns the bound
 // address. A server listens at most once: a second call — or a call after
 // Close — is rejected so the first listener is never silently leaked.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("mtier: listen: %w", err)
+func (s *Server) Listen(addr string) (string, error) { return s.srv.Listen(addr) }
+
+// failFrame is the in-band reply to a request whose handler panicked: a
+// transient peer error for a peer request, an answer carrying the error
+// otherwise.
+func failFrame(req *wire.Frame, msg string) wire.Frame {
+	if req.Type == framePeerGet {
+		return peerErrFrame(msg, true)
 	}
-	s.mu.Lock()
-	if s.closed || s.ln != nil {
-		closed := s.closed
-		s.mu.Unlock()
-		ln.Close()
-		if closed {
-			return "", errors.New("mtier: listen: server is closed")
-		}
-		return "", errors.New("mtier: listen: server is already listening")
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return answerFrame(&Response{Err: msg})
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Re-check closed under mu before tracking: Close may have swept
-		// conns between Accept returning and this point, and a connection
-		// registered after the sweep would never be closed. The wg.Add must
-		// also happen before unlocking so Close's wg.Wait cannot miss the
-		// serving goroutine.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	s.met.ConnectionsOpen.Add(1)
-	defer func() {
-		s.met.ConnectionsOpen.Add(-1)
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	// The shared serve loop brings the deadline policy and error accounting
-	// the backend server has had since the Timeouts work: decode/encode
-	// failures count on /metrics instead of silently dropping the
-	// connection, idle reaping is counted separately, and pipelined
-	// requests execute concurrently.
-	wire.ServeConn(conn, wire.ConnOptions{
-		Timeouts:    s.tmo,
-		MaxPayload:  s.maxPay,
-		MaxInFlight: s.maxInFlight,
-		Metrics: wire.Metrics{
-			BytesIn:   s.met.WireBytesIn,
-			BytesOut:  s.met.WireBytesOut,
-			FramesIn:  s.met.FramesIn,
-			FramesOut: s.met.FramesOut,
-			InFlight:  s.met.InFlight,
-		},
-		WireErrors: s.met.WireErrors,
-		IdleCloses: s.met.IdleCloses,
-	}, s.handleFrame)
+// answerFrame encodes resp as an answer frame.
+func answerFrame(resp *Response) wire.Frame {
+	return wire.Frame{Type: frameAnswer, Payload: encodeResponse(nil, resp)}
 }
 
 // handleFrame serves one frame — a client query or a peer cache request
 // (both kinds share the listener, so a cluster member is just another
 // pipelined client). All failures — including an unrecognized frame type —
 // are answered in-band, so the connection survives a bad request under its
-// pipelined neighbors.
+// pipelined neighbors. ctx carries the server's request deadline; a query's
+// own budget (the client's deadline) tightens it further, so no work
+// continues past the point the client has given up.
 //
 // Client queries pass the admission controller when one is installed; peer
 // cache frames bypass it deliberately — they are cheap memory operations,
 // and shedding them would push a neighbor's misses to the backend, the
 // opposite of protecting the cluster under load.
-func (s *Server) handleFrame(fr *wire.Frame) wire.Frame {
+func (s *Server) handleFrame(ctx context.Context, fr *wire.Frame) wire.Frame {
 	switch fr.Type {
 	case framePeerGet:
 		return s.handlePeerGet(fr)
 	case frameLegacyPeerPut:
 		return peerErrFrame("mtier: peer put is not supported: the peer tier does not replicate", false)
-	}
-	if fr.Type != frameQuery {
-		resp := &Response{Err: fmt.Sprintf("unknown frame type 0x%02x", fr.Type)}
-		return wire.Frame{Type: frameAnswer, Payload: encodeResponse(nil, resp)}
+	case frameQuery:
+	default:
+		return answerFrame(&Response{Err: fmt.Sprintf("unknown frame type 0x%02x", fr.Type)})
 	}
 	query, tenant, budget, err := decodeQuery(fr.Payload)
 	if err != nil {
-		return wire.Frame{Type: frameAnswer, Payload: encodeResponse(nil, &Response{Err: err.Error()})}
+		return answerFrame(&Response{Err: err.Error()})
 	}
-	req := Request{Query: query, Tenant: tenant, Budget: budget}
-	if s.adm == nil {
-		return wire.Frame{Type: frameAnswer, Payload: encodeResponse(nil, s.answer(req))}
-	}
-	// Pin the absolute deadline before queueing so the budget the engine
-	// runs under is what remains after the queue wait, not the original.
-	var deadline time.Time
 	if budget > 0 {
-		deadline = time.Now().Add(budget)
+		// Pinned before queueing, so the engine runs under what remains of
+		// the budget after the queue wait, not the original.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
 	}
-	release, busy := s.adm.Admit(tenant, budget)
-	if busy != nil {
-		return wire.BusyFrame(busy.RetryAfter, busy.Reason)
+	if s.adm != nil {
+		release, busy := s.adm.Admit(tenant, budget)
+		if busy != nil {
+			return wire.BusyFrame(busy.RetryAfter, busy.Reason)
+		}
+		defer release()
 	}
-	if !deadline.IsZero() {
-		req.Budget = time.Until(deadline)
-	}
-	payload := encodeResponse(nil, s.answer(req))
-	release()
-	return wire.Frame{Type: frameAnswer, Payload: payload}
+	return answerFrame(s.answer(ctx, query))
 }
 
 // answer executes one query, recording metrics and a trace-ring entry for
 // every outcome. Failures are counted server-side by kind — not just folded
 // into the wire Err string — so a misbehaving client or a failing backend
 // is visible on /metrics and /traces.
-func (s *Server) answer(req Request) *Response {
+func (s *Server) answer(ctx context.Context, query string) *Response {
 	start := time.Now()
 	s.met.Requests.Inc()
-	q, agg, err := mdq.Compile(req.Query, s.grid)
+	q, agg, err := mdq.Compile(query, s.grid)
 	if err != nil {
 		s.met.CompileErrors.Inc()
 		s.met.Latency.Observe(time.Since(start))
 		s.ring.Add(obs.QueryTrace{
-			Start: start, Query: req.Query,
+			Start: start, Query: query,
 			TotalNS: int64(time.Since(start)),
 			Outcome: "compile_error", Err: err.Error(),
 		})
 		return &Response{Err: err.Error()}
 	}
 	lat := s.grid.Lattice()
-	ctx := context.Background()
-	timeout := s.queryTimeout
-	if req.Budget > 0 && (timeout <= 0 || req.Budget < timeout) {
-		// The client's deadline budget is tighter than the server policy:
-		// honoring it means no work continues past the point the client has
-		// given up.
-		timeout = req.Budget
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
 	res, err := s.engine.Execute(ctx, q)
 	if err != nil {
 		// Count failures by kind so an open breaker or a hung backend is
@@ -417,7 +307,7 @@ func (s *Server) answer(req Request) *Response {
 		}
 		s.met.Latency.Observe(time.Since(start))
 		s.ring.Add(obs.QueryTrace{
-			Start: start, Query: req.Query,
+			Start: start, Query: query,
 			GroupBy: lat.LevelTupleString(q.GB),
 			TotalNS: int64(time.Since(start)),
 			Outcome: outcome, Err: err.Error(),
@@ -457,7 +347,7 @@ func (s *Server) answer(req Request) *Response {
 	s.met.Latency.Observe(time.Since(start))
 	s.ring.Add(obs.QueryTrace{
 		Start:            start,
-		Query:            req.Query,
+		Query:            query,
 		GroupBy:          lat.LevelTupleString(q.GB),
 		Chunks:           len(res.Chunks),
 		Hit:              res.HitChunks - res.AggChunks,
@@ -477,22 +367,13 @@ func (s *Server) answer(req Request) *Response {
 }
 
 // Close stops the listener, closes active connections, and finally shuts
-// the ops HTTP listener down. The closed flag flips first, so /healthz
-// reports unhealthy for the remainder of the shutdown.
+// the ops HTTP listener down. The server reads closed from the start, so
+// /healthz reports unhealthy for the remainder of the shutdown.
 func (s *Server) Close() error {
+	err := s.srv.Close()
 	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
 	ops := s.ops
-	for c := range s.conns {
-		c.Close()
-	}
 	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
 	if cerr := ops.Close(); err == nil {
 		err = cerr
 	}
@@ -516,7 +397,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mtier: dial %s: %w", addr, err)
 	}
-	return &Client{mux: wire.NewMux(conn, 0, wire.Metrics{})}, nil
+	return &Client{mux: wire.NewMux(conn, 0, obs.WireMetrics{})}, nil
 }
 
 // SetTenant attaches a tenant id to every subsequent query, keying the

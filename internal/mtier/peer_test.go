@@ -254,7 +254,7 @@ func TestPeerServerAnswersMalformedInBand(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	mux := wire.NewMux(conn, 0, wire.Metrics{})
+	mux := wire.NewMux(conn, 0, obs.WireMetrics{})
 	defer mux.Close()
 
 	// A garbage PeerGet payload must produce an in-band PeerErr, and the

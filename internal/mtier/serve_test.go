@@ -1,0 +1,165 @@
+package mtier
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"aggcache/internal/apb"
+	"aggcache/internal/backend"
+	"aggcache/internal/cache"
+	"aggcache/internal/chunk"
+	"aggcache/internal/core"
+	"aggcache/internal/lattice"
+	"aggcache/internal/mdq"
+	"aggcache/internal/obs"
+	"aggcache/internal/sizer"
+	"aggcache/internal/strategy"
+)
+
+// TestServersListenOnce: both tiers' servers refuse a second Listen and
+// still Close within a second. The backend server used to accept the
+// second Listen, orphan the first accept loop, and hang in Close.
+func TestServersListenOnce(t *testing.T) {
+	mt, _, _ := newTestServer(t)
+	g, tab, err := apb.New(apb.ScaleTiny).Build(44)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	be, err := backend.NewEngine(g, tab, backend.LatencyModel{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	servers := []struct {
+		name string
+		srv  interface {
+			Listen(string) (string, error)
+			Close() error
+		}
+	}{
+		{"backend", backend.NewServer(be)},
+		{"mtier", mt},
+	}
+	for _, tc := range servers {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.srv.Listen("127.0.0.1:0"); err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			if _, err := tc.srv.Listen("127.0.0.1:0"); err == nil {
+				t.Error("second Listen succeeded")
+			}
+			done := make(chan struct{})
+			go func() {
+				tc.srv.Close()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Fatal("Close did not return within 1s")
+			}
+		})
+	}
+}
+
+// panicOnce is a backend whose first ComputeChunks call signals entered,
+// waits for release, and panics; later calls pass through.
+type panicOnce struct {
+	backend.Backend
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (p *panicOnce) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, backend.Stats, error) {
+	if p.armed.CompareAndSwap(true, false) {
+		close(p.entered)
+		<-p.release
+		panic("boom")
+	}
+	return p.Backend.ComputeChunks(ctx, gb, nums)
+}
+
+// TestQueryPanicLeavesNothingStuck: a query whose backend call panics is
+// answered with an error instead of killing the process; a concurrent
+// follower of the same chunks fails instead of waiting forever; the
+// admission slot (one, here) is released, so the next query on the same
+// connection is admitted and answered; and the panic is counted once.
+func TestQueryPanicLeavesNothingStuck(t *testing.T) {
+	g, tab, err := apb.New(apb.ScaleTiny).Build(44)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	inner, err := backend.NewEngine(g, tab, backend.LatencyModel{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	be := &panicOnce{Backend: inner, entered: make(chan struct{}), release: make(chan struct{})}
+	be.armed.Store(true)
+	sz := sizer.NewEstimate(g, int64(tab.Len()))
+	c, _ := cache.New(1<<20, cache.NewTwoLevel())
+	em := obs.NewEngineMetrics(nil)
+	eng, err := core.New(g, c, strategy.NewVCMC(g, sz), be, sz, core.WithMetrics(em))
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
+	}
+	srv := NewServer(eng)
+	srv.SetAdmission(AdmissionConfig{MaxConcurrent: 1})
+	reg := obs.NewRegistry()
+	srv.SetObs(reg, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+
+	const query = "SUM(UnitSales) BY Time:Year"
+	leader := make(chan error, 1)
+	go func() {
+		_, err := cl.Query(query)
+		leader <- err
+	}()
+	<-be.entered
+
+	// The follower joins the leader's flights straight on the engine: the
+	// one admission slot is the leader's.
+	q, _, err := mdq.Compile(query, g)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	follower := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, err := eng.Execute(ctx, q)
+		follower <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); em.FlightFollowerChunks.Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never joined the leader's flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(be.release)
+
+	if err := <-leader; err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("leader: got %v, want the panic as an error reply", err)
+	}
+	if err := <-follower; err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("follower: got %v, want an error before its deadline", err)
+	}
+	if resp, err := cl.Query(query); err != nil || len(resp.Cells) == 0 {
+		t.Fatalf("next query on the connection: %v", err)
+	}
+	if n := obs.NewServerMetrics(reg).Panics.Value(); n != 1 {
+		t.Fatalf("request panics = %d, want 1", n)
+	}
+}

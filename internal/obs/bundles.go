@@ -183,23 +183,60 @@ func NewStrategyMetrics(r *Registry, strategy string) StrategyMetrics {
 	}
 }
 
+// WireMetrics is the wire-level bundle one framed endpoint records into:
+// frame and byte traffic both ways and requests in flight, plus — on a
+// serving endpoint — connections torn down by the stream, idle connections
+// reaped, and handler panics recovered into an error reply. It is declared
+// once here and embedded in each endpoint's bundle (BackendMetrics,
+// ServerMetrics, RemoteMetrics), which hands it to package wire as is.
+// Handles a bundle does not export stay nil.
+type WireMetrics struct {
+	WireBytesIn  *Counter
+	WireBytesOut *Counter
+	FramesIn     *Counter
+	FramesOut    *Counter
+	InFlight     *Gauge
+
+	Conns      *Gauge
+	WireErrors *Counter
+	IdleCloses *Counter
+	Panics     *Counter
+}
+
+// newWireMetrics registers the traffic half of a WireMetrics as
+// aggcache_<sub>_…; peer names the other end of the connection for the help
+// text.
+func newWireMetrics(r *Registry, sub, peer string) WireMetrics {
+	p := "aggcache_" + sub + "_"
+	return WireMetrics{
+		WireBytesIn:  r.Counter(p+"wire_bytes_in_total", "Frame bytes received from "+peer+"."),
+		WireBytesOut: r.Counter(p+"wire_bytes_out_total", "Frame bytes sent to "+peer+"."),
+		FramesIn:     r.Counter(p+"wire_frames_in_total", "Frames received from "+peer+"."),
+		FramesOut:    r.Counter(p+"wire_frames_out_total", "Frames sent to "+peer+"."),
+		InFlight:     r.Gauge(p+"requests_in_flight", "Requests currently in flight with "+peer+"."),
+	}
+}
+
+// newServingMetrics is newWireMetrics plus the serving side's failure
+// counters.
+func newServingMetrics(r *Registry, sub, peer string) WireMetrics {
+	m := newWireMetrics(r, sub, peer)
+	p := "aggcache_" + sub + "_"
+	m.WireErrors = r.Counter(p+"wire_errors_total", "Connections from "+peer+" torn down by malformed frames, resets or write failures.")
+	m.IdleCloses = r.Counter(p+"idle_closes_total", "Idle connections from "+peer+" reaped by the read deadline (not errors).")
+	m.Panics = r.Counter(p+"request_panics_total", "Requests whose handler panicked and was recovered into an error reply.")
+	return m
+}
+
 // BackendMetrics instruments backend.Engine and backend.Server: request
 // traffic, the split between real compute and the simulated network/DBMS
-// latency, and the wire-level frame/byte/error accounting.
+// latency, and the server's wire-level accounting.
 type BackendMetrics struct {
+	WireMetrics
 	Requests      *Counter
 	Chunks        *Counter
 	TuplesScanned *Counter
 	ResultCells   *Counter
-	WireErrors    *Counter
-	IdleCloses    *Counter
-	Panics        *Counter
-	Sheds         *Counter
-	WireBytesIn   *Counter
-	WireBytesOut  *Counter
-	FramesIn      *Counter
-	FramesOut     *Counter
-	InFlight      *Gauge
 	Wall          *Histogram
 	Sim           *Histogram
 }
@@ -207,19 +244,11 @@ type BackendMetrics struct {
 // NewBackendMetrics registers the backend metric set on r.
 func NewBackendMetrics(r *Registry) BackendMetrics {
 	return BackendMetrics{
+		WireMetrics:   newServingMetrics(r, "backend", "middle tiers"),
 		Requests:      r.Counter("aggcache_backend_requests_total", "ComputeChunks requests served."),
 		Chunks:        r.Counter("aggcache_backend_chunks_computed_total", "Chunks computed at the backend."),
 		TuplesScanned: r.Counter("aggcache_backend_tuples_scanned_total", "Fact/aggregate tuples scanned."),
 		ResultCells:   r.Counter("aggcache_backend_result_cells_total", "Result cells produced."),
-		WireErrors:    r.Counter("aggcache_backend_wire_errors_total", "Connections torn down by malformed frames, resets or write failures."),
-		IdleCloses:    r.Counter("aggcache_backend_idle_closes_total", "Idle connections reaped by the read deadline (not errors)."),
-		Panics:        r.Counter("aggcache_backend_request_panics_total", "Requests whose handler panicked and was recovered into an error response."),
-		Sheds:         r.Counter("aggcache_backend_sheds_total", "Requests refused with a Busy reply by the server-wide in-flight limit."),
-		WireBytesIn:   r.Counter("aggcache_backend_wire_bytes_in_total", "Frame bytes received by the backend server."),
-		WireBytesOut:  r.Counter("aggcache_backend_wire_bytes_out_total", "Frame bytes sent by the backend server."),
-		FramesIn:      r.Counter("aggcache_backend_wire_frames_in_total", "Frames received by the backend server."),
-		FramesOut:     r.Counter("aggcache_backend_wire_frames_out_total", "Frames sent by the backend server."),
-		InFlight:      r.Gauge("aggcache_backend_requests_in_flight", "Requests currently executing across all connections."),
 		Wall:          r.Histogram("aggcache_backend_request_seconds", "Real compute time per backend request."),
 		Sim:           r.Histogram("aggcache_backend_sim_seconds", "Simulated network/DBMS latency charged per backend request."),
 	}
@@ -228,71 +257,51 @@ func NewBackendMetrics(r *Registry) BackendMetrics {
 // ServerMetrics instruments mtier.Server: connection and request traffic
 // with failures counted by kind.
 type ServerMetrics struct {
-	ConnectionsOpen   *Gauge
+	WireMetrics
 	Requests          *Counter
 	CompileErrors     *Counter
 	ExecuteErrors     *Counter
 	TimeoutErrors     *Counter
 	UnavailableErrors *Counter
-	WireErrors        *Counter
-	IdleCloses        *Counter
-	WireBytesIn       *Counter
-	WireBytesOut      *Counter
-	FramesIn          *Counter
-	FramesOut         *Counter
-	InFlight          *Gauge
 	Latency           *Histogram
 }
 
 // NewServerMetrics registers the middle-tier server metric set on r.
 func NewServerMetrics(r *Registry) ServerMetrics {
-	return ServerMetrics{
-		ConnectionsOpen:   r.Gauge("aggcache_server_connections_open", "Client connections currently served."),
+	m := ServerMetrics{
+		WireMetrics:       newServingMetrics(r, "server", "clients"),
 		Requests:          r.Counter("aggcache_server_requests_total", "Requests received."),
 		CompileErrors:     r.Counter(`aggcache_server_request_errors_total{kind="compile"}`, "Failed requests, by failure kind."),
 		ExecuteErrors:     r.Counter(`aggcache_server_request_errors_total{kind="execute"}`, ""),
 		TimeoutErrors:     r.Counter(`aggcache_server_request_errors_total{kind="timeout"}`, ""),
 		UnavailableErrors: r.Counter(`aggcache_server_request_errors_total{kind="unavailable"}`, ""),
-		WireErrors:        r.Counter("aggcache_server_wire_errors_total", "Client connections torn down by malformed frames, resets or write failures."),
-		IdleCloses:        r.Counter("aggcache_server_idle_closes_total", "Idle client connections reaped by the read deadline (not errors)."),
-		WireBytesIn:       r.Counter("aggcache_server_wire_bytes_in_total", "Frame bytes received from clients."),
-		WireBytesOut:      r.Counter("aggcache_server_wire_bytes_out_total", "Frame bytes sent to clients."),
-		FramesIn:          r.Counter("aggcache_server_wire_frames_in_total", "Frames received from clients."),
-		FramesOut:         r.Counter("aggcache_server_wire_frames_out_total", "Frames sent to clients."),
-		InFlight:          r.Gauge("aggcache_server_requests_in_flight", "Client requests currently executing."),
 		Latency:           r.Histogram("aggcache_server_request_seconds", "Server-side wall time per request."),
 	}
+	m.Conns = r.Gauge("aggcache_server_connections_open", "Client connections currently served.")
+	return m
 }
 
 // RemoteMetrics instruments the self-healing backend.Remote client: retry
 // and redial churn, requests abandoned as unavailable, and the multiplexed
 // wire traffic.
 type RemoteMetrics struct {
-	Requests     *Counter
-	Retries      *Counter
-	Redials      *Counter
-	Unavailable  *Counter
-	Busy         *Counter
-	WireBytesIn  *Counter
-	WireBytesOut *Counter
-	FramesIn     *Counter
-	FramesOut    *Counter
-	InFlight     *Gauge
+	WireMetrics
+	Requests    *Counter
+	Retries     *Counter
+	Redials     *Counter
+	Unavailable *Counter
+	Busy        *Counter
 }
 
 // NewRemoteMetrics registers the remote-client metric set on r.
 func NewRemoteMetrics(r *Registry) RemoteMetrics {
 	return RemoteMetrics{
-		Requests:     r.Counter("aggcache_remote_requests_total", "Backend wire requests issued by the remote client."),
-		Retries:      r.Counter("aggcache_remote_retries_total", "Attempts beyond the first, after a transient failure."),
-		Redials:      r.Counter("aggcache_remote_redials_total", "Reconnects after a torn-down backend connection."),
-		Unavailable:  r.Counter("aggcache_remote_unavailable_total", "Requests abandoned after exhausting the retry budget."),
-		Busy:         r.Counter("aggcache_remote_busy_total", "Busy (shed) replies received from the server."),
-		WireBytesIn:  r.Counter("aggcache_remote_wire_bytes_in_total", "Frame bytes received from the backend."),
-		WireBytesOut: r.Counter("aggcache_remote_wire_bytes_out_total", "Frame bytes sent to the backend."),
-		FramesIn:     r.Counter("aggcache_remote_wire_frames_in_total", "Frames received from the backend."),
-		FramesOut:    r.Counter("aggcache_remote_wire_frames_out_total", "Frames sent to the backend."),
-		InFlight:     r.Gauge("aggcache_remote_requests_in_flight", "Exchanges currently in flight on the multiplexed connection."),
+		WireMetrics: newWireMetrics(r, "remote", "the backend"),
+		Requests:    r.Counter("aggcache_remote_requests_total", "Backend wire requests issued by the remote client."),
+		Retries:     r.Counter("aggcache_remote_retries_total", "Attempts beyond the first, after a transient failure."),
+		Redials:     r.Counter("aggcache_remote_redials_total", "Reconnects after a torn-down backend connection."),
+		Unavailable: r.Counter("aggcache_remote_unavailable_total", "Requests abandoned after exhausting the retry budget."),
+		Busy:        r.Counter("aggcache_remote_busy_total", "Busy (shed) replies received from the server."),
 	}
 }
 

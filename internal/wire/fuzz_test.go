@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aggcache/internal/chunk"
+	"aggcache/internal/obs"
 )
 
 // FuzzFrame feeds arbitrary bytes to the frame reader and then to the chunk
@@ -18,7 +19,7 @@ func FuzzFrame(f *testing.F) {
 	// corruptions the unit tests also cover.
 	add := func(fr Frame) {
 		var buf bytes.Buffer
-		w := NewWriter(&buf, Metrics{})
+		w := NewWriter(&buf, obs.WireMetrics{})
 		if err := w.WriteFrame(fr); err != nil {
 			f.Fatalf("seed frame: %v", err)
 		}
@@ -35,7 +36,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data), 1<<20, Metrics{})
+		r := NewReader(bytes.NewReader(data), 1<<20, obs.WireMetrics{})
 		for {
 			fr, err := r.ReadFrame()
 			if err != nil {
@@ -46,10 +47,10 @@ func FuzzFrame(f *testing.F) {
 			}
 			// An accepted frame must survive a write/read round trip intact.
 			var buf bytes.Buffer
-			if err := NewWriter(&buf, Metrics{}).WriteFrame(fr); err != nil {
+			if err := NewWriter(&buf, obs.WireMetrics{}).WriteFrame(fr); err != nil {
 				t.Fatalf("re-encode accepted frame: %v", err)
 			}
-			got, err := NewReader(&buf, 1<<20, Metrics{}).ReadFrame()
+			got, err := NewReader(&buf, 1<<20, obs.WireMetrics{}).ReadFrame()
 			if err != nil {
 				t.Fatalf("re-decode accepted frame: %v", err)
 			}

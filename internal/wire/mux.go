@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"aggcache/internal/obs"
 )
 
 // Mux multiplexes request/response exchanges over one connection: callers
@@ -21,7 +23,7 @@ import (
 // immediately, so no caller is ever left waiting on a dead stream.
 type Mux struct {
 	conn net.Conn
-	met  Metrics
+	met  obs.WireMetrics
 
 	wmu sync.Mutex
 	w   *Writer
@@ -40,7 +42,7 @@ type muxResult struct {
 
 // NewMux starts multiplexing conn. maxPayload bounds response frames
 // (0 means DefaultMaxPayload).
-func NewMux(conn net.Conn, maxPayload int, met Metrics) *Mux {
+func NewMux(conn net.Conn, maxPayload int, met obs.WireMetrics) *Mux {
 	m := &Mux{
 		conn:    conn,
 		met:     met,

@@ -2,7 +2,8 @@
 // middle-tier TCP protocols: length-prefixed frames with a fixed
 // magic+version header, little-endian payloads encoded without reflection,
 // request-id multiplexing for pipelined clients (Mux), and a concurrent
-// per-connection serve loop with idle/write deadlines (ServeConn).
+// serving edge (Server) with one accept loop, per-request deadline and
+// panic guard, and idle/write deadlines on each connection.
 //
 // It replaces the original encoding/gob protocol. gob serialized every chunk
 // through reflection and forced a strictly serial request/response
@@ -83,27 +84,17 @@ type Frame struct {
 	Payload []byte
 }
 
-// Metrics is the wire-level observability bundle an endpoint records into.
-// All handles are nil-safe, so the zero value disables instrumentation.
-type Metrics struct {
-	BytesIn   *obs.Counter
-	BytesOut  *obs.Counter
-	FramesIn  *obs.Counter
-	FramesOut *obs.Counter
-	InFlight  *obs.Gauge
-}
-
 // Reader decodes frames from a stream. Not safe for concurrent use.
 type Reader struct {
 	r   *bufio.Reader
 	max int
-	met Metrics
+	met obs.WireMetrics
 	hdr [HeaderSize]byte
 }
 
 // NewReader wraps r with a frame decoder enforcing maxPayload (0 means
 // DefaultMaxPayload).
-func NewReader(r io.Reader, maxPayload int, met Metrics) *Reader {
+func NewReader(r io.Reader, maxPayload int, met obs.WireMetrics) *Reader {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
@@ -153,26 +144,26 @@ func (r *Reader) ReadFrame() (Frame, error) {
 		fr.Payload = buf
 	}
 	r.met.FramesIn.Inc()
-	r.met.BytesIn.Add(int64(HeaderSize) + int64(n))
+	r.met.WireBytesIn.Add(int64(HeaderSize) + int64(n))
 	return fr, nil
 }
 
 // Writer encodes frames to a stream. Not safe for concurrent use; callers
-// multiplexing a connection serialize writes externally (Mux, ServeConn).
+// multiplexing a connection serialize writes externally (Mux, Server).
 // The header is encoded into a fixed array and sent together with the
 // caller's payload in one vectored write (writev on a TCP connection), so
 // the payload is never copied and the Writer retains no buffer that grows
 // with the largest frame it has written.
 type Writer struct {
 	w   io.Writer
-	met Metrics
+	met obs.WireMetrics
 	hdr [HeaderSize]byte
 	vec [2][]byte   // header and payload; backs out, so a frame allocates nothing
 	out net.Buffers // consumed by WriteTo
 }
 
 // NewWriter wraps w with a frame encoder.
-func NewWriter(w io.Writer, met Metrics) *Writer {
+func NewWriter(w io.Writer, met obs.WireMetrics) *Writer {
 	return &Writer{w: w, met: met}
 }
 
@@ -189,6 +180,6 @@ func (w *Writer) WriteFrame(f Frame) error {
 		return err
 	}
 	w.met.FramesOut.Inc()
-	w.met.BytesOut.Add(n)
+	w.met.WireBytesOut.Add(n)
 	return nil
 }

@@ -20,7 +20,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, Metrics{})
+	w := NewWriter(&buf, obs.WireMetrics{})
 	frames := []Frame{
 		{Type: 1, Flags: FlagTransient, ID: 42, Payload: []byte("hello")},
 		{Type: 0xE0, ID: 0},
@@ -31,7 +31,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
-	r := NewReader(&buf, 0, Metrics{})
+	r := NewReader(&buf, 0, obs.WireMetrics{})
 	for i, want := range frames {
 		got, err := r.ReadFrame()
 		if err != nil {
@@ -60,7 +60,7 @@ func TestWriterRetainsNoFrameBuffer(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	w := NewWriter(io.Discard, Metrics{})
+	w := NewWriter(io.Discard, obs.WireMetrics{})
 	writeBig := func() {
 		if err := w.WriteFrame(Frame{Type: 1, Payload: make([]byte, 4<<20)}); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
@@ -91,7 +91,7 @@ func TestWriterRetainsNoFrameBuffer(t *testing.T) {
 }
 
 func TestReaderRejectsBadMagic(t *testing.T) {
-	r := NewReader(bytes.NewReader(bytes.Repeat([]byte{0xFF}, HeaderSize)), 0, Metrics{})
+	r := NewReader(bytes.NewReader(bytes.Repeat([]byte{0xFF}, HeaderSize)), 0, obs.WireMetrics{})
 	if _, err := r.ReadFrame(); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
@@ -99,11 +99,11 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 
 func TestReaderRejectsBadVersion(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, Metrics{})
+	w := NewWriter(&buf, obs.WireMetrics{})
 	w.WriteFrame(Frame{Type: 1, ID: 1})
 	b := buf.Bytes()
 	b[3] = 99 // version byte
-	r := NewReader(bytes.NewReader(b), 0, Metrics{})
+	r := NewReader(bytes.NewReader(b), 0, obs.WireMetrics{})
 	if _, err := r.ReadFrame(); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
 	}
@@ -111,11 +111,11 @@ func TestReaderRejectsBadVersion(t *testing.T) {
 
 func TestReaderRejectsOversizedLength(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, Metrics{})
+	w := NewWriter(&buf, obs.WireMetrics{})
 	w.WriteFrame(Frame{Type: 1, ID: 1})
 	b := buf.Bytes()
 	binary.LittleEndian.PutUint32(b[16:20], 0xFFFF_FFF0)
-	r := NewReader(bytes.NewReader(b), 1<<20, Metrics{})
+	r := NewReader(bytes.NewReader(b), 1<<20, obs.WireMetrics{})
 	if _, err := r.ReadFrame(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -136,7 +136,7 @@ func TestReaderTruncatedBigClaimDoesNotOverAllocate(t *testing.T) {
 	buf.Write(n[:])
 	buf.Write([]byte("only a few bytes follow"))
 
-	r := NewReader(bytes.NewReader(buf.Bytes()), 64<<20, Metrics{})
+	r := NewReader(bytes.NewReader(buf.Bytes()), 64<<20, obs.WireMetrics{})
 	before := allocatedBytes()
 	if _, err := r.ReadFrame(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
@@ -213,8 +213,8 @@ func TestMuxPipelinesOutOfOrder(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		r := NewReader(conn, 0, Metrics{})
-		w := NewWriter(conn, Metrics{})
+		r := NewReader(conn, 0, obs.WireMetrics{})
+		w := NewWriter(conn, obs.WireMetrics{})
 		frames := make([]Frame, 0, k)
 		for i := 0; i < k; i++ {
 			fr, err := r.ReadFrame()
@@ -233,7 +233,7 @@ func TestMuxPipelinesOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	m := NewMux(conn, 0, Metrics{})
+	m := NewMux(conn, 0, obs.WireMetrics{})
 	defer m.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, k)
@@ -278,7 +278,7 @@ func TestMuxCloseFailsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	m := NewMux(conn, 0, Metrics{})
+	m := NewMux(conn, 0, obs.WireMetrics{})
 	done := make(chan error, 1)
 	go func() {
 		_, err := m.RoundTrip(context.Background(), 1, 0, nil, time.Now().Add(time.Minute))
@@ -318,10 +318,9 @@ func TestServeConnCountsIdleClose(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		ServeConn(conn, ConnOptions{
-			Timeouts:   Timeouts{Read: 50 * time.Millisecond},
-			WireErrors: wireErrs,
-			IdleCloses: idles,
+		serveConn(conn, ConnOptions{
+			Timeouts: Timeouts{Read: 50 * time.Millisecond},
+			Metrics:  obs.WireMetrics{WireErrors: wireErrs, IdleCloses: idles},
 		}, func(fr *Frame) Frame { return Frame{Type: fr.Type} })
 		close(served)
 	}()
