@@ -31,14 +31,16 @@ bench-e2e:
 # slice, and the cold-tier decode whose ns/cell over the roll-up's ns/tuple
 # prices cold reads in the cache's budget split), the backend scan kernel's (ns/tuple over a seeded mix of
 # group-bys at medium scale) and the VCMC maintenance kernel's (insert/evict
-# cycles on the medium grid, ns per count/cost update) with allocation
-# reporting, and the machine-readable kernel experiment (writes
+# cycles on the medium grid, ns per count/cost update), the cold tier's
+# eviction (a full tier at 64 and 4,096 residents: the victim heap against a
+# linear scan) with allocation reporting, and the machine-readable kernel experiment (writes
 # BENCH_4.json). The kernels' end-to-end numbers are the yardstick's
 # rollup_hit and churn_miss workloads.
 bench-kernel:
 	$(GO) test ./internal/chunk -run XXX -bench 'RollUp|CellMap|GridSlice|CodecDecode' -benchmem -benchtime 20000x | tee kernel_bench.txt
 	$(GO) test ./internal/backend -run XXX -bench 'ComputeChunks' -benchmem -benchtime 2000x | tee -a kernel_bench.txt
 	$(GO) test ./internal/strategy -run XXX -bench 'VCMCMaintenance' -benchmem -benchtime 20000x | tee -a kernel_bench.txt
+	$(GO) test ./internal/cache -run XXX -bench 'ColdEvict' -benchmem -benchtime 20000x | tee -a kernel_bench.txt
 	$(GO) run ./cmd/aggbench -scale small -exp kernel
 
 # The four gated experiments below write their floor verdicts into their

@@ -149,8 +149,8 @@ func (t *coldTier) floorsLocked(hotMax int64) (hot, cold int64) {
 // growHot adds the step that bytes priced at price are worth (stepLocked)
 // to what the cold share owes the hot share, bounded by the cold floor, and
 // pays the debt: from the cold tier's free room at once, then by evicting
-// its least recently used unpinned residents (they join the cold ghost),
-// each only once the debt covers all of its bytes. A move therefore never
+// its unpinned residents of least priority (they join the cold ghost), each
+// only once the debt covers all of its bytes. A move therefore never
 // drops a cold chunk to hand the hot tier a fraction of it, and the small
 // steps of cheap decodes accumulate until they are worth a chunk. It
 // returns the bytes moved and the residents evicted, whose Evicted events
@@ -160,7 +160,6 @@ func (t *coldTier) growHot(bytes int64, price float64, hotMax int64, hotResident
 	defer t.mu.Unlock()
 	_, floor := t.floorsLocked(hotMax)
 	t.owed = max(min(t.owed+t.stepLocked(bytes, price), t.shareLocked()-floor), 0)
-	v := t.oldest
 	for t.owed > 0 {
 		if pay := min(t.owed, t.shareLocked()-t.used); pay > 0 {
 			t.hot.Add(pay)
@@ -168,15 +167,10 @@ func (t *coldTier) growHot(bytes int64, price float64, hotMax int64, hotResident
 			moved += pay
 			continue
 		}
-		for v != nil && v.pins > 0 {
-			v = v.newer
-		}
-		if v == nil || v.bytes() > t.owed {
+		if len(t.victims) == 0 || t.victims[0].bytes() > t.owed {
 			break
 		}
-		next := v.newer
-		evicted = append(evicted, t.evictLocked(v, hotResidents))
-		v = next
+		evicted = append(evicted, t.evictLocked(hotResidents))
 	}
 	return moved, evicted
 }

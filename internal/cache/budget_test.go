@@ -80,8 +80,10 @@ func checkSplit(c *Sharded) error {
 // soak-store`), over one stripe and four, while the stream alternately
 // drives the boundary toward cold (expensive re-fills of dropped keys) and
 // toward hot (cheap fills whose demoted copies are read back). After every
-// op the byte bounds and the budget identity hold and the op's key is
-// resident in at most one tier; after the goroutines join, every key that
+// op the byte bounds and the budget identity hold, the op's key is resident
+// in at most one tier, and the cold tier's books balance (checkCold: heap and
+// pins partition its residents, its byte counters match a recount, its
+// inflation never falls); after the goroutines join, every key that
 // left the store fired one Evicted per residency, every hot victim (a
 // boundary shrink's included) fired one Demoted or Evicted, and with every
 // pin released the cold tier holds nothing pinned.
@@ -108,6 +110,7 @@ func TestBudgetInvariant(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
 					var pinned []Key
+					var inflation float64
 					for i := 0; i < steps && !failed.Load(); i++ {
 						towardCold := (i/phase)%2 == 0
 						k := key(rng.Intn(keys))
@@ -145,6 +148,10 @@ func TestBudgetInvariant(t *testing.T) {
 						if s.dualResident(k) {
 							failed.Store(true)
 							t.Errorf("op %d: %v resident in both tiers", i, k)
+						}
+						if err := checkCold(s, &inflation); err != nil {
+							failed.Store(true)
+							t.Errorf("op %d: %v", i, err)
 						}
 					}
 					for _, k := range pinned {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,7 +11,7 @@ import (
 )
 
 // coldEntryOverhead is the fixed footprint charged per cold-tier entry on
-// top of its encoded payload: map slot, struct, list links.
+// top of its encoded payload: map slot, struct, heap slot.
 const coldEntryOverhead = 64
 
 // coldEntry is one compressed resident of the cold tier. The residency
@@ -29,15 +30,65 @@ type coldEntry struct {
 	pins   int
 	pinned *chunk.Chunk
 
-	newer, older *coldEntry // intrusive LRU list
+	// prio is the entry's GreedyDual-Size priority as of its last touch (add,
+	// pin or lookup outside a pin): the tier's inflation then plus value().
+	// touch numbers that touch; slot is the entry's index in the victim heap,
+	// -1 while a pin holds it off.
+	prio  float64
+	touch uint64
+	slot  int
 }
 
 // bytes returns the entry's charged cold-tier footprint.
 func (e *coldEntry) bytes() int64 { return int64(len(e.enc)) + coldEntryOverhead }
 
+// value is the entry's benefit per charged byte: what re-obtaining the chunk
+// would cost, for each byte of the tier it holds.
+func (e *coldEntry) value() float64 { return e.benefit / float64(e.bytes()) }
+
+// coldHeap is the cold tier's victim order, a min-heap of its unpinned
+// residents by priority, the older touch first on a tie
+// (container/heap.Interface; each entry records its slot).
+type coldHeap []*coldEntry
+
+func (h coldHeap) Len() int { return len(h) }
+
+func (h coldHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.prio < b.prio || a.prio == b.prio && a.touch < b.touch
+}
+
+func (h coldHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].slot, h[j].slot = i, j
+}
+
+func (h *coldHeap) Push(x any) {
+	e := x.(*coldEntry)
+	e.slot = len(*h)
+	*h = append(*h, e)
+}
+
+func (h *coldHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	e.slot = -1
+	*h = old[:len(old)-1]
+	return e
+}
+
 // coldTier is the compressed in-RAM second tier of a Sharded store: a
-// byte-bounded map of codec-encoded payloads in LRU order (recency =
-// demotion, pin or lookup time). It is deliberately not a Store — it keeps
+// byte-bounded map of codec-encoded payloads that evicts by GreedyDual-Size
+// (Cao & Irani, USITS 1997) over the benefit each entry carries. An entry's
+// priority is H = L + benefit/bytes(), set when it is added, pinned or looked
+// up outside a pin; L, the tier's inflation, is the largest H evicted so far,
+// so an entry not touched since ages below the ones that were. Cold pressure
+// evicts the unpinned entry with the least H, the older touch first on a tie,
+// so entries of equal benefit per byte leave in least recently used order.
+// Dividing by bytes is what pays: per byte held, a small chunk that is dear
+// to recompute is worth more than a large one that is cheap (EXPERIMENTS.md,
+// "Cold tier by value"). It is deliberately not a Store — it keeps
 // opaque compressed residents with no policy and no listener; the Sharded
 // store that owns it makes every tier decision and fires every event.
 // All methods synchronize on mu; none call out while holding it, so a caller
@@ -58,8 +109,11 @@ type coldTier struct {
 	raw     int64 // sum of rawBytes over residents
 	held    int64 // sum of bytes() over pinned residents
 	entries map[Key]*coldEntry
-	newest  *coldEntry
-	oldest  *coldEntry
+	victims coldHeap // the unpinned residents; a pinned one rejoins at its last unpin
+	// inflation is GreedyDual-Size's L, the largest priority evicted so far;
+	// it never decreases. clock numbers touches.
+	inflation float64
+	clock     uint64
 
 	coldMax   int64   // largest bytes() ever admitted: the cold floor
 	fillMean  float64 // running mean benefit of fresh inserts
@@ -76,37 +130,21 @@ func newColdTier(budget int64, hot *atomic.Int64) *coldTier {
 // shareLocked is the cold tier's byte bound; mu is locked by the caller.
 func (t *coldTier) shareLocked() int64 { return t.budget - t.hot.Load() }
 
-// unlink removes e from the LRU list; mu is locked by the caller.
-func (t *coldTier) unlink(e *coldEntry) {
-	if e.newer != nil {
-		e.newer.older = e.older
-	} else {
-		t.newest = e.older
-	}
-	if e.older != nil {
-		e.older.newer = e.newer
-	} else {
-		t.oldest = e.newer
-	}
-	e.newer, e.older = nil, nil
-}
-
-// pushNewest links e at the head of the LRU list; mu is locked by the caller.
-func (t *coldTier) pushNewest(e *coldEntry) {
-	e.older = t.newest
-	e.newer = nil
-	if t.newest != nil {
-		t.newest.newer = e
-	}
-	t.newest = e
-	if t.oldest == nil {
-		t.oldest = e
+// touchLocked refreshes e's priority at the current inflation and makes it
+// the newest touch; mu is locked by the caller.
+func (t *coldTier) touchLocked(e *coldEntry) {
+	t.clock++
+	e.prio, e.touch = t.inflation+e.value(), t.clock
+	if e.slot >= 0 {
+		heap.Fix(&t.victims, e.slot)
 	}
 }
 
 // dropLocked removes e entirely; mu is locked by the caller.
 func (t *coldTier) dropLocked(e *coldEntry) {
-	t.unlink(e)
+	if e.slot >= 0 {
+		heap.Remove(&t.victims, e.slot)
+	}
 	delete(t.entries, e.key)
 	t.used -= e.bytes()
 	t.raw -= e.rawBytes
@@ -115,10 +153,15 @@ func (t *coldTier) dropLocked(e *coldEntry) {
 	}
 }
 
-// evictLocked drops e for cold-tier room and remembers its key on the cold
+// evictLocked drops the least-priority unpinned resident for cold-tier room,
+// raises the inflation to its priority, and remembers its key on the cold
 // ghost; mu is locked by the caller, and hotResidents is the hot tier's
-// resident count.
-func (t *coldTier) evictLocked(e *coldEntry, hotResidents int) *coldEntry {
+// resident count. A pinned entry rejoins the heap with the priority of its
+// last touch, which may lie below the inflation by then; evicting it leaves
+// the inflation where it is.
+func (t *coldTier) evictLocked(hotResidents int) *coldEntry {
+	e := t.victims[0]
+	t.inflation = max(t.inflation, e.prio)
 	t.dropLocked(e)
 	t.coldGhost.push(e.key, t.ghostBoundLocked(hotResidents))
 	return e
@@ -135,12 +178,12 @@ func (t *coldTier) ghostBoundLocked(hotResidents int) int {
 	return 4 * (hotResidents + len(t.entries))
 }
 
-// add admits a demoted chunk, evicting LRU residents that are not pinned
-// until it fits, and remembers k on the hot ghost; hotResidents is the hot
-// tier's resident count. It returns the entries evicted to make room and
-// whether the chunk was admitted (false when it cannot fit even with every
-// unpinned resident gone, or there is no cold tier). A key already resident
-// is replaced in place.
+// add admits a demoted chunk, evicting the unpinned residents of least
+// priority until it fits, and remembers k on the hot ghost; hotResidents is
+// the hot tier's resident count. It returns the entries evicted to make room
+// and whether the chunk was admitted (false when it cannot fit even with
+// every unpinned resident gone, or there is no cold tier). A key already
+// resident is replaced in place.
 func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool, hotResidents int) (evicted []*coldEntry, ok bool) {
 	if t == nil {
 		return nil, false
@@ -155,21 +198,18 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 		return nil, false
 	}
 	e := &coldEntry{key: k, enc: chunk.AppendPayload(make([]byte, 0, size), data),
-		rawBytes: data.Bytes(), class: cl, benefit: benefit, recycled: recycled}
+		rawBytes: data.Bytes(), class: cl, benefit: benefit, recycled: recycled, slot: -1}
 	if old, exists := t.entries[k]; exists {
 		t.dropLocked(old)
 	}
-	// The unpinned residents alone free enough room, so the walk ends before
-	// running off the list.
-	for v := t.oldest; t.used+need > share; {
-		next := v.newer
-		if v.pins == 0 {
-			evicted = append(evicted, t.evictLocked(v, hotResidents))
-		}
-		v = next
+	// The unpinned residents alone free enough room, so the heap does not
+	// run dry first.
+	for t.used+need > share {
+		evicted = append(evicted, t.evictLocked(hotResidents))
 	}
 	t.entries[k] = e
-	t.pushNewest(e)
+	t.touchLocked(e)
+	heap.Push(&t.victims, e)
 	t.used += need
 	t.raw += e.rawBytes
 	t.coldMax = max(t.coldMax, need)
@@ -177,7 +217,7 @@ func (t *coldTier) add(k Key, data *chunk.Chunk, cl Class, benefit float64, recy
 	return evicted, true
 }
 
-// peek returns the entry for k without removing it or touching recency. The
+// peek returns the entry for k without removing it or touching priority. The
 // returned entry's payload and attributes are immutable after add, so the
 // caller may read them outside the lock.
 func (t *coldTier) peek(k Key) (*coldEntry, bool) {
@@ -190,11 +230,12 @@ func (t *coldTier) peek(k Key) (*coldEntry, bool) {
 	return e, ok
 }
 
-// pin shields k's entry for a plan leaf read in place and moves it to the
-// newest end of the LRU. It returns the payload an earlier, still-held pin
-// decoded, or nil when this is the only pin: the caller then decodes the
-// entry and publishes the payload with setPinned. ghostHit reports that the
-// decode is of a key on the hot ghost (which it leaves).
+// pin shields k's entry for a plan leaf read in place, taking it off the
+// victim heap until its last unpin, and refreshes its priority. It returns
+// the payload an earlier, still-held pin decoded, or nil when this is the
+// only pin: the caller then decodes the entry and publishes the payload with
+// setPinned. ghostHit reports that the decode is of a key on the hot ghost
+// (which it leaves).
 func (t *coldTier) pin(k Key) (e *coldEntry, data *chunk.Chunk, ghostHit, ok bool) {
 	if t == nil {
 		return nil, nil, false, false
@@ -206,10 +247,10 @@ func (t *coldTier) pin(k Key) (e *coldEntry, data *chunk.Chunk, ghostHit, ok boo
 	}
 	if e.pins == 0 {
 		t.held += e.bytes()
+		heap.Remove(&t.victims, e.slot)
 	}
 	e.pins++
-	t.unlink(e)
-	t.pushNewest(e)
+	t.touchLocked(e)
 	return e, e.pinned, e.pinned == nil && t.hotGhost.take(k), true
 }
 
@@ -220,7 +261,8 @@ func (t *coldTier) setPinned(e *coldEntry, data *chunk.Chunk) {
 	e.pinned = data
 }
 
-// unpin releases one pin on k and forgets the decoded payload with the last.
+// unpin releases one pin on k; the last forgets the decoded payload and
+// returns the entry to the victim heap.
 func (t *coldTier) unpin(k Key) {
 	if t == nil {
 		return
@@ -235,13 +277,14 @@ func (t *coldTier) unpin(k Key) {
 	if e.pins == 0 {
 		e.pinned = nil
 		t.held -= e.bytes()
+		heap.Push(&t.victims, e)
 	}
 }
 
 // lookup returns k's entry and the payload its pins decoded, or a nil
-// payload when no pin shields it. An unpinned entry moves to the newest end of
-// the LRU: a lookup outside a pin uses the chunk as a pin does, and its
-// decode may be a hot ghost hit, as pin's.
+// payload when none has been published. Without that payload the lookup
+// refreshes the entry's priority: a lookup outside a pin uses the chunk as a
+// pin does, and its decode may be a hot ghost hit, as pin's.
 func (t *coldTier) lookup(k Key) (e *coldEntry, data *chunk.Chunk, ghostHit, ok bool) {
 	if t == nil {
 		return nil, nil, false, false
@@ -254,8 +297,7 @@ func (t *coldTier) lookup(k Key) (e *coldEntry, data *chunk.Chunk, ghostHit, ok 
 	if e.pinned != nil {
 		return e, e.pinned, false, true
 	}
-	t.unlink(e)
-	t.pushNewest(e)
+	t.touchLocked(e)
 	return e, nil, t.hotGhost.take(k), true
 }
 
@@ -271,7 +313,7 @@ func (t *coldTier) dropUnpinned(e *coldEntry) bool {
 	return true
 }
 
-// contains reports cold residence without touching recency.
+// contains reports cold residence without touching priority.
 func (t *coldTier) contains(k Key) bool {
 	if t == nil {
 		return false

@@ -43,9 +43,10 @@ func reasons(events []Event) []string {
 }
 
 // TestTieredEventOrdering walks chunks through the full taxonomy — demote on
-// hot-tier eviction, cold hits served in place (no event, but fresh cold
-// recency), evict under cold pressure — and pins the exact listener event
-// sequence.
+// hot-tier eviction, cold hits served in place (no event, but a fresh cold
+// priority), evict under cold pressure — and pins the exact listener event
+// sequence. Every chunk has the same size and benefit, so the same benefit
+// per byte: the cold tier's victims leave in least recently used order.
 func TestTieredEventOrdering(t *testing.T) {
 	// Cold tier sized for two encoded 10-cell chunks (~156 charged bytes
 	// each): a third demotion forces a cold eviction. The split stays where
@@ -54,13 +55,13 @@ func TestTieredEventOrdering(t *testing.T) {
 	tc, lis := tieredFixture(t, 2*160)
 	freezeBoundary(tc)
 
-	tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
-	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(2)) // hot evicts 1 -> demote
-	tc.Insert(key(3), mkChunk(0, 3, 10), AsBackend(3)) // demote 2; cold {1,2} full
-	if _, ok := tc.Get(key(1)); !ok {                  // cold hit: 1 becomes the newest cold resident
+	tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(5))
+	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(5)) // hot evicts 1 -> demote
+	tc.Insert(key(3), mkChunk(0, 3, 10), AsBackend(5)) // demote 2; cold {1,2} full
+	if _, ok := tc.Get(key(1)); !ok {                  // cold hit: 1 becomes the newest cold touch
 		t.Fatalf("cold-resident key 1 not served")
 	}
-	tc.Insert(key(4), mkChunk(0, 4, 10), AsBackend(4)) // demote 3; cold evicts LRU 2
+	tc.Insert(key(4), mkChunk(0, 4, 10), AsBackend(5)) // demote 3; cold evicts LRU 2
 	tc.Insert(key(5), mkChunk(0, 5, 10), AsBackend(5)) // demote 4; cold evicts LRU 1
 
 	want := []string{
@@ -79,11 +80,42 @@ func TestTieredEventOrdering(t *testing.T) {
 	}
 }
 
+// TestTieredColdEvictsByValuePerByte: cold pressure evicts the resident of
+// least benefit per charged byte, whatever its recency; LRU would evict the
+// older key 1 in both cases. Each case demotes keys 1 and 2 (in that order)
+// into a cold tier that holds two of them, then a third demotion forces one
+// out. Equal benefit per byte keeps LRU order (TestTieredEventOrdering).
+func TestTieredColdEvictsByValuePerByte(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		b1, b2 float64 // benefits of keys 1 and 2
+		n1, n2 int     // their cells
+	}{
+		{"dearer older outlives cheaper newer", 100, 1, 10, 10},
+		{"same benefit, larger is cheaper per byte", 50, 50, 4, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, lis := tieredFixture(t, 2*160)
+			freezeBoundary(s)
+			s.Insert(key(1), mkChunk(0, 1, tc.n1), AsBackend(tc.b1))
+			s.Insert(key(2), mkChunk(0, 2, tc.n2), AsBackend(tc.b2)) // demotes 1
+			s.Insert(key(3), mkChunk(0, 3, 10), AsBackend(1))        // demotes 2
+			s.Insert(key(4), mkChunk(0, 4, 10), AsBackend(1))        // demotes 3, evicting one
+			if len(lis.evicted) != 1 || lis.evicted[0] != key(2) {
+				t.Fatalf("cold evictions %v, want [key 2] (events %v)", lis.evicted, reasons(lis.events))
+			}
+			if err := checkCold(s, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestTieredColdLookupServesInPlace: a lookup outside a pin serves a cold
 // resident where it lives, with the class, benefit and recycled mark it was
 // demoted with. The hot tier is untouched, no event fires, and the lookup
-// counts as a use: the touched key outlives an older cold key under the
-// next cold eviction.
+// counts as a use: the touched key outlives an older cold key of the same
+// benefit per byte under the next cold eviction.
 func TestTieredColdLookupServesInPlace(t *testing.T) {
 	// The split stays where it is configured: the cold read of a
 	// just-demoted key would move it toward hot and evict from the cold tier
@@ -92,8 +124,8 @@ func TestTieredColdLookupServesInPlace(t *testing.T) {
 	freezeBoundary(tc)
 
 	tc.Insert(key(1), mkChunk(0, 1, 10), AsRecycled(42.5))
-	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(1)) // demotes 1
-	tc.Insert(key(3), mkChunk(0, 3, 10), AsBackend(2)) // demotes 2; cold {1,2} full
+	tc.Insert(key(2), mkChunk(0, 2, 10), AsBackend(42.5)) // demotes 1; same value per byte as 1
+	tc.Insert(key(3), mkChunk(0, 3, 10), AsBackend(2))    // demotes 2; cold {1,2} full
 	hotUsed, hotLen, events := tc.hotUsed(), tc.hotLen(), len(lis.events)
 
 	data, cl, benefit, ok := tc.GetInfo(key(1))
@@ -114,7 +146,7 @@ func TestTieredColdLookupServesInPlace(t *testing.T) {
 		t.Fatalf("tier stats %+v: want 1 cold hit, both keys still cold", ts)
 	}
 
-	tc.Insert(key(4), mkChunk(0, 4, 10), AsBackend(3)) // demotes 3; cold evicts its LRU
+	tc.Insert(key(4), mkChunk(0, 4, 10), AsBackend(3)) // demotes 3; cold evicts the older touch
 	if !tc.cold.contains(key(1)) || IsResident(tc, key(2)) {
 		t.Fatalf("cold eviction took the looked-up key: 1 cold %v, 2 resident %v",
 			tc.cold.contains(key(1)), IsResident(tc, key(2)))
@@ -452,10 +484,72 @@ func TestTieredResidencyInvariant(t *testing.T) {
 	}
 }
 
+// checkCold checks the cold tier's books under its lock: the victim heap
+// and the pinned entries partition the residents, no pinned entry is on the
+// heap, every heap slot is recorded and ordered (so its root is the unpinned
+// entry of least priority), and the byte counters match a recount. With a
+// non-nil inflation it also checks that the tier's inflation is not below
+// *inflation, the last one read, and records it there. A store without a
+// cold tier passes.
+func checkCold(c *Sharded, inflation *float64) error {
+	t := c.cold
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var used, held, raw int64
+	pinned := 0
+	for k, e := range t.entries {
+		if e.key != k {
+			return fmt.Errorf("entry under %v has key %v", k, e.key)
+		}
+		used += e.bytes()
+		raw += e.rawBytes
+		if e.pins > 0 {
+			pinned++
+			held += e.bytes()
+			if e.slot != -1 {
+				return fmt.Errorf("pinned %v sits on the victim heap at slot %d", k, e.slot)
+			}
+		}
+	}
+	for i, e := range t.victims {
+		switch {
+		case e.slot != i:
+			return fmt.Errorf("heap slot %d holds %v recorded at slot %d", i, e.key, e.slot)
+		case e.pins > 0:
+			return fmt.Errorf("pinned %v sits on the victim heap", e.key)
+		case t.entries[e.key] != e:
+			return fmt.Errorf("heap holds %v, which is not resident", e.key)
+		case i > 0 && t.victims.Less(i, (i-1)/2):
+			return fmt.Errorf("heap order broken at slot %d", i)
+		}
+	}
+	switch {
+	case len(t.victims)+pinned != len(t.entries):
+		return fmt.Errorf("%d on the heap + %d pinned != %d residents", len(t.victims), pinned, len(t.entries))
+	case t.used != used:
+		return fmt.Errorf("cold used %d, residents charge %d", t.used, used)
+	case t.held != held:
+		return fmt.Errorf("cold held %d, pinned residents charge %d", t.held, held)
+	case t.raw != raw:
+		return fmt.Errorf("cold raw %d, residents' raw bytes %d", t.raw, raw)
+	}
+	if inflation != nil {
+		if t.inflation < *inflation {
+			return fmt.Errorf("inflation fell from %g to %g", *inflation, t.inflation)
+		}
+		*inflation = t.inflation
+	}
+	return nil
+}
+
 // TestTieredConcurrentSoak hammers a sharded hot tier plus cold tier from
-// many goroutines (run under -race in CI) and then verifies the shard
-// invariants: byte accounting matches a recount, occupancy respects both
-// capacities, and no key is dual-resident.
+// many goroutines (run under -race in CI), checks the cold tier's books after
+// every op (checkCold), and then verifies the shard invariants: byte
+// accounting matches a recount, occupancy respects both capacities, and no
+// key is dual-resident.
 func TestTieredConcurrentSoak(t *testing.T) {
 	hotCap := int64(16) * mkChunk(0, 0, 10).Bytes()
 	hot, err := New(hotCap, NewTwoLevelPromote(), WithShards(4))
@@ -469,12 +563,14 @@ func TestTieredConcurrentSoak(t *testing.T) {
 
 	const workers, steps, keys = 8, 2_000, 64
 	var wg sync.WaitGroup
+	var failed atomic.Bool
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < steps; i++ {
+			var inflation float64
+			for i := 0; i < steps && !failed.Load(); i++ {
 				k := key(rng.Intn(keys))
 				switch rng.Intn(7) {
 				case 0, 1, 2:
@@ -488,10 +584,17 @@ func TestTieredConcurrentSoak(t *testing.T) {
 				case 6:
 					tc.Reinforce([]Key{k}, float64(rng.Intn(9)))
 				}
+				if err := checkCold(tc, &inflation); err != nil {
+					failed.Store(true)
+					t.Errorf("op %d: %v", i, err)
+				}
 			}
 		}(int64(w + 1))
 	}
 	wg.Wait()
+	if failed.Load() {
+		t.FailNow()
+	}
 
 	seen := map[Key]bool{}
 	for _, k := range keysOf(tc) {
@@ -685,14 +788,18 @@ func fixedSplitTier(ts TierStats) string {
 // (commit fb5f992); when administrative removal was deleted, its removal ops
 // were dropped, the presence probes became Peeks and the hashes were
 // re-recorded at commit 92e69ab, whose merged store still matched that
-// reference. The hashes predate the moving boundary and are unchanged by it.
+// reference. The moving boundary left them unchanged. They were re-recorded
+// when the cold tier's victim order went from least recently used to
+// GreedyDual-Size (the stream's benefits vary, so its cold evictions
+// changed), and a copy of the store that picks each cold victim by a linear
+// scan of the residents reproduced them.
 func TestTieredMatchesRecordedReference(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
 		want   string
 	}{
-		{1, "01641f21c99797c557695b823dada6f04ba656accf5666f095c24061bfdfb18e"},
-		{4, "2b091b633de0d13c9ff9a885fbe557a52e16c1084aa313810ccfdd819ee59c0e"},
+		{1, "01476b6f547a7e69a7fcde14d0a5805f75a53851a84359af04d61956d0793f12"},
+		{4, "e6a5d542fc89ecd0a786ad9256d171697e37672c6c544e261dec01e465730019"},
 	} {
 		got, st, ts := replayTieredStream(t, tc.shards, true, fixedSplitTier)
 		if ts.Demotes < 500 || ts.ColdEvicts < 100 || ts.ColdHits < 100 || st.Denied == 0 {
@@ -710,14 +817,15 @@ func TestTieredMatchesRecordedReference(t *testing.T) {
 // TestTieredAdaptiveMatchesRecordedTranscript records the same stream with
 // the boundary moving, every TierStats field in the transcript, so any drift
 // in the adaptive store's event stream or its split shows as a changed hash.
-// The hashes were recorded when the moving boundary was introduced.
+// The hashes were recorded when the moving boundary was introduced and
+// re-recorded, with the reference's above, for the GreedyDual-Size cold tier.
 func TestTieredAdaptiveMatchesRecordedTranscript(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
 		want   string
 	}{
-		{1, "af7abaad61bc43d9f4e122121f500e83e17005c329f6813a981ca1d3a3fde46b"},
-		{4, "419db215cac51897630b1366ce548b45999760f79eef50fc3de9f7c15121754e"},
+		{1, "17240d3e0eb1dd4e3caa52630d9edb47865433907541b30b6e9cef7c6d765b50"},
+		{4, "7a81146efe7ee93c24eb9905f10093a9d36e4a6a4dd2bcce9289446b0ac685ef"},
 	} {
 		got, st, ts := replayTieredStream(t, tc.shards, false, func(ts TierStats) string { return fmt.Sprintf("%+v", ts) })
 		if got != tc.want {

@@ -612,9 +612,16 @@ func (e *Engine) snapshotLeaves(p *strategy.Plan, m map[cache.Key]*chunk.Chunk) 
 }
 
 // runPlan materializes one plan from snapshotted leaf payloads — pure
-// computation over immutable chunks, touching no shared state.
-func (e *Engine) runPlan(p *strategy.Plan, leafData map[cache.Key]*chunk.Chunk) aggOut {
-	var out aggOut
+// computation over immutable chunks, touching no shared state. A panic
+// becomes the plan's error: runPlan runs on the aggregation workers, where no
+// handler's guard sits above it, and the query's deferred unpin releases its
+// leaves when execute returns the error.
+func (e *Engine) runPlan(p *strategy.Plan, leafData map[cache.Key]*chunk.Chunk) (out aggOut) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = aggOut{err: fmt.Errorf("core: aggregation panicked: %v", r)}
+		}
+	}()
 	if p.Present {
 		k := cache.Key{GB: p.GB, Num: int32(p.Num)}
 		if out.data = leafData[k]; out.data == nil {

@@ -137,6 +137,13 @@ func (e *Engine) fetchMissing(ctx context.Context, gb lattice.ID, missing, missi
 			wg.Add(1)
 			go func(i, num int) {
 				defer wg.Done()
+				// A panicking fill is a failed one: the chunk stays in the
+				// backend batch. No handler's guard sits above this goroutine.
+				defer func() {
+					if r := recover(); r != nil {
+						e.met.PeerFillPanics.Inc()
+					}
+				}()
 				if data, ok := e.peers.PeerFill(ctx, cache.Key{GB: gb, Num: int32(num)}); ok {
 					filled[i] = data
 				}

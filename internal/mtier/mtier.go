@@ -274,10 +274,24 @@ func (s *Server) handleFrame(ctx context.Context, fr *wire.Frame) wire.Frame {
 // answer executes one query, recording metrics and a trace-ring entry for
 // every outcome. Failures are counted server-side by kind — not just folded
 // into the wire Err string — so a misbehaving client or a failing backend
-// is visible on /metrics and /traces.
+// is visible on /metrics and /traces. A panic is recorded like an execute
+// error, with the outcome "panic", and raised again for the wire.Server
+// guard, which answers the client and counts it.
 func (s *Server) answer(ctx context.Context, query string) *Response {
 	start := time.Now()
 	s.met.Requests.Inc()
+	defer func() {
+		if p := recover(); p != nil {
+			s.met.ExecuteErrors.Inc()
+			s.met.Latency.Observe(time.Since(start))
+			s.ring.Add(obs.QueryTrace{
+				Start: start, Query: query,
+				TotalNS: int64(time.Since(start)),
+				Outcome: "panic", Err: fmt.Sprint(p),
+			})
+			panic(p)
+		}
+	}()
 	q, agg, err := mdq.Compile(query, s.grid)
 	if err != nil {
 		s.met.CompileErrors.Inc()

@@ -87,7 +87,9 @@ func (p *panicOnce) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int
 // answered with an error instead of killing the process; a concurrent
 // follower of the same chunks fails instead of waiting forever; the
 // admission slot (one, here) is released, so the next query on the same
-// connection is admitted and answered; and the panic is counted once.
+// connection is admitted and answered; and the panic is counted once, as a
+// request panic and as an execute error, with its latency and a "panic"
+// trace recorded.
 func TestQueryPanicLeavesNothingStuck(t *testing.T) {
 	g, tab, err := apb.New(apb.ScaleTiny).Build(44)
 	if err != nil {
@@ -109,7 +111,8 @@ func TestQueryPanicLeavesNothingStuck(t *testing.T) {
 	srv := NewServer(eng)
 	srv.SetAdmission(AdmissionConfig{MaxConcurrent: 1})
 	reg := obs.NewRegistry()
-	srv.SetObs(reg, nil)
+	ring := obs.NewTraceRing(8)
+	srv.SetObs(reg, ring)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -156,10 +159,21 @@ func TestQueryPanicLeavesNothingStuck(t *testing.T) {
 	if err := <-follower; err == nil || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower: got %v, want an error before its deadline", err)
 	}
+	met := obs.NewServerMetrics(reg)
+	traces := ring.Snapshot()
+	if len(traces) != 1 || traces[0].Outcome != "panic" || !strings.Contains(traces[0].Err, "boom") {
+		t.Fatalf("traces after the panic = %+v, want one with outcome panic", traces)
+	}
+	if n := met.Latency.Count(); n != 1 {
+		t.Fatalf("latency observations = %d, want 1", n)
+	}
+	if n := met.ExecuteErrors.Value(); n != 1 {
+		t.Fatalf("execute errors = %d, want 1", n)
+	}
 	if resp, err := cl.Query(query); err != nil || len(resp.Cells) == 0 {
 		t.Fatalf("next query on the connection: %v", err)
 	}
-	if n := obs.NewServerMetrics(reg).Panics.Value(); n != 1 {
+	if n := met.Panics.Value(); n != 1 {
 		t.Fatalf("request panics = %d, want 1", n)
 	}
 }

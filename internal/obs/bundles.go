@@ -24,6 +24,7 @@ type EngineMetrics struct {
 	ChunksAggregated *Counter
 	ChunksFetched    *Counter
 	ChunksPeerFilled *Counter
+	PeerFillPanics   *Counter
 
 	AggregatedTuples *Counter
 	BackendTuples    *Counter
@@ -58,6 +59,7 @@ func NewEngineMetrics(r *Registry) EngineMetrics {
 		ChunksAggregated: r.Counter("aggcache_engine_chunks_aggregated_total", "Chunks computed by aggregating other cached chunks."),
 		ChunksFetched:    r.Counter("aggcache_engine_chunks_fetched_total", "Chunks fetched from the backend (cache misses)."),
 		ChunksPeerFilled: r.Counter("aggcache_engine_chunks_peer_filled_total", "Missing chunks served by a cluster peer instead of the backend."),
+		PeerFillPanics:   r.Counter("aggcache_engine_peer_fill_panics_total", "Peer fills that panicked; each fell through to the backend as a failed fill."),
 
 		AggregatedTuples: r.Counter("aggcache_engine_aggregated_tuples_total", "Tuples scanned by in-cache aggregation."),
 		BackendTuples:    r.Counter("aggcache_engine_backend_tuples_total", "Tuples scanned at the backend on behalf of this engine."),

@@ -69,6 +69,7 @@ aggcache_engine_degraded_answers_total
 aggcache_engine_flight_follower_chunks_total
 aggcache_engine_flight_leader_chunks_total
 aggcache_engine_lookup_seconds
+aggcache_engine_peer_fill_panics_total
 aggcache_engine_queries_total
 aggcache_engine_query_errors_total
 aggcache_engine_query_seconds
