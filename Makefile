@@ -73,17 +73,19 @@ bench-recycle:
 bench-tiered:
 	$(GO) run ./cmd/aggbench -scale small -exp tiered -queries 200
 
-# fuzz-codec smoke-fuzzes the cold-tier/snapshot chunk codec: arbitrary
-# bytes must never panic or over-allocate, and whatever decodes must
-# re-encode canonically.
+# fuzz-codec smoke-fuzzes the chunk codec, the one cell encoding (cold tier,
+# snapshot log, backend and peer replies): arbitrary bytes must never panic
+# or over-allocate, and whatever decodes must re-encode canonically.
 fuzz-codec:
 	$(GO) test ./internal/chunk -run XXX -fuzz FuzzChunkCodec -fuzztime 10s
 
-# fuzz-wire smoke-fuzzes the frame and chunk-slab codecs: malformed input
-# must never panic or over-allocate.
+# fuzz-wire smoke-fuzzes the frame reader, the framed chunk decoder and the
+# backend protocol's payload decoders: malformed input must never panic or
+# over-allocate, and whatever decodes must re-encode identically.
 fuzz-wire:
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzFrame -fuzztime 10s
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzChunkDecode -fuzztime 10s
+	$(GO) test ./internal/backend -run XXX -fuzz FuzzBackendFrame -fuzztime 10s
 
 # fuzz-peer smoke-fuzzes the middle tier's protocol decoders the same way:
 # the peer cache payloads (PeerGet/PeerChunk) and the client answer frame.

@@ -93,17 +93,24 @@ func NewCircuit(cfg BreakerConfig, met obs.BreakerMetrics) *Circuit {
 	return &Circuit{cfg: cfg.withDefaults(), met: met}
 }
 
+// errCallPanicked is the outcome Do records for a call that panicked: an
+// outage-class failure, so a panicking half-open probe re-opens the circuit
+// instead of leaving its probe slot taken forever.
+var errCallPanicked = MarkTransient(errors.New("backend: circuit call panicked"))
+
 // Do runs call if the circuit admits it, folds its outcome back in, and
 // returns call's error. A call the circuit refuses is not run; Do returns
-// ErrUnavailable for it.
+// ErrUnavailable for it. A call that panics is recorded as one outage-class
+// failure and the panic goes on up the stack.
 func (c *Circuit) Do(call func() error) error {
 	probe, err := c.admit()
 	if err != nil {
 		c.met.FastFails.Inc()
 		return err
 	}
+	err = errCallPanicked // what record sees if call panics
+	defer func() { c.record(err, probe) }()
 	err = call()
-	c.record(err, probe)
 	return err
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
+	"aggcache/internal/obs"
 )
 
 // stubBackend is a scriptable Backend for breaker and fault tests.
@@ -216,5 +217,37 @@ func TestBreakerIgnoresPermanentErrorsAndCancellation(t *testing.T) {
 	b.ComputeChunks(ctx, 0, []int{0})
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("run of 2 outages (with neutral cancel between) = %v, want open", got)
+	}
+}
+
+// TestCircuitPanickingProbeReleasesTheProbe: a half-open probe whose call
+// panics is recorded as a failed probe. The circuit re-opens instead of
+// keeping its one probe slot taken, so after the next cooldown a call runs.
+func TestCircuitPanickingProbeReleasesTheProbe(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	c := NewCircuit(BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, now: clk.now}, obs.BreakerMetrics{})
+	c.Do(func() error { return MarkTransient(errors.New("reset")) })
+	if got := c.current(); got != BreakerOpen {
+		t.Fatalf("state after the outage = %v, want open", got)
+	}
+	clk.advance(time.Second)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("the probe's panic did not reach its caller")
+			}
+		}()
+		c.Do(func() error { panic("probe panicked") })
+	}()
+	if got := c.current(); got != BreakerOpen {
+		t.Fatalf("state after the panicking probe = %v, want open", got)
+	}
+	clk.advance(time.Second)
+	ran := false
+	if err := c.Do(func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("call after the next cooldown: ran %v, err %v", ran, err)
+	}
+	if got := c.current(); got != BreakerClosed {
+		t.Fatalf("state after a successful probe = %v, want closed", got)
 	}
 }

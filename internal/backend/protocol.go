@@ -34,31 +34,29 @@ func encodeRequest(b []byte, gb lattice.ID, nums []int) []byte {
 	return b
 }
 
-// decodeRequest parses a request payload.
+// decodeRequest parses a request payload, which must hold exactly the chunk
+// numbers it announces.
 func decodeRequest(p []byte) (lattice.ID, []int, error) {
 	d := wire.NewDec(p)
 	gb := lattice.ID(d.U32())
 	n := int(d.U32())
-	if err := d.Err(); err != nil || n > d.Remaining()/4 {
+	if err := d.Err(); err != nil || 4*n != d.Remaining() {
 		return 0, nil, fmt.Errorf("backend: malformed request payload")
 	}
 	nums := make([]int, n)
 	for i := range nums {
 		nums[i] = int(int32(d.U32()))
 	}
-	if err := d.Err(); err != nil {
-		return 0, nil, fmt.Errorf("backend: malformed request payload")
-	}
 	return gb, nums, nil
 }
 
 // encodeChunksResponse appends a frameChunks payload:
-// stats (4×u64) | nchunks u32 | chunk slabs. The whole payload's size is known
-// up front, so b grows at most once.
+// stats (4×u64) | nchunks u32 | chunks (wire.AppendChunk). The whole
+// payload's size is known up front, so b grows at most once.
 func encodeChunksResponse(b []byte, chunks []*chunk.Chunk, stats Stats) []byte {
 	size := 4*8 + 4
 	for _, c := range chunks {
-		size += wire.ChunkWireSize(c)
+		size += 12 + chunk.EncodedSize(c)
 	}
 	b = slices.Grow(b, size)
 	b = wire.AppendU64(b, uint64(stats.TuplesScanned))
@@ -73,7 +71,7 @@ func encodeChunksResponse(b []byte, chunks []*chunk.Chunk, stats Stats) []byte {
 }
 
 // decodeChunksResponse parses a frameChunks payload, which must hold exactly
-// the chunk slabs it announces.
+// the chunks it announces.
 func decodeChunksResponse(p []byte) ([]*chunk.Chunk, Stats, error) {
 	d := wire.NewDec(p)
 	var stats Stats
@@ -82,7 +80,8 @@ func decodeChunksResponse(p []byte) ([]*chunk.Chunk, Stats, error) {
 	stats.Sim = time.Duration(d.U64())
 	stats.Wall = time.Duration(d.U64())
 	n := int(d.U32())
-	if err := d.Err(); err != nil || n > d.Remaining()/13 {
+	// The smallest chunk is a 12-byte header and a 2-byte empty payload.
+	if err := d.Err(); err != nil || n > d.Remaining()/14 {
 		return nil, Stats{}, fmt.Errorf("backend: malformed chunks response")
 	}
 	chunks := make([]*chunk.Chunk, 0, n)
@@ -108,19 +107,17 @@ func encodeEstimatesResponse(b []byte, ests []int64) []byte {
 	return b
 }
 
-// decodeEstimatesResponse parses a frameEstimates payload.
+// decodeEstimatesResponse parses a frameEstimates payload, which must hold
+// exactly the estimates it announces.
 func decodeEstimatesResponse(p []byte) ([]int64, error) {
 	d := wire.NewDec(p)
 	n := int(d.U32())
-	if err := d.Err(); err != nil || n > d.Remaining()/8 {
+	if err := d.Err(); err != nil || 8*n != d.Remaining() {
 		return nil, fmt.Errorf("backend: malformed estimates response")
 	}
 	ests := make([]int64, n)
 	for i := range ests {
 		ests[i] = int64(d.U64())
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("backend: malformed estimates response")
 	}
 	return ests, nil
 }

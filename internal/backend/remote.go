@@ -167,7 +167,7 @@ func (r *Remote) roundTrip(ctx context.Context, typ uint8, payload []byte) (*wir
 }
 
 // ComputeChunks implements Backend over the wire: one frame out, one frame
-// of chunk slabs back, however many chunks the batch names.
+// of chunks back, however many chunks the batch names.
 func (r *Remote) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, Stats, error) {
 	fr, err := r.roundTrip(ctx, frameCompute, encodeRequest(nil, gb, nums))
 	if err != nil {
@@ -186,7 +186,7 @@ func (r *Remote) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) (
 	}
 	for i, c := range chunks {
 		if c.GB != gb || int(c.Num) != nums[i] {
-			return nil, Stats{}, fmt.Errorf("backend: reply slab %d is chunk %d of group-by %d, requested chunk %d of group-by %d",
+			return nil, Stats{}, fmt.Errorf("backend: reply chunk %d is chunk %d of group-by %d, requested chunk %d of group-by %d",
 				i, c.Num, c.GB, nums[i], gb)
 		}
 	}

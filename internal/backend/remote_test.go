@@ -253,8 +253,9 @@ func fakeChunkServer(t *testing.T, e *Engine, reply func(chunks []*chunk.Chunk, 
 
 // TestRemoteRejectsReplyThatIsNotTheRequest: the middle tier files reply i
 // under requested chunk i, so a backend that answers with other chunks than
-// were asked for — two slabs swapped, one missing, another group-by's, or
-// bytes after the last slab — must be refused by the client, as a permanent
+// were asked for — two chunks swapped, one missing, another group-by's, one
+// whose keys are not strictly ascending (Chunk.find could not search it), or
+// bytes after the last chunk — must be refused by the client, as a permanent
 // error that is neither retried nor counted as an outage, rather than
 // silently poisoning the cache.
 func TestRemoteRejectsReplyThatIsNotTheRequest(t *testing.T) {
@@ -272,6 +273,18 @@ func TestRemoteRejectsReplyThatIsNotTheRequest(t *testing.T) {
 			other := *chunks[0]
 			other.GB = base - 1
 			chunks[0] = &other
+			return encodeChunksResponse(nil, chunks, stats)
+		},
+		"unsorted keys": func(chunks []*chunk.Chunk, stats Stats) []byte {
+			bad := *chunks[0]
+			bad.Keys, bad.Vals, bad.Counts = []uint64{5, 1}, []float64{1, 2}, nil
+			chunks[0] = &bad
+			return encodeChunksResponse(nil, chunks, stats)
+		},
+		"duplicate keys": func(chunks []*chunk.Chunk, stats Stats) []byte {
+			bad := *chunks[0]
+			bad.Keys, bad.Vals, bad.Counts = []uint64{1, 1}, []float64{1, 2}, nil
+			chunks[0] = &bad
 			return encodeChunksResponse(nil, chunks, stats)
 		},
 		"trailing bytes": func(chunks []*chunk.Chunk, stats Stats) []byte {

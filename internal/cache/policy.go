@@ -63,50 +63,25 @@ func (r *ring) drop(e *Entry) {
 	r.n--
 }
 
+// anyClass is sweep's filter that admits entries of every class.
+const anyClass Class = 255
+
 // sweep runs the CLOCK algorithm: decrement weights until an unpinned entry
 // with weight ≤ 0 is found. If every entry stays positive after bounded
 // passes (or is pinned), it falls back to the minimum-weight unpinned entry.
-// Returns nil when nothing is evictable.
-func (r *ring) sweep() *Entry {
-	if r.n == 0 {
-		return nil
-	}
-	limit := r.n * int(maxClock+1)
-	for i := 0; i < limit; i++ {
-		e := r.hand
-		r.hand = e.next
-		if e.Pinned() {
-			continue
-		}
-		if e.clock <= 0 {
-			return e
-		}
-		e.clock--
-	}
-	// All pinned, or pathological weights: pick the minimum unpinned.
-	var min *Entry
-	e := r.hand
-	for i := 0; i < r.n; i++ {
-		if !e.Pinned() && (min == nil || e.clock < min.clock) {
-			min = e
-		}
-		e = e.next
-	}
-	return min
-}
-
-// sweepClass runs the CLOCK pass over r but considers — and ages — only
-// unpinned entries of class cl; entries of other classes are passed over
+// Returns nil when nothing is evictable. Unless only is anyClass, the pass
+// considers — and ages — only entries of class only; others are passed over
 // untouched, so a computed-class scan cannot erode backend weights.
-func (r *ring) sweepClass(cl Class) *Entry {
+func (r *ring) sweep(only Class) *Entry {
 	if r.n == 0 {
 		return nil
 	}
+	skip := func(e *Entry) bool { return e.Pinned() || (only != anyClass && e.Class != only) }
 	limit := r.n * int(maxClock+1)
 	for i := 0; i < limit; i++ {
 		e := r.hand
 		r.hand = e.next
-		if e.Pinned() || e.Class != cl {
+		if skip(e) {
 			continue
 		}
 		if e.clock <= 0 {
@@ -114,10 +89,11 @@ func (r *ring) sweepClass(cl Class) *Entry {
 		}
 		e.clock--
 	}
+	// All skipped, or pathological weights: pick the minimum candidate.
 	var min *Entry
 	e := r.hand
 	for i := 0; i < r.n; i++ {
-		if !e.Pinned() && e.Class == cl && (min == nil || e.clock < min.clock) {
+		if !skip(e) && (min == nil || e.clock < min.clock) {
 			min = e
 		}
 		e = e.next
@@ -171,7 +147,7 @@ func (p *BenefitClock) Accessed(e *Entry) { e.clock = clockWeight(e.Benefit) }
 func (p *BenefitClock) Reinforced(e *Entry, benefit float64) { p.Accessed(e) }
 
 // NextVictim implements Policy; class is ignored by the baseline.
-func (p *BenefitClock) NextVictim(Class) *Entry { return p.r.sweep() }
+func (p *BenefitClock) NextVictim(Class) *Entry { return p.r.sweep(anyClass) }
 
 // Fork implements Policy.
 func (p *BenefitClock) Fork() Policy { return NewBenefitClock() }
@@ -281,18 +257,18 @@ func (p *TwoLevel) Reinforced(e *Entry, benefit float64) {
 // cache against fresh computed inserts.
 func (p *TwoLevel) NextVictim(cl Class) *Entry {
 	if cl == ClassComputed {
-		if v := p.computed.sweep(); v != nil {
+		if v := p.computed.sweep(anyClass); v != nil {
 			return v
 		}
 		if p.promoted > 0 {
-			return p.backend.sweepClass(ClassComputed)
+			return p.backend.sweep(ClassComputed)
 		}
 		return nil
 	}
-	if v := p.computed.sweep(); v != nil {
+	if v := p.computed.sweep(anyClass); v != nil {
 		return v
 	}
-	return p.backend.sweep()
+	return p.backend.sweep(anyClass)
 }
 
 // Fork implements Policy, preserving the promote-on-reuse setting.

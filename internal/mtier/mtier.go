@@ -244,8 +244,6 @@ func (s *Server) handleFrame(ctx context.Context, fr *wire.Frame) wire.Frame {
 	switch fr.Type {
 	case framePeerGet:
 		return s.handlePeerGet(fr)
-	case frameLegacyPeerPut:
-		return peerErrFrame("mtier: peer put is not supported: the peer tier does not replicate", false)
 	case frameQuery:
 	default:
 		return answerFrame(&Response{Err: fmt.Sprintf("unknown frame type 0x%02x", fr.Type)})

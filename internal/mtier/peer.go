@@ -26,15 +26,12 @@ import (
 // querying node charges a backend trip, so a chunk resident nowhere costs
 // the cluster exactly one fetch.
 //
-// 0x21 was PeerPut, the replication request older nodes still send. It is
-// answered with a permanent PeerErr: a permanent error proves the far side
-// is up, so it resets the sender's circuit and never opens it, and the
-// older node's fills to this one keep working.
+// 0x21 was PeerPut, the replication request of wire version 1. No node that
+// sends it gets past the version check, so it is unassigned.
 const (
-	framePeerGet       uint8 = 0x20
-	frameLegacyPeerPut uint8 = 0x21
-	framePeerChunk     uint8 = 0xA0
-	framePeerErr       uint8 = 0xE1
+	framePeerGet   uint8 = 0x20
+	framePeerChunk uint8 = 0xA0
+	framePeerErr   uint8 = 0xE1
 )
 
 // encodePeerGet appends a framePeerGet payload: gb u32 | num u32.
@@ -55,7 +52,8 @@ func decodePeerGet(p []byte) (cache.Key, error) {
 }
 
 // encodePeerChunk appends a framePeerChunk payload:
-// found u8 | class u8 | benefit f64 | chunk slab (present only when found).
+// found u8 | class u8 | benefit f64 | chunk (wire.AppendChunk, present only
+// when found).
 func encodePeerChunk(b []byte, data *chunk.Chunk, cl cache.Class, benefit float64, found bool) []byte {
 	if !found {
 		return wire.AppendU8(b, 0)
@@ -158,7 +156,15 @@ func (c *PeerClient) Get(ctx context.Context, k cache.Key) (*chunk.Chunk, cache.
 	if fr.Type != framePeerChunk {
 		return nil, 0, 0, false, fmt.Errorf("mtier: peer get: unexpected frame type 0x%02x", fr.Type)
 	}
-	return decodePeerChunk(fr.Payload)
+	data, cl, benefit, found, err := decodePeerChunk(fr.Payload)
+	// The caller files the reply under k, so a reply holding another chunk —
+	// a confused or stale peer — must never reach it. The peer did answer,
+	// so this is a permanent error, as in backend.Remote.ComputeChunks.
+	if found && (data.GB != k.GB || data.Num != k.Num) {
+		return nil, 0, 0, false, fmt.Errorf("mtier: peer get: reply is chunk %d of group-by %d, requested chunk %d of group-by %d",
+			data.Num, data.GB, k.Num, k.GB)
+	}
+	return data, cl, benefit, found, err
 }
 
 // Put implements cache.Peer's deprecated method: it does no I/O and always

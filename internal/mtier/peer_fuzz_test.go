@@ -29,7 +29,7 @@ func FuzzPeerFrame(f *testing.F) {
 			}
 		}
 		if c, cl, benefit, found, err := decodePeerChunk(payload); err == nil {
-			if found && 16*c.Cells() > len(payload) {
+			if found && 9*c.Cells() > len(payload) {
 				t.Fatalf("decoded %d cells from %d payload bytes", c.Cells(), len(payload))
 			}
 			if got := encodePeerChunk(nil, c, cl, benefit, found); string(got) != string(payload) {

@@ -1,9 +1,11 @@
 package mtier
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
+	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -94,6 +96,14 @@ func startPeeredServer(t *testing.T) (string, *cache.Peered) {
 // startPeeredServerOver is startPeeredServer with local as the local tier.
 func startPeeredServerOver(t *testing.T, local cache.Store) (string, *cache.Peered) {
 	t.Helper()
+	addr, pc, _ := startPeeredNode(t, local, cache.PeeredConfig{Self: "self", Members: []string{"self"}})
+	return addr, pc
+}
+
+// startPeeredNode starts a middle tier over local wrapped in a Peered with
+// pcfg, and returns its address, its store and the fact table's total.
+func startPeeredNode(t *testing.T, local cache.Store, pcfg cache.PeeredConfig) (string, *cache.Peered, float64) {
+	t.Helper()
 	cfg := apb.New(apb.ScaleTiny)
 	g, tab, err := cfg.Build(44)
 	if err != nil {
@@ -104,7 +114,7 @@ func startPeeredServerOver(t *testing.T, local cache.Store) (string, *cache.Peer
 		t.Fatalf("NewEngine: %v", err)
 	}
 	sz := sizer.NewEstimate(g, int64(tab.Len()))
-	pc, err := cache.NewPeered(local, cache.PeeredConfig{Self: "self", Members: []string{"self"}})
+	pc, err := cache.NewPeered(local, pcfg)
 	if err != nil {
 		t.Fatalf("NewPeered: %v", err)
 	}
@@ -118,7 +128,11 @@ func startPeeredServerOver(t *testing.T, local cache.Store) (string, *cache.Peer
 		t.Fatalf("Listen: %v", err)
 	}
 	t.Cleanup(func() { srv.Close(); pc.Close() })
-	return addr, pc
+	var total float64
+	for i := 0; i < tab.Len(); i++ {
+		total += tab.Value(i)
+	}
+	return addr, pc, total
 }
 
 func TestPeerClientGetPut(t *testing.T) {
@@ -147,53 +161,6 @@ func TestPeerClientGetPut(t *testing.T) {
 	got, gcl, gbenefit, found, err := cl.Get(ctx, k)
 	if err != nil || !found || got.Cells() != 4 || gcl != cache.ClassComputed || gbenefit != 33 {
 		t.Fatalf("warm Get = %v %v %v %v %v", got, gcl, gbenefit, found, err)
-	}
-}
-
-// TestLegacyPeerPutKeepsSenderCircuitClosed: an older node still replicates
-// with raw PeerPut (0x21) frames. An upgraded node answers each with a
-// permanent in-band PeerErr, which the sender's circuit counts as proof the
-// peer is up: even at a failure threshold of one it stays closed, and the
-// older node's fills to this one keep working on the same connection.
-func TestLegacyPeerPutKeepsSenderCircuitClosed(t *testing.T) {
-	addr, _ := startPeeredServer(t)
-	x := backend.NewExchange(addr, framePeerErr, 2*time.Second, 2*time.Second, 0, obs.RemoteMetrics{})
-	defer x.Close()
-	reg := obs.NewRegistry()
-	met := obs.BreakerMetrics{State: reg.Gauge("state", ""), Opens: reg.Counter("opens", "")}
-	circuit := backend.NewCircuit(backend.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute}, met)
-	ctx := context.Background()
-
-	// The legacy payload: gb u32 | num u32 | class u8 | benefit f64 | chunk.
-	legacy := wire.AppendU32(nil, 0)
-	legacy = wire.AppendU32(legacy, 0)
-	legacy = wire.AppendU8(legacy, uint8(cache.ClassBackend))
-	legacy = wire.AppendF64(legacy, 7)
-	legacy = wire.AppendChunk(legacy, peerChunk(0, 4))
-	for i := 0; i < 3; i++ {
-		err := circuit.Do(func() error {
-			_, err := x.RoundTrip(ctx, frameLegacyPeerPut, legacy)
-			return err
-		})
-		var re *backend.RemoteError
-		if !errors.As(err, &re) || backend.IsTransient(err) {
-			t.Fatalf("legacy put %d: err %v, want a permanent in-band PeerErr", i, err)
-		}
-	}
-	if opens, state := met.Opens.Value(), backend.BreakerState(met.State.Value()); opens != 0 || state != backend.BreakerClosed {
-		t.Fatalf("sender circuit: %d opens, state %v; want closed", opens, state)
-	}
-	ran := false
-	err := circuit.Do(func() error {
-		ran = true
-		fr, err := x.RoundTrip(ctx, framePeerGet, encodePeerGet(nil, cache.Key{GB: 0, Num: 0}))
-		if err == nil && fr.Type != framePeerChunk {
-			err = fmt.Errorf("reply type %#x, want PeerChunk", fr.Type)
-		}
-		return err
-	})
-	if !ran || err != nil {
-		t.Fatalf("fill after legacy puts: ran %v, err %v", ran, err)
 	}
 }
 
@@ -293,5 +260,163 @@ func TestPeerClientErrorsAreTransient(t *testing.T) {
 	cl.Close()
 	if _, _, _, _, err := cl.Get(context.Background(), cache.Key{GB: 0, Num: 0}); err == nil {
 		t.Fatalf("Get after Close succeeded")
+	}
+}
+
+// startNodeOwnedBy starts a middle tier that is not a ring member, so the
+// peer at peerAddr owns every key: each miss asks that peer first and falls
+// through to the backend when the peer fails.
+func startNodeOwnedBy(t *testing.T, peerAddr string) (string, *cache.Peered, float64) {
+	t.Helper()
+	local, _ := cache.New(1<<20, cache.NewTwoLevel())
+	return startPeeredNode(t, local, cache.PeeredConfig{
+		Members: []string{peerAddr},
+		Dial:    func(addr string) cache.Peer { return NewPeerClient(addr, 0) },
+	})
+}
+
+// queryTotal runs one SUM query against the middle tier at addr and returns
+// the sum of its cells.
+func queryTotal(t *testing.T, addr string) float64 {
+	t.Helper()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	resp, err := cl.Query("SUM(UnitSales) BY Time:Year")
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	var sum float64
+	for _, cell := range resp.Cells {
+		sum += cell.Value
+	}
+	return sum
+}
+
+// TestPeerReplyThatIsNotTheRequestIsRefused: the filler files a peer's
+// reply under the key it asked for, so a reply holding another chunk, or a
+// chunk whose keys are not strictly ascending (which Chunk.find cannot
+// search), is refused as a permanent error. Nothing is installed, and the
+// query is answered correctly from the backend.
+func TestPeerReplyThatIsNotTheRequestIsRefused(t *testing.T) {
+	addr, set := scriptedListener(t)
+	wrong := map[string]func(k cache.Key) *chunk.Chunk{
+		"another chunk": func(k cache.Key) *chunk.Chunk {
+			return &chunk.Chunk{GB: k.GB, Num: k.Num + 1, Keys: []uint64{0}, Vals: []float64{1e9}}
+		},
+		"unsorted keys": func(k cache.Key) *chunk.Chunk {
+			return &chunk.Chunk{GB: k.GB, Num: k.Num, Keys: []uint64{5, 1}, Vals: []float64{1e9, 1e9}}
+		},
+		"duplicate keys": func(k cache.Key) *chunk.Chunk {
+			return &chunk.Chunk{GB: k.GB, Num: k.Num, Keys: []uint64{1, 1}, Vals: []float64{1e9, 1e9}}
+		},
+	}
+	for name, reply := range wrong {
+		t.Run(name, func(t *testing.T) {
+			set(func(fr wire.Frame, w *wire.Writer, _ net.Conn) {
+				k, _ := decodePeerGet(fr.Payload)
+				w.WriteFrame(wire.Frame{Type: framePeerChunk, ID: fr.ID,
+					Payload: encodePeerChunk(nil, reply(k), cache.ClassBackend, 1, true)})
+			})
+			cl := NewPeerClient(addr, 0)
+			defer cl.Close()
+			k := cache.Key{GB: 0, Num: 0}
+			if got, _, _, _, err := cl.Get(context.Background(), k); err == nil || backend.IsTransient(err) {
+				t.Fatalf("Get = %v, %v; want a permanent error", got, err)
+			}
+
+			node, pc, total := startNodeOwnedBy(t, addr)
+			if _, ok := pc.PeerFill(context.Background(), k); ok {
+				t.Fatalf("PeerFill accepted the reply")
+			}
+			if _, _, _, found := pc.GetInfo(k); found {
+				t.Fatalf("the refused reply was installed under %v", k)
+			}
+			if sum := queryTotal(t, node); math.Abs(sum-total) > 1e-6 {
+				t.Fatalf("sum = %v, want %v", sum, total)
+			}
+			if ps := pc.PeerStats(); ps.Fills != 0 || ps.FillErrors == 0 {
+				t.Fatalf("peer stats %+v: want no fills and some fill errors", ps)
+			}
+		})
+	}
+}
+
+// TestMixedVersionPairFailsCleanly: a version-1 node refuses version-2
+// frames by closing the connection, as its frame reader does on a version
+// mismatch. Client queries, backend requests and peer requests against it
+// fail promptly as transient errors; a node whose peer it is answers from
+// the backend instead; and a version-1 frame sent to this node is refused
+// the same way.
+func TestMixedVersionPairFailsCleanly(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				// Every frame it is sent carries version 2, which its reader
+				// refuses by dropping the connection after the header.
+				defer conn.Close()
+				io.ReadFull(conn, make([]byte, wire.HeaderSize))
+			}()
+		}
+	}()
+	old := ln.Addr().String()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+
+	cl, err := Dial(old)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	if _, err := cl.QueryContext(ctx, "SUM(UnitSales) BY Time:Year"); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("query against a version-1 node: %v, want a prompt failure", err)
+	}
+	r, err := backend.DialPolicy(old, backend.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}, 0, obs.RemoteMetrics{})
+	if err != nil {
+		t.Fatalf("DialPolicy: %v", err)
+	}
+	defer r.Close()
+	if _, _, err := r.ComputeChunks(ctx, 0, []int{0}); !errors.Is(err, backend.ErrUnavailable) {
+		t.Fatalf("backend request against a version-1 node: %v, want ErrUnavailable", err)
+	}
+	pcl := NewPeerClient(old, 0)
+	defer pcl.Close()
+	if _, _, _, _, err := pcl.Get(ctx, cache.Key{}); !backend.IsTransient(err) {
+		t.Fatalf("peer request against a version-1 node: %v, want a transient error", err)
+	}
+
+	node, pc, total := startNodeOwnedBy(t, old)
+	if sum := queryTotal(t, node); math.Abs(sum-total) > 1e-6 {
+		t.Fatalf("sum = %v, want %v", sum, total)
+	}
+	if ps := pc.PeerStats(); ps.Fills != 0 || ps.FillErrors == 0 {
+		t.Fatalf("peer stats %+v: want no fills and some fill errors", ps)
+	}
+
+	raw, err := net.Dial("tcp", node)
+	if err != nil {
+		t.Fatalf("raw dial: %v", err)
+	}
+	defer raw.Close()
+	var buf bytes.Buffer
+	wire.NewWriter(&buf, obs.WireMetrics{}).WriteFrame(wire.Frame{Type: frameQuery, ID: 1,
+		Payload: encodeQuery(nil, "SUM(UnitSales) BY Time:Year", "", 0)})
+	v1 := buf.Bytes()
+	v1[3] = 1
+	raw.Write(v1)
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := raw.Read(make([]byte, 64)); err == nil {
+		t.Fatalf("a version-1 query was answered with %d bytes", n)
 	}
 }

@@ -30,8 +30,8 @@ func FuzzFrame(f *testing.F) {
 	add(Frame{Type: 0xE0, ID: 1<<63 + 5, Payload: bytes.Repeat([]byte{9}, 3000)})
 	f.Add([]byte("AGW"))                                  // truncated header
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))                 // bad magic
-	f.Add(append([]byte("AGW\x02"), make([]byte, 16)...)) // bad version
-	huge := append([]byte("AGW\x01\x01\x00\x00\x00"), make([]byte, 8)...)
+	f.Add(append([]byte("AGW\x01"), make([]byte, 16)...)) // the old version
+	huge := append([]byte{'A', 'G', 'W', Version, 1, 0, 0, 0}, make([]byte, 8)...)
 	huge = binary.LittleEndian.AppendUint32(huge, 0xFFFFFFF0) // oversized claim
 	f.Add(huge)
 
@@ -61,17 +61,25 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// FuzzChunkDecode throws arbitrary bytes at the chunk slab decoder: it must
-// either return a chunk whose arrays are consistent with the bytes consumed,
-// or cleanly latch an error — never panic, never allocate arrays larger than
-// the payload could possibly back.
+// FuzzChunkDecode throws arbitrary bytes at the chunk decoder (the header
+// plus the chunk codec): it must either return a chunk the bytes it consumed
+// could back, with strictly ascending keys, that re-encodes to exactly those
+// bytes, or cleanly latch an error — never panic, never allocate arrays
+// larger than the payload could possibly back.
 func FuzzChunkDecode(f *testing.F) {
 	f.Add(AppendChunk(nil, testChunk(3, true)))
 	f.Add(AppendChunk(nil, testChunk(1, false)))
+	f.Add(AppendChunk(nil, testChunk(0, false)))
 	f.Add([]byte{})
 	bad := AppendChunk(nil, testChunk(2, true))
-	binary.LittleEndian.PutUint32(bad[8:12], 1<<31-1) // inflated cell count
+	binary.LittleEndian.PutUint32(bad[8:12], 1<<31-1) // inflated payload length
 	f.Add(bad)
+	bad = AppendChunk(nil, testChunk(2, true))
+	bad[13] = 0x7F // inflated cell count inside the codec payload
+	f.Add(bad)
+	unsorted := testChunk(3, false)
+	unsorted.Keys[0], unsorted.Keys[2] = unsorted.Keys[2], unsorted.Keys[0]
+	f.Add(AppendChunk(nil, unsorted))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDec(data)
@@ -88,8 +96,18 @@ func FuzzChunkDecode(f *testing.F) {
 		if c.Counts != nil && len(c.Counts) != len(c.Keys) {
 			t.Fatalf("inconsistent counts: %d vs %d", len(c.Counts), len(c.Keys))
 		}
-		if 16*len(c.Keys) > len(data) {
+		// A cell costs at least one key byte and eight value bytes.
+		if 9*len(c.Keys) > len(data) {
 			t.Fatalf("decoded %d cells from %d payload bytes", len(c.Keys), len(data))
+		}
+		for i := 1; i < len(c.Keys); i++ {
+			if c.Keys[i] <= c.Keys[i-1] {
+				t.Fatalf("keys not strictly ascending at %d: %v", i, c.Keys)
+			}
+		}
+		used := data[:len(data)-d.Remaining()]
+		if got := AppendChunk(nil, c); !bytes.Equal(got, used) {
+			t.Fatalf("chunk did not round-trip: %x vs %x", got, used)
 		}
 	})
 }

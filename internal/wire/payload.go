@@ -34,37 +34,18 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// AppendChunk appends one chunk as a flat slab: group-by, chunk number, cell
-// count, a counts-present flag, then the key/value/count arrays back to
-// back. The arrays are copied with bulk appends — no per-cell boxing.
+// AppendChunk appends one chunk in the product's one cell encoding, the
+// chunk codec (chunk.AppendPayload) behind a fixed header: group-by u32 |
+// chunk number u32 | payload length u32 | codec payload, so its length is
+// 12 + chunk.EncodedSize(c).
 func AppendChunk(b []byte, c *chunk.Chunk) []byte {
 	b = AppendU32(b, uint32(c.GB))
 	b = AppendU32(b, uint32(c.Num))
-	b = AppendU32(b, uint32(len(c.Keys)))
-	if c.Counts != nil {
-		b = AppendU8(b, 1)
-	} else {
-		b = AppendU8(b, 0)
-	}
-	for _, k := range c.Keys {
-		b = binary.LittleEndian.AppendUint64(b, k)
-	}
-	for _, v := range c.Vals {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	for _, n := range c.Counts {
-		b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	}
+	b = AppendU32(b, 0) // payload length, patched once the payload is written
+	at := len(b)
+	b = chunk.AppendPayload(b, c)
+	binary.LittleEndian.PutUint32(b[at-4:], uint32(len(b)-at))
 	return b
-}
-
-// ChunkWireSize returns the encoded size of a chunk, for pre-sizing buffers.
-func ChunkWireSize(c *chunk.Chunk) int {
-	n := 13 + 16*len(c.Keys)
-	if c.Counts != nil {
-		n += 8 * len(c.Keys)
-	}
-	return n
 }
 
 // Dec is a decoding cursor over one payload. The first bounds violation
@@ -145,46 +126,19 @@ func (d *Dec) String() string {
 	return string(s)
 }
 
-// Chunk decodes one chunk slab into freshly allocated arrays (the caller —
-// a cache — may retain them indefinitely, so they are never pooled; see
-// DESIGN.md §9 on chunk ownership). Returns nil on malformed input.
+// Chunk decodes one chunk written by AppendChunk into freshly allocated
+// arrays (the caller — a cache — may retain them indefinitely, so they are
+// never pooled; see DESIGN.md §9 on chunk ownership). The codec rejects
+// keys that are not strictly ascending, so every chunk that crosses the
+// wire is one Chunk.find can search. Returns nil on malformed input.
 func (d *Dec) Chunk() *chunk.Chunk {
 	gb := d.U32()
 	num := d.U32()
-	cells := int(d.U32())
-	hasCounts := d.U8()
-	if d.bad || hasCounts > 1 {
+	// A short read leaves take's result nil, which the codec rejects too.
+	c, err := chunk.DecodePayload(lattice.ID(gb), int32(num), d.take(int(d.U32())))
+	if err != nil {
 		d.fail()
 		return nil
-	}
-	need := 16 * cells
-	if hasCounts == 1 {
-		need += 8 * cells
-	}
-	if cells < 0 || need > d.Remaining() {
-		d.fail()
-		return nil
-	}
-	c := &chunk.Chunk{
-		GB:   lattice.ID(gb),
-		Num:  int32(num),
-		Keys: make([]uint64, cells),
-		Vals: make([]float64, cells),
-	}
-	kb := d.take(8 * cells)
-	for i := range c.Keys {
-		c.Keys[i] = binary.LittleEndian.Uint64(kb[8*i:])
-	}
-	vb := d.take(8 * cells)
-	for i := range c.Vals {
-		c.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(vb[8*i:]))
-	}
-	if hasCounts == 1 {
-		cb := d.take(8 * cells)
-		c.Counts = make([]int64, cells)
-		for i := range c.Counts {
-			c.Counts[i] = int64(binary.LittleEndian.Uint64(cb[8*i:]))
-		}
 	}
 	return c
 }

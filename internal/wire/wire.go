@@ -7,15 +7,15 @@
 //
 // It replaces the original encoding/gob protocol. gob serialized every chunk
 // through reflection and forced a strictly serial request/response
-// conversation per connection; a frame here is a flat byte slab the peer can
-// decode straight into chunk arrays, and the request id in the header lets
-// any number of exchanges share one connection out of order.
+// conversation per connection; a chunk here travels in the same compressed
+// codec the cold tier stores (AppendChunk), and the request id in the header
+// lets any number of exchanges share one connection out of order.
 //
 // Frame layout (all integers little-endian):
 //
 //	offset  size  field
 //	0       3     magic "AGW"
-//	3       1     version (currently 1)
+//	3       1     version (currently 2)
 //	4       1     frame type (protocol-specific)
 //	5       1     flags (bit 0: transient error)
 //	6       2     reserved, must be zero
@@ -41,8 +41,11 @@ import (
 )
 
 const (
-	// Version is the protocol version byte carried by every frame.
-	Version = 1
+	// Version is the protocol version byte carried by every frame. Version
+	// 2 ships chunks in the chunk codec instead of version 1's raw slab, so
+	// either side refuses the other's frames (ErrBadVersion) rather than
+	// misreading its chunk bytes.
+	Version = 2
 
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 20

@@ -163,8 +163,8 @@ func TestDecChunkRoundTrip(t *testing.T) {
 		Counts: []int64{1, 2, 3},
 	}
 	b := AppendChunk(nil, c)
-	if len(b) != ChunkWireSize(c) {
-		t.Fatalf("encoded %d bytes, ChunkWireSize says %d", len(b), ChunkWireSize(c))
+	if want := 12 + chunk.EncodedSize(c); len(b) != want {
+		t.Fatalf("encoded %d bytes, want 12 + chunk.EncodedSize = %d", len(b), want)
 	}
 	d := NewDec(b)
 	got := d.Chunk()
@@ -190,8 +190,15 @@ func TestDecChunkRoundTrip(t *testing.T) {
 func TestDecChunkRejectsInflatedCellCount(t *testing.T) {
 	c := &chunk.Chunk{GB: 1, Num: 0, Keys: []uint64{3}, Vals: []float64{4}}
 	b := AppendChunk(nil, c)
-	binary.LittleEndian.PutUint32(b[8:12], 1<<30) // cells field
+	binary.LittleEndian.PutUint32(b[8:12], 1<<30) // payload length field
 	d := NewDec(b)
+	if got := d.Chunk(); got != nil || d.Err() == nil {
+		t.Fatalf("inflated payload length decoded: %+v", got)
+	}
+	// The codec's own cell count, inflated inside a well-framed payload.
+	b = AppendChunk(nil, c)
+	b[13] = 0x7F // cells varint, after the header and the flags byte
+	d = NewDec(b)
 	if got := d.Chunk(); got != nil || d.Err() == nil {
 		t.Fatalf("inflated cell count decoded: %+v", got)
 	}
