@@ -26,22 +26,26 @@ bench:
 bench-e2e:
 	bash benchmark/run.sh -scale tiny -seconds 1
 
-# bench-kernel runs the aggregation-kernel micro-benchmarks (single roll-up,
-# flattened vs hop-by-hop multi-hop, accumulator sweeps at three occupancies,
-# slice, and the cold-tier decode whose ns/cell over the roll-up's ns/tuple
-# prices cold reads in the cache's budget split), the backend scan kernel's (ns/tuple over a seeded mix of
-# group-bys at medium scale) and the VCMC maintenance kernel's (insert/evict
-# cycles on the medium grid, ns per count/cost update), the cold tier's
-# eviction (a full tier at 64 and 4,096 residents: the victim heap against a
-# linear scan) with allocation reporting, and the machine-readable kernel experiment (writes
-# BENCH_4.json). The kernels' end-to-end numbers are the yardstick's
-# rollup_hit and churn_miss workloads.
+# bench-kernel runs the kernels' Go micro-benchmarks with allocation
+# reporting. Aggregation kernel: BenchmarkRollUpKernel (all base chunks of
+# the tiny-scale table into the top chunk) and, in internal/chunk,
+# BenchmarkRollUp* (one roll-up; flattened vs hop-by-hop multi-hop),
+# BenchmarkCellMap* (accumulator sweeps at three occupancies),
+# BenchmarkGridSlice/GridSliceFull (half and full-region slices) and
+# BenchmarkCodecDecode (the cold-tier decode, whose ns/cell over the
+# roll-up's ns/tuple prices cold reads in the cache's budget split). Backend
+# scan: BenchmarkComputeChunks (ns/tuple over a seeded mix of group-bys at
+# medium scale). VCMC maintenance: BenchmarkVCMCMaintenance (insert/evict
+# cycles on the medium grid, ns per count/cost update). Cold eviction:
+# BenchmarkColdEvict (a full cold tier at 64 and 4,096 residents, the victim
+# heap against a linear scan). The kernels' end-to-end numbers are the
+# yardstick's rollup_hit and churn_miss workloads.
 bench-kernel:
 	$(GO) test ./internal/chunk -run XXX -bench 'RollUp|CellMap|GridSlice|CodecDecode' -benchmem -benchtime 20000x | tee kernel_bench.txt
+	$(GO) test . -run XXX -bench 'RollUpKernel' -benchmem -benchtime 20000x | tee -a kernel_bench.txt
 	$(GO) test ./internal/backend -run XXX -bench 'ComputeChunks' -benchmem -benchtime 2000x | tee -a kernel_bench.txt
 	$(GO) test ./internal/strategy -run XXX -bench 'VCMCMaintenance' -benchmem -benchtime 20000x | tee -a kernel_bench.txt
 	$(GO) test ./internal/cache -run XXX -bench 'ColdEvict' -benchmem -benchtime 20000x | tee -a kernel_bench.txt
-	$(GO) run ./cmd/aggbench -scale small -exp kernel
 
 # The four gated experiments below write their floor verdicts into their
 # BENCH JSON and fail (aggbench exits 1) when any floor does not hold.
@@ -167,7 +171,7 @@ depguard:
 # surface prints the size of each product package's API: exported
 # package-level names (go doc -short lines) and exported methods.
 surface:
-	@for p in cache core strategy backend mtier; do \
+	@for p in cache core strategy backend mtier obs; do \
 		printf '%-9s %3d names %3d methods\n' $$p \
 			"$$($(GO) doc -short ./internal/$$p | wc -l)" \
 			"$$($(GO) doc -all ./internal/$$p | grep -c '^func (')"; \

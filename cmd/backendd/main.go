@@ -5,7 +5,7 @@
 // Usage:
 //
 //	backendd -scale small -listen 127.0.0.1:7070
-//	backendd -scale medium -data histsale.gob -sleep
+//	backendd -scale medium -seed 7 -sleep
 package main
 
 import (
@@ -24,8 +24,7 @@ import (
 func main() {
 	var (
 		scaleFlag  = flag.String("scale", "small", "dataset scale: tiny|small|medium|full")
-		seedFlag   = flag.Int64("seed", 1, "generator seed (when -data is not given)")
-		dataFlag   = flag.String("data", "", "fact table file from apbgen (optional)")
+		seedFlag   = flag.Int64("seed", 1, "generator seed")
 		listenFlag = flag.String("listen", "127.0.0.1:7070", "listen address")
 		sleepFlag  = flag.Bool("sleep", false, "actually sleep the simulated backend latency")
 
@@ -46,24 +45,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var tab *data.Table
-	if *dataFlag != "" {
-		f, err := os.Open(*dataFlag)
-		if err != nil {
-			fatal(err)
-		}
-		tab, err = data.LoadTable(f, cfg.Schema)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		tab, err = data.Generate(cfg.Schema, data.Params{
-			Rows: cfg.Rows, Density: cfg.Density, TimeDim: cfg.TimeDim, Seed: *seedFlag,
-		})
-		if err != nil {
-			fatal(err)
-		}
+	tab, err := data.Generate(cfg.Schema, data.Params{
+		Rows: cfg.Rows, Density: cfg.Density, TimeDim: cfg.TimeDim, Seed: *seedFlag,
+	})
+	if err != nil {
+		fatal(err)
 	}
 	latency := backend.DefaultLatency
 	latency.Sleep = *sleepFlag

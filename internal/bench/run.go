@@ -71,7 +71,6 @@ var experiments = []struct {
 	{"chunk-sweep", one(ChunkSizeSweep)},
 	{"lemma1", one(Lemma1)},
 	{"lemma2", one(Lemma2)},
-	{"kernel", one(Kernel)},
 	{"chaos", one(Chaos)},
 	{"cluster", one(Cluster)},
 	{"overload", one(Overload)},

@@ -95,7 +95,7 @@ func TestBudgetInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			s, err := NewTiered(hot, 12*160)
+			s, err := NewTiered(hot, 12*coldSlot)
 			if err != nil {
 				t.Fatalf("NewTiered: %v", err)
 			}
@@ -212,11 +212,13 @@ func cyclicHits(s *Sharded, rounds int) int {
 }
 
 // TestBudgetConvergesTowardCold: a cyclic stream whose working set fits the
-// budget only when mostly compressed (24 chunks: 7,296 bytes decoded, 3,744
-// encoded, in 4,500) thrashes a store frozen at a mostly-hot split, while the
-// moving boundary shifts the budget to the cold tier and serves the cycle.
+// budget only when mostly compressed (24 chunks, in their 24 cold charges
+// plus one decoded chunk: at most four of them fit decoded) thrashes a store
+// frozen at a mostly-hot split, while the moving boundary shifts the budget
+// to the cold tier and serves the cycle.
 func TestBudgetConvergesTowardCold(t *testing.T) {
-	hotBytes, coldBytes := int64(3_600), int64(900)
+	budget := 24*(coldSlot-4) + mkChunk(0, 0, 10).Bytes()
+	hotBytes, coldBytes := budget*4/5, budget/5
 	fixed := budgetStore(t, hotBytes, coldBytes, 1)
 	freezeBoundary(fixed)
 	adaptive := budgetStore(t, hotBytes, coldBytes, 1)

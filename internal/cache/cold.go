@@ -5,14 +5,21 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"aggcache/internal/chunk"
 	"aggcache/internal/obs"
 )
 
 // coldEntryOverhead is the fixed footprint charged per cold-tier entry on
-// top of its encoded payload: map slot, struct, heap slot.
-const coldEntryOverhead = 64
+// top of its encoded payload: the entry's allocation (the struct rounded up
+// to its allocator size class; the classes between 32 and 256 bytes are
+// multiples of 16), its map slot (key and value, plus a word for the control
+// byte and the free slots the table keeps) and its victim-heap slot. Ghost
+// keys are not charged.
+const coldEntryOverhead = int64((unsafe.Sizeof(coldEntry{})+15)&^15 +
+	unsafe.Sizeof(Key{}) + 2*unsafe.Sizeof(uintptr(0)) +
+	unsafe.Sizeof(uintptr(0)))
 
 // coldEntry is one compressed resident of the cold tier. The residency
 // attributes (class, benefit, recycled) are preserved verbatim, so a cold

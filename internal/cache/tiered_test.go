@@ -6,13 +6,19 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"aggcache/internal/chunk"
 )
+
+// coldSlot is the cold-tier room for one encoded 10-cell chunk of mkChunk:
+// its charge, plus a few bytes' slack.
+var coldSlot = int64(chunk.EncodedSize(mkChunk(0, 0, 10))) + coldEntryOverhead + 4
 
 // tieredFixture builds a store whose hot tier fits exactly one
 // 10-cell chunk and whose cold tier holds coldBytes of compressed payloads,
@@ -48,11 +54,11 @@ func reasons(events []Event) []string {
 // sequence. Every chunk has the same size and benefit, so the same benefit
 // per byte: the cold tier's victims leave in least recently used order.
 func TestTieredEventOrdering(t *testing.T) {
-	// Cold tier sized for two encoded 10-cell chunks (~156 charged bytes
-	// each): a third demotion forces a cold eviction. The split stays where
-	// it is configured: the cold read of a just-demoted key would move it
-	// toward hot and evict from the cold tier (TestBudget*).
-	tc, lis := tieredFixture(t, 2*160)
+	// Cold tier sized for two encoded 10-cell chunks: a third demotion
+	// forces a cold eviction. The split stays where it is configured: the
+	// cold read of a just-demoted key would move it toward hot and evict
+	// from the cold tier (TestBudget*).
+	tc, lis := tieredFixture(t, 2*coldSlot)
 	freezeBoundary(tc)
 
 	tc.Insert(key(1), mkChunk(0, 1, 10), AsBackend(5))
@@ -95,7 +101,7 @@ func TestTieredColdEvictsByValuePerByte(t *testing.T) {
 		{"same benefit, larger is cheaper per byte", 50, 50, 4, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, lis := tieredFixture(t, 2*160)
+			s, lis := tieredFixture(t, 2*coldSlot)
 			freezeBoundary(s)
 			s.Insert(key(1), mkChunk(0, 1, tc.n1), AsBackend(tc.b1))
 			s.Insert(key(2), mkChunk(0, 2, tc.n2), AsBackend(tc.b2)) // demotes 1
@@ -120,7 +126,7 @@ func TestTieredColdLookupServesInPlace(t *testing.T) {
 	// The split stays where it is configured: the cold read of a
 	// just-demoted key would move it toward hot and evict from the cold tier
 	// (TestBudget*).
-	tc, lis := tieredFixture(t, 2*160)
+	tc, lis := tieredFixture(t, 2*coldSlot)
 	freezeBoundary(tc)
 
 	tc.Insert(key(1), mkChunk(0, 1, 10), AsRecycled(42.5))
@@ -345,7 +351,7 @@ func TestTieredColdPinHoldRefcount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	tc, err := NewTiered(hot, 3*160)
+	tc, err := NewTiered(hot, 3*coldSlot)
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
 	}
@@ -462,7 +468,7 @@ func TestTieredStatsConcurrentColdHits(t *testing.T) {
 // TestTieredResidencyInvariant checks a key is never resident in both tiers:
 // Keys over both tiers has no duplicates at every step of a random walk.
 func TestTieredResidencyInvariant(t *testing.T) {
-	tc, _ := tieredFixture(t, 3*160)
+	tc, _ := tieredFixture(t, 3*coldSlot)
 	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < 500; step++ {
 		k := key(rng.Intn(8))
@@ -556,7 +562,7 @@ func TestTieredConcurrentSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	tc, err := NewTiered(hot, 4*160)
+	tc, err := NewTiered(hot, 4*coldSlot)
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
 	}
@@ -618,8 +624,8 @@ func TestTieredConcurrentSoak(t *testing.T) {
 	if ts.ColdUsed > ts.ColdCapacity {
 		t.Fatalf("cold tier over its share: %d > %d", ts.ColdUsed, ts.ColdCapacity)
 	}
-	if ts.HotCapacity+ts.ColdCapacity != hotCap+4*160 {
-		t.Fatalf("shares %d + %d do not sum to the budget %d", ts.HotCapacity, ts.ColdCapacity, hotCap+4*160)
+	if ts.HotCapacity+ts.ColdCapacity != hotCap+4*coldSlot {
+		t.Fatalf("shares %d + %d do not sum to the budget %d", ts.HotCapacity, ts.ColdCapacity, hotCap+4*coldSlot)
 	}
 	if ts.ColdUsed < 0 || ts.ColdRawBytes < 0 || ts.ColdChunks < 0 {
 		t.Fatalf("negative cold occupancy: %+v", ts)
@@ -792,14 +798,17 @@ func fixedSplitTier(ts TierStats) string {
 // when the cold tier's victim order went from least recently used to
 // GreedyDual-Size (the stream's benefits vary, so its cold evictions
 // changed), and a copy of the store that picks each cold victim by a linear
-// scan of the residents reproduced them.
+// scan of the residents reproduced them. They were re-recorded again when
+// the per-entry cold charge grew from 64 bytes to the entry's real
+// allocation: in all four streams the first difference, byte counters
+// aside, is a cold eviction that the larger charge makes fire earlier.
 func TestTieredMatchesRecordedReference(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
 		want   string
 	}{
-		{1, "01476b6f547a7e69a7fcde14d0a5805f75a53851a84359af04d61956d0793f12"},
-		{4, "e6a5d542fc89ecd0a786ad9256d171697e37672c6c544e261dec01e465730019"},
+		{1, "ec6c3879add45df306c0d0f57a4681dc879c7e46cad91f263ca4a7067c6b985f"},
+		{4, "450c50ad7643ade6aa374368e8241ded06d482210b590631248dd825c44275e8"},
 	} {
 		got, st, ts := replayTieredStream(t, tc.shards, true, fixedSplitTier)
 		if ts.Demotes < 500 || ts.ColdEvicts < 100 || ts.ColdHits < 100 || st.Denied == 0 {
@@ -818,14 +827,15 @@ func TestTieredMatchesRecordedReference(t *testing.T) {
 // the boundary moving, every TierStats field in the transcript, so any drift
 // in the adaptive store's event stream or its split shows as a changed hash.
 // The hashes were recorded when the moving boundary was introduced and
-// re-recorded, with the reference's above, for the GreedyDual-Size cold tier.
+// re-recorded, with the reference's above, for the GreedyDual-Size cold tier
+// and for the per-entry cold charge.
 func TestTieredAdaptiveMatchesRecordedTranscript(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
 		want   string
 	}{
-		{1, "17240d3e0eb1dd4e3caa52630d9edb47865433907541b30b6e9cef7c6d765b50"},
-		{4, "7a81146efe7ee93c24eb9905f10093a9d36e4a6a4dd2bcce9289446b0ac685ef"},
+		{1, "c7df2aa597ea98da706ea080b2830139c4bf09a926b6ca008bc158be4a474afa"},
+		{4, "570527d037243672e8df116c8ed3fdaf1c1d0cbf53c813fb8a46f65cddd5ea4e"},
 	} {
 		got, st, ts := replayTieredStream(t, tc.shards, false, func(ts TierStats) string { return fmt.Sprintf("%+v", ts) })
 		if got != tc.want {
@@ -834,6 +844,42 @@ func TestTieredAdaptiveMatchesRecordedTranscript(t *testing.T) {
 		if ts.HotGhostHits == 0 || ts.ColdGhostHits == 0 || ts.HotCapacity == 2_000 {
 			t.Errorf("shards=%d: the stream does not exercise the moving boundary: %+v", tc.shards, ts)
 		}
+	}
+}
+
+// coldEntrySink keeps TestColdEntryChargeCoversItsAllocation's entries on
+// the heap.
+var coldEntrySink []*coldEntry
+
+// TestColdEntryChargeCoversItsAllocation: the fixed charge per cold entry
+// covers what an entry holds besides its payload: the coldEntry allocation
+// as the allocator sizes it (measured), its map slot (a key and a pointer)
+// and its victim-heap slot (a pointer).
+func TestColdEntryChargeCoversItsAllocation(t *testing.T) {
+	const n = 1024
+	coldEntrySink = make([]*coldEntry, n)
+	defer func() { coldEntrySink = nil }()
+	var before, after runtime.MemStats
+	for try := 0; ; try++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range coldEntrySink {
+			coldEntrySink[i] = new(coldEntry)
+		}
+		runtime.ReadMemStats(&after)
+		if after.Mallocs-before.Mallocs == n {
+			break
+		}
+		if try == 10 {
+			t.Fatalf("%d allocations while allocating %d entries", after.Mallocs-before.Mallocs, n)
+		}
+	}
+	entry := int64(after.TotalAlloc-before.TotalAlloc) / n
+	ptr := int64(unsafe.Sizeof(uintptr(0)))
+	mapSlot, heapSlot := int64(unsafe.Sizeof(Key{}))+ptr, ptr
+	if want := entry + mapSlot + heapSlot; coldEntryOverhead < want {
+		t.Fatalf("cold entry charged %d bytes, holds %d (entry %d + map slot %d + heap slot %d)",
+			coldEntryOverhead, want, entry, mapSlot, heapSlot)
 	}
 }
 
@@ -887,7 +933,7 @@ func TestTieredColdBufferIsCharged(t *testing.T) {
 // whole tier, and when pins hold the room it would need.
 func TestTieredRefusedDemotionAllocatesNothing(t *testing.T) {
 	tiny, _ := tieredFixture(t, 1)
-	held, _ := tieredFixture(t, 200) // one 10-cell resident fits, two do not
+	held, _ := tieredFixture(t, coldSlot*3/2) // one 10-cell resident fits, two do not
 	held.Insert(key(1), mkChunk(0, 1, 10), AsBackend(0))
 	held.Insert(key(2), mkChunk(0, 2, 10), AsBackend(0)) // demotes 1
 	if !held.Pin(key(1)) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
 	"aggcache/internal/sizer"
@@ -41,9 +40,10 @@ func estimateBytes(g *chunk.Grid, gb lattice.ID, cells int64) int64 {
 }
 
 // Preload fills the cache with the chosen group-by's chunks fetched from the
-// backend, marked as backend-class chunks; ctx bounds the backend fetch. It
-// returns the group-by loaded. With no group-by fitting the cache it returns
-// ok=false without error.
+// backend, marked as backend-class chunks; ctx bounds the backend fetch. The
+// fetch is a query miss's backend leg (fetchBackend) in one request, with
+// no flights and no peer fill. It returns the group-by loaded. With no
+// group-by fitting the cache it returns ok=false without error.
 func (e *Engine) Preload(ctx context.Context) (lattice.ID, bool, error) {
 	gb, ok := ChoosePreloadGroupBy(e.grid, e.sizes, e.cache.Capacity())
 	if !ok {
@@ -53,20 +53,8 @@ func (e *Engine) Preload(ctx context.Context) (lattice.ID, bool, error) {
 	for i := range nums {
 		nums[i] = i
 	}
-	chunks, bstats, err := e.back.ComputeChunks(ctx, gb, nums)
-	if err == nil && len(chunks) != len(nums) {
-		// The same check fetchMissing makes: a long reply would index past
-		// nums, a short one would preload a prefix and report success.
-		err = fmt.Errorf("backend returned %d chunks, want %d", len(chunks), len(nums))
-	}
-	if err != nil {
+	if _, _, _, err := e.fetchBackend(ctx, gb, nums); err != nil {
 		return 0, false, fmt.Errorf("core: preload: %w", err)
 	}
-	benefit := (float64(bstats.TuplesScanned)*backendPenalty + connectCost) / float64(len(nums))
-	for i, c := range chunks {
-		e.cache.Insert(cache.Key{GB: gb, Num: int32(nums[i])}, c, cache.AsBackend(benefit))
-	}
-	e.met.BackendRequests.Inc()
-	e.met.BackendTuples.Add(bstats.TuplesScanned)
 	return gb, true, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"aggcache/internal/backend"
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
@@ -170,35 +171,21 @@ func (e *Engine) fetchMissing(ctx context.Context, gb lattice.ID, missing, missi
 	}
 
 	if len(own) > 0 {
-		chunks, bstats, err := e.back.ComputeChunks(ctx, gb, own)
-		if err == nil && len(chunks) != len(own) {
-			// A short (or long) reply would index out of bounds below and —
-			// worse — publish bogus chunks to followers. Treat it as a failed
-			// fetch instead.
-			err = fmt.Errorf("core: backend returned %d chunks, want %d", len(chunks), len(own))
-		}
+		// fetchBackend inserts before the flights are published, so
+		// followers that re-probe find the chunks resident.
+		chunks, bstats, update, err := e.fetchBackend(ctx, gb, own)
 		if err != nil {
 			err = fmt.Errorf("core: backend: %w", err)
 			// Publish the failure so followers never strand on the flight.
 			e.flights.finish(gb, own, ownCalls, nil, 0, 0, false, err)
 			return err
 		}
-		res.Breakdown.Backend += bstats.Cost()
-		res.BackendTuples += bstats.TuplesScanned
-		e.met.BackendRequests.Inc()
-		e.met.BackendTuples.Add(bstats.TuplesScanned)
-		benefit := (float64(bstats.TuplesScanned)*backendPenalty + connectCost) / float64(len(own))
-
-		// Insert before publishing the flights so followers that re-probe
-		// find the chunks resident. The maintenance delta is approximate
-		// under concurrency (see the insert phase in execute).
-		m0 := e.strat.Maintenance()
 		for i, c := range chunks {
 			res.Chunks[ownIdx[i]] = c
-			e.cache.Insert(cache.Key{GB: gb, Num: int32(own[i])}, c, cache.AsBackend(benefit))
 		}
-		m1 := e.strat.Maintenance()
-		res.Breakdown.Update += m1.Sub(m0).Time
+		res.Breakdown.Backend += bstats.Cost()
+		res.Breakdown.Update += update
+		res.BackendTuples += bstats.TuplesScanned
 
 		n := int64(len(own))
 		e.flights.finish(gb, own, ownCalls, chunks, bstats.TuplesScanned/n, bstats.Cost()/time.Duration(n), false, nil)
@@ -235,4 +222,29 @@ func (e *Engine) fetchMissing(ctx context.Context, gb lattice.ID, missing, missi
 		return e.fetchMissing(ctx, gb, again, againIdx, res, retry+1)
 	}
 	return nil
+}
+
+// fetchBackend is the engine's one backend request: it fetches chunks nums
+// of gb, checks the reply holds one chunk per number (a long reply would
+// index past nums, a short one would leave chunks unanswered while the
+// request reported success), counts the request, and inserts each chunk as
+// backend class at the request's benefit per chunk. It returns the chunks in
+// request order and the strategy maintenance time the inserts took, which
+// is approximate under concurrency (see the insert phase in execute).
+func (e *Engine) fetchBackend(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, backend.Stats, time.Duration, error) {
+	chunks, bstats, err := e.back.ComputeChunks(ctx, gb, nums)
+	if err == nil && len(chunks) != len(nums) {
+		err = fmt.Errorf("backend returned %d chunks, want %d", len(chunks), len(nums))
+	}
+	if err != nil {
+		return nil, bstats, 0, err
+	}
+	e.met.BackendRequests.Inc()
+	e.met.BackendTuples.Add(bstats.TuplesScanned)
+	benefit := (float64(bstats.TuplesScanned)*backendPenalty + connectCost) / float64(len(nums))
+	m0 := e.strat.Maintenance()
+	for i, c := range chunks {
+		e.cache.Insert(cache.Key{GB: gb, Num: int32(nums[i])}, c, cache.AsBackend(benefit))
+	}
+	return chunks, bstats, e.strat.Maintenance().Sub(m0).Time, nil
 }

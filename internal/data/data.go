@@ -49,13 +49,6 @@ func (t *Table) Append(members []int32, value float64) {
 	t.values = append(t.values, value)
 }
 
-// Bytes returns the approximate in-memory footprint of the table, charging
-// 4 bytes per member id and 8 per value — comparable to the paper's 20-byte
-// tuples for the 5-dimension APB schema.
-func (t *Table) Bytes() int64 {
-	return int64(len(t.members))*4 + int64(len(t.values))*8
-}
-
 // Params configures the synthetic generator.
 type Params struct {
 	// Rows is the target number of fact rows; the generated count is close

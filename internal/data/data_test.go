@@ -31,9 +31,6 @@ func TestTableAppendRow(t *testing.T) {
 	if tab.Value(1) != 1.0 {
 		t.Fatalf("Value(1) = %v", tab.Value(1))
 	}
-	if tab.Bytes() != 2*(3*4+8) {
-		t.Fatalf("Bytes = %d", tab.Bytes())
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("Append with wrong arity should panic")

@@ -157,9 +157,6 @@ func (s *Server) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 // /healthz signal and flips to false on Close.
 func (s *Server) Healthy() bool { return !s.srv.Closed() }
 
-// Traces returns the server's trace ring (nil when tracing is off).
-func (s *Server) Traces() *obs.TraceRing { return s.ring }
-
 // OpsHandler returns the ops HTTP handler (/metrics, /healthz, /traces,
 // /debug/pprof/) over this server's observability state, wiring a default
 // registry and trace ring first if SetObs was never called.
@@ -272,33 +269,32 @@ func (s *Server) handleFrame(ctx context.Context, fr *wire.Frame) wire.Frame {
 // answer executes one query, recording metrics and a trace-ring entry for
 // every outcome. Failures are counted server-side by kind — not just folded
 // into the wire Err string — so a misbehaving client or a failing backend
-// is visible on /metrics and /traces. A panic is recorded like an execute
-// error, with the outcome "panic", and raised again for the wire.Server
-// guard, which answers the client and counts it.
+// is visible on /metrics and /traces. The trace fills in as the query
+// progresses and is recorded once, with the latency, on the way out. A
+// panic is recorded like an execute error, with the outcome "panic", and
+// raised again for the wire.Server guard, which answers the client and
+// counts it.
 func (s *Server) answer(ctx context.Context, query string) *Response {
-	start := time.Now()
+	tr := obs.QueryTrace{Start: time.Now(), Query: query}
 	s.met.Requests.Inc()
 	defer func() {
-		if p := recover(); p != nil {
+		p := recover()
+		if p != nil {
 			s.met.ExecuteErrors.Inc()
-			s.met.Latency.Observe(time.Since(start))
-			s.ring.Add(obs.QueryTrace{
-				Start: start, Query: query,
-				TotalNS: int64(time.Since(start)),
-				Outcome: "panic", Err: fmt.Sprint(p),
-			})
+			tr.Outcome, tr.Err = "panic", fmt.Sprint(p)
+		}
+		elapsed := time.Since(tr.Start)
+		s.met.Latency.Observe(elapsed)
+		tr.TotalNS = int64(elapsed)
+		s.ring.Add(tr)
+		if p != nil {
 			panic(p)
 		}
 	}()
 	q, agg, err := mdq.Compile(query, s.grid)
 	if err != nil {
 		s.met.CompileErrors.Inc()
-		s.met.Latency.Observe(time.Since(start))
-		s.ring.Add(obs.QueryTrace{
-			Start: start, Query: query,
-			TotalNS: int64(time.Since(start)),
-			Outcome: "compile_error", Err: err.Error(),
-		})
+		tr.Outcome, tr.Err = "compile_error", err.Error()
 		return &Response{Err: err.Error()}
 	}
 	lat := s.grid.Lattice()
@@ -306,24 +302,17 @@ func (s *Server) answer(ctx context.Context, query string) *Response {
 	if err != nil {
 		// Count failures by kind so an open breaker or a hung backend is
 		// distinguishable from a bad query on /metrics and /traces.
-		outcome := "execute_error"
+		tr.GroupBy, tr.Outcome, tr.Err = lat.LevelTupleString(q.GB), "execute_error", err.Error()
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
-			outcome = "timeout"
+			tr.Outcome = "timeout"
 			s.met.TimeoutErrors.Inc()
 		case errors.Is(err, core.ErrBackendUnavailable):
-			outcome = "unavailable"
+			tr.Outcome = "unavailable"
 			s.met.UnavailableErrors.Inc()
 		default:
 			s.met.ExecuteErrors.Inc()
 		}
-		s.met.Latency.Observe(time.Since(start))
-		s.ring.Add(obs.QueryTrace{
-			Start: start, Query: query,
-			GroupBy: lat.LevelTupleString(q.GB),
-			TotalNS: int64(time.Since(start)),
-			Outcome: outcome, Err: err.Error(),
-		})
 		return &Response{Err: err.Error()}
 	}
 	lv := lat.Level(q.GB)
@@ -356,9 +345,8 @@ func (s *Server) answer(ctx context.Context, query string) *Response {
 			})
 		}
 	}
-	s.met.Latency.Observe(time.Since(start))
-	s.ring.Add(obs.QueryTrace{
-		Start:            start,
+	tr = obs.QueryTrace{
+		Start:            tr.Start,
 		Query:            query,
 		GroupBy:          lat.LevelTupleString(q.GB),
 		Chunks:           len(res.Chunks),
@@ -371,10 +359,9 @@ func (s *Server) answer(ctx context.Context, query string) *Response {
 		AggregateNS:      int64(res.Breakdown.Aggregate),
 		UpdateNS:         int64(res.Breakdown.Update),
 		BackendNS:        int64(res.Breakdown.Backend),
-		TotalNS:          int64(time.Since(start)),
 		CompleteHit:      res.CompleteHit,
 		Outcome:          "ok",
-	})
+	}
 	return resp
 }
 

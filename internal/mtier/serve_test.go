@@ -3,6 +3,7 @@ package mtier
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -175,5 +176,108 @@ func TestQueryPanicLeavesNothingStuck(t *testing.T) {
 	}
 	if n := met.Panics.Value(); n != 1 {
 		t.Fatalf("request panics = %d, want 1", n)
+	}
+}
+
+// faultBackend fails every ComputeChunks call with fault's error, or panics
+// when fault does; a nil fault answers from the wrapped backend.
+type faultBackend struct {
+	backend.Backend
+	fault func() error
+}
+
+func (b *faultBackend) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, backend.Stats, error) {
+	if b.fault != nil {
+		return nil, backend.Stats{}, b.fault()
+	}
+	return b.Backend.ComputeChunks(ctx, gb, nums)
+}
+
+// TestAnswerRecordsEachOutcome: every outcome of answer — ok, compile error,
+// the three execute-error kinds and a panic — records exactly one trace and
+// one latency observation, counts the request once and bumps only its own
+// error series, and the trace carries the outcome, the error and, for a
+// query the engine ran to an answer or an error, its group-by.
+func TestAnswerRecordsEachOutcome(t *testing.T) {
+	const good = "SUM(UnitSales) BY Time:Year"
+	for _, tc := range []struct {
+		outcome string
+		query   string
+		fault   func() error
+		kind    func(obs.ServerMetrics) *obs.Counter // the error series it bumps
+		groupBy bool
+	}{
+		{"ok", good, nil, nil, true},
+		{"compile_error", "THIS IS NOT MDQ", nil, func(m obs.ServerMetrics) *obs.Counter { return m.CompileErrors }, false},
+		{"timeout", good, func() error { return fmt.Errorf("scan: %w", context.DeadlineExceeded) },
+			func(m obs.ServerMetrics) *obs.Counter { return m.TimeoutErrors }, true},
+		{"unavailable", good, func() error { return fmt.Errorf("dial: %w", backend.ErrUnavailable) },
+			func(m obs.ServerMetrics) *obs.Counter { return m.UnavailableErrors }, true},
+		{"execute_error", good, func() error { return errors.New("disk on fire") },
+			func(m obs.ServerMetrics) *obs.Counter { return m.ExecuteErrors }, true},
+		{"panic", good, func() error { panic("boom") },
+			func(m obs.ServerMetrics) *obs.Counter { return m.ExecuteErrors }, false},
+	} {
+		t.Run(tc.outcome, func(t *testing.T) {
+			g, tab, err := apb.New(apb.ScaleTiny).Build(44)
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			inner, err := backend.NewEngine(g, tab, backend.LatencyModel{})
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			sz := sizer.NewEstimate(g, int64(tab.Len()))
+			c, _ := cache.New(1<<20, cache.NewTwoLevel())
+			eng, err := core.New(g, c, strategy.NewVCMC(g, sz), &faultBackend{Backend: inner, fault: tc.fault}, sz)
+			if err != nil {
+				t.Fatalf("core.New: %v", err)
+			}
+			srv := NewServer(eng)
+			reg, ring := obs.NewRegistry(), obs.NewTraceRing(8)
+			srv.SetObs(reg, ring)
+
+			var resp *Response
+			var raised any
+			func() {
+				defer func() { raised = recover() }()
+				resp = srv.answer(context.Background(), tc.query)
+			}()
+			if (tc.outcome == "panic") != (raised != nil) {
+				t.Fatalf("raised %v", raised)
+			}
+			if resp != nil && (resp.Err == "") != (tc.outcome == "ok") {
+				t.Fatalf("response error %q", resp.Err)
+			}
+
+			met := obs.NewServerMetrics(reg)
+			if met.Requests.Value() != 1 || met.Latency.Count() != 1 {
+				t.Fatalf("requests %d, latency observations %d, want 1 and 1", met.Requests.Value(), met.Latency.Count())
+			}
+			for name, ctr := range map[string]*obs.Counter{"compile": met.CompileErrors, "execute": met.ExecuteErrors,
+				"timeout": met.TimeoutErrors, "unavailable": met.UnavailableErrors} {
+				want := int64(0)
+				if tc.kind != nil && tc.kind(met) == ctr {
+					want = 1
+				}
+				if ctr.Value() != want {
+					t.Errorf("%s errors = %d, want %d", name, ctr.Value(), want)
+				}
+			}
+			traces := ring.Snapshot()
+			if len(traces) != 1 {
+				t.Fatalf("%d traces, want 1", len(traces))
+			}
+			tr := traces[0]
+			if tr.Outcome != tc.outcome || tr.Query != tc.query || tr.TotalNS <= 0 || (tr.Err == "") != (tc.outcome == "ok") {
+				t.Fatalf("trace %+v", tr)
+			}
+			if (tr.GroupBy != "") != tc.groupBy {
+				t.Fatalf("trace group-by %q, want one: %v", tr.GroupBy, tc.groupBy)
+			}
+			if tc.outcome == "ok" && (tr.Chunks == 0 || tr.Fetched != tr.Chunks || tr.BackendTuples == 0) {
+				t.Fatalf("ok trace provenance: %+v", tr)
+			}
+		})
 	}
 }

@@ -9,28 +9,19 @@ import (
 	"strconv"
 )
 
-// NewHandler builds the ops endpoint mux:
+// NewStatusHandler builds the ops endpoint mux:
 //
 //	/metrics       Prometheus text exposition of reg
-//	/healthz       200 "ok" while healthy() is true, 503 otherwise
+//	/healthz       health from status, which returns (healthy, detail)
 //	/traces        recent query traces from ring as JSON (?n=K for the last K)
 //	/debug/pprof/  the standard runtime profiles
 //
-// reg and ring may be nil; healthy may be nil (always healthy). The handler
-// performs no locking beyond the registry's own, so it is safe to serve
-// while the instrumented system runs at full speed.
-func NewHandler(reg *Registry, ring *TraceRing, healthy func() bool) http.Handler {
-	if healthy == nil {
-		return NewStatusHandler(reg, ring, nil)
-	}
-	return NewStatusHandler(reg, ring, func() (bool, string) { return healthy(), "" })
-}
-
-// NewStatusHandler is NewHandler with a richer health probe: status returns
-// (healthy, detail). /healthz responds 200 while healthy — with "ok" plus
-// the detail line, so a server running in cache-only degraded mode can say
-// so without failing its liveness check — and 503 with the detail
-// otherwise.
+// /healthz responds 200 while healthy — with "ok" plus the detail line, so
+// a server running in cache-only degraded mode can say so without failing
+// its liveness check — and 503 with the detail otherwise. reg and ring may
+// be nil; status may be nil (always healthy). The handler performs no
+// locking beyond the registry's own, so it is safe to serve while the
+// instrumented system runs at full speed.
 func NewStatusHandler(reg *Registry, ring *TraceRing, status func() (bool, string)) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -22,7 +22,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 	var healthy atomic.Bool
 	healthy.Store(true)
-	h := NewHandler(reg, ring, healthy.Load)
+	h := NewStatusHandler(reg, ring, func() (bool, string) { return healthy.Load(), "" })
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -78,7 +78,7 @@ func TestHandlerEndpoints(t *testing.T) {
 // TestHandlerNilParts: the handler must serve with no registry, ring or
 // health callback wired.
 func TestHandlerNilParts(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(nil, nil, nil))
+	srv := httptest.NewServer(NewStatusHandler(nil, nil, nil))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/healthz", "/traces"} {
 		resp, err := http.Get(srv.URL + path)
@@ -93,7 +93,7 @@ func TestHandlerNilParts(t *testing.T) {
 }
 
 func TestServeAndClose(t *testing.T) {
-	o, err := Serve("127.0.0.1:0", NewHandler(nil, nil, nil))
+	o, err := Serve("127.0.0.1:0", NewStatusHandler(nil, nil, nil))
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

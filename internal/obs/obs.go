@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -176,7 +175,6 @@ type metricKind uint8
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindGaugeFunc
 	kindHistogram
 )
 
@@ -191,7 +189,6 @@ type metric struct {
 	kind    metricKind
 	counter *Counter
 	gauge   *Gauge
-	gaugeFn func() float64
 	hist    *Histogram
 }
 
@@ -269,13 +266,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, kindGauge).gauge
 }
 
-// GaugeFunc registers a gauge whose value is computed by fn at scrape time.
-// fn must be safe to call concurrently with the instrumented code.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	m := r.register(name, help, kindGaugeFunc)
-	m.gaugeFn = fn
-}
-
 // Histogram registers (or finds) a latency histogram. Samples are recorded
 // in nanoseconds and rendered in seconds; by Prometheus convention the name
 // should end in `_seconds`.
@@ -303,7 +293,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			seen[m.family] = true
 			kind := "counter"
 			switch m.kind {
-			case kindGauge, kindGaugeFunc:
+			case kindGauge:
 				kind = "gauge"
 			case kindHistogram:
 				kind = "histogram"
@@ -323,8 +313,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.counter.Value())
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.gauge.Value())
-		case kindGaugeFunc:
-			_, err = fmt.Fprintf(w, "%s %g\n", m.name, m.gaugeFn())
 		case kindHistogram:
 			err = writeHistogram(w, m)
 		}
@@ -396,25 +384,4 @@ func writeHistogram(w io.Writer, m *metric) error {
 // formatFloat renders a float compactly without losing precision.
 func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-// Families returns the registered family names in registration order,
-// deduplicated; used by tests and diagnostics.
-func (r *Registry) Families() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, m := range r.snapshot() {
-		if !seen[m.family] {
-			seen[m.family] = true
-			out = append(out, m.family)
-		}
-	}
-	return out
-}
-
-// Sorted is like Families but sorted; convenient for stable test output.
-func (r *Registry) Sorted() []string {
-	out := r.Families()
-	sort.Strings(out)
-	return out
 }

@@ -191,7 +191,6 @@ func TestWritePrometheusParses(t *testing.T) {
 	sm := NewStrategyMetrics(r, "VCMC")
 	bm := NewBackendMetrics(r)
 	vm := NewServerMetrics(r)
-	r.GaugeFunc("custom_ratio", "computed at scrape", func() float64 { return 0.25 })
 
 	em.Queries.Add(3)
 	em.Lookup.Observe(100 * time.Microsecond)
@@ -235,7 +234,6 @@ func TestWritePrometheusParses(t *testing.T) {
 		`aggcache_strategy_find_total{strategy="VCMC"}`,
 		"aggcache_engine_lookup_seconds_count",
 		"aggcache_backend_request_seconds_sum",
-		"custom_ratio",
 	} {
 		if _, ok := samples[want]; !ok {
 			t.Fatalf("missing sample %q in output:\n%s", want, out)
