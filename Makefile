@@ -171,7 +171,7 @@ depguard:
 # surface prints the size of each product package's API: exported
 # package-level names (go doc -short lines) and exported methods.
 surface:
-	@for p in cache core strategy backend mtier obs; do \
+	@for p in cache core strategy backend chunk workload mtier obs; do \
 		printf '%-9s %3d names %3d methods\n' $$p \
 			"$$($(GO) doc -short ./internal/$$p | wc -l)" \
 			"$$($(GO) doc -all ./internal/$$p | grep -c '^func (')"; \

@@ -238,9 +238,13 @@ func BenchmarkRollUpKernel(b *testing.B) {
 	e := benchEnv(b)
 	lat := e.Grid.Lattice()
 	base := lat.Base()
-	chunks, _, err := e.Backend.ComputeGroupBy(base)
+	nums := make([]int, e.Grid.NumChunks(base))
+	for i := range nums {
+		nums[i] = i
+	}
+	chunks, _, err := e.Backend.ComputeChunks(context.Background(), base, nums)
 	if err != nil {
-		b.Fatalf("ComputeGroupBy: %v", err)
+		b.Fatalf("ComputeChunks: %v", err)
 	}
 	var cells int64
 	for _, c := range chunks {

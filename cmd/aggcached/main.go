@@ -193,7 +193,7 @@ func main() {
 			fatal(err)
 		}
 		snapPath = filepath.Join(*snapDirFlag, "cache.snap")
-		n, lerr := eng.LoadCacheFile(snapPath)
+		n, lerr := cache.LoadSnapshotFile(snapPath, grid, eng.Cache())
 		switch {
 		case lerr == nil:
 			fmt.Printf("aggcached: warm restart, %d chunks from %s\n", n, snapPath)
@@ -292,7 +292,7 @@ func main() {
 			for {
 				select {
 				case <-ticker.C:
-					if _, err := eng.SaveCacheFile(snapPath); err != nil {
+					if _, err := cache.SaveSnapshotFile(snapPath, eng.Cache(), grid); err != nil {
 						fmt.Fprintln(os.Stderr, "aggcached: snapshot flush:", err)
 					}
 				case <-flushDone:
@@ -326,7 +326,7 @@ func main() {
 			ps.Fills, ps.FillMisses, ps.FillErrors, ps.FillSkips)
 	}
 	if snapPath != "" {
-		n, err := eng.SaveCacheFile(snapPath)
+		n, err := cache.SaveSnapshotFile(snapPath, eng.Cache(), grid)
 		if err != nil {
 			fatal(err)
 		}

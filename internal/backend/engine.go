@@ -233,15 +233,5 @@ func (e *Engine) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) (
 	return ests, nil
 }
 
-// ComputeGroupBy computes every chunk of a group-by; used for cache
-// preloading and for building exact size oracles.
-func (e *Engine) ComputeGroupBy(gb lattice.ID) ([]*chunk.Chunk, Stats, error) {
-	nums := make([]int, e.grid.NumChunks(gb))
-	for i := range nums {
-		nums[i] = i
-	}
-	return e.ComputeChunks(context.Background(), gb, nums)
-}
-
 // Close implements Backend; the in-process engine has nothing to release.
 func (e *Engine) Close() error { return nil }

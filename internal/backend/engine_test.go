@@ -144,7 +144,9 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
-func TestComputeGroupByTotalsMatchTable(t *testing.T) {
+// TestWholeGroupByTotalsMatchTable: every chunk of a group-by, computed in
+// one request, sums to the fact table's total.
+func TestWholeGroupByTotalsMatchTable(t *testing.T) {
 	e, tab := tinyEngine(t, LatencyModel{})
 	lat := e.Grid().Lattice()
 	var tableTotal float64
@@ -152,9 +154,9 @@ func TestComputeGroupByTotalsMatchTable(t *testing.T) {
 		tableTotal += tab.Value(i)
 	}
 	for _, id := range []lattice.ID{lat.Base(), lat.Top(), lattice.ID(3)} {
-		chunks, _, err := e.ComputeGroupBy(id)
+		chunks, _, err := e.ComputeChunks(context.Background(), id, allChunkNums(e.Grid(), id))
 		if err != nil {
-			t.Fatalf("ComputeGroupBy: %v", err)
+			t.Fatalf("ComputeChunks: %v", err)
 		}
 		var total float64
 		for _, c := range chunks {

@@ -152,8 +152,8 @@ func TestScanConcurrent(t *testing.T) {
 	wantEst := make([][]int64, lat.NumNodes())
 	for gb := range want {
 		var err error
-		if want[gb], _, err = e.ComputeGroupBy(lattice.ID(gb)); err != nil {
-			t.Fatalf("ComputeGroupBy: %v", err)
+		if want[gb], _, err = e.ComputeChunks(ctx, lattice.ID(gb), allChunkNums(g, lattice.ID(gb))); err != nil {
+			t.Fatalf("ComputeChunks: %v", err)
 		}
 		if wantEst[gb], err = e.EstimateScans(ctx, lattice.ID(gb), allChunkNums(g, lattice.ID(gb))); err != nil {
 			t.Fatalf("EstimateScans: %v", err)

@@ -100,8 +100,7 @@ func NewEnv(cfg Config) (*Env, error) {
 // BaseBytes returns the footprint of the base table in cache terms (one
 // cell per fact row).
 func (e *Env) BaseBytes() int64 {
-	return int64(e.Table.Len())*chunk.CellBytes +
-		int64(e.Grid.NumChunks(e.Grid.Lattice().Base()))*chunk.OverheadBytes
+	return chunk.Footprint(int64(e.Table.Len()), int64(e.Grid.NumChunks(e.Grid.Lattice().Base())))
 }
 
 // CacheSizes resolves the configured fractions into byte capacities.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"aggcache/internal/cache"
 	"aggcache/internal/core"
 	"aggcache/internal/workload"
 )
@@ -188,7 +189,7 @@ func Tiered(e *Env) (*Report, error) {
 	}
 	defer os.RemoveAll(dir)
 	snapPath := filepath.Join(dir, "cache.snap")
-	n, err := tieredSys.Engine.SaveCacheFile(snapPath)
+	n, err := cache.SaveSnapshotFile(snapPath, tieredSys.Engine.Cache(), e.Grid)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +198,7 @@ func Tiered(e *Env) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := restart.Engine.LoadCacheFile(snapPath); err != nil {
+	if _, err := cache.LoadSnapshotFile(snapPath, e.Grid, restart.Engine.Cache()); err != nil {
 		return nil, err
 	}
 	restartDelta, err := runSegment(restart, stream)

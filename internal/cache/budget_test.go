@@ -15,7 +15,7 @@ import (
 // hot and cold shares start at hotBytes and coldBytes.
 func budgetStore(t *testing.T, hotBytes, coldBytes int64, shards int) *Sharded {
 	t.Helper()
-	hot, err := New(hotBytes, NewLRU(), WithShards(shards))
+	hot, err := New(hotBytes, newLRU(), WithShards(shards))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -308,7 +308,7 @@ func TestBudgetNoColdNeverMoves(t *testing.T) {
 // and reads the move in TierStats and in the registered series.
 func TestBudgetMoveIsObservable(t *testing.T) {
 	reg := obs.NewRegistry()
-	hot, err := New(1_000, NewLRU(), WithMetrics(obs.NewCacheMetrics(reg)))
+	hot, err := New(1_000, newLRU(), WithMetrics(obs.NewCacheMetrics(reg)))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

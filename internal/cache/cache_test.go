@@ -42,7 +42,7 @@ func (r *recordingListener) OnEvent(ev Event) {
 }
 
 func TestCacheBasics(t *testing.T) {
-	c, err := New(10_000, NewBenefitClock())
+	c, err := New(10_000, newBenefitClock())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestCacheErrors(t *testing.T) {
-	if _, err := New(0, NewBenefitClock()); err == nil {
+	if _, err := New(0, newBenefitClock()); err == nil {
 		t.Errorf("capacity 0: expected error")
 	}
 	if _, err := New(100, nil); err == nil {
@@ -85,7 +85,7 @@ func TestCacheErrors(t *testing.T) {
 
 func TestCacheEvictsWhenFull(t *testing.T) {
 	// Each 10-cell chunk is 10*24+64 = 304 bytes; room for 2.
-	c, _ := New(700, NewBenefitClock())
+	c, _ := New(700, newBenefitClock())
 	l := &recordingListener{}
 	c.SetListener(l)
 	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
@@ -108,7 +108,7 @@ func TestCacheEvictsWhenFull(t *testing.T) {
 }
 
 func TestCacheOversizedChunkDenied(t *testing.T) {
-	c, _ := New(100, NewBenefitClock())
+	c, _ := New(100, newBenefitClock())
 	if c.Insert(key(1), mkChunk(0, 1, 100), AsBackend(1)) {
 		t.Fatalf("oversized chunk admitted")
 	}
@@ -118,7 +118,7 @@ func TestCacheOversizedChunkDenied(t *testing.T) {
 }
 
 func TestCacheReinsertRefreshes(t *testing.T) {
-	c, _ := New(10_000, NewBenefitClock())
+	c, _ := New(10_000, newBenefitClock())
 	c.Insert(key(1), mkChunk(0, 1, 10), AsComputed(1))
 	if !c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(50)) {
 		t.Fatalf("reinsert denied")
@@ -129,7 +129,7 @@ func TestCacheReinsertRefreshes(t *testing.T) {
 }
 
 func TestCachePinPreventsEviction(t *testing.T) {
-	c, _ := New(700, NewBenefitClock())
+	c, _ := New(700, newBenefitClock())
 	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
 	c.Insert(key(2), mkChunk(0, 2, 10), AsBackend(1))
 	if !c.Pin(key(1)) || !c.Pin(key(2)) {
@@ -155,7 +155,7 @@ func TestCachePinPreventsEviction(t *testing.T) {
 }
 
 func TestBenefitClockPrefersLowBenefit(t *testing.T) {
-	c, _ := New(700, NewBenefitClock())
+	c, _ := New(700, newBenefitClock())
 	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1e6)) // expensive
 	c.Insert(key(2), mkChunk(0, 2, 10), AsBackend(1))   // cheap
 	c.Insert(key(3), mkChunk(0, 3, 10), AsBackend(1e6))
@@ -301,7 +301,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 		if twoLevel {
 			p = NewTwoLevel()
 		} else {
-			p = NewBenefitClock()
+			p = newBenefitClock()
 		}
 		c, _ := New(2_000, p)
 		resident := make(map[Key]int64)
@@ -376,7 +376,7 @@ func (l *trackListener) OnEvent(ev Event) {
 // Regression: re-inserting a resident key must replace the stale payload and
 // re-charge the byte accounting for the delta.
 func TestCacheReplacePayload(t *testing.T) {
-	c, _ := New(10_000, NewBenefitClock())
+	c, _ := New(10_000, newBenefitClock())
 	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
 	if !c.Insert(key(1), mkChunk(0, 1, 20), AsBackend(2)) {
 		t.Fatalf("replacement insert denied")
@@ -402,7 +402,7 @@ func TestCacheReplacePayload(t *testing.T) {
 // Regression: a growing replacement that overflows the cache evicts victims,
 // never the entry being replaced.
 func TestCacheReplaceEvictsOnGrowth(t *testing.T) {
-	c, _ := New(700, NewBenefitClock())
+	c, _ := New(700, newBenefitClock())
 	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
 	c.Insert(key(2), mkChunk(0, 2, 10), AsBackend(1))
 	if !c.Insert(key(1), mkChunk(0, 1, 20), AsBackend(1)) {
@@ -424,7 +424,7 @@ func TestCacheReplaceEvictsOnGrowth(t *testing.T) {
 
 // Regression: an oversized replacement is denied and the old entry survives.
 func TestCacheReplaceOversizedKeepsOld(t *testing.T) {
-	c, _ := New(700, NewBenefitClock())
+	c, _ := New(700, newBenefitClock())
 	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
 	if c.Insert(key(1), mkChunk(0, 1, 30), AsBackend(1)) {
 		t.Fatalf("oversized replacement admitted")
@@ -462,7 +462,7 @@ func TestCacheReplaceClassMigratesRing(t *testing.T) {
 }
 
 func TestKeysAndClassString(t *testing.T) {
-	c, _ := New(10_000, NewBenefitClock())
+	c, _ := New(10_000, newBenefitClock())
 	c.Insert(key(1), mkChunk(0, 1, 1), AsBackend(1))
 	c.Insert(key(2), mkChunk(0, 2, 1), AsComputed(1))
 	if ks := keysOf(c); len(ks) != 2 {

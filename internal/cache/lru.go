@@ -1,36 +1,36 @@
 package cache
 
-// LRU is an exact least-recently-used replacement policy, provided as a
-// baseline against the paper's benefit-weighted CLOCK (which approximates
-// LRU) and the two-level policy. It ignores benefits and classes.
-type LRU struct {
+// lru is an exact least-recently-used replacement policy ("lru"), provided
+// as a baseline against the paper's benefit-weighted CLOCK (which
+// approximates LRU) and the two-level policy. It ignores benefits and
+// classes.
+type lru struct {
 	head, tail *Entry // head = most recent
 	n          int
 }
 
-// NewLRU returns the baseline policy.
-func NewLRU() *LRU { return &LRU{} }
+func newLRU() *lru { return &lru{} }
 
 // Name implements Policy.
-func (p *LRU) Name() string { return "lru" }
+func (p *lru) Name() string { return "lru" }
 
 // Added implements Policy.
-func (p *LRU) Added(e *Entry) { p.pushFront(e) }
+func (p *lru) Added(e *Entry) { p.pushFront(e) }
 
 // Removed implements Policy.
-func (p *LRU) Removed(e *Entry) { p.unlink(e) }
+func (p *lru) Removed(e *Entry) { p.unlink(e) }
 
 // Accessed implements Policy.
-func (p *LRU) Accessed(e *Entry) {
+func (p *lru) Accessed(e *Entry) {
 	p.unlink(e)
 	p.pushFront(e)
 }
 
 // Reinforced implements Policy: treated as an access.
-func (p *LRU) Reinforced(e *Entry, benefit float64) { p.Accessed(e) }
+func (p *lru) Reinforced(e *Entry, benefit float64) { p.Accessed(e) }
 
 // NextVictim implements Policy: the least recently used unpinned entry.
-func (p *LRU) NextVictim(Class) *Entry {
+func (p *lru) NextVictim(Class) *Entry {
 	for e := p.tail; e != nil; e = e.prev {
 		if !e.Pinned() {
 			return e
@@ -40,9 +40,9 @@ func (p *LRU) NextVictim(Class) *Entry {
 }
 
 // Fork implements Policy.
-func (p *LRU) Fork() Policy { return NewLRU() }
+func (p *lru) Fork() Policy { return newLRU() }
 
-func (p *LRU) pushFront(e *Entry) {
+func (p *lru) pushFront(e *Entry) {
 	e.prev = nil
 	e.next = p.head
 	if p.head != nil {
@@ -55,7 +55,7 @@ func (p *LRU) pushFront(e *Entry) {
 	p.n++
 }
 
-func (p *LRU) unlink(e *Entry) {
+func (p *lru) unlink(e *Entry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {

@@ -3,7 +3,7 @@ package cache
 import "testing"
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
-	c, _ := New(700, NewLRU()) // room for two 10-cell chunks
+	c, _ := New(700, newLRU()) // room for two 10-cell chunks
 	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
 	c.Insert(key(2), mkChunk(0, 2, 10), AsBackend(1))
 	// Touch 1 so 2 becomes the LRU victim.
@@ -19,7 +19,7 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 }
 
 func TestLRURespectsPins(t *testing.T) {
-	c, _ := New(700, NewLRU())
+	c, _ := New(700, newLRU())
 	c.Insert(key(1), mkChunk(0, 1, 10), AsBackend(1))
 	c.Insert(key(2), mkChunk(0, 2, 10), AsBackend(1))
 	c.Pin(key(1)) // 1 is the LRU entry but pinned
@@ -37,7 +37,7 @@ func TestLRURespectsPins(t *testing.T) {
 }
 
 func TestLRUReinforceCountsAsAccess(t *testing.T) {
-	c, _ := New(700, NewLRU())
+	c, _ := New(700, newLRU())
 	c.Insert(key(1), mkChunk(0, 1, 10), AsComputed(1))
 	c.Insert(key(2), mkChunk(0, 2, 10), AsComputed(1))
 	c.Reinforce([]Key{key(1)}, 100)
@@ -47,8 +47,8 @@ func TestLRUReinforceCountsAsAccess(t *testing.T) {
 	if !IsResident(c, key(1)) || IsResident(c, key(2)) {
 		t.Fatalf("reinforced entry was evicted")
 	}
-	if NewLRU().Name() != "lru" {
-		t.Fatalf("Name = %q", NewLRU().Name())
+	if newLRU().Name() != "lru" {
+		t.Fatalf("Name = %q", newLRU().Name())
 	}
 }
 

@@ -102,64 +102,79 @@ func (r *ring) sweep(only Class) *Entry {
 }
 
 // NewPolicy builds the replacement policy whose Name is name: benefit,
-// two-level, two-level-promote or lru.
+// two-level, two-level-promote or lru. It is the one way to build a policy.
 func NewPolicy(name string) (Policy, error) {
 	switch name {
 	case "benefit":
-		return NewBenefitClock(), nil
+		return newBenefitClock(), nil
 	case "two-level":
-		return NewTwoLevel(), nil
+		return newTwoLevel(false), nil
 	case "two-level-promote":
-		return NewTwoLevelPromote(), nil
+		return newTwoLevel(true), nil
 	case "lru":
-		return NewLRU(), nil
+		return newLRU(), nil
 	}
 	return nil, fmt.Errorf("cache: unknown policy %q", name)
 }
 
-// BenefitClock is the [DRSN98] baseline replacement policy: a CLOCK
-// approximation of LRU where each chunk's weight is its benefit (cost to
-// recompute), so highly aggregated, expensive chunks survive longer.
-type BenefitClock struct {
+// NewTwoLevel is NewPolicy("two-level"). It stays exported only because
+// the end-to-end benchmark module calls it.
+func NewTwoLevel() Policy { return newTwoLevel(false) }
+
+// NewTwoLevelPromote is NewPolicy("two-level-promote"). It stays exported
+// only because the end-to-end benchmark module calls it.
+func NewTwoLevelPromote() Policy { return newTwoLevel(true) }
+
+// benefitClock is the [DRSN98] baseline replacement policy ("benefit"): a
+// CLOCK approximation of LRU where each chunk's weight is its benefit (cost
+// to recompute), so highly aggregated, expensive chunks survive longer.
+type benefitClock struct {
 	r ring
 }
 
-// NewBenefitClock returns the baseline policy.
-func NewBenefitClock() *BenefitClock { return &BenefitClock{} }
+func newBenefitClock() *benefitClock { return &benefitClock{} }
 
 // Name implements Policy.
-func (p *BenefitClock) Name() string { return "benefit" }
+func (p *benefitClock) Name() string { return "benefit" }
 
 // Added implements Policy.
-func (p *BenefitClock) Added(e *Entry) {
+func (p *benefitClock) Added(e *Entry) {
 	e.clock = clockWeight(e.Benefit)
 	p.r.push(e)
 }
 
 // Removed implements Policy.
-func (p *BenefitClock) Removed(e *Entry) { p.r.drop(e) }
+func (p *benefitClock) Removed(e *Entry) { p.r.drop(e) }
 
 // Accessed implements Policy.
-func (p *BenefitClock) Accessed(e *Entry) { e.clock = clockWeight(e.Benefit) }
+func (p *benefitClock) Accessed(e *Entry) { e.clock = clockWeight(e.Benefit) }
 
 // Reinforced implements Policy. The baseline treats reinforcement as a plain
 // access (it has no group notion).
-func (p *BenefitClock) Reinforced(e *Entry, benefit float64) { p.Accessed(e) }
+func (p *benefitClock) Reinforced(e *Entry, benefit float64) { p.Accessed(e) }
 
 // NextVictim implements Policy; class is ignored by the baseline.
-func (p *BenefitClock) NextVictim(Class) *Entry { return p.r.sweep(anyClass) }
+func (p *benefitClock) NextVictim(Class) *Entry { return p.r.sweep(anyClass) }
 
 // Fork implements Policy.
-func (p *BenefitClock) Fork() Policy { return NewBenefitClock() }
+func (p *benefitClock) Fork() Policy { return newBenefitClock() }
 
-// TwoLevel is the paper's replacement policy (§6.3):
+// twoLevel is the paper's replacement policy (§6.3), "two-level":
 //
 //   - backend chunks have priority: they may replace cache-computed chunks
 //     but cache-computed chunks may never evict backend chunks;
 //   - within each class, replacement follows the benefit CLOCK;
 //   - chunks used together to compute an aggregate are reinforced by the
 //     aggregate's benefit, keeping useful groups resident.
-type TwoLevel struct {
+//
+// With promote set ("two-level-promote", promote-on-reuse), a
+// computed-class entry that gets reinforced (i.e. it actually served as an
+// aggregation input after being admitted) migrates to the protected ring,
+// so proven-useful recycled intermediates stop competing with speculative
+// ones. Entry.Class still records provenance (a promoted entry remains
+// ClassComputed); only its replacement ring changes. The plain policy keeps
+// the paper's exact §6.3 semantics for reproducing its experiments.
+type twoLevel struct {
 	backend  ring
 	computed ring
 	promote  bool
@@ -169,36 +184,22 @@ type TwoLevel struct {
 	promoted int
 }
 
-// NewTwoLevel returns the paper's two-level policy.
-func NewTwoLevel() *TwoLevel {
-	p := &TwoLevel{}
+func newTwoLevel(promote bool) *twoLevel {
+	p := &twoLevel{promote: promote}
 	p.backend.id = 0
 	p.computed.id = 1
 	return p
 }
 
-// NewTwoLevelPromote returns the two-level policy with promote-on-reuse:
-// a computed-class entry that gets reinforced (i.e. it actually served as an
-// aggregation input after being admitted) migrates to the protected ring, so
-// proven-useful recycled intermediates stop competing with speculative ones.
-// Entry.Class still records provenance (a promoted entry remains
-// ClassComputed); only its replacement ring changes. The plain NewTwoLevel
-// keeps the paper's exact §6.3 semantics for reproducing its experiments.
-func NewTwoLevelPromote() *TwoLevel {
-	p := NewTwoLevel()
-	p.promote = true
-	return p
-}
-
 // Name implements Policy.
-func (p *TwoLevel) Name() string {
+func (p *twoLevel) Name() string {
 	if p.promote {
 		return "two-level-promote"
 	}
 	return "two-level"
 }
 
-func (p *TwoLevel) ringOf(e *Entry) *ring {
+func (p *twoLevel) ringOf(e *Entry) *ring {
 	if e.ringID == 0 {
 		return &p.backend
 	}
@@ -209,7 +210,7 @@ func (p *TwoLevel) ringOf(e *Entry) *ring {
 // are probationary: they enter at the minimum clock weight so unproven
 // chunks are the first reclaimed, and earn their benefit-derived weight with
 // the first reinforcement (which also promotes them to the protected ring).
-func (p *TwoLevel) Added(e *Entry) {
+func (p *twoLevel) Added(e *Entry) {
 	e.clock = clockWeight(e.Benefit)
 	if e.Class == ClassBackend {
 		p.backend.push(e)
@@ -222,7 +223,7 @@ func (p *TwoLevel) Added(e *Entry) {
 }
 
 // Removed implements Policy.
-func (p *TwoLevel) Removed(e *Entry) {
+func (p *twoLevel) Removed(e *Entry) {
 	if e.ringID == p.backend.id && e.Class != ClassBackend {
 		p.promoted--
 	}
@@ -230,13 +231,13 @@ func (p *TwoLevel) Removed(e *Entry) {
 }
 
 // Accessed implements Policy.
-func (p *TwoLevel) Accessed(e *Entry) { e.clock = clockWeight(e.Benefit) }
+func (p *twoLevel) Accessed(e *Entry) { e.clock = clockWeight(e.Benefit) }
 
 // Reinforced implements Policy: add the aggregate's (log-scaled) benefit to
 // the member's clock, capped so entries stay evictable eventually. Under
 // promote-on-reuse, the first reinforcement of a computed-ring entry also
 // moves it to the protected ring.
-func (p *TwoLevel) Reinforced(e *Entry, benefit float64) {
+func (p *twoLevel) Reinforced(e *Entry, benefit float64) {
 	e.clock += clockWeight(benefit)
 	if e.clock > maxClock {
 		e.clock = maxClock
@@ -255,7 +256,7 @@ func (p *TwoLevel) Reinforced(e *Entry, benefit float64) {
 // ring: promoted intermediates are reclaimable as a last resort, true
 // backend fills never are — otherwise promotions would slowly lock the whole
 // cache against fresh computed inserts.
-func (p *TwoLevel) NextVictim(cl Class) *Entry {
+func (p *twoLevel) NextVictim(cl Class) *Entry {
 	if cl == ClassComputed {
 		if v := p.computed.sweep(anyClass); v != nil {
 			return v
@@ -272,9 +273,4 @@ func (p *TwoLevel) NextVictim(cl Class) *Entry {
 }
 
 // Fork implements Policy, preserving the promote-on-reuse setting.
-func (p *TwoLevel) Fork() Policy {
-	if p.promote {
-		return NewTwoLevelPromote()
-	}
-	return NewTwoLevel()
-}
+func (p *twoLevel) Fork() Policy { return newTwoLevel(p.promote) }

@@ -58,7 +58,7 @@ func TestNewShardSelection(t *testing.T) {
 	}
 	// Requested counts round up to a power of two and cap at MaxShards.
 	for _, tc := range []struct{ ask, want int }{{2, 2}, {3, 4}, {16, 16}, {33, 64}, {1000, MaxShards}} {
-		s, err := New(1_000_000, NewLRU(), WithShards(tc.ask))
+		s, err := New(1_000_000, newLRU(), WithShards(tc.ask))
 		if err != nil {
 			t.Fatalf("WithShards(%d): %v", tc.ask, err)
 		}
@@ -67,7 +67,7 @@ func TestNewShardSelection(t *testing.T) {
 		}
 	}
 	// Auto (n = 0) must build a valid store whatever GOMAXPROCS is.
-	s, err := New(1000, NewLRU(), WithShards(0))
+	s, err := New(1000, newLRU(), WithShards(0))
 	if err != nil {
 		t.Fatalf("WithShards(0): %v", err)
 	}
@@ -75,7 +75,7 @@ func TestNewShardSelection(t *testing.T) {
 		t.Fatalf("auto store has %d stripes", n)
 	}
 	// Invalid direct constructions are rejected.
-	if _, err := newSharded(1000, 3, NewLRU(), obs.CacheMetrics{}); err == nil {
+	if _, err := newSharded(1000, 3, newLRU(), obs.CacheMetrics{}); err == nil {
 		t.Fatalf("newSharded accepted a non-power-of-two count")
 	}
 }
@@ -155,7 +155,7 @@ func TestShardedBasics(t *testing.T) {
 // 2-shard store, aiming keys at specific stripes.
 func TestShardedPinInterleavings(t *testing.T) {
 	// Capacity for 4 chunks of 304 bytes; per-shard limit is 912 (3 chunks).
-	c, err := New(4*304, NewBenefitClock(), WithShards(2))
+	c, err := New(4*304, newBenefitClock(), WithShards(2))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestShardedPinInterleavings(t *testing.T) {
 // when it binds the inserting shard evicts locally.
 func TestShardedCapacityBorrowing(t *testing.T) {
 	const chunkBytes = 304 // 10 cells
-	c, err := New(4*chunkBytes, NewBenefitClock(), WithShards(2))
+	c, err := New(4*chunkBytes, newBenefitClock(), WithShards(2))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -260,7 +260,7 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	// Edge: the stripe limit shares capacity, it does not bound admission. A
 	// chunk above it takes its stripe alone — evicting the stripe's unpinned
 	// residents — as long as the global pool has room.
-	c2, _ := New(1000, NewBenefitClock(), WithShards(2))
+	c2, _ := New(1000, newBenefitClock(), WithShards(2))
 	small := shardKey(c2, 0, 0)
 	bigKey := shardKey(c2, 0, int(small.Num)+1)
 	other := shardKey(c2, 1, 0)
@@ -282,7 +282,7 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 	}
 	// With its stripe empty, only the global pool can refuse it: the other
 	// stripe's bytes are not this stripe's to evict.
-	c2, _ = New(1000, NewBenefitClock(), WithShards(2))
+	c2, _ = New(1000, newBenefitClock(), WithShards(2))
 	c2.Insert(other, mkChunk(0, int(other.Num), 10), AsBackend(1)) // 304 bytes
 	if c2.Insert(bigKey, big, AsBackend(1)) {
 		t.Fatalf("784 bytes admitted beside 304 in a 1000-byte store")
@@ -310,7 +310,7 @@ func TestShardedCapacityBorrowing(t *testing.T) {
 
 	// Degenerate: capacity below the shard count would give a zero per-shard
 	// limit; the store falls back to the global bound only.
-	c3, _ := New(50, NewBenefitClock(), WithShards(64))
+	c3, _ := New(50, newBenefitClock(), WithShards(64))
 	if c3.stripeLimit(c3.capacity) != c3.capacity {
 		t.Fatalf("degenerate limit = %d, want the full capacity %d", c3.stripeLimit(c3.capacity), c3.capacity)
 	}
@@ -538,8 +538,8 @@ func TestOneStripeMatchesRecordedReference(t *testing.T) {
 		policy Policy
 		want   string
 	}{
-		{NewLRU(), "02460f8d82fd4ed68e0d569404ac859a709cbebaf0d4b4c1dbbf0bf7fe3ca332"},
-		{NewBenefitClock(), "0553a3eefe8a93c5db5121bb2e6dcd5873fd952e8c3da515aebea2eda345cfb9"},
+		{newLRU(), "02460f8d82fd4ed68e0d569404ac859a709cbebaf0d4b4c1dbbf0bf7fe3ca332"},
+		{newBenefitClock(), "0553a3eefe8a93c5db5121bb2e6dcd5873fd952e8c3da515aebea2eda345cfb9"},
 		{NewTwoLevel(), "a95cc9f0145be55a9606aa2e7246a62b3cb312f7c82f95b362099dbb216c9a0b"},
 		{NewTwoLevelPromote(), "3381758fb9ceb9433c3a73850ac94add667f52541cfab01a10987d8967a89040"},
 	} {

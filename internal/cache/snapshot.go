@@ -3,6 +3,7 @@ package cache
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
@@ -22,11 +24,12 @@ import (
 // chunk, each carrying its residency attributes and a codec-compressed
 // payload guarded by a CRC. Records are framed so the file can be produced
 // by appending and consumed record-at-a-time; a torn tail (the process died
-// mid-write) or a flipped bit fails that record's CRC and loading stops
-// there with an error — the caller decides whether the prefix read so far
-// is worth keeping (the daemon keeps it: a partially warm cache beats a cold
-// one). The header carries a fingerprint of the chunk grid the keys index
-// into, so a snapshot taken at one scale never loads into another.
+// mid-write) or a flipped bit fails that record's CRC, a key outside the
+// grid fails its range check, and loading stops there with an error — the
+// caller decides whether the prefix admitted so far is worth keeping (the
+// daemon keeps it: a partially warm cache beats a cold one). The header
+// carries a fingerprint of the chunk grid the keys index into, so a
+// snapshot taken at one scale never loads into another.
 //
 // Layout, all little-endian:
 //
@@ -65,14 +68,25 @@ func snapErr(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, ErrSnapshot)...)
 }
 
-// SnapshotEntry is one record of a snapshot log: a chunk with the residency
+// snapRecord is one record of a snapshot log: a chunk with the residency
 // attributes a load needs to reinsert it faithfully.
-type SnapshotEntry struct {
-	Key      Key
-	Data     *chunk.Chunk
-	Class    Class
-	Benefit  float64
-	Recycled bool
+type snapRecord struct {
+	key      Key
+	data     *chunk.Chunk
+	class    Class
+	benefit  float64
+	recycled bool
+}
+
+// insertOption is the admission that restores r's class and benefit.
+func (r snapRecord) insertOption() InsertOption {
+	switch {
+	case r.recycled:
+		return AsRecycled(r.benefit)
+	case r.class == ClassComputed:
+		return AsComputed(r.benefit)
+	}
+	return AsBackend(r.benefit)
 }
 
 // gridFingerprint hashes the geometry a snapshot's keys index into: per
@@ -116,8 +130,8 @@ func writeSnapshot(w io.Writer, s Store, g *chunk.Grid) (int, error) {
 		if werr != nil {
 			return
 		}
-		buf = appendSnapshotRecord(buf[:0], SnapshotEntry{
-			Key: k, Data: data, Class: cl, Benefit: benefit, Recycled: recycled,
+		buf = appendSnapshotRecord(buf[:0], snapRecord{
+			key: k, data: data, class: cl, benefit: benefit, recycled: recycled,
 		})
 		if _, err := bw.Write(buf); err != nil {
 			werr = err
@@ -132,89 +146,93 @@ func writeSnapshot(w io.Writer, s Store, g *chunk.Grid) (int, error) {
 }
 
 // appendSnapshotRecord appends one framed record to dst.
-func appendSnapshotRecord(dst []byte, e SnapshotEntry) []byte {
-	body := make([]byte, 0, 18+chunk.EncodedSize(e.Data))
-	body = binary.LittleEndian.AppendUint32(body, uint32(int32(e.Key.GB)))
-	body = binary.LittleEndian.AppendUint32(body, uint32(e.Key.Num))
+func appendSnapshotRecord(dst []byte, r snapRecord) []byte {
+	body := make([]byte, 0, 18+chunk.EncodedSize(r.data))
+	body = binary.LittleEndian.AppendUint32(body, uint32(int32(r.key.GB)))
+	body = binary.LittleEndian.AppendUint32(body, uint32(r.key.Num))
 	var flags byte
-	if e.Recycled {
+	if r.recycled {
 		flags |= snapRecycled
 	}
-	body = append(body, byte(e.Class), flags)
-	body = binary.LittleEndian.AppendUint64(body, math.Float64bits(e.Benefit))
-	body = chunk.AppendPayload(body, e.Data)
+	body = append(body, byte(r.class), flags)
+	body = binary.LittleEndian.AppendUint64(body, math.Float64bits(r.benefit))
+	body = chunk.AppendPayload(body, r.data)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 	return append(dst, body...)
 }
 
-// readSnapshot parses the snapshot log in src (a whole file) and calls fn
-// for each record in file order. A header that does not match the format
-// version or grid g fails before any record is delivered; past the header
-// it stops at the first corruption. Either way the error wraps ErrSnapshot,
-// and records already delivered stand. fn may return an error to abort the
-// scan; that error is returned verbatim.
-func readSnapshot(src []byte, g *chunk.Grid, fn func(e SnapshotEntry) error) error {
+// readSnapshot parses the snapshot log in src (a whole file) and returns its
+// records in file order. A header that does not match the format version or
+// grid g fails before any record is read; past the header the scan stops at
+// the first corrupt record — torn, failing its CRC, or naming a chunk
+// outside g — and returns the records before it. Any such failure wraps
+// ErrSnapshot.
+func readSnapshot(src []byte, g *chunk.Grid) ([]snapRecord, error) {
 	if len(src) < snapHeaderLen || !bytes.Equal(src[:len(snapMagic)], snapMagic[:]) {
-		return snapErr("cache: snapshot magic/version mismatch")
+		return nil, snapErr("cache: snapshot magic/version mismatch")
 	}
 	if binary.LittleEndian.Uint64(src[len(snapMagic):]) != gridFingerprint(g) {
-		return snapErr("cache: snapshot was written for a different chunk grid")
+		return nil, snapErr("cache: snapshot was written for a different chunk grid")
 	}
+	var recs []snapRecord
 	rest := src[snapHeaderLen:]
 	for len(rest) > 0 {
 		if len(rest) < 8 {
-			return snapErr("cache: snapshot record header truncated")
+			return recs, snapErr("cache: snapshot record header truncated")
 		}
 		length := binary.LittleEndian.Uint32(rest)
 		sum := binary.LittleEndian.Uint32(rest[4:])
 		rest = rest[8:]
 		if length > snapMaxRecord {
-			return snapErr("cache: snapshot record length %d exceeds limit", length)
+			return recs, snapErr("cache: snapshot record length %d exceeds limit", length)
 		}
 		if uint32(len(rest)) < length {
-			return snapErr("cache: snapshot record body truncated (want %d bytes, have %d)", length, len(rest))
+			return recs, snapErr("cache: snapshot record body truncated (want %d bytes, have %d)", length, len(rest))
 		}
 		body := rest[:length]
 		rest = rest[length:]
 		if crc32.ChecksumIEEE(body) != sum {
-			return snapErr("cache: snapshot record checksum mismatch")
+			return recs, snapErr("cache: snapshot record checksum mismatch")
 		}
-		e, err := decodeSnapshotBody(body)
+		r, err := decodeSnapshotBody(body, g)
 		if err != nil {
-			return err
+			return recs, err
 		}
-		if err := fn(e); err != nil {
-			return err
-		}
+		recs = append(recs, r)
 	}
-	return nil
+	return recs, nil
 }
 
-// decodeSnapshotBody parses one CRC-validated record body.
-func decodeSnapshotBody(body []byte) (SnapshotEntry, error) {
+// decodeSnapshotBody parses one CRC-validated record body whose key must
+// name a chunk of grid g.
+func decodeSnapshotBody(body []byte, g *chunk.Grid) (snapRecord, error) {
 	if len(body) < 18 {
-		return SnapshotEntry{}, snapErr("cache: snapshot record body too short")
+		return snapRecord{}, snapErr("cache: snapshot record body too short")
 	}
-	var e SnapshotEntry
-	e.Key.GB = lattice.ID(int32(binary.LittleEndian.Uint32(body)))
-	e.Key.Num = int32(binary.LittleEndian.Uint32(body[4:]))
-	e.Class = Class(body[8])
-	if e.Class != ClassBackend && e.Class != ClassComputed {
-		return SnapshotEntry{}, snapErr("cache: snapshot record has unknown class %d", body[8])
+	var r snapRecord
+	r.key.GB = lattice.ID(int32(binary.LittleEndian.Uint32(body)))
+	r.key.Num = int32(binary.LittleEndian.Uint32(body[4:]))
+	if r.key.GB < 0 || int(r.key.GB) >= g.Lattice().NumNodes() ||
+		r.key.Num < 0 || int(r.key.Num) >= g.NumChunks(r.key.GB) {
+		return snapRecord{}, snapErr("cache: snapshot record %v outside the chunk grid", r.key)
+	}
+	r.class = Class(body[8])
+	if r.class != ClassBackend && r.class != ClassComputed {
+		return snapRecord{}, snapErr("cache: snapshot record has unknown class %d", body[8])
 	}
 	flags := body[9]
 	if flags&^snapRecycled != 0 {
-		return SnapshotEntry{}, snapErr("cache: snapshot record has unknown flags %#x", flags)
+		return snapRecord{}, snapErr("cache: snapshot record has unknown flags %#x", flags)
 	}
-	e.Recycled = flags&snapRecycled != 0
-	e.Benefit = math.Float64frombits(binary.LittleEndian.Uint64(body[10:]))
-	data, err := chunk.DecodePayload(e.Key.GB, e.Key.Num, body[18:])
+	r.recycled = flags&snapRecycled != 0
+	r.benefit = math.Float64frombits(binary.LittleEndian.Uint64(body[10:]))
+	data, err := chunk.DecodePayload(r.key.GB, r.key.Num, body[18:])
 	if err != nil {
-		return SnapshotEntry{}, snapErr("cache: snapshot record payload: %v", err)
+		return snapRecord{}, snapErr("cache: snapshot record payload: %v", err)
 	}
-	e.Data = data
-	return e, nil
+	r.data = data
+	return r, nil
 }
 
 // SaveSnapshotFile writes a snapshot of s, whose keys index into grid g, to
@@ -245,13 +263,33 @@ func SaveSnapshotFile(path string, s Store, g *chunk.Grid) (int, error) {
 	return n, nil
 }
 
-// LoadSnapshotFile reads the snapshot at path, which must have been written
-// over grid g, and streams its records to fn; see readSnapshot for the
-// corruption contract. A missing file is reported as os.ErrNotExist.
-func LoadSnapshotFile(path string, g *chunk.Grid, fn func(e SnapshotEntry) error) error {
+// LoadSnapshotFile restores the snapshot at path, which must have been
+// written over grid g, into s, and returns the number of chunks s admitted.
+// Every record goes in through s.Insert with its saved class and benefit, so
+// the store's listeners (a lookup strategy's counts and costs) see a normal
+// admission. Records are inserted in descending benefit order, so with a
+// cold tier the hot tier fills benefit-first and what overflows demotes.
+// Replacement state (clock weights, ring membership) is not saved;
+// reloaded chunks start fresh.
+//
+// A missing file is reported as os.ErrNotExist. A snapshot of another grid
+// fails with an ErrSnapshot-wrapped error before anything is admitted. A
+// corrupt record (a torn tail from a crash mid-write, a flipped bit, a key
+// outside g) stops the scan: the records before it are admitted and the
+// ErrSnapshot-wrapped error is returned alongside their count, so the
+// caller can choose a partially warm cache over a cold one.
+func LoadSnapshotFile(path string, g *chunk.Grid, s Store) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return readSnapshot(data, g, fn)
+	recs, err := readSnapshot(data, g)
+	slices.SortStableFunc(recs, func(a, b snapRecord) int { return cmp.Compare(b.benefit, a.benefit) })
+	admitted := 0
+	for _, r := range recs {
+		if s.Insert(r.key, r.data, r.insertOption()) {
+			admitted++
+		}
+	}
+	return admitted, err
 }

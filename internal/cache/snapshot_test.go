@@ -5,16 +5,21 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"aggcache/internal/chunk"
 	"aggcache/internal/chunk/chunktest"
+	"aggcache/internal/lattice"
 )
 
-// snapGrid is the grid the store snapshots are keyed over; the store tests
-// never check keys against it, only the header fingerprint does.
+// snapGrid is the grid the store snapshots are keyed over; a load admits
+// only keys that name one of its chunks.
 var snapGrid = chunktest.StarGrid()
+
+// snapKey is the i-th base chunk of snapGrid.
+func snapKey(i int) Key { return Key{GB: snapGrid.Lattice().Base(), Num: int32(i)} }
 
 // snapAttrs is the per-key view the equivalence tests compare.
 type snapAttrs struct {
@@ -33,9 +38,8 @@ func storeContents(s Store) map[Key]snapAttrs {
 	return out
 }
 
-// populatedTiered builds a tiered store with a mixed population: backend,
-// computed and recycled chunks across both tiers.
-func populatedTiered(t *testing.T) Store {
+// newSnapStore builds the tiered store the snapshot tests save and load.
+func newSnapStore(t *testing.T) Store {
 	t.Helper()
 	hot, err := New(4*mkChunk(0, 0, 10).Bytes(), NewTwoLevelPromote())
 	if err != nil {
@@ -45,14 +49,33 @@ func populatedTiered(t *testing.T) Store {
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
 	}
+	return tc
+}
+
+// populatedTiered builds a tiered store with a mixed population: backend,
+// computed and recycled chunks across both tiers.
+func populatedTiered(t *testing.T) Store {
+	t.Helper()
+	tc := newSnapStore(t)
 	opts := []InsertOption{
 		AsBackend(0), AsBackend(3), AsComputed(5), AsRecycled(7),
 		AsComputed(2), AsBackend(1), AsRecycled(4), AsComputed(9),
 	}
 	for i, opt := range opts { // over hot capacity: half demote to cold
-		tc.Insert(key(i), mkChunk(0, i, 5+i), opt)
+		tc.Insert(snapKey(i), mkChunk(0, i, 5+i), opt)
 	}
 	return tc
+}
+
+// writeLog is writeSnapshot into memory.
+func writeLog(t *testing.T, s Store) ([]byte, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := writeSnapshot(&buf, s, snapGrid)
+	if err != nil {
+		t.Fatalf("writeSnapshot: %v", err)
+	}
+	return buf.Bytes(), n
 }
 
 // TestSnapshotWriteLoadEquivalence pins the warm-restart contract: a
@@ -62,25 +85,21 @@ func populatedTiered(t *testing.T) Store {
 func TestSnapshotWriteLoadEquivalence(t *testing.T) {
 	src := populatedTiered(t)
 	want := storeContents(src)
-
-	var buf bytes.Buffer
-	n, err := writeSnapshot(&buf, src, snapGrid)
-	if err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
-	}
+	log, n := writeLog(t, src)
 	if n != len(want) || n != src.Len() {
 		t.Fatalf("wrote %d records, store has %d", n, src.Len())
 	}
 
-	got := map[Key]snapAttrs{}
-	if err := readSnapshot(buf.Bytes(), snapGrid, func(e SnapshotEntry) error {
-		if e.Data.GB != e.Key.GB || e.Data.Num != e.Key.Num {
-			t.Fatalf("record %v: chunk stamped (%d,%d)", e.Key, e.Data.GB, e.Data.Num)
-		}
-		got[e.Key] = snapAttrs{cells: len(e.Data.Keys), class: e.Class, benefit: e.Benefit, recycled: e.Recycled}
-		return nil
-	}); err != nil {
+	recs, err := readSnapshot(log, snapGrid)
+	if err != nil {
 		t.Fatalf("readSnapshot: %v", err)
+	}
+	got := map[Key]snapAttrs{}
+	for _, r := range recs {
+		if r.data.GB != r.key.GB || r.data.Num != r.key.Num {
+			t.Fatalf("record %v: chunk stamped (%d,%d)", r.key, r.data.GB, r.data.Num)
+		}
+		got[r.key] = snapAttrs{cells: len(r.data.Keys), class: r.class, benefit: r.benefit, recycled: r.recycled}
 	}
 	if len(got) != len(want) {
 		t.Fatalf("read %d records, want %d", len(got), len(want))
@@ -94,7 +113,8 @@ func TestSnapshotWriteLoadEquivalence(t *testing.T) {
 
 // TestSnapshotFileKillLoad simulates the daemon's kill/restart: save to disk,
 // discard the process state, load into a fresh identically-configured store
-// and check the restarted store answers every key with the saved payload.
+// and check the restarted store holds every key with the saved payload,
+// class, benefit and recycled mark.
 func TestSnapshotFileKillLoad(t *testing.T) {
 	src := populatedTiered(t)
 	want := storeContents(src)
@@ -108,115 +128,121 @@ func TestSnapshotFileKillLoad(t *testing.T) {
 		t.Fatalf("saved %d records, want %d", n, len(want))
 	}
 
-	hot, err := New(4*mkChunk(0, 0, 10).Bytes(), NewTwoLevelPromote())
+	restarted := newSnapStore(t)
+	admitted, err := LoadSnapshotFile(path, snapGrid, restarted)
 	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	restarted, err := NewTiered(hot, 8192)
-	if err != nil {
-		t.Fatalf("NewTiered: %v", err)
-	}
-	if err := LoadSnapshotFile(path, snapGrid, func(e SnapshotEntry) error {
-		opt := AsBackend(e.Benefit)
-		if e.Recycled {
-			opt = AsRecycled(e.Benefit)
-		} else if e.Class == ClassComputed {
-			opt = AsComputed(e.Benefit)
-		}
-		restarted.Insert(e.Key, e.Data, opt)
-		return nil
-	}); err != nil {
 		t.Fatalf("LoadSnapshotFile: %v", err)
 	}
+	if admitted != len(want) {
+		t.Fatalf("admitted %d, want %d", admitted, len(want))
+	}
+	got := storeContents(restarted)
 	for k, w := range want {
-		data, ok := restarted.Peek(k)
-		if !ok {
-			t.Fatalf("key %v lost across restart", k)
-		}
-		if len(data.Keys) != w.cells {
-			t.Fatalf("key %v: %d cells after restart, want %d", k, len(data.Keys), w.cells)
+		if got[k] != w {
+			t.Fatalf("key %v after restart: %+v, want %+v", k, got[k], w)
 		}
 	}
 
-	if err := LoadSnapshotFile(filepath.Join(t.TempDir(), "absent.snap"), snapGrid, func(SnapshotEntry) error { return nil }); !os.IsNotExist(err) {
+	if _, err := LoadSnapshotFile(filepath.Join(t.TempDir(), "absent.snap"), snapGrid, restarted); !os.IsNotExist(err) {
 		t.Fatalf("missing file: err = %v, want not-exist", err)
 	}
 }
 
+// insertLog is a Store that records the benefit of every Insert it passes
+// on, in call order.
+type insertLog struct {
+	Store
+	benefits []float64
+}
+
+func (l *insertLog) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
+	l.benefits = append(l.benefits, applyInsertOptions(opts).benefit)
+	return l.Store.Insert(k, data, opts...)
+}
+
+// TestSnapshotLoadInsertsByBenefit: the load admits records most valuable
+// first, whatever their order in the file, so a store smaller than the one
+// saved fills benefit-first.
+func TestSnapshotLoadInsertsByBenefit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	if _, err := SaveSnapshotFile(path, populatedTiered(t), snapGrid); err != nil {
+		t.Fatalf("SaveSnapshotFile: %v", err)
+	}
+	dst := &insertLog{Store: newSnapStore(t)}
+	if _, err := LoadSnapshotFile(path, snapGrid, dst); err != nil {
+		t.Fatalf("LoadSnapshotFile: %v", err)
+	}
+	want := []float64{9, 7, 5, 4, 3, 2, 1, 0}
+	if !slices.Equal(dst.benefits, want) {
+		t.Fatalf("insert order by benefit %v, want %v", dst.benefits, want)
+	}
+}
+
 // TestSnapshotTornTail: a process killed mid-write leaves a truncated final
-// record; loading must deliver every complete record, then fail with
+// record; reading must return every complete record, then fail with
 // ErrSnapshot — the partial-warm-restart contract.
 func TestSnapshotTornTail(t *testing.T) {
-	src := populatedTiered(t)
-	var buf bytes.Buffer
-	n, err := writeSnapshot(&buf, src, snapGrid)
-	if err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
-	}
-	torn := buf.Bytes()[:buf.Len()-5]
-
-	delivered := 0
-	err = readSnapshot(torn, snapGrid, func(SnapshotEntry) error { delivered++; return nil })
+	log, n := writeLog(t, populatedTiered(t))
+	recs, err := readSnapshot(log[:len(log)-5], snapGrid)
 	if !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("torn tail: err = %v, want ErrSnapshot", err)
 	}
-	if delivered != n-1 {
-		t.Fatalf("torn tail delivered %d records, want the %d complete ones", delivered, n-1)
+	if len(recs) != n-1 {
+		t.Fatalf("torn tail read %d records, want the %d complete ones", len(recs), n-1)
 	}
 }
 
 // TestSnapshotCorruption: flipped bits fail the record CRC; bad magic,
 // oversized lengths and another grid's fingerprint are rejected before any
-// allocation.
+// allocation; a CRC-valid record naming a chunk outside the grid stops the
+// scan like a torn one.
 func TestSnapshotCorruption(t *testing.T) {
-	src := populatedTiered(t)
-	var buf bytes.Buffer
-	if _, err := writeSnapshot(&buf, src, snapGrid); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
-	}
+	log, n := writeLog(t, populatedTiered(t))
 
 	// Flip one payload byte in the middle of the file.
-	bad := bytes.Clone(buf.Bytes())
+	bad := bytes.Clone(log)
 	bad[len(bad)/2] ^= 0x40
-	err := readSnapshot(bad, snapGrid, func(SnapshotEntry) error { return nil })
-	if !errors.Is(err, ErrSnapshot) {
+	if _, err := readSnapshot(bad, snapGrid); !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("bit flip: err = %v, want ErrSnapshot", err)
 	}
 
-	if err := readSnapshot([]byte("not a snapshot"), snapGrid, func(SnapshotEntry) error { return nil }); !errors.Is(err, ErrSnapshot) {
+	if _, err := readSnapshot([]byte("not a snapshot"), snapGrid); !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("bad magic: err = %v, want ErrSnapshot", err)
 	}
-	if err := readSnapshot(nil, snapGrid, func(SnapshotEntry) error { return nil }); !errors.Is(err, ErrSnapshot) {
+	if _, err := readSnapshot(nil, snapGrid); !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("empty input: err = %v, want ErrSnapshot", err)
 	}
 
 	// A huge declared record length is rejected by the bound, not malloc'd.
-	huge := append(bytes.Clone(buf.Bytes()[:snapHeaderLen]), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0)
-	if err := readSnapshot(huge, snapGrid, func(SnapshotEntry) error { return nil }); !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), "exceeds limit") {
+	huge := append(bytes.Clone(log[:snapHeaderLen]), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0)
+	if _, err := readSnapshot(huge, snapGrid); !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized record: err = %v, want the ErrSnapshot length bound", err)
 	}
 
-	// A header fingerprint that is not the reader's grid delivers nothing.
-	other := bytes.Clone(buf.Bytes())
+	// A header fingerprint that is not the reader's grid reads nothing.
+	other := bytes.Clone(log)
 	other[len(snapMagic)] ^= 0x01
-	delivered := 0
-	err = readSnapshot(other, snapGrid, func(SnapshotEntry) error { delivered++; return nil })
-	if !errors.Is(err, ErrSnapshot) || delivered != 0 {
-		t.Fatalf("foreign grid: err = %v after %d records, want ErrSnapshot before any", err, delivered)
+	if recs, err := readSnapshot(other, snapGrid); !errors.Is(err, ErrSnapshot) || len(recs) != 0 {
+		t.Fatalf("foreign grid: err = %v after %d records, want ErrSnapshot before any", err, len(recs))
 	}
-}
 
-// TestSnapshotCallbackAbort: fn's error aborts the scan and surfaces
-// verbatim, not wrapped as corruption.
-func TestSnapshotCallbackAbort(t *testing.T) {
-	src := populatedTiered(t)
-	var buf bytes.Buffer
-	if _, err := writeSnapshot(&buf, src, snapGrid); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
-	}
-	sentinel := errors.New("stop here")
-	err := readSnapshot(buf.Bytes(), snapGrid, func(SnapshotEntry) error { return sentinel })
-	if !errors.Is(err, sentinel) || errors.Is(err, ErrSnapshot) {
-		t.Fatalf("callback abort: err = %v, want the sentinel verbatim", err)
+	// A key outside the grid stops the scan; the records after it are not
+	// read.
+	lat := snapGrid.Lattice()
+	data := mkChunk(0, 0, 3)
+	for _, k := range []Key{
+		{GB: lat.Base(), Num: int32(snapGrid.NumChunks(lat.Base()))},
+		{GB: lattice.ID(lat.NumNodes()), Num: 0},
+		{GB: -1, Num: 0},
+	} {
+		stray := appendSnapshotRecord(bytes.Clone(log), snapRecord{key: k, data: data})
+		stray = appendSnapshotRecord(stray, snapRecord{key: snapKey(9), data: data})
+		recs, err := readSnapshot(stray, snapGrid)
+		if !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), "outside the chunk grid") {
+			t.Fatalf("key %v: err = %v, want the ErrSnapshot grid check", k, err)
+		}
+		if len(recs) != n {
+			t.Fatalf("key %v: read %d records, want the %d before it", k, len(recs), n)
+		}
 	}
 }

@@ -25,7 +25,7 @@ var coldSlot = int64(chunk.EncodedSize(mkChunk(0, 0, 10))) + coldEntryOverhead +
 // with a recording listener attached.
 func tieredFixture(t *testing.T, coldBytes int64) (*Sharded, *recordingListener) {
 	t.Helper()
-	hot, err := New(mkChunk(0, 0, 10).Bytes()+8, NewLRU())
+	hot, err := New(mkChunk(0, 0, 10).Bytes()+8, newLRU())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestTieredColdPinNeedsNoHotRoom(t *testing.T) {
 // and the cold tier's pinned bytes return to zero once the last pin has been
 // released. Run under -race.
 func TestTieredColdPinHoldRefcount(t *testing.T) {
-	hot, err := New(2*mkChunk(0, 0, 10).Bytes(), NewLRU())
+	hot, err := New(2*mkChunk(0, 0, 10).Bytes(), newLRU())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -634,7 +634,7 @@ func TestTieredConcurrentSoak(t *testing.T) {
 
 // TestTieredRejectsBadComposition pins the constructor contract.
 func TestTieredRejectsBadComposition(t *testing.T) {
-	hot, err := New(1024, NewLRU())
+	hot, err := New(1024, newLRU())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -659,7 +659,7 @@ func TestTieredRejectsBadComposition(t *testing.T) {
 // TestTieredOversizedDemotionDenied: a victim whose encoding exceeds the
 // whole cold tier truly evicts (Evicted, not Demoted).
 func TestTieredOversizedDemotionDenied(t *testing.T) {
-	hot, err := New(mkChunk(0, 0, 10).Bytes()+8, NewLRU())
+	hot, err := New(mkChunk(0, 0, 10).Bytes()+8, newLRU())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -904,7 +904,7 @@ func TestTieredColdBufferIsCharged(t *testing.T) {
 		chunks[i] = c
 		largest = max(largest, c.Bytes())
 	}
-	hot, err := New(largest+8, NewLRU())
+	hot, err := New(largest+8, newLRU())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -38,7 +38,11 @@ func TestTieredUndecodableColdEntryIsEvicted(t *testing.T) {
 				}
 				return c
 			}
-			hot, err := cache.New(payload(top).Bytes(), cache.NewLRU())
+			pol, err := cache.NewPolicy("lru")
+			if err != nil {
+				t.Fatalf("NewPolicy: %v", err)
+			}
+			hot, err := cache.New(payload(top).Bytes(), pol)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}

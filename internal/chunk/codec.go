@@ -32,9 +32,9 @@ import (
 // codecHasCounts marks payloads whose cells carry fact-row counts.
 const codecHasCounts = 0x01
 
-// ErrCodec is wrapped by every decode failure, so callers can distinguish a
-// corrupt payload from I/O errors with errors.Is.
-var ErrCodec = errors.New("chunk: corrupt encoded payload")
+// errCodec is wrapped by every decode failure, so the tests can tell a
+// corrupt payload from any other error with errors.Is.
+var errCodec = errors.New("chunk: corrupt encoded payload")
 
 var (
 	errCodecShort    = wrapCodec("chunk: encoded payload truncated")
@@ -46,14 +46,14 @@ var (
 	errCodecFlags    = wrapCodec("chunk: unknown payload flags")
 )
 
-// wrapCodec makes a sentinel that errors.Is-matches ErrCodec.
+// wrapCodec makes a sentinel that errors.Is-matches errCodec.
 func wrapCodec(msg string) error { return &codecError{msg: msg} }
 
 type codecError struct{ msg string }
 
 func (e *codecError) Error() string { return e.msg }
 func (e *codecError) Is(target error) bool {
-	return target == ErrCodec
+	return target == errCodec
 }
 
 // AppendPayload appends the encoded form of c's cells to dst and returns the
@@ -126,7 +126,7 @@ func uvarint(src []byte) (uint64, int) {
 
 // DecodePayload reconstructs the chunk encoded by AppendPayload, stamping it
 // with the given group-by and chunk number. It is safe on arbitrary input:
-// corrupt, truncated or oversized payloads return an error wrapping ErrCodec
+// corrupt, truncated or oversized payloads return an error wrapping errCodec
 // without panicking, and allocation is bounded by the input length (a huge
 // declared cell count is rejected before any allocation). Trailing bytes
 // after a well-formed payload are an error, so framing bugs surface here.

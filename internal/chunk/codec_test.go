@@ -118,8 +118,8 @@ func TestCodecRejectsCorruption(t *testing.T) {
 			// A prefix can only be valid if it is a complete encoding, which
 			// a strict trailing-bytes check rules out for proper prefixes.
 			t.Fatalf("truncation to %d bytes decoded successfully", cut)
-		} else if !errors.Is(err, ErrCodec) {
-			t.Fatalf("truncation to %d: error %v does not wrap ErrCodec", cut, err)
+		} else if !errors.Is(err, errCodec) {
+			t.Fatalf("truncation to %d: error %v does not wrap errCodec", cut, err)
 		}
 	}
 
@@ -152,8 +152,8 @@ func FuzzChunkCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodePayload(2, 4, data)
 		if err != nil {
-			if !errors.Is(err, ErrCodec) {
-				t.Fatalf("decode error %v does not wrap ErrCodec", err)
+			if !errors.Is(err, errCodec) {
+				t.Fatalf("decode error %v does not wrap errCodec", err)
 			}
 			return
 		}

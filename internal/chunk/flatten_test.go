@@ -105,9 +105,10 @@ func TestFlattenedRollUpMatchesHopByHop(t *testing.T) {
 					}
 				}
 				next := steps[rng.Intn(len(steps))]
+				d, _ := lat.StepDim(next, cur)
 				maps := make(map[int]*chunk.CellMap)
 				for _, src := range level {
-					num := g.ChildChunk(cur, int(src.Num), next)
+					num := g.ChildStep(cur, int(src.Num), d)
 					if maps[num] == nil {
 						maps[num] = g.NewCellMap(next, num)
 					}

@@ -43,8 +43,6 @@ type Grid struct {
 	// childChunk[d][l][c] = chunk at level l-1 containing chunk c of level l.
 	// childChunk[d][0] is nil.
 	childChunk [][][]int32
-	// baseRange[d][l][c] = run of base-level chunks covered by chunk c.
-	baseRange [][][]Range
 	// chunkStrides[gb] = row-major strides over per-dimension chunk counts.
 	chunkStrides [][]int
 	// numChunks[gb] = total chunks of group-by gb.
@@ -79,7 +77,6 @@ func NewGrid(sch *schema.Schema, counts [][]int) (*Grid, error) {
 		chunkOf:     make([][][]int32, sch.NumDims()),
 		parentRange: make([][][]Range, sch.NumDims()),
 		childChunk:  make([][][]int32, sch.NumDims()),
-		baseRange:   make([][][]Range, sch.NumDims()),
 		ancOff:      make([][][][]uint32, sch.NumDims()),
 	}
 	for d := 0; d < sch.NumDims(); d++ {
@@ -169,9 +166,8 @@ func (g *Grid) buildDim(d int, counts []int) error {
 		g.childChunk[d][l+1] = cc
 	}
 
-	// Member -> chunk and base chunk ranges.
+	// Member -> chunk.
 	g.chunkOf[d] = make([][]int32, h+1)
-	g.baseRange[d] = make([][]Range, h+1)
 	for l := 0; l <= h; l++ {
 		co := make([]int32, dim.Card(l))
 		st := g.starts[d][l]
@@ -181,21 +177,6 @@ func (g *Grid) buildDim(d int, counts []int) error {
 			}
 		}
 		g.chunkOf[d][l] = co
-	}
-	for l := h; l >= 0; l-- {
-		br := make([]Range, counts[l])
-		for c := range br {
-			if l == h {
-				br[c] = Range{Lo: int32(c), Hi: int32(c + 1)}
-			} else {
-				pr := g.parentRange[d][l][c]
-				br[c] = Range{
-					Lo: g.baseRange[d][l+1][pr.Lo].Lo,
-					Hi: g.baseRange[d][l+1][pr.Hi-1].Hi,
-				}
-			}
-		}
-		g.baseRange[d][l] = br
 	}
 	return nil
 }
@@ -304,10 +285,6 @@ func (g *Grid) DimParentRange(d, l int, c int32) Range { return g.parentRange[d]
 // chunk c at level l.
 func (g *Grid) DimChildChunk(d, l int, c int32) int32 { return g.childChunk[d][l][c] }
 
-// DimBaseRange returns the run of base-level chunks of dimension d covered
-// by chunk c at level l.
-func (g *Grid) DimBaseRange(d, l int, c int32) Range { return g.baseRange[d][l][c] }
-
 // Coords decodes chunk number num of group-by gb into per-dimension chunk
 // coordinates, appending to dst (which may be nil).
 func (g *Grid) Coords(gb lattice.ID, num int, dst []int32) []int32 {
@@ -384,16 +361,6 @@ func (g *Grid) ParentChunks(gb lattice.ID, num int, parent lattice.ID, dst []int
 	return dst
 }
 
-// ChildChunk is ChildStep(gb, num, d), where d is the dimension on which
-// child is one level more aggregated than gb.
-func (g *Grid) ChildChunk(gb lattice.ID, num int, child lattice.ID) int {
-	d, ok := g.lat.StepDim(child, gb)
-	if !ok {
-		panic(fmt.Sprintf("chunk: %s is not a lattice child of %s", g.lat.LevelTupleString(child), g.lat.LevelTupleString(gb)))
-	}
-	return g.ChildStep(gb, num, d)
-}
-
 // AncestorChunks appends the chunk numbers at ancestor group-by anc
 // (componentwise ≥ gb) covering chunk num of gb. For a direct parent this
 // equals ParentChunks.
@@ -439,22 +406,6 @@ func (g *Grid) AncestorChunks(gb lattice.ID, num int, anc lattice.ID, dst []int)
 			return dst
 		}
 	}
-}
-
-// DescendantChunk returns the chunk number at descendant group-by desc
-// (componentwise ≤ gb) that chunk num of gb contributes to.
-func (g *Grid) DescendantChunk(gb lattice.ID, num int, desc lattice.ID) int {
-	if !g.lat.ComputableFrom(desc, gb) {
-		panic(fmt.Sprintf("chunk: %s is not a descendant of %s", g.lat.LevelTupleString(desc), g.lat.LevelTupleString(gb)))
-	}
-	var buf [16]int32
-	coords := g.Coords(gb, num, buf[:0])
-	for d := 0; d < g.sch.NumDims(); d++ {
-		for l := g.lat.LevelAt(gb, d); l > g.lat.LevelAt(desc, d); l-- {
-			coords[d] = g.childChunk[d][l][coords[d]]
-		}
-	}
-	return g.Number(desc, coords)
 }
 
 // Span returns the per-dimension member counts of chunk num of gb, appended

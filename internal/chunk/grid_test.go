@@ -41,9 +41,10 @@ func TestFig1ChunkClosure(t *testing.T) {
 	if len(got) != 2 || !want[got[0]] || !want[got[1]] {
 		t.Fatalf("ParentChunks = %v, want {0,2}", got)
 	}
+	d, _ := lat.StepDim(timeOnly, pt)
 	for _, pc := range got {
-		if cc := g.ChildChunk(pt, pc, timeOnly); cc != 0 {
-			t.Fatalf("ChildChunk(%d) = %d, want 0", pc, cc)
+		if cc := g.ChildStep(pt, pc, d); cc != 0 {
+			t.Fatalf("ChildStep(%d) = %d, want 0", pc, cc)
 		}
 	}
 }
@@ -141,7 +142,7 @@ func TestClosureProperty(t *testing.T) {
 				lo, _ := dim.DescendantRange(l, l+1, myRange.Lo)
 				next := lo
 				for _, pc := range pcs {
-					if back := g.ChildChunk(parent, pc, id); back != num {
+					if back := g.ChildStep(parent, pc, d); back != num {
 						t.Fatalf("gb %s chunk %d parent chunk %d maps back to %d", lat.LevelTupleString(id), num, pc, back)
 					}
 					pcoords := g.Coords(parent, pc, nil)
@@ -241,22 +242,6 @@ func TestTotalChunks(t *testing.T) {
 	}
 }
 
-func TestDimBaseRange(t *testing.T) {
-	g := apb3Grid(t)
-	// Time dimension (d=2): level 0 chunk 0 covers all 6 base chunks.
-	if r := g.DimBaseRange(2, 0, 0); r.Lo != 0 || r.Hi != 6 {
-		t.Fatalf("DimBaseRange(2,0,0) = %+v, want [0,6)", r)
-	}
-	// Level 2 (Quarter) has 2 chunks -> base chunks [0,3) and [3,6).
-	if r := g.DimBaseRange(2, 2, 1); r.Lo != 3 || r.Hi != 6 {
-		t.Fatalf("DimBaseRange(2,2,1) = %+v, want [3,6)", r)
-	}
-	// Base level maps to itself.
-	if r := g.DimBaseRange(2, 3, 4); r.Lo != 4 || r.Hi != 5 {
-		t.Fatalf("DimBaseRange(2,3,4) = %+v, want [4,5)", r)
-	}
-}
-
 func TestSpanAndCapacity(t *testing.T) {
 	_, g := fig1Schema(t)
 	lat := g.Lattice()
@@ -312,11 +297,12 @@ func TestGridPropertyRandom(t *testing.T) {
 		lat := g.Lattice()
 		for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
 			for _, parent := range lat.Parents(id) {
+				d, _ := lat.StepDim(id, parent)
 				seen := make(map[int]int)
 				for num := 0; num < g.NumChunks(id); num++ {
 					for _, pc := range g.ParentChunks(id, num, parent, nil) {
 						seen[pc]++
-						if g.ChildChunk(parent, pc, id) != num {
+						if g.ChildStep(parent, pc, d) != num {
 							return false
 						}
 					}

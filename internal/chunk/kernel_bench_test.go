@@ -28,7 +28,7 @@ func newKernelFixture(b testing.TB) *kernelFixture {
 	}
 	src := cm.Build(base, 0)
 	dstGB := lat.MustID(1, 1, 1)
-	dstNum := g.DescendantChunk(base, 0, dstGB)
+	dstNum := descendantChunk(g, base, 0, dstGB)
 	return &kernelFixture{g: g, src: src, dstGB: dstGB, dstNum: dstNum}
 }
 
@@ -158,7 +158,7 @@ func (f *flattenFixture) rollUpHopByHop(b testing.TB) *Chunk {
 	for _, gb := range f.path[1:] {
 		maps := make(map[int]*CellMap)
 		for _, src := range level {
-			num := f.g.DescendantChunk(src.GB, int(src.Num), gb)
+			num := descendantChunk(f.g, src.GB, int(src.Num), gb)
 			if maps[num] == nil {
 				maps[num] = f.g.GetCellMap(gb, num)
 			}

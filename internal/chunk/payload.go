@@ -32,8 +32,14 @@ const OverheadBytes = 64
 // Cells returns the number of materialized cells.
 func (c *Chunk) Cells() int { return len(c.Keys) }
 
+// Footprint is the cache footprint of chunks chunks holding cells cells in
+// all: CellBytes per cell plus OverheadBytes per chunk. It is the one byte
+// charge — of a resident, a recycling candidate, a preload group-by or the
+// whole base table.
+func Footprint(cells, chunks int64) int64 { return cells*CellBytes + chunks*OverheadBytes }
+
 // Bytes returns the cache footprint of the chunk.
-func (c *Chunk) Bytes() int64 { return int64(len(c.Keys))*CellBytes + OverheadBytes }
+func (c *Chunk) Bytes() int64 { return Footprint(int64(len(c.Keys)), 1) }
 
 // Value returns the measure sum of the cell with the given key.
 func (c *Chunk) Value(key uint64) (float64, bool) {

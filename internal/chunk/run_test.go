@@ -33,7 +33,7 @@ func refChild(g *chunk.Grid, gb lattice.ID, num, d int, child lattice.ID) int {
 // TestRunFormMatchesCoordinates checks, for every (gb, num, parent) and
 // (gb, num, child) of the APB small grid and the ragged star grid, that the
 // run-form parent enumeration and the dimension-known child step agree with
-// ParentChunks/ChildChunk and with a coordinate-decoding reference.
+// ParentChunks and with a coordinate-decoding reference.
 func TestRunFormMatchesCoordinates(t *testing.T) {
 	cfg := apb.New(apb.ScaleSmall)
 	small := chunk.MustNewGrid(cfg.Schema, cfg.ChunkCounts)
@@ -64,10 +64,6 @@ func TestRunFormMatchesCoordinates(t *testing.T) {
 					want := refChild(g, gb, num, d, child)
 					if got := g.ChildStep(gb, num, d); got != want {
 						t.Fatalf("%s %s#%d → %s: ChildStep %d, want %d",
-							name, lat.LevelTupleString(gb), num, lat.LevelTupleString(child), got, want)
-					}
-					if got := g.ChildChunk(gb, num, child); got != want {
-						t.Fatalf("%s %s#%d → %s: ChildChunk %d, want %d",
 							name, lat.LevelTupleString(gb), num, lat.LevelTupleString(child), got, want)
 					}
 				}

@@ -50,7 +50,7 @@ func TestBuildConfigurationProduct(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	base := core.Config{Grid: g, Backend: be, Rows: int64(tab.Len())}
-	baseBytes := int64(tab.Len())*chunk.CellBytes + int64(g.NumChunks(g.Lattice().Base()))*chunk.OverheadBytes
+	baseBytes := chunk.Footprint(int64(tab.Len()), int64(g.NumChunks(g.Lattice().Base())))
 
 	gen, err := workload.NewGenerator(g, workload.DefaultMix, 2, 5)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestBuildStatsMatchMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	baseBytes := int64(tab.Len())*chunk.CellBytes + int64(g.NumChunks(g.Lattice().Base()))*chunk.OverheadBytes
+	baseBytes := chunk.Footprint(int64(tab.Len()), int64(g.NumChunks(g.Lattice().Base())))
 	reg := obs.NewRegistry()
 	st, err := core.Build(core.Config{
 		Grid: g, Backend: be, Rows: int64(tab.Len()), Strategy: "VCMC",

@@ -21,6 +21,16 @@ type fixture struct {
 	oracle *backend.Engine
 }
 
+// policyNamed is cache.NewPolicy(name), failing t on an unknown name.
+func policyNamed(t testing.TB, name string) cache.Policy {
+	t.Helper()
+	p, err := cache.NewPolicy(name)
+	if err != nil {
+		t.Fatalf("NewPolicy: %v", err)
+	}
+	return p
+}
+
 // build wires an engine over the tiny APB preset.
 func build(t testing.TB, stratName string, policy cache.Policy, capacity int64, opts ...Option) *fixture {
 	t.Helper()
@@ -127,7 +137,7 @@ func TestEngineMatchesOracleAllStrategies(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				var p cache.Policy
 				if name == "NoAgg" {
-					p = cache.NewBenefitClock()
+					p = policyNamed(t, "benefit")
 				} else {
 					p = cache.NewTwoLevel()
 				}
@@ -193,7 +203,7 @@ func TestRollUpIsCompleteHit(t *testing.T) {
 	}
 	assertMatchesOracle(t, f, WholeGroupBy(lat.Top()), res)
 	// NoAgg in the same situation must go to the backend.
-	f2 := build(t, "NoAgg", cache.NewBenefitClock(), 1<<20)
+	f2 := build(t, "NoAgg", policyNamed(t, "benefit"), 1<<20)
 	if _, err := f2.engine.Execute(context.Background(), WholeGroupBy(f2.grid.Lattice().Base())); err != nil {
 		t.Fatalf("warm base: %v", err)
 	}
@@ -332,7 +342,7 @@ func TestRepeatedAndContainedQueriesArePointHits(t *testing.T) {
 				}
 			}
 		}
-		hot, err := cache.New(baseBytes+largest, cache.NewLRU())
+		hot, err := cache.New(baseBytes+largest, policyNamed(t, "lru"))
 		if err != nil {
 			t.Fatalf("cache.New: %v", err)
 		}

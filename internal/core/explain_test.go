@@ -239,7 +239,7 @@ func TestExplainReadsColdLeaves(t *testing.T) {
 		largest = max(largest, c.Bytes())
 		baseCells += int64(c.Cells())
 	}
-	hot, err := cache.New(largest, cache.NewLRU())
+	hot, err := cache.New(largest, policyNamed(t, "lru"))
 	if err != nil {
 		t.Fatalf("cache.New: %v", err)
 	}

@@ -24,7 +24,7 @@ func TestSinglePassExecutorMixedPlans(t *testing.T) {
 	// Tiny APB at the default threshold prices the deep interior nodes of a
 	// base → top plan below 1 tuple/byte and the shallow ones above it.
 	f := build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20, WithRecycling(true))
-	ref := build(t, "NoAgg", cache.NewBenefitClock(), 1<<20)
+	ref := build(t, "NoAgg", policyNamed(t, "benefit"), 1<<20)
 	ctx := context.Background()
 	lat := f.grid.Lattice()
 	if _, err := f.engine.Execute(ctx, WholeGroupBy(lat.Base())); err != nil {

@@ -21,7 +21,7 @@ func ChoosePreloadGroupBy(g *chunk.Grid, sizes sizer.Sizer, capacity int64) (lat
 	var bestCells int64
 	for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
 		cells := sizes.GroupByCells(id)
-		bytes := estimateBytes(g, id, cells)
+		bytes := chunk.Footprint(cells, int64(g.NumChunks(id)))
 		if bytes > capacity {
 			continue
 		}
@@ -31,12 +31,6 @@ func ChoosePreloadGroupBy(g *chunk.Grid, sizes sizer.Sizer, capacity int64) (lat
 		}
 	}
 	return best, bestDesc >= 0
-}
-
-// estimateBytes converts a cell count into the cache footprint of a whole
-// group-by.
-func estimateBytes(g *chunk.Grid, gb lattice.ID, cells int64) int64 {
-	return cells*chunk.CellBytes + int64(g.NumChunks(gb))*chunk.OverheadBytes
 }
 
 // Preload fills the cache with the chosen group-by's chunks fetched from the

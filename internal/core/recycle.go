@@ -39,8 +39,7 @@ const recycleGhostMax = 1 << 17
 // chunk num of gb would save, per byte of the footprint the sizer expects it
 // to occupy. Nothing has to be built to ask.
 func (e *Engine) recyclePerByte(gb lattice.ID, num int, cost int64) float64 {
-	bytes := e.sizes.ChunkCells(gb, num)*chunk.CellBytes + chunk.OverheadBytes
-	return float64(cost) / float64(bytes)
+	return float64(cost) / float64(chunk.Footprint(e.sizes.ChunkCells(gb, num), 1))
 }
 
 // planSavedCost is the recompute cost keeping interior plan node n would

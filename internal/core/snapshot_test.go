@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +14,7 @@ import (
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
 	"aggcache/internal/cache"
+	"aggcache/internal/chunk"
 )
 
 // saveSnapshot warms f with the base group-by and its top roll-up and writes
@@ -23,9 +28,9 @@ func saveSnapshot(t *testing.T, f *fixture) (string, int) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "cache.snap")
-	n, err := f.engine.SaveCacheFile(path)
+	n, err := cache.SaveSnapshotFile(path, f.engine.Cache(), f.grid)
 	if err != nil {
-		t.Fatalf("SaveCacheFile: %v", err)
+		t.Fatalf("SaveSnapshotFile: %v", err)
 	}
 	if n != f.engine.Cache().Len() {
 		t.Fatalf("saved %d records, cache holds %d", n, f.engine.Cache().Len())
@@ -40,9 +45,9 @@ func TestSaveLoadCacheWarmRestart(t *testing.T) {
 
 	// A fresh engine over the same dataset restarts warm.
 	f2 := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
-	admitted, err := f2.engine.LoadCacheFile(path)
+	admitted, err := cache.LoadSnapshotFile(path, f2.grid, f2.engine.Cache())
 	if err != nil {
-		t.Fatalf("LoadCacheFile: %v", err)
+		t.Fatalf("LoadSnapshotFile: %v", err)
 	}
 	if admitted != saved {
 		t.Fatalf("admitted %d, want %d", admitted, saved)
@@ -64,7 +69,7 @@ func TestSaveLoadCacheWarmRestart(t *testing.T) {
 		t.Fatalf("derived roll-up missed after restart: %v %+v", err, res)
 	}
 
-	if _, err := f2.engine.LoadCacheFile(filepath.Join(t.TempDir(), "absent.snap")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := cache.LoadSnapshotFile(filepath.Join(t.TempDir(), "absent.snap"), f2.grid, f2.engine.Cache()); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want os.ErrNotExist", err)
 	}
 }
@@ -74,8 +79,8 @@ func TestLoadCacheSmallerCache(t *testing.T) {
 	path, saved := saveSnapshot(t, f)
 	// A much smaller cache admits only part of the snapshot, without error.
 	f2 := build(t, "VCMC", cache.NewTwoLevel(), 2_000)
-	if _, err := f2.engine.LoadCacheFile(path); err != nil {
-		t.Fatalf("LoadCacheFile: %v", err)
+	if _, err := cache.LoadSnapshotFile(path, f2.grid, f2.engine.Cache()); err != nil {
+		t.Fatalf("LoadSnapshotFile: %v", err)
 	}
 	// Admissions may churn (later inserts evicting earlier ones), but the
 	// cache must end up holding fewer chunks than the snapshot and stay
@@ -104,7 +109,7 @@ func TestLoadCacheRejectsGarbage(t *testing.T) {
 			t.Fatalf("WriteFile: %v", err)
 		}
 		f2 := build(t, "VCM", cache.NewTwoLevel(), 1<<20)
-		n, err := f2.engine.LoadCacheFile(bad)
+		n, err := cache.LoadSnapshotFile(bad, f2.grid, f2.engine.Cache())
 		if !errors.Is(err, cache.ErrSnapshot) || n != 0 || f2.engine.Cache().Len() != 0 {
 			t.Fatalf("%s: loaded %d chunks, err %v; want nothing and ErrSnapshot", name, n, err)
 		}
@@ -125,13 +130,59 @@ func TestLoadCacheTornTail(t *testing.T) {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	f2 := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
-	n, err := f2.engine.LoadCacheFile(path)
+	n, err := cache.LoadSnapshotFile(path, f2.grid, f2.engine.Cache())
 	if !errors.Is(err, cache.ErrSnapshot) {
 		t.Fatalf("torn tail: err = %v, want ErrSnapshot", err)
 	}
 	if n != saved-1 || f2.engine.Cache().Len() != saved-1 {
 		t.Fatalf("torn tail admitted %d (cache holds %d), want the %d complete records",
 			n, f2.engine.Cache().Len(), saved-1)
+	}
+}
+
+// appendRecord appends a CRC-valid snapshot record for key (gb, num)
+// carrying data as a backend chunk, in the snapshot log's record framing.
+func appendRecord(dst []byte, gb, num int32, data *chunk.Chunk) []byte {
+	body := binary.LittleEndian.AppendUint32(nil, uint32(gb))
+	body = binary.LittleEndian.AppendUint32(body, uint32(num))
+	body = append(body, byte(cache.ClassBackend), 0)
+	body = binary.LittleEndian.AppendUint64(body, math.Float64bits(1))
+	body = chunk.AppendPayload(body, data)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
+	return append(dst, body...)
+}
+
+// TestLoadCacheOutOfGridRecordKeepsPrefix: a record whose CRC holds but
+// whose key names no chunk of the grid is corrupt like a torn tail: the
+// records before it are admitted and the error wraps ErrSnapshot, so the
+// daemon restarts partially warm instead of refusing to boot.
+func TestLoadCacheOutOfGridRecordKeepsPrefix(t *testing.T) {
+	f := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
+	path, saved := saveSnapshot(t, f)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	lat := f.grid.Lattice()
+	data := &chunk.Chunk{Keys: []uint64{0}, Vals: []float64{1}}
+	for name, key := range map[string][2]int32{
+		"chunk past its group-by":      {int32(lat.Base()), int32(f.grid.NumChunks(lat.Base()))},
+		"group-by outside the lattice": {int32(lat.NumNodes()), 0},
+		"negative chunk number":        {int32(lat.Top()), -1},
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.snap")
+		if err := os.WriteFile(bad, appendRecord(bytes.Clone(valid), key[0], key[1], data), 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		f2 := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
+		n, err := cache.LoadSnapshotFile(bad, f2.grid, f2.engine.Cache())
+		if !errors.Is(err, cache.ErrSnapshot) {
+			t.Fatalf("%s: err = %v, want ErrSnapshot", name, err)
+		}
+		if n != saved || f2.engine.Cache().Len() != saved {
+			t.Fatalf("%s: admitted %d (cache holds %d), want the %d valid records", name, n, f2.engine.Cache().Len(), saved)
+		}
 	}
 }
 
@@ -161,12 +212,12 @@ func TestLoadCacheRejectsOtherGrid(t *testing.T) {
 		t.Fatalf("warm: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "cache.snap")
-	if n, err := small.Engine.SaveCacheFile(path); err != nil || n == 0 {
-		t.Fatalf("SaveCacheFile = %d, %v", n, err)
+	if n, err := cache.SaveSnapshotFile(path, small.Engine.Cache(), small.Engine.Grid()); err != nil || n == 0 {
+		t.Fatalf("SaveSnapshotFile = %d, %v", n, err)
 	}
 
 	medium := stackAt(apb.ScaleMedium)
-	n, err := medium.Engine.LoadCacheFile(path)
+	n, err := cache.LoadSnapshotFile(path, medium.Engine.Grid(), medium.Engine.Cache())
 	if !errors.Is(err, cache.ErrSnapshot) || n != 0 {
 		t.Fatalf("small-scale snapshot at medium scale: admitted %d, err %v; want 0 and ErrSnapshot", n, err)
 	}

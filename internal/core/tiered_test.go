@@ -33,7 +33,7 @@ func TestTieredColdLeafPinnedInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	hot, err := cache.New(max(cs[0].Bytes(), cs[1].Bytes()), cache.NewLRU())
+	hot, err := cache.New(max(cs[0].Bytes(), cs[1].Bytes()), policyNamed(t, "lru"))
 	if err != nil {
 		t.Fatalf("cache.New: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestReplanAfterPinRace(t *testing.T) {
 	if st.fillers, _, err = f.oracle.ComputeChunks(context.Background(), st.fillGB, fill); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	if st.Sharded, err = cache.New(capacity, cache.NewLRU()); err != nil {
+	if st.Sharded, err = cache.New(capacity, policyNamed(t, "lru")); err != nil {
 		t.Fatalf("cache.New: %v", err)
 	}
 	sz := sizer.NewEstimate(f.grid, 1000)

@@ -169,7 +169,11 @@ func TestPeerClientGetPut(t *testing.T) {
 // demoted with, and the key stays cold on the owner: serving a peer moves
 // nothing between tiers.
 func TestPeerGetOfColdChunkStaysCold(t *testing.T) {
-	hot, err := cache.New(peerChunk(0, 4).Bytes(), cache.NewLRU())
+	pol, err := cache.NewPolicy("lru")
+	if err != nil {
+		t.Fatalf("NewPolicy: %v", err)
+	}
+	hot, err := cache.New(peerChunk(0, 4).Bytes(), pol)
 	if err != nil {
 		t.Fatalf("cache.New: %v", err)
 	}

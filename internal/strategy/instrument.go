@@ -15,13 +15,13 @@ import (
 // arrival order, not outcome) at a sixteenth of the cost.
 const findSampleMask = 15
 
-// Instrumented decorates a Strategy with live observability: every Find is
+// instrumented decorates a Strategy with live observability: every Find is
 // counted, its visited-node total accumulated, and a sample of calls timed
 // into a log-scale histogram, all labeled with the wrapped strategy's name.
 // Everything else — listener callbacks, overhead accounting, maintenance
-// counters — delegates unchanged, so an Instrumented strategy is a drop-in
+// counters — delegates unchanged, so an instrumented strategy is a drop-in
 // anywhere a Strategy is accepted (including as the cache's listener).
-type Instrumented struct {
+type instrumented struct {
 	Strategy
 	met obs.StrategyMetrics
 	n   atomic.Int64
@@ -29,8 +29,8 @@ type Instrumented struct {
 
 // Instrument wraps s with the given metric bundle. Wrap before handing the
 // strategy to core.New so the engine's lookups are observed.
-func Instrument(s Strategy, m obs.StrategyMetrics) *Instrumented {
-	return &Instrumented{Strategy: s, met: m}
+func Instrument(s Strategy, m obs.StrategyMetrics) Strategy {
+	return &instrumented{Strategy: s, met: m}
 }
 
 // Find delegates to the wrapped strategy, recording call count, plan hits,
@@ -42,7 +42,7 @@ func Instrument(s Strategy, m obs.StrategyMetrics) *Instrumented {
 // NoAgg do. (For an exhaustive strategy it counts the plan, not the search
 // behind it.) Nothing is read back from shared state, so concurrent Finds
 // are never charged each other's counts.
-func (i *Instrumented) Find(gb lattice.ID, num int) (*Plan, bool, error) {
+func (i *instrumented) Find(gb lattice.ID, num int) (*Plan, bool, error) {
 	sampled := i.n.Add(1)&findSampleMask == 0
 	var start time.Time
 	if sampled {
@@ -65,4 +65,4 @@ func (i *Instrumented) Find(gb lattice.ID, num int) (*Plan, bool, error) {
 }
 
 // Unwrap returns the underlying strategy.
-func (i *Instrumented) Unwrap() Strategy { return i.Strategy }
+func (i *instrumented) Unwrap() Strategy { return i.Strategy }

@@ -211,10 +211,10 @@ func TestWarmMaintenanceAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestInstrumentedNodesVisitedConcurrent: two goroutines share one
-// Instrumented VCMC, one finding a k-node plan and one a miss; the visited
+// TestInstrumentNodesVisitedConcurrent: two goroutines share one
+// instrumented VCMC, one finding a k-node plan and one a miss; the visited
 // counter is charged exactly k per hit and 1 per miss.
-func TestInstrumentedNodesVisitedConcurrent(t *testing.T) {
+func TestInstrumentNodesVisitedConcurrent(t *testing.T) {
 	g := fig4Grid(t)
 	lat := g.Lattice()
 	s := NewVCMC(g, sizer.NewEstimate(g, 100))

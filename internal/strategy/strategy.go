@@ -165,7 +165,7 @@ type CostEstimator interface {
 }
 
 // AsCostEstimator returns the CostEstimator behind s, unwrapping decorators
-// (e.g. Instrumented) via their Unwrap method. It reports false for
+// (Instrument's wrapper, the benchmark's tracer) via their Unwrap method. It reports false for
 // strategies with no cost model (VCM, NoAgg).
 func AsCostEstimator(s Strategy) (CostEstimator, bool) {
 	for s != nil {

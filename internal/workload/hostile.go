@@ -12,10 +12,10 @@ import (
 // This file holds the hostile traffic sources the overload harness drives:
 // streams deliberately shaped to hurt a cache — extreme hot-key skew that
 // turns one region into a convoy, flash crowds that stampede a fresh
-// hotspot before it is cached, scan floods that maximize backend work per
-// query, and multi-tenant mixes where one tenant tries to starve the
-// others. They share the Source interface so the soak and bench harnesses
-// can swap attack shapes without caring which one they got.
+// hotspot before it is cached, and scan floods that maximize backend work
+// per query. They share the Source interface so the soak and bench harnesses
+// can swap attack shapes without caring which one they got (a noisy-neighbor
+// tenant is one of them run under its own tenant name).
 
 // Source produces an endless query stream. The paper-mix Generator and
 // every hostile source implement it.
@@ -148,55 +148,4 @@ func NewScanFlood(g *chunk.Grid, width int, seed int64) (Source, error) {
 		}
 		return core.Query{GB: gb, Lo: lo, Hi: hi}
 	}), nil
-}
-
-// Tenant is one participant in a multi-tenant mix: a named source with a
-// share of the combined stream.
-type Tenant struct {
-	// Name keys the server's per-tenant quotas.
-	Name string
-	// Weight is the tenant's share of the stream (relative, > 0).
-	Weight float64
-	// Source produces the tenant's queries.
-	Source Source
-}
-
-// TenantMix interleaves several tenants' streams by weight, modeling the
-// noisy-neighbor scenario: an aggressive tenant (say a scan flood at high
-// weight) sharing the server with well-behaved ones.
-type TenantMix struct {
-	rng     *rand.Rand
-	tenants []Tenant
-	total   float64
-}
-
-// NewTenantMix builds a weighted multi-tenant source.
-func NewTenantMix(tenants []Tenant, seed int64) (*TenantMix, error) {
-	if len(tenants) == 0 {
-		return nil, fmt.Errorf("workload: tenant mix needs at least one tenant")
-	}
-	var total float64
-	for _, t := range tenants {
-		if t.Weight <= 0 {
-			return nil, fmt.Errorf("workload: tenant %q weight must be > 0, got %v", t.Name, t.Weight)
-		}
-		if t.Source == nil {
-			return nil, fmt.Errorf("workload: tenant %q has no source", t.Name)
-		}
-		total += t.Weight
-	}
-	return &TenantMix{rng: rand.New(rand.NewSource(seed)), tenants: tenants, total: total}, nil
-}
-
-// Next returns the next query and the tenant it belongs to.
-func (m *TenantMix) Next() (string, core.Query) {
-	r := m.rng.Float64() * m.total
-	for _, t := range m.tenants {
-		if r < t.Weight {
-			return t.Name, t.Source.Next()
-		}
-		r -= t.Weight
-	}
-	t := m.tenants[len(m.tenants)-1]
-	return t.Name, t.Source.Next()
 }

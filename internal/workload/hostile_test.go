@@ -104,37 +104,6 @@ func TestScanFloodIsDetailedAndValid(t *testing.T) {
 	}
 }
 
-func TestTenantMixHonorsWeights(t *testing.T) {
-	g := tinyGrid(t)
-	zipf, err := NewZipf(g, 16, 1.5, 1)
-	if err != nil {
-		t.Fatalf("NewZipf: %v", err)
-	}
-	flood, err := NewScanFlood(g, 2, 2)
-	if err != nil {
-		t.Fatalf("NewScanFlood: %v", err)
-	}
-	mix, err := NewTenantMix([]Tenant{
-		{Name: "polite", Weight: 1, Source: zipf},
-		{Name: "greedy", Weight: 3, Source: flood},
-	}, 17)
-	if err != nil {
-		t.Fatalf("NewTenantMix: %v", err)
-	}
-	counts := map[string]int{}
-	const n = 4000
-	for i := 0; i < n; i++ {
-		name, q := mix.Next()
-		if _, err := q.NumChunks(g); err != nil {
-			t.Fatalf("query %d invalid: %v", i, err)
-		}
-		counts[name]++
-	}
-	if frac := float64(counts["greedy"]) / n; frac < 0.65 || frac > 0.85 {
-		t.Fatalf("greedy tenant fraction %.2f, want ≈ 0.75 (counts %v)", frac, counts)
-	}
-}
-
 func TestHostileConstructorValidation(t *testing.T) {
 	g := tinyGrid(t)
 	if _, err := NewZipf(g, 0, 1.5, 1); err == nil {
@@ -148,11 +117,5 @@ func TestHostileConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewScanFlood(g, 0, 1); err == nil {
 		t.Fatalf("NewScanFlood accepted width 0")
-	}
-	if _, err := NewTenantMix(nil, 1); err == nil {
-		t.Fatalf("NewTenantMix accepted empty tenant list")
-	}
-	if _, err := NewTenantMix([]Tenant{{Name: "x", Weight: 0}}, 1); err == nil {
-		t.Fatalf("NewTenantMix accepted zero weight")
 	}
 }
