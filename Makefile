@@ -169,12 +169,16 @@ depguard:
 	fi
 
 # surface prints the size of each product package's API: exported
-# package-level names (go doc -short lines) and exported methods.
+# package-level names (go doc -short lines) and exported methods; then each
+# daemon's flag count (the flags its -h lists).
 surface:
 	@for p in cache core strategy backend chunk workload mtier obs; do \
 		printf '%-9s %3d names %3d methods\n' $$p \
 			"$$($(GO) doc -short ./internal/$$p | wc -l)" \
 			"$$($(GO) doc -all ./internal/$$p | grep -c '^func (')"; \
+	done
+	@for c in aggcached backendd olapcli; do \
+		printf '%-9s %3d flags\n' $$c "$$($(GO) run ./cmd/$$c -h 2>&1 | grep -c '^  -')"; \
 	done
 
 # ci also vets and smoke-tests benchmark/, which is its own Go module:

@@ -15,11 +15,11 @@
 // /healthz, /traces (recent query provenance as JSON) and /debug/pprof/.
 //
 // The backend path is fault tolerant: remote requests are retried with
-// capped exponential backoff (-backend-attempts, -backend-backoff,
-// -backend-io-timeout), a circuit breaker (-breaker-threshold,
-// -breaker-cooldown) fails fast once the backend is down, and while it is
-// open the cache keeps answering every cache-computable query (degraded
-// mode — /healthz stays 200 and says so).
+// capped exponential backoff (backend.DefaultRetryPolicy, with a
+// -backend-io-timeout deadline per exchange), a circuit breaker (5
+// consecutive failures open it for 2s) fails fast once the backend is down,
+// and while it is open the cache keeps answering every cache-computable
+// query (degraded mode — /healthz stays 200 and says so).
 package main
 
 import (
@@ -61,25 +61,16 @@ func main() {
 		snapDirFlag = flag.String("snapshot-dir", "", "snapshot directory: cache.snap inside it is loaded at startup (warm restart) and written on SIGINT/SIGTERM and every -snapshot-interval; a snapshot is only valid for the dataset it was taken over (same -scale, -seed and backend), so use a fresh directory when the data changes")
 		snapIntFlag = flag.Duration("snapshot-interval", 0, "periodic cache snapshot flush interval (0 = flush on shutdown only; needs -snapshot-dir)")
 		opsFlag     = flag.String("ops", "", "ops HTTP listen address serving /metrics, /healthz, /traces and /debug/pprof (empty = disabled)")
-		tracesFlag  = flag.Int("traces", obs.DefaultTraceDepth, "query traces retained for /traces")
 
 		queryTimeoutFlag = flag.Duration("query-timeout", 0, "per-query deadline, admission queue wait included; a tighter client deadline wins (0 = unbounded)")
-		attemptsFlag     = flag.Int("backend-attempts", backend.DefaultRetryPolicy.MaxAttempts, "tries per remote backend request, including the first")
-		backoffFlag      = flag.Duration("backend-backoff", backend.DefaultRetryPolicy.BaseBackoff, "base backoff before the first remote retry (doubles, jittered, capped)")
 		ioTimeoutFlag    = flag.Duration("backend-io-timeout", backend.DefaultRetryPolicy.IOTimeout, "wire deadline per remote backend exchange")
-		brkThreshFlag    = flag.Int("breaker-threshold", 5, "consecutive backend failures that open the circuit breaker (0 = breaker disabled)")
-		brkCooldownFlag  = flag.Duration("breaker-cooldown", 2*time.Second, "how long the breaker stays open before probing the backend")
+		clientReadFlag   = flag.Duration("client-read-timeout", mtier.DefaultTimeouts.Read, "idle deadline per client connection awaiting the next query (0 = none)")
+		clientWriteFlag  = flag.Duration("client-write-timeout", mtier.DefaultTimeouts.Write, "deadline for writing one response to a client")
 
-		maxFrameFlag    = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes, both tiers (0 = 64MiB default)")
-		inFlightFlag    = flag.Int("wire-max-inflight", 0, "max concurrently served frames per client connection (0 = 32 default)")
-		clientReadFlag  = flag.Duration("client-read-timeout", mtier.DefaultTimeouts.Read, "idle deadline per client connection awaiting the next query (0 = none)")
-		clientWriteFlag = flag.Duration("client-write-timeout", mtier.DefaultTimeouts.Write, "deadline for writing one response to a client")
-
-		admitMaxFlag    = flag.Int("admit-max", 0, "execution slots for the server-wide admission queue (0 = admission control disabled)")
-		admitQueueFlag  = flag.Int("admit-queue", 0, "queued queries beyond the slots before shedding (0 = 4x -admit-max)")
-		admitWaitFlag   = flag.Duration("admit-max-wait", 0, "longest a query may wait for a slot before being shed (0 = 250ms)")
-		tenantQPSFlag   = flag.Float64("tenant-qps", 0, "admitted queries/sec per tenant (0 = unlimited)")
-		tenantBurstFlag = flag.Int("tenant-burst", 0, "per-tenant qps burst size (0 = 2x -tenant-qps)")
+		admitMaxFlag   = flag.Int("admit-max", 0, "execution slots for the server-wide admission queue (0 = admission control disabled)")
+		admitQueueFlag = flag.Int("admit-queue", 0, "queued queries beyond the slots before shedding (0 = 4x -admit-max)")
+		admitWaitFlag  = flag.Duration("admit-max-wait", 0, "longest a query may wait for a slot before being shed (0 = 250ms)")
+		tenantQPSFlag  = flag.Float64("tenant-qps", 0, "admitted queries/sec per tenant, with a burst of 2x (0 = unlimited)")
 
 		peersFlag     = flag.String("peers", "", "comma-separated cluster membership (aggcached listen addresses, including this node's own); empty = no cluster tier")
 		peerSelfFlag  = flag.String("peer-self", "", "this node's address as it appears in -peers; startup fails, and a SIGHUP reload is refused, when the membership leaves it out (default: the -listen address, so set this when listening on a wildcard address)")
@@ -99,10 +90,6 @@ func main() {
 		fatal(err)
 	}
 	cfg := apb.New(scale)
-	grid, err := chunk.NewGrid(cfg.Schema, cfg.ChunkCounts)
-	if err != nil {
-		fatal(err)
-	}
 
 	// Observability: one registry and trace ring shared by every tier of
 	// the process; without -ops there is neither (a nil registry's bundles
@@ -111,17 +98,21 @@ func main() {
 	var ring *obs.TraceRing
 	if *opsFlag != "" {
 		reg = obs.NewRegistry()
-		ring = obs.NewTraceRing(*tracesFlag)
+		ring = obs.NewTraceRing(obs.DefaultTraceDepth)
 	}
 
-	var be backend.Backend
+	var (
+		grid *chunk.Grid
+		be   backend.Backend
+	)
 	rows := cfg.Rows
 	if *backendFlag != "" {
+		if grid, err = chunk.NewGrid(cfg.Schema, cfg.ChunkCounts); err != nil {
+			fatal(err)
+		}
 		pol := backend.DefaultRetryPolicy
-		pol.MaxAttempts = *attemptsFlag
-		pol.BaseBackoff = *backoffFlag
 		pol.IOTimeout = *ioTimeoutFlag
-		remote, err := backend.DialPolicy(*backendFlag, pol, *maxFrameFlag, obs.NewRemoteMetrics(reg))
+		remote, err := backend.DialPolicy(*backendFlag, pol, obs.NewRemoteMetrics(reg))
 		if err != nil {
 			fatal(err)
 		}
@@ -129,10 +120,8 @@ func main() {
 		fmt.Printf("aggcached: using remote backend %s (%d attempts, %v base backoff)\n",
 			*backendFlag, pol.MaxAttempts, pol.BaseBackoff)
 	} else {
-		tab, err := data.Generate(cfg.Schema, data.Params{
-			Rows: cfg.Rows, Density: cfg.Density, TimeDim: cfg.TimeDim, Seed: *seedFlag,
-		})
-		if err != nil {
+		var tab *data.Table
+		if grid, tab, err = cfg.Build(*seedFlag); err != nil {
 			fatal(err)
 		}
 		rows = tab.Len()
@@ -145,16 +134,11 @@ func main() {
 		}
 		be = engine
 	}
-	if *brkThreshFlag > 0 {
-		brk := backend.NewBreaker(be, backend.BreakerConfig{
-			FailureThreshold: *brkThreshFlag,
-			Cooldown:         *brkCooldownFlag,
-		})
-		if reg != nil {
-			brk.SetMetrics(obs.NewBreakerMetrics(reg))
-		}
-		be = brk
+	brk := backend.NewBreaker(be, backend.BreakerConfig{FailureThreshold: 5, Cooldown: 2 * time.Second})
+	if reg != nil {
+		brk.SetMetrics(obs.NewBreakerMetrics(reg))
 	}
+	be = brk
 	defer be.Close()
 
 	// Cluster tier: misses route to the key's ring owner before the backend
@@ -170,7 +154,7 @@ func main() {
 			members = append(members, fm...)
 		}
 		peers = &cache.PeeredConfig{Self: cmp.Or(*peerSelfFlag, *listenFlag), Members: members,
-			Dial: func(addr string) cache.Peer { return mtier.NewPeerClient(addr, *maxFrameFlag) }}
+			Dial: func(addr string) cache.Peer { return mtier.NewPeerClient(addr, 0) }}
 	}
 	stack, err := core.Build(core.Config{
 		Grid: grid, Backend: be, Rows: int64(rows), Strategy: *stratFlag,
@@ -218,15 +202,12 @@ func main() {
 
 	srv := mtier.NewServer(eng)
 	srv.SetTimeouts(wire.Timeouts{Read: *clientReadFlag, Write: *clientWriteFlag, Request: *queryTimeoutFlag})
-	srv.SetMaxPayload(*maxFrameFlag)
-	srv.SetMaxInFlight(*inFlightFlag)
 	if *admitMaxFlag > 0 {
 		srv.SetAdmission(mtier.AdmissionConfig{
 			MaxConcurrent: *admitMaxFlag,
 			MaxQueue:      *admitQueueFlag,
 			MaxWait:       *admitWaitFlag,
 			TenantQPS:     *tenantQPSFlag,
-			TenantBurst:   *tenantBurstFlag,
 		})
 		queue, wait := *admitQueueFlag, *admitWaitFlag
 		if queue <= 0 {

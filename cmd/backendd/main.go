@@ -17,8 +17,6 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
-	"aggcache/internal/chunk"
-	"aggcache/internal/data"
 )
 
 func main() {
@@ -31,8 +29,6 @@ func main() {
 		readTimeoutFlag  = flag.Duration("read-timeout", backend.DefaultTimeouts.Read, "idle deadline per connection awaiting the next request (0 = none)")
 		writeTimeoutFlag = flag.Duration("write-timeout", backend.DefaultTimeouts.Write, "deadline for writing one response")
 		reqTimeoutFlag   = flag.Duration("request-timeout", backend.DefaultTimeouts.Request, "compute deadline per request, replied as a transient error (0 = none)")
-		maxFrameFlag     = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes (0 = 64MiB default)")
-		inFlightFlag     = flag.Int("wire-max-inflight", 0, "max concurrently served frames per connection (0 = 32 default)")
 	)
 	flag.Parse()
 
@@ -40,14 +36,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := apb.New(scale)
-	grid, err := chunk.NewGrid(cfg.Schema, cfg.ChunkCounts)
-	if err != nil {
-		fatal(err)
-	}
-	tab, err := data.Generate(cfg.Schema, data.Params{
-		Rows: cfg.Rows, Density: cfg.Density, TimeDim: cfg.TimeDim, Seed: *seedFlag,
-	})
+	grid, tab, err := apb.New(scale).Build(*seedFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -63,8 +52,6 @@ func main() {
 		Write:   *writeTimeoutFlag,
 		Request: *reqTimeoutFlag,
 	})
-	srv.SetMaxPayload(*maxFrameFlag)
-	srv.SetMaxInFlight(*inFlightFlag)
 	addr, err := srv.Listen(*listenFlag)
 	if err != nil {
 		fatal(err)

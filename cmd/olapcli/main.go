@@ -40,7 +40,6 @@ func main() {
 		shardsFlag  = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = one stripe (one lock), 0 = auto (GOMAXPROCS)")
 		backendFlag = flag.String("backend", "", "remote backend address (empty = in-process)")
 		rowsFlag    = flag.Int("rows", 20, "max result rows to print")
-		maxFrame    = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes for the remote backend (0 = 64MiB default)")
 		peersFlag   = flag.String("peers", "", "comma-separated aggcached cluster addresses; local misses are peer-filled from the key's ring owner before the backend")
 		recycleFlag = flag.Bool("recycle", true, "benefit-driven recycling of intermediate aggregates (admits profitable interior roll-ups; uses the probation+promote replacement rings)")
 		coldKBFlag  = flag.Int64("cold-kb", 0, "compressed in-RAM cold tier's starting share in KB: hot-tier victims demote instead of dropping, and answer from the cold tier until cold pressure evicts them; hot + cold is one budget and this is the starting split, which the store moves online (0 = disabled)")
@@ -52,25 +51,25 @@ func main() {
 		fatal(err)
 	}
 	cfg := apb.New(scale)
-	grid, err := chunk.NewGrid(cfg.Schema, cfg.ChunkCounts)
-	if err != nil {
-		fatal(err)
-	}
 
-	var be backend.Backend
+	var (
+		grid *chunk.Grid
+		be   backend.Backend
+	)
 	rows := cfg.Rows // with a remote backend, assume the server runs the same preset
 	if *backendFlag != "" {
-		remote, err := backend.DialPolicy(*backendFlag, backend.DefaultRetryPolicy, *maxFrame, obs.RemoteMetrics{})
+		if grid, err = chunk.NewGrid(cfg.Schema, cfg.ChunkCounts); err != nil {
+			fatal(err)
+		}
+		remote, err := backend.DialPolicy(*backendFlag, backend.DefaultRetryPolicy, obs.RemoteMetrics{})
 		if err != nil {
 			fatal(err)
 		}
 		be = remote
 		fmt.Printf("olapcli: using remote backend %s\n", *backendFlag)
 	} else {
-		tab, err := data.Generate(cfg.Schema, data.Params{
-			Rows: cfg.Rows, Density: cfg.Density, TimeDim: cfg.TimeDim, Seed: *seedFlag,
-		})
-		if err != nil {
+		var tab *data.Table
+		if grid, tab, err = cfg.Build(*seedFlag); err != nil {
 			fatal(err)
 		}
 		engine, err := backend.NewEngine(grid, tab, backend.DefaultLatency)
@@ -89,7 +88,7 @@ func main() {
 	// ring construction the servers use routes each key to its owner.
 	var peers *cache.PeeredConfig
 	if *peersFlag != "" {
-		peers = &cache.PeeredConfig{Dial: func(addr string) cache.Peer { return mtier.NewPeerClient(addr, *maxFrame) }}
+		peers = &cache.PeeredConfig{Dial: func(addr string) cache.Peer { return mtier.NewPeerClient(addr, 0) }}
 		for _, p := range strings.Split(*peersFlag, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				peers.Members = append(peers.Members, p)

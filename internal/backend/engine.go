@@ -3,7 +3,7 @@ package backend
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aggcache/internal/chunk"
@@ -49,18 +49,12 @@ func NewEngine(g *chunk.Grid, tab *data.Table, latency LatencyModel) (*Engine, e
 }
 
 // clusterTable sorts the fact rows by base chunk number into a columnar
-// source and builds its offset index.
+// source in one stable counting pass: the rows per chunk, summed as prefix
+// sums, are the offset index, and each row lands at its chunk's next free
+// slot, so rows keep their table order within a chunk.
 func clusterTable(g *chunk.Grid, tab *data.Table) *factSource {
 	base := g.Lattice().Base()
 	n := tab.Len()
-	nums := make([]int32, n)
-	order := make([]int32, n)
-	for i := 0; i < n; i++ {
-		num, _ := g.ChunkOfCell(base, tab.Row(i))
-		nums[i] = int32(num)
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return nums[order[a]] < nums[order[b]] })
 	s := &factSource{
 		cols:    make([][]int32, g.Schema().NumDims()),
 		values:  make([]float64, n),
@@ -69,18 +63,23 @@ func clusterTable(g *chunk.Grid, tab *data.Table) *factSource {
 	for d := range s.cols {
 		s.cols[d] = make([]int32, n)
 	}
-	c := 0
-	for i, ri := range order {
-		for d, m := range tab.Row(int(ri)) {
-			s.cols[d][i] = m
-		}
-		s.values[i] = tab.Value(int(ri))
-		for ; c <= int(nums[ri]); c++ {
-			s.offsets[c] = int64(i)
-		}
+	nums := make([]int32, n)
+	for i := range nums {
+		num, _ := g.ChunkOfCell(base, tab.Row(i))
+		nums[i] = int32(num)
+		s.offsets[num+1]++
 	}
-	for ; c < len(s.offsets); c++ {
-		s.offsets[c] = int64(n)
+	for c := 1; c < len(s.offsets); c++ {
+		s.offsets[c] += s.offsets[c-1]
+	}
+	next := slices.Clone(s.offsets[:len(s.offsets)-1])
+	for i, num := range nums {
+		at := next[num]
+		next[num]++
+		for d, m := range tab.Row(i) {
+			s.cols[d][at] = m
+		}
+		s.values[at] = tab.Value(i)
 	}
 	return s
 }

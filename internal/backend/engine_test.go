@@ -115,6 +115,41 @@ func TestEngineScanIsClusteredPerChunk(t *testing.T) {
 	}
 }
 
+// TestClusteredSourceHoldsTableRowsPerChunk: the clustered columns hold,
+// in each chunk's offset range, exactly the table's rows of that chunk, in
+// table order.
+func TestClusteredSourceHoldsTableRowsPerChunk(t *testing.T) {
+	e, tab := tinyEngine(t, LatencyModel{})
+	g, src := e.Grid(), e.src
+	base := g.Lattice().Base()
+	perChunk := make([][]int, g.NumChunks(base))
+	for i := 0; i < tab.Len(); i++ {
+		num, _ := g.ChunkOfCell(base, tab.Row(i))
+		perChunk[num] = append(perChunk[num], i)
+	}
+	if len(src.offsets) != len(perChunk)+1 || src.offsets[0] != 0 || src.offsets[len(perChunk)] != int64(tab.Len()) {
+		t.Fatalf("offsets span [%d, %d] over %d entries, want [0, %d] over %d",
+			src.offsets[0], src.offsets[len(src.offsets)-1], len(src.offsets), tab.Len(), len(perChunk)+1)
+	}
+	for c, rows := range perChunk {
+		lo, hi := src.offsets[c], src.offsets[c+1]
+		if hi-lo != int64(len(rows)) {
+			t.Fatalf("chunk %d: offsets hold %d rows, table has %d", c, hi-lo, len(rows))
+		}
+		for j, i := range rows {
+			at := lo + int64(j)
+			for d, m := range tab.Row(i) {
+				if src.cols[d][at] != m {
+					t.Fatalf("chunk %d row %d: dimension %d member %d, table row %d has %d", c, j, d, src.cols[d][at], i, m)
+				}
+			}
+			if src.values[at] != tab.Value(i) {
+				t.Fatalf("chunk %d row %d: value %v, table row %d has %v", c, j, src.values[at], i, tab.Value(i))
+			}
+		}
+	}
+}
+
 func TestEngineLatencyModel(t *testing.T) {
 	m := LatencyModel{Connect: time.Millisecond, PerTuple: time.Microsecond}
 	e, tab := tinyEngine(t, m)

@@ -35,7 +35,6 @@ type Exchange struct {
 	errFrame uint8 // frame type of the protocol's in-band error reply
 	dialTmo  time.Duration
 	ioTmo    time.Duration
-	maxPay   int
 	met      obs.RemoteMetrics
 
 	closed atomic.Bool
@@ -47,12 +46,12 @@ type Exchange struct {
 // NewExchange returns an exchange with addr that dials on first use.
 // errFrame is the frame type the server replies in-band errors with;
 // dialTimeout bounds each (re)connect and ioTimeout one exchange whose
-// context carries no earlier deadline; maxPayload bounds reply frames (0
-// means wire.DefaultMaxPayload). met counts the dials RoundTrip makes (redials
+// context carries no earlier deadline; reply frames are bounded by
+// wire.DefaultMaxPayload. met counts the dials RoundTrip makes (redials
 // for a Remote, whose first connection DialPolicy makes), Busy replies and
 // wire traffic; its zero value counts nothing.
-func NewExchange(addr string, errFrame uint8, dialTimeout, ioTimeout time.Duration, maxPayload int, met obs.RemoteMetrics) *Exchange {
-	return &Exchange{addr: addr, errFrame: errFrame, dialTmo: dialTimeout, ioTmo: ioTimeout, maxPay: maxPayload, met: met}
+func NewExchange(addr string, errFrame uint8, dialTimeout, ioTimeout time.Duration, met obs.RemoteMetrics) *Exchange {
+	return &Exchange{addr: addr, errFrame: errFrame, dialTmo: dialTimeout, ioTmo: ioTimeout, met: met}
 }
 
 // connect dials one multiplexed connection and makes it current, unless the
@@ -63,7 +62,7 @@ func (x *Exchange) connect(ctx context.Context) (*wire.Mux, error) {
 	if err != nil {
 		return nil, MarkTransient(err)
 	}
-	m := wire.NewMux(conn, x.maxPay, x.met.WireMetrics)
+	m := wire.NewMux(conn, x.met.WireMetrics)
 	x.mu.Lock()
 	if x.closed.Load() {
 		x.mu.Unlock()

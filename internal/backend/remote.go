@@ -97,21 +97,19 @@ type Remote struct {
 	rng   *rand.Rand
 }
 
-// Dial connects to a backend server with DefaultRetryPolicy, the default
-// reply payload bound and no metrics.
+// Dial connects to a backend server with DefaultRetryPolicy and no metrics.
 func Dial(addr string) (*Remote, error) {
-	return DialPolicy(addr, DefaultRetryPolicy, 0, obs.RemoteMetrics{})
+	return DialPolicy(addr, DefaultRetryPolicy, obs.RemoteMetrics{})
 }
 
-// DialPolicy connects to a backend server with an explicit retry policy.
-// maxPayload bounds reply frames (0 means wire.DefaultMaxPayload) and met
-// receives the client's metrics (the zero value counts nothing). The
-// connection is dialed and multiplexed at once, so configuration errors
-// fail fast.
-func DialPolicy(addr string, pol RetryPolicy, maxPayload int, met obs.RemoteMetrics) (*Remote, error) {
+// DialPolicy connects to a backend server with an explicit retry policy;
+// met receives the client's metrics (the zero value counts nothing). Reply
+// frames are bounded by wire.DefaultMaxPayload. The connection is dialed
+// and multiplexed at once, so configuration errors fail fast.
+func DialPolicy(addr string, pol RetryPolicy, met obs.RemoteMetrics) (*Remote, error) {
 	pol = pol.withDefaults()
 	r := &Remote{
-		x:   NewExchange(addr, frameError, pol.DialTimeout, pol.IOTimeout, maxPayload, met),
+		x:   NewExchange(addr, frameError, pol.DialTimeout, pol.IOTimeout, met),
 		pol: pol,
 		met: met,
 		rng: rand.New(rand.NewSource(pol.Seed)),

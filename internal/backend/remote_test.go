@@ -83,7 +83,7 @@ func TestRemoteRedialsAfterServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	remote, err := DialPolicy(addr, quickPolicy(8), 0, obs.RemoteMetrics{})
+	remote, err := DialPolicy(addr, quickPolicy(8), obs.RemoteMetrics{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestRemoteExhaustsRetriesToUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	remote, err := DialPolicy(addr, quickPolicy(3), 0, obs.RemoteMetrics{})
+	remote, err := DialPolicy(addr, quickPolicy(3), obs.RemoteMetrics{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestRemotePermanentErrorNotRetried(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer srv.Close()
-	remote, err := DialPolicy(addr, quickPolicy(5), 0, obs.RemoteMetrics{})
+	remote, err := DialPolicy(addr, quickPolicy(5), obs.RemoteMetrics{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestServerSurvivesMalformedFrame(t *testing.T) {
 	raw.Close()
 
 	// …while healthy clients keep working.
-	remote, err := DialPolicy(addr, quickPolicy(3), 0, obs.RemoteMetrics{})
+	remote, err := DialPolicy(addr, quickPolicy(3), obs.RemoteMetrics{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestServerRequestTimeoutRepliesTransient(t *testing.T) {
 	remote, err := DialPolicy(addr, RetryPolicy{
 		MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond,
 		DialTimeout: time.Second, IOTimeout: 10 * time.Second, Seed: 1,
-	}, 0, obs.RemoteMetrics{})
+	}, obs.RemoteMetrics{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestRemoteRejectsReplyThatIsNotTheRequest(t *testing.T) {
 			served.Add(1)
 			return reply(chunks, stats)
 		})
-		remote, err := DialPolicy(addr, quickPolicy(4), 0, obs.RemoteMetrics{})
+		remote, err := DialPolicy(addr, quickPolicy(4), obs.RemoteMetrics{})
 		if err != nil {
 			t.Fatalf("%s: Dial: %v", name, err)
 		}

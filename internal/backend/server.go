@@ -45,14 +45,6 @@ func NewServer(e *Engine) *Server {
 // synchronized with connections in flight.
 func (s *Server) SetTimeouts(t Timeouts) { s.srv.Options.Timeouts = t }
 
-// SetMaxPayload bounds request frame payloads (0 means
-// wire.DefaultMaxPayload). Call it before Listen.
-func (s *Server) SetMaxPayload(n int) { s.srv.Options.MaxPayload = n }
-
-// SetMaxInFlight caps concurrently executing handlers per connection (0
-// means wire.DefaultMaxInFlight). Call it before Listen.
-func (s *Server) SetMaxInFlight(n int) { s.srv.Options.MaxInFlight = n }
-
 // SetMetrics attaches live observability metrics (the server records the
 // wire-level counters; attach the same bundle to the engine for the compute
 // counters). Call it before Listen.

@@ -94,7 +94,7 @@ func TestServerPipelinedOutOfOrderContents(t *testing.T) {
 	defer srv.Close()
 
 	met := obs.NewRemoteMetrics(obs.NewRegistry())
-	remote, err := DialPolicy(addr, DefaultRetryPolicy, 0, met)
+	remote, err := DialPolicy(addr, DefaultRetryPolicy, met)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

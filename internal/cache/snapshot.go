@@ -267,9 +267,11 @@ func SaveSnapshotFile(path string, s Store, g *chunk.Grid) (int, error) {
 // written over grid g, into s, and returns the number of chunks s admitted.
 // Every record goes in through s.Insert with its saved class and benefit, so
 // the store's listeners (a lookup strategy's counts and costs) see a normal
-// admission. Records are inserted in descending benefit order, so with a
-// cold tier the hot tier fills benefit-first and what overflows demotes.
-// Replacement state (clock weights, ring membership) is not saved;
+// admission. Records are inserted in ascending benefit order: a store
+// smaller than the one saved evicts the earlier, cheaper records to admit
+// the later ones, so it ends holding the most valuable records that fit,
+// and with a cold tier the overflow demotes cheapest first. Replacement
+// state (clock weights, ring membership) is not saved;
 // reloaded chunks start fresh.
 //
 // A missing file is reported as os.ErrNotExist. A snapshot of another grid
@@ -284,7 +286,7 @@ func LoadSnapshotFile(path string, g *chunk.Grid, s Store) (int, error) {
 		return 0, err
 	}
 	recs, err := readSnapshot(data, g)
-	slices.SortStableFunc(recs, func(a, b snapRecord) int { return cmp.Compare(b.benefit, a.benefit) })
+	slices.SortStableFunc(recs, func(a, b snapRecord) int { return cmp.Compare(a.benefit, b.benefit) })
 	admitted := 0
 	for _, r := range recs {
 		if s.Insert(r.key, r.data, r.insertOption()) {

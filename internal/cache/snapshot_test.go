@@ -160,9 +160,9 @@ func (l *insertLog) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool 
 	return l.Store.Insert(k, data, opts...)
 }
 
-// TestSnapshotLoadInsertsByBenefit: the load admits records most valuable
-// first, whatever their order in the file, so a store smaller than the one
-// saved fills benefit-first.
+// TestSnapshotLoadInsertsByBenefit: the load admits records least valuable
+// first, whatever their order in the file, so that in a store smaller than
+// the one saved each later, more valuable record evicts an earlier one.
 func TestSnapshotLoadInsertsByBenefit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.snap")
 	if _, err := SaveSnapshotFile(path, populatedTiered(t), snapGrid); err != nil {
@@ -172,9 +172,71 @@ func TestSnapshotLoadInsertsByBenefit(t *testing.T) {
 	if _, err := LoadSnapshotFile(path, snapGrid, dst); err != nil {
 		t.Fatalf("LoadSnapshotFile: %v", err)
 	}
-	want := []float64{9, 7, 5, 4, 3, 2, 1, 0}
+	want := []float64{0, 1, 2, 3, 4, 5, 7, 9}
 	if !slices.Equal(dst.benefits, want) {
 		t.Fatalf("insert order by benefit %v, want %v", dst.benefits, want)
+	}
+}
+
+// TestSnapshotLoadKeepsTopRecords: 8 equal-sized records restored into a
+// store with room for 3 leave the 3 most valuable resident, under every
+// replacement policy; with a cold tier under it, those 3 are the hot ones
+// and the cold tier holds the most valuable of the rest.
+func TestSnapshotLoadKeepsTopRecords(t *testing.T) {
+	const n, room = 8, 3
+	size := mkChunk(0, 0, 10).Bytes()
+	src, err := New(n*size, NewTwoLevel())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	benefit := func(i int) float64 { return float64(int(1) << (2 * i)) } // 1, 4, ..., 16384
+	for _, i := range []int{3, 7, 0, 5, 1, 6, 2, 4} {
+		src.Insert(snapKey(i), mkChunk(0, i, 10), AsBackend(benefit(i)))
+	}
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	if _, err := SaveSnapshotFile(path, src, snapGrid); err != nil {
+		t.Fatalf("SaveSnapshotFile: %v", err)
+	}
+	for _, name := range []string{"benefit", "two-level", "two-level-promote", "lru"} {
+		for _, tiered := range []bool{false, true} {
+			pol, err := NewPolicy(name)
+			if err != nil {
+				t.Fatalf("NewPolicy: %v", err)
+			}
+			dst, err := New(room*size, pol)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if tiered {
+				if dst, err = NewTiered(dst, 2*size); err != nil {
+					t.Fatalf("NewTiered: %v", err)
+				}
+			}
+			if _, err := LoadSnapshotFile(path, snapGrid, dst); err != nil {
+				t.Fatalf("%s tiered=%v: LoadSnapshotFile: %v", name, tiered, err)
+			}
+			// The hot tier holds exactly the top records; every resident
+			// (hot or cold) outranks every record that was dropped.
+			var hot []int
+			resident := 0
+			for i := n - 1; i >= 0; i-- {
+				if dst.hotContains(snapKey(i)) {
+					hot = append(hot, i)
+				}
+				if IsResident(dst, snapKey(i)) {
+					if resident != n-1-i {
+						t.Fatalf("%s tiered=%v: record %d resident below a dropped one", name, tiered, i)
+					}
+					resident++
+				}
+			}
+			if !slices.Equal(hot, []int{7, 6, 5}) {
+				t.Fatalf("%s tiered=%v: hot tier holds records %v, want the top %d [7 6 5]", name, tiered, hot, room)
+			}
+			if !tiered && resident != room {
+				t.Fatalf("%s: %d records resident, want %d", name, resident, room)
+			}
+		}
 	}
 }
 

@@ -27,11 +27,8 @@ type AdmissionConfig struct {
 	// shed; it is also the ceiling on retry-after hints. <= 0 means 250ms.
 	MaxWait time.Duration
 	// TenantQPS caps admitted queries per second per tenant (token bucket,
-	// burst TenantBurst). 0 means unlimited.
+	// burst max(1, ceil(2×TenantQPS))). 0 means unlimited.
 	TenantQPS float64
-	// TenantBurst is the qps bucket's burst size; <= 0 means
-	// max(1, ceil(2×TenantQPS)).
-	TenantBurst int
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
@@ -40,9 +37,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = 250 * time.Millisecond
-	}
-	if c.TenantBurst <= 0 {
-		c.TenantBurst = int(math.Max(1, math.Ceil(2*c.TenantQPS)))
 	}
 	return c
 }
@@ -202,7 +196,8 @@ func (a *admission) tenant(id string) *tenantState {
 	defer a.mu.Unlock()
 	ts := a.tenants[id]
 	if ts == nil {
-		ts = &tenantState{qps: bucket{rate: a.cfg.TenantQPS, burst: float64(a.cfg.TenantBurst), tokens: float64(a.cfg.TenantBurst), last: time.Now()}}
+		burst := math.Max(1, math.Ceil(2*a.cfg.TenantQPS))
+		ts = &tenantState{qps: bucket{rate: a.cfg.TenantQPS, burst: burst, tokens: burst, last: time.Now()}}
 		a.tenants[id] = ts
 	}
 	return ts

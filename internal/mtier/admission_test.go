@@ -120,7 +120,9 @@ func TestAdmissionExpiresWhileQueued(t *testing.T) {
 }
 
 func TestTenantQPSQuota(t *testing.T) {
-	a := newAdmission(AdmissionConfig{MaxConcurrent: 8, TenantQPS: 0.001, TenantBurst: 2})
+	// 0.75 qps: a burst of ceil(2×0.75) = 2, and no token refills within
+	// the test.
+	a := newAdmission(AdmissionConfig{MaxConcurrent: 8, TenantQPS: 0.75})
 	for i := 0; i < 2; i++ {
 		r, busy := a.Admit("noisy", 0)
 		if busy != nil {
@@ -242,7 +244,8 @@ func TestServerShedsBusyAndClientClassifiesTransient(t *testing.T) {
 
 func TestServerQuotaShedsPerTenant(t *testing.T) {
 	srv, _, _ := newTestServer(t)
-	srv.SetAdmission(AdmissionConfig{MaxConcurrent: 8, TenantQPS: 0.001, TenantBurst: 2})
+	// 0.001 qps: a burst of one query, and no token refills within the test.
+	srv.SetAdmission(AdmissionConfig{MaxConcurrent: 8, TenantQPS: 0.001})
 	qaddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -272,8 +275,8 @@ func TestServerQuotaShedsPerTenant(t *testing.T) {
 			quotaSheds++
 		}
 	}
-	if quotaSheds < 8 {
-		t.Fatalf("noisy tenant shed %d of 10, want ≥ 8 past its burst of 2", quotaSheds)
+	if quotaSheds < 9 {
+		t.Fatalf("noisy tenant shed %d of 10, want ≥ 9 past its burst of 1", quotaSheds)
 	}
 	// The capped tenant's hammering must not affect its neighbor.
 	if _, err := polite.Query("SUM(UnitSales) BY Time:Year"); err != nil {
@@ -314,23 +317,30 @@ func TestClientDeadlinePropagatesAsBudget(t *testing.T) {
 }
 
 func TestQueryPayloadCompat(t *testing.T) {
-	// A v1 payload (bare query string, no tenant/budget tail) must decode.
+	// A v1 payload (bare query string, no tenant/budget tail) is refused:
+	// every client since admission control writes the tail, and wire
+	// version 2 refuses older clients before their payload is read.
 	old := wire.AppendString(nil, "SUM(UnitSales) BY Time:Year")
-	q, tenant, budget, err := decodeQuery(old)
-	if err != nil {
-		t.Fatalf("decode v1 payload: %v", err)
+	if _, _, _, err := decodeQuery(old); err == nil {
+		t.Fatalf("v1 payload without the tenant/budget tail decoded")
 	}
-	if q != "SUM(UnitSales) BY Time:Year" || tenant != "" || budget != 0 {
-		t.Fatalf("v1 payload decoded to %q/%q/%v", q, tenant, budget)
-	}
-	// And the extended form round-trips.
+	// The one layout round-trips.
 	ext := encodeQuery(nil, "SUM(UnitSales) BY Time:Year", "acme", 1500*time.Millisecond)
-	q, tenant, budget, err = decodeQuery(ext)
+	q, tenant, budget, err := decodeQuery(ext)
 	if err != nil {
-		t.Fatalf("decode extended payload: %v", err)
+		t.Fatalf("decode payload: %v", err)
 	}
 	if q != "SUM(UnitSales) BY Time:Year" || tenant != "acme" || budget != 1500*time.Millisecond {
-		t.Fatalf("extended payload decoded to %q/%q/%v", q, tenant, budget)
+		t.Fatalf("payload decoded to %q/%q/%v", q, tenant, budget)
+	}
+}
+
+// TestQueryPayloadRefusesTrailingBytes: a query payload has exactly one
+// layout, so bytes after the budget make it malformed.
+func TestQueryPayloadRefusesTrailingBytes(t *testing.T) {
+	p := encodeQuery(nil, "SUM(UnitSales) BY Time:Year", "acme", time.Second)
+	if _, _, _, err := decodeQuery(append(p, 0)); err == nil {
+		t.Fatalf("payload with a trailing byte decoded")
 	}
 }
 

@@ -110,7 +110,7 @@ func TestExchangeConformance(t *testing.T) {
 		dial func(t *testing.T) (call func(context.Context) error, closeFn func() error)
 	}{
 		{"remote", func(t *testing.T) (func(context.Context) error, func() error) {
-			r, err := backend.DialPolicy(addr, backend.RetryPolicy{MaxAttempts: 1, IOTimeout: 2 * time.Second}, 0, obs.RemoteMetrics{})
+			r, err := backend.DialPolicy(addr, backend.RetryPolicy{MaxAttempts: 1, IOTimeout: 2 * time.Second}, obs.RemoteMetrics{})
 			if err != nil {
 				t.Fatalf("DialPolicy: %v", err)
 			}

@@ -111,15 +111,6 @@ func NewServer(engine *core.Engine) *Server {
 // synchronized with connections in flight.
 func (s *Server) SetTimeouts(t wire.Timeouts) { s.srv.Options.Timeouts = t }
 
-// SetMaxPayload bounds request frame payloads (0 means
-// wire.DefaultMaxPayload). Call before Listen.
-func (s *Server) SetMaxPayload(n int) { s.srv.Options.MaxPayload = n }
-
-// SetMaxInFlight caps concurrently executing handlers per connection (0
-// means wire.DefaultMaxInFlight). It bounds one connection's pipelining;
-// SetAdmission bounds the whole server. Call before Listen.
-func (s *Server) SetMaxInFlight(n int) { s.srv.Options.MaxInFlight = n }
-
 // SetAdmission installs the server-wide admission controller: every client
 // query passes its bounded queue, deadline check and tenant quotas before
 // touching the engine, and shed queries are answered with an in-band Busy
@@ -396,7 +387,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mtier: dial %s: %w", addr, err)
 	}
-	return &Client{mux: wire.NewMux(conn, 0, obs.WireMetrics{})}, nil
+	return &Client{mux: wire.NewMux(conn, obs.WireMetrics{})}, nil
 }
 
 // SetTenant attaches a tenant id to every subsequent query, keying the

@@ -32,16 +32,15 @@ func TestOverloadSoak(t *testing.T) {
 	srv := newSlowServer(t, 10*time.Millisecond)
 	reg := obs.NewRegistry()
 	srv.SetObs(reg, obs.NewTraceRing(64))
-	// Two slots against twelve unpaced workers: the queue must fill (60
-	// burst tokens arrive at t=0 against 6 spots of capacity), deadlines
-	// must expire in it, and the quota must bind each tenant's sustained
-	// rate — all three shed paths exercised in one storm.
+	// Two slots against twelve unpaced workers: the queue must fill (450
+	// burst tokens, 2×75 per tenant, arrive at t=0 against 6 spots of
+	// capacity), deadlines must expire in it, and the quota must bind each
+	// tenant's sustained rate — all three shed paths exercised in one storm.
 	srv.SetAdmission(AdmissionConfig{
 		MaxConcurrent: 2,
 		MaxQueue:      4,
 		MaxWait:       15 * time.Millisecond,
-		TenantQPS:     150,
-		TenantBurst:   20,
+		TenantQPS:     75,
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -173,7 +172,7 @@ func TestOverloadSoak(t *testing.T) {
 		totalQuota += run.quota.Load()
 	}
 	if totalQuota == 0 {
-		t.Fatalf("unpaced tenants well past %v qps saw no quota sheds", 150)
+		t.Fatalf("unpaced tenants well past %v qps saw no quota sheds", 75)
 	}
 	if totalBusy == totalQuota {
 		t.Fatalf("every shed was a quota shed — the admission queue never filled")

@@ -139,12 +139,13 @@ func (s *Server) handlePeerGet(fr *wire.Frame) wire.Frame {
 // connection is dropped for the next exchange to redial.
 type PeerClient struct{ x *backend.Exchange }
 
-// NewPeerClient returns a lazily-connecting peer client. maxPayload bounds
-// response frames (0 means wire.DefaultMaxPayload); the peer need not be
-// reachable yet. Dials and exchanges are bounded by 2s each; the Peered
-// store's fill timeout is shorter or equal.
-func NewPeerClient(addr string, maxPayload int) *PeerClient {
-	return &PeerClient{x: backend.NewExchange(addr, framePeerErr, 2*time.Second, 2*time.Second, maxPayload, obs.RemoteMetrics{})}
+// NewPeerClient returns a lazily-connecting peer client; the peer need not
+// be reachable yet. Dials and exchanges are bounded by 2s each; the Peered
+// store's fill timeout is shorter or equal. Response frames are bounded by
+// wire.DefaultMaxPayload: every caller passes 0 for maxPayload, which is
+// unused and stays only for callers compiled against this signature.
+func NewPeerClient(addr string, _ int) *PeerClient {
+	return &PeerClient{x: backend.NewExchange(addr, framePeerErr, 2*time.Second, 2*time.Second, obs.RemoteMetrics{})}
 }
 
 // Get implements cache.Peer.

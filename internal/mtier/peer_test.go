@@ -225,7 +225,7 @@ func TestPeerServerAnswersMalformedInBand(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	mux := wire.NewMux(conn, 0, obs.WireMetrics{})
+	mux := wire.NewMux(conn, obs.WireMetrics{})
 	defer mux.Close()
 
 	// A garbage PeerGet payload must produce an in-band PeerErr, and the
@@ -386,7 +386,7 @@ func TestMixedVersionPairFailsCleanly(t *testing.T) {
 	if _, err := cl.QueryContext(ctx, "SUM(UnitSales) BY Time:Year"); err == nil || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("query against a version-1 node: %v, want a prompt failure", err)
 	}
-	r, err := backend.DialPolicy(old, backend.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}, 0, obs.RemoteMetrics{})
+	r, err := backend.DialPolicy(old, backend.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}, obs.RemoteMetrics{})
 	if err != nil {
 		t.Fatalf("DialPolicy: %v", err)
 	}

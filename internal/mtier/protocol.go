@@ -28,12 +28,10 @@ const (
 
 // encodeQuery appends a frameQuery payload:
 //
-//	query str [| tenant str | budget_ms u32]
+//	query str | tenant str | budget_ms u32
 //
-// The tenant/budget tail was added with admission control. Compatibility is
-// tolerant in both directions: an old decoder reads only the query string
-// and ignores trailing bytes, and a new decoder treats an absent tail as an
-// anonymous query with no deadline budget.
+// An empty tenant is an anonymous query and a zero budget means no
+// deadline.
 func encodeQuery(b []byte, query, tenant string, budget time.Duration) []byte {
 	b = wire.AppendString(b, query)
 	ms := budget.Milliseconds()
@@ -52,16 +50,14 @@ func encodeQuery(b []byte, query, tenant string, budget time.Duration) []byte {
 	return wire.AppendU32(b, uint32(ms))
 }
 
-// decodeQuery parses a frameQuery payload, with or without the
-// tenant/budget tail.
+// decodeQuery parses a frameQuery payload; a missing field or a trailing
+// byte makes it malformed.
 func decodeQuery(p []byte) (query, tenant string, budget time.Duration, err error) {
 	d := wire.NewDec(p)
 	query = d.String()
-	if d.Err() == nil && d.Remaining() > 0 {
-		tenant = d.String()
-		budget = time.Duration(d.U32()) * time.Millisecond
-	}
-	if d.Err() != nil {
+	tenant = d.String()
+	budget = time.Duration(d.U32()) * time.Millisecond
+	if d.Err() != nil || d.Remaining() != 0 {
 		return "", "", 0, fmt.Errorf("mtier: malformed query payload")
 	}
 	return query, tenant, budget, nil

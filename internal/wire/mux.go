@@ -40,16 +40,16 @@ type muxResult struct {
 	err error
 }
 
-// NewMux starts multiplexing conn. maxPayload bounds response frames
-// (0 means DefaultMaxPayload).
-func NewMux(conn net.Conn, maxPayload int, met obs.WireMetrics) *Mux {
+// NewMux starts multiplexing conn. Response frames are bounded by
+// DefaultMaxPayload.
+func NewMux(conn net.Conn, met obs.WireMetrics) *Mux {
 	m := &Mux{
 		conn:    conn,
 		met:     met,
 		w:       NewWriter(conn, met),
 		pending: make(map[uint64]chan muxResult),
 	}
-	r := NewReader(conn, maxPayload, met)
+	r := NewReader(conn, 0, met)
 	go m.readLoop(r)
 	return m
 }

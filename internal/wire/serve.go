@@ -15,8 +15,8 @@ import (
 )
 
 // DefaultMaxInFlight is the per-connection cap on concurrently executing
-// handlers when ConnOptions.MaxInFlight is zero. Both servers expose the
-// knob (-wire-max-inflight); this is only the fallback.
+// handlers, for both servers; excess pipelined requests queue on the read
+// loop. Request frames are bounded by DefaultMaxPayload.
 const DefaultMaxInFlight = 32
 
 // Timeouts bounds one side of a wire conversation so a stuck peer or a
@@ -41,12 +41,6 @@ type Timeouts struct {
 type ConnOptions struct {
 	// Timeouts is the deadline policy.
 	Timeouts Timeouts
-	// MaxPayload bounds request frames; 0 means DefaultMaxPayload.
-	MaxPayload int
-	// MaxInFlight caps concurrently executing handlers per connection;
-	// 0 means DefaultMaxInFlight. Excess pipelined requests queue on the
-	// read loop.
-	MaxInFlight int
 	// Metrics receives the frame/byte counters, the in-flight and open
 	// connection gauges, and the wire error, idle close and panic counts.
 	Metrics obs.WireMetrics
@@ -194,15 +188,12 @@ func (s *Server) Close() error {
 
 // serveConn runs a connection's serve loop until the peer hangs up, the
 // idle deadline passes, or the stream fails: frames are read sequentially,
-// dispatched to concurrently running handlers (bounded by MaxInFlight), and
-// responses are written back under a write lock in completion order — the
-// server half of the pipelining protocol. It returns after all in-flight
+// dispatched to concurrently running handlers (bounded by
+// DefaultMaxInFlight), and responses are written back under a write lock in
+// completion order — the server half of the pipelining protocol. It returns after all in-flight
 // handlers have finished; the caller owns closing conn.
 func serveConn(conn net.Conn, opt ConnOptions, h func(*Frame) Frame) {
-	if opt.MaxInFlight <= 0 {
-		opt.MaxInFlight = DefaultMaxInFlight
-	}
-	r := NewReader(conn, opt.MaxPayload, opt.Metrics)
+	r := NewReader(conn, 0, opt.Metrics)
 	w := NewWriter(conn, opt.Metrics)
 	var (
 		wmu      sync.Mutex
@@ -210,7 +201,7 @@ func serveConn(conn net.Conn, opt ConnOptions, h func(*Frame) Frame) {
 		inflight atomic.Int64
 		dead     atomic.Bool // a handler write failed and closed conn
 	)
-	sem := make(chan struct{}, opt.MaxInFlight)
+	sem := make(chan struct{}, DefaultMaxInFlight)
 	defer wg.Wait()
 	for {
 		// The idle deadline applies only when nothing is being served: a

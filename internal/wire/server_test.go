@@ -27,7 +27,7 @@ func dialMux(t *testing.T, addr string) *Mux {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	m := NewMux(conn, 0, obs.WireMetrics{})
+	m := NewMux(conn, obs.WireMetrics{})
 	t.Cleanup(func() { m.Close() })
 	return m
 }

@@ -50,8 +50,8 @@ const (
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 20
 
-	// DefaultMaxPayload bounds a single frame's payload (64 MiB) unless the
-	// endpoint configures its own limit.
+	// DefaultMaxPayload bounds a single frame's payload (64 MiB) at every
+	// product endpoint; only tests pass NewReader a tighter limit.
 	DefaultMaxPayload = 64 << 20
 
 	// readStep is the incremental payload read granularity: memory committed

@@ -240,7 +240,7 @@ func TestMuxPipelinesOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	m := NewMux(conn, 0, obs.WireMetrics{})
+	m := NewMux(conn, obs.WireMetrics{})
 	defer m.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, k)
@@ -285,7 +285,7 @@ func TestMuxCloseFailsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	m := NewMux(conn, 0, obs.WireMetrics{})
+	m := NewMux(conn, obs.WireMetrics{})
 	done := make(chan error, 1)
 	go func() {
 		_, err := m.RoundTrip(context.Background(), 1, 0, nil, time.Now().Add(time.Minute))
