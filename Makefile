@@ -168,15 +168,19 @@ depguard:
 		echo "depguard: cmd/aggcached or cmd/olapcli depends on" $$bad; exit 1; \
 	fi
 
-# surface prints the size of each product package's API: exported
-# package-level names (go doc -short lines) and exported methods; then each
+# surface prints the size of each product package: exported package-level
+# names (go doc -short lines), exported methods and non-test Go lines; then
+# the non-test Go lines of the whole module outside benchmark/, and each
 # daemon's flag count (the flags its -h lists).
 surface:
-	@for p in cache core strategy backend chunk workload mtier obs; do \
-		printf '%-9s %3d names %3d methods\n' $$p \
+	@for p in cache core strategy backend chunk workload mtier obs sizer lattice; do \
+		printf '%-9s %3d names %3d methods %5d lines\n' $$p \
 			"$$($(GO) doc -short ./internal/$$p | wc -l)" \
-			"$$($(GO) doc -all ./internal/$$p | grep -c '^func (')"; \
+			"$$($(GO) doc -all ./internal/$$p | grep -c '^func (')" \
+			"$$(ls internal/$$p/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
 	done
+	@printf '%-9s %5d lines (non-test Go outside benchmark/)\n' total \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 	@for c in aggcached backendd olapcli; do \
 		printf '%-9s %3d flags\n' $$c "$$($(GO) run ./cmd/$$c -h 2>&1 | grep -c '^  -')"; \
 	done

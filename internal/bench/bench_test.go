@@ -256,20 +256,20 @@ func TestGatesFailOnABrokenFloor(t *testing.T) {
 			m.Fairness.FloodQuotaSheds = 0
 			return overloadGates(m)
 		}(), "fairness.flood_quota_sheds"},
-		{"recycle drill qps", recycleGates(recycle()), func() []Gate {
+		{"recycle drill qps", recycleGates(recycle(), true), func() []Gate {
 			m := recycle()
 			m.DrillQPSRatio = 0.99
-			return recycleGates(m)
+			return recycleGates(m, true)
 		}(), "drill_qps_ratio"},
-		{"recycle drill hit", recycleGates(recycle()), func() []Gate {
+		{"recycle drill hit", recycleGates(recycle(), true), func() []Gate {
 			m := recycle()
 			m.DrillHitGain = -0.01
-			return recycleGates(m)
+			return recycleGates(m, true)
 		}(), "drill_hit_gain"},
-		{"recycle proximity", recycleGates(recycle()), func() []Gate {
+		{"recycle proximity", recycleGates(recycle(), true), func() []Gate {
 			m := recycle()
 			m.ProximityQPSRatio = math.NaN()
-			return recycleGates(m)
+			return recycleGates(m, true)
 		}(), "proximity_qps_ratio"},
 		{"tiered hit", tieredGates(tiered()), func() []Gate {
 			m := tiered()
@@ -297,6 +297,48 @@ func TestGatesFailOnABrokenFloor(t *testing.T) {
 		}
 		if !strings.Contains(failed[0].String(), "FAIL") {
 			t.Fatalf("%s: verdict %q does not say FAIL", tc.name, failed[0])
+		}
+	}
+}
+
+// TestRecycleQPSGatedOnlyAtBenchSize checks both sides of the recycle size
+// rule: the wall-clock qps ratios are gated from the make bench-recycle size
+// (medium scale, 200 queries) up and only reported below it, while the hit
+// gain is gated at every size.
+func TestRecycleQPSGatedOnlyAtBenchSize(t *testing.T) {
+	slow := &recycleMetrics{DrillQPSRatio: 0.8, DrillHitGain: 0.01, ProximityQPSRatio: 0.7}
+	for _, tc := range []struct {
+		scale   apb.Scale
+		queries int
+		gated   bool
+	}{
+		{apb.ScaleSmall, 100, false},
+		{apb.ScaleSmall, 200, false},
+		{apb.ScaleMedium, 199, false},
+		{apb.ScaleMedium, 200, true},
+		{apb.ScaleFull, 500, true},
+	} {
+		cfg := DefaultConfig(tc.scale)
+		cfg.Queries = tc.queries
+		gated := recycleWallClockGated(cfg)
+		if gated != tc.gated {
+			t.Fatalf("%v scale, %d queries: gated %v, want %v", tc.scale, tc.queries, gated, tc.gated)
+		}
+		var names []string
+		for _, g := range FailedGates([]*Report{{Gates: recycleGates(slow, gated)}}) {
+			names = append(names, g.Name)
+		}
+		want := []string(nil)
+		if tc.gated {
+			want = []string{"drill_qps_ratio", "proximity_qps_ratio"}
+		}
+		if strings.Join(names, ",") != strings.Join(want, ",") {
+			t.Fatalf("%v scale, %d queries: failed gates %v, want %v", tc.scale, tc.queries, names, want)
+		}
+		lost := &recycleMetrics{DrillQPSRatio: 1.2, DrillHitGain: -0.01, ProximityQPSRatio: 0.97}
+		failed := FailedGates([]*Report{{Gates: recycleGates(lost, gated)}})
+		if len(failed) != 1 || failed[0].Name != "drill_hit_gain" {
+			t.Fatalf("%v scale, %d queries: failed gates %v, want drill_hit_gain", tc.scale, tc.queries, failed)
 		}
 	}
 }

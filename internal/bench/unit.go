@@ -98,9 +98,12 @@ func UnitCostVar(e *Env) (*Report, error) {
 			return v
 		}
 		best := int64(-1)
-		for _, parent := range lat.Parents(gb) {
+		pdims := lat.ParentDims(gb)
+		for i, parent := range lat.Parents(gb) {
 			total := int64(0)
-			for _, cn := range e.Grid.ParentChunks(gb, num, parent, nil) {
+			r := e.Grid.ParentRun(gb, num, int(pdims[i]))
+			for j := 0; j < r.N; j++ {
+				cn := r.At(j)
 				total += minCost(parent, cn) + e.Sizer.ChunkCells(parent, cn)
 			}
 			if best < 0 || total < best {
@@ -119,9 +122,12 @@ func UnitCostVar(e *Env) (*Report, error) {
 			return v
 		}
 		worst := int64(-1)
-		for _, parent := range lat.Parents(gb) {
+		pdims := lat.ParentDims(gb)
+		for i, parent := range lat.Parents(gb) {
 			total := int64(0)
-			for _, cn := range e.Grid.ParentChunks(gb, num, parent, nil) {
+			r := e.Grid.ParentRun(gb, num, int(pdims[i]))
+			for j := 0; j < r.N; j++ {
+				cn := r.At(j)
 				total += maxCost(parent, cn) + e.Sizer.ChunkCells(parent, cn)
 			}
 			if total > worst {

@@ -99,13 +99,15 @@ func TestFlattenedRollUpMatchesHopByHop(t *testing.T) {
 			level, hops := leaves, 0
 			for cur := leafGB; cur != dstGB; hops++ {
 				var steps []lattice.ID
-				for _, ch := range lat.Children(cur) {
+				var dims []int
+				for i, ch := range lat.Children(cur) {
 					if lat.ComputableFrom(dstGB, ch) {
 						steps = append(steps, ch)
+						dims = append(dims, int(lat.ChildDims(cur)[i]))
 					}
 				}
-				next := steps[rng.Intn(len(steps))]
-				d, _ := lat.StepDim(next, cur)
+				k := rng.Intn(len(steps))
+				next, d := steps[k], dims[k]
 				maps := make(map[int]*chunk.CellMap)
 				for _, src := range level {
 					num := g.ChildStep(cur, int(src.Num), d)

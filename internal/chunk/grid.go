@@ -347,23 +347,9 @@ func (g *Grid) ChildStep(gb lattice.ID, num, d int) int {
 	return (hi*g.counts[d][l-1]+int(g.childChunk[d][l][c]))*s + lo
 }
 
-// ParentChunks appends ParentRun(gb, num, d) to dst, where d is the
-// dimension on which parent is one level more detailed than gb.
-func (g *Grid) ParentChunks(gb lattice.ID, num int, parent lattice.ID, dst []int) []int {
-	d, ok := g.lat.StepDim(gb, parent)
-	if !ok {
-		panic(fmt.Sprintf("chunk: %s is not a lattice parent of %s", g.lat.LevelTupleString(parent), g.lat.LevelTupleString(gb)))
-	}
-	r := g.ParentRun(gb, num, d)
-	for i := 0; i < r.N; i++ {
-		dst = append(dst, r.At(i))
-	}
-	return dst
-}
-
 // AncestorChunks appends the chunk numbers at ancestor group-by anc
 // (componentwise ≥ gb) covering chunk num of gb. For a direct parent this
-// equals ParentChunks.
+// is the run ParentRun enumerates.
 func (g *Grid) AncestorChunks(gb lattice.ID, num int, anc lattice.ID, dst []int) []int {
 	if !g.lat.ComputableFrom(gb, anc) {
 		panic(fmt.Sprintf("chunk: %s is not an ancestor of %s", g.lat.LevelTupleString(anc), g.lat.LevelTupleString(gb)))
@@ -408,27 +394,15 @@ func (g *Grid) AncestorChunks(gb lattice.ID, num int, anc lattice.ID, dst []int)
 	}
 }
 
-// Span returns the per-dimension member counts of chunk num of gb, appended
-// to dst.
-func (g *Grid) Span(gb lattice.ID, num int, dst []int32) []int32 {
-	var buf [16]int32
-	coords := g.Coords(gb, num, buf[:0])
-	lv := g.lat.Level(gb)
-	for d, c := range coords {
-		r := g.MemberRange(d, lv[d], c)
-		dst = append(dst, r.Hi-r.Lo)
-	}
-	return dst
-}
-
 // CellCapacity returns the dense cell capacity of chunk num of gb: the
 // product of its per-dimension member spans.
 func (g *Grid) CellCapacity(gb lattice.ID, num int) int64 {
 	var buf [16]int32
-	span := g.Span(gb, num, buf[:0])
+	lv := g.lat.Level(gb)
 	cap := int64(1)
-	for _, s := range span {
-		cap *= int64(s)
+	for d, c := range g.Coords(gb, num, buf[:0]) {
+		r := g.MemberRange(d, lv[d], c)
+		cap *= int64(r.Hi - r.Lo)
 	}
 	return cap
 }

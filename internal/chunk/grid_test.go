@@ -2,12 +2,22 @@ package chunk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"aggcache/internal/lattice"
 	"aggcache/internal/schema"
 )
+
+// runNums lists the chunk numbers of a run.
+func runNums(r Run) []int {
+	out := make([]int, r.N)
+	for i := range out {
+		out[i] = r.At(i)
+	}
+	return out
+}
 
 // fig1Schema models the paper's Figure 1: two dimensions Product and Time,
 // single-level hierarchies, 2 chunks each at the detailed level.
@@ -36,12 +46,13 @@ func TestFig1ChunkClosure(t *testing.T) {
 	}
 	// Chunk 0 of (Time) is computed from the two chunks of (Product,Time)
 	// covering time chunk 0 — the Figure 1 correspondence.
-	got := g.ParentChunks(timeOnly, 0, pt, nil)
+	i := slices.Index(lat.Parents(timeOnly), pt)
+	d := int(lat.ParentDims(timeOnly)[i])
+	got := runNums(g.ParentRun(timeOnly, 0, d))
 	want := map[int]bool{0: true, 2: true} // product chunks 0,1 x time chunk 0
 	if len(got) != 2 || !want[got[0]] || !want[got[1]] {
-		t.Fatalf("ParentChunks = %v, want {0,2}", got)
+		t.Fatalf("ParentRun = %v, want {0,2}", got)
 	}
-	d, _ := lat.StepDim(timeOnly, pt)
 	for _, pc := range got {
 		if cc := g.ChildStep(pt, pc, d); cc != 0 {
 			t.Fatalf("ChildStep(%d) = %d, want 0", pc, cc)
@@ -122,10 +133,10 @@ func TestClosureProperty(t *testing.T) {
 	g := apb3Grid(t)
 	lat := g.Lattice()
 	for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
-		for _, parent := range lat.Parents(id) {
-			d, _ := lat.StepDim(id, parent)
+		for i, parent := range lat.Parents(id) {
+			d := int(lat.ParentDims(id)[i])
 			for num := 0; num < g.NumChunks(id); num++ {
-				pcs := g.ParentChunks(id, num, parent, nil)
+				pcs := runNums(g.ParentRun(id, num, d))
 				if len(pcs) == 0 {
 					t.Fatalf("gb %s chunk %d: no parent chunks", lat.LevelTupleString(id), num)
 				}
@@ -161,7 +172,7 @@ func TestClosureProperty(t *testing.T) {
 }
 
 // TestAncestorChunksMatchesRecursiveParents cross-checks the multi-step
-// AncestorChunks against repeated single-step ParentChunks.
+// AncestorChunks against repeated single-step ParentRun.
 func TestAncestorChunksMatchesRecursiveParents(t *testing.T) {
 	g := apb3Grid(t)
 	lat := g.Lattice()
@@ -174,10 +185,11 @@ func TestAncestorChunksMatchesRecursiveParents(t *testing.T) {
 		cur := id
 		for cur != base {
 			ps := lat.Parents(cur)
-			p := ps[rng.Intn(len(ps))]
+			i := rng.Intn(len(ps))
+			p, d := ps[i], int(lat.ParentDims(cur)[i])
 			nset := map[int]bool{}
 			for c := range set {
-				for _, pc := range g.ParentChunks(cur, c, p, nil) {
+				for _, pc := range runNums(g.ParentRun(cur, c, d)) {
 					nset[pc] = true
 				}
 			}
@@ -246,9 +258,10 @@ func TestSpanAndCapacity(t *testing.T) {
 	_, g := fig1Schema(t)
 	lat := g.Lattice()
 	base := lat.Base()
-	span := g.Span(base, 0, nil)
-	if len(span) != 2 || span[0] != 2 || span[1] != 2 {
-		t.Fatalf("Span = %v, want [2 2]", span)
+	for d := 0; d < 2; d++ {
+		if r := g.MemberRange(d, lat.LevelAt(base, d), 0); r.Hi-r.Lo != 2 {
+			t.Fatalf("dim %d span = %d, want 2", d, r.Hi-r.Lo)
+		}
 	}
 	if got := g.CellCapacity(base, 0); got != 4 {
 		t.Fatalf("CellCapacity = %d, want 4", got)
@@ -296,11 +309,11 @@ func TestGridPropertyRandom(t *testing.T) {
 		}
 		lat := g.Lattice()
 		for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
-			for _, parent := range lat.Parents(id) {
-				d, _ := lat.StepDim(id, parent)
+			for i, parent := range lat.Parents(id) {
+				d := int(lat.ParentDims(id)[i])
 				seen := make(map[int]int)
 				for num := 0; num < g.NumChunks(id); num++ {
-					for _, pc := range g.ParentChunks(id, num, parent, nil) {
+					for _, pc := range runNums(g.ParentRun(id, num, d)) {
 						seen[pc]++
 						if g.ChildStep(parent, pc, d) != num {
 							return false

@@ -172,7 +172,7 @@ type Engine struct {
 	// node's exact subtree scan count without it.
 	est strategy.CostEstimator
 	// recycleSeen is the recycler's one-shot admission ghost set (see
-	// recycleTry); guarded by recycleMu, nil unless recycling is on.
+	// recycleVerdict); guarded by recycleMu, nil unless recycling is on.
 	recycleMu   sync.Mutex
 	recycleSeen map[cache.Key]struct{}
 }
@@ -667,12 +667,12 @@ func (e *Engine) rollInto(cm *chunk.CellMap, dst, n *strategy.Plan, leafData map
 		if src = leafData[k]; src == nil {
 			return 0, fmt.Errorf("core: plan leaf %v vanished from the cache", k)
 		}
-	} else if admit, benefit := e.recycleScore(n, leafData); admit {
+	} else if admit, _, cost, _ := e.recycleVerdict(n, leafData, true); admit {
 		var err error
 		if src, tuples, err = e.materialize(n, leafData, out); err != nil {
 			return 0, err
 		}
-		out.inter = append(out.inter, computed{key: k, data: src, benefit: benefit})
+		out.inter = append(out.inter, computed{key: k, data: src, benefit: float64(cost)})
 	} else {
 		if e.opts.recycle {
 			out.rejected++

@@ -96,25 +96,20 @@ func (e *Engine) writePlan(b *strings.Builder, p *strategy.Plan, depth int, leaf
 }
 
 // recycleAnnotation renders the admission decision the recycler would make
-// for one interior plan node — the same pricing the executor applies before
-// building it (planSavedCost over recyclePerByte) against the configured
-// threshold. A node the recycler declines is inlined: never materialized,
-// its leaves roll straight into the nearest materialized ancestor.
+// for one interior plan node — the executor's own recycleVerdict, without
+// spending the node's one-shot admission. A node the recycler declines is
+// inlined: never materialized, its leaves roll straight into the nearest
+// materialized ancestor.
 func (e *Engine) recycleAnnotation(p *strategy.Plan, leafData map[cache.Key]*chunk.Chunk) (note string, admit bool) {
 	if !e.opts.recycle {
 		return " [recycle: off]", false
 	}
-	perByte := e.recyclePerByte(p.GB, p.Num, e.planSavedCost(p, leafData))
+	admit, spent, _, perByte := e.recycleVerdict(p, leafData, false)
 	verdict := "reject"
-	if perByte >= e.opts.recycleMinBenefit {
-		e.recycleMu.Lock()
-		_, spent := e.recycleSeen[cache.Key{GB: p.GB, Num: int32(p.Num)}]
-		e.recycleMu.Unlock()
-		if admit = !spent; admit {
-			verdict = "admit"
-		} else {
-			verdict = "reject (one-shot admission spent)"
-		}
+	if admit {
+		verdict = "admit"
+	} else if spent {
+		verdict = "reject (one-shot admission spent)"
 	}
 	return fmt.Sprintf(" [recycle: %s, benefit %.3f/B]", verdict, perByte), admit
 }

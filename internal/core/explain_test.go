@@ -3,6 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -273,5 +277,104 @@ func TestExplainReadsColdLeaves(t *testing.T) {
 	}
 	if tc.Stats() != st || tc.TierStats() != ts {
 		t.Fatalf("Explain touched the store: %+v %+v, was %+v %+v", tc.Stats(), tc.TierStats(), st, ts)
+	}
+}
+
+// explainVerdict is the recycler's verdict on one interior plan node as an
+// Explain output prints it: admitted or not, and the per-byte benefit.
+type explainVerdict struct {
+	admit   bool
+	perByte float64
+}
+
+// explainVerdicts parses the verdict on every interior plan node of an
+// Explain output.
+func explainVerdicts(t *testing.T, lat *lattice.Lattice, out string) map[cache.Key]explainVerdict {
+	t.Helper()
+	re := regexp.MustCompile(`- chunk (\d+) of (\(\S+\)) <- aggregate .* \[recycle: (admit|reject[^,]*), benefit ([0-9.]+)/B\]`)
+	byTuple := make(map[string]lattice.ID, lat.NumNodes())
+	for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
+		byTuple[lat.LevelTupleString(id)] = id
+	}
+	verdicts := make(map[cache.Key]explainVerdict)
+	for _, m := range re.FindAllStringSubmatch(out, -1) {
+		num, _ := strconv.Atoi(m[1])
+		gb, ok := byTuple[m[2]]
+		if !ok {
+			t.Fatalf("unknown group-by %s in %q", m[2], m[0])
+		}
+		perByte, err := strconv.ParseFloat(m[4], 64)
+		if err != nil {
+			t.Fatalf("unparsable benefit in %q: %v", m[0], err)
+		}
+		verdicts[cache.Key{GB: gb, Num: int32(num)}] = explainVerdict{m[3] == "admit", perByte}
+	}
+	return verdicts
+}
+
+// TestExplainAgreesWithExecutorBetweenNodes sets the recycle threshold
+// between two interior nodes' per-byte scores, so one plan holds admitted
+// and rejected nodes: the nodes Explain marks admitted must be exactly the
+// keys the next Execute inserts as recycled.
+func TestExplainAgreesWithExecutorBetweenNodes(t *testing.T) {
+	explain := func(t *testing.T, minBenefit float64) (*fixture, string) {
+		t.Helper()
+		f := build(t, "VCMC", cache.NewTwoLevelPromote(), 1<<20,
+			WithRecycling(true), withRecycleMinBenefit(minBenefit))
+		lat := f.grid.Lattice()
+		if _, err := f.engine.Execute(context.Background(), WholeGroupBy(lat.Base())); err != nil {
+			t.Fatalf("warm: %v", err)
+		}
+		out, err := f.engine.Explain(WholeGroupBy(lat.Top()))
+		if err != nil {
+			t.Fatalf("Explain: %v", err)
+		}
+		return f, out
+	}
+
+	// Score every interior node with nothing admitted, then put the threshold
+	// in the widest gap between two distinct scores.
+	f, out := explain(t, 1e12)
+	lat := f.grid.Lattice()
+	var scores []float64
+	for _, v := range explainVerdicts(t, lat, out) {
+		scores = append(scores, v.perByte)
+	}
+	slices.Sort(scores)
+	scores = slices.Compact(scores)
+	if len(scores) < 2 {
+		t.Fatalf("need two distinct interior scores, got %v:\n%s", scores, out)
+	}
+	threshold, gap := 0.0, 0.0
+	for i := 1; i < len(scores); i++ {
+		if d := scores[i] - scores[i-1]; d > gap {
+			threshold, gap = (scores[i]+scores[i-1])/2, d
+		}
+	}
+
+	f, out = explain(t, threshold)
+	admitted := make(map[cache.Key]bool)
+	rejected := 0
+	for k, v := range explainVerdicts(t, lat, out) {
+		if v.admit {
+			admitted[k] = true
+		} else {
+			rejected++
+		}
+	}
+	if len(admitted) == 0 || rejected == 0 {
+		t.Fatalf("threshold %.3f/B: %d admitted, %d rejected; want both:\n%s", threshold, len(admitted), rejected, out)
+	}
+	if _, err := f.engine.Execute(context.Background(), WholeGroupBy(lat.Top())); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	recycled := make(map[cache.Key]bool)
+	f.engine.Cache().Range(func(k cache.Key, _ *chunk.Chunk, _ cache.Class, _ float64, r bool) {
+		if r {
+			recycled[k] = true
+		}
+	})
+	if !maps.Equal(admitted, recycled) {
+		t.Fatalf("threshold %.3f/B: Explain admits %v, the executor recycled %v:\n%s", threshold, admitted, recycled, out)
 	}
 }

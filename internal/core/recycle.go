@@ -3,44 +3,12 @@ package core
 import (
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
-	"aggcache/internal/lattice"
 	"aggcache/internal/strategy"
 )
-
-// recycleTry is the recycler's one-shot admission ghost set: it remembers
-// every key the recycler has ever admitted, and a key that was admitted,
-// evicted unpromoted and comes around again is refused — it had its
-// residency window and nothing reused it. Without this, a steady-state
-// workload re-materializes, re-admits and re-evicts the same unprofitable
-// intermediates every pass, and the churn costs strategy maintenance.
-// Intermediates that DO get
-// reused are promoted to the protected ring by the reinforcement path and
-// never come back through here. The ghost set is bounded by reset: losing it
-// merely re-opens one admission window per key.
-func (e *Engine) recycleTry(k cache.Key) bool {
-	e.recycleMu.Lock()
-	defer e.recycleMu.Unlock()
-	if _, tried := e.recycleSeen[k]; tried {
-		return false
-	}
-	if len(e.recycleSeen) >= recycleGhostMax {
-		e.recycleSeen = make(map[cache.Key]struct{}, recycleGhostMax/4)
-	}
-	e.recycleSeen[k] = struct{}{}
-	return true
-}
 
 // recycleGhostMax bounds the one-shot admission ghost set (~3 MB of map at
 // worst) — far above any realistic distinct-intermediate count.
 const recycleGhostMax = 1 << 17
-
-// recyclePerByte is the recycler's one pricing rule, shared by the executor
-// and Explain: the recompute cost (tuples scanned) a copy of
-// chunk num of gb would save, per byte of the footprint the sizer expects it
-// to occupy. Nothing has to be built to ask.
-func (e *Engine) recyclePerByte(gb lattice.ID, num int, cost int64) float64 {
-	return float64(cost) / float64(chunk.Footprint(e.sizes.ChunkCells(gb, num), 1))
-}
 
 // planSavedCost is the recompute cost keeping interior plan node n would
 // save: the strategy's O(1) CostEstimate — exactly what the cache would pay
@@ -78,19 +46,41 @@ func (e *Engine) leafCells(n *strategy.Plan, leafData map[cache.Key]*chunk.Chunk
 	return cells
 }
 
-// recycleScore decides, before anything is built, whether interior plan node
-// n is worth materializing and keeping: its saved cost per byte must clear
-// the threshold and its one-shot admission must still be unspent.
-func (e *Engine) recycleScore(n *strategy.Plan, leafData map[cache.Key]*chunk.Chunk) (admit bool, benefit float64) {
+// recycleVerdict is the recycler's one admission rule, shared by the
+// executor and Explain and decided before anything is built: interior plan
+// node n is worth materializing and keeping when perByte — the recompute
+// cost it saves (planSavedCost) per byte of the footprint the sizer expects
+// it to occupy — clears the threshold and its one-shot admission is unspent.
+// spent reports a node that cleared the threshold but had its admission.
+//
+// The one-shot admission is a ghost set of every key the recycler ever
+// admitted: a key that was admitted, evicted unpromoted and comes around
+// again is refused — it had its residency window and nothing reused it.
+// Without it, a steady-state workload re-materializes, re-admits and
+// re-evicts the same unprofitable intermediates every pass, and the churn
+// costs strategy maintenance. Intermediates that DO get reused are promoted
+// to the protected ring by the reinforcement path and never come back
+// through here. The ghost set is bounded by reset: losing it merely re-opens
+// one admission window per key. spend consumes the admission on an admit
+// (the executor, which then builds the node); Explain only reads the set.
+func (e *Engine) recycleVerdict(n *strategy.Plan, leafData map[cache.Key]*chunk.Chunk, spend bool) (admit, spent bool, cost int64, perByte float64) {
 	if !e.opts.recycle {
-		return false, 0
+		return false, false, 0, 0
 	}
-	cost := e.planSavedCost(n, leafData)
-	if e.recyclePerByte(n.GB, n.Num, cost) < e.opts.recycleMinBenefit {
-		return false, 0
+	cost = e.planSavedCost(n, leafData)
+	perByte = float64(cost) / float64(chunk.Footprint(e.sizes.ChunkCells(n.GB, n.Num), 1))
+	if perByte < e.opts.recycleMinBenefit {
+		return false, false, cost, perByte
 	}
-	if !e.recycleTry(cache.Key{GB: n.GB, Num: int32(n.Num)}) {
-		return false, 0
+	k := cache.Key{GB: n.GB, Num: int32(n.Num)}
+	e.recycleMu.Lock()
+	defer e.recycleMu.Unlock()
+	if _, spent = e.recycleSeen[k]; spent || !spend {
+		return !spent, spent, cost, perByte
 	}
-	return true, float64(cost)
+	if len(e.recycleSeen) >= recycleGhostMax {
+		e.recycleSeen = make(map[cache.Key]struct{}, recycleGhostMax/4)
+	}
+	e.recycleSeen[k] = struct{}{}
+	return true, false, cost, perByte
 }

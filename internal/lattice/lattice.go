@@ -158,18 +158,6 @@ func (l *Lattice) Children(id ID) []ID { return l.children[l.co[id]:l.co[id+1]] 
 // child differs.
 func (l *Lattice) ChildDims(id ID) []int8 { return l.cdim[l.co[id]:l.co[id+1]] }
 
-// StepDim returns the single dimension on which from and to differ by one
-// level, and whether to is one step more detailed than from.
-func (l *Lattice) StepDim(from, to ID) (dim int, ok bool) {
-	diff := int(to) - int(from)
-	for d, s := range l.strides {
-		if diff == s && l.levels[from][d] < l.hier[d] {
-			return d, true
-		}
-	}
-	return -1, false
-}
-
 // ComputableFrom reports whether group-by a can be computed from group-by b,
 // i.e. b is componentwise ≥ a.
 func (l *Lattice) ComputableFrom(a, b ID) bool {
@@ -211,33 +199,6 @@ func (l *Lattice) PathCount(id ID) *big.Int {
 		}
 	}
 	return r
-}
-
-// TopoDetailedFirst returns all node ids ordered from most detailed to most
-// aggregated (descending level sum). Every node appears after all of its
-// lattice parents.
-func (l *Lattice) TopoDetailedFirst() []ID {
-	sum := func(id ID) int {
-		s := 0
-		for _, lv := range l.levels[id] {
-			s += lv
-		}
-		return s
-	}
-	maxSum := 0
-	for _, h := range l.hier {
-		maxSum += h
-	}
-	buckets := make([][]ID, maxSum+1)
-	for id := 0; id < l.n; id++ {
-		s := sum(ID(id))
-		buckets[s] = append(buckets[s], ID(id))
-	}
-	out := make([]ID, 0, l.n)
-	for s := maxSum; s >= 0; s-- {
-		out = append(out, buckets[s]...)
-	}
-	return out
 }
 
 // String formats a node id using the schema's level names.

@@ -1,8 +1,9 @@
-// Package sizer estimates (or computes exactly) the number of materialized
-// cells of every chunk at every group-by. Sizes drive the linear aggregation
-// cost model of §5 of the paper: the cost of computing a chunk is the number
-// of tuples scanned, and the tuples scanned when aggregating a chunk is that
-// chunk's cell count.
+// Package sizer estimates the number of materialized cells of every chunk at
+// every group-by. Sizes drive the linear aggregation cost model of §5 of the
+// paper: the cost of computing a chunk is the number of tuples scanned, and
+// the tuples scanned when aggregating a chunk is that chunk's cell count.
+// The one implementation is the probabilistic Estimate; the exact counts a
+// learning sizer would be checked against are the backend's chunk cells.
 package sizer
 
 import (
@@ -16,8 +17,8 @@ import (
 // value is the size of the chunk's result when aggregated — the tuples that
 // a consumer must scan.
 type Sizer interface {
-	// ChunkCells returns the (estimated or exact) cell count of chunk num of
-	// group-by gb. It always returns at least 1 for a non-empty dataset so
+	// ChunkCells returns the estimated cell count of chunk num of group-by
+	// gb. It always returns at least 1 for a non-empty dataset so
 	// path costs stay strictly positive.
 	ChunkCells(gb lattice.ID, num int) int64
 	// GroupByCells returns the cell count of the whole group-by.
@@ -93,36 +94,3 @@ func distinct(c, n float64) float64 {
 	// c * (1 - (1-1/c)^n), computed stably.
 	return c * -math.Expm1(n*math.Log1p(-1/c))
 }
-
-// Exact is a Sizer holding exact per-chunk cell counts, computed from the
-// actual dataset by package backend or by Compute. It is deterministic and
-// intended for small/medium scales and for oracle checks in tests.
-type Exact struct {
-	sizes map[lattice.ID][]int64
-	tot   map[lattice.ID]int64
-}
-
-// NewExact wraps precomputed per-chunk cell counts.
-func NewExact(sizes map[lattice.ID][]int64) *Exact {
-	t := make(map[lattice.ID]int64, len(sizes))
-	for gb, s := range sizes {
-		var sum int64
-		for _, v := range s {
-			sum += v
-		}
-		t[gb] = sum
-	}
-	return &Exact{sizes: sizes, tot: t}
-}
-
-// ChunkCells implements Sizer.
-func (x *Exact) ChunkCells(gb lattice.ID, num int) int64 {
-	v := x.sizes[gb][num]
-	if v < 1 {
-		return 1
-	}
-	return v
-}
-
-// GroupByCells implements Sizer.
-func (x *Exact) GroupByCells(gb lattice.ID) int64 { return x.tot[gb] }

@@ -60,55 +60,24 @@ func encodeMembers(m []int32) []byte {
 	return b
 }
 
-func TestComputeExactMatchesBruteForce(t *testing.T) {
-	g, tab := tinyGrid(t)
-	want := bruteSizes(g, tab)
-	got := ComputeExact(g, tab)
-	lat := g.Lattice()
-	for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
-		var wantTot int64
-		for num, w := range want[id] {
-			wantTot += w
-			gv := got.sizes[id][num]
-			if gv != w {
-				t.Fatalf("gb %s chunk %d: exact %d, brute force %d", lat.LevelTupleString(id), num, gv, w)
-			}
-		}
-		if got.GroupByCells(id) != wantTot {
-			t.Fatalf("gb %s: GroupByCells %d, want %d", lat.LevelTupleString(id), got.GroupByCells(id), wantTot)
-		}
-	}
-	// The base group-by must have exactly one cell per row (cells are
-	// distinct by generation).
-	if got.GroupByCells(lat.Base()) != int64(tab.Len()) {
-		t.Fatalf("base cells %d, want %d", got.GroupByCells(lat.Base()), tab.Len())
-	}
-	// The fully aggregated group-by has exactly one cell.
-	if got.GroupByCells(lat.Top()) != 1 {
-		t.Fatalf("top cells %d, want 1", got.GroupByCells(lat.Top()))
-	}
-}
-
-func TestExactClampsToOne(t *testing.T) {
-	x := NewExact(map[lattice.ID][]int64{0: {0, 5}})
-	if got := x.ChunkCells(0, 0); got != 1 {
-		t.Fatalf("empty chunk clamp = %d, want 1", got)
-	}
-	if got := x.ChunkCells(0, 1); got != 5 {
-		t.Fatalf("ChunkCells = %d, want 5", got)
-	}
-}
-
 func TestEstimateReasonable(t *testing.T) {
 	g, tab := tinyGrid(t)
 	est := NewEstimate(g, int64(tab.Len()))
-	exact := ComputeExact(g, tab)
+	exact := bruteSizes(g, tab)
 	lat := g.Lattice()
 	// The estimate should be within a factor of 3 of the truth at the
 	// group-by granularity for this uniform-ish dataset.
 	for id := lattice.ID(0); int(id) < lat.NumNodes(); id++ {
+		var x float64
+		for _, v := range exact[id] {
+			x += float64(v)
+		}
+		// The reference holds one cell per row at the base (cells are
+		// distinct by generation) and one at the top.
+		if (id == lat.Base() && x != float64(tab.Len())) || (id == lat.Top() && x != 1) {
+			t.Fatalf("gb %s: reference counts %v cells", lat.LevelTupleString(id), x)
+		}
 		e := float64(est.GroupByCells(id))
-		x := float64(exact.GroupByCells(id))
 		if e < x/3 || e > x*3 {
 			t.Fatalf("gb %s: estimate %v vs exact %v", lat.LevelTupleString(id), e, x)
 		}

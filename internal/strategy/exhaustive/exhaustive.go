@@ -44,13 +44,13 @@ func (s *ESM) find(gb lattice.ID, num int, visited *int64) (*strategy.Plan, bool
 	if s.present.has(gb, num) {
 		return &strategy.Plan{GB: gb, Num: num, Present: true}, true, nil
 	}
-	var nums []int
-	for _, parent := range s.lat.Parents(gb) {
-		nums = s.grid.ParentChunks(gb, num, parent, nums[:0])
-		inputs := make([]*strategy.Plan, 0, len(nums))
+	pdims := s.lat.ParentDims(gb)
+	for i, parent := range s.lat.Parents(gb) {
+		r := s.grid.ParentRun(gb, num, int(pdims[i]))
+		inputs := make([]*strategy.Plan, 0, r.N)
 		ok := true
-		for _, cn := range nums {
-			sub, found, err := s.find(parent, cn, visited)
+		for j := 0; j < r.N; j++ {
+			sub, found, err := s.find(parent, r.At(j), visited)
 			if err != nil {
 				return nil, false, err
 			}
@@ -99,13 +99,14 @@ func (s *ESMC) find(gb lattice.ID, num int, visited *int64) (*strategy.Plan, boo
 		return &strategy.Plan{GB: gb, Num: num, Present: true}, true, nil
 	}
 	var best *strategy.Plan
-	var nums []int
-	for _, parent := range s.lat.Parents(gb) {
-		nums = s.grid.ParentChunks(gb, num, parent, nums[:0])
-		inputs := make([]*strategy.Plan, 0, len(nums))
+	pdims := s.lat.ParentDims(gb)
+	for i, parent := range s.lat.Parents(gb) {
+		r := s.grid.ParentRun(gb, num, int(pdims[i]))
+		inputs := make([]*strategy.Plan, 0, r.N)
 		cost := int64(0)
 		ok := true
-		for _, cn := range nums {
+		for j := 0; j < r.N; j++ {
+			cn := r.At(j)
 			sub, found, err := s.find(parent, cn, visited)
 			if err != nil {
 				return nil, false, err

@@ -3,6 +3,7 @@ package exhaustive
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aggcache/internal/cache"
@@ -46,14 +47,19 @@ func checkPlan(t *testing.T, g *chunk.Grid, resident map[cache.Key]bool, p *stra
 		}
 		return
 	}
-	want := g.ParentChunks(p.GB, p.Num, p.Via, nil)
-	if len(want) != len(p.Inputs) {
-		t.Fatalf("plan node (%d,%d): %d inputs, want %d", p.GB, p.Num, len(p.Inputs), len(want))
+	lat := g.Lattice()
+	i := slices.Index(lat.Parents(p.GB), p.Via)
+	if i < 0 {
+		t.Fatalf("plan node (%d,%d): Via %d is not a lattice parent", p.GB, p.Num, p.Via)
+	}
+	want := g.ParentRun(p.GB, p.Num, int(lat.ParentDims(p.GB)[i]))
+	if want.N != len(p.Inputs) {
+		t.Fatalf("plan node (%d,%d): %d inputs, want %d", p.GB, p.Num, len(p.Inputs), want.N)
 	}
 	for i, in := range p.Inputs {
-		if in.GB != p.Via || in.Num != want[i] {
+		if in.GB != p.Via || in.Num != want.At(i) {
 			t.Fatalf("plan node (%d,%d): input %d is (%d,%d), want (%d,%d)",
-				p.GB, p.Num, i, in.GB, in.Num, p.Via, want[i])
+				p.GB, p.Num, i, in.GB, in.Num, p.Via, want.At(i))
 		}
 		checkPlan(t, g, resident, in)
 	}

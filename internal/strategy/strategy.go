@@ -203,16 +203,36 @@ func (p *presence) has(gb lattice.ID, num int) bool {
 	return p.bits[gb][num/64]&(1<<(num%64)) != 0
 }
 
-// presentInputs returns the inputs of a one-step roll-up over run r of
-// resident chunks of parent: one Present leaf per chunk, allocated together.
-func presentInputs(parent lattice.ID, r chunk.Run) []*Plan {
-	leaves := make([]Plan, r.N)
-	inputs := make([]*Plan, r.N)
-	for i := range inputs {
-		leaves[i] = Plan{GB: parent, Num: r.At(i), Present: true}
-		inputs[i] = &leaves[i]
+// presentStep returns the one-step plan for chunk num of gb over the first
+// lattice parent whose input chunks are all resident, or nil when no parent
+// qualifies. With sizes, the plan's Cost is its inputs' cells and a parent
+// costing more than bound is passed over; without (VCM), Cost is 0.
+func presentStep(g *chunk.Grid, present *presence, sizes sizer.Sizer, bound int64, gb lattice.ID, num int) *Plan {
+	lat := g.Lattice()
+	pdims := lat.ParentDims(gb)
+	for pi, parent := range lat.Parents(gb) {
+		r := g.ParentRun(gb, num, int(pdims[pi]))
+		all := true
+		cost := int64(0)
+		for i := 0; i < r.N && all; i++ {
+			cn := r.At(i)
+			if all = present.has(parent, cn); all && sizes != nil {
+				cost += sizes.ChunkCells(parent, cn)
+			}
+		}
+		if !all || cost > bound {
+			continue
+		}
+		// One Present leaf per input, allocated together.
+		leaves := make([]Plan, r.N)
+		inputs := make([]*Plan, r.N)
+		for i := range inputs {
+			leaves[i] = Plan{GB: parent, Num: r.At(i), Present: true}
+			inputs[i] = &leaves[i]
+		}
+		return &Plan{GB: gb, Num: num, Via: parent, Inputs: inputs, Cost: cost}
 	}
-	return inputs
+	return nil
 }
 
 // NoAgg is the conventional chunk cache of the paper's comparison (§7.2

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,10 +122,13 @@ func (o *oracle) costOver(gb lattice.ID, num int, withSilent bool) int64 {
 		return 0
 	}
 	best := int64(infCost)
-	for _, parent := range o.lat.Parents(gb) {
+	pdims := o.lat.ParentDims(gb)
+	for i, parent := range o.lat.Parents(gb) {
 		total := int64(0)
 		ok := true
-		for _, cn := range o.grid.ParentChunks(gb, num, parent, nil) {
+		r := o.grid.ParentRun(gb, num, int(pdims[i]))
+		for j := 0; j < r.N; j++ {
+			cn := r.At(j)
 			c := o.costOver(parent, cn, withSilent)
 			if c == infCost {
 				ok = false
@@ -149,10 +153,12 @@ func (o *oracle) count(gb lattice.ID, num int) int32 {
 	if o.present[cache.Key{GB: gb, Num: int32(num)}] {
 		n++
 	}
-	for _, parent := range o.lat.Parents(gb) {
+	pdims := o.lat.ParentDims(gb)
+	for i, parent := range o.lat.Parents(gb) {
 		complete := true
-		for _, cn := range o.grid.ParentChunks(gb, num, parent, nil) {
-			if !o.computable(parent, cn) {
+		r := o.grid.ParentRun(gb, num, int(pdims[i]))
+		for j := 0; j < r.N; j++ {
+			if !o.computable(parent, r.At(j)) {
 				complete = false
 				break
 			}
@@ -177,14 +183,19 @@ func checkPlan(t *testing.T, g *chunk.Grid, o *oracle, p *Plan) {
 		}
 		return
 	}
-	want := g.ParentChunks(p.GB, p.Num, p.Via, nil)
-	if len(want) != len(p.Inputs) {
-		t.Fatalf("plan node (%d,%d): %d inputs, want %d", p.GB, p.Num, len(p.Inputs), len(want))
+	lat := g.Lattice()
+	i := slices.Index(lat.Parents(p.GB), p.Via)
+	if i < 0 {
+		t.Fatalf("plan node (%d,%d): Via %d is not a lattice parent", p.GB, p.Num, p.Via)
+	}
+	want := g.ParentRun(p.GB, p.Num, int(lat.ParentDims(p.GB)[i]))
+	if want.N != len(p.Inputs) {
+		t.Fatalf("plan node (%d,%d): %d inputs, want %d", p.GB, p.Num, len(p.Inputs), want.N)
 	}
 	for i, in := range p.Inputs {
-		if in.GB != p.Via || in.Num != want[i] {
+		if in.GB != p.Via || in.Num != want.At(i) {
 			t.Fatalf("plan node (%d,%d): input %d is (%d,%d), want (%d,%d)",
-				p.GB, p.Num, i, in.GB, in.Num, p.Via, want[i])
+				p.GB, p.Num, i, in.GB, in.Num, p.Via, want.At(i))
 		}
 		checkPlan(t, g, o, in)
 	}

@@ -73,17 +73,10 @@ func (s *VCM) build(gb lattice.ID, num int) *Plan {
 	// intermediates included — they are excluded from count bookkeeping, so
 	// the count scan below cannot see them): one roll-up step over present
 	// chunks beats re-deriving a deeper path.
-	pdims := s.lat.ParentDims(gb)
-	for pi, parent := range s.lat.Parents(gb) {
-		r := s.grid.ParentRun(gb, num, int(pdims[pi]))
-		all := true
-		for i := 0; i < r.N && all; i++ {
-			all = s.present.has(parent, r.At(i))
-		}
-		if all {
-			return &Plan{GB: gb, Num: num, Via: parent, Inputs: presentInputs(parent, r)}
-		}
+	if p := presentStep(s.grid, s.present, nil, infCost, gb, num); p != nil {
+		return p
 	}
+	pdims := s.lat.ParentDims(gb)
 	for pi, parent := range s.lat.Parents(gb) {
 		r := s.grid.ParentRun(gb, num, int(pdims[pi]))
 		if !s.computable(parent, r, -1) {

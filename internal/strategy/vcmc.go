@@ -146,30 +146,15 @@ func (s *VCMC) build(gb lattice.ID, num int) *Plan {
 	// all-present candidate is one of the paths the stored cost already
 	// minimized over, and with them the stored cost is an upper bound the
 	// candidate must beat or match.
-	pdims := s.lat.ParentDims(gb)
-	for pi, parent := range s.lat.Parents(gb) {
-		r := s.grid.ParentRun(gb, num, int(pdims[pi]))
-		all := true
-		cost := int64(0)
-		for i := 0; i < r.N; i++ {
-			cn := r.At(i)
-			if !s.present.has(parent, cn) {
-				all = false
-				break
-			}
-			cost += s.sizes.ChunkCells(parent, cn)
-		}
-		if !all || cost > s.costs[gb][num] {
-			continue
-		}
-		return &Plan{GB: gb, Num: num, Via: parent, Inputs: presentInputs(parent, r), Cost: cost}
+	if p := presentStep(s.grid, s.present, s.sizes, s.costs[gb][num], gb, num); p != nil {
+		return p
 	}
 	bp := s.best[gb][num]
 	if bp < 0 {
 		panic(fmt.Sprintf("strategy: VCMC computable chunk without best parent (gb %d chunk %d)", gb, num))
 	}
 	parent := s.lat.Parents(gb)[bp]
-	r := s.grid.ParentRun(gb, num, int(pdims[bp]))
+	r := s.grid.ParentRun(gb, num, int(s.lat.ParentDims(gb)[bp]))
 	inputs := make([]*Plan, r.N)
 	for i := range inputs {
 		cn := r.At(i)
