@@ -173,7 +173,7 @@ depguard:
 # the non-test Go lines of the whole module outside benchmark/, and each
 # daemon's flag count (the flags its -h lists).
 surface:
-	@for p in cache core strategy backend chunk workload mtier obs sizer lattice; do \
+	@for p in cache core strategy backend chunk workload mtier obs sizer lattice wire; do \
 		printf '%-9s %3d names %3d methods %5d lines\n' $$p \
 			"$$($(GO) doc -short ./internal/$$p | wc -l)" \
 			"$$($(GO) doc -all ./internal/$$p | grep -c '^func (')" \

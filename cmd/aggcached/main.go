@@ -64,8 +64,8 @@ func main() {
 
 		queryTimeoutFlag = flag.Duration("query-timeout", 0, "per-query deadline, admission queue wait included; a tighter client deadline wins (0 = unbounded)")
 		ioTimeoutFlag    = flag.Duration("backend-io-timeout", backend.DefaultRetryPolicy.IOTimeout, "wire deadline per remote backend exchange")
-		clientReadFlag   = flag.Duration("client-read-timeout", mtier.DefaultTimeouts.Read, "idle deadline per client connection awaiting the next query (0 = none)")
-		clientWriteFlag  = flag.Duration("client-write-timeout", mtier.DefaultTimeouts.Write, "deadline for writing one response to a client")
+		clientReadFlag   = flag.Duration("client-read-timeout", wire.DefaultTimeouts.Read, "idle deadline per client connection awaiting the next query (0 = none)")
+		clientWriteFlag  = flag.Duration("client-write-timeout", wire.DefaultTimeouts.Write, "deadline for writing one response to a client")
 
 		admitMaxFlag   = flag.Int("admit-max", 0, "execution slots for the server-wide admission queue (0 = admission control disabled)")
 		admitQueueFlag = flag.Int("admit-queue", 0, "queued queries beyond the slots before shedding (0 = 4x -admit-max)")

@@ -17,6 +17,7 @@ import (
 
 	"aggcache/internal/apb"
 	"aggcache/internal/backend"
+	"aggcache/internal/wire"
 )
 
 func main() {
@@ -26,9 +27,9 @@ func main() {
 		listenFlag = flag.String("listen", "127.0.0.1:7070", "listen address")
 		sleepFlag  = flag.Bool("sleep", false, "actually sleep the simulated backend latency")
 
-		readTimeoutFlag  = flag.Duration("read-timeout", backend.DefaultTimeouts.Read, "idle deadline per connection awaiting the next request (0 = none)")
-		writeTimeoutFlag = flag.Duration("write-timeout", backend.DefaultTimeouts.Write, "deadline for writing one response")
-		reqTimeoutFlag   = flag.Duration("request-timeout", backend.DefaultTimeouts.Request, "compute deadline per request, replied as a transient error (0 = none)")
+		readTimeoutFlag  = flag.Duration("read-timeout", wire.DefaultTimeouts.Read, "idle deadline per connection awaiting the next request (0 = none)")
+		writeTimeoutFlag = flag.Duration("write-timeout", wire.DefaultTimeouts.Write, "deadline for writing one response")
+		reqTimeoutFlag   = flag.Duration("request-timeout", wire.DefaultTimeouts.Request, "compute deadline per request, replied as a transient error (0 = none)")
 	)
 	flag.Parse()
 
@@ -47,7 +48,7 @@ func main() {
 		fatal(err)
 	}
 	srv := backend.NewServer(engine)
-	srv.SetTimeouts(backend.Timeouts{
+	srv.SetTimeouts(wire.Timeouts{
 		Read:    *readTimeoutFlag,
 		Write:   *writeTimeoutFlag,
 		Request: *reqTimeoutFlag,

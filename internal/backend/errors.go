@@ -17,14 +17,15 @@ import (
 // hanging when the backend is down.
 var ErrUnavailable = errors.New("backend unavailable")
 
-// RemoteError is an error the backend server's engine reported for one
-// request. The connection is healthy and the engine answered — the request
-// itself is bad (unknown group-by, chunk out of range) or failed
-// deterministically — so retrying the same request cannot help and the
-// error is permanent.
+// RemoteError is a failure a server reported for one request in a
+// wire.FrameError reply, on any of the protocols an Exchange speaks. The
+// connection is healthy and the server answered — the request itself is bad
+// (unknown group-by, chunk out of range, a query that does not compile) or
+// failed deterministically — so retrying the same request cannot help and
+// the error is permanent, unless the server flagged the reply transient.
 type RemoteError struct{ Msg string }
 
-func (e *RemoteError) Error() string { return "backend: remote: " + e.Msg }
+func (e *RemoteError) Error() string { return "remote: " + e.Msg }
 
 // transientError marks an error as worth retrying (see MarkTransient).
 type transientError struct{ err error }

@@ -15,27 +15,27 @@ import (
 
 // errClosed is the permanent error after Exchange.Close: never retried, never
 // counted as an outage (the owner chose to shut down).
-var errClosed = errors.New("backend: connection closed by its owner")
+var errClosed = errors.New("connection closed by its owner")
 
 // Exchange is the client side of one framed request/reply protocol: a
 // multiplexed connection (wire.Mux) shared by concurrent callers, redialed
-// after a broken stream, and one error taxonomy for every reply. Remote (the
-// backend protocol, with its retry loop on top) and mtier.PeerClient (the
-// peer cache protocol, no retries: the Peered circuit owns failure policy)
-// are each an Exchange plus their payload codecs.
+// after a broken stream, and one error taxonomy for every reply. Each of the
+// three protocols has one client, and each is an Exchange plus its payload
+// codecs: Remote (the backend protocol, with its retry loop on top),
+// mtier.PeerClient (the peer cache protocol, no retries: the Peered circuit
+// owns failure policy) and mtier.Client (the query protocol).
 //
 // RoundTrip classifies failures per errors.go: a wire failure is transient
-// and drops the connection for the next call to redial; a Busy frame is
-// decoded to *wire.BusyError; the protocol's in-band error frame becomes a
+// and drops the connection for the next call to redial; a wire.FrameBusy
+// reply is decoded to *wire.BusyError; a wire.FrameError reply becomes a
 // RemoteError, transient when the server set wire.FlagTransient; the
 // caller's context error wins over any of these; and after Close every call
 // fails with a permanent error without waiting out its I/O deadline.
 type Exchange struct {
-	addr     string
-	errFrame uint8 // frame type of the protocol's in-band error reply
-	dialTmo  time.Duration
-	ioTmo    time.Duration
-	met      obs.RemoteMetrics
+	addr    string
+	dialTmo time.Duration
+	ioTmo   time.Duration
+	met     obs.RemoteMetrics
 
 	closed atomic.Bool
 
@@ -44,14 +44,27 @@ type Exchange struct {
 }
 
 // NewExchange returns an exchange with addr that dials on first use.
-// errFrame is the frame type the server replies in-band errors with;
-// dialTimeout bounds each (re)connect and ioTimeout one exchange whose
-// context carries no earlier deadline; reply frames are bounded by
-// wire.DefaultMaxPayload. met counts the dials RoundTrip makes (redials
-// for a Remote, whose first connection DialPolicy makes), Busy replies and
-// wire traffic; its zero value counts nothing.
-func NewExchange(addr string, errFrame uint8, dialTimeout, ioTimeout time.Duration, met obs.RemoteMetrics) *Exchange {
-	return &Exchange{addr: addr, errFrame: errFrame, dialTmo: dialTimeout, ioTmo: ioTimeout, met: met}
+// dialTimeout bounds each (re)connect. ioTimeout bounds one exchange whose
+// context carries no earlier deadline; an exchange that runs out of it
+// tears the connection down under every exchange sharing it. With
+// ioTimeout 0 there is no exchange deadline: the caller's context then ends
+// only its own exchange and the connection stays up. Reply frames are
+// bounded by wire.DefaultMaxPayload. met counts the dials RoundTrip makes
+// (redials for an exchange from DialExchange), Busy replies and wire
+// traffic; its zero value counts nothing.
+func NewExchange(addr string, dialTimeout, ioTimeout time.Duration, met obs.RemoteMetrics) *Exchange {
+	return &Exchange{addr: addr, dialTmo: dialTimeout, ioTmo: ioTimeout, met: met}
+}
+
+// DialExchange is NewExchange with its first connection dialed at once, so
+// a server that is not listening fails the caller now rather than its first
+// request.
+func DialExchange(addr string, dialTimeout, ioTimeout time.Duration, met obs.RemoteMetrics) (*Exchange, error) {
+	x := NewExchange(addr, dialTimeout, ioTimeout, met)
+	if _, err := x.connect(context.Background()); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // connect dials one multiplexed connection and makes it current, unless the
@@ -113,15 +126,18 @@ func (x *Exchange) drop(m *wire.Mux) {
 
 // RoundTrip sends one request frame and returns the reply, classified as the
 // type comment describes. One call is one exchange: RoundTrip never retries.
-func (x *Exchange) RoundTrip(ctx context.Context, typ uint8, payload []byte) (*wire.Frame, error) {
+func (x *Exchange) RoundTrip(ctx context.Context, typ uint8, payload []byte) (wire.Frame, error) {
 	m, err := x.getMux(ctx)
 	if err != nil {
-		return nil, err
+		return wire.Frame{}, err
 	}
-	deadline := time.Now().Add(x.ioTmo)
 	ctxDeadline, hasCtxDeadline := ctx.Deadline()
-	if hasCtxDeadline && ctxDeadline.Before(deadline) {
-		deadline = ctxDeadline
+	var deadline time.Time // zero: the context alone ends this exchange
+	if x.ioTmo > 0 {
+		deadline = time.Now().Add(x.ioTmo)
+		if hasCtxDeadline && ctxDeadline.Before(deadline) {
+			deadline = ctxDeadline
+		}
 	}
 	fr, err := m.RoundTrip(ctx, typ, 0, payload, deadline)
 	if err != nil {
@@ -130,31 +146,31 @@ func (x *Exchange) RoundTrip(ctx context.Context, typ uint8, payload []byte) (*w
 		// and the mux's timer can fire a moment before the context reports
 		// it.
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+			return wire.Frame{}, cerr
 		}
 		if hasCtxDeadline && !time.Now().Before(ctxDeadline) {
-			return nil, context.DeadlineExceeded
+			return wire.Frame{}, context.DeadlineExceeded
 		}
 		if errors.Is(err, wire.ErrClosed) {
-			return nil, errClosed
+			return wire.Frame{}, errClosed
 		}
 		x.drop(m)
-		return nil, MarkTransient(fmt.Errorf("backend: exchange with %s: %w", x.addr, err))
+		return wire.Frame{}, MarkTransient(fmt.Errorf("exchange with %s: %w", x.addr, err))
 	}
 	switch fr.Type {
 	case wire.FrameBusy:
 		// The server shed this request before doing any work on it:
 		// transient, never an outage, and it carries a retry-after hint.
 		x.met.Busy.Inc()
-		return nil, wire.DecodeBusy(fr.Payload)
-	case x.errFrame:
-		rerr := &RemoteError{Msg: decodeErrorFrame(fr.Payload)}
+		return wire.Frame{}, wire.DecodeBusy(fr.Payload)
+	case wire.FrameError:
+		rerr := &RemoteError{Msg: wire.DecodeError(fr.Payload)}
 		if fr.Flags&wire.FlagTransient == 0 {
-			return nil, rerr // deterministic per-request failure
+			return wire.Frame{}, rerr // deterministic per-request failure
 		}
-		return nil, MarkTransient(rerr)
+		return wire.Frame{}, MarkTransient(rerr)
 	}
-	return &fr, nil
+	return fr, nil
 }
 
 // Close tears the connection down: exchanges in flight fail promptly with a

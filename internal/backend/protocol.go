@@ -14,13 +14,13 @@ import (
 // names one group-by and a batch of chunk numbers; whether the server
 // computes them or only estimates their scan cost is the frame type, so a
 // Phase-2 partition with N missing chunks — or a Phase-1b batch of N cost
-// probes — is one round trip either way.
+// probes — is one round trip either way. Failures are wire.FrameError
+// replies.
 const (
 	frameCompute   uint8 = 0x01 // request: compute the listed chunks
 	frameEstimate  uint8 = 0x02 // request: estimate per-chunk scan cost
 	frameChunks    uint8 = 0x81 // response to frameCompute
 	frameEstimates uint8 = 0x82 // response to frameEstimate
-	frameError     uint8 = 0xE0 // response: in-band error (FlagTransient = retryable)
 )
 
 // encodeRequest appends a compute/estimate request payload:
@@ -120,26 +120,4 @@ func decodeEstimatesResponse(p []byte) ([]int64, error) {
 		ests[i] = int64(d.U64())
 	}
 	return ests, nil
-}
-
-// errorFrame builds an in-band error response. transient marks the failure
-// as retryable per the PR-3 taxonomy: the engine did not answer (timeout,
-// recovered panic, outage behind this server), as opposed to a
-// deterministic per-request rejection.
-func errorFrame(msg string, transient bool) wire.Frame {
-	var flags uint8
-	if transient {
-		flags |= wire.FlagTransient
-	}
-	return wire.Frame{Type: frameError, Flags: flags, Payload: wire.AppendString(nil, msg)}
-}
-
-// decodeErrorFrame extracts the message of a frameError payload.
-func decodeErrorFrame(p []byte) string {
-	d := wire.NewDec(p)
-	msg := d.String()
-	if d.Err() != nil {
-		return "unreadable error payload"
-	}
-	return msg
 }

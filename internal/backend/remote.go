@@ -108,28 +108,23 @@ func Dial(addr string) (*Remote, error) {
 // and multiplexed at once, so configuration errors fail fast.
 func DialPolicy(addr string, pol RetryPolicy, met obs.RemoteMetrics) (*Remote, error) {
 	pol = pol.withDefaults()
-	r := &Remote{
-		x:   NewExchange(addr, frameError, pol.DialTimeout, pol.IOTimeout, met),
-		pol: pol,
-		met: met,
-		rng: rand.New(rand.NewSource(pol.Seed)),
-	}
-	if _, err := r.x.connect(context.Background()); err != nil {
+	x, err := DialExchange(addr, pol.DialTimeout, pol.IOTimeout, met)
+	if err != nil {
 		return nil, fmt.Errorf("backend: dial %s: %w", addr, err)
 	}
-	return r, nil
+	return &Remote{x: x, pol: pol, met: met, rng: rand.New(rand.NewSource(pol.Seed))}, nil
 }
 
 // roundTrip sends one request, retrying transient failures per the policy.
-func (r *Remote) roundTrip(ctx context.Context, typ uint8, payload []byte) (*wire.Frame, error) {
+func (r *Remote) roundTrip(ctx context.Context, typ uint8, payload []byte) (wire.Frame, error) {
 	r.met.Requests.Inc()
 	var lastErr error
 	for try := 0; try < r.pol.MaxAttempts; try++ {
 		if r.x.closed.Load() {
-			return nil, errClosed
+			return wire.Frame{}, errClosed
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return wire.Frame{}, err
 		}
 		if try > 0 {
 			r.met.Retries.Inc()
@@ -144,7 +139,7 @@ func (r *Remote) roundTrip(ctx context.Context, typ uint8, payload []byte) (*wir
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return nil, ctx.Err()
+				return wire.Frame{}, ctx.Err()
 			}
 		}
 		fr, err := r.x.RoundTrip(ctx, typ, payload)
@@ -152,15 +147,15 @@ func (r *Remote) roundTrip(ctx context.Context, typ uint8, payload []byte) (*wir
 			return fr, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+			return wire.Frame{}, cerr
 		}
 		if !IsTransient(err) {
-			return nil, err
+			return wire.Frame{}, err
 		}
 		lastErr = err
 	}
 	r.met.Unavailable.Inc()
-	return nil, fmt.Errorf("backend: %s unreachable after %d attempts: %w: %w",
+	return wire.Frame{}, fmt.Errorf("backend: %s unreachable after %d attempts: %w: %w",
 		r.x.addr, r.pol.MaxAttempts, ErrUnavailable, lastErr)
 }
 

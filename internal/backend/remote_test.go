@@ -203,7 +203,7 @@ func TestServerRequestTimeoutRepliesTransient(t *testing.T) {
 	// rather than hang or tear down.
 	e, _ := tinyEngine(t, LatencyModel{Connect: time.Second, Sleep: true})
 	srv := NewServer(e)
-	srv.SetTimeouts(Timeouts{Request: 20 * time.Millisecond, Write: time.Minute})
+	srv.SetTimeouts(wire.Timeouts{Request: 20 * time.Millisecond, Write: time.Minute})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -235,14 +235,14 @@ func fakeChunkServer(t *testing.T, e *Engine, reply func(chunks []*chunk.Chunk, 
 	srv := wire.NewServer(func(ctx context.Context, fr *wire.Frame) wire.Frame {
 		gb, nums, err := decodeRequest(fr.Payload)
 		if err != nil {
-			return errorFrame(err.Error(), false)
+			return wire.ErrorFrame(err.Error(), false)
 		}
 		chunks, stats, err := e.ComputeChunks(ctx, gb, nums)
 		if err != nil {
-			return errorFrame(err.Error(), false)
+			return wire.ErrorFrame(err.Error(), false)
 		}
 		return wire.Frame{Type: frameChunks, Payload: reply(chunks, stats)}
-	}, func(_ *wire.Frame, msg string) wire.Frame { return errorFrame(msg, true) })
+	})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

@@ -12,18 +12,16 @@ import (
 
 	"aggcache/internal/backend"
 	"aggcache/internal/cache"
+	"aggcache/internal/chunk"
+	"aggcache/internal/lattice"
 	"aggcache/internal/obs"
 	"aggcache/internal/wire"
 )
 
-// backendFrameError is the backend protocol's in-band error frame type
-// (backend.frameError); the peer protocol's is framePeerErr.
-const backendFrameError uint8 = 0xE0
-
 // script answers one request frame on a scripted connection.
 type script func(fr wire.Frame, w *wire.Writer, conn net.Conn)
 
-// scriptedListener serves both wire protocols from one listener: every
+// scriptedListener serves every wire protocol from one listener: each
 // request frame on every connection is handed to the current script.
 func scriptedListener(t *testing.T) (addr string, set func(script)) {
 	t.Helper()
@@ -61,17 +59,11 @@ func scriptedListener(t *testing.T) (addr string, set func(script)) {
 	return ln.Addr().String(), func(s script) { cur.Store(&s) }
 }
 
-// errorReply answers with the request's protocol's in-band error frame.
+// errorReply answers with a FrameError, the failure reply of every protocol.
 func errorReply(transient bool) script {
 	return func(fr wire.Frame, w *wire.Writer, _ net.Conn) {
-		typ := backendFrameError
-		if fr.Type == framePeerGet {
-			typ = framePeerErr
-		}
-		reply := wire.Frame{Type: typ, ID: fr.ID, Payload: wire.AppendString(nil, "scripted failure")}
-		if transient {
-			reply.Flags = wire.FlagTransient
-		}
+		reply := wire.ErrorFrame("scripted failure", transient)
+		reply.ID = fr.ID
 		w.WriteFrame(reply)
 	}
 }
@@ -94,10 +86,10 @@ func verdictOf(err error) verdict {
 }
 
 // TestExchangeConformance runs the backend client (Remote, one attempt so
-// its retry loop stays out of the way) and the peer client (PeerClient)
-// through the same scripted failures: both are one backend.Exchange, so
-// each failure must classify identically. Only Remote's exhausted retry
-// budget additionally wraps ErrUnavailable.
+// its retry loop stays out of the way), the peer client (PeerClient) and
+// the query client (Client) through the same scripted failures: all three
+// are one backend.Exchange, so each failure must classify identically. Only
+// Remote's exhausted retry budget additionally wraps ErrUnavailable.
 func TestExchangeConformance(t *testing.T) {
 	addr, set := scriptedListener(t)
 	hang := make(chan struct{}) // parks scripts that never answer
@@ -123,6 +115,16 @@ func TestExchangeConformance(t *testing.T) {
 			c := NewPeerClient(addr, 0)
 			return func(ctx context.Context) error {
 				_, _, _, _, err := c.Get(ctx, cache.Key{})
+				return err
+			}, c.Close
+		}},
+		{"query", func(t *testing.T) (func(context.Context) error, func() error) {
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			return func(ctx context.Context) error {
+				_, err := c.QueryContext(ctx, "SUM(UnitSales) BY Time:Year")
 				return err
 			}, c.Close
 		}},
@@ -206,7 +208,7 @@ func TestExchangeConformance(t *testing.T) {
 					t.Fatalf("verdict %+v, want %+v (%v)", got, row.want, err)
 				}
 				// Every failure is reported promptly: none waits out the 2s
-				// I/O timeout.
+				// I/O timeout, and the query client has none to wait out.
 				if elapsed := time.Since(start); elapsed > time.Second {
 					t.Fatalf("failure took %v", elapsed)
 				}
@@ -215,5 +217,92 @@ func TestExchangeConformance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestClientExchangeRedialsDroppedConnection: a query whose connection the
+// server drops fails as a transient error, and the client's next query is
+// answered over a new connection.
+func TestClientExchangeRedialsDroppedConnection(t *testing.T) {
+	addr, set := scriptedListener(t)
+	var mu sync.Mutex
+	answeredOn := map[string]bool{} // client address of each answering connection
+	answer := func(fr wire.Frame, w *wire.Writer, conn net.Conn) {
+		mu.Lock()
+		answeredOn[conn.RemoteAddr().String()] = true
+		mu.Unlock()
+		w.WriteFrame(wire.Frame{Type: frameAnswer, ID: fr.ID, Payload: encodeResponse(nil, &Response{Agg: "SUM"})})
+	}
+	const q = "SUM(UnitSales) BY Time:Year"
+	set(answer)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	if _, err := cl.Query(q); err != nil {
+		t.Fatalf("first query: %v", err)
+	}
+	set(func(_ wire.Frame, _ *wire.Writer, conn net.Conn) { conn.Close() })
+	if _, err := cl.Query(q); !backend.IsTransient(err) {
+		t.Fatalf("query on a dropped connection: %v, want a transient error", err)
+	}
+	set(answer)
+	resp, err := cl.Query(q)
+	if err != nil || resp.Agg != "SUM" {
+		t.Fatalf("query after the drop: %+v, %v", resp, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(answeredOn) != 2 {
+		t.Fatalf("answered on %d connections, want 2 (the first and its redial)", len(answeredOn))
+	}
+}
+
+// stubbornBackend takes d over every fetch whatever its context says, like a
+// backend that does not watch for cancellation.
+type stubbornBackend struct {
+	backend.Backend
+	d time.Duration
+}
+
+func (b stubbornBackend) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, backend.Stats, error) {
+	time.Sleep(b.d)
+	return b.Backend.ComputeChunks(ctx, gb, nums)
+}
+
+// TestClientExchangeDeadlineEndsOnlyItsOwnQuery: on one client, a query
+// whose context deadline passes while a slow backend computes it fails with
+// context.DeadlineExceeded, and a query pipelined beside it on the same
+// connection without a deadline is still answered: the query client has no
+// exchange deadline that would tear the shared connection down. The backend
+// ignores cancellation, so the server cannot answer the first query before
+// its deadline: only the client's own context can end it.
+func TestClientExchangeDeadlineEndsOnlyItsOwnQuery(t *testing.T) {
+	srv, _, _ := newTestServerOver(t, func(be backend.Backend) backend.Backend {
+		return stubbornBackend{be, 200 * time.Millisecond}
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	patient := make(chan error, 1)
+	go func() {
+		_, err := cl.Query("SUM(UnitSales) BY Time:Year")
+		patient <- err
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := cl.QueryContext(ctx, "SUM(UnitSales) BY Product:Group"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("query past its deadline: %v, want context.DeadlineExceeded", err)
+	}
+	if err := <-patient; err != nil {
+		t.Fatalf("pipelined query without a deadline: %v", err)
 	}
 }

@@ -8,19 +8,21 @@
 // over a persistent connection — the same layer the middle tier speaks to
 // the backend — so clients can pipeline queries: concurrent Query calls
 // share one connection and responses are matched by request id, in
-// whatever order the server finishes them.
+// whatever order the server finishes them. A query that fails is answered
+// with a wire.FrameError, which the client reports as a *backend.RemoteError
+// classified by the backend's error taxonomy.
 package mtier
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"aggcache/internal/backend"
 	"aggcache/internal/chunk"
 	"aggcache/internal/core"
 	"aggcache/internal/mdq"
@@ -55,8 +57,6 @@ type Response struct {
 	// Lookup/Aggregate/Update/Backend are the time-breakup components in
 	// nanoseconds.
 	Lookup, Aggregate, Update, Backend int64
-	// Err is non-empty on failure.
-	Err string
 }
 
 // Total returns the response's total service time.
@@ -88,17 +88,10 @@ type Server struct {
 	ops *obs.OpsServer
 }
 
-// DefaultTimeouts is the middle-tier server's out-of-the-box wire deadline
-// policy: no idle limit (clients legitimately hold idle persistent
-// connections), one minute to write a response to a slow client, no
-// request deadline.
-var DefaultTimeouts = wire.Timeouts{Write: time.Minute}
-
-// NewServer wraps an engine for serving with DefaultTimeouts.
+// NewServer wraps an engine for serving with wire.DefaultTimeouts.
 func NewServer(engine *core.Engine) *Server {
 	s := &Server{engine: engine, grid: engine.Grid()}
-	s.srv = wire.NewServer(s.handleFrame, failFrame)
-	s.srv.Options.Timeouts = DefaultTimeouts
+	s.srv = wire.NewServer(s.handleFrame)
 	return s
 }
 
@@ -109,7 +102,7 @@ func NewServer(engine *core.Engine) *Server {
 // hung or slow backend fails the query with a timeout error (counted on
 // /metrics) instead of hanging the client. Call before Listen; it is not
 // synchronized with connections in flight.
-func (s *Server) SetTimeouts(t wire.Timeouts) { s.srv.Options.Timeouts = t }
+func (s *Server) SetTimeouts(t wire.Timeouts) { s.srv.Timeouts = t }
 
 // SetAdmission installs the server-wide admission controller: every client
 // query passes its bounded queue, deadline check and tenant quotas before
@@ -136,7 +129,7 @@ func (s *Server) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 	s.ring = ring
 	if reg != nil {
 		s.met = obs.NewServerMetrics(reg)
-		s.srv.Options.Metrics = s.met.WireMetrics
+		s.srv.Metrics = s.met.WireMetrics
 		if s.adm != nil {
 			// SetAdmission ran first; attach its metrics now.
 			s.adm.met = obs.NewAdmissionMetrics(reg)
@@ -201,28 +194,13 @@ func (s *Server) ServeOps(addr string) (string, error) {
 // Close — is rejected so the first listener is never silently leaked.
 func (s *Server) Listen(addr string) (string, error) { return s.srv.Listen(addr) }
 
-// failFrame is the in-band reply to a request whose handler panicked: a
-// transient peer error for a peer request, an answer carrying the error
-// otherwise.
-func failFrame(req *wire.Frame, msg string) wire.Frame {
-	if req.Type == framePeerGet {
-		return peerErrFrame(msg, true)
-	}
-	return answerFrame(&Response{Err: msg})
-}
-
-// answerFrame encodes resp as an answer frame.
-func answerFrame(resp *Response) wire.Frame {
-	return wire.Frame{Type: frameAnswer, Payload: encodeResponse(nil, resp)}
-}
-
 // handleFrame serves one frame — a client query or a peer cache request
 // (both kinds share the listener, so a cluster member is just another
 // pipelined client). All failures — including an unrecognized frame type —
-// are answered in-band, so the connection survives a bad request under its
-// pipelined neighbors. ctx carries the server's request deadline; a query's
-// own budget (the client's deadline) tightens it further, so no work
-// continues past the point the client has given up.
+// are answered with a wire.FrameError, so the connection survives a bad
+// request under its pipelined neighbors. ctx carries the server's request
+// deadline; a query's own budget (the client's deadline) tightens it
+// further, so no work continues past the point the client has given up.
 //
 // Client queries pass the admission controller when one is installed; peer
 // cache frames bypass it deliberately — they are cheap memory operations,
@@ -234,11 +212,11 @@ func (s *Server) handleFrame(ctx context.Context, fr *wire.Frame) wire.Frame {
 		return s.handlePeerGet(fr)
 	case frameQuery:
 	default:
-		return answerFrame(&Response{Err: fmt.Sprintf("unknown frame type 0x%02x", fr.Type)})
+		return wire.ErrorFrame(fmt.Sprintf("mtier: unknown frame type 0x%02x", fr.Type), false)
 	}
 	query, tenant, budget, err := decodeQuery(fr.Payload)
 	if err != nil {
-		return answerFrame(&Response{Err: err.Error()})
+		return wire.ErrorFrame(err.Error(), false)
 	}
 	if budget > 0 {
 		// Pinned before queueing, so the engine runs under what remains of
@@ -254,18 +232,21 @@ func (s *Server) handleFrame(ctx context.Context, fr *wire.Frame) wire.Frame {
 		}
 		defer release()
 	}
-	return answerFrame(s.answer(ctx, query))
+	return s.answer(ctx, query)
 }
 
-// answer executes one query, recording metrics and a trace-ring entry for
-// every outcome. Failures are counted server-side by kind — not just folded
-// into the wire Err string — so a misbehaving client or a failing backend
-// is visible on /metrics and /traces. The trace fills in as the query
-// progresses and is recorded once, with the latency, on the way out. A
-// panic is recorded like an execute error, with the outcome "panic", and
-// raised again for the wire.Server guard, which answers the client and
-// counts it.
-func (s *Server) answer(ctx context.Context, query string) *Response {
+// answer executes one query and returns its reply frame, recording metrics
+// and a trace-ring entry for every outcome. Failures are counted
+// server-side by kind — not just replied to the client — so a misbehaving
+// client or a failing backend is visible on /metrics and /traces, and they
+// are replied as a wire.FrameError: permanent for a query that does not
+// compile or that the engine rejects, transient for a server timeout or an
+// unavailable backend, where a retry may succeed. The trace fills in as
+// the query progresses and is recorded once, with the latency, on the way
+// out. A panic is recorded like an execute error, with the outcome
+// "panic", and raised again for the wire.Server guard, which answers the
+// client with a transient FrameError and counts it.
+func (s *Server) answer(ctx context.Context, query string) wire.Frame {
 	tr := obs.QueryTrace{Start: time.Now(), Query: query}
 	s.met.Requests.Inc()
 	defer func() {
@@ -286,7 +267,7 @@ func (s *Server) answer(ctx context.Context, query string) *Response {
 	if err != nil {
 		s.met.CompileErrors.Inc()
 		tr.Outcome, tr.Err = "compile_error", err.Error()
-		return &Response{Err: err.Error()}
+		return wire.ErrorFrame(err.Error(), false)
 	}
 	lat := s.grid.Lattice()
 	res, err := s.engine.Execute(ctx, q)
@@ -294,6 +275,7 @@ func (s *Server) answer(ctx context.Context, query string) *Response {
 		// Count failures by kind so an open breaker or a hung backend is
 		// distinguishable from a bad query on /metrics and /traces.
 		tr.GroupBy, tr.Outcome, tr.Err = lat.LevelTupleString(q.GB), "execute_error", err.Error()
+		transient := true
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			tr.Outcome = "timeout"
@@ -303,8 +285,9 @@ func (s *Server) answer(ctx context.Context, query string) *Response {
 			s.met.UnavailableErrors.Inc()
 		default:
 			s.met.ExecuteErrors.Inc()
+			transient = false
 		}
-		return &Response{Err: err.Error()}
+		return wire.ErrorFrame(err.Error(), transient)
 	}
 	lv := lat.Level(q.GB)
 	sch := s.grid.Schema()
@@ -353,7 +336,7 @@ func (s *Server) answer(ctx context.Context, query string) *Response {
 		CompleteHit:      res.CompleteHit,
 		Outcome:          "ok",
 	}
-	return resp
+	return wire.Frame{Type: frameAnswer, Payload: encodeResponse(nil, resp)}
 }
 
 // Close stops the listener, closes active connections, and finally shuts
@@ -370,33 +353,31 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Client is a middle-tier client. It is safe for concurrent use: queries
+// Client is a middle-tier client: a backend.Exchange plus the query codec
+// and the tenant, as PeerClient is. It is safe for concurrent use: queries
 // are pipelined over one multiplexed connection, so N goroutines calling
 // Query share the connection without serializing on each other's round
-// trips.
+// trips, and a connection that broke is redialed by the next query. The
+// exchange has no deadline of its own: a query's context ends only that
+// query, never the connection its pipelined neighbors share.
 type Client struct {
-	mu     sync.Mutex
-	mux    *wire.Mux
-	closed bool
-	tenant string
+	x      *backend.Exchange
+	tenant atomic.Value // string
 }
 
-// Dial connects to a middle-tier server.
+// Dial connects to a middle-tier server, failing at once when nothing
+// listens at addr.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	x, err := backend.DialExchange(addr, dialTimeout, 0, obs.RemoteMetrics{})
 	if err != nil {
 		return nil, fmt.Errorf("mtier: dial %s: %w", addr, err)
 	}
-	return &Client{mux: wire.NewMux(conn, obs.WireMetrics{})}, nil
+	return &Client{x: x}, nil
 }
 
 // SetTenant attaches a tenant id to every subsequent query, keying the
 // server's per-tenant admission quotas. Empty (the default) is anonymous.
-func (c *Client) SetTenant(id string) {
-	c.mu.Lock()
-	c.tenant = id
-	c.mu.Unlock()
-}
+func (c *Client) SetTenant(id string) { c.tenant.Store(id) }
 
 // Query runs one mdq query on the middle tier.
 func (c *Client) Query(src string) (*Response, error) {
@@ -407,58 +388,27 @@ func (c *Client) Query(src string) (*Response, error) {
 // query is abandoned (the connection stays healthy) when the context ends.
 // A context deadline also propagates to the server as the query's budget,
 // so an overloaded server can shed the query up front — replied as a
-// *wire.BusyError, transient per the backend taxonomy — instead of doing
-// work the caller will have abandoned.
+// *wire.BusyError — instead of doing work the caller will have abandoned.
+// Failures classify as backend.Exchange's do: a query the server could not
+// answer is a *backend.RemoteError, transient (backend.IsTransient) when a
+// retry may succeed.
 func (c *Client) QueryContext(ctx context.Context, src string) (*Response, error) {
-	c.mu.Lock()
-	m := c.mux
-	closed := c.closed
-	tenant := c.tenant
-	c.mu.Unlock()
-	if closed || m == nil {
-		return nil, errors.New("mtier: client is closed")
-	}
 	var budget time.Duration
 	if d, ok := ctx.Deadline(); ok {
 		if budget = time.Until(d); budget <= 0 {
 			return nil, context.DeadlineExceeded
 		}
 	}
-	fr, err := m.RoundTrip(ctx, frameQuery, 0, encodeQuery(nil, src, tenant, budget), time.Time{})
+	tenant, _ := c.tenant.Load().(string)
+	fr, err := c.x.RoundTrip(ctx, frameQuery, encodeQuery(nil, src, tenant, budget))
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			err = errors.New("server closed the connection")
-		}
-		return nil, fmt.Errorf("mtier: %w", err)
-	}
-	if fr.Type == wire.FrameBusy {
-		// Load shedding: transient by the PR-3 taxonomy (backend.IsTransient
-		// is true for BusyError), so retry loops back off per the hint.
-		return nil, fmt.Errorf("mtier: %w", wire.DecodeBusy(fr.Payload))
+		return nil, err
 	}
 	if fr.Type != frameAnswer {
 		return nil, fmt.Errorf("mtier: unexpected frame type 0x%02x", fr.Type)
 	}
-	resp, err := decodeResponse(fr.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("mtier: remote: %s", resp.Err)
-	}
-	return resp, nil
+	return decodeResponse(fr.Payload)
 }
 
 // Close releases the connection; queries in flight fail promptly.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.mux != nil {
-		c.mux.Close()
-	}
-	return nil
-}
+func (c *Client) Close() error { return c.x.Close() }

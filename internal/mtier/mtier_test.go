@@ -22,14 +22,25 @@ import (
 // first.
 func newTestServer(t *testing.T) (*Server, *core.Engine, float64) {
 	t.Helper()
+	return newTestServerOver(t, nil)
+}
+
+// newTestServerOver is newTestServer with the backend wrapped by wrap, when
+// wrap is not nil.
+func newTestServerOver(t *testing.T, wrap func(backend.Backend) backend.Backend) (*Server, *core.Engine, float64) {
+	t.Helper()
 	cfg := apb.New(apb.ScaleTiny)
 	g, tab, err := cfg.Build(44)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	be, err := backend.NewEngine(g, tab, backend.LatencyModel{})
+	inner, err := backend.NewEngine(g, tab, backend.LatencyModel{})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
+	}
+	var be backend.Backend = inner
+	if wrap != nil {
+		be = wrap(inner)
 	}
 	sz := sizer.NewEstimate(g, int64(tab.Len()))
 	c, _ := cache.New(1<<20, cache.NewTwoLevel())

@@ -19,20 +19,23 @@ import (
 // pipelined client of its neighbor, with one extra request type:
 //
 //	PeerGet   0x20 → PeerChunk 0xA0   ask the owner for one chunk
-//	                 PeerErr   0xE1   in-band failure
+//	                 wire.FrameError  failure
 //
 // A PeerGet miss is an authoritative answer (found=0), never an error: the
 // owner does not consult its own backend on a peer's behalf — only the
 // querying node charges a backend trip, so a chunk resident nowhere costs
 // the cluster exactly one fetch.
 //
-// 0x21 was PeerPut, the replication request of wire version 1. No node that
-// sends it gets past the version check, so it is unassigned.
+// 0x21 was PeerPut, the replication request of wire version 1, and 0xE1
+// was PeerErr, the peer failure reply before version 3. No node that sends
+// either gets past the version check, so both are unassigned.
 const (
 	framePeerGet   uint8 = 0x20
 	framePeerChunk uint8 = 0xA0
-	framePeerErr   uint8 = 0xE1
 )
+
+// dialTimeout bounds each (re)connect of a peer or query client.
+const dialTimeout = 2 * time.Second
 
 // encodePeerGet appends a framePeerGet payload: gb u32 | num u32.
 func encodePeerGet(b []byte, k cache.Key) []byte {
@@ -87,16 +90,6 @@ func decodePeerChunk(p []byte) (data *chunk.Chunk, cl cache.Class, benefit float
 	return data, cache.Class(c), benefit, true, nil
 }
 
-// peerErrFrame builds an in-band peer error reply; transient failures carry
-// wire.FlagTransient so the caller's breaker taxonomy sees them as such.
-func peerErrFrame(msg string, transient bool) wire.Frame {
-	fr := wire.Frame{Type: framePeerErr, Payload: wire.AppendString(nil, msg)}
-	if transient {
-		fr.Flags = wire.FlagTransient
-	}
-	return fr
-}
-
 // peerStore returns the store peer requests should be served from: the local
 // hot tier when the engine's store is a Peered (never the peer tier itself —
 // answering a peer from another peer would let a chunk resident nowhere
@@ -122,10 +115,10 @@ func (s *Server) validKey(k cache.Key) bool {
 func (s *Server) handlePeerGet(fr *wire.Frame) wire.Frame {
 	k, err := decodePeerGet(fr.Payload)
 	if err != nil {
-		return peerErrFrame(err.Error(), false)
+		return wire.ErrorFrame(err.Error(), false)
 	}
 	if !s.validKey(k) {
-		return peerErrFrame(fmt.Sprintf("mtier: peer get: no such chunk (%d,%d)", k.GB, k.Num), false)
+		return wire.ErrorFrame(fmt.Sprintf("mtier: peer get: no such chunk (%d,%d)", k.GB, k.Num), false)
 	}
 	data, cl, benefit, found := s.peerStore().GetInfo(k)
 	return wire.Frame{Type: framePeerChunk, Payload: encodePeerChunk(nil, data, cl, benefit, found)}
@@ -145,7 +138,7 @@ type PeerClient struct{ x *backend.Exchange }
 // wire.DefaultMaxPayload: every caller passes 0 for maxPayload, which is
 // unused and stays only for callers compiled against this signature.
 func NewPeerClient(addr string, _ int) *PeerClient {
-	return &PeerClient{x: backend.NewExchange(addr, framePeerErr, 2*time.Second, 2*time.Second, obs.RemoteMetrics{})}
+	return &PeerClient{x: backend.NewExchange(addr, dialTimeout, dialTimeout, obs.RemoteMetrics{})}
 }
 
 // Get implements cache.Peer.

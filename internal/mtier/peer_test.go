@@ -228,16 +228,16 @@ func TestPeerServerAnswersMalformedInBand(t *testing.T) {
 	mux := wire.NewMux(conn, obs.WireMetrics{})
 	defer mux.Close()
 
-	// A garbage PeerGet payload must produce an in-band PeerErr, and the
-	// connection must survive to serve the next request.
+	// A garbage PeerGet payload must produce a permanent FrameError, and
+	// the connection must survive to serve the next request.
 	fr, err := mux.RoundTrip(context.Background(), framePeerGet, 0, []byte{1, 2, 3}, time.Now().Add(2*time.Second))
 	if err != nil {
 		t.Fatalf("RoundTrip: %v", err)
 	}
-	if fr.Type != framePeerErr {
-		t.Fatalf("frame type = %#x, want PeerErr", fr.Type)
+	if fr.Type != wire.FrameError || fr.Flags&wire.FlagTransient != 0 {
+		t.Fatalf("frame type = %#x, flags %#x, want a permanent FrameError", fr.Type, fr.Flags)
 	}
-	msg := wire.NewDec(fr.Payload).String()
+	msg := wire.DecodeError(fr.Payload)
 	if !strings.Contains(msg, "malformed") {
 		t.Fatalf("error message = %q", msg)
 	}
@@ -348,12 +348,12 @@ func TestPeerReplyThatIsNotTheRequestIsRefused(t *testing.T) {
 	}
 }
 
-// TestMixedVersionPairFailsCleanly: a version-1 node refuses version-2
-// frames by closing the connection, as its frame reader does on a version
-// mismatch. Client queries, backend requests and peer requests against it
-// fail promptly as transient errors; a node whose peer it is answers from
-// the backend instead; and a version-1 frame sent to this node is refused
-// the same way.
+// TestMixedVersionPairFailsCleanly: a node of the previous wire version
+// refuses current frames by closing the connection, as its frame reader
+// does on a version mismatch. Client queries, backend requests and peer
+// requests against it fail promptly as transient errors; a node whose peer
+// it is answers from the backend instead; and a previous-version frame sent
+// to this node is refused the same way.
 func TestMixedVersionPairFailsCleanly(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -367,8 +367,8 @@ func TestMixedVersionPairFailsCleanly(t *testing.T) {
 				return
 			}
 			go func() {
-				// Every frame it is sent carries version 2, which its reader
-				// refuses by dropping the connection after the header.
+				// Every frame it is sent carries wire.Version, which its
+				// reader refuses by dropping the connection after the header.
 				defer conn.Close()
 				io.ReadFull(conn, make([]byte, wire.HeaderSize))
 			}()
@@ -383,8 +383,8 @@ func TestMixedVersionPairFailsCleanly(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer cl.Close()
-	if _, err := cl.QueryContext(ctx, "SUM(UnitSales) BY Time:Year"); err == nil || errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("query against a version-1 node: %v, want a prompt failure", err)
+	if _, err := cl.QueryContext(ctx, "SUM(UnitSales) BY Time:Year"); !backend.IsTransient(err) {
+		t.Fatalf("query against a previous-version node: %v, want a transient error", err)
 	}
 	r, err := backend.DialPolicy(old, backend.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}, obs.RemoteMetrics{})
 	if err != nil {
@@ -392,12 +392,12 @@ func TestMixedVersionPairFailsCleanly(t *testing.T) {
 	}
 	defer r.Close()
 	if _, _, err := r.ComputeChunks(ctx, 0, []int{0}); !errors.Is(err, backend.ErrUnavailable) {
-		t.Fatalf("backend request against a version-1 node: %v, want ErrUnavailable", err)
+		t.Fatalf("backend request against a previous-version node: %v, want ErrUnavailable", err)
 	}
 	pcl := NewPeerClient(old, 0)
 	defer pcl.Close()
 	if _, _, _, _, err := pcl.Get(ctx, cache.Key{}); !backend.IsTransient(err) {
-		t.Fatalf("peer request against a version-1 node: %v, want a transient error", err)
+		t.Fatalf("peer request against a previous-version node: %v, want a transient error", err)
 	}
 
 	node, pc, total := startNodeOwnedBy(t, old)
@@ -416,11 +416,11 @@ func TestMixedVersionPairFailsCleanly(t *testing.T) {
 	var buf bytes.Buffer
 	wire.NewWriter(&buf, obs.WireMetrics{}).WriteFrame(wire.Frame{Type: frameQuery, ID: 1,
 		Payload: encodeQuery(nil, "SUM(UnitSales) BY Time:Year", "", 0)})
-	v1 := buf.Bytes()
-	v1[3] = 1
-	raw.Write(v1)
+	prev := buf.Bytes()
+	prev[3] = wire.Version - 1
+	raw.Write(prev)
 	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if n, err := raw.Read(make([]byte, 64)); err == nil {
-		t.Fatalf("a version-1 query was answered with %d bytes", n)
+		t.Fatalf("a previous-version query was answered with %d bytes", n)
 	}
 }

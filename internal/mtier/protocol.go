@@ -12,8 +12,8 @@ import (
 // rides the same framing layer as the backend protocol: a query ships as
 // one frame carrying the mdq text, the answer comes back as one frame
 // carrying the result cells, and request ids let a client pipeline queries
-// over one connection. Query failures stay in-band in the answer payload
-// (Response.Err), exactly as they did before the framing swap.
+// over one connection. A query that fails is answered with a
+// wire.FrameError instead of an answer.
 const (
 	frameQuery  uint8 = 0x10
 	frameAnswer uint8 = 0x90
@@ -64,7 +64,7 @@ func decodeQuery(p []byte) (query, tenant string, budget time.Duration, err erro
 }
 
 // encodeResponse appends a frameAnswer payload:
-// flags u8 | agg str | err str | breakdown u64×4 | nlevels u32 | level strs |
+// flags u8 | agg str | breakdown u64×4 | nlevels u32 | level strs |
 // ncells u32 | cells (nmembers u32, members u32×n, value f64, sum f64,
 // count u64).
 func encodeResponse(b []byte, r *Response) []byte {
@@ -80,7 +80,6 @@ func encodeResponse(b []byte, r *Response) []byte {
 	}
 	b = wire.AppendU8(b, flags)
 	b = wire.AppendString(b, r.Agg)
-	b = wire.AppendString(b, r.Err)
 	b = wire.AppendU64(b, uint64(r.Lookup))
 	b = wire.AppendU64(b, uint64(r.Aggregate))
 	b = wire.AppendU64(b, uint64(r.Update))
@@ -112,7 +111,6 @@ func decodeResponse(p []byte) (*Response, error) {
 	}
 	r := &Response{
 		Agg:         d.String(),
-		Err:         d.String(),
 		CompleteHit: flags&respCompleteHit != 0,
 		Aggregated:  flags&respAggregated != 0,
 		Degraded:    flags&respDegraded != 0,

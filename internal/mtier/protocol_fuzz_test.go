@@ -8,7 +8,6 @@ import "testing"
 // accepts re-encodes to a prefix of the payload, since it ignores trailing
 // bytes.
 func FuzzAnswerFrame(f *testing.F) {
-	f.Add(encodeResponse(nil, &Response{Err: "mdq: parse error"}))
 	f.Add(encodeResponse(nil, &Response{Agg: "SUM"}))
 	f.Add(encodeResponse(nil, &Response{
 		Agg: "SUM", CompleteHit: true, Aggregated: true,
@@ -20,6 +19,8 @@ func FuzzAnswerFrame(f *testing.F) {
 			{Members: []int32{2, 0}, Value: -3, Sum: -3, Count: 1},
 		},
 	}))
+	f.Add(encodeResponse(nil, &Response{Agg: "AVG", Degraded: true, Levels: []string{"Time:Year"},
+		Cells: []Cell{{Members: []int32{3}, Value: 2, Sum: 4, Count: 2}}}))
 	// A flag bit no encoder sets must be rejected, not silently dropped.
 	f.Add(append([]byte{1 << 7}, encodeResponse(nil, &Response{Agg: "SUM"})[1:]...))
 	f.Add([]byte{})

@@ -197,57 +197,55 @@ func (b *faultBackend) ComputeChunks(ctx context.Context, gb lattice.ID, nums []
 // the three execute-error kinds and a panic — records exactly one trace and
 // one latency observation, counts the request once and bumps only its own
 // error series, and the trace carries the outcome, the error and, for a
-// query the engine ran to an answer or an error, its group-by.
+// query the engine ran to an answer or an error, its group-by. The client
+// receives each failure classified: a query that does not compile or that
+// the engine rejects is a permanent *backend.RemoteError; a timeout, an
+// unavailable backend and a panic are transient.
 func TestAnswerRecordsEachOutcome(t *testing.T) {
 	const good = "SUM(UnitSales) BY Time:Year"
 	for _, tc := range []struct {
-		outcome string
-		query   string
-		fault   func() error
-		kind    func(obs.ServerMetrics) *obs.Counter // the error series it bumps
-		groupBy bool
+		outcome   string
+		query     string
+		fault     func() error
+		kind      func(obs.ServerMetrics) *obs.Counter // the error series it bumps
+		groupBy   bool
+		transient bool
 	}{
-		{"ok", good, nil, nil, true},
-		{"compile_error", "THIS IS NOT MDQ", nil, func(m obs.ServerMetrics) *obs.Counter { return m.CompileErrors }, false},
+		{"ok", good, nil, nil, true, false},
+		{"compile_error", "THIS IS NOT MDQ", nil, func(m obs.ServerMetrics) *obs.Counter { return m.CompileErrors }, false, false},
 		{"timeout", good, func() error { return fmt.Errorf("scan: %w", context.DeadlineExceeded) },
-			func(m obs.ServerMetrics) *obs.Counter { return m.TimeoutErrors }, true},
+			func(m obs.ServerMetrics) *obs.Counter { return m.TimeoutErrors }, true, true},
 		{"unavailable", good, func() error { return fmt.Errorf("dial: %w", backend.ErrUnavailable) },
-			func(m obs.ServerMetrics) *obs.Counter { return m.UnavailableErrors }, true},
+			func(m obs.ServerMetrics) *obs.Counter { return m.UnavailableErrors }, true, true},
 		{"execute_error", good, func() error { return errors.New("disk on fire") },
-			func(m obs.ServerMetrics) *obs.Counter { return m.ExecuteErrors }, true},
+			func(m obs.ServerMetrics) *obs.Counter { return m.ExecuteErrors }, true, false},
 		{"panic", good, func() error { panic("boom") },
-			func(m obs.ServerMetrics) *obs.Counter { return m.ExecuteErrors }, false},
+			func(m obs.ServerMetrics) *obs.Counter { return m.ExecuteErrors }, false, true},
 	} {
 		t.Run(tc.outcome, func(t *testing.T) {
-			g, tab, err := apb.New(apb.ScaleTiny).Build(44)
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
-			inner, err := backend.NewEngine(g, tab, backend.LatencyModel{})
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			sz := sizer.NewEstimate(g, int64(tab.Len()))
-			c, _ := cache.New(1<<20, cache.NewTwoLevel())
-			eng, err := core.New(g, c, strategy.NewVCMC(g, sz), &faultBackend{Backend: inner, fault: tc.fault}, sz)
-			if err != nil {
-				t.Fatalf("core.New: %v", err)
-			}
-			srv := NewServer(eng)
+			srv, _, _ := newTestServerOver(t, func(be backend.Backend) backend.Backend {
+				return &faultBackend{Backend: be, fault: tc.fault}
+			})
 			reg, ring := obs.NewRegistry(), obs.NewTraceRing(8)
 			srv.SetObs(reg, ring)
-
-			var resp *Response
-			var raised any
-			func() {
-				defer func() { raised = recover() }()
-				resp = srv.answer(context.Background(), tc.query)
-			}()
-			if (tc.outcome == "panic") != (raised != nil) {
-				t.Fatalf("raised %v", raised)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
 			}
-			if resp != nil && (resp.Err == "") != (tc.outcome == "ok") {
-				t.Fatalf("response error %q", resp.Err)
+			defer srv.Close()
+			cl, err := Dial(addr)
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer cl.Close()
+
+			_, err = cl.Query(tc.query)
+			var re *backend.RemoteError
+			if (err == nil) != (tc.outcome == "ok") || (err != nil && !errors.As(err, &re)) {
+				t.Fatalf("query error %v, want a RemoteError unless ok", err)
+			}
+			if backend.IsTransient(err) != tc.transient {
+				t.Fatalf("IsTransient(%v) = %v, want %v", err, backend.IsTransient(err), tc.transient)
 			}
 
 			met := obs.NewServerMetrics(reg)

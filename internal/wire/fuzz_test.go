@@ -28,6 +28,11 @@ func FuzzFrame(f *testing.F) {
 	add(Frame{Type: 1, ID: 1})
 	add(Frame{Type: 0x81, Flags: FlagTransient, ID: 7, Payload: []byte("payload")})
 	add(Frame{Type: 0xE0, ID: 1<<63 + 5, Payload: bytes.Repeat([]byte{9}, 3000)})
+	for _, transient := range []bool{true, false} {
+		fr := ErrorFrame("scripted failure", transient)
+		fr.ID = 9
+		add(fr)
+	}
 	f.Add([]byte("AGW"))                                  // truncated header
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))                 // bad magic
 	f.Add(append([]byte("AGW\x01"), make([]byte, 16)...)) // the old version

@@ -14,10 +14,10 @@ import (
 	"aggcache/internal/obs"
 )
 
-// DefaultMaxInFlight is the per-connection cap on concurrently executing
-// handlers, for both servers; excess pipelined requests queue on the read
+// maxInFlight is the per-connection cap on concurrently executing
+// handlers, for every server; excess pipelined requests queue on the read
 // loop. Request frames are bounded by DefaultMaxPayload.
-const DefaultMaxInFlight = 32
+const maxInFlight = 32
 
 // Timeouts bounds one side of a wire conversation so a stuck peer or a
 // runaway request can never wedge a serving goroutine forever. It is shared
@@ -32,19 +32,15 @@ type Timeouts struct {
 	Write time.Duration
 	// Request bounds the work for one request: its handler runs under a
 	// context with this deadline, and a request that runs out of it is
-	// answered in-band rather than by tearing the connection down. 0 means
-	// no limit.
+	// answered with a transient FrameError rather than by tearing the
+	// connection down. 0 means no limit.
 	Request time.Duration
 }
 
-// ConnOptions configures every connection a Server serves.
-type ConnOptions struct {
-	// Timeouts is the deadline policy.
-	Timeouts Timeouts
-	// Metrics receives the frame/byte counters, the in-flight and open
-	// connection gauges, and the wire error, idle close and panic counts.
-	Metrics obs.WireMetrics
-}
+// DefaultTimeouts is every server's out-of-the-box deadline policy: no idle
+// limit, one minute to write a response to a slow client, no request
+// deadline.
+var DefaultTimeouts = Timeouts{Write: time.Minute}
 
 // Handler serves one request frame and returns the response frame. ctx
 // carries the request deadline (Timeouts.Request). The response's ID is
@@ -61,11 +57,14 @@ type Handler func(ctx context.Context, fr *Frame) Frame
 // A Server listens at most once: a second Listen, or a Listen after Close,
 // is refused and its listener closed, so a listener is never leaked.
 type Server struct {
-	// Options configure every connection; set them before Listen.
-	Options ConnOptions
+	// Timeouts is the deadline policy of every connection; Metrics receives
+	// the frame/byte counters, the in-flight and open connection gauges,
+	// and the wire error, idle close and panic counts. Set both before
+	// Listen.
+	Timeouts Timeouts
+	Metrics  obs.WireMetrics
 
 	handle Handler
-	fail   func(req *Frame, msg string) Frame
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -74,11 +73,11 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer returns a server dispatching request frames to h. fail builds
-// the protocol's in-band error reply to req; the server answers with it
-// when h panics.
-func NewServer(h Handler, fail func(req *Frame, msg string) Frame) *Server {
-	return &Server{handle: h, fail: fail, conns: make(map[net.Conn]struct{})}
+// NewServer returns a server dispatching request frames to h, with
+// DefaultTimeouts. A request whose handler panics is answered with a
+// transient FrameError.
+func NewServer(h Handler) *Server {
+	return &Server{Timeouts: DefaultTimeouts, handle: h, conns: make(map[net.Conn]struct{})}
 }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
@@ -125,9 +124,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			s.Options.Metrics.Conns.Add(1)
-			serveConn(conn, s.Options, s.serve)
-			s.Options.Metrics.Conns.Add(-1)
+			s.Metrics.Conns.Add(1)
+			s.serveConn(conn)
+			s.Metrics.Conns.Add(-1)
 			conn.Close()
 			s.mu.Lock()
 			delete(s.conns, conn)
@@ -137,19 +136,19 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // serve runs one request under the request deadline, turning a handler
-// panic into the protocol's error reply so one bad request never tears
-// down the connection under its pipelined neighbors, nor the process.
+// panic into a transient FrameError so one bad request never tears down
+// the connection under its pipelined neighbors, nor the process.
 func (s *Server) serve(fr *Frame) (resp Frame) {
 	ctx := context.Background()
-	if t := s.Options.Timeouts.Request; t > 0 {
+	if t := s.Timeouts.Request; t > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			s.Options.Metrics.Panics.Inc()
-			resp = s.fail(fr, fmt.Sprintf("panic serving request: %v", p))
+			s.Metrics.Panics.Inc()
+			resp = ErrorFrame(fmt.Sprintf("panic serving request: %v", p), true)
 		}
 	}()
 	return s.handle(ctx, fr)
@@ -188,28 +187,29 @@ func (s *Server) Close() error {
 
 // serveConn runs a connection's serve loop until the peer hangs up, the
 // idle deadline passes, or the stream fails: frames are read sequentially,
-// dispatched to concurrently running handlers (bounded by
-// DefaultMaxInFlight), and responses are written back under a write lock in
-// completion order — the server half of the pipelining protocol. It returns after all in-flight
+// dispatched to concurrently running handlers (bounded by maxInFlight), and
+// responses are written back under a write lock in completion order — the
+// server half of the pipelining protocol. It returns after all in-flight
 // handlers have finished; the caller owns closing conn.
-func serveConn(conn net.Conn, opt ConnOptions, h func(*Frame) Frame) {
-	r := NewReader(conn, 0, opt.Metrics)
-	w := NewWriter(conn, opt.Metrics)
+func (s *Server) serveConn(conn net.Conn) {
+	tmo, met := s.Timeouts, s.Metrics
+	r := NewReader(conn, 0, met)
+	w := NewWriter(conn, met)
 	var (
 		wmu      sync.Mutex
 		wg       sync.WaitGroup
 		inflight atomic.Int64
 		dead     atomic.Bool // a handler write failed and closed conn
 	)
-	sem := make(chan struct{}, DefaultMaxInFlight)
+	sem := make(chan struct{}, maxInFlight)
 	defer wg.Wait()
 	for {
 		// The idle deadline applies only when nothing is being served: a
 		// client waiting on slow pipelined responses is not idle. Handlers
 		// re-arm the deadline when the last in-flight request completes.
-		if opt.Timeouts.Read > 0 {
+		if tmo.Read > 0 {
 			if inflight.Load() == 0 {
-				conn.SetReadDeadline(time.Now().Add(opt.Timeouts.Read))
+				conn.SetReadDeadline(time.Now().Add(tmo.Read))
 			} else {
 				conn.SetReadDeadline(time.Time{})
 			}
@@ -222,37 +222,37 @@ func serveConn(conn net.Conn, opt ConnOptions, h func(*Frame) Frame) {
 			case dead.Load() || errors.Is(err, net.ErrClosed):
 				// We tore the connection down ourselves; already counted.
 			case errors.Is(err, os.ErrDeadlineExceeded):
-				opt.Metrics.IdleCloses.Inc()
+				met.IdleCloses.Inc()
 			default:
-				opt.Metrics.WireErrors.Inc()
+				met.WireErrors.Inc()
 			}
 			return
 		}
 		sem <- struct{}{}
 		inflight.Add(1)
-		opt.Metrics.InFlight.Add(1)
+		met.InFlight.Add(1)
 		wg.Add(1)
 		go func(fr Frame) {
 			defer func() {
-				opt.Metrics.InFlight.Add(-1)
-				if inflight.Add(-1) == 0 && opt.Timeouts.Read > 0 {
-					conn.SetReadDeadline(time.Now().Add(opt.Timeouts.Read))
+				met.InFlight.Add(-1)
+				if inflight.Add(-1) == 0 && tmo.Read > 0 {
+					conn.SetReadDeadline(time.Now().Add(tmo.Read))
 				}
 				<-sem
 				wg.Done()
 			}()
-			resp := h(&fr)
+			resp := s.serve(&fr)
 			resp.ID = fr.ID
 			wmu.Lock()
-			if opt.Timeouts.Write > 0 {
-				conn.SetWriteDeadline(time.Now().Add(opt.Timeouts.Write))
+			if tmo.Write > 0 {
+				conn.SetWriteDeadline(time.Now().Add(tmo.Write))
 			}
 			werr := w.WriteFrame(resp)
 			wmu.Unlock()
 			if werr != nil && !dead.Swap(true) {
 				// The stream position is unknown after a failed write; drop
 				// the connection under the read loop.
-				opt.Metrics.WireErrors.Inc()
+				met.WireErrors.Inc()
 				conn.Close()
 			}
 		}(fr)

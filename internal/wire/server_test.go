@@ -10,15 +10,12 @@ import (
 	"aggcache/internal/obs"
 )
 
-// echoServer answers every frame with its own type; fail marks the reply
-// to a panicking request with FlagTransient and the panic text.
+// echoServer answers every frame with its own type, or with h's reply.
 func echoServer(h Handler) *Server {
 	if h == nil {
 		h = func(_ context.Context, fr *Frame) Frame { return Frame{Type: fr.Type} }
 	}
-	return NewServer(h, func(req *Frame, msg string) Frame {
-		return Frame{Type: req.Type, Flags: FlagTransient, Payload: AppendString(nil, msg)}
-	})
+	return NewServer(h)
 }
 
 func dialMux(t *testing.T, addr string) *Mux {
@@ -152,8 +149,8 @@ func TestServerCloseWaitsForHandlers(t *testing.T) {
 }
 
 // TestServerRecoversPanicAndAppliesDeadline: a panicking handler is
-// answered with the protocol's error reply and counted, the connection
-// keeps serving, and every handler runs under Timeouts.Request.
+// answered with a transient FrameError and counted, the connection keeps
+// serving, and every handler runs under Timeouts.Request.
 func TestServerRecoversPanicAndAppliesDeadline(t *testing.T) {
 	reg := obs.NewRegistry()
 	panics := reg.Counter("test_request_panics_total", "")
@@ -167,8 +164,8 @@ func TestServerRecoversPanicAndAppliesDeadline(t *testing.T) {
 		}
 		return Frame{Type: fr.Type}
 	})
-	s.Options.Timeouts.Request = time.Minute
-	s.Options.Metrics.Panics = panics
+	s.Timeouts.Request = time.Minute
+	s.Metrics.Panics = panics
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -176,7 +173,7 @@ func TestServerRecoversPanicAndAppliesDeadline(t *testing.T) {
 	defer s.Close()
 	m := dialMux(t, addr)
 	fr, err := m.RoundTrip(context.Background(), 0xEE, 0, nil, time.Time{})
-	if err != nil || fr.Flags&FlagTransient == 0 || NewDec(fr.Payload).String() != "panic serving request: boom" {
+	if err != nil || fr.Type != FrameError || fr.Flags&FlagTransient == 0 || DecodeError(fr.Payload) != "panic serving request: boom" {
 		t.Fatalf("panic reply: %v %+v", err, fr)
 	}
 	if panics.Value() != 1 {

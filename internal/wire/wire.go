@@ -1,9 +1,10 @@
 // Package wire is the binary framing layer shared by the backend and
 // middle-tier TCP protocols: length-prefixed frames with a fixed
 // magic+version header, little-endian payloads encoded without reflection,
-// request-id multiplexing for pipelined clients (Mux), and a concurrent
-// serving edge (Server) with one accept loop, per-request deadline and
-// panic guard, and idle/write deadlines on each connection.
+// two replies every protocol shares (FrameBusy and FrameError), request-id
+// multiplexing for pipelined clients (Mux), and a concurrent serving edge
+// (Server) with one accept loop, per-request deadline and panic guard, and
+// idle/write deadlines on each connection.
 //
 // It replaces the original encoding/gob protocol. gob serialized every chunk
 // through reflection and forced a strictly serial request/response
@@ -15,7 +16,7 @@
 //
 //	offset  size  field
 //	0       3     magic "AGW"
-//	3       1     version (currently 2)
+//	3       1     version (currently 3)
 //	4       1     frame type (protocol-specific)
 //	5       1     flags (bit 0: transient error)
 //	6       2     reserved, must be zero
@@ -42,10 +43,11 @@ import (
 
 const (
 	// Version is the protocol version byte carried by every frame. Version
-	// 2 ships chunks in the chunk codec instead of version 1's raw slab, so
-	// either side refuses the other's frames (ErrBadVersion) rather than
-	// misreading its chunk bytes.
-	Version = 2
+	// 2 shipped chunks in the chunk codec instead of version 1's raw slab;
+	// version 3 moved query failures out of the answer payload into
+	// FrameError, so the answer lost its error field. Either side refuses
+	// the other's frames (ErrBadVersion) rather than misreading them.
+	Version = 3
 
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 20
@@ -58,11 +60,6 @@ const (
 	// to a frame grows at most this far ahead of bytes actually received.
 	readStep = 64 << 10
 )
-
-// FlagTransient marks an error frame as retryable (the peer did not answer
-// deterministically — a timeout, a recovered panic), as opposed to a
-// permanent per-request rejection.
-const FlagTransient uint8 = 1 << 0
 
 var magic = [3]byte{'A', 'G', 'W'}
 

@@ -325,10 +325,10 @@ func TestServeConnCountsIdleClose(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		serveConn(conn, ConnOptions{
-			Timeouts: Timeouts{Read: 50 * time.Millisecond},
-			Metrics:  obs.WireMetrics{WireErrors: wireErrs, IdleCloses: idles},
-		}, func(fr *Frame) Frame { return Frame{Type: fr.Type} })
+		s := echoServer(nil)
+		s.Timeouts = Timeouts{Read: 50 * time.Millisecond}
+		s.Metrics = obs.WireMetrics{WireErrors: wireErrs, IdleCloses: idles}
+		s.serveConn(conn)
 		close(served)
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
